@@ -8,6 +8,7 @@ from .approximations import (
     achievability_constant,
     blahut_rate,
     compute_rate_ladder,
+    compute_rate_ladders,
     converse_constants,
     delta_to_epsilon,
     epsilon_to_delta,

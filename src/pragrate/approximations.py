@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import exact_limits
 from .distributions import SourcePmf, tilt
@@ -34,9 +35,8 @@ from .exponents import (
     moment_envelope,
     solve_alpha_star,
 )
-from .numerics import LOG2E, neumaier_sum, normal_tail_inverse
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
+from .numerics import LOG2E, SQRT_2PI, neumaier_sum, normal_tail_inverse
+from .types_census import DEFAULT_TYPE_CAP
 
 
 def epsilon_to_delta(epsilon: float, n: int) -> float:
@@ -74,12 +74,11 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
-    sigma = math.sqrt(coding_variance_bits(p))
-    return (
-        shannon_rate(p)
-        + sigma * normal_tail_inverse(epsilon) / math.sqrt(n)
-        - math.log2(n) / (2.0 * n)
-    )
+    return _strassen(shannon_rate(p), math.sqrt(coding_variance_bits(p)), n, epsilon)
+
+
+def _strassen(h: float, sigma: float, n: int, epsilon: float) -> float:
+    return h + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
 def _solve_for(p: SourcePmf, n: int, epsilon: float) -> AlphaStarSolution:
@@ -107,11 +106,6 @@ def blahut_rate(p: SourcePmf, n: int, epsilon: float) -> float:
 def pragmatic_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """H(P_alpha*) - log2(n)/(2n(1-alpha*)): the finite-n refined rate."""
     sol = _solve_for(p, n, epsilon)
-    return sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
-
-
-def pragmatic_rate_from_delta(p: SourcePmf, n: int, delta: float) -> float:
-    sol = solve_alpha_star(p, delta)
     return sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
 
 
@@ -301,43 +295,64 @@ def compute_rate_ladder(
     epsilon: float,
     *,
     include_exact: bool = True,
-    cap_types: int = exact_limits.DEFAULT_TYPE_CAP,
+    cap_types: int = DEFAULT_TYPE_CAP,
     prefix_mode: bool = False,
 ) -> RateLadder:
-    """Evaluate every ladder column at one (n, epsilon) point.
+    """The one-row :func:`compute_rate_ladders`."""
+    options = dict(include_exact=include_exact, cap_types=cap_types, prefix_mode=prefix_mode)
+    return compute_rate_ladders(p, n, [epsilon], **options)[0]
 
-    Columns that are undefined at this point (exponent out of range, or the
-    exact computation infeasible) come back as None with a note; in prefix
-    mode the exact column is shifted by the 1/n prefix penalty.
+
+def compute_rate_ladders(
+    p: SourcePmf,
+    n: int,
+    epsilons: Sequence[float],
+    *,
+    include_exact: bool = True,
+    cap_types: int = DEFAULT_TYPE_CAP,
+    prefix_mode: bool = False,
+) -> list[RateLadder]:
+    """Evaluate every ladder column at (n, epsilon), one row per epsilon.
+
+    Every epsilon is validated before any work.  The optimal code's length
+    distribution is built once and read at each epsilon.  Columns that are
+    undefined at a point (exponent out of range, or the exact computation
+    infeasible) come back as None with a note; in prefix mode the exact
+    column is shifted by the 1/n prefix penalty.
     """
-    delta = epsilon_to_delta(epsilon, n)
-    notes = []
-    blahut = pragmatic = None
-    try:
-        sol = _solve_for(p, n, epsilon)
-        blahut = sol.h_tilted
-        pragmatic = sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
-    except DomainError as exc:
-        notes.append(f"tilted columns unavailable: {exc}")
-    exact = None
+    deltas = [epsilon_to_delta(epsilon, n) for epsilon in epsilons]
+    if not deltas:
+        return []
+    if n < 1:
+        raise DomainError(f"blocklength must be >= 1, got {n}")
+    shannon, sigma = shannon_rate(p), math.sqrt(coding_variance_bits(p))
+    dist = exact_note = None
     if include_exact:
         try:
-            exact = exact_limits.optimal_rate(p, n, epsilon, cap_types=cap_types)
-            if prefix_mode:
-                exact = prefix_adjust(exact, n)
+            dist = exact_limits.length_distribution(p, n, cap_types=cap_types)
         except ResourceLimitError as exc:
-            notes.append(f"exact column infeasible: {exc}")
-    return RateLadder(
-        n=n,
-        epsilon=epsilon,
-        delta=delta,
-        shannon=shannon_rate(p),
-        strassen=strassen_rate(p, n, epsilon),
-        blahut=blahut,
-        pragmatic=pragmatic,
-        exact=exact,
-        note="; ".join(notes),
-    )
+            exact_note = f"exact column infeasible: {exc}"
+    rows = []
+    for epsilon, delta in zip(epsilons, deltas):
+        notes = []
+        blahut = pragmatic = exact = None
+        try:
+            sol = _solve_for(p, n, epsilon)
+            blahut = sol.h_tilted
+            pragmatic = sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
+        except DomainError as exc:
+            notes.append(f"tilted columns unavailable: {exc}")
+        if dist is not None:
+            exact = dist.optimal_rate(math.log2(epsilon))
+            exact = prefix_adjust(exact, n) if prefix_mode else exact
+        elif exact_note:
+            notes.append(exact_note)
+        strassen = _strassen(shannon, sigma, n, epsilon)
+        rows.append(RateLadder(
+            n=n, epsilon=epsilon, delta=delta, shannon=shannon, strassen=strassen,
+            blahut=blahut, pragmatic=pragmatic, exact=exact, note="; ".join(notes),
+        ))
+    return rows
 
 
 _LADDER_COLUMNS = ("n", "epsilon", "delta", "exact", "shannon", "strassen", "blahut", "pragmatic")

@@ -56,14 +56,28 @@ def _parse_float_list(text: str) -> list[float]:
         raise DomainError(f"bad numeric list {text!r}: {exc}") from exc
 
 
-def _apply_config_defaults(args: argparse.Namespace) -> None:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        for key, value in cfg.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) in (None, False):
-                setattr(args, attr, value)
+def _apply_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str] | None
+) -> argparse.Namespace:
+    """Re-parse ``argv`` with the --config file's values as the subcommand's
+    defaults: they beat argparse defaults, and explicit flags beat both.
+    Unknown keys and values outside an option's choices are refused."""
+    if not getattr(args, "config", None):
+        return args
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise DomainError("config file must hold a JSON object")
+    actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}
+    for key, value in cfg.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise DomainError(f"unknown config key {key!r}")
+        if action.choices is not None and value not in action.choices:
+            raise DomainError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        # argparse converts and checks a string default like a command-line value
+        action.default = value if isinstance(value, bool) else str(value)
+    return parser.parse_args(argv)
 
 
 def _load_source(args: argparse.Namespace) -> SourcePmf:
@@ -79,25 +93,21 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     ns = _parse_n_range(str(args.n))
     if not ns:
         raise DomainError("empty n range")
-    rows = []
+    points = []
     for n in ns:
         if args.eps:
             eps_list = _parse_float_list(args.eps)
         else:
-            eps_list = [
-                ap.delta_to_epsilon(d, n) for d in _parse_float_list(args.delta)
-            ]
-        for eps in eps_list:
-            rows.append(
-                ap.compute_rate_ladder(
-                    p,
-                    n,
-                    eps,
-                    include_exact=not args.no_exact,
-                    cap_types=args.cap_types,
-                    prefix_mode=(args.mode == "prefix"),
-                )
-            )
+            eps_list = [ap.delta_to_epsilon(d, n) for d in _parse_float_list(args.delta)]
+        for eps in eps_list:  # refuse a bad epsilon before any type is enumerated
+            ap.epsilon_to_delta(eps, n)
+        points.append((n, eps_list))
+    rows = []
+    for n, eps_list in points:
+        rows += ap.compute_rate_ladders(
+            p, n, eps_list, include_exact=not args.no_exact, cap_types=args.cap_types,
+            prefix_mode=(args.mode == "prefix"),
+        )
     if args.format == "markdown":
         sys.stdout.write(ap.ladder_to_markdown(rows))
     elif args.format == "json":
@@ -114,10 +124,13 @@ def _cmd_limits(args: argparse.Namespace) -> int:
     p = _load_source(args)
     ns = _parse_n_range(str(args.n))
     eps_list = _parse_float_list(args.eps)
+    for eps in eps_list:  # refuse a bad epsilon before any type is enumerated
+        ap.epsilon_to_delta(eps, 1)
     out = ["n,epsilon,L_star,rate"]
-    for n in ns:
+    for n in ns if eps_list else []:
+        dist = el.length_distribution(p, n, cap_types=args.cap_types)
         for eps in eps_list:
-            rate = el.optimal_rate(p, n, eps, cap_types=args.cap_types)
+            rate = dist.optimal_rate(math.log2(eps))
             l_star = round(rate * n) + 1
             out.append(f"{n},{eps!r},{l_star},{rate!r}")
     sys.stdout.write("\n".join(out) + "\n")
@@ -248,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, source=True):
+        sp.set_defaults(subparser=sp)
         sp.add_argument("--config", help="JSON config file supplying defaults")
         sp.add_argument("--cap-types", type=int, default=el.DEFAULT_TYPE_CAP)
         if source:
@@ -305,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except (DistributionError, DomainError, CodewordError) as exc:
         sys.stderr.write(f"error: {exc}\n")

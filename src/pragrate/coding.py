@@ -30,8 +30,9 @@ from typing import Sequence
 from .distributions import SourcePmf, tilt
 from .errors import CodewordError, DomainError, ResourceLimitError
 from .exponents import moment_envelope, solve_alpha_star
-from .numerics import LOG2E, NEG_INF, logaddexp2, neumaier_sum
+from .numerics import LOG2E, SQRT_2PI, log2_sum, neumaier_sum
 from .types_census import (
+    DEFAULT_TYPE_CAP,
     _iter_types_with_sizes,
     count_types,
     low_entropy_count,
@@ -42,8 +43,6 @@ from .types_census import (
 
 KNOWN_SOURCE = "known-source"
 UNIVERSAL = "universal"
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-DEFAULT_TYPE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -215,11 +214,7 @@ def universal_excess_probability(
             continue
         lp = neumaier_sum(c * l for c, l in zip(counts, log2p) if c)
         log_terms.append(math.log2(surviving) + lp)
-    if not log_terms:
-        return 0.0
-    acc = NEG_INF
-    for t in sorted(log_terms):
-        acc = logaddexp2(acc, t)
+    acc = log2_sum(log_terms)
     return 0.0 if acc < -1074.0 else 2.0 ** acc
 
 

@@ -35,9 +35,8 @@ from typing import Sequence
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
 from .numerics import NEG_INF, logaddexp2, neumaier_sum
-from .types_census import _iter_types_with_sizes, count_types
+from .types_census import DEFAULT_TYPE_CAP, _iter_types_with_sizes, count_types
 
-DEFAULT_TYPE_CAP = 10_000_000
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
 
@@ -68,15 +67,16 @@ class LengthDistribution:
 
     def tail(self, length: int) -> float:
         lt = self.log2_tail(length)
-        if lt == NEG_INF:
-            return 0.0
-        if lt < -1074.0:
-            return 0.0
-        return 2.0 ** lt
+        return 0.0 if lt < -1074.0 else 2.0 ** lt
 
-    @property
-    def boundaries(self) -> tuple[tuple[int, float], ...]:
-        return tuple((L, self.tail(L)) for L in range(len(self.log2_tails)))
+    def optimal_rate(self, log2_epsilon: float) -> float:
+        """(L* - 1)/n with L* = min{L : log2 P(length >= L) <= log2_epsilon}."""
+        if not log2_epsilon < 0.0:
+            raise DomainError("log2_epsilon must be negative (epsilon < 1)")
+        for length, log2_tail in enumerate(self.log2_tails):
+            if log2_tail <= log2_epsilon:
+                return (length - 1) / self.n
+        raise DomainError("no admissible length found")  # pragma: no cover
 
 
 def _guard_types(n: int, m: int, cap_types: int) -> None:
@@ -115,11 +115,7 @@ def _tails_from_ranked_classes(
     """log2 tails at every length from ranked class sizes and log2 probs."""
     total = m ** n
     t = len(sizes)
-    starts = [0] * t  # 1-based first rank of each class
-    acc = 1
-    for i, z in enumerate(sizes):
-        starts[i] = acc
-        acc += z
+    starts = list(itertools.accumulate(sizes, initial=1))[:-1]  # 1-based first rank of each class
     suffix = [NEG_INF] * (t + 1)
     for i in range(t - 1, -1, -1):
         suffix[i] = logaddexp2(math.log2(sizes[i]) + log_probs[i], suffix[i + 1])
@@ -175,13 +171,7 @@ def _exact_tails(
     n: int,
     m: int,
 ) -> tuple[Fraction, ...]:
-    per_string = []
-    for counts in counts_list:
-        prob = Fraction(1)
-        for c, f in zip(counts, fracs):
-            if c:
-                prob *= f ** c
-        per_string.append(prob)
+    per_string = [math.prod(f ** c for c, f in zip(counts, fracs) if c) for counts in counts_list]
     # The float sort already ordered the classes; re-sorting by the exact
     # probabilities (stable, same tie order) repairs any ulp-level misorder.
     order = sorted(range(len(sizes)), key=lambda i: per_string[i], reverse=True)
@@ -190,11 +180,7 @@ def _exact_tails(
 
     total = m ** n
     t = len(sizes)
-    starts = [0] * t
-    acc = 1
-    for i, z in enumerate(sizes):
-        starts[i] = acc
-        acc += z
+    starts = list(itertools.accumulate(sizes, initial=1))[:-1]
     suffix = [Fraction(0)] * (t + 1)
     for i in range(t - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i] * per_string[i]
@@ -250,11 +236,7 @@ def optimal_rate(
         log2_epsilon = math.log2(epsilon)
     elif log2_epsilon >= 0.0:
         raise DomainError("log2_epsilon must be negative (epsilon < 1)")
-    dist = length_distribution(p, n, cap_types=cap_types)
-    for length in range(len(dist.log2_tails)):
-        if dist.log2_tails[length] <= log2_epsilon:
-            return (length - 1) / n
-    raise DomainError("no admissible length found")  # pragma: no cover
+    return length_distribution(p, n, cap_types=cap_types).optimal_rate(log2_epsilon)
 
 
 def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:

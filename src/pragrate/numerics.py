@@ -1,4 +1,4 @@
-"""Small floating-point toolbox: compensated sums, base-2 log-domain
+"""Small floating-point toolbox: correctly rounded sums, base-2 log-domain
 arithmetic, golden-section search, and the normal tail inverse.
 
 Unit convention used across the package: entropies, divergences, rates and
@@ -15,22 +15,14 @@ from .errors import DomainError
 
 LOG2E = math.log2(math.e)  # bits per nat
 NEG_INF = float("-inf")
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def neumaier_sum(values: Iterable[float]) -> float:
-    """Compensated (Neumaier) summation; exact to ~1 ulp of the true sum."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
+    """Correctly rounded sum of ``values`` (``math.fsum``)."""
+    return math.fsum(values)
 
 
 def logaddexp2(a: float, b: float) -> float:
@@ -137,7 +129,7 @@ def normal_cdf_inverse(p: float) -> float:
     x = _normal_cdf_inverse_raw(p)
     # Halley refinement: e = Phi(x) - p, Phi via erfc for tail accuracy.
     e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
+    u = e * SQRT_2PI * math.exp(x * x / 2.0)
     return x - u / (1.0 + x * u / 2.0)
 
 

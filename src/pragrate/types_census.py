@@ -23,6 +23,7 @@ from .errors import DomainError
 from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
+DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,18 @@ import pytest
 
 from pragrate import (
     DomainError,
+    RateLadder,
+    ResourceLimitError,
     SourcePmf,
     achievability_constant,
     blahut_rate,
     compute_rate_ladder,
+    compute_rate_ladders,
     converse_constants,
+    count_types,
     delta_range,
     kl_divergence,
+    optimal_rate,
     pragmatic_rate,
     prefix_adjust,
     shannon_rate,
@@ -290,3 +295,56 @@ class TestLadder:
         assert epsilon_to_delta(0.01444, 50) == pytest.approx(
             math.log2(1 / 0.01444) / 50, abs=1e-15
         )
+
+
+def reference_row(p, n, eps, *, cap_types=10_000_000, prefix_mode=False):
+    """One ladder row assembled from the single-point rate functions."""
+    notes = []
+    blahut = pragmatic = exact = None
+    try:
+        blahut, pragmatic = blahut_rate(p, n, eps), pragmatic_rate(p, n, eps)
+    except DomainError as exc:
+        notes.append(f"tilted columns unavailable: {exc}")
+    try:
+        exact = optimal_rate(p, n, eps, cap_types=cap_types)
+        if prefix_mode:
+            exact = prefix_adjust(exact, n)
+    except ResourceLimitError as exc:
+        notes.append(f"exact column infeasible: {exc}")
+    return RateLadder(
+        n=n, epsilon=eps, delta=epsilon_to_delta(eps, n), shannon=shannon_rate(p),
+        strassen=strassen_rate(p, n, eps), blahut=blahut, pragmatic=pragmatic,
+        exact=exact, note="; ".join(notes),
+    )
+
+
+class TestRateLadders:
+    # the tiny epsilons put delta outside the admissible interval at each n
+    EPSILONS = (0.3, 0.05, 1e-3, 1e-6, 1e-40)
+    CASES = [(P02, 40), (SourcePmf.parse("0.6,0.3,0.1"), 20), (SourcePmf.parse("0.4,0.3,0.2,0.1"), 10)]
+
+    @pytest.mark.parametrize("p, n", CASES, ids=["m2", "m3", "m4"])
+    @pytest.mark.parametrize("prefix_mode", [False, True])
+    def test_rows_equal_single_point_rows(self, p, n, prefix_mode):
+        rows = compute_rate_ladders(p, n, self.EPSILONS, prefix_mode=prefix_mode)
+        assert rows == [
+            compute_rate_ladder(p, n, eps, prefix_mode=prefix_mode) for eps in self.EPSILONS
+        ]
+        assert rows == [reference_row(p, n, eps, prefix_mode=prefix_mode) for eps in self.EPSILONS]
+        assert any("tilted columns unavailable" in r.note for r in rows)
+        assert any(r.blahut is not None for r in rows)
+
+    @pytest.mark.parametrize("p, n", CASES, ids=["m2", "m3", "m4"])
+    def test_type_cap_note_on_every_row(self, p, n):
+        cap = count_types(n, p.m) - 1
+        rows = compute_rate_ladders(p, n, self.EPSILONS, cap_types=cap)
+        assert rows == [compute_rate_ladder(p, n, eps, cap_types=cap) for eps in self.EPSILONS]
+        assert rows == [reference_row(p, n, eps, cap_types=cap) for eps in self.EPSILONS]
+        assert all(r.exact is None and "exact column infeasible" in r.note for r in rows)
+
+    def test_bad_epsilon_refused_before_any_row(self):
+        with pytest.raises(DomainError, match="got 0.0"):
+            compute_rate_ladders(P02, 40, [0.1, 0.0])
+
+    def test_empty_epsilon_list(self):
+        assert compute_rate_ladders(P02, 40, []) == []

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pragrate import exact_limits
 from pragrate.cli import main
 
 
@@ -235,3 +236,79 @@ class TestConfigFile:
         )
         assert code == 0
         assert json.loads(out)[0]["exact"] == 0.84
+
+    def test_config_mode_beats_default_and_flag_beats_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": [0.2, 0.8], "eps": 0.01444, "mode": "prefix"}))
+        base = ("ladder", "--config", str(cfg), "--n", "50", "--format", "json")
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0
+        assert json.loads(out)[0]["exact"] == pytest.approx(0.84 + 1 / 50, abs=1e-12)
+        code, out, _ = run_cli(capsys, *base, "--mode", "one-to-one")
+        assert code == 0
+        assert json.loads(out)[0]["exact"] == 0.84
+
+    def test_config_cap_types_is_applied(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": "0.2,0.8", "cap_types": 5}))
+        code, _, err = run_cli(
+            capsys, "limits", "--config", str(cfg), "--n", "50", "--eps", "0.01444"
+        )
+        assert code == 3
+        assert "exceeds the cap of 5" in err
+
+    def test_config_unknown_key_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": "0.2,0.8", "eps": "0.01444", "bogus": 1}))
+        code, out, err = run_cli(capsys, "ladder", "--config", str(cfg), "--n", "50")
+        assert code == 2
+        assert out == ""
+        assert "unknown config key 'bogus'" in err
+
+
+class TestOneDistributionPerBlocklength:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = exact_limits.length_distribution
+
+        def counting(p, n, **kwargs):
+            calls.append(n)
+            return original(p, n, **kwargs)
+
+        monkeypatch.setattr(exact_limits, "length_distribution", counting)
+        return calls
+
+    def test_ladder_builds_once_per_n(self, capsys, builds):
+        code, out, _ = run_cli(
+            capsys, "ladder", "--source", "0.2,0.8", "--n", "20:40:10",
+            "--delta", "0.01,0.03,0.05,0.1,0.15,0.2,0.3",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 7
+        assert builds == [20, 30, 40]
+
+    def test_limits_builds_once_per_n(self, capsys, builds):
+        code, out, _ = run_cli(
+            capsys, "limits", "--source", "0.6,0.3,0.1", "--n", "10:30:10", "--eps", GOLDEN_EPS
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 7
+        assert builds == [10, 20, 30]
+
+    def test_limits_bad_epsilon_exits_before_any_build(self, capsys, builds):
+        code, out, err = run_cli(
+            capsys, "limits", "--source", "0.2,0.8", "--n", "20:40:10", "--eps", "0.01,0.0,0.1"
+        )
+        assert code == 2
+        assert out == "" and err == "error: epsilon must lie in (0, 1), got 0.0\n"
+        assert builds == []
+
+    def test_deep_delta_ladder_exits_before_any_build(self, capsys, builds):
+        # 2**(-20000 * 0.07) underflows to 0.0; the n = 100 point alone is fine
+        code, out, err = run_cli(
+            capsys, "ladder", "--source", "0.2,0.8", "--n", "100:20000:19900", "--delta", "0.07"
+        )
+        assert code == 2
+        assert out == "" and err == "error: epsilon must lie in (0, 1), got 0.0\n"
+        assert builds == []
