@@ -36,17 +36,22 @@ EXIT_INTERNAL = 4
 
 
 def _parse_n_range(text: str) -> list[int]:
-    """'50' -> [50]; '20:100' -> 20..100; '20:100:20' -> 20,40,...,100."""
+    """'50' -> [50]; '20:100' -> 20..100; '20:100:20' -> 20,40,...,100.
+
+    Every blocklength and the step must be integers >= 1."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return [int(parts[0])]
-    if len(parts) == 2:
-        lo, hi = int(parts[0]), int(parts[1])
-        return list(range(lo, hi + 1))
-    if len(parts) == 3:
-        lo, hi, step = (int(x) for x in parts)
-        return list(range(lo, hi + 1, step))
-    raise DomainError(f"bad n range {text!r}; use N, LO:HI or LO:HI:STEP")
+    if not 1 <= len(parts) <= 3:
+        raise DomainError(f"bad n range {text!r}; use N, LO:HI or LO:HI:STEP")
+    try:
+        bounds = [int(x) for x in parts]
+    except ValueError as exc:
+        raise DomainError(f"bad n range {text!r}: {exc}") from exc
+    if min(bounds) < 1:
+        raise DomainError(f"bad n range {text!r}: blocklengths and step must be >= 1")
+    lo = bounds[0]
+    hi = bounds[1] if len(bounds) > 1 else lo
+    step = bounds[2] if len(bounds) > 2 else 1
+    return list(range(lo, hi + 1, step))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -64,8 +69,11 @@ def _apply_config(
     Unknown keys and values outside an option's choices are refused."""
     if not getattr(args, "config", None):
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read config file {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
     actions = {a.dest: a for a in args.subparser._actions if a.dest not in ("help", "config")}

@@ -223,6 +223,43 @@ def _weighted_moments(weights: Sequence[float], values: Sequence[float]) -> tupl
     return mean, max(var, 0.0), max(rho, 0.0), m3
 
 
+def _tilt_weights(ln_p: list[float], alpha: float) -> tuple[list[float], float, list[float]]:
+    """``(alpha * ln P, ln Z_alpha, P_alpha)`` for alpha in (0, 1).
+
+    The one copy of the tilted-family weight code: :func:`tilt` and the lean
+    evaluators below all call it, so their floats agree bit for bit.
+    """
+    scaled = [alpha * lp for lp in ln_p]
+    peak = max(scaled)
+    zs = [math.exp(s - peak) for s in scaled]
+    z_shifted = neumaier_sum(zs)
+    ln_z = peak + math.log(z_shifted)
+    weights = [z / z_shifted for z in zs]
+    return scaled, ln_z, weights
+
+
+def _tilted_kl_entropy(ln_p: list[float], alpha: float) -> tuple[float, float]:
+    """``(kl_bits, entropy_bits)`` of ``tilt(p, alpha)``, bit for bit, given
+    ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1).
+
+    Root finders on the tilted family read only these two fields; this skips
+    the moments and the validated pmf that :func:`tilt` builds.
+    """
+    scaled, ln_z, weights = _tilt_weights(ln_p, alpha)
+    t1 = [s - ln_z for s in scaled]
+    mean1 = neumaier_sum(w * a for w, a in zip(weights, t1))
+    mean2 = neumaier_sum(w * (a - b) for w, a, b in zip(weights, t1, ln_p))
+    return max(mean2 * LOG2E, 0.0), -mean1 * LOG2E
+
+
+def _tilted_sigma3_rho3(ln_p: list[float], alpha: float) -> tuple[float, float]:
+    """``(sigma3_sq, rho3)`` of ``tilt(p, alpha)``, bit for bit, given
+    ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1)."""
+    _, _, weights = _tilt_weights(ln_p, alpha)
+    _, sigma3_sq, rho3, _ = _weighted_moments(weights, ln_p)
+    return sigma3_sq, rho3
+
+
 def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
     """Exponentially tilt ``p``: returns P_alpha, Z_alpha and all moments.
 
@@ -237,12 +274,7 @@ def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
         # No tilt: P_1 = P and Z_1 = 1 exactly.
         scaled, ln_z, weights = ln_p, 0.0, list(p.probs)
     else:
-        scaled = [alpha * lp for lp in ln_p]
-        peak = max(scaled)
-        zs = [math.exp(s - peak) for s in scaled]
-        z_shifted = neumaier_sum(zs)
-        ln_z = peak + math.log(z_shifted)
-        weights = [z / z_shifted for z in zs]
+        scaled, ln_z, weights = _tilt_weights(ln_p, alpha)
 
     t1 = [s - ln_z for s in scaled]            # log_e P_alpha(x)
     t3 = ln_p                                  # log_e P(x)

@@ -17,7 +17,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .distributions import SourcePmf, TiltedPoint, kl_divergence, tilt
+from .distributions import (
+    SourcePmf,
+    TiltedPoint,
+    _tilted_kl_entropy,
+    _tilted_sigma3_rho3,
+    kl_divergence,
+    tilt,
+)
 from .errors import DomainError, InvariantViolation
 from .numerics import golden_section_minimize
 
@@ -64,9 +71,10 @@ class MomentEnvelope:
 
     The open-interval sup/inf are approximated on [1e-6, 1 - 1e-6]: a dense
     grid evaluation followed by golden-section refinement around each grid
-    extremum.  By construction the returned values bound every grid
-    evaluation.  ``degenerate`` marks the uniform source, where all the
-    moments vanish identically.
+    extremum.  This is a grid estimate (not yet a certified bound): by
+    construction the returned values bound every grid evaluation, but not
+    necessarily the moments between grid points.  ``degenerate`` marks the
+    uniform source, where all the moments vanish identically.
     """
 
     sigma3_inf_sq: float
@@ -99,10 +107,11 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
             f"delta={delta!r} outside the admissible open interval "
             f"(0, {rng.hi!r}) bits"
         )
+    ln_p = [math.log(x) for x in p.probs]
     lo, hi = 0.0, 1.0  # D(lo+) > delta > D(hi) by the range check
     while hi - lo > ALPHA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if tilt(p, mid).kl_bits > delta:
+        if _tilted_kl_entropy(ln_p, mid)[0] > delta:
             lo = mid
         else:
             hi = mid
@@ -138,14 +147,15 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     if rate >= h_max - tol:
         # Only the uniform law has full entropy, so the infimum is D(U || P).
         return delta_range(p).hi
+    ln_p = [math.log(x) for x in p.probs]
     lo, hi = 0.0, 1.0  # H decreasing in alpha: H(lo+) = log2 m, H(1) = H(P)
     while hi - lo > ALPHA_BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if tilt(p, mid).entropy_bits > rate:
+        if _tilted_kl_entropy(ln_p, mid)[1] > rate:
             lo = mid
         else:
             hi = mid
-    return tilt(p, 0.5 * (lo + hi)).kl_bits
+    return _tilted_kl_entropy(ln_p, 0.5 * (lo + hi))[0]
 
 
 @lru_cache(maxsize=64)
@@ -154,7 +164,8 @@ def moment_envelope(
     grid_size: int = ENVELOPE_GRID,
     refinement_tol: float = ENVELOPE_REFINE_TOL,
 ) -> MomentEnvelope:
-    """Certified extremes of sigma3_sq and rho3 over alpha in (0, 1).
+    """Extremes of sigma3_sq and rho3 over alpha in (0, 1): a grid estimate
+    (not yet a certified bound), see :class:`MomentEnvelope`.
 
     Pure in its (immutable) arguments, so results are memoized; the dense
     grid pass is the dominant cost in sweeps that call this per blocklength.
@@ -165,25 +176,38 @@ def moment_envelope(
         raise DomainError("grid_size must be at least 3")
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
     step = (hi_edge - lo_edge) / (grid_size - 1)
-    alphas = [lo_edge + i * step for i in range(grid_size)]
-    sig = [tilt(p, a).sigma3_sq for a in alphas]
-    rho = [tilt(p, a).rho3 for a in alphas]
+    ln_p = [math.log(x) for x in p.probs]
 
-    def refine(values: list[float], objective, minimize: bool) -> float:
-        idx = min(range(grid_size), key=lambda i: values[i] if minimize else -values[i])
-        a = alphas[max(idx - 1, 0)]
-        b = alphas[min(idx + 1, grid_size - 1)]
+    def alpha_at(i: int) -> float:
+        return lo_edge + i * step
+
+    # One streaming pass keeps the first argmin/argmax of each grid column.
+    sig_lo = sig_hi = rho_hi = 0
+    sig_lo_v, rho_hi_v = _tilted_sigma3_rho3(ln_p, alpha_at(0))
+    sig_hi_v = sig_lo_v
+    for i in range(1, grid_size):
+        s, r = _tilted_sigma3_rho3(ln_p, alpha_at(i))
+        if s < sig_lo_v:
+            sig_lo, sig_lo_v = i, s
+        if s > sig_hi_v:
+            sig_hi, sig_hi_v = i, s
+        if r > rho_hi_v:
+            rho_hi, rho_hi_v = i, r
+
+    def refine(idx: int, value: float, objective, minimize: bool) -> float:
+        a = alpha_at(max(idx - 1, 0))
+        b = alpha_at(min(idx + 1, grid_size - 1))
         f = objective if minimize else (lambda x: -objective(x))
         _, fx = golden_section_minimize(f, a, b, refinement_tol)
         best = fx if minimize else -fx
-        return min(best, values[idx]) if minimize else max(best, values[idx])
+        return min(best, value) if minimize else max(best, value)
 
-    sigma3_of = lambda a: tilt(p, a).sigma3_sq
-    rho3_of = lambda a: tilt(p, a).rho3
+    sigma3_of = lambda a: _tilted_sigma3_rho3(ln_p, a)[0]
+    rho3_of = lambda a: _tilted_sigma3_rho3(ln_p, a)[1]
     return MomentEnvelope(
-        sigma3_inf_sq=refine(sig, sigma3_of, minimize=True),
-        sigma3_sup_sq=refine(sig, sigma3_of, minimize=False),
-        rho3_sup=refine(rho, rho3_of, minimize=False),
+        sigma3_inf_sq=refine(sig_lo, sig_lo_v, sigma3_of, minimize=True),
+        sigma3_sup_sq=refine(sig_hi, sig_hi_v, sigma3_of, minimize=False),
+        rho3_sup=refine(rho_hi, rho_hi_v, rho3_of, minimize=False),
         grid_size=grid_size,
         refinement_tol=refinement_tol,
     )

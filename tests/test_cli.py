@@ -1,7 +1,13 @@
 import json
+import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pragrate
 from pragrate import exact_limits
 from pragrate.cli import main
 
@@ -10,6 +16,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv):
+    """Run ``python -m pragrate`` in a child process, so an uncaught
+    exception shows up as a traceback on stderr and exit code 1."""
+    src = str(pathlib.Path(pragrate.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pragrate", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 GOLDEN_EPS = "0.00003,0.0001,0.00032,0.00093,0.00251,0.00626,0.01444"
@@ -312,3 +330,49 @@ class TestOneDistributionPerBlocklength:
         assert code == 2
         assert out == "" and err == "error: epsilon must lie in (0, 1), got 0.0\n"
         assert builds == []
+
+
+class TestInputErrorsExit2:
+    """Malformed input gets an ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("ladder", "--source", "0.2,0.8", "--n", "0:2", "--eps", "0.1"),
+        ("limits", "--source", "0.2,0.8", "--n", "5x", "--eps", "0.1"),
+        ("limits", "--source", "0.2,0.8", "--n", "10:20:0", "--eps", "0.1"),
+    ], ids=["n_range_with_zero", "non_integer_n", "zero_step"])
+    def test_bad_n_range(self, argv):
+        code, out, err = run_cli_process(*argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: bad n range")
+        assert "Traceback" not in err
+
+    def test_missing_config_file(self, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, out, err = run_cli_process(
+            "limits", "--config", str(missing), "--source", "0.2,0.8", "--n", "5", "--eps", "0.1"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot read config file")
+        assert "Traceback" not in err
+
+    def test_invalid_json_config_file(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("{not json")
+        code, out, err = run_cli_process(
+            "limits", "--config", str(cfg), "--source", "0.2,0.8", "--n", "5", "--eps", "0.1"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot read config file")
+        assert "Traceback" not in err
+
+
+def test_subnormal_epsilon_ladder_has_finite_strassen_cell():
+    # n*delta = 1050: epsilon = 2**-1050 is subnormal but not zero
+    code, out, err = run_cli_process(
+        "ladder", "--source", "0.2,0.8", "--n", "20000", "--delta", "0.0525", "--no-exact"
+    )
+    assert code == 0 and err == ""
+    header, row = out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert 0.0 < float(cells["epsilon"]) < 2.0 ** -1022
+    assert math.isfinite(float(cells["strassen"]))

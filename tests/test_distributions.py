@@ -16,6 +16,7 @@ from pragrate import (
     tilt_identity_residual,
     tilted_derivatives,
 )
+from pragrate.distributions import _tilted_kl_entropy, _tilted_sigma3_rho3
 from pragrate.numerics import LOG2E
 
 from conftest import bern, random_pmf
@@ -165,6 +166,23 @@ class TestTilt:
             alphas = [0.05 + 0.9 * i / 30 for i in range(31)]
             hs = [tilt(p, a).entropy_bits for a in alphas]
             assert all(a > b for a, b in zip(hs, hs[1:]))
+
+
+class TestLeanTiltEvaluators:
+    """The evaluators behind the alpha* bisection and the moment envelope
+    must reproduce tilt()'s fields bit for bit, not just closely."""
+
+    SKEWED = (SourcePmf((1e-6, 1 - 1e-6)), SourcePmf((0.001, 0.002, 0.997)))
+
+    def test_equal_to_tilt_fields(self, rng):
+        sources = [random_pmf(rng, rng.randint(2, 6)) for _ in range(40)] + list(self.SKEWED)
+        for p in sources:
+            ln_p = [math.log(x) for x in p.probs]
+            alphas = [rng.uniform(0.0, 1.0) for _ in range(8)] + [1e-6, 0.5, 1 - 1e-6, 1 - 1e-14]
+            for alpha in alphas:
+                t = tilt(p, alpha)
+                assert _tilted_kl_entropy(ln_p, alpha) == (t.kl_bits, t.entropy_bits)
+                assert _tilted_sigma3_rho3(ln_p, alpha) == (t.sigma3_sq, t.rho3)
 
 
 class TestTiltedDerivatives:

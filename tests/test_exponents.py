@@ -14,6 +14,10 @@ from pragrate import (
     tilt,
 )
 
+from pragrate import exponents
+from pragrate.exponents import ALPHA_BISECTION_TOL, ENVELOPE_EDGE
+from pragrate.numerics import golden_section_minimize
+
 from conftest import bern, random_pmf
 
 P02 = bern("0.2")
@@ -166,3 +170,80 @@ class TestMomentEnvelope:
         assert env.sigma3_inf_sq == pytest.approx(0.2 * 0.8 * l4sq, rel=1e-4)
         assert env.sigma3_sup_sq == pytest.approx(0.25 * l4sq, rel=1e-4)
         assert env.rho3_sup == pytest.approx(0.25 * 0.5 * math.log(4.0) ** 3, rel=1e-4)
+
+
+def reference_bisection(p, target, field):
+    """The alpha bisection as a chain of full tilt() calls."""
+    lo, hi = 0.0, 1.0
+    while hi - lo > ALPHA_BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if getattr(tilt(p, mid), field) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def reference_envelope(p, grid_size, refinement_tol=1e-10):
+    """moment_envelope as two lists of full tilt() calls over the grid."""
+    lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
+    step = (hi_edge - lo_edge) / (grid_size - 1)
+    alphas = [lo_edge + i * step for i in range(grid_size)]
+    sig = [tilt(p, a).sigma3_sq for a in alphas]
+    rho = [tilt(p, a).rho3 for a in alphas]
+
+    def refine(values, objective, minimize):
+        idx = min(range(grid_size), key=lambda i: values[i] if minimize else -values[i])
+        a = alphas[max(idx - 1, 0)]
+        b = alphas[min(idx + 1, grid_size - 1)]
+        f = objective if minimize else (lambda x: -objective(x))
+        _, fx = golden_section_minimize(f, a, b, refinement_tol)
+        best = fx if minimize else -fx
+        return min(best, values[idx]) if minimize else max(best, values[idx])
+
+    sigma3_of = lambda a: tilt(p, a).sigma3_sq
+    rho3_of = lambda a: tilt(p, a).rho3
+    return (
+        refine(sig, sigma3_of, minimize=True),
+        refine(sig, sigma3_of, minimize=False),
+        refine(rho, rho3_of, minimize=False),
+    )
+
+
+class TestBitIdenticalToTiltChains:
+    """The bisections and the envelope read lean evaluators, not tilt();
+    their outputs must equal the tilt()-based algorithms exactly."""
+
+    def test_alpha_star_and_error_exponent(self, rng):
+        for _ in range(12):
+            p = random_pmf(rng, rng.randint(2, 6))
+            hi = delta_range(p).hi
+            for frac in (0.01, rng.uniform(0.05, 0.95), 0.999):
+                sol = solve_alpha_star(p, frac * hi)
+                assert sol.alpha_star == reference_bisection(p, frac * hi, "kl_bits")
+            h0, h1 = entropy(p), math.log2(p.m)
+            rate = h0 + (h1 - h0) * rng.uniform(0.05, 0.95)
+            want = tilt(p, reference_bisection(p, rate, "entropy_bits")).kl_bits
+            assert error_exponent(p, rate) == want
+
+    def test_moment_envelope(self, rng):
+        for m in (2, 3, 4, 5, 6):
+            p = random_pmf(rng, m)
+            env = moment_envelope(p, grid_size=257)
+            got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
+            assert got == reference_envelope(p, 257)
+
+    def test_tilt_call_counts(self, monkeypatch):
+        calls = []
+        original = exponents.tilt
+
+        def counting(p, alpha):
+            calls.append(alpha)
+            return original(p, alpha)
+
+        monkeypatch.setattr(exponents, "tilt", counting)
+        p = SourcePmf((0.1, 0.2, 0.3, 0.4))
+        moment_envelope.__wrapped__(p, grid_size=129)  # bypass the memo
+        assert calls == []
+        sol = solve_alpha_star(p, 0.05)
+        assert calls == [sol.alpha_star]

@@ -1,0 +1,90 @@
+"""High-precision oracle: the tilted family, the alpha* solve and the normal
+tail inverse against mpmath at 50 significant digits.
+
+The oracle evaluates the defining formulas directly on the exact binary
+values of the source's float entries, so it shares no code and no rounding
+with the library.
+"""
+
+import random
+
+import pytest
+
+from pragrate import delta_range, solve_alpha_star, tilt
+from pragrate.numerics import normal_tail_inverse
+
+from conftest import random_pmf
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+REL = 1e-12
+
+
+@pytest.fixture(autouse=True)
+def fifty_digits():
+    with mpmath.workdps(50):
+        yield
+
+
+def exact_tilt(probs, alpha):
+    """(kl_bits, entropy_bits, sigma3_sq, rho3) of the tilted pmf, in mpmath."""
+    p = [mp.mpf(x) for x in probs]
+    a = mp.mpf(alpha)
+    z = mp.fsum(x ** a for x in p)
+    w = [x ** a / z for x in p]
+    ln_p = [mp.log(x) for x in p]
+    ln_w = [mp.log(x) for x in w]
+    mean = mp.fsum(wi * v for wi, v in zip(w, ln_p))
+    kl = mp.fsum(wi * (lw - lp) for wi, lw, lp in zip(w, ln_w, ln_p)) / mp.log(2)
+    h = -mp.fsum(wi * lw for wi, lw in zip(w, ln_w)) / mp.log(2)
+    var = mp.fsum(wi * (v - mean) ** 2 for wi, v in zip(w, ln_p))
+    rho = mp.fsum(wi * abs(v - mean) ** 3 for wi, v in zip(w, ln_p))
+    return kl, h, var, rho
+
+
+def exact_alpha_star(probs, delta):
+    return mp.findroot(lambda a: exact_tilt(probs, a)[0] - delta, (mp.mpf("1e-3"), 1 - mp.mpf("1e-3")),
+                       solver="anderson")
+
+
+def exact_tail_inverse(eps):
+    """x with Q(x) = eps, solved on log Q so that subnormal eps keep their digits."""
+    e = mp.mpf(eps)
+    log_q = lambda x: mp.log(mp.erfc(x / mp.sqrt(2)) / 2) - mp.log(e)
+    return mp.findroot(log_q, mp.sqrt(-2 * mp.log(e)))
+
+
+def close(got, want, rel=REL):
+    return abs(mp.mpf(got) - want) <= rel * abs(want)
+
+
+def test_tilt_fields():
+    rng = random.Random(0x0AC1E)
+    for _ in range(30):
+        p = random_pmf(rng, rng.randint(2, 6))
+        for alpha in (rng.uniform(0.02, 0.9), 0.5, 0.05):
+            t = tilt(p, alpha)
+            kl, h, var, rho = exact_tilt(p.probs, alpha)
+            assert close(t.kl_bits, kl), (p, alpha)
+            assert close(t.entropy_bits, h), (p, alpha)
+            assert close(t.sigma3_sq, var), (p, alpha)
+            assert close(t.rho3, rho), (p, alpha)
+
+
+def test_alpha_star():
+    rng = random.Random(0xA1FA)
+    for _ in range(10):
+        p = random_pmf(rng, rng.randint(2, 5))
+        delta = delta_range(p).hi * rng.uniform(0.05, 0.9)
+        got = solve_alpha_star(p, delta).alpha_star
+        want = exact_alpha_star(p.probs, delta)
+        assert abs(got - want) <= REL, (p, delta)
+
+
+def test_normal_tail_inverse_down_to_smallest_subnormal():
+    assert normal_tail_inverse(0.5) == 0.0
+    epsilons = [0.3, 0.1, 1e-3, 1e-9, 1e-30, 1e-100, 1e-300, 2.0 ** -1022]
+    epsilons += [2.0 ** -k for k in range(1023, 1075)]
+    for eps in epsilons:
+        assert close(normal_tail_inverse(eps), exact_tail_inverse(eps), rel=1e-9), eps
