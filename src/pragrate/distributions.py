@@ -214,13 +214,12 @@ class TiltedPoint:
     third_central_moment3: float  # signed E[(log_e P(X) - mean)^3], nats^3
 
 
-def _weighted_moments(weights: Sequence[float], values: Sequence[float]) -> tuple[float, float, float, float]:
-    """Mean, variance, absolute third central moment, signed third central moment."""
+def _weighted_moments(weights: Sequence[float], values: Sequence[float]) -> tuple[float, float, float]:
+    """Mean, variance, absolute third central moment."""
     mean = neumaier_sum(w * v for w, v in zip(weights, values))
     var = neumaier_sum(w * (v - mean) ** 2 for w, v in zip(weights, values))
     rho = neumaier_sum(w * abs(v - mean) ** 3 for w, v in zip(weights, values))
-    m3 = neumaier_sum(w * (v - mean) ** 3 for w, v in zip(weights, values))
-    return mean, max(var, 0.0), max(rho, 0.0), m3
+    return mean, max(var, 0.0), max(rho, 0.0)
 
 
 def _tilt_weights(ln_p: list[float], alpha: float) -> tuple[list[float], float, list[float]]:
@@ -256,7 +255,7 @@ def _tilted_sigma3_rho3(ln_p: list[float], alpha: float) -> tuple[float, float]:
     """``(sigma3_sq, rho3)`` of ``tilt(p, alpha)``, bit for bit, given
     ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1)."""
     _, _, weights = _tilt_weights(ln_p, alpha)
-    _, sigma3_sq, rho3, _ = _weighted_moments(weights, ln_p)
+    _, sigma3_sq, rho3 = _weighted_moments(weights, ln_p)
     return sigma3_sq, rho3
 
 
@@ -280,9 +279,10 @@ def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
     t3 = ln_p                                  # log_e P(x)
     t2 = [a - b for a, b in zip(t1, t3)]       # log_e [P_alpha/P](x)
 
-    mean1, sigma1_sq, rho1, _ = _weighted_moments(weights, t1)
-    mean2, sigma2_sq, rho2, _ = _weighted_moments(weights, t2)
-    _, sigma3_sq, rho3, m3 = _weighted_moments(weights, t3)
+    mean1, sigma1_sq, rho1 = _weighted_moments(weights, t1)
+    mean2, sigma2_sq, rho2 = _weighted_moments(weights, t2)
+    mean3, sigma3_sq, rho3 = _weighted_moments(weights, t3)
+    m3 = neumaier_sum(w * (v - mean3) ** 3 for w, v in zip(weights, t3))
 
     return TiltedPoint(
         alpha=alpha,

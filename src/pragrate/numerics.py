@@ -18,7 +18,6 @@ NEG_INF = float("-inf")
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-SMALLEST_NORMAL = 2.0 ** -1022
 
 
 def neumaier_sum(values: Iterable[float]) -> float:
@@ -99,6 +98,7 @@ _ICDF_D = (
     2.445134137142996e+00, 3.754408661907416e+00,
 )
 _ICDF_SPLIT = 0.02425
+_SMALLEST_NORMAL = 2.0 ** -1022
 
 
 def _normal_cdf_inverse_raw(p: float) -> float:
@@ -129,7 +129,7 @@ def normal_cdf_inverse(p: float) -> float:
         # relative precision where the lower-tail form would cancel.
         return -normal_cdf_inverse(1.0 - p)
     x = _normal_cdf_inverse_raw(p)
-    if p < SMALLEST_NORMAL:
+    if p < _SMALLEST_NORMAL:
         return _newton_log_lower_tail(x, p)
     # Halley refinement: e = Phi(x) - p, Phi via erfc for tail accuracy.
     e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
@@ -140,10 +140,11 @@ def normal_cdf_inverse(p: float) -> float:
 def _newton_log_lower_tail(x: float, p: float) -> float:
     """One Newton step on log Phi(x) = log p, for subnormal p (x < -37).
 
-    There Phi(x) and p keep only a few significant bits, so Phi(x) - p is
-    noise, and exp(x*x/2) overflows.  Instead log Phi(x) comes from the
+    There Phi(x) and p have lost significant bits, so Phi(x) - p is mostly
+    rounding, and exp(x*x/2) overflows.  Instead log Phi(x) comes from the
     asymptotic series Phi(x) = phi(x)/(-x) * s, s = sum_k (-1)**k (2k-1)!!/x**(2k),
-    whose ninth term is below 1e-19 at |x| > 37; d/dx log Phi(x) = -x/s.
+    cut after k = 8: the first omitted term is below 1e-20 at |x| > 37.
+    Newton uses d/dx log Phi(x) = -x/s.
     """
     y = 1.0 / (x * x)
     s, term = 1.0, 1.0
