@@ -15,7 +15,7 @@ from pragrate import (
 )
 
 from pragrate import exponents
-from pragrate.exponents import ALPHA_BISECTION_TOL, ENVELOPE_EDGE
+from pragrate.exponents import ALPHA_BISECTION_TOL, ENVELOPE_EDGE, ENVELOPE_REFINE_TOL
 from pragrate.numerics import golden_section_minimize
 
 from conftest import bern, random_pmf
@@ -184,7 +184,7 @@ def reference_bisection(p, target, field):
     return 0.5 * (lo + hi)
 
 
-def reference_envelope(p, grid_size, refinement_tol=1e-10):
+def reference_envelope(p, grid_size, refinement_tol=ENVELOPE_REFINE_TOL):
     """moment_envelope as two lists of full tilt() calls over the grid."""
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
     step = (hi_edge - lo_edge) / (grid_size - 1)
