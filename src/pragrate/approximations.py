@@ -43,6 +43,8 @@ def epsilon_to_delta(epsilon: float, n: int) -> float:
     """delta = log2(1/epsilon)/n (bits)."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if n < 1:
+        raise DomainError(f"blocklength must be >= 1, got {n}")
     return -math.log2(epsilon) / n
 
 

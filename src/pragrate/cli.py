@@ -38,7 +38,8 @@ EXIT_INTERNAL = 4
 def _parse_n_range(text: str) -> list[int]:
     """'50' -> [50]; '20:100' -> 20..100; '20:100:20' -> 20,40,...,100.
 
-    Every blocklength and the step must be integers >= 1."""
+    Every blocklength and the step must be integers >= 1, and the range
+    must hold at least one blocklength."""
     parts = text.split(":")
     if not 1 <= len(parts) <= 3:
         raise DomainError(f"bad n range {text!r}; use N, LO:HI or LO:HI:STEP")
@@ -51,7 +52,10 @@ def _parse_n_range(text: str) -> list[int]:
     lo = bounds[0]
     hi = bounds[1] if len(bounds) > 1 else lo
     step = bounds[2] if len(bounds) > 2 else 1
-    return list(range(lo, hi + 1, step))
+    ns = list(range(lo, hi + 1, step))
+    if not ns:
+        raise DomainError("empty n range")
+    return ns
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -99,8 +103,6 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     if bool(args.eps) == bool(args.delta):
         raise DomainError("provide exactly one of --eps or --delta")
     ns = _parse_n_range(str(args.n))
-    if not ns:
-        raise DomainError("empty n range")
     points = []
     for n in ns:
         if args.eps:

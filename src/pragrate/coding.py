@@ -8,6 +8,17 @@ Two orderings of A^n are supported, both total orders of the form
 * universal: type classes sorted by increasing empirical entropy, with no
   reference to any source.
 
+Classes whose float sort keys are equal keep the canonical (ascending lex)
+type order in both modes.  The known-source build gets this from a stable
+sort, on the float key alone, of the classes listed in canonical order; the
+key is the ``fsum`` of per-symbol table entries c*log2 p_i.  The universal
+build works one permutation orbit at a time: entropy and class size are
+computed once per partition of n, the partitions are grouped by their exact
+float entropy, and each level's count vectors are emitted in lex order.
+Since ``fsum`` is correctly rounded whatever the order of its terms, every
+vector of an orbit has its partition's entropy bit for bit, so this equals
+a sort of all C(n+m-1, m-1) classes on (entropy, counts).
+
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
 empty codeword.  Encoding is big-integer index arithmetic: the offset of the
@@ -23,20 +34,24 @@ the split of the class straddling a 2**L boundary.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .distributions import SourcePmf, tilt
 from .errors import CodewordError, DomainError, ResourceLimitError
 from .exponents import moment_envelope, solve_alpha_star
-from .numerics import LOG2E, SQRT_2PI, log2_sum, neumaier_sum
+from .numerics import LOG2E, SQRT_2PI, log2_sum
 from .types_census import (
     DEFAULT_TYPE_CAP,
+    _distinct_permutations,
+    _iter_partitions,
     _iter_types_with_sizes,
+    _rank_in_class,
     count_types,
     low_entropy_count,
-    rank_in_type_class,
     type_entropy_bits,
     unrank_in_type_class,
 )
@@ -52,7 +67,7 @@ class Codeword:
     bits: str
 
     def __post_init__(self) -> None:
-        if any(b not in "01" for b in self.bits):
+        if self.bits.strip("01"):
             raise CodewordError(f"codeword must be over '0'/'1': {self.bits!r}")
 
     @property
@@ -75,7 +90,9 @@ class CodeOrdering:
 
     ``type_order`` lists count vectors in code order; ``offsets[i]`` is the
     number of strings in all earlier classes, so class i covers 0-based
-    string indices [offsets[i], offsets[i+1]).
+    string indices [offsets[i], offsets[i+1]).  The counts-to-position map
+    behind :meth:`position_of` is built on its first use, so a decoder never
+    pays for it.
     """
 
     mode: str
@@ -85,49 +102,67 @@ class CodeOrdering:
     offsets: tuple[int, ...]  # length len(type_order)+1; last entry is m**n
     _position: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self._position:
-            self._position.update(
-                (counts, i) for i, counts in enumerate(self.type_order)
-            )
-
     @property
     def total(self) -> int:
         return self.offsets[-1]
 
     def position_of(self, counts: tuple[int, ...]) -> int:
+        if not self._position:
+            self._position.update((c, i) for i, c in enumerate(self.type_order))
         try:
             return self._position[counts]
         except KeyError:
             raise DomainError(f"type {counts} is not an {self.n}-type on {self.m} symbols")
 
 
-def _ordered_types(
-    mode: str, n: int, m: int, source: SourcePmf | None, cap_types: int
-) -> list[tuple[tuple[int, ...], int]]:
-    if count_types(n, m) > cap_types:
-        raise ResourceLimitError(
-            f"{count_types(n, m)} type classes at n={n}, m={m} exceeds cap {cap_types}"
-        )
-    all_types = list(_iter_types_with_sizes(n, m))
-    if mode == UNIVERSAL:
-        # Source-independent: ascending empirical entropy, canonical order on ties.
-        all_types.sort(key=lambda cs: (type_entropy_bits(cs[0]), cs[0]))
-        return all_types
-    if mode == KNOWN_SOURCE:
-        if source is None:
-            raise DomainError("known-source ordering requires a source pmf")
-        if source.m != m:
-            raise DomainError("source alphabet size disagrees with m")
-        log2p = source.log2_probs()
-        all_types.sort(
-            key=lambda cs: (
-                -neumaier_sum(ci * lp for ci, lp in zip(cs[0], log2p) if ci),
-                cs[0],
-            ),
-        )
-        return all_types
-    raise DomainError(f"unknown ordering mode {mode!r}")
+def _universal_classes(n: int, m: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Count vectors and class sizes by ascending empirical entropy, ties in
+    canonical order, built one permutation orbit at a time (see the module
+    docstring)."""
+    # An orbit's shape maps each slot of its ascending vector to the first
+    # slot holding the same value.  That index rises with the value, so the
+    # shape's distinct permutations, as itemgetters on the ascending vector,
+    # list the orbit in lex order; orbits of one shape share the getters.
+    getters: dict[tuple[int, ...], list[itemgetter]] = {}
+    levels: dict[float, list] = {}
+    for parts, size, _ in _iter_partitions(n, m):
+        asc = parts[::-1]
+        shape = tuple(map(asc.index, asc))
+        if shape not in getters:
+            getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
+        levels.setdefault(type_entropy_bits(parts), []).append((asc, size, getters[shape]))
+    order: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+    for h in sorted(levels):
+        orbits = levels[h]
+        if len(orbits) == 1:
+            asc, size, gs = orbits[0]
+            order += [g(asc) for g in gs]
+            sizes += [size] * len(gs)
+        else:  # orbits are disjoint, so the sort never compares sizes
+            level = sorted((g(asc), size) for asc, size, gs in orbits for g in gs)
+            order += [counts for counts, _ in level]
+            sizes += [size for _, size in level]
+    return order, sizes
+
+
+def _log2_prob_tables(p: SourcePmf, n: int) -> list[list[float]]:
+    """``tables[i][c]`` is c*log2 p_i, with 0.0 at c = 0: a class's log2
+    per-string probability is the fsum of one entry per symbol."""
+    return [[0.0] + [c * lp for c in range(1, n + 1)] for lp in p.log2_probs()]
+
+
+def _known_source_classes(
+    n: int, m: int, source: SourcePmf
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Count vectors and class sizes by decreasing per-string probability,
+    ties in canonical order: a stable sort of the canonical rows on the
+    float key alone."""
+    tables = _log2_prob_tables(source, n)
+    rows = list(_iter_types_with_sizes(n, m))
+    keys = [-math.fsum(map(list.__getitem__, tables, counts)) for counts, _ in rows]
+    ranked = sorted(range(len(rows)), key=keys.__getitem__)
+    return [rows[i][0] for i in ranked], [rows[i][1] for i in ranked]
 
 
 def build_ordering(
@@ -146,16 +181,26 @@ def build_ordering(
     """
     if n < 1 or m < 2:
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    ordered = _ordered_types(mode, n, m, source if mode == KNOWN_SOURCE else None, cap_types)
-    offsets = [0]
-    for _, size in ordered:
-        offsets.append(offsets[-1] + size)
+    if count_types(n, m) > cap_types:
+        raise ResourceLimitError(
+            f"{count_types(n, m)} type classes at n={n}, m={m} exceeds cap {cap_types}"
+        )
+    if mode == UNIVERSAL:
+        order, sizes = _universal_classes(n, m)
+    elif mode == KNOWN_SOURCE:
+        if source is None:
+            raise DomainError("known-source ordering requires a source pmf")
+        if source.m != m:
+            raise DomainError("source alphabet size disagrees with m")
+        order, sizes = _known_source_classes(n, m, source)
+    else:
+        raise DomainError(f"unknown ordering mode {mode!r}")
     return CodeOrdering(
         mode=mode,
         n=n,
         m=m,
-        type_order=tuple(counts for counts, _ in ordered),
-        offsets=tuple(offsets),
+        type_order=tuple(order),
+        offsets=tuple(itertools.accumulate(sizes, initial=0)),
     )
 
 
@@ -169,7 +214,7 @@ def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
             raise DomainError(f"symbol {s} outside alphabet of size {ordering.m}")
         counts[s] += 1
     pos = ordering.position_of(tuple(counts))
-    return ordering.offsets[pos] + rank_in_type_class(x, ordering.m) + 1
+    return ordering.offsets[pos] + _rank_in_class(x, counts) + 1
 
 
 def encode(ordering: CodeOrdering, x: Sequence[int]) -> Codeword:
@@ -204,15 +249,15 @@ def universal_excess_probability(
     boundary = 1 << length
     if boundary > ordering.total:
         return 0.0
-    log2p = p.log2_probs()
+    tables = _log2_prob_tables(p, n)
     log_terms = []
-    for pos, counts in enumerate(ordering.type_order):
+    # ranks are 1-based: class pos covers [offsets[pos]+1, offsets[pos+1]];
+    # the first class that reaches the boundary straddles it
+    first = bisect.bisect_left(ordering.offsets, boundary) - 1
+    for pos in range(first, len(ordering.type_order)):
         lo, hi = ordering.offsets[pos], ordering.offsets[pos + 1]
-        # ranks are 1-based: this class covers [lo+1, hi]
         surviving = hi - max(lo, boundary - 1)
-        if surviving <= 0:
-            continue
-        lp = neumaier_sum(c * l for c, l in zip(counts, log2p) if c)
+        lp = math.fsum(map(list.__getitem__, tables, ordering.type_order[pos]))
         log_terms.append(math.log2(surviving) + lp)
     acc = log2_sum(log_terms)
     return 0.0 if acc < -1074.0 else 2.0 ** acc

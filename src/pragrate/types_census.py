@@ -11,6 +11,14 @@ The canonical type order used across the whole package (census, optimal-code
 evaluation, codecs) is ascending lexicographic on the count vectors; the
 encoder and decoder must derive the identical order, so it is fixed here
 once and documented.
+
+Entropy and class size are symmetric under permuting the counts, so the
+census works one permutation orbit at a time: it enumerates the partitions
+of n into at most m parts (the nonincreasing count vectors) and weighs each
+by its number of distinct rearrangements, m!/prod(multiplicity!), instead
+of visiting all C(n+m-1, m-1) count vectors.  The universal code order in
+:mod:`pragrate.coding` is built from the same orbits, expanded in lex order
+by :func:`_distinct_permutations`.
 """
 
 from __future__ import annotations
@@ -54,21 +62,11 @@ def count_types(n: int, m: int) -> int:
     return math.comb(n + m - 1, m - 1)
 
 
-def _iter_count_vectors(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Yield all count vectors summing to n, ascending lexicographically."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _iter_count_vectors(n - first, m - 1):
-            yield (first,) + rest
-
-
 def enumerate_types(n: int, m: int) -> Iterator[NType]:
     """All n-types on m symbols in the canonical (ascending lex) order."""
     if n < 1 or m < 2:
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    for counts in _iter_count_vectors(n, m):
+    for counts, _ in _iter_types_with_sizes(n, m):
         yield NType(counts)
 
 
@@ -84,25 +82,82 @@ def type_class_size(t: NType | Sequence[int]) -> int:
     return size
 
 
+def _iter_prefixes(
+    remaining: int, slots: int, prefix: tuple[int, ...], coeff: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(prefix extended by ``slots`` counts, what is left of n, the prefix's
+    product of binomials), the prefixes in ascending lex order."""
+    if slots == 0:
+        yield prefix, remaining, coeff
+        return
+    binom = 1  # C(remaining, c)
+    for c in range(remaining + 1):
+        yield from _iter_prefixes(remaining - c, slots - 1, prefix + (c,), coeff * binom)
+        binom = binom * (remaining - c) // (c + 1)
+
+
 def _iter_types_with_sizes(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """(counts, exact class size) in canonical order, with the multinomials
     maintained incrementally (one small multiply/divide per step) so that
-    sweeps over tens of thousands of types stay cheap."""
+    sweeps over tens of thousands of types stay cheap.  Only the first m-2
+    slots recurse; the last two run in one flat loop."""
+    if m == 1:
+        yield (n,), 1
+        return
+    for prefix, remaining, coeff in _iter_prefixes(n, m - 2, (), 1):
+        size = coeff  # coeff * C(remaining, c)
+        for c in range(remaining + 1):
+            yield prefix + (c, remaining - c), size
+            size = size * (remaining - c) // (c + 1)
 
-    def rec(remaining: int, slots: int, prefix: tuple[int, ...], coeff: int):
-        if slots == 1:
-            yield prefix + (remaining,), coeff
+
+def _iter_partitions(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(parts, class size, arrangements) for every partition of n into at
+    most m parts, as a nonincreasing count vector of length m (zero padded).
+
+    Each partition stands for the permutation orbit of the count vectors
+    that rearrange it; entropy and class size are the same across an orbit,
+    and ``arrangements`` = m!/prod(multiplicity!) is the orbit's size.  Both
+    integers are kept incrementally, one multiply/divide per part."""
+
+    def rec(remaining, slot, prev, run, prefix, size, arr):
+        # slot: 1-based position of the next part; run: parts equal to prev
+        # at the end of the prefix, so a part equal to prev extends that run
+        if slot == m:
+            r = run + 1 if remaining == prev else 1
+            yield prefix + (remaining,), size, arr * m // r
             return
-        c = 0
-        binom = 1  # C(remaining, c)
-        while True:
-            yield from rec(remaining - c, slots - 1, prefix + (c,), coeff * binom)
-            if c == remaining:
-                return
-            binom = binom * (remaining - c) // (c + 1)
-            c += 1
+        top = min(prev, remaining)
+        binom = math.comb(remaining, top)  # C(remaining, c), c counting down
+        # the largest part left is at least the mean of what is left
+        for c in range(top, -(-remaining // (m - slot + 1)) - 1, -1):
+            r = run + 1 if c == prev else 1
+            yield from rec(remaining - c, slot + 1, c, r, prefix + (c,),
+                           size * binom, arr * slot // r)
+            binom = binom * c // (remaining - c + 1)
 
-    yield from rec(n, m, (), 1)
+    yield from rec(n, 1, n, 0, (), 1, 1)
+
+
+def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The distinct permutations of ``values`` in ascending lex order.
+
+    Next-permutation steps from the sorted vector: O(m) work per tuple
+    yielded, so an orbit costs its own size, never m!."""
+    a = sorted(values)
+    last = len(a) - 1
+    while True:
+        yield tuple(a)
+        i = last - 1
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def type_entropy_bits(counts: Sequence[int]) -> float:
@@ -145,10 +200,10 @@ def entropy_slab_count(n: int, m: int, h: float) -> int:
         raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
     lo = h - 1.0 / n
     hits = 0
-    for counts in _iter_count_vectors(n, m):
-        ht = type_entropy_bits(counts)
+    for parts, _, arrangements in _iter_partitions(n, m):
+        ht = type_entropy_bits(parts)
         if lo - ENTROPY_CMP_TOL <= ht <= h + ENTROPY_CMP_TOL:
-            hits += 1
+            hits += arrangements
     return hits
 
 
@@ -173,9 +228,9 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
     if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
         raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
     count = 0
-    for counts, size in _iter_types_with_sizes(n, m):
-        if type_entropy_bits(counts) <= h + ENTROPY_CMP_TOL:
-            count += size
+    for parts, size, arrangements in _iter_partitions(n, m):
+        if type_entropy_bits(parts) <= h + ENTROPY_CMP_TOL:
+            count += arrangements * size
     if count > 0:
         log2_ratio = math.log2(count) - 0.5 * (m - 3) * math.log2(n) - n * h
         theta = 2.0 ** log2_ratio
@@ -187,7 +242,7 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
 def rank_in_type_class(x: Sequence[int], m: int) -> int:
     """Lexicographic rank of string ``x`` among all strings of its type.
 
-    Symbols are integers 0..m-1.  Runs in O(n*m) big-integer operations via
+    Symbols are integers 0..m-1.  Runs in O(n) big-integer operations via
     decrement-and-count multinomial recursion; the inverse is
     :func:`unrank_in_type_class`.
     """
@@ -196,13 +251,21 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
     counts = [0] * m
     for s in x:
         counts[s] += 1
+    return _rank_in_class(x, counts)
+
+
+def _rank_in_class(x: Sequence[int], counts: list[int]) -> int:
+    """Rank of ``x`` in its class, given its symbol ``counts`` (consumed).
+
+    At each position the strings that put a smaller symbol there number
+    size * below / remaining, an exact integer."""
     remaining = len(x)
     size = type_class_size(counts)
     rank = 0
     for s in x:
-        for t in range(s):
-            if counts[t] > 0:
-                rank += size * counts[t] // remaining
+        below = sum(counts[:s])
+        if below:
+            rank += size * below // remaining
         size = size * counts[s] // remaining
         counts[s] -= 1
         remaining -= 1

@@ -303,6 +303,11 @@ class TestLadder:
             math.log2(1 / 0.01444) / 50, abs=1e-15
         )
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_epsilon_to_delta_refuses_blocklength_below_one(self, n):
+        with pytest.raises(DomainError, match="blocklength"):
+            epsilon_to_delta(0.1, n)
+
 
 def reference_row(p, n, eps, *, cap_types=10_000_000, prefix_mode=False):
     """One ladder row assembled from the single-point rate functions."""

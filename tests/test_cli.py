@@ -346,6 +346,17 @@ class TestInputErrorsExit2:
         assert out == "" and err.startswith("error: bad n range")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("ladder", "--source", "0.2,0.8", "--n", "5:3", "--eps", "0.1"),
+        ("limits", "--source", "0.2,0.8", "--n", "5:3", "--eps", "0.1"),
+        ("census", "--m", "2", "--threshold-bits", "0.5", "--n", "5:3"),
+        ("census", "--m", "2", "--threshold-bits", "0.5", "--n", "5:3", "--slab"),
+    ], ids=["ladder", "limits", "census", "census_slab"])
+    def test_empty_n_range(self, argv):
+        code, out, err = run_cli_process(*argv)
+        assert code == 2
+        assert out == "" and err == "error: empty n range\n"
+
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "absent.json"
         code, out, err = run_cli_process(

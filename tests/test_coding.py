@@ -23,7 +23,9 @@ from pragrate import (
     universal_threshold_alpha_n,
 )
 
-from conftest import bern
+from pragrate.numerics import log2_sum
+
+from conftest import bern, random_pmf
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
@@ -52,6 +54,11 @@ class TestCodeword:
             Codeword("0a1")
         with pytest.raises(CodewordError):
             Codeword.from_index(0)
+
+    @pytest.mark.parametrize("bits", ["a01", "01a", "0 1", "10\n", "2"])
+    def test_validation_anywhere_in_the_word(self, bits):
+        with pytest.raises(CodewordError):
+            Codeword(bits)
 
 
 class TestOrderings:
@@ -94,6 +101,68 @@ class TestOrderings:
         o = build_ordering(UNIVERSAL, 7, 3)
         keys = [(type_entropy_bits(c), c) for c in o.type_order]
         assert keys == sorted(keys)
+
+
+def _compositions(n, m):
+    """All count vectors of n into m slots (stars and bars), unordered."""
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1,) + bars + (n + m - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _class_size(counts):
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
+def _reference_ordering(n, m, key):
+    """(type_order, offsets) of a plain sort of every composition on ``key``."""
+    order = tuple(sorted(_compositions(n, m), key=key))
+    return order, tuple(itertools.accumulate(map(_class_size, order), initial=0))
+
+
+class TestOrbitBuildMatchesReferenceSort:
+    """The orbit-at-a-time builds equal a sort of every composition."""
+
+    @pytest.mark.parametrize("m,ns", [
+        (2, range(1, 31)), (3, range(1, 31)), (4, range(1, 31, 3)),
+        (5, range(1, 17, 3)), (6, range(1, 11, 3)), (8, range(1, 6)),
+    ])
+    def test_universal(self, m, ns):
+        for n in ns:
+            o = build_ordering(UNIVERSAL, n, m)
+            want = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
+            assert (o.type_order, o.offsets) == want, (n, m)
+
+    @staticmethod
+    def _known_key(p):
+        lp = p.log2_probs()
+        return lambda c: (-math.fsum(ci * li for ci, li in zip(c, lp) if ci), c)
+
+    @pytest.mark.parametrize("m,n", [(2, 40), (3, 17), (4, 9), (5, 6)])
+    def test_known_source_random_sources(self, m, n):
+        rng = random.Random(1000 * m + n)
+        for _ in range(4):
+            p = random_pmf(rng, m)
+            o = build_ordering(KNOWN_SOURCE, n, m, p)
+            assert (o.type_order, o.offsets) == _reference_ordering(n, m, self._known_key(p))
+
+    def test_known_source_exact_ties_keep_canonical_order(self):
+        # 0.1*0.4 == 0.2*0.2 exactly, so many classes tie in log-probability;
+        # in floats they tie too and fall back on ascending lex order
+        p = SourcePmf.load("0.1,0.2,0.4,0.3")
+        o = build_ordering(KNOWN_SOURCE, 6, 4, p)
+        assert (o.type_order, o.offsets) == _reference_ordering(6, 4, self._known_key(p))
+        pos = o.type_order.index((0, 2, 3, 1))
+        assert o.type_order[pos + 1] == (1, 0, 4, 1)
+        pos = o.type_order.index((1, 4, 1, 0))
+        assert o.type_order[pos - 1:pos + 2] == ((0, 6, 0, 0), (1, 4, 1, 0), (2, 2, 2, 0))
+
+    def test_position_map_is_built_on_first_encode_only(self):
+        o = build_ordering(UNIVERSAL, 6, 3)
+        x = decode(o, Codeword("0110"))
+        assert not o._position
+        assert decode(o, encode(o, x)) == x
+        assert len(o._position) == len(o.type_order)
 
 
 class TestRoundTrips:
@@ -201,6 +270,25 @@ class TestUniversalExcessProbability:
                     direct += 0.2 ** (n - w) * 0.8 ** w
             got = universal_excess_probability(P02, n, L)
             assert got == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (4, 7)])
+    def test_equals_all_class_reference(self, m, n):
+        # every class, in the reference universal order, with the straddling
+        # class split and the rest skipped: the value must match exactly
+        rng = random.Random(31 * m + n)
+        order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
+        for _ in range(3):
+            p = random_pmf(rng, m)
+            lp = p.log2_probs()
+            for length in range(1, (m ** n).bit_length()):
+                terms = []
+                for pos, counts in enumerate(order):
+                    surviving = offsets[pos + 1] - max(offsets[pos], (1 << length) - 1)
+                    if surviving > 0:
+                        log_p = math.fsum(c * li for c, li in zip(counts, lp) if c)
+                        terms.append(math.log2(surviving) + log_p)
+                want = 2.0 ** log2_sum(terms)
+                assert universal_excess_probability(p, n, length) == want, (length, p)
 
     def test_decreasing_in_length(self):
         vals = [universal_excess_probability(P02, 20, L) for L in range(0, 22)]

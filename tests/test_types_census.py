@@ -21,7 +21,19 @@ from pragrate import (
     type_entropy_bits,
     unrank_in_type_class,
 )
-from pragrate.types_census import _iter_types_with_sizes
+from pragrate.types_census import (
+    ENTROPY_CMP_TOL,
+    _distinct_permutations,
+    _iter_partitions,
+    _iter_types_with_sizes,
+)
+
+
+def _compositions(n, m):
+    """All count vectors of n into m slots (stars and bars), unordered."""
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1,) + bars + (n + m - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 class TestEnumerateTypes:
@@ -71,6 +83,62 @@ class TestTypeClassSize:
         for n, m in [(9, 2), (7, 3), (5, 4)]:
             for counts, size in _iter_types_with_sizes(n, m):
                 assert size == type_class_size(counts)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_flat_enumerator_is_every_composition_in_lex_order(self, m):
+        for n in (1, 2, 5, 9):
+            got = list(_iter_types_with_sizes(n, m))
+            assert [c for c, _ in got] == sorted(_compositions(n, m))
+            assert all(size == type_class_size(c) for c, size in got)
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("values", [
+        (3,), (2, 2), (0, 5), (1, 1, 1), (0, 0, 4), (0, 1, 2), (3, 3, 1, 1),
+        (0, 0, 0, 2, 2), (5, 4, 3, 2, 1, 0), (2, 2, 2, 1, 1, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0),
+    ])
+    def test_distinct_permutations_ascending_and_complete(self, values):
+        got = list(_distinct_permutations(values))
+        mult = [values.count(v) for v in set(values)]
+        assert len(got) == factorial(len(values)) // math.prod(factorial(k) for k in mult)
+        assert all(a < b for a, b in zip(got, got[1:]))  # strictly ascending
+        assert set(got) == set(itertools.permutations(values))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7])
+    def test_partitions_cover_each_orbit_once(self, m):
+        for n in (1, 2, 6, 11):
+            got = list(_iter_partitions(n, m))
+            want = sorted({tuple(sorted(c, reverse=True)) for c in _compositions(n, m)})
+            assert sorted(parts for parts, _, _ in got) == want
+            for parts, size, arrangements in got:
+                assert size == type_class_size(parts)
+                assert arrangements == len(list(_distinct_permutations(parts)))
+
+
+def _slab_oracle(n, m, h):
+    lo = h - 1.0 / n
+    return sum(1 for c in _compositions(n, m)
+               if lo - ENTROPY_CMP_TOL <= type_entropy_bits(c) <= h + ENTROPY_CMP_TOL)
+
+
+def _count_oracle(n, m, h):
+    return sum(type_class_size(c) for c in _compositions(n, m)
+               if type_entropy_bits(c) <= h + ENTROPY_CMP_TOL)
+
+
+class TestCensusMatchesCompositionSum:
+    """Orbit sums equal a sum over every composition, exactly."""
+
+    @pytest.mark.parametrize("m,ns", [
+        (2, (1, 2, 7, 64, 301)), (3, (1, 3, 10, 31)), (4, (2, 9, 16)), (5, (4, 11)),
+    ])
+    def test_counts(self, m, ns):
+        for n in ns:
+            for h in (0.05, 0.5, 0.9, 1.0, 1.3, entropy([0.6, 0.3, 0.1]), math.log2(m)):
+                if h > math.log2(m):
+                    continue
+                assert low_entropy_count(n, m, h).count == _count_oracle(n, m, h), (n, m, h)
+                assert entropy_slab_count(n, m, h) == _slab_oracle(n, m, h), (n, m, h)
 
 
 class TestTypeEntropy:
