@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,14 @@ def random_pmf(rng: random.Random, m: int, *, min_prob: float = 0.05, spread: fl
         if max(probs) / min(probs) < spread:
             continue
         return SourcePmf(tuple(probs))
+
+
+def compositions(n: int, m: int):
+    """All count vectors of n into m slots (stars and bars), in no
+    particular order; independent of the library's enumerators."""
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1,) + bars + (n + m - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
 @pytest.fixture

@@ -22,10 +22,9 @@ from pragrate import (
     universal_excess_probability,
     universal_threshold_alpha_n,
 )
-
 from pragrate.numerics import log2_sum
 
-from conftest import bern, random_pmf
+from conftest import bern, compositions, random_pmf
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
@@ -103,20 +102,13 @@ class TestOrderings:
         assert keys == sorted(keys)
 
 
-def _compositions(n, m):
-    """All count vectors of n into m slots (stars and bars), unordered."""
-    for bars in itertools.combinations(range(n + m - 1), m - 1):
-        edges = (-1,) + bars + (n + m - 1,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
-
-
 def _class_size(counts):
     return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
 
 
 def _reference_ordering(n, m, key):
     """(type_order, offsets) of a plain sort of every composition on ``key``."""
-    order = tuple(sorted(_compositions(n, m), key=key))
+    order = tuple(sorted(compositions(n, m), key=key))
     return order, tuple(itertools.accumulate(map(_class_size, order), initial=0))
 
 
@@ -146,9 +138,9 @@ class TestOrbitBuildMatchesReferenceSort:
             o = build_ordering(KNOWN_SOURCE, n, m, p)
             assert (o.type_order, o.offsets) == _reference_ordering(n, m, self._known_key(p))
 
-    def test_known_source_exact_ties_keep_canonical_order(self):
+    def test_known_source_tie_order_is_kept(self):
         # 0.1*0.4 == 0.2*0.2 exactly, so many classes tie in log-probability;
-        # in floats they tie too and fall back on ascending lex order
+        # where the float keys tie too, ascending lex order decides
         p = SourcePmf.load("0.1,0.2,0.4,0.3")
         o = build_ordering(KNOWN_SOURCE, 6, 4, p)
         assert (o.type_order, o.offsets) == _reference_ordering(6, 4, self._known_key(p))
@@ -156,6 +148,9 @@ class TestOrbitBuildMatchesReferenceSort:
         assert o.type_order[pos + 1] == (1, 0, 4, 1)
         pos = o.type_order.index((1, 4, 1, 0))
         assert o.type_order[pos - 1:pos + 2] == ((0, 6, 0, 0), (1, 4, 1, 0), (2, 2, 2, 0))
+        # exactly equiprobable, but float rounding (not the canonical rule)
+        # puts (1,0,5,0) first; an exact tie key would swap them
+        assert o.type_order[8:10] == ((1, 0, 5, 0), (0, 2, 4, 0))
 
     def test_position_map_is_built_on_first_encode_only(self):
         o = build_ordering(UNIVERSAL, 6, 3)

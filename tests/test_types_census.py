@@ -28,12 +28,7 @@ from pragrate.types_census import (
     _iter_types_with_sizes,
 )
 
-
-def _compositions(n, m):
-    """All count vectors of n into m slots (stars and bars), unordered."""
-    for bars in itertools.combinations(range(n + m - 1), m - 1):
-        edges = (-1,) + bars + (n + m - 1,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+from conftest import compositions
 
 
 class TestEnumerateTypes:
@@ -88,7 +83,7 @@ class TestTypeClassSize:
     def test_flat_enumerator_is_every_composition_in_lex_order(self, m):
         for n in (1, 2, 5, 9):
             got = list(_iter_types_with_sizes(n, m))
-            assert [c for c, _ in got] == sorted(_compositions(n, m))
+            assert [c for c, _ in got] == sorted(compositions(n, m))
             assert all(size == type_class_size(c) for c, size in got)
 
 
@@ -108,7 +103,7 @@ class TestOrbits:
     def test_partitions_cover_each_orbit_once(self, m):
         for n in (1, 2, 6, 11):
             got = list(_iter_partitions(n, m))
-            want = sorted({tuple(sorted(c, reverse=True)) for c in _compositions(n, m)})
+            want = sorted({tuple(sorted(c, reverse=True)) for c in compositions(n, m)})
             assert sorted(parts for parts, _, _ in got) == want
             for parts, size, arrangements in got:
                 assert size == type_class_size(parts)
@@ -117,12 +112,12 @@ class TestOrbits:
 
 def _slab_oracle(n, m, h):
     lo = h - 1.0 / n
-    return sum(1 for c in _compositions(n, m)
+    return sum(1 for c in compositions(n, m)
                if lo - ENTROPY_CMP_TOL <= type_entropy_bits(c) <= h + ENTROPY_CMP_TOL)
 
 
 def _count_oracle(n, m, h):
-    return sum(type_class_size(c) for c in _compositions(n, m)
+    return sum(type_class_size(c) for c in compositions(n, m)
                if type_entropy_bits(c) <= h + ENTROPY_CMP_TOL)
 
 
