@@ -172,6 +172,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
         q = SourcePmf.load(args.threshold_source)
         h = entropy(q)
         m = args.m if args.m is not None else q.m
+    if m < 2:
+        raise DomainError(f"--m must be >= 2, got {m}")
     ns = _parse_n_range(str(args.n))
     if args.slab:
         out = ["n,threshold_bits,slab_type_count"]

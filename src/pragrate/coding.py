@@ -26,9 +26,14 @@ string's type class plus its lexicographic rank inside the class, so n in
 the hundreds is routine.  Decoding inverts exactly.
 
 The excess-rate behaviour of the universal ordering under a memoryless
-source is evaluated exactly by type aggregation (independent of the
-optimal-code evaluator, so the two can cross-check each other), including
-the split of the class straddling a 2**L boundary.
+source is evaluated exactly by type aggregation, including the split of the
+class straddling a 2**L boundary.  This module holds the package's one
+ranked-class engine: the known-source class ranking, the type cap check and
+the lookup of the class holding a given rank serve the codecs, the
+universal excess evaluator and the optimal-code tails of
+:mod:`pragrate.exact_limits` alike.  The checks that stay independent of it
+are the brute-force string oracle ``exact_limits.brute_force_limits`` and
+the tests that enumerate every string.
 """
 
 from __future__ import annotations
@@ -154,15 +159,40 @@ def _log2_prob_tables(p: SourcePmf, n: int) -> list[list[float]]:
 
 def _known_source_classes(
     n: int, m: int, source: SourcePmf
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Count vectors and class sizes by decreasing per-string probability,
-    ties in canonical order: a stable sort of the canonical rows on the
-    float key alone."""
+) -> tuple[list[tuple[int, ...]], list[int], list[float]]:
+    """Count vectors, class sizes and sort keys by decreasing per-string
+    probability, ties in canonical order: a stable sort of the canonical
+    rows on the float key alone.  A class's key is minus its log2
+    per-string probability, computed once here."""
     tables = _log2_prob_tables(source, n)
     rows = list(_iter_types_with_sizes(n, m))
     keys = [-math.fsum(map(list.__getitem__, tables, counts)) for counts, _ in rows]
     ranked = sorted(range(len(rows)), key=keys.__getitem__)
-    return [rows[i][0] for i in ranked], [rows[i][1] for i in ranked]
+    return (
+        [rows[i][0] for i in ranked],
+        [rows[i][1] for i in ranked],
+        list(map(keys.__getitem__, ranked)),
+    )
+
+
+def _check_type_cap(n: int, m: int, cap_types: int) -> None:
+    """Refuse to rank more than ``cap_types`` type classes."""
+    total = count_types(n, m)
+    if total > cap_types:
+        raise ResourceLimitError(
+            f"{total} type classes at n={n}, m={m} exceeds the cap of {cap_types}"
+        )
+
+
+def _straddling_class(offsets: Sequence[int], rank: int) -> tuple[int, int]:
+    """(pos, surviving): class ``pos`` holds the 1-based ``rank``, and
+    ``surviving`` of its ranks lie at or past it.
+
+    Class pos covers ranks offsets[pos]+1 .. offsets[pos+1]; the rank must
+    lie in 1 .. offsets[-1].  At rank 2**L this is the class that the
+    boundary of codeword length L splits."""
+    pos = bisect.bisect_left(offsets, rank) - 1
+    return pos, offsets[pos + 1] - rank + 1
 
 
 def build_ordering(
@@ -181,10 +211,7 @@ def build_ordering(
     """
     if n < 1 or m < 2:
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    if count_types(n, m) > cap_types:
-        raise ResourceLimitError(
-            f"{count_types(n, m)} type classes at n={n}, m={m} exceeds cap {cap_types}"
-        )
+    _check_type_cap(n, m, cap_types)
     if mode == UNIVERSAL:
         order, sizes = _universal_classes(n, m)
     elif mode == KNOWN_SOURCE:
@@ -192,7 +219,7 @@ def build_ordering(
             raise DomainError("known-source ordering requires a source pmf")
         if source.m != m:
             raise DomainError("source alphabet size disagrees with m")
-        order, sizes = _known_source_classes(n, m, source)
+        order, sizes, _ = _known_source_classes(n, m, source)
     else:
         raise DomainError(f"unknown ordering mode {mode!r}")
     return CodeOrdering(
@@ -229,10 +256,8 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
         raise CodewordError(
             f"index {k} exceeds the {ordering.total} strings of this ordering"
         )
-    j = k - 1  # 0-based
-    pos = bisect.bisect_right(ordering.offsets, j) - 1
-    counts = ordering.type_order[pos]
-    return unrank_in_type_class(counts, j - ordering.offsets[pos])
+    pos, _ = _straddling_class(ordering.offsets, k)
+    return unrank_in_type_class(ordering.type_order[pos], k - 1 - ordering.offsets[pos])
 
 
 def universal_excess_probability(
@@ -250,13 +275,11 @@ def universal_excess_probability(
     if boundary > ordering.total:
         return 0.0
     tables = _log2_prob_tables(p, n)
+    offsets = ordering.offsets
+    first, partial = _straddling_class(offsets, boundary)
     log_terms = []
-    # ranks are 1-based: class pos covers [offsets[pos]+1, offsets[pos+1]];
-    # the first class that reaches the boundary straddles it
-    first = bisect.bisect_left(ordering.offsets, boundary) - 1
     for pos in range(first, len(ordering.type_order)):
-        lo, hi = ordering.offsets[pos], ordering.offsets[pos + 1]
-        surviving = hi - max(lo, boundary - 1)
+        surviving = partial if pos == first else offsets[pos + 1] - offsets[pos]
         lp = math.fsum(map(list.__getitem__, tables, ordering.type_order[pos]))
         log_terms.append(math.log2(surviving) + lp)
     acc = log2_sum(log_terms)

@@ -6,16 +6,20 @@ The optimal code orders all strings of length n in decreasing probability
 (ties broken deterministically) and gives the k-th string, 1-based, a
 codeword of length floor(log2 k).  Strings of the same empirical type are
 equiprobable under a memoryless source, so the whole computation aggregates
-over type classes: classes are sorted by per-string probability, big-integer
-rank ranges are accumulated, and the probability that a codeword has length
-at least L is the probability mass of ranks >= 2**L, with the class
-straddling the boundary split exactly.
+over type classes.  The classes come ranked by per-string probability from
+the known-source code ordering of :mod:`pragrate.coding`, together with
+their sizes and sort keys; the probability that a codeword has length at
+least L is the probability mass of ranks >= 2**L, with the class straddling
+the boundary (found by the same lookup the decoder uses) split exactly.
 
-Numerics: per-type log2-probabilities n-compensated in the linear domain,
-tail sums accumulated entirely in the base-2 log domain so that tails far
-below the smallest positive double remain meaningful.  When the source
-probabilities are exact rationals, an exact-Fraction mode is available and
-is required to agree with the brute-force string enumeration bit for bit.
+Numerics: per-type log2-probabilities are correctly rounded sums
+(``math.fsum``) of per-symbol terms, and tail sums are accumulated entirely
+in the base-2 log domain so that tails far below the smallest positive
+double remain meaningful.  When the source probabilities are exact
+rationals, an exact-Fraction mode is available: it re-sorts the classes by
+their exact probabilities, which repairs any ulp-level misorder of the float
+ranking, and is required to agree with the brute-force string enumeration
+bit for bit.
 
 Rate convention: with L* = min{L : P(length >= L) <= epsilon}, the optimal
 rate is (L* - 1)/n.  The defining infimum is over rates R with
@@ -25,17 +29,17 @@ makes the boundary point (L* - 1)/n that infimum.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .coding import _check_type_cap, _known_source_classes, _straddling_class
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
-from .numerics import NEG_INF, logaddexp2, neumaier_sum
-from .types_census import DEFAULT_TYPE_CAP, _iter_types_with_sizes, count_types
+from .numerics import NEG_INF, logaddexp2
+from .types_census import DEFAULT_TYPE_CAP
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
@@ -79,59 +83,18 @@ class LengthDistribution:
         raise DomainError("no admissible length found")  # pragma: no cover
 
 
-def _guard_types(n: int, m: int, cap_types: int) -> None:
-    total = count_types(n, m)
-    if total > cap_types:
-        raise ResourceLimitError(
-            f"{total} type classes at n={n}, m={m} exceeds the cap of {cap_types}"
-        )
-
-
-def _sorted_type_table(
-    p: SourcePmf, n: int, *, reverse_ties: bool = False
-) -> tuple[list[tuple[int, ...]], list[int], list[float]]:
-    """Types sorted by descending per-string probability.
-
-    Ties (equal log-probabilities) fall back on the canonical ascending-lex
-    type order, or its reverse when ``reverse_ties`` is set (the tails must
-    be invariant under that choice, which a property test asserts).
-    """
-    log2p = p.log2_probs()
-    rows = []
-    for counts, size in _iter_types_with_sizes(n, p.m):
-        lp = neumaier_sum(c * lp2 for c, lp2 in zip(counts, log2p) if c)
-        tie = tuple(-c for c in counts) if reverse_ties else counts
-        rows.append((-lp, tie, counts, size))
-    rows.sort(key=lambda row: row[:2])
-    counts_list = [row[2] for row in rows]
-    sizes = [row[3] for row in rows]
-    log_probs = [-row[0] for row in rows]
-    return counts_list, sizes, log_probs
-
-
-def _tails_from_ranked_classes(
-    sizes: Sequence[int], log_probs: Sequence[float], n: int, m: int
-) -> tuple[float, ...]:
-    """log2 tails at every length from ranked class sizes and log2 probs."""
-    total = m ** n
-    t = len(sizes)
-    starts = list(itertools.accumulate(sizes, initial=1))[:-1]  # 1-based first rank of each class
-    suffix = [NEG_INF] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        suffix[i] = logaddexp2(math.log2(sizes[i]) + log_probs[i], suffix[i + 1])
-
-    max_len = total.bit_length() - 1  # floor(log2 m**n)
-    tails = [0.0] * (max_len + 2)
-    tails[max_len + 1] = NEG_INF
-    for length in range(1, max_len + 1):
-        boundary = 1 << length
-        if boundary > total:
-            tails[length] = NEG_INF
-            continue
-        i = bisect.bisect_right(starts, boundary) - 1
-        partial = starts[i] + sizes[i] - boundary  # ranks >= boundary inside class i
-        head = math.log2(partial) + log_probs[i] if partial > 0 else NEG_INF
-        tails[length] = logaddexp2(head, suffix[i + 1])
+def _log2_tails(sizes: Sequence[int], keys: Sequence[float]) -> tuple[float, ...]:
+    """log2 tails at every length from ranked class sizes and sort keys
+    (minus each class's log2 per-string probability)."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    suffix = [NEG_INF] * (len(sizes) + 1)
+    for i in range(len(sizes) - 1, -1, -1):
+        suffix[i] = logaddexp2(math.log2(sizes[i]) - keys[i], suffix[i + 1])
+    tails = [0.0]
+    for length in range(1, offsets[-1].bit_length()):  # L <= floor(log2 m**n)
+        i, partial = _straddling_class(offsets, 1 << length)
+        tails.append(logaddexp2(math.log2(partial) - keys[i], suffix[i + 1]))
+    tails.append(NEG_INF)
     return tuple(tails)
 
 
@@ -141,7 +104,6 @@ def length_distribution(
     *,
     exact: bool = False,
     cap_types: int = DEFAULT_TYPE_CAP,
-    _reverse_ties: bool = False,
 ) -> LengthDistribution:
     """Length distribution of the optimal one-to-one code at blocklength n.
 
@@ -150,52 +112,36 @@ def length_distribution(
     """
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
-    _guard_types(n, p.m, cap_types)
-    counts_list, sizes, log_probs = _sorted_type_table(p, n, reverse_ties=_reverse_ties)
-    tails = _tails_from_ranked_classes(sizes, log_probs, n, p.m)
-
-    exact_tails = None
-    if exact:
-        if p.exact is None:
-            raise DomainError(
-                "exact mode requires a source with exact rational probabilities"
-            )
-        exact_tails = _exact_tails(p.exact, counts_list, sizes, n, p.m)
+    if exact and p.exact is None:
+        raise DomainError("exact mode requires a source with exact rational probabilities")
+    _check_type_cap(n, p.m, cap_types)
+    order, sizes, keys = _known_source_classes(n, p.m, p)
+    tails = _log2_tails(sizes, keys)
+    exact_tails = _exact_tails(p.exact, order, sizes) if exact else None
     return LengthDistribution(n=n, m=p.m, log2_tails=tails, exact_tails=exact_tails)
 
 
 def _exact_tails(
     fracs: Sequence[Fraction],
-    counts_list: Sequence[tuple[int, ...]],
+    order: Sequence[tuple[int, ...]],
     sizes: Sequence[int],
-    n: int,
-    m: int,
 ) -> tuple[Fraction, ...]:
-    per_string = [math.prod(f ** c for c, f in zip(counts, fracs) if c) for counts in counts_list]
+    per_string = [math.prod(f ** c for c, f in zip(counts, fracs) if c) for counts in order]
     # The float sort already ordered the classes; re-sorting by the exact
     # probabilities (stable, same tie order) repairs any ulp-level misorder.
-    order = sorted(range(len(sizes)), key=lambda i: per_string[i], reverse=True)
-    sizes = [sizes[i] for i in order]
-    per_string = [per_string[i] for i in order]
+    ranked = sorted(range(len(sizes)), key=per_string.__getitem__, reverse=True)
+    sizes = [sizes[i] for i in ranked]
+    per_string = [per_string[i] for i in ranked]
 
-    total = m ** n
-    t = len(sizes)
-    starts = list(itertools.accumulate(sizes, initial=1))[:-1]
-    suffix = [Fraction(0)] * (t + 1)
-    for i in range(t - 1, -1, -1):
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    suffix = [Fraction(0)] * (len(sizes) + 1)
+    for i in range(len(sizes) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + sizes[i] * per_string[i]
-
-    max_len = total.bit_length() - 1
-    tails: list[Fraction] = [Fraction(1)] * (max_len + 2)
-    tails[max_len + 1] = Fraction(0)
-    for length in range(1, max_len + 1):
-        boundary = 1 << length
-        if boundary > total:
-            tails[length] = Fraction(0)
-            continue
-        i = bisect.bisect_right(starts, boundary) - 1
-        partial = starts[i] + sizes[i] - boundary
-        tails[length] = partial * per_string[i] + suffix[i + 1]
+    tails = [Fraction(1)]
+    for length in range(1, offsets[-1].bit_length()):
+        i, partial = _straddling_class(offsets, 1 << length)
+        tails.append(partial * per_string[i] + suffix[i + 1])
+    tails.append(Fraction(0))
     return tuple(tails)
 
 

@@ -100,10 +100,7 @@ def _iter_types_with_sizes(n: int, m: int) -> Iterator[tuple[tuple[int, ...], in
     """(counts, exact class size) in canonical order, with the multinomials
     maintained incrementally (one small multiply/divide per step) so that
     sweeps over tens of thousands of types stay cheap.  Only the first m-2
-    slots recurse; the last two run in one flat loop."""
-    if m == 1:
-        yield (n,), 1
-        return
+    slots recurse; the last two run in one flat loop.  Needs m >= 2."""
     for prefix, remaining, coeff in _iter_prefixes(n, m - 2, (), 1):
         size = coeff  # coeff * C(remaining, c)
         for c in range(remaining + 1):

@@ -357,6 +357,20 @@ class TestInputErrorsExit2:
         assert code == 2
         assert out == "" and err == "error: empty n range\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("census", "--m", "0", "--threshold-bits", "0.5", "--n", "5"),
+        ("census", "--m", "-1", "--threshold-bits", "0.5", "--n", "5"),
+        ("census", "--m", "0", "--threshold-bits", "0.5", "--n", "5", "--slab"),
+        ("census", "--m", "1", "--threshold-bits", "0.5", "--n", "5"),
+        ("census", "--m", "0", "--threshold-source", "0.2,0.8", "--n", "5"),
+        ("census", "--m", "1", "--threshold-source", "0.2,0.8", "--n", "5", "--slab"),
+    ], ids=["m0", "m_negative", "m0_slab", "m1", "m0_threshold_source", "m1_threshold_source_slab"])
+    def test_census_alphabet_below_two(self, argv):
+        code, out, err = run_cli_process(*argv)
+        assert code == 2
+        assert out == "" and err.startswith("error: --m must be >= 2")
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "absent.json"
         code, out, err = run_cli_process(

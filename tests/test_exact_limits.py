@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,17 +10,67 @@ from pragrate import (
     SourcePmf,
     brute_force_limits,
     converse_constants,
+    exact_limits,
     excess_rate_probability,
     kl_divergence,
     length_distribution,
     optimal_rate,
     solve_alpha_star,
+    type_class_size,
 )
+from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern
+from conftest import bern, compositions, random_pmf
 
 P02 = bern("0.2")
 P532 = SourcePmf.parse("0.5,0.3,0.2")
+
+
+def reference_tails(p, n, *, reverse_ties=False):
+    """(log2 tails, exact tails or None) of the optimal code by a direct sort
+    of every type class on (-log2 probability, counts), ties in reverse
+    canonical order on request.  Tails come from suffix sums (logaddexp2 in
+    floats, plain sums in Fractions) with the class straddling each 2**L
+    found by a linear walk and split by hand."""
+    log2p = p.log2_probs()
+
+    def tie(counts):
+        return tuple(-c for c in counts) if reverse_ties else counts
+
+    float_rows = sorted(
+        (-math.fsum(c * lp for c, lp in zip(counts, log2p) if c), tie(counts), counts)
+        for counts in compositions(n, p.m)
+    )
+    log2_tails = _suffix_tails(
+        [type_class_size(r[2]) for r in float_rows], [-r[0] for r in float_rows],
+        lambda k, lp: math.log2(k) + lp, logaddexp2, NEG_INF, 0.0, p.m ** n,
+    )
+    if p.exact is None:
+        return log2_tails, None
+    exact_rows = sorted(
+        (-math.prod(f ** c for c, f in zip(counts, p.exact)), tie(counts), counts)
+        for counts in compositions(n, p.m)
+    )
+    exact_tails = _suffix_tails(
+        [type_class_size(r[2]) for r in exact_rows], [-r[0] for r in exact_rows],
+        lambda k, prob: k * prob, lambda a, b: a + b, Fraction(0), Fraction(1), p.m ** n,
+    )
+    return log2_tails, exact_tails
+
+
+def _suffix_tails(sizes, probs, mass, add, zero, one, total):
+    suffix = [zero] * (len(sizes) + 1)
+    for i in reversed(range(len(sizes))):
+        suffix[i] = add(mass(sizes[i], probs[i]), suffix[i + 1])
+    tails, i, start = [one], 0, 1  # class i holds ranks start .. start + sizes[i] - 1
+    for length in range(1, total.bit_length()):
+        while start + sizes[i] <= 1 << length:
+            start += sizes[i]
+            i += 1
+        partial = start + sizes[i] - (1 << length)
+        tails.append(add(mass(partial, probs[i]), suffix[i + 1]))
+    tails.append(zero)
+    return tuple(tails)
 
 
 class TestLengthDistribution:
@@ -54,6 +105,21 @@ class TestLengthDistribution:
         with pytest.raises(ResourceLimitError):
             length_distribution(P532, 50, cap_types=100)
 
+    @pytest.mark.parametrize("m, ns", [(2, (1, 2, 9, 30)), (3, (1, 4, 11)), (4, (2, 7)), (5, (1, 5))])
+    def test_tails_equal_reference_sort(self, m, ns):
+        # bit for bit: float tails are pinned by the reference, not by approx
+        rng = random.Random(1000 + m)
+        sources = [random_pmf(rng, m, spread=1.01) for _ in range(3)]
+        for _ in range(2):
+            w = [rng.randint(1, 40) for _ in range(m)]
+            sources.append(SourcePmf.from_values([Fraction(x, sum(w)) for x in w]))
+        for p in sources:
+            for n in ns:
+                d = length_distribution(p, n, exact=p.exact is not None)
+                log2_tails, exact_tails = reference_tails(p, n)
+                assert d.log2_tails == log2_tails
+                assert d.exact_tails == exact_tails
+
     def test_equiprobable_class_structure(self):
         # strings of the same type are equiprobable: splitting a class at any
         # boundary contributes count * per-string mass; cross-check one split
@@ -70,12 +136,24 @@ class TestExactMode:
         with pytest.raises(DomainError):
             length_distribution(p_float, 3, exact=True)
 
+    def test_exact_mode_refused_before_ranking(self, monkeypatch):
+        calls = []
+        rank = exact_limits._known_source_classes
+        monkeypatch.setattr(
+            exact_limits, "_known_source_classes", lambda *a: calls.append(a) or rank(*a)
+        )
+        with pytest.raises(DomainError, match="exact rational"):
+            length_distribution(SourcePmf.from_values([0.2, 0.8]), 12, exact=True)
+        assert calls == []
+        length_distribution(P02, 12, exact=True)
+        assert len(calls) == 1
+
     def test_exact_tails_sum_structure(self):
         d = length_distribution(P02, 5, exact=True)
         assert d.exact_tails[0] == 1
         assert d.exact_tails[-1] == 0
-        got = d.exact_tails[1]
-        assert got == Fraction(2 ** 5 - 1, 1) * 0 + got  # sanity: a Fraction
+        # P(rank >= 2): all but the most probable string, 0.8**5
+        assert d.exact_tails[1] == 1 - Fraction(4, 5) ** 5
         # float path agrees with the exact path everywhere
         for L, frac in enumerate(d.exact_tails):
             assert d.tail(L) == pytest.approx(float(frac), rel=1e-12, abs=1e-300)
@@ -128,10 +206,10 @@ class TestTieInvariance:
         p = SourcePmf.parse("0.4,0.4,0.2")
         for n in (3, 5, 7):
             a = length_distribution(p, n, exact=True)
-            b = length_distribution(p, n, exact=True, _reverse_ties=True)
-            assert a.exact_tails == b.exact_tails
+            log2_tails, exact_tails = reference_tails(p, n, reverse_ties=True)
+            assert a.exact_tails == exact_tails
             for L in range(a.max_length + 2):
-                assert a.tail(L) == pytest.approx(b.tail(L), rel=1e-14, abs=0.0)
+                assert a.tail(L) == pytest.approx(2.0 ** log2_tails[L], rel=1e-14, abs=0.0)
 
 
 class TestExcessRateProbability:
