@@ -5,6 +5,7 @@ matching one-to-one code constructions (known-source and universal)."""
 from .approximations import (
     ConverseConstants,
     RateLadder,
+    UniversalOperatingPoint,
     achievability_constant,
     blahut_rate,
     compute_rate_ladder,
@@ -17,19 +18,19 @@ from .approximations import (
     shannon_rate,
     strassen_rate,
     universal_rate_bound,
+    universal_threshold_alpha_n,
 )
 from .coding import (
     KNOWN_SOURCE,
     UNIVERSAL,
     CodeOrdering,
     Codeword,
-    UniversalOperatingPoint,
     build_ordering,
     decode,
     encode,
     string_index,
     universal_excess_probability,
-    universal_threshold_alpha_n,
+    universal_length_distribution,
 )
 from .distributions import (
     SourcePmf,

@@ -1,4 +1,4 @@
-"""Finite-blocklength approximations to the optimal compression rate, and
+"""Finite-blocklength approximations to the optimal and universal rates, and
 the explicit constants of the matching achievability and converse bounds.
 
 At blocklength n and excess-rate probability epsilon = 2**(-n*delta), the
@@ -36,7 +36,7 @@ from .exponents import (
     solve_alpha_star,
 )
 from .numerics import LOG2E, SQRT_2PI, neumaier_sum, normal_tail_inverse
-from .types_census import DEFAULT_TYPE_CAP
+from .types_census import DEFAULT_TYPE_CAP, low_entropy_count
 
 
 def epsilon_to_delta(epsilon: float, n: int) -> float:
@@ -118,7 +118,10 @@ def _berry_esseen_prefactor_log2(sigma: float, rho: float) -> float:
 
 def achievability_constant(p: SourcePmf, delta: float) -> float:
     """The additive c in the bound R*_n <= pragmatic + c/n, valid all n >= 1."""
-    sol = solve_alpha_star(p, delta)
+    return _achievability_c(solve_alpha_star(p, delta))
+
+
+def _achievability_c(sol: AlphaStarSolution) -> float:
     t = sol.tilted
     sigma1, rho1 = math.sqrt(t.sigma1_sq), t.rho1
     sigma2, rho2 = math.sqrt(t.sigma2_sq), t.rho2
@@ -246,7 +249,7 @@ def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:
         r=r_const,
         N1=n1,
         N2=n2,
-        achievability_c=achievability_constant(p_src, delta),
+        achievability_c=_achievability_c(sol),
         envelope=env,
     )
 
@@ -267,6 +270,81 @@ def universal_rate_bound(p: SourcePmf, n: int, delta: float) -> float:
     m = p.m
     coeff = (m - 2) / 2.0 - 1.0 / (2.0 * (1.0 - sol.alpha_star))
     return sol.h_tilted + coeff * math.log2(n) / n
+
+
+@dataclass(frozen=True)
+class UniversalOperatingPoint:
+    """The universal code's threshold sequence at one blocklength.
+
+    ``alpha_n`` drifts above alpha* at rate log(n)/n; when the blocklength
+    is too small for the drift to have kicked in (alpha_n outside
+    [alpha*, 1)), ``ok`` is False and the census fields are still reported
+    as diagnostics whenever alpha_n is a valid tilt parameter.
+    """
+
+    n: int
+    alpha_star: float
+    alpha_n: float
+    ok: bool
+    p_bar: float
+    q_bar: float
+    r_bar: float
+    h_threshold_bits: float | None
+    string_count: int | None
+    rate: float | None  # (log2(count) + 1)/n
+
+
+def universal_threshold_alpha_n(
+    p: SourcePmf, delta: float, n: int, *, include_census: bool = True
+) -> UniversalOperatingPoint:
+    """Threshold tilt parameter alpha_n of the universal code's analysis,
+
+        alpha_n = alpha* + log2(n)/(2 p_bar (1-alpha*) n) - (q_bar+r_bar)/(p_bar n),
+
+    together with the induced entropy threshold H(P_alpha_n), the exact
+    number of strings below it, and the realized rate (log2 count + 1)/n.
+    ``include_census=False`` skips the exact string count (useful for very
+    large n where only alpha_n itself is wanted).
+    """
+    if n < 1:
+        raise DomainError(f"blocklength must be >= 1, got {n}")
+    sol = solve_alpha_star(p, delta)
+    env = moment_envelope(p)
+    a = sol.alpha_star
+    t = sol.tilted
+    sigma2, rho2 = math.sqrt(t.sigma2_sq), t.rho2
+    p_bar = t.sigma3_sq * LOG2E
+    q_bar = (LOG2E / 2.0) * (
+        abs(env.sigma3_inf_sq - (1.0 - a) * env.rho3_sup)
+        + env.sigma3_sup_sq
+        + env.rho3_sup
+    )
+    r_bar = (1.0 / (1.0 - a)) * _berry_esseen_prefactor_log2(sigma2, rho2)
+    alpha_n = (
+        a
+        + math.log2(n) / (2.0 * p_bar * (1.0 - a) * n)
+        - (q_bar + r_bar) / (p_bar * n)
+    )
+    ok = a <= alpha_n < 1.0
+    h_thr = string_count = rate = None
+    if 0.0 < alpha_n < 1.0:
+        h_thr = tilt(p, alpha_n).entropy_bits
+        if include_census:
+            report = low_entropy_count(n, p.m, h_thr)
+            string_count = report.count
+            rate = (math.log2(string_count) + 1.0) / n
+    return UniversalOperatingPoint(
+        n=n,
+        alpha_star=a,
+        alpha_n=alpha_n,
+        ok=ok,
+        p_bar=p_bar,
+        q_bar=q_bar,
+        r_bar=r_bar,
+        h_threshold_bits=h_thr,
+        string_count=string_count,
+        rate=rate,
+    )
 
 
 def prefix_adjust(rate_per_symbol: float, n: int) -> float:

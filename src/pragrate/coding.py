@@ -25,15 +25,16 @@ empty codeword.  Encoding is big-integer index arithmetic: the offset of the
 string's type class plus its lexicographic rank inside the class, so n in
 the hundreds is routine.  Decoding inverts exactly.
 
-The excess-rate behaviour of the universal ordering under a memoryless
-source is evaluated exactly by type aggregation, including the split of the
-class straddling a 2**L boundary.  This module holds the package's one
-ranked-class engine: the known-source class ranking, the type cap check and
-the lookup of the class holding a given rank serve the codecs, the
-universal excess evaluator and the optimal-code tails of
-:mod:`pragrate.exact_limits` alike.  The checks that stay independent of it
-are the brute-force string oracle ``exact_limits.brute_force_limits`` and
-the tests that enumerate every string.
+The length distribution of either code under a memoryless source is
+evaluated exactly by type aggregation, including the split of the class
+straddling a 2**L boundary.  This module holds the package's one
+ranked-class engine: the known-source class ranking, the type cap check,
+the lookup of the class holding a given rank and the one float tail routine
+(``_log2_tails``, which fills a :class:`LengthDistribution`) serve the
+codecs, the universal code's length distribution and the optimal-code tails
+of :mod:`pragrate.exact_limits` alike.  The checks that stay independent of
+it are the brute-force string oracle ``exact_limits.brute_force_limits``
+and the tests that enumerate every string.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .distributions import SourcePmf, tilt
+from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, ResourceLimitError
-from .exponents import moment_envelope, solve_alpha_star
-from .numerics import LOG2E, SQRT_2PI, log2_sum
+from .numerics import NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
     _distinct_permutations,
@@ -56,7 +57,6 @@ from .types_census import (
     _iter_types_with_sizes,
     _rank_in_class,
     count_types,
-    low_entropy_count,
     type_entropy_bits,
     unrank_in_type_class,
 )
@@ -151,10 +151,11 @@ def _universal_classes(n: int, m: int) -> tuple[list[tuple[int, ...]], list[int]
     return order, sizes
 
 
-def _log2_prob_tables(p: SourcePmf, n: int) -> list[list[float]]:
-    """``tables[i][c]`` is c*log2 p_i, with 0.0 at c = 0: a class's log2
-    per-string probability is the fsum of one entry per symbol."""
-    return [[0.0] + [c * lp for c in range(1, n + 1)] for lp in p.log2_probs()]
+def _class_keys(p: SourcePmf, n: int, vectors: Iterable[Sequence[int]]) -> list[float]:
+    """Minus each count vector's log2 per-string probability under p: the
+    fsum of one table entry c*log2 p_i per symbol (0.0 at c = 0)."""
+    tables = [[0.0] + [c * lp for c in range(1, n + 1)] for lp in p.log2_probs()]
+    return [-math.fsum(map(list.__getitem__, tables, counts)) for counts in vectors]
 
 
 def _known_source_classes(
@@ -162,11 +163,9 @@ def _known_source_classes(
 ) -> tuple[list[tuple[int, ...]], list[int], list[float]]:
     """Count vectors, class sizes and sort keys by decreasing per-string
     probability, ties in canonical order: a stable sort of the canonical
-    rows on the float key alone.  A class's key is minus its log2
-    per-string probability, computed once here."""
-    tables = _log2_prob_tables(source, n)
+    rows on the float key alone, each key computed once."""
     rows = list(_iter_types_with_sizes(n, m))
-    keys = [-math.fsum(map(list.__getitem__, tables, counts)) for counts, _ in rows]
+    keys = _class_keys(source, n, (counts for counts, _ in rows))
     ranked = sorted(range(len(rows)), key=keys.__getitem__)
     return (
         [rows[i][0] for i in ranked],
@@ -193,6 +192,61 @@ def _straddling_class(offsets: Sequence[int], rank: int) -> tuple[int, int]:
     boundary of codeword length L splits."""
     pos = bisect.bisect_left(offsets, rank) - 1
     return pos, offsets[pos + 1] - rank + 1
+
+
+@dataclass(frozen=True)
+class LengthDistribution:
+    """Tail probabilities P(codeword length >= L) of the optimal or the
+    universal one-to-one code.
+
+    ``log2_tails[L]`` is log2 of the tail at L, for L = 0..max_length+1
+    (the last entry is -inf).  ``exact_tails`` mirrors them as exact
+    rationals when the source allowed exact arithmetic.
+    """
+
+    n: int
+    m: int
+    log2_tails: tuple[float, ...]
+    exact_tails: tuple[Fraction, ...] | None = None
+
+    @property
+    def max_length(self) -> int:
+        return len(self.log2_tails) - 2
+
+    def log2_tail(self, length: int) -> float:
+        if length <= 0:
+            return 0.0
+        if length >= len(self.log2_tails):
+            return NEG_INF
+        return self.log2_tails[length]
+
+    def tail(self, length: int) -> float:
+        lt = self.log2_tail(length)
+        return 0.0 if lt < -1074.0 else 2.0 ** lt
+
+    def optimal_rate(self, log2_epsilon: float) -> float:
+        """(L* - 1)/n with L* = min{L : log2 P(length >= L) <= log2_epsilon}."""
+        if not log2_epsilon < 0.0:
+            raise DomainError("log2_epsilon must be negative (epsilon < 1)")
+        for length, log2_tail in enumerate(self.log2_tails):
+            if log2_tail <= log2_epsilon:
+                return (length - 1) / self.n
+        raise DomainError("no admissible length found")  # pragma: no cover
+
+
+def _log2_tails(sizes: Sequence[int], keys: Sequence[float]) -> tuple[float, ...]:
+    """log2 tails at every length from ranked class sizes and sort keys
+    (minus each class's log2 per-string probability)."""
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    suffix = [NEG_INF] * (len(sizes) + 1)
+    for i in range(len(sizes) - 1, -1, -1):
+        suffix[i] = logaddexp2(math.log2(sizes[i]) - keys[i], suffix[i + 1])
+    tails = [0.0]
+    for length in range(1, offsets[-1].bit_length()):  # L <= floor(log2 m**n)
+        i, partial = _straddling_class(offsets, 1 << length)
+        tails.append(logaddexp2(math.log2(partial) - keys[i], suffix[i + 1]))
+    tails.append(NEG_INF)
+    return tuple(tails)
 
 
 def build_ordering(
@@ -260,104 +314,25 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
     return unrank_in_type_class(ordering.type_order[pos], k - 1 - ordering.offsets[pos])
 
 
-def universal_excess_probability(
-    p: SourcePmf, n: int, length: int, *, cap_types: int = DEFAULT_TYPE_CAP
-) -> float:
-    """Exact P(codeword length >= ``length``) for the universal code under p.
+def universal_length_distribution(
+    p: SourcePmf, n: int, *, cap_types: int = DEFAULT_TYPE_CAP
+) -> LengthDistribution:
+    """Length distribution of the universal code under the source p.
 
-    The event is {index >= 2**length}; the class straddling the boundary is
-    split exactly in big integers, everything else aggregates per class.
-    """
-    if length <= 0:
-        return 1.0
-    ordering = build_ordering(UNIVERSAL, n, p.m, cap_types=cap_types)
-    boundary = 1 << length
-    if boundary > ordering.total:
-        return 0.0
-    tables = _log2_prob_tables(p, n)
-    offsets = ordering.offsets
-    first, partial = _straddling_class(offsets, boundary)
-    log_terms = []
-    for pos in range(first, len(ordering.type_order)):
-        surviving = partial if pos == first else offsets[pos + 1] - offsets[pos]
-        lp = math.fsum(map(list.__getitem__, tables, ordering.type_order[pos]))
-        log_terms.append(math.log2(surviving) + lp)
-    acc = log2_sum(log_terms)
-    return 0.0 if acc < -1074.0 else 2.0 ** acc
-
-
-@dataclass(frozen=True)
-class UniversalOperatingPoint:
-    """The universal code's threshold sequence at one blocklength.
-
-    ``alpha_n`` drifts above alpha* at rate log(n)/n; when the blocklength
-    is too small for the drift to have kicked in (alpha_n outside
-    [alpha*, 1)), ``ok`` is False and the census fields are still reported
-    as diagnostics whenever alpha_n is a valid tilt parameter.
-    """
-
-    n: int
-    alpha_star: float
-    alpha_n: float
-    ok: bool
-    p_bar: float
-    q_bar: float
-    r_bar: float
-    h_threshold_bits: float | None
-    string_count: int | None
-    rate: float | None  # (log2(count) + 1)/n
-
-
-def universal_threshold_alpha_n(
-    p: SourcePmf, delta: float, n: int, *, include_census: bool = True
-) -> UniversalOperatingPoint:
-    """Threshold tilt parameter alpha_n of the universal code's analysis,
-
-        alpha_n = alpha* + log2(n)/(2 p_bar (1-alpha*) n) - (q_bar+r_bar)/(p_bar n),
-
-    together with the induced entropy threshold H(P_alpha_n), the exact
-    number of strings below it, and the realized rate (log2 count + 1)/n.
-    ``include_census=False`` skips the exact string count (useful for very
-    large n where only alpha_n itself is wanted).
+    The classes come in the universal order, which ignores p; p only sets
+    each class's per-string probability.
     """
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
-    sol = solve_alpha_star(p, delta)
-    env = moment_envelope(p)
-    a = sol.alpha_star
-    t = sol.tilted
-    sigma2, rho2 = math.sqrt(t.sigma2_sq), t.rho2
-    p_bar = t.sigma3_sq * LOG2E
-    q_bar = (LOG2E / 2.0) * (
-        abs(env.sigma3_inf_sq - (1.0 - a) * env.rho3_sup)
-        + env.sigma3_sup_sq
-        + env.rho3_sup
-    )
-    r_bar = (1.0 / (1.0 - a)) * math.log2(
-        (1.0 / sigma2) * (1.0 / SQRT_2PI + rho2 / sigma2 ** 2)
-    )
-    alpha_n = (
-        a
-        + math.log2(n) / (2.0 * p_bar * (1.0 - a) * n)
-        - (q_bar + r_bar) / (p_bar * n)
-    )
-    ok = a <= alpha_n < 1.0
-    h_thr = string_count = rate = None
-    if 0.0 < alpha_n < 1.0:
-        h_thr = tilt(p, alpha_n).entropy_bits
-        if include_census:
-            report = low_entropy_count(n, p.m, h_thr)
-            string_count = report.count
-            rate = (math.log2(string_count) + 1.0) / n
-    return UniversalOperatingPoint(
-        n=n,
-        alpha_star=a,
-        alpha_n=alpha_n,
-        ok=ok,
-        p_bar=p_bar,
-        q_bar=q_bar,
-        r_bar=r_bar,
-        h_threshold_bits=h_thr,
-        string_count=string_count,
-        rate=rate,
-    )
+    _check_type_cap(n, p.m, cap_types)
+    order, sizes = _universal_classes(n, p.m)
+    keys = _class_keys(p, n, order)
+    return LengthDistribution(n=n, m=p.m, log2_tails=_log2_tails(sizes, keys))
+
+
+def universal_excess_probability(
+    p: SourcePmf, n: int, length: int, *, cap_types: int = DEFAULT_TYPE_CAP
+) -> float:
+    """Exact P(codeword length >= ``length``) for the universal code under p:
+    one read of :func:`universal_length_distribution`."""
+    return universal_length_distribution(p, n, cap_types=cap_types).tail(length)

@@ -10,7 +10,10 @@ over type classes.  The classes come ranked by per-string probability from
 the known-source code ordering of :mod:`pragrate.coding`, together with
 their sizes and sort keys; the probability that a codeword has length at
 least L is the probability mass of ranks >= 2**L, with the class straddling
-the boundary (found by the same lookup the decoder uses) split exactly.
+the boundary (found by the same lookup the decoder uses) split exactly by
+``coding._log2_tails``, the one float tail routine, which the universal
+code's length distribution shares; ``LengthDistribution`` lives in
+``coding`` too and is re-exported here.
 
 Numerics: per-type log2-probabilities are correctly rounded sums
 (``math.fsum``) of per-symbol terms, and tail sums are accumulated entirely
@@ -31,71 +34,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coding import _check_type_cap, _known_source_classes, _straddling_class
+from .coding import (
+    LengthDistribution,
+    _check_type_cap,
+    _known_source_classes,
+    _log2_tails,
+    _straddling_class,
+)
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
-from .numerics import NEG_INF, logaddexp2
+from .numerics import NEG_INF
 from .types_census import DEFAULT_TYPE_CAP
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
-
-
-@dataclass(frozen=True)
-class LengthDistribution:
-    """Tail probabilities P(codeword length >= L) of the optimal code.
-
-    ``log2_tails[L]`` is log2 of the tail at L, for L = 0..max_length+1
-    (the last entry is -inf).  ``exact_tails`` mirrors them as exact
-    rationals when the source allowed exact arithmetic.
-    """
-
-    n: int
-    m: int
-    log2_tails: tuple[float, ...]
-    exact_tails: tuple[Fraction, ...] | None = None
-
-    @property
-    def max_length(self) -> int:
-        return len(self.log2_tails) - 2
-
-    def log2_tail(self, length: int) -> float:
-        if length <= 0:
-            return 0.0
-        if length >= len(self.log2_tails):
-            return NEG_INF
-        return self.log2_tails[length]
-
-    def tail(self, length: int) -> float:
-        lt = self.log2_tail(length)
-        return 0.0 if lt < -1074.0 else 2.0 ** lt
-
-    def optimal_rate(self, log2_epsilon: float) -> float:
-        """(L* - 1)/n with L* = min{L : log2 P(length >= L) <= log2_epsilon}."""
-        if not log2_epsilon < 0.0:
-            raise DomainError("log2_epsilon must be negative (epsilon < 1)")
-        for length, log2_tail in enumerate(self.log2_tails):
-            if log2_tail <= log2_epsilon:
-                return (length - 1) / self.n
-        raise DomainError("no admissible length found")  # pragma: no cover
-
-
-def _log2_tails(sizes: Sequence[int], keys: Sequence[float]) -> tuple[float, ...]:
-    """log2 tails at every length from ranked class sizes and sort keys
-    (minus each class's log2 per-string probability)."""
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    suffix = [NEG_INF] * (len(sizes) + 1)
-    for i in range(len(sizes) - 1, -1, -1):
-        suffix[i] = logaddexp2(math.log2(sizes[i]) - keys[i], suffix[i + 1])
-    tails = [0.0]
-    for length in range(1, offsets[-1].bit_length()):  # L <= floor(log2 m**n)
-        i, partial = _straddling_class(offsets, 1 << length)
-        tails.append(logaddexp2(math.log2(partial) - keys[i], suffix[i + 1]))
-    tails.append(NEG_INF)
-    return tuple(tails)
 
 
 def length_distribution(

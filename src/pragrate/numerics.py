@@ -1,5 +1,6 @@
 """Small floating-point toolbox: correctly rounded sums, base-2 log-domain
-arithmetic, golden-section search, and the normal tail inverse.
+addition (tail sums live in ``coding._log2_tails``), golden-section search,
+and the normal tail inverse.
 
 Unit convention used across the package: entropies, divergences, rates and
 exponents are in bits (log base 2); central moments of log-likelihoods are
@@ -9,7 +10,7 @@ in nats (log base e).  ``LOG2E`` converts nats to bits.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import DomainError
 
@@ -36,18 +37,6 @@ def logaddexp2(a: float, b: float) -> float:
     if d < -1075.0:
         return hi
     return hi + math.log1p(2.0 ** d) * LOG2E
-
-
-def log2_sum(log_terms: Sequence[float]) -> float:
-    """log2 of a sum of nonnegative terms given by their base-2 logs.
-
-    Terms are accumulated in ascending order so that small contributions
-    are not swamped before they coalesce.
-    """
-    acc = NEG_INF
-    for t in sorted(log_terms):
-        acc = logaddexp2(acc, t)
-    return acc
 
 
 def golden_section_minimize(

@@ -35,6 +35,27 @@ def compositions(n: int, m: int):
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
 
 
+def suffix_tails(sizes, probs, mass, add, zero, one, total):
+    """Tails at every codeword length of a code whose ranked classes have
+    ``sizes`` and per-string ``probs``: suffix sums of ``mass(size, prob)``
+    under ``add``, with the class straddling each 2**L found by a linear
+    walk and split by hand.  ``zero``/``one`` are the empty and full masses,
+    ``total`` the number of strings.  Works in log2 floats (logaddexp2) and
+    in Fractions alike."""
+    suffix = [zero] * (len(sizes) + 1)
+    for i in reversed(range(len(sizes))):
+        suffix[i] = add(mass(sizes[i], probs[i]), suffix[i + 1])
+    tails, i, start = [one], 0, 1  # class i holds ranks start .. start + sizes[i] - 1
+    for length in range(1, total.bit_length()):
+        while start + sizes[i] <= 1 << length:
+            start += sizes[i]
+            i += 1
+        partial = start + sizes[i] - (1 << length)
+        tails.append(add(mass(partial, probs[i]), suffix[i + 1]))
+    tails.append(zero)
+    return tuple(tails)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0x5EED)

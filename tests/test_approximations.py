@@ -9,6 +9,7 @@ from pragrate import (
     ResourceLimitError,
     SourcePmf,
     achievability_constant,
+    approximations,
     blahut_rate,
     compute_rate_ladder,
     compute_rate_ladders,
@@ -227,6 +228,18 @@ class TestConverseConstants:
         cc = converse_constants(p, delta_range(p).hi / 2)
         for v in (cc.C, cc.N0, cc.p, cc.q, cc.r):
             assert math.isfinite(v) and v > 0
+
+    def test_alpha_star_solved_once(self, monkeypatch):
+        calls = []
+
+        def counting(p, delta):
+            calls.append(delta)
+            return solve_alpha_star(p, delta)
+
+        monkeypatch.setattr(approximations, "solve_alpha_star", counting)
+        cc = converse_constants(P02, DELTA_HALF)
+        assert calls == [DELTA_HALF]
+        assert cc.achievability_c == achievability_constant(P02, DELTA_HALF)
 
 
 class TestUniversalRateBound:

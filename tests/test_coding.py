@@ -11,8 +11,10 @@ from pragrate import (
     CodewordError,
     Codeword,
     DomainError,
+    ResourceLimitError,
     SourcePmf,
     build_ordering,
+    coding,
     decode,
     encode,
     kl_divergence,
@@ -20,11 +22,12 @@ from pragrate import (
     string_index,
     type_entropy_bits,
     universal_excess_probability,
+    universal_length_distribution,
     universal_threshold_alpha_n,
 )
-from pragrate.numerics import log2_sum
+from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern, compositions, random_pmf
+from conftest import bern, compositions, random_pmf, suffix_tails
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
@@ -268,22 +271,58 @@ class TestUniversalExcessProbability:
 
     @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (4, 7)])
     def test_equals_all_class_reference(self, m, n):
-        # every class, in the reference universal order, with the straddling
-        # class split and the rest skipped: the value must match exactly
+        # every class, in a plain sort of every composition on (entropy,
+        # counts), through a logaddexp2 suffix chain with the straddling
+        # class split by hand: the value must match exactly
         rng = random.Random(31 * m + n)
-        order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
+        order = sorted(compositions(n, m), key=lambda c: (type_entropy_bits(c), c))
+        sizes = [_class_size(counts) for counts in order]
         for _ in range(3):
             p = random_pmf(rng, m)
             lp = p.log2_probs()
+            log_probs = [math.fsum(c * li for c, li in zip(counts, lp) if c) for counts in order]
+            want = suffix_tails(
+                sizes, log_probs, lambda k, lq: math.log2(k) + lq, logaddexp2, NEG_INF, 0.0, m ** n,
+            )
             for length in range(1, (m ** n).bit_length()):
-                terms = []
-                for pos, counts in enumerate(order):
-                    surviving = offsets[pos + 1] - max(offsets[pos], (1 << length) - 1)
-                    if surviving > 0:
-                        log_p = math.fsum(c * li for c, li in zip(counts, lp) if c)
-                        terms.append(math.log2(surviving) + log_p)
-                want = 2.0 ** log2_sum(terms)
-                assert universal_excess_probability(p, n, length) == want, (length, p)
+                got = universal_excess_probability(p, n, length)
+                assert got == 2.0 ** want[length], (length, p)
+
+    @pytest.mark.parametrize("source,n", [("0.2,0.8", 20), ("0.5,0.3,0.2", 9), ("0.1,0.2,0.4,0.3", 6)])
+    def test_distribution_reads_equal_excess_calls(self, source, n):
+        p = SourcePmf.parse(source)
+        dist = universal_length_distribution(p, n)
+        assert (dist.n, dist.m, dist.exact_tails) == (n, p.m, None)
+        for length in range(-1, dist.max_length + 3):
+            assert dist.tail(length) == universal_excess_probability(p, n, length), length
+
+    def test_one_class_build_per_distribution(self, monkeypatch):
+        calls = []
+
+        def counting(n, m):
+            calls.append((n, m))
+            return universal_classes(n, m)
+
+        universal_classes = coding._universal_classes
+        monkeypatch.setattr(coding, "_universal_classes", counting)
+        universal_length_distribution(SourcePmf.parse("0.5,0.3,0.2"), 10)
+        assert calls == [(10, 3)]
+
+    def test_type_cap_refused_before_ranking(self, monkeypatch):
+        monkeypatch.setattr(coding, "_universal_classes", None)  # any call would fail
+        p = SourcePmf.parse("0.5,0.3,0.2")  # 66 type classes at n=10
+        with pytest.raises(ResourceLimitError, match="66 type classes"):
+            universal_length_distribution(p, 10, cap_types=65)
+        with pytest.raises(ResourceLimitError):
+            universal_excess_probability(p, 10, 0, cap_types=65)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_blocklength_below_one_refused(self, n, length):
+        with pytest.raises(DomainError):
+            universal_excess_probability(P02, n, length)
+        with pytest.raises(DomainError):
+            universal_length_distribution(P02, n)
 
     def test_decreasing_in_length(self):
         vals = [universal_excess_probability(P02, 20, L) for L in range(0, 22)]

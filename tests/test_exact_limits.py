@@ -20,7 +20,7 @@ from pragrate import (
 )
 from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern, compositions, random_pmf
+from conftest import bern, compositions, random_pmf, suffix_tails
 
 P02 = bern("0.2")
 P532 = SourcePmf.parse("0.5,0.3,0.2")
@@ -41,7 +41,7 @@ def reference_tails(p, n, *, reverse_ties=False):
         (-math.fsum(c * lp for c, lp in zip(counts, log2p) if c), tie(counts), counts)
         for counts in compositions(n, p.m)
     )
-    log2_tails = _suffix_tails(
+    log2_tails = suffix_tails(
         [type_class_size(r[2]) for r in float_rows], [-r[0] for r in float_rows],
         lambda k, lp: math.log2(k) + lp, logaddexp2, NEG_INF, 0.0, p.m ** n,
     )
@@ -51,26 +51,11 @@ def reference_tails(p, n, *, reverse_ties=False):
         (-math.prod(f ** c for c, f in zip(counts, p.exact)), tie(counts), counts)
         for counts in compositions(n, p.m)
     )
-    exact_tails = _suffix_tails(
+    exact_tails = suffix_tails(
         [type_class_size(r[2]) for r in exact_rows], [-r[0] for r in exact_rows],
         lambda k, prob: k * prob, lambda a, b: a + b, Fraction(0), Fraction(1), p.m ** n,
     )
     return log2_tails, exact_tails
-
-
-def _suffix_tails(sizes, probs, mass, add, zero, one, total):
-    suffix = [zero] * (len(sizes) + 1)
-    for i in reversed(range(len(sizes))):
-        suffix[i] = add(mass(sizes[i], probs[i]), suffix[i + 1])
-    tails, i, start = [one], 0, 1  # class i holds ranks start .. start + sizes[i] - 1
-    for length in range(1, total.bit_length()):
-        while start + sizes[i] <= 1 << length:
-            start += sizes[i]
-            i += 1
-        partial = start + sizes[i] - (1 << length)
-        tails.append(add(mass(partial, probs[i]), suffix[i + 1]))
-    tails.append(zero)
-    return tuple(tails)
 
 
 class TestLengthDistribution:
