@@ -83,8 +83,15 @@ def _strassen(h: float, sigma: float, n: int, epsilon: float) -> float:
     return h + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
-def _solve_for(p: SourcePmf, n: int, epsilon: float) -> AlphaStarSolution:
-    delta = epsilon_to_delta(epsilon, n)
+def check_delta(delta: float) -> float:
+    """Return ``delta`` if it is a positive, finite exponent (bits); else raise."""
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be a positive finite exponent, got {delta}")
+    return delta
+
+
+def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
+    """alpha* at ``delta``, with the range error phrased for blocklength n."""
     rng = delta_range(p)
     if not rng.contains(delta):
         if rng.is_empty:
@@ -102,12 +109,12 @@ def _solve_for(p: SourcePmf, n: int, epsilon: float) -> AlphaStarSolution:
 
 def blahut_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """Error-exponent approximation H(P_alpha*) with delta = log2(1/eps)/n."""
-    return _solve_for(p, n, epsilon).h_tilted
+    return _solve_for(p, n, epsilon_to_delta(epsilon, n)).h_tilted
 
 
 def pragmatic_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """H(P_alpha*) - log2(n)/(2n(1-alpha*)): the finite-n refined rate."""
-    sol = _solve_for(p, n, epsilon)
+    sol = _solve_for(p, n, epsilon_to_delta(epsilon, n))
     return sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
 
 
@@ -362,7 +369,7 @@ class RateLadder:
     epsilon: float
     delta: float
     shannon: float
-    strassen: float
+    strassen: float | None
     blahut: float | None
     pragmatic: float | None
     exact: float | None
@@ -386,22 +393,33 @@ def compute_rate_ladder(
 def compute_rate_ladders(
     p: SourcePmf,
     n: int,
-    epsilons: Sequence[float],
+    epsilons: Sequence[float] | None = None,
     *,
+    deltas: Sequence[float] | None = None,
     include_exact: bool = True,
     cap_types: int = DEFAULT_TYPE_CAP,
     prefix_mode: bool = False,
 ) -> list[RateLadder]:
-    """Evaluate every ladder column at (n, epsilon), one row per epsilon.
+    """Evaluate every ladder column at blocklength n, one row per point.
 
-    Every epsilon is validated before any work.  The optimal code's length
-    distribution is built once and read at each epsilon.  Columns that are
-    undefined at a point (exponent out of range, or the exact computation
-    infeasible) come back as None with a note; in prefix mode the exact
-    column is shifted by the 1/n prefix penalty.
+    The points are given as exactly one of ``epsilons`` or ``deltas``.  An
+    epsilon is read as delta = log2(1/epsilon)/n; a delta is used as given,
+    with log2(epsilon) = -n*delta for the exact column, so the deep regime
+    where 2**(-n*delta) underflows a double still has its tilted and exact
+    columns.  Every point is validated before any work.  The optimal code's
+    length distribution is built once and read at each point.  Columns that
+    are undefined at a point (exponent out of range, epsilon underflowed for
+    the normal approximation, or the exact computation infeasible) come back
+    as None with a note; in prefix mode the exact column is shifted by the
+    1/n prefix penalty.
     """
-    deltas = [epsilon_to_delta(epsilon, n) for epsilon in epsilons]
-    if not deltas:
+    if (epsilons is None) == (deltas is None):
+        raise DomainError("provide exactly one of epsilons or deltas")
+    if epsilons is not None:
+        points = [(eps, epsilon_to_delta(eps, n), math.log2(eps)) for eps in epsilons]
+    else:
+        points = [(delta_to_epsilon(d, n), check_delta(d), -n * d) for d in deltas]
+    if not points:
         return []
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
@@ -413,21 +431,26 @@ def compute_rate_ladders(
         except ResourceLimitError as exc:
             exact_note = f"exact column infeasible: {exc}"
     rows = []
-    for epsilon, delta in zip(epsilons, deltas):
+    for epsilon, delta, log2_epsilon in points:
         notes = []
-        blahut = pragmatic = exact = None
+        strassen = blahut = pragmatic = exact = None
         try:
-            sol = _solve_for(p, n, epsilon)
+            sol = _solve_for(p, n, delta)
             blahut = sol.h_tilted
             pragmatic = sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
         except DomainError as exc:
             notes.append(f"tilted columns unavailable: {exc}")
         if dist is not None:
-            exact = dist.optimal_rate(math.log2(epsilon))
+            exact = dist.optimal_rate(log2_epsilon)
             exact = prefix_adjust(exact, n) if prefix_mode else exact
         elif exact_note:
             notes.append(exact_note)
-        strassen = _strassen(shannon, sigma, n, epsilon)
+        if epsilon > 0.0:
+            strassen = _strassen(shannon, sigma, n, epsilon)
+        else:
+            notes.append(
+                f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} underflows a double"
+            )
         rows.append(RateLadder(
             n=n, epsilon=epsilon, delta=delta, shannon=shannon, strassen=strassen,
             blahut=blahut, pragmatic=pragmatic, exact=exact, note="; ".join(notes),

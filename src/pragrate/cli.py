@@ -65,14 +65,14 @@ def _parse_float_list(text: str) -> list[float]:
         raise DomainError(f"bad numeric list {text!r}: {exc}") from exc
 
 
-def _apply_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str] | None
-) -> argparse.Namespace:
+def _apply_config(argv: list[str] | None) -> argparse.Namespace:
     """Re-parse ``argv`` with the --config file's values as the subcommand's
     defaults: they beat argparse defaults, and explicit flags beat both.
-    Unknown keys and values outside an option's choices are refused."""
-    if not getattr(args, "config", None):
-        return args
+    Unknown keys and values outside an option's choices are refused.  The
+    defaults go on a parser built for this call; the shared one never changes."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _close_input(args)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -92,6 +92,13 @@ def _apply_config(
     return parser.parse_args(argv)
 
 
+def _close_input(args: argparse.Namespace) -> None:
+    """Close the codec's input file, if it opened one; stdin stays open."""
+    infile = getattr(args, "infile", None)
+    if infile is not None and infile is not sys.stdin:
+        infile.close()
+
+
 def _load_source(args: argparse.Namespace) -> SourcePmf:
     if not getattr(args, "source", None):
         raise DomainError("--source is required for this subcommand")
@@ -103,20 +110,19 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     if bool(args.eps) == bool(args.delta):
         raise DomainError("provide exactly one of --eps or --delta")
     ns = _parse_n_range(str(args.n))
-    points = []
-    for n in ns:
-        if args.eps:
-            eps_list = _parse_float_list(args.eps)
-        else:
-            eps_list = [ap.delta_to_epsilon(d, n) for d in _parse_float_list(args.delta)]
-        for eps in eps_list:  # refuse a bad epsilon before any type is enumerated
-            ap.epsilon_to_delta(eps, n)
-        points.append((n, eps_list))
+    # a bad epsilon or delta is refused before any type is enumerated
+    epsilons = deltas = None
+    if args.eps:
+        epsilons = _parse_float_list(args.eps)
+        for eps in epsilons:
+            ap.epsilon_to_delta(eps, 1)
+    else:
+        deltas = [ap.check_delta(d) for d in _parse_float_list(args.delta)]
     rows = []
-    for n, eps_list in points:
+    for n in ns:
         rows += ap.compute_rate_ladders(
-            p, n, eps_list, include_exact=not args.no_exact, cap_types=args.cap_types,
-            prefix_mode=(args.mode == "prefix"),
+            p, n, epsilons, deltas=deltas, include_exact=not args.no_exact,
+            cap_types=args.cap_types, prefix_mode=(args.mode == "prefix"),
         )
     if args.format == "markdown":
         sys.stdout.write(ap.ladder_to_markdown(rows))
@@ -317,21 +323,35 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--alphabet", required=True, help="symbol order, e.g. 'ab'")
     enc.add_argument("--n", required=True, type=int)
     enc.add_argument("--audit", action="store_true", help="emit lengths and empirical entropies")
-    enc.add_argument("infile", nargs="?", type=argparse.FileType("r"), default=sys.stdin)
+    # "-" is opened when parsed, so it reads the sys.stdin of that call
+    enc.add_argument("infile", nargs="?", type=argparse.FileType("r"), default="-")
     enc.set_defaults(func=_cmd_codec_encode)
     dec = codec_sub.add_parser("decode")
     common(dec)
-    dec.add_argument("infile", nargs="?", type=argparse.FileType("r"), default=sys.stdin)
+    dec.add_argument("infile", nargs="?", type=argparse.FileType("r"), default="-")
     dec.set_defaults(func=_cmd_codec_decode)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
+def _shared_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and never mutated:
+    building one costs far more than a parse, and leaves reference cycles."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    return _PARSER
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        args = _apply_config(parser, args, argv)
+        if args.config:
+            _close_input(args)
+            args = _apply_config(argv)
         return args.func(args)
     except (DistributionError, DomainError, CodewordError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -345,6 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     except PragrateError as exc:  # pragma: no cover - safety net
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL
+    finally:
+        _close_input(args)
 
 
 if __name__ == "__main__":

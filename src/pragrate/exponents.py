@@ -91,11 +91,16 @@ def delta_range(p: SourcePmf) -> DeltaRange:
     return DeltaRange(hi=kl_divergence(uniform, p))
 
 
+@lru_cache(maxsize=256)
 def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
     """Find the unique alpha in (0, 1) with D(P_alpha || P) = delta (bits).
 
     Bisection on the strictly decreasing divergence map, to bracket width
     1e-14 in alpha.  ``delta`` must lie strictly inside ``delta_range(p)``.
+
+    Pure in its (immutable) arguments, so results are memoized: alpha*
+    depends on the exponent alone, and a ladder over many blocklengths at
+    one delta shares a single solve.
     """
     rng = delta_range(p)
     if rng.is_empty:

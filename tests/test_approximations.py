@@ -373,3 +373,20 @@ class TestRateLadders:
 
     def test_empty_epsilon_list(self):
         assert compute_rate_ladders(P02, 40, []) == []
+
+    @pytest.mark.parametrize("points", [{}, {"epsilons": [0.1], "deltas": [0.05]}], ids=["neither", "both"])
+    def test_exactly_one_of_epsilons_or_deltas(self, points):
+        with pytest.raises(DomainError, match="exactly one"):
+            compute_rate_ladders(P02, 40, **points)
+
+    def test_bad_delta_refused_before_any_row(self):
+        with pytest.raises(DomainError, match="positive finite exponent, got nan"):
+            compute_rate_ladders(P02, 40, deltas=[0.1, math.nan])
+
+    def test_deep_delta_row(self):
+        # n*delta = 1400: epsilon underflows a double, the tilted columns do not
+        row, = compute_rate_ladders(P02, 20000, deltas=[0.07], include_exact=False)
+        sol = solve_alpha_star(P02, 0.07)
+        assert row.epsilon == 0.0 and row.delta == 0.07 and row.strassen is None
+        assert row.blahut == sol.h_tilted
+        assert row.note == "strassen column unavailable: epsilon = 2**-1400 underflows a double"

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,8 +9,10 @@ import sys
 import pytest
 
 import pragrate
-from pragrate import exact_limits
+from pragrate import cli, coding, exact_limits
 from pragrate.cli import main
+from pragrate.distributions import SourcePmf
+from pragrate.exponents import solve_alpha_star
 
 
 def run_cli(capsys, *argv):
@@ -18,14 +21,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, python_flags=()):
     """Run ``python -m pragrate`` in a child process, so an uncaught
     exception shows up as a traceback on stderr and exit code 1."""
     src = str(pathlib.Path(pragrate.__file__).resolve().parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-m", "pragrate", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *python_flags, "-m", "pragrate", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -322,14 +326,104 @@ class TestOneDistributionPerBlocklength:
         assert out == "" and err == "error: epsilon must lie in (0, 1), got 0.0\n"
         assert builds == []
 
-    def test_deep_delta_ladder_exits_before_any_build(self, capsys, builds):
-        # 2**(-20000 * 0.07) underflows to 0.0; the n = 100 point alone is fine
+    def test_deep_delta_ladder_builds_once_per_n(self, capsys, builds):
+        # 2**(-20000 * 0.07) underflows to 0.0: only the strassen cell needs
+        # epsilon itself; the exact column reads log2(epsilon) = -n*delta
         code, out, err = run_cli(
             capsys, "ladder", "--source", "0.2,0.8", "--n", "100:20000:19900", "--delta", "0.07"
         )
+        assert code == 0
+        assert builds == [100, 20000]
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        shallow, deep = (dict(zip(header, row)) for row in rows)
+        assert "-" not in shallow.values()
+        assert deep["epsilon"] == "0.0" and deep["strassen"] == "-"
+        assert all(deep[c] != "-" for c in ("exact", "blahut", "pragmatic"))
+        assert err == "note: strassen column unavailable: epsilon = 2**-1400 underflows a double\n"
+
+    def test_bad_delta_exits_before_any_build(self, capsys, builds):
+        code, out, err = run_cli(
+            capsys, "ladder", "--source", "0.2,0.8", "--n", "20:40:10", "--delta", "0.05,0"
+        )
         assert code == 2
-        assert out == "" and err == "error: epsilon must lie in (0, 1), got 0.0\n"
+        assert out == "" and err == "error: delta must be a positive finite exponent, got 0.0\n"
         assert builds == []
+
+
+class TestDeltaLadder:
+    """``ladder --delta`` solves alpha* at the given exponent, once per exponent."""
+
+    ARGV = ("ladder", "--source", "0.2,0.8", "--n", "50:2000:50", "--delta", "0.013,0.052", "--no-exact")
+
+    def test_one_solve_per_delta(self, capsys):
+        solve_alpha_star.cache_clear()
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 40 * 2
+        assert solve_alpha_star.cache_info().misses == 2
+
+    def test_cells_are_the_solve_at_the_given_delta(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        p = SourcePmf.parse("0.2,0.8")
+        for i, row in enumerate(rows):
+            cells = dict(zip(header, row))
+            n, delta = int(cells["n"]), (0.013, 0.052)[i % 2]
+            sol = solve_alpha_star(p, delta)
+            assert cells["delta"] == repr(delta)
+            assert float(cells["blahut"]) == sol.h_tilted
+            assert float(cells["pragmatic"]) == (
+                sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
+            )
+
+
+class TestSharedParser:
+    """One parser serves every ``main`` call; --config never changes it."""
+
+    @pytest.fixture
+    def parser_builds(self, monkeypatch):
+        builds = []
+        original = cli.build_parser
+
+        def counting():
+            parser = original()
+            builds.append(parser)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        return builds
+
+    def test_calls_share_one_parser(self, capsys, parser_builds):
+        for _ in range(2):
+            code, _, _ = run_cli(capsys, "ladder", "--source", "0.2,0.8", "--n", "50", "--eps", "0.01444")
+            assert code == 0
+        assert len(parser_builds) == 1
+
+    def test_config_values_do_not_leak_into_the_next_call(self, capsys, tmp_path, parser_builds):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"source": "0.2,0.8", "mode": "prefix"}))
+        base = ("ladder", "--n", "50", "--eps", "0.01444", "--format", "json")
+        code, out, _ = run_cli(capsys, *base, "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)[0]["exact"] == pytest.approx(0.84 + 1 / 50, abs=1e-12)
+        code, out, _ = run_cli(capsys, *base, "--source", "0.2,0.8")
+        assert code == 0
+        assert json.loads(out)[0]["exact"] == 0.84
+        code, _, err = run_cli(capsys, *base)
+        assert code == 2 and err == "error: --source is required for this subcommand\n"
+        assert len(parser_builds) == 2  # the shared one, and one for the --config call
+
+    def test_codec_reads_the_stdin_of_each_call(self, capsys, monkeypatch, parser_builds):
+        ordering = coding.build_ordering(coding.UNIVERSAL, 4, 2)
+        for line, x in (("abab", [0, 1, 0, 1]), ("bbba", [1, 1, 1, 0])):
+            stdin = io.StringIO(line + "\n")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            code, out, _ = run_cli(capsys, "codec", "encode", "--alphabet", "ab", "--n", "4")
+            assert code == 0 and not stdin.closed
+            assert out.splitlines()[1] == coding.encode(ordering, x).bits
+        assert len(parser_builds) == 1
 
 
 class TestInputErrorsExit2:
@@ -371,6 +465,16 @@ class TestInputErrorsExit2:
         assert out == "" and err.startswith("error: --m must be >= 2")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("delta", ["0", "-0.1", "nan", "inf", "0.05,-inf"])
+    def test_bad_delta(self, delta):
+        code, out, err = run_cli_process(
+            "ladder", "--source", "0.2,0.8", "--n", "50", f"--delta={delta}", "--no-exact"
+        )
+        bad = float(delta.split(",")[-1])
+        assert code == 2
+        assert out == "" and err == f"error: delta must be a positive finite exponent, got {bad}\n"
+        assert "Traceback" not in err
+
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "absent.json"
         code, out, err = run_cli_process(
@@ -401,3 +505,26 @@ def test_subnormal_epsilon_ladder_has_finite_strassen_cell():
     cells = dict(zip(header.split(","), row.split(",")))
     assert 0.0 < float(cells["epsilon"]) < 2.0 ** -1022
     assert math.isfinite(float(cells["strassen"]))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("codec", "encode", "--alphabet", "ab", "--n", "4", "{strings}"), 0),
+    (("codec", "decode", "{coded}"), 0),
+    (("codec", "encode", "--alphabet", "a", "--n", "4", "{strings}"), 2),
+    (("codec", "encode", "--config", "{config}", "--alphabet", "ab", "--n", "4", "{strings}"), 0),
+], ids=["encode", "decode", "encode_error", "encode_config"])
+def test_codec_closes_its_input_file(tmp_path, argv, code):
+    files = {
+        "strings": ("strings.txt", "abab\nbbba\n"),
+        "coded": ("coded.txt", "# mode=universal m=2 n=4 alphabet=ab\n100\n"),
+        "config": ("run.json", json.dumps({"mode": "known", "source": "0.3,0.7"})),
+    }
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = tmp_path / name
+        paths[key].write_text(text)
+    got, _, err = run_cli_process(
+        *(arg.format(**paths) for arg in argv), python_flags=("-W", "error::ResourceWarning")
+    )
+    assert got == code
+    assert "ResourceWarning" not in err and "Traceback" not in err
