@@ -100,9 +100,11 @@ def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
                 "fails the tilted solve"
             )
         lo_eps = delta_to_epsilon(rng.hi, n)
+        # where 2**(-n*hi) underflows, its exponent still names the lower end
+        lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * rng.hi:.6g}"
         raise DomainError(
             f"delta={delta:.6g} outside (0, {rng.hi:.6g}); at n={n} the "
-            f"admissible epsilon interval is ({lo_eps:.6g}, 1)"
+            f"admissible epsilon interval is ({lo}, 1)"
         )
     return solve_alpha_star(p, delta)
 

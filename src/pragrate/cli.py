@@ -105,19 +105,23 @@ def _load_source(args: argparse.Namespace) -> SourcePmf:
     return SourcePmf.load(str(args.source))
 
 
-def _cmd_ladder(args: argparse.Namespace) -> int:
-    p = _load_source(args)
+def _parse_eps_or_delta(args: argparse.Namespace) -> tuple[list[float] | None, list[float] | None]:
+    """(epsilons, deltas) from exactly one of --eps and --delta; the other
+    is None.  A bad value is refused here, before any type is enumerated."""
     if bool(args.eps) == bool(args.delta):
         raise DomainError("provide exactly one of --eps or --delta")
+    if args.delta:
+        return None, [ap.check_delta(d) for d in _parse_float_list(args.delta)]
+    epsilons = _parse_float_list(args.eps)
+    for eps in epsilons:
+        ap.epsilon_to_delta(eps, 1)
+    return epsilons, None
+
+
+def _cmd_ladder(args: argparse.Namespace) -> int:
+    p = _load_source(args)
+    epsilons, deltas = _parse_eps_or_delta(args)
     ns = _parse_n_range(str(args.n))
-    # a bad epsilon or delta is refused before any type is enumerated
-    epsilons = deltas = None
-    if args.eps:
-        epsilons = _parse_float_list(args.eps)
-        for eps in epsilons:
-            ap.epsilon_to_delta(eps, 1)
-    else:
-        deltas = [ap.check_delta(d) for d in _parse_float_list(args.delta)]
     rows = []
     for n in ns:
         rows += ap.compute_rate_ladders(
@@ -138,17 +142,20 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 
 def _cmd_limits(args: argparse.Namespace) -> int:
     p = _load_source(args)
+    epsilons, deltas = _parse_eps_or_delta(args)
     ns = _parse_n_range(str(args.n))
-    eps_list = _parse_float_list(args.eps)
-    for eps in eps_list:  # refuse a bad epsilon before any type is enumerated
-        ap.epsilon_to_delta(eps, 1)
-    out = ["n,epsilon,L_star,rate"]
-    for n in ns if eps_list else []:
+    # a delta is read at log2(epsilon) = -n*delta: no float epsilon, so no underflow
+    if deltas is None:
+        column, values, log2_eps = "epsilon", epsilons, lambda n, eps: math.log2(eps)
+    else:
+        column, values, log2_eps = "delta", deltas, lambda n, delta: -n * delta
+    out = [f"n,{column},L_star,rate"]
+    for n in ns if values else []:
         dist = el.length_distribution(p, n, cap_types=args.cap_types)
-        for eps in eps_list:
-            rate = dist.optimal_rate(math.log2(eps))
+        for value in values:
+            rate = dist.optimal_rate(log2_eps(n, value))
             l_star = round(rate * n) + 1
-            out.append(f"{n},{eps!r},{l_star},{rate!r}")
+            out.append(f"{n},{value!r},{l_star},{rate!r}")
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 
@@ -298,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     limits = sub.add_parser("limits", help="exact optimal rates")
     common(limits)
     limits.add_argument("--n", required=True)
-    limits.add_argument("--eps", required=True)
+    limits.add_argument("--eps", help="comma-separated excess-rate probabilities")
+    limits.add_argument("--delta", help="comma-separated exponents (bits)")
     limits.set_defaults(func=_cmd_limits)
 
     constants = sub.add_parser("constants", help="achievability/converse constants")

@@ -12,12 +12,19 @@ Classes whose float sort keys are equal keep the canonical (ascending lex)
 type order in both modes.  The known-source build gets this from a stable
 sort, on the float key alone, of the classes listed in canonical order; the
 key is the ``fsum`` of per-symbol table entries c*log2 p_i.  The universal
-build works one permutation orbit at a time: entropy and class size are
-computed once per partition of n, the partitions are grouped by their exact
-float entropy, and each level's count vectors are emitted in lex order.
-Since ``fsum`` is correctly rounded whatever the order of its terms, every
-vector of an orbit has its partition's entropy bit for bit, so this equals
-a sort of all C(n+m-1, m-1) classes on (entropy, counts).
+ordering is stored per entropy level: entropy and class size are computed
+once per partition of n (one permutation orbit of count vectors), the
+partitions are grouped by their exact float entropy, and each level keeps
+its orbits and one cumulative offset.  Inside a level the count vectors
+come in lex order.  Since ``fsum`` is correctly rounded whatever the order
+of its terms, every vector of an orbit has its partition's entropy bit for
+bit, so this equals a sort of all C(n+m-1, m-1) classes on (entropy,
+counts).  A single-orbit level's classes all have one size, so a class's
+offset is the level's plus that size times the lex rank of its count
+vector among the rearrangements of the partition: the codec ranks (and
+unranks) twice, once over the multiset of counts and once over the string,
+and never lists the classes.  The rare level of several orbits (distinct
+partitions with equal float entropy) is expanded when a string falls in it.
 
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
@@ -40,6 +47,7 @@ and the tests that enumerate every string.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -90,65 +98,182 @@ class Codeword:
 
 
 @dataclass(frozen=True)
+class _ClassList:
+    """Every class in code order: ``type_order`` lists the count vectors and
+    ``offsets[i]`` is the number of strings in all earlier classes, so class
+    i covers 0-based string indices [offsets[i], offsets[i+1]).  The
+    counts-to-position map is built on its first use, so a decoder never
+    pays for it."""
+
+    type_order: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]  # length len(type_order)+1; last entry is m**n
+    _position: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+
+    def position_of(self, counts: tuple[int, ...]) -> int:
+        if not self._position:
+            self._position.update((c, i) for i, c in enumerate(self.type_order))
+        return self._position[counts]
+
+    def class_offset(self, counts: tuple[int, ...]) -> int:
+        return self.offsets[self.position_of(counts)]
+
+    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
+        """(counts, 0-based rank in its class) of the 1-based index k."""
+        pos, _ = _straddling_class(self.offsets, k)
+        return self.type_order[pos], k - 1 - self.offsets[pos]
+
+    def expanded(self) -> "_ClassList":
+        return self
+
+
+# One permutation orbit of count vectors: its ascending vector, the size of
+# each of its classes and its number of distinct arrangements.
+_Orbit = tuple[tuple[int, ...], int, int]
+
+
+def _universal_levels(n: int, m: int) -> list[list[_Orbit]]:
+    """The orbits grouped by their exact float entropy, levels ascending."""
+    levels: dict[float, list[_Orbit]] = {}
+    for parts, size, arrangements in _iter_partitions(n, m):
+        levels.setdefault(type_entropy_bits(parts), []).append((parts[::-1], size, arrangements))
+    return [levels[h] for h in sorted(levels)]
+
+
+def _level_classes(
+    orbits: Sequence[_Orbit], getters: dict[tuple[int, ...], list[itemgetter]]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Count vectors and class sizes of one entropy level in lex order.
+
+    An orbit's shape maps each slot of its ascending vector to the first
+    slot holding the same value.  That index rises with the value, so the
+    shape's distinct permutations, as itemgetters on the ascending vector,
+    list the orbit in lex order; orbits of one shape share the getters,
+    cached in ``getters``."""
+    expanded = []
+    for asc, size, _ in orbits:
+        shape = tuple(map(asc.index, asc))
+        if shape not in getters:
+            getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
+        expanded.append(([g(asc) for g in getters[shape]], size))
+    if len(expanded) == 1:
+        order, size = expanded[0]
+        return order, [size] * len(order)
+    # orbits are disjoint, so the sort never compares sizes
+    level = sorted((counts, size) for order, size in expanded for counts in order)
+    return [counts for counts, _ in level], [size for _, size in level]
+
+
+def _expand_levels(levels: Sequence[Sequence[_Orbit]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Count vectors and class sizes of every class, in code order."""
+    order: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+    getters: dict = {}
+    for orbits in levels:
+        level_order, level_sizes = _level_classes(orbits, getters)
+        order += level_order
+        sizes += level_sizes
+    return order, sizes
+
+
+def _orbit_alphabet(asc: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """The distinct values of an ascending vector and their multiplicities:
+    the vectors of its orbit are the strings of that type over those values."""
+    values = sorted(set(asc))
+    return values, [asc.count(v) for v in values]
+
+
+@dataclass(frozen=True)
+class _EntropyLevels:
+    """The universal order kept one entropy level at a time (see the module
+    docstring): ``levels`` holds each level's orbits, ``offsets[i]`` the
+    strings in all earlier levels, and ``level_of`` maps an ascending
+    vector to its level."""
+
+    levels: tuple[tuple[_Orbit, ...], ...]
+    offsets: tuple[int, ...]  # length len(levels)+1; last entry is m**n
+    level_of: dict[tuple[int, ...], int] = field(repr=False, hash=False, compare=False)
+    _expanded: list = field(repr=False, hash=False, compare=False, default_factory=list)
+
+    @classmethod
+    def build(cls, n: int, m: int) -> "_EntropyLevels":
+        levels = tuple(map(tuple, _universal_levels(n, m)))
+        strings = (sum(size * arr for _, size, arr in orbits) for orbits in levels)
+        return cls(
+            levels=levels,
+            offsets=tuple(itertools.accumulate(strings, initial=0)),
+            level_of={asc: i for i, orbits in enumerate(levels) for asc, _, _ in orbits},
+        )
+
+    def class_offset(self, counts: tuple[int, ...]) -> int:
+        i = self.level_of[tuple(sorted(counts))]
+        orbits = self.levels[i]
+        if len(orbits) == 1:
+            asc, size, _ = orbits[0]
+            values, multiplicities = _orbit_alphabet(asc)
+            rank = _rank_in_class([values.index(c) for c in counts], multiplicities)
+            return self.offsets[i] + size * rank
+        order, sizes = _level_classes(orbits, {})
+        return self.offsets[i] + sum(sizes[:order.index(counts)])
+
+    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
+        """(counts, 0-based rank in its class) of the 1-based index k."""
+        i, _ = _straddling_class(self.offsets, k)
+        rest = k - 1 - self.offsets[i]
+        orbits = self.levels[i]
+        if len(orbits) == 1:
+            asc, size, _ = orbits[0]
+            rank, within = divmod(rest, size)
+            values, multiplicities = _orbit_alphabet(asc)
+            return tuple(values[j] for j in unrank_in_type_class(multiplicities, rank)), within
+        order, sizes = _level_classes(orbits, {})
+        starts = list(itertools.accumulate(sizes, initial=0))
+        pos, _ = _straddling_class(starts, rest + 1)
+        return order[pos], rest - starts[pos]
+
+    def expanded(self) -> _ClassList:
+        """Every class in code order, expanded on first use."""
+        if not self._expanded:
+            order, sizes = _expand_levels(self.levels)
+            self._expanded.append(_ClassList(
+                type_order=tuple(order), offsets=tuple(itertools.accumulate(sizes, initial=0)),
+            ))
+        return self._expanded[0]
+
+
+@dataclass(frozen=True)
 class CodeOrdering:
     """A total order on A^n shared by encoder and decoder.
 
     ``type_order`` lists count vectors in code order; ``offsets[i]`` is the
     number of strings in all earlier classes, so class i covers 0-based
-    string indices [offsets[i], offsets[i+1]).  The counts-to-position map
-    behind :meth:`position_of` is built on its first use, so a decoder never
-    pays for it.
+    string indices [offsets[i], offsets[i+1]).  The known-source ordering
+    stores them; the universal one stores its entropy levels and expands
+    the two (and the map behind :meth:`position_of`) only when they are
+    read, which its encoder and decoder never do.
     """
 
     mode: str
     n: int
     m: int
-    type_order: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]  # length len(type_order)+1; last entry is m**n
-    _position: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
+    _classes: _ClassList | _EntropyLevels = field(repr=False)
+
+    @property
+    def type_order(self) -> tuple[tuple[int, ...], ...]:
+        return self._classes.expanded().type_order
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        return self._classes.expanded().offsets
 
     @property
     def total(self) -> int:
-        return self.offsets[-1]
+        return self._classes.offsets[-1]
 
     def position_of(self, counts: tuple[int, ...]) -> int:
-        if not self._position:
-            self._position.update((c, i) for i, c in enumerate(self.type_order))
         try:
-            return self._position[counts]
+            return self._classes.expanded().position_of(counts)
         except KeyError:
             raise DomainError(f"type {counts} is not an {self.n}-type on {self.m} symbols")
-
-
-def _universal_classes(n: int, m: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Count vectors and class sizes by ascending empirical entropy, ties in
-    canonical order, built one permutation orbit at a time (see the module
-    docstring)."""
-    # An orbit's shape maps each slot of its ascending vector to the first
-    # slot holding the same value.  That index rises with the value, so the
-    # shape's distinct permutations, as itemgetters on the ascending vector,
-    # list the orbit in lex order; orbits of one shape share the getters.
-    getters: dict[tuple[int, ...], list[itemgetter]] = {}
-    levels: dict[float, list] = {}
-    for parts, size, _ in _iter_partitions(n, m):
-        asc = parts[::-1]
-        shape = tuple(map(asc.index, asc))
-        if shape not in getters:
-            getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
-        levels.setdefault(type_entropy_bits(parts), []).append((asc, size, getters[shape]))
-    order: list[tuple[int, ...]] = []
-    sizes: list[int] = []
-    for h in sorted(levels):
-        orbits = levels[h]
-        if len(orbits) == 1:
-            asc, size, gs = orbits[0]
-            order += [g(asc) for g in gs]
-            sizes += [size] * len(gs)
-        else:  # orbits are disjoint, so the sort never compares sizes
-            level = sorted((g(asc), size) for asc, size, gs in orbits for g in gs)
-            order += [counts for counts, _ in level]
-            sizes += [size for _, size in level]
-    return order, sizes
 
 
 def _class_keys(p: SourcePmf, n: int, vectors: Iterable[Sequence[int]]) -> list[float]:
@@ -267,22 +392,17 @@ def build_ordering(
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     _check_type_cap(n, m, cap_types)
     if mode == UNIVERSAL:
-        order, sizes = _universal_classes(n, m)
-    elif mode == KNOWN_SOURCE:
-        if source is None:
-            raise DomainError("known-source ordering requires a source pmf")
-        if source.m != m:
-            raise DomainError("source alphabet size disagrees with m")
-        order, sizes, _ = _known_source_classes(n, m, source)
-    else:
+        return CodeOrdering(mode, n, m, _EntropyLevels.build(n, m))
+    if mode != KNOWN_SOURCE:
         raise DomainError(f"unknown ordering mode {mode!r}")
-    return CodeOrdering(
-        mode=mode,
-        n=n,
-        m=m,
-        type_order=tuple(order),
-        offsets=tuple(itertools.accumulate(sizes, initial=0)),
-    )
+    if source is None:
+        raise DomainError("known-source ordering requires a source pmf")
+    if source.m != m:
+        raise DomainError("source alphabet size disagrees with m")
+    order, sizes, _ = _known_source_classes(n, m, source)
+    return CodeOrdering(mode, n, m, _ClassList(
+        type_order=tuple(order), offsets=tuple(itertools.accumulate(sizes, initial=0)),
+    ))
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
@@ -294,8 +414,7 @@ def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
         if not 0 <= s < ordering.m:
             raise DomainError(f"symbol {s} outside alphabet of size {ordering.m}")
         counts[s] += 1
-    pos = ordering.position_of(tuple(counts))
-    return ordering.offsets[pos] + _rank_in_class(x, counts) + 1
+    return ordering._classes.class_offset(tuple(counts)) + _rank_in_class(x, counts) + 1
 
 
 def encode(ordering: CodeOrdering, x: Sequence[int]) -> Codeword:
@@ -310,22 +429,23 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
         raise CodewordError(
             f"index {k} exceeds the {ordering.total} strings of this ordering"
         )
-    pos, _ = _straddling_class(ordering.offsets, k)
-    return unrank_in_type_class(ordering.type_order[pos], k - 1 - ordering.offsets[pos])
+    return unrank_in_type_class(*ordering._classes.locate(k))
 
 
+@functools.lru_cache(maxsize=64)
 def universal_length_distribution(
     p: SourcePmf, n: int, *, cap_types: int = DEFAULT_TYPE_CAP
 ) -> LengthDistribution:
     """Length distribution of the universal code under the source p.
 
     The classes come in the universal order, which ignores p; p only sets
-    each class's per-string probability.
+    each class's per-string probability.  Memoized on (p, n, cap_types):
+    an entry holds n+2 floats, and each further tail read is free.
     """
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
     _check_type_cap(n, p.m, cap_types)
-    order, sizes = _universal_classes(n, p.m)
+    order, sizes = _expand_levels(_universal_levels(n, p.m))
     keys = _class_keys(p, n, order)
     return LengthDistribution(n=n, m=p.m, log2_tails=_log2_tails(sizes, keys))
 

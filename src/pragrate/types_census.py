@@ -17,8 +17,10 @@ census works one permutation orbit at a time: it enumerates the partitions
 of n into at most m parts (the nonincreasing count vectors) and weighs each
 by its number of distinct rearrangements, m!/prod(multiplicity!), instead
 of visiting all C(n+m-1, m-1) count vectors.  The universal code order in
-:mod:`pragrate.coding` is built from the same orbits, expanded in lex order
-by :func:`_distinct_permutations`.
+:mod:`pragrate.coding` is kept as the same orbits: a count vector's place in
+its orbit is its lex rank among the rearrangements of the partition (a
+multiset rank, :func:`_rank_in_class`), and :func:`_distinct_permutations`
+lists an orbit in lex order when one is expanded.
 """
 
 from __future__ import annotations

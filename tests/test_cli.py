@@ -120,6 +120,39 @@ class TestLimitsCommand:
         assert code == 3
         assert "exceeds" in err
 
+    def test_delta_rows_read_log2_epsilon(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "limits", "--source", "0.6,0.3,0.1", "--n", "10:30:10", "--delta", "0.05,0.3"
+        )
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == "n,delta,L_star,rate"
+        p = SourcePmf.parse("0.6,0.3,0.1")
+        want = []
+        for n in (10, 20, 30):
+            dist = exact_limits.length_distribution(p, n)
+            for delta in (0.05, 0.3):
+                rate = dist.optimal_rate(-n * delta)
+                want.append(f"{n},{delta!r},{round(rate * n) + 1},{rate!r}")
+        assert rows == want
+
+    def test_deep_delta(self, capsys):
+        # n*delta = 1400: epsilon = 2**-1400 underflows a double
+        code, out, err = run_cli(
+            capsys, "limits", "--source", "0.2,0.8", "--n", "20000", "--delta", "0.07"
+        )
+        assert code == 0 and err == ""
+        n, delta, l_star, rate = out.splitlines()[1].split(",")
+        assert (n, delta) == ("20000", "0.07")
+        assert int(l_star) == round(float(rate) * 20000) + 1
+        assert 0.7219 < float(rate) < 1.0  # between H(P) and log2 m
+
+    @pytest.mark.parametrize("flags", [(), ("--eps", "0.1", "--delta", "0.1")], ids=["neither", "both"])
+    def test_exactly_one_of_eps_and_delta(self, capsys, flags):
+        code, out, err = run_cli(capsys, "limits", "--source", "0.2,0.8", "--n", "50", *flags)
+        assert code == 2
+        assert out == "" and err == "error: provide exactly one of --eps or --delta\n"
+
 
 class TestConstantsCommand:
     def test_json_payload(self, capsys):
@@ -342,12 +375,21 @@ class TestOneDistributionPerBlocklength:
         assert err == "note: strassen column unavailable: epsilon = 2**-1400 underflows a double\n"
 
     def test_bad_delta_exits_before_any_build(self, capsys, builds):
-        code, out, err = run_cli(
-            capsys, "ladder", "--source", "0.2,0.8", "--n", "20:40:10", "--delta", "0.05,0"
-        )
-        assert code == 2
-        assert out == "" and err == "error: delta must be a positive finite exponent, got 0.0\n"
+        for command in ("ladder", "limits"):
+            code, out, err = run_cli(
+                capsys, command, "--source", "0.2,0.8", "--n", "20:40:10", "--delta", "0.05,0"
+            )
+            assert code == 2
+            assert out == "" and err == "error: delta must be a positive finite exponent, got 0.0\n"
         assert builds == []
+
+    def test_limits_delta_builds_once_per_n(self, capsys, builds):
+        code, out, _ = run_cli(
+            capsys, "limits", "--source", "0.6,0.3,0.1", "--n", "10:30:10", "--delta", "0.01,0.1,0.3"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 3 * 3
+        assert builds == [10, 20, 30]
 
 
 class TestDeltaLadder:
@@ -528,3 +570,20 @@ def test_codec_closes_its_input_file(tmp_path, argv, code):
     )
     assert got == code
     assert "ResourceWarning" not in err and "Traceback" not in err
+
+
+class TestDeepRangeNote:
+    """The tilted columns' range note names the real lower end of the
+    admissible epsilon interval, also where 2**(-n*D(U||P)) underflows."""
+
+    @pytest.mark.parametrize("n,interval", [
+        ("20000", "(2**-6438.56, 1)"),  # 2**(-20000 * 0.321928) underflows to 0.0
+        ("200", "(4.14952e-20, 1)"),
+    ])
+    def test_lower_end(self, n, interval):
+        code, out, err = run_cli_process(
+            "ladder", "--source", "0.2,0.8", "--n", n, "--delta", "0.5", "--no-exact"
+        )
+        assert code == 0 and out.startswith("n,epsilon,delta,")
+        assert f"at n={n} the admissible epsilon interval is {interval}" in err
+        assert "Traceback" not in err

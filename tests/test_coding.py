@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -156,11 +157,95 @@ class TestOrbitBuildMatchesReferenceSort:
         assert o.type_order[8:10] == ((1, 0, 5, 0), (0, 2, 4, 0))
 
     def test_position_map_is_built_on_first_encode_only(self):
-        o = build_ordering(UNIVERSAL, 6, 3)
+        # only the known-source ordering keeps a counts-to-position map
+        o = build_ordering(KNOWN_SOURCE, 6, 3, SourcePmf.parse("0.5,0.3,0.2"))
         x = decode(o, Codeword("0110"))
-        assert not o._position
+        assert not o._classes._position
         assert decode(o, encode(o, x)) == x
-        assert len(o._position) == len(o.type_order)
+        assert len(o._classes._position) == len(o.type_order)
+
+
+def _lex_first(counts):
+    return tuple(s for s, c in enumerate(counts) for _ in range(c))
+
+
+class TestUniversalLevelPath:
+    """Encode and decode work on the entropy levels and never expand the
+    classes; every class still lands where a sort of all compositions puts
+    it."""
+
+    @staticmethod
+    def _check_against_reference(n, m, stride=1):
+        """Check every class's offset and lookup, and the first and last
+        string of every ``stride``-th class and of every class in a level
+        of several orbits; return the number of such levels."""
+        o = build_ordering(UNIVERSAL, n, m)
+        levels = o._classes
+        shared = {asc for orbits in levels.levels if len(orbits) > 1 for asc, _, _ in orbits}
+        order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
+        for i, (counts, lo, hi) in enumerate(zip(order, offsets, offsets[1:])):
+            assert levels.class_offset(counts) == lo, (n, m, counts)
+            assert levels.locate(lo + 1) == (counts, 0)
+            assert levels.locate(hi) == (counts, hi - lo - 1)
+            if i % stride and tuple(sorted(counts)) not in shared:
+                continue
+            first, last = _lex_first(counts), _lex_first(counts)[::-1]
+            assert string_index(o, first) == lo + 1, (n, m, counts)
+            assert string_index(o, last) == hi, (n, m, counts)
+            assert decode(o, Codeword.from_index(lo + 1)) == first
+            assert decode(o, Codeword.from_index(hi)) == last
+        assert not levels._expanded  # type_order and offsets were never built
+        return len(shared)
+
+    @pytest.mark.parametrize("m,ns", [
+        (2, range(1, 31)), (3, range(1, 31)), (4, range(1, 31, 3)),
+        (5, range(1, 17, 3)), (6, range(1, 11, 3)), (8, range(1, 6)),
+    ])
+    def test_every_class_matches_reference_sort(self, m, ns):
+        for n in ns:
+            self._check_against_reference(n, m)
+
+    @pytest.mark.parametrize("m,n,stride", [(4, 50, 25), (5, 12, 1)])
+    def test_multi_orbit_levels(self, m, n, stride):
+        assert self._check_against_reference(n, m, stride) >= 2
+
+    def test_round_trip_never_expands(self, monkeypatch):
+        def refuse(levels):
+            raise AssertionError("the universal classes were expanded")
+
+        monkeypatch.setattr(coding, "_expand_levels", refuse)
+        rng = random.Random(50)
+        o = build_ordering(UNIVERSAL, 50, 4)
+        for _ in range(30):
+            x = tuple(rng.randrange(4) for _ in range(50))
+            assert decode(o, encode(o, x)) == x
+        for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):  # in multi-orbit levels
+            x = _lex_first(asc[::-1])
+            assert decode(o, encode(o, x)) == x
+        with pytest.raises(AssertionError, match="expanded"):
+            o.type_order
+
+    def test_build_and_round_trip_stay_small(self):
+        # the class list at m=4 n=50 (23,426 classes) alone takes over 5 MiB
+        rng = random.Random(10)
+        strings = [tuple(rng.randrange(4) for _ in range(50)) for _ in range(10)]
+        tracemalloc.start()
+        try:
+            o = build_ordering(UNIVERSAL, 50, 4)
+            for x in strings:
+                assert decode(o, encode(o, x)) == x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
+    def test_expanded_view_is_built_once(self):
+        o = build_ordering(UNIVERSAL, 12, 5)
+        assert o.type_order is o.type_order
+        assert o.offsets[-1] == o.total == 5 ** 12
+        assert o.position_of(o.type_order[100]) == 100
+        with pytest.raises(DomainError):
+            o.position_of((12, 0, 0, 0, 1))
 
 
 class TestRoundTrips:
@@ -296,20 +381,32 @@ class TestUniversalExcessProbability:
         for length in range(-1, dist.max_length + 3):
             assert dist.tail(length) == universal_excess_probability(p, n, length), length
 
-    def test_one_class_build_per_distribution(self, monkeypatch):
+    @pytest.fixture
+    def level_builds(self, monkeypatch):
         calls = []
+        universal_levels = coding._universal_levels
 
         def counting(n, m):
             calls.append((n, m))
-            return universal_classes(n, m)
+            return universal_levels(n, m)
 
-        universal_classes = coding._universal_classes
-        monkeypatch.setattr(coding, "_universal_classes", counting)
-        universal_length_distribution(SourcePmf.parse("0.5,0.3,0.2"), 10)
-        assert calls == [(10, 3)]
+        monkeypatch.setattr(coding, "_universal_levels", counting)
+        return calls
+
+    def test_one_class_build_per_distribution(self, level_builds):
+        universal_length_distribution.__wrapped__(SourcePmf.parse("0.5,0.3,0.2"), 10)
+        assert level_builds == [(10, 3)]
+
+    def test_excess_reads_share_one_build(self, level_builds):
+        universal_length_distribution.cache_clear()
+        p = SourcePmf.parse("0.6,0.3,0.1")
+        tails = [universal_excess_probability(p, 11, length) for length in range(20)]
+        assert level_builds == [(11, 3)]
+        fresh = universal_length_distribution.__wrapped__(p, 11)
+        assert tails == [fresh.tail(length) for length in range(20)]
 
     def test_type_cap_refused_before_ranking(self, monkeypatch):
-        monkeypatch.setattr(coding, "_universal_classes", None)  # any call would fail
+        monkeypatch.setattr(coding, "_universal_levels", None)  # any call would fail
         p = SourcePmf.parse("0.5,0.3,0.2")  # 66 type classes at n=10
         with pytest.raises(ResourceLimitError, match="66 type classes"):
             universal_length_distribution(p, 10, cap_types=65)
