@@ -107,15 +107,19 @@ def _load_source(args: argparse.Namespace) -> SourcePmf:
 
 def _parse_eps_or_delta(args: argparse.Namespace) -> tuple[list[float] | None, list[float] | None]:
     """(epsilons, deltas) from exactly one of --eps and --delta; the other
-    is None.  A bad value is refused here, before any type is enumerated."""
+    is None.  A bad value, or a list with none, is refused here, before any
+    type is enumerated."""
     if bool(args.eps) == bool(args.delta):
         raise DomainError("provide exactly one of --eps or --delta")
+    flag, text = ("--delta", args.delta) if args.delta else ("--eps", args.eps)
+    values = _parse_float_list(text)
+    if not values:
+        raise DomainError(f"{flag} {text!r} holds no values")
     if args.delta:
-        return None, [ap.check_delta(d) for d in _parse_float_list(args.delta)]
-    epsilons = _parse_float_list(args.eps)
-    for eps in epsilons:
+        return None, [ap.check_delta(d) for d in values]
+    for eps in values:
         ap.epsilon_to_delta(eps, 1)
-    return epsilons, None
+    return values, None
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
@@ -190,14 +194,15 @@ def _cmd_census(args: argparse.Namespace) -> int:
     ns = _parse_n_range(str(args.n))
     if args.slab:
         out = ["n,threshold_bits,slab_type_count"]
-        for n in ns:
-            out.append(f"{n},{h!r},{tc.entropy_slab_count(n, m, h)}")
     else:
         out = ["n,threshold_bits,log2_count,theta_ratio"]
-        for n in ns:
-            if tc.count_types(n, m) > args.cap_types:
-                sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
-                break
+    for n in ns:
+        if tc.count_types(n, m) > args.cap_types:
+            sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
+            break
+        if args.slab:
+            out.append(f"{n},{h!r},{tc.entropy_slab_count(n, m, h)}")
+        else:
             rep = tc.low_entropy_count(n, m, h)
             log2c = math.log2(rep.count) if rep.count else float("-inf")
             out.append(f"{n},{h!r},{log2c!r},{rep.theta_ratio!r}")
@@ -205,8 +210,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_alphabet(args: argparse.Namespace) -> str:
-    alphabet = args.alphabet
+def _check_alphabet(alphabet: str | None) -> str:
     if not alphabet:
         raise DomainError("--alphabet is required (e.g. --alphabet ab)")
     if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
@@ -225,7 +229,7 @@ def _build_cli_ordering(args: argparse.Namespace, m: int) -> coding.CodeOrdering
 
 
 def _cmd_codec_encode(args: argparse.Namespace) -> int:
-    alphabet = _resolve_alphabet(args)
+    alphabet = _check_alphabet(args.alphabet)
     sym_index = {ch: i for i, ch in enumerate(alphabet)}
     ordering = _build_cli_ordering(args, len(alphabet))
     lines = [ln.strip() for ln in args.infile.read().splitlines() if ln.strip()]
@@ -249,18 +253,30 @@ def _cmd_codec_encode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_codec_header(line: str) -> tuple[str, int, int, str]:
+    """(mode, m, n, alphabet) from an encoder's ``# mode=... m=... n=...
+    alphabet=...`` line; a missing or bad field is refused."""
+    header = dict(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
+    try:
+        mode, m, n, alphabet = (header[key] for key in ("mode", "m", "n", "alphabet"))
+    except KeyError as exc:
+        raise DomainError(f"codeword header missing field {exc}") from exc
+    if mode not in ("known", "universal"):
+        raise DomainError(f"codeword header: mode must be 'known' or 'universal', got {mode!r}")
+    try:
+        m, n = int(m), int(n)
+    except ValueError as exc:
+        raise DomainError(f"codeword header: bad m or n: {exc}") from exc
+    if len(alphabet) != m:
+        raise DomainError(f"codeword header: alphabet {alphabet!r} does not have m={m} symbols")
+    return mode, m, n, _check_alphabet(alphabet)
+
+
 def _cmd_codec_decode(args: argparse.Namespace) -> int:
     lines = [ln.rstrip("\n") for ln in args.infile.read().splitlines()]
     if not lines or not lines[0].startswith("#"):
         raise DomainError("codeword stream must start with its '# mode=...' header")
-    header = dict(
-        tok.split("=", 1) for tok in lines[0].lstrip("# ").split() if "=" in tok
-    )
-    try:
-        mode, m, n = header["mode"], int(header["m"]), int(header["n"])
-        alphabet = header["alphabet"]
-    except KeyError as exc:
-        raise DomainError(f"codeword header missing field {exc}") from exc
+    mode, m, n, alphabet = _parse_codec_header(lines[0])
     args.mode, args.n = mode, n
     ordering = _build_cli_ordering(args, m)
     out = []

@@ -42,6 +42,17 @@ codecs, the universal code's length distribution and the optimal-code tails
 of :mod:`pragrate.exact_limits` alike.  The checks that stay independent of
 it are the brute-force string oracle ``exact_limits.brute_force_limits``
 and the tests that enumerate every string.
+
+The engine is columnar (``_known_source_classes``): per class it keeps a sort
+key in an ``array('d')`` and an exact size, both in canonical order, and
+the ranking is an index array.  Count vectors are built only for the
+codec and for exact mode, by enumerating the classes again.  The tails take
+two passes over the ranking.  The forward pass (``_straddles``) keeps one
+running big-integer offset and records, at each 2**L, the straddling
+class and how many of its strings survive.  The backward pass runs the
+logaddexp2 suffix chain over log2(size) - key and keeps it only at the
+recorded classes.  So a length distribution holds O(n) records beyond its
+columns, not an offset and a suffix per class.
 """
 
 from __future__ import annotations
@@ -50,18 +61,20 @@ import bisect
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, ResourceLimitError
-from .numerics import NEG_INF, logaddexp2
+from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
     _distinct_permutations,
     _iter_partitions,
+    _iter_prefixes,
     _iter_types_with_sizes,
     _rank_in_class,
     count_types,
@@ -276,27 +289,46 @@ class CodeOrdering:
             raise DomainError(f"type {counts} is not an {self.n}-type on {self.m} symbols")
 
 
-def _class_keys(p: SourcePmf, n: int, vectors: Iterable[Sequence[int]]) -> list[float]:
-    """Minus each count vector's log2 per-string probability under p: the
-    fsum of one table entry c*log2 p_i per symbol (0.0 at c = 0)."""
-    tables = [[0.0] + [c * lp for c in range(1, n + 1)] for lp in p.log2_probs()]
-    return [-math.fsum(map(list.__getitem__, tables, counts)) for counts in vectors]
+def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
+    """Per symbol, the table entry c*log2 p_i at c = 0..n (0.0 at c = 0).
+    Minus the fsum of one entry per symbol is a class's sort key: minus its
+    log2 per-string probability.  ``fsum`` is correctly rounded, so the key
+    does not depend on the order in which the entries are added."""
+    return [[0.0] + [c * lp for c in range(1, n + 1)] for lp in p.log2_probs()]
 
 
-def _known_source_classes(
-    n: int, m: int, source: SourcePmf
-) -> tuple[list[tuple[int, ...]], list[int], list[float]]:
-    """Count vectors, class sizes and sort keys by decreasing per-string
-    probability, ties in canonical order: a stable sort of the canonical
-    rows on the float key alone, each key computed once."""
-    rows = list(_iter_types_with_sizes(n, m))
-    keys = _class_keys(source, n, (counts for counts, _ in rows))
-    ranked = sorted(range(len(rows)), key=keys.__getitem__)
-    return (
-        [rows[i][0] for i in ranked],
-        [rows[i][1] for i in ranked],
-        list(map(keys.__getitem__, ranked)),
-    )
+def _canonical_columns(n: int, m: int, tables: list[list[float]]) -> tuple[array, list[int]]:
+    """Sort keys and class sizes of every class in canonical order.
+
+    This is :func:`~pragrate.types_census._iter_types_with_sizes` with its
+    last two slots unrolled here, so no count vector is built.  Along those
+    two slots the size is symmetric, C(r, c) = C(r, r - c), so the second
+    half of each run reuses the first half's integers: equal sizes share
+    one object."""
+    keys, sizes, fsum = array("d"), [], math.fsum
+    left, right = tables[-2], tables[-1]
+    for prefix, r, coeff in _iter_prefixes(n, m - 2, (), 1):
+        head = list(map(list.__getitem__, tables, prefix))
+        keys.extend(-fsum((*head, left[c], right[r - c])) for c in range(r + 1))
+        half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
+        for c in range(r // 2):
+            half.append(half[-1] * (r - c) // (c + 1))
+        sizes += half
+        sizes += half[-2::-1] if r % 2 == 0 else half[::-1]
+    return keys, sizes
+
+
+def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], array]:
+    """The engine's columns: ``keys[i]`` (minus the log2 per-string
+    probability) and ``sizes[i]`` of class i in canonical order, and the
+    ranking, the class indices by decreasing per-string probability with
+    ties in canonical order: a stable sort on the float key alone.  No count
+    vector is kept; a caller that needs them (the codec, exact mode)
+    enumerates the classes again in canonical order."""
+    keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
+    ranking = array("I" if len(keys) < 2 ** 32 else "Q",
+                    sorted(range(len(keys)), key=keys.__getitem__))
+    return keys, sizes, ranking
 
 
 def _check_type_cap(n: int, m: int, cap_types: int) -> None:
@@ -359,17 +391,53 @@ class LengthDistribution:
         raise DomainError("no admissible length found")  # pragma: no cover
 
 
-def _log2_tails(sizes: Sequence[int], keys: Sequence[float]) -> tuple[float, ...]:
-    """log2 tails at every length from ranked class sizes and sort keys
-    (minus each class's log2 per-string probability)."""
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    suffix = [NEG_INF] * (len(sizes) + 1)
-    for i in range(len(sizes) - 1, -1, -1):
-        suffix[i] = logaddexp2(math.log2(sizes[i]) - keys[i], suffix[i + 1])
+def _straddles(ranked_sizes: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The forward pass: (pos, surviving) for L = 1, 2, ... while 2**L is
+    at most the number of strings.  Class ``pos`` (in code order) holds the
+    1-based rank 2**L, and ``surviving`` of its ranks lie at or past it, as
+    :func:`_straddling_class` finds them, from one running offset."""
+    boundary, end = 2, 0  # end: the ranks in classes 0 .. pos
+    for pos, size in enumerate(ranked_sizes):
+        end += size
+        while boundary <= end:
+            yield pos, end - boundary + 1
+            boundary <<= 1
+
+
+def _log2_tails(
+    keys: Sequence[float], sizes: Sequence[int], ranking: Sequence[int]
+) -> tuple[float, ...]:
+    """log2 tails at every length from the columns of
+    :func:`_known_source_classes`: per class its sort key and size, and the
+    class indices in code order.
+
+    The forward pass (:func:`_straddles`) splits the class straddling each
+    2**L.  The backward pass runs the logaddexp2 suffix chain over
+    log2(size) - key from the last class down, with
+    :func:`~pragrate.numerics.logaddexp2` inlined, and keeps the chain only
+    just past the recorded classes."""
+    log2, log1p = math.log2, math.log1p
+    # surviving counts can have O(n) bits each, so only their logs are kept
+    ranked_sizes = map(sizes.__getitem__, ranking)
+    records = [(pos, log2(partial)) for pos, partial in _straddles(ranked_sizes)]
+    past: dict[int, float] = {}  # pos -> log2 mass of the classes after pos
+    s, end = NEG_INF, len(ranking)
+    for pos, _ in reversed(records):
+        if pos in past:
+            continue
+        for c in reversed(ranking[pos + 1:end]):
+            a = log2(sizes[c]) - keys[c]
+            # s = logaddexp2(a, s); a is finite, and s = -inf gives d = -inf
+            if a >= s:
+                hi, d = a, s - a
+            else:
+                hi, d = s, a - s
+            s = hi if d < -1075.0 else hi + log1p(2.0 ** d) * LOG2E
+        past[pos] = s
+        end = pos + 1
     tails = [0.0]
-    for length in range(1, offsets[-1].bit_length()):  # L <= floor(log2 m**n)
-        i, partial = _straddling_class(offsets, 1 << length)
-        tails.append(logaddexp2(math.log2(partial) - keys[i], suffix[i + 1]))
+    for pos, log2_partial in records:
+        tails.append(logaddexp2(log2_partial - keys[ranking[pos]], past[pos]))
     tails.append(NEG_INF)
     return tuple(tails)
 
@@ -399,9 +467,11 @@ def build_ordering(
         raise DomainError("known-source ordering requires a source pmf")
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
-    order, sizes, _ = _known_source_classes(n, m, source)
+    _, sizes, ranking = _known_source_classes(n, m, source)
+    vectors = [counts for counts, _ in _iter_types_with_sizes(n, m)]
     return CodeOrdering(mode, n, m, _ClassList(
-        type_order=tuple(order), offsets=tuple(itertools.accumulate(sizes, initial=0)),
+        type_order=tuple(map(vectors.__getitem__, ranking)),
+        offsets=tuple(itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)),
     ))
 
 
@@ -445,9 +515,13 @@ def universal_length_distribution(
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
     _check_type_cap(n, p.m, cap_types)
-    order, sizes = _expand_levels(_universal_levels(n, p.m))
-    keys = _class_keys(p, n, order)
-    return LengthDistribution(n=n, m=p.m, log2_tails=_log2_tails(sizes, keys))
+    tables, keys, sizes, getters = _key_tables(p, n), array("d"), [], {}
+    for orbits in _universal_levels(n, p.m):  # one level's vectors at a time
+        order, level_sizes = _level_classes(orbits, getters)
+        keys.extend(-math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
+        sizes += level_sizes
+    tails = _log2_tails(keys, sizes, range(len(sizes)))  # already in code order
+    return LengthDistribution(n=n, m=p.m, log2_tails=tails)
 
 
 def universal_excess_probability(

@@ -8,11 +8,13 @@ codeword of length floor(log2 k).  Strings of the same empirical type are
 equiprobable under a memoryless source, so the whole computation aggregates
 over type classes.  The classes come ranked by per-string probability from
 the known-source code ordering of :mod:`pragrate.coding`, together with
-their sizes and sort keys; the probability that a codeword has length at
-least L is the probability mass of ranks >= 2**L, with the class straddling
-the boundary (found by the same lookup the decoder uses) split exactly by
-``coding._log2_tails``, the one float tail routine, which the universal
-code's length distribution shares; ``LengthDistribution`` lives in
+their sizes and sort keys, as columns; the probability that a codeword has
+length at least L is the probability mass of ranks >= 2**L.  The class
+straddling each boundary comes from one forward pass over the ranked sizes
+(``coding._straddles``) and is split exactly; ``coding._log2_tails``, the
+one float tail routine, which the universal code's length distribution
+shares, adds the mass past it from one backward pass.  Exact mode reuses
+the forward pass on its own ranking.  ``LengthDistribution`` lives in
 ``coding`` too and is re-exported here.
 
 Numerics: per-type log2-probabilities are correctly rounded sums
@@ -22,7 +24,8 @@ double remain meaningful.  When the source probabilities are exact
 rationals, an exact-Fraction mode is available: it re-sorts the classes by
 their exact probabilities, which repairs any ulp-level misorder of the float
 ranking, and is required to agree with the brute-force string enumeration
-bit for bit.
+bit for bit.  It works in integers over the common denominator D**n and
+builds one Fraction per tail.
 
 Rate convention: with L* = min{L : P(length >= L) <= epsilon}, the optimal
 rate is (L* - 1)/n.  The defining infimum is over rates R with
@@ -42,12 +45,12 @@ from .coding import (
     _check_type_cap,
     _known_source_classes,
     _log2_tails,
-    _straddling_class,
+    _straddles,
 )
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
 from .numerics import NEG_INF
-from .types_census import DEFAULT_TYPE_CAP
+from .types_census import DEFAULT_TYPE_CAP, _iter_types_with_sizes
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
@@ -69,32 +72,36 @@ def length_distribution(
     if exact and p.exact is None:
         raise DomainError("exact mode requires a source with exact rational probabilities")
     _check_type_cap(n, p.m, cap_types)
-    order, sizes, keys = _known_source_classes(n, p.m, p)
-    tails = _log2_tails(sizes, keys)
-    exact_tails = _exact_tails(p.exact, order, sizes) if exact else None
+    keys, sizes, ranking = _known_source_classes(n, p.m, p)
+    tails = _log2_tails(keys, sizes, ranking)
+    exact_tails = _exact_tails(p.exact, n, sizes, ranking) if exact else None
     return LengthDistribution(n=n, m=p.m, log2_tails=tails, exact_tails=exact_tails)
 
 
 def _exact_tails(
-    fracs: Sequence[Fraction],
-    order: Sequence[tuple[int, ...]],
-    sizes: Sequence[int],
+    fracs: Sequence[Fraction], n: int, sizes: Sequence[int], ranking: Sequence[int]
 ) -> tuple[Fraction, ...]:
-    per_string = [math.prod(f ** c for c, f in zip(counts, fracs) if c) for counts in order]
-    # The float sort already ordered the classes; re-sorting by the exact
-    # probabilities (stable, same tie order) repairs any ulp-level misorder.
-    ranked = sorted(range(len(sizes)), key=per_string.__getitem__, reverse=True)
-    sizes = [sizes[i] for i in ranked]
-    per_string = [per_string[i] for i in ranked]
+    """Exact tails of the ranked classes under the rational pmf ``fracs``.
 
-    offsets = list(itertools.accumulate(sizes, initial=0))
-    suffix = [Fraction(0)] * (len(sizes) + 1)
-    for i in range(len(sizes) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i] * per_string[i]
-    tails = [Fraction(1)]
-    for length in range(1, offsets[-1].bit_length()):
-        i, partial = _straddling_class(offsets, 1 << length)
-        tails.append(partial * per_string[i] + suffix[i + 1])
+    With D the common denominator, p_i = w_i / D, so a class's per-string
+    probability is the integer weight prod w_i**c_i over D**n.  The float
+    sort already ordered the classes; re-sorting by the weights (stable,
+    same tie order) repairs any ulp-level misorder.  The forward pass of
+    the float tails then splits the straddling classes, and the exact pmf
+    sums to 1, so the class masses sum to D**n and a tail is D**n less
+    the mass before the boundary."""
+    denominator = math.lcm(*(f.denominator for f in fracs))
+    numerators = [f.numerator * (denominator // f.denominator) for f in fracs]
+    powers = [[w ** c for c in range(n + 1)] for w in numerators]
+    weights = [math.prod(map(list.__getitem__, powers, counts))
+               for counts, _ in _iter_types_with_sizes(n, len(fracs))]
+    ranked = sorted(ranking, key=weights.__getitem__, reverse=True)
+    total = denominator ** n
+    tails, done, before = [Fraction(1)], 0, 0  # before: mass of ranked[:done]
+    for pos, surviving in _straddles(map(sizes.__getitem__, ranked)):
+        before += sum(sizes[c] * weights[c] for c in ranked[done:pos])
+        done, c = pos, ranked[pos]
+        tails.append(Fraction(total - before - (sizes[c] - surviving) * weights[c], total))
     tails.append(Fraction(0))
     return tuple(tails)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,16 @@ def suffix_tails(sizes, probs, mass, add, zero, one, total):
         tails.append(add(mass(partial, probs[i]), suffix[i + 1]))
     tails.append(zero)
     return tuple(tails)
+
+
+def peak_mib(fn, *args, **kwargs):
+    """The tracemalloc peak, in MiB, of one call ``fn(*args, **kwargs)``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

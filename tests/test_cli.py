@@ -517,6 +517,36 @@ class TestInputErrorsExit2:
         assert out == "" and err == f"error: delta must be a positive finite exponent, got {bad}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("header, message", [
+        ("# mode=universal m=2 n=abc alphabet=ab", "codeword header: bad m or n"),
+        ("# mode=universal m=3 n=4 alphabet=ab", "codeword header: alphabet 'ab' does not have m=3"),
+        ("# mode=foo m=2 n=4 alphabet=ab", "codeword header: mode must be 'known' or 'universal'"),
+        ("# mode=universal m=2 n=4 alphabet=aa", "alphabet must be >= 2 distinct symbols"),
+    ], ids=["n_not_integer", "alphabet_shorter_than_m", "unknown_mode", "repeated_symbol"])
+    def test_bad_codec_header(self, tmp_path, header, message):
+        coded = tmp_path / "coded.txt"
+        coded.write_text(f"{header}\n100\n")
+        code, out, err = run_cli_process("codec", "decode", str(coded))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ladder", "limits"])
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    def test_list_with_no_values(self, command, flag):
+        code, out, err = run_cli_process(command, "--source", "0.2,0.8", "--n", "10", flag, ",")
+        assert code == 2
+        assert out == "" and err == f"error: {flag} ',' holds no values\n"
+
+    @pytest.mark.parametrize("slab", [(), ("--slab",)], ids=["sweep", "slab"])
+    def test_census_type_cap(self, slab):
+        code, out, err = run_cli_process(
+            "census", "--m", "3", "--threshold-bits", "1.0", "--n", "50", *slab, "--cap-types", "5"
+        )
+        assert code == 0
+        assert out.count("\n") == 1  # the header only
+        assert err == "warning: n=50 exceeds type cap; sweep truncated\n"
+
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "absent.json"
         code, out, err = run_cli_process(

@@ -28,7 +28,7 @@ from pragrate import (
 )
 from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern, compositions, random_pmf, suffix_tails
+from conftest import bern, compositions, peak_mib, random_pmf, suffix_tails
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
@@ -354,7 +354,7 @@ class TestUniversalExcessProbability:
             got = universal_excess_probability(P02, n, L)
             assert got == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (4, 7)])
+    @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (4, 7), (5, 5)])
     def test_equals_all_class_reference(self, m, n):
         # every class, in a plain sort of every composition on (entropy,
         # counts), through a logaddexp2 suffix chain with the straddling
@@ -369,6 +369,7 @@ class TestUniversalExcessProbability:
             want = suffix_tails(
                 sizes, log_probs, lambda k, lq: math.log2(k) + lq, logaddexp2, NEG_INF, 0.0, m ** n,
             )
+            assert universal_length_distribution(p, n).log2_tails == want, p
             for length in range(1, (m ** n).bit_length()):
                 got = universal_excess_probability(p, n, length)
                 assert got == 2.0 ** want[length], (length, p)
@@ -420,6 +421,11 @@ class TestUniversalExcessProbability:
             universal_excess_probability(P02, n, length)
         with pytest.raises(DomainError):
             universal_length_distribution(P02, n)
+
+    def test_distribution_peak_memory(self):
+        # all count vectors, offsets and suffix floats took 1.30 MiB here
+        p = SourcePmf.parse("0.1,0.2,0.4,0.3")
+        assert peak_mib(universal_length_distribution.__wrapped__, p, 32) < 0.5
 
     def test_decreasing_in_length(self):
         vals = [universal_excess_probability(P02, 20, L) for L in range(0, 22)]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from pragrate import (
     ResourceLimitError,
     SourcePmf,
     brute_force_limits,
+    coding,
     converse_constants,
     exact_limits,
     excess_rate_probability,
@@ -20,7 +22,7 @@ from pragrate import (
 )
 from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern, compositions, random_pmf, suffix_tails
+from conftest import bern, compositions, peak_mib, random_pmf, suffix_tails
 
 P02 = bern("0.2")
 P532 = SourcePmf.parse("0.5,0.3,0.2")
@@ -113,6 +115,40 @@ class TestLengthDistribution:
         # tail at L=2 (rank >= 4): 2 strings of class (1,3) + everything after
         by_hand = 2 * 0.1024 + 6 * 0.0256 + 4 * 0.0064 + 1 * 0.0016
         assert d.tail(2) == pytest.approx(by_hand, abs=1e-12)
+
+
+class TestColumnarEngine:
+    """The columns and the two passes over them give what a per-class
+    offset list, its bisection and a full suffix list gave."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_forward_pass_equals_bisection(self, seed):
+        # huge classes hold several boundaries each, runs of 1s none
+        rng = random.Random(seed)
+        sizes = [rng.choice((1, 1, 2, 3, rng.randint(1, 10 ** rng.randint(1, 15))))
+                 for _ in range(rng.randint(1, 80))]
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        want = [coding._straddling_class(offsets, 1 << L) for L in range(1, offsets[-1].bit_length())]
+        assert list(coding._straddles(sizes)) == want
+
+    @pytest.mark.parametrize("p, ns", [
+        (SourcePmf.parse("0.4,0.4,0.2"), range(1, 8)),
+        (SourcePmf.parse("0.1,0.2,0.4,0.3"), range(1, 7)),
+        (SourcePmf.from_values([Fraction(1, 3)] * 3), range(1, 8)),
+        (SourcePmf.parse("0.2,0.2,0.2,0.2,0.2"), range(1, 6)),
+    ], ids=["0.4,0.4,0.2", "0.1,0.2,0.4,0.3", "uniform3", "uniform5"])
+    def test_tied_sources_equal_both_oracles(self, p, ns):
+        # classes tie in float and in exact probability here
+        for n in ns:
+            d = length_distribution(p, n, exact=True)
+            log2_tails, exact_tails = reference_tails(p, n)
+            assert d.log2_tails == log2_tails, n
+            assert d.exact_tails == exact_tails == brute_force_limits(p, n).exact_tails, n
+
+    def test_peak_memory(self):
+        # a count tuple, a row tuple, an offset and a suffix float per class
+        # took 0.755 MiB here; the columns take about 0.3
+        assert peak_mib(length_distribution, SourcePmf.parse("0.1,0.2,0.4,0.3"), 24) < 0.45
 
 
 class TestExactMode:
