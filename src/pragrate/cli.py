@@ -215,6 +215,9 @@ def _check_alphabet(alphabet: str | None) -> str:
         raise DomainError("--alphabet is required (e.g. --alphabet ab)")
     if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
         raise DomainError("alphabet must be >= 2 distinct symbols")
+    if any(ch.isspace() for ch in alphabet):
+        # the codeword header is split on whitespace
+        raise DomainError(f"alphabet {alphabet!r} holds whitespace, which the header cannot carry")
     return alphabet
 
 

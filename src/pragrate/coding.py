@@ -26,6 +26,18 @@ unranks) twice, once over the multiset of counts and once over the string,
 and never lists the classes.  The rare level of several orbits (distinct
 partitions with equal float entropy) is expanded when a string falls in it.
 
+The known-source ordering is stored as the engine's columns (below): the
+class sizes in canonical order and the ranking, plus one cumulative
+big-integer offset every ``_OFFSET_STRIDE`` ranked classes.  Enumerative
+coding (Cover, 1973) needs nothing more.  A class's offset is the offset
+stored before its rank position plus fewer than ``_OFFSET_STRIDE`` sizes;
+the position is the inverse ranking, built on the first encode, at the
+count vector's canonical index (:func:`~pragrate.types_census.type_index`,
+in closed form).  Decoding bisects the stored offsets, walks at most one
+stride of sizes and unranks the canonical index back to a count vector
+(:func:`~pragrate.types_census.type_at_index`).  Neither ordering lists
+its classes unless ``type_order``/``offsets`` are read.
+
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
 empty codeword.  Encoding is big-integer index arithmetic: the offset of the
@@ -45,14 +57,14 @@ and the tests that enumerate every string.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
-the ranking is an index array.  Count vectors are built only for the
-codec and for exact mode, by enumerating the classes again.  The tails take
-two passes over the ranking.  The forward pass (``_straddles``) keeps one
-running big-integer offset and records, at each 2**L, the straddling
-class and how many of its strings survive.  The backward pass runs the
-logaddexp2 suffix chain over log2(size) - key and keeps it only at the
-recorded classes.  So a length distribution holds O(n) records beyond its
-columns, not an offset and a suffix per class.
+the ranking is an index array.  Count vectors are built only for exact
+mode and for an expanded ordering, by enumerating the classes again.  The
+tails take two passes over the ranking.  The forward pass (``_straddles``)
+keeps one running big-integer offset and records, at each 2**L, the
+straddling class and how many of its strings survive.  The backward pass
+runs the logaddexp2 suffix chain over log2(size) - key and keeps it only
+at the recorded classes.  So a length distribution holds O(n) records
+beyond its columns, not an offset and a suffix per class.
 """
 
 from __future__ import annotations
@@ -78,12 +90,15 @@ from .types_census import (
     _iter_types_with_sizes,
     _rank_in_class,
     count_types,
+    type_at_index,
     type_entropy_bits,
+    type_index,
     unrank_in_type_class,
 )
 
 KNOWN_SOURCE = "known-source"
 UNIVERSAL = "universal"
+_OFFSET_STRIDE = 64  # ranked classes per stored offset of the known-source codec
 
 
 @dataclass(frozen=True)
@@ -112,31 +127,24 @@ class Codeword:
 
 @dataclass(frozen=True)
 class _ClassList:
-    """Every class in code order: ``type_order`` lists the count vectors and
-    ``offsets[i]`` is the number of strings in all earlier classes, so class
-    i covers 0-based string indices [offsets[i], offsets[i+1]).  The
-    counts-to-position map is built on its first use, so a decoder never
-    pays for it."""
+    """The expanded view of either ordering: ``type_order`` lists the count
+    vectors in code order and ``offsets[i]`` is the number of strings in
+    all earlier classes, so class i covers 0-based string indices
+    [offsets[i], offsets[i+1]).  The counts-to-position map is built on
+    the first :meth:`position_of`."""
 
     type_order: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]  # length len(type_order)+1; last entry is m**n
     _position: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
 
+    @classmethod
+    def of(cls, order: Iterable[tuple[int, ...]], sizes: Iterable[int]) -> "_ClassList":
+        return cls(tuple(order), tuple(itertools.accumulate(sizes, initial=0)))
+
     def position_of(self, counts: tuple[int, ...]) -> int:
         if not self._position:
             self._position.update((c, i) for i, c in enumerate(self.type_order))
         return self._position[counts]
-
-    def class_offset(self, counts: tuple[int, ...]) -> int:
-        return self.offsets[self.position_of(counts)]
-
-    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
-        """(counts, 0-based rank in its class) of the 1-based index k."""
-        pos, _ = _straddling_class(self.offsets, k)
-        return self.type_order[pos], k - 1 - self.offsets[pos]
-
-    def expanded(self) -> "_ClassList":
-        return self
 
 
 # One permutation orbit of count vectors: its ascending vector, the size of
@@ -243,14 +251,69 @@ class _EntropyLevels:
         pos, _ = _straddling_class(starts, rest + 1)
         return order[pos], rest - starts[pos]
 
+    @property
+    def total(self) -> int:
+        return self.offsets[-1]
+
     def expanded(self) -> _ClassList:
         """Every class in code order, expanded on first use."""
         if not self._expanded:
-            order, sizes = _expand_levels(self.levels)
-            self._expanded.append(_ClassList(
-                type_order=tuple(order), offsets=tuple(itertools.accumulate(sizes, initial=0)),
-            ))
+            self._expanded.append(_ClassList.of(*_expand_levels(self.levels)))
         return self._expanded[0]
+
+
+def _expand_ranking(
+    n: int, m: int, sizes: Sequence[int], ranking: Sequence[int]
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Count vectors and class sizes of every known-source class, in code
+    order, from the canonical columns and the ranking."""
+    vectors = [counts for counts, _ in _iter_types_with_sizes(n, m)]
+    return list(map(vectors.__getitem__, ranking)), list(map(sizes.__getitem__, ranking))
+
+
+class _RankedClasses:
+    """The known-source order kept as the engine's columns (see the module
+    docstring): ``sizes`` in canonical order, the ``ranking`` (canonical
+    indices in code order) and ``checkpoints[j]``, the strings in the
+    ranked classes before position j * _OFFSET_STRIDE.  The inverse of the
+    ranking is built on the first encode, so a decoder never pays for it."""
+
+    __slots__ = ("n", "m", "total", "sizes", "ranking", "checkpoints", "_position", "_expanded")
+
+    def __init__(self, n: int, m: int, sizes: list[int], ranking: array) -> None:
+        offsets = itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)
+        self.checkpoints = list(itertools.islice(offsets, 0, len(ranking), _OFFSET_STRIDE))
+        self.n, self.m, self.total, self.sizes, self.ranking = n, m, m ** n, sizes, ranking
+        self._position: array | None = None
+        self._expanded: _ClassList | None = None
+
+    def class_offset(self, counts: tuple[int, ...]) -> int:
+        """The strings in all classes ranked before the class of ``counts``."""
+        if self._position is None:  # the inverse ranking: canonical index -> position
+            ranking = self.ranking
+            self._position = array(ranking.typecode, bytes(len(ranking) * ranking.itemsize))
+            for pos, i in enumerate(ranking):
+                self._position[i] = pos
+        pos = self._position[type_index(counts)]
+        start = pos - pos % _OFFSET_STRIDE
+        return self.checkpoints[pos // _OFFSET_STRIDE] + sum(
+            map(self.sizes.__getitem__, self.ranking[start:pos]))
+
+    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
+        """(counts, 0-based rank in its class) of the 1-based index k."""
+        j = bisect.bisect_left(self.checkpoints, k) - 1
+        block = self.ranking[j * _OFFSET_STRIDE:(j + 1) * _OFFSET_STRIDE]
+        ranked_sizes = map(self.sizes.__getitem__, block)
+        starts = list(itertools.accumulate(ranked_sizes, initial=self.checkpoints[j]))
+        pos, _ = _straddling_class(starts, k)
+        return type_at_index(self.n, self.m, block[pos]), k - 1 - starts[pos]
+
+    def expanded(self) -> _ClassList:
+        """Every class in code order, expanded on first use."""
+        if self._expanded is None:
+            columns = _expand_ranking(self.n, self.m, self.sizes, self.ranking)
+            self._expanded = _ClassList.of(*columns)
+        return self._expanded
 
 
 @dataclass(frozen=True)
@@ -259,16 +322,18 @@ class CodeOrdering:
 
     ``type_order`` lists count vectors in code order; ``offsets[i]`` is the
     number of strings in all earlier classes, so class i covers 0-based
-    string indices [offsets[i], offsets[i+1]).  The known-source ordering
-    stores them; the universal one stores its entropy levels and expands
-    the two (and the map behind :meth:`position_of`) only when they are
-    read, which its encoder and decoder never do.
+    string indices [offsets[i], offsets[i+1]).  Neither ordering stores
+    them: the known-source one keeps the engine's columns and an offset
+    every ``_OFFSET_STRIDE`` ranked classes, the universal one its entropy
+    levels.  Both stores answer ``class_offset`` and ``locate`` and expand
+    the two lists (and the map behind :meth:`position_of`) only when they
+    are read, which their encoders and decoders never do.
     """
 
     mode: str
     n: int
     m: int
-    _classes: _ClassList | _EntropyLevels = field(repr=False)
+    _classes: _RankedClasses | _EntropyLevels = field(repr=False)
 
     @property
     def type_order(self) -> tuple[tuple[int, ...], ...]:
@@ -280,7 +345,7 @@ class CodeOrdering:
 
     @property
     def total(self) -> int:
-        return self._classes.offsets[-1]
+        return self._classes.total
 
     def position_of(self, counts: tuple[int, ...]) -> int:
         try:
@@ -323,8 +388,8 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     probability) and ``sizes[i]`` of class i in canonical order, and the
     ranking, the class indices by decreasing per-string probability with
     ties in canonical order: a stable sort on the float key alone.  No count
-    vector is kept; a caller that needs them (the codec, exact mode)
-    enumerates the classes again in canonical order."""
+    vector is kept; a caller that needs them (exact mode, an expanded code
+    ordering) enumerates the classes again in canonical order."""
     keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
     ranking = array("I" if len(keys) < 2 ** 32 else "Q",
                     sorted(range(len(keys)), key=keys.__getitem__))
@@ -468,11 +533,7 @@ def build_ordering(
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
     _, sizes, ranking = _known_source_classes(n, m, source)
-    vectors = [counts for counts, _ in _iter_types_with_sizes(n, m)]
-    return CodeOrdering(mode, n, m, _ClassList(
-        type_order=tuple(map(vectors.__getitem__, ranking)),
-        offsets=tuple(itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)),
-    ))
+    return CodeOrdering(mode, n, m, _RankedClasses(n, m, sizes, ranking))
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:

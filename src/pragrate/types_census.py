@@ -10,7 +10,9 @@ the exponentially many strings.
 The canonical type order used across the whole package (census, optimal-code
 evaluation, codecs) is ascending lexicographic on the count vectors; the
 encoder and decoder must derive the identical order, so it is fixed here
-once and documented.
+once and documented.  A type's position in it has a closed form both ways
+(:func:`type_index`, :func:`type_at_index`), so the known-source codec in
+:mod:`pragrate.coding` keeps no count vectors and no counts-to-class map.
 
 Entropy and class size are symmetric under permuting the counts, so the
 census works one permutation orbit at a time: it enumerates the partitions
@@ -70,6 +72,43 @@ def enumerate_types(n: int, m: int) -> Iterator[NType]:
         raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
     for counts, _ in _iter_types_with_sizes(n, m):
         yield NType(counts)
+
+
+def type_index(t: NType | Sequence[int]) -> int:
+    """0-based position of a type in the canonical order of
+    :func:`enumerate_types`; the inverse is :func:`type_at_index`.
+
+    The types that agree with ``t`` before slot i and put v < counts[i]
+    there number C(r - v + k, k), with r what is left of n and k + 1 the
+    slots after i.  Their sum over v is a difference of two binomials (the
+    hockey-stick identity), so the index costs two binomials per slot."""
+    counts = t.counts if isinstance(t, NType) else NType(tuple(t)).counts
+    index, remaining, after = 0, sum(counts), len(counts) - 1  # after = k + 1
+    for c in counts[:-1]:
+        index += math.comb(remaining + after, after) - math.comb(remaining - c + after, after)
+        remaining -= c
+        after -= 1
+    return index
+
+
+def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
+    """The count vector at 0-based ``index`` in the canonical order of the
+    n-types on m symbols: the inverse of :func:`type_index`."""
+    if n < 1 or m < 2:
+        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    if not 0 <= index < count_types(n, m):
+        raise DomainError(f"type index {index} outside [0, {count_types(n, m)})")
+    counts, remaining = [], n
+    for k in range(m - 2, 0, -1):  # k + 1 slots after this one
+        c, block = 0, math.comb(remaining + k, k)  # types with this slot at c
+        while index >= block:
+            index -= block
+            block = block * (remaining - c) // (remaining - c + k)
+            c += 1
+        counts.append(c)
+        remaining -= c
+    # one slot after this one: each value holds exactly one type
+    return (*counts, index, remaining - index)
 
 
 def type_class_size(t: NType | Sequence[int]) -> int:

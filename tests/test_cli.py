@@ -531,6 +531,18 @@ class TestInputErrorsExit2:
         assert out == "" and err.startswith(f"error: {message}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("alphabet", ["a b", "a\tb"], ids=["space", "tab"])
+    def test_whitespace_alphabet_refused(self, tmp_path, alphabet):
+        strings = tmp_path / "strings.txt"
+        strings.write_text("aaa\n")
+        code, out, err = run_cli_process(
+            "codec", "encode", "--mode", "universal", "--alphabet", alphabet, "--n", "3", str(strings)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: alphabet {alphabet!r} holds whitespace, which the header cannot carry\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["ladder", "limits"])
     @pytest.mark.parametrize("flag", ["--eps", "--delta"])
     def test_list_with_no_values(self, command, flag):

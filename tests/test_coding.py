@@ -156,14 +156,6 @@ class TestOrbitBuildMatchesReferenceSort:
         # puts (1,0,5,0) first; an exact tie key would swap them
         assert o.type_order[8:10] == ((1, 0, 5, 0), (0, 2, 4, 0))
 
-    def test_position_map_is_built_on_first_encode_only(self):
-        # only the known-source ordering keeps a counts-to-position map
-        o = build_ordering(KNOWN_SOURCE, 6, 3, SourcePmf.parse("0.5,0.3,0.2"))
-        x = decode(o, Codeword("0110"))
-        assert not o._classes._position
-        assert decode(o, encode(o, x)) == x
-        assert len(o._classes._position) == len(o.type_order)
-
 
 def _lex_first(counts):
     return tuple(s for s, c in enumerate(counts) for _ in range(c))
@@ -246,6 +238,95 @@ class TestUniversalLevelPath:
         assert o.position_of(o.type_order[100]) == 100
         with pytest.raises(DomainError):
             o.position_of((12, 0, 0, 0, 1))
+
+
+class TestKnownSourceRankedPath:
+    """Encode and decode work on the engine's columns and an offset every
+    ``_OFFSET_STRIDE`` ranked classes; every class still lands where a sort
+    of all compositions puts it, and the class list is never built."""
+
+    K = coding._OFFSET_STRIDE
+
+    @staticmethod
+    def _check_against_reference(n, m, p):
+        """Check every class's offset and lookup and the first and last
+        string of every class; return the number of classes."""
+        o = build_ordering(KNOWN_SOURCE, n, m, p)
+        store = o._classes
+        order, offsets = _reference_ordering(n, m, TestOrbitBuildMatchesReferenceSort._known_key(p))
+        for counts, lo, hi in zip(order, offsets, offsets[1:]):
+            assert store.class_offset(counts) == lo, (n, m, counts)
+            assert store.locate(lo + 1) == (counts, 0)
+            assert store.locate(hi) == (counts, hi - lo - 1)
+            first, last = _lex_first(counts), _lex_first(counts)[::-1]
+            assert string_index(o, first) == lo + 1, (n, m, counts)
+            assert string_index(o, last) == hi, (n, m, counts)
+            assert decode(o, Codeword.from_index(lo + 1)) == first
+            assert decode(o, Codeword.from_index(hi)) == last
+        assert store._expanded is None  # type_order and offsets were never built
+        return len(order)
+
+    # at m=2 there are n+1 classes: fewer than one stride, K-1, K, K+1,
+    # exactly two strides and a partial third
+    @pytest.mark.parametrize("m,ns", [
+        (2, (1, 5, 62, 63, 64, 70, 127, 130)), (3, (1, 4, 9, 12, 15)),
+        (4, (1, 3, 6, 7, 9)), (5, (2, 4, 5, 6)),
+    ])
+    def test_every_class_matches_reference_sort(self, m, ns):
+        rng = random.Random(31 * m)
+        counts = [self._check_against_reference(n, m, random_pmf(rng, m)) for n in ns]
+        # a partial last stride, so positions 0, K-1, K and the last are all hit
+        assert any(c > self.K and c % self.K for c in counts)
+
+    def test_tie_source(self):
+        # 0.1*0.4 == 0.2*0.2: many classes tie; 84 classes at n=6, m=4
+        assert self._check_against_reference(6, 4, SourcePmf.load("0.1,0.2,0.4,0.3")) == 84
+
+    def test_round_trip_never_expands(self, monkeypatch):
+        def refuse(*columns):
+            raise AssertionError("the known-source classes were expanded")
+
+        monkeypatch.setattr(coding, "_expand_ranking", refuse)
+        rng = random.Random(51)
+        p = SourcePmf.parse("0.1,0.2,0.3,0.4")
+        o = build_ordering(KNOWN_SOURCE, 50, 4, p)
+        for _ in range(30):
+            x = tuple(rng.randrange(4) for _ in range(50))
+            assert decode(o, encode(o, x)) == x
+        assert decode(o, Codeword("")) == (3,) * 50
+        assert decode(o, Codeword.from_index(o.total)) == (0,) * 50
+        with pytest.raises(AssertionError, match="expanded"):
+            o.type_order
+
+    def test_inverse_ranking_is_built_on_first_encode_only(self):
+        o = build_ordering(KNOWN_SOURCE, 6, 3, SourcePmf.parse("0.5,0.3,0.2"))
+        x = decode(o, Codeword("0110"))
+        assert o._classes._position is None
+        assert decode(o, encode(o, x)) == x
+        assert sorted(o._classes._position) == list(range(len(o.type_order)))
+
+    def test_build_and_round_trip_stay_small(self):
+        # the class list and position map at m=4 n=50 took 5.3 MiB
+        rng = random.Random(10)
+        strings = [tuple(rng.randrange(4) for _ in range(50)) for _ in range(10)]
+        p = SourcePmf.parse("0.1,0.2,0.3,0.4")
+        tracemalloc.start()
+        try:
+            o = build_ordering(KNOWN_SOURCE, 50, 4, p)
+            for x in strings:
+                assert decode(o, encode(o, x)) == x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20, peak
+
+    def test_expanded_view_is_built_once(self):
+        o = build_ordering(KNOWN_SOURCE, 12, 4, SourcePmf.parse("0.1,0.2,0.3,0.4"))
+        assert o.type_order is o.type_order
+        assert o.offsets[-1] == o.total == 4 ** 12
+        assert o.position_of(o.type_order[100]) == 100
+        with pytest.raises(DomainError):
+            o.position_of((12, 0, 0, 1))
 
 
 class TestRoundTrips:

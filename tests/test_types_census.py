@@ -26,6 +26,8 @@ from pragrate.types_census import (
     _distinct_permutations,
     _iter_partitions,
     _iter_types_with_sizes,
+    type_at_index,
+    type_index,
 )
 
 from conftest import compositions
@@ -55,6 +57,38 @@ class TestEnumerateTypes:
             list(enumerate_types(0, 2))
         with pytest.raises(DomainError):
             list(enumerate_types(3, 1))
+
+
+class TestTypeIndex:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_every_type_against_enumeration(self, m):
+        for n in range(1, 13):
+            for i, t in enumerate(enumerate_types(n, m)):
+                assert type_index(t) == type_index(t.counts) == i, (n, m, t)
+                assert type_at_index(n, m, i) == t.counts, (n, m, i)
+            assert i == count_types(n, m) - 1
+
+    def test_large_blocklength_round_trip(self):
+        rng = random.Random(11)
+        for m, n in [(2, 800), (3, 150), (4, 200), (7, 40)]:
+            for _ in range(20):
+                i = rng.randrange(count_types(n, m))
+                counts = type_at_index(n, m, i)
+                assert sum(counts) == n and len(counts) == m
+                assert type_index(counts) == i
+            assert type_at_index(n, m, 0) == (0,) * (m - 1) + (n,)
+            assert type_at_index(n, m, count_types(n, m) - 1) == (n,) + (0,) * (m - 1)
+
+    @pytest.mark.parametrize("n,m,index", [(3, 2, -1), (3, 2, 4), (4, 3, 15), (0, 2, 0), (3, 1, 0)])
+    def test_out_of_range_refused(self, n, m, index):
+        with pytest.raises(DomainError):
+            type_at_index(n, m, index)
+
+    def test_bad_counts_refused(self):
+        with pytest.raises(DomainError):
+            type_index((2, -1, 3))
+        with pytest.raises(DomainError):
+            type_index((0, 0))
 
 
 class TestTypeClassSize:
