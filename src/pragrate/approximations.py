@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from . import exact_limits
@@ -76,7 +77,14 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
-    return _strassen(shannon_rate(p), math.sqrt(coding_variance_bits(p)), n, epsilon)
+    return _strassen(*_source_terms(p), n, epsilon)
+
+
+@lru_cache(maxsize=64)
+def _source_terms(p: SourcePmf) -> tuple[float, float]:
+    """``(H(P), sigma(P))``, the per-source ladder terms, computed once per
+    source: a ladder sweep over many blocklengths reuses them."""
+    return shannon_rate(p), math.sqrt(coding_variance_bits(p))
 
 
 def _strassen(h: float, sigma: float, n: int, epsilon: float) -> float:
@@ -92,21 +100,22 @@ def check_delta(delta: float) -> float:
 
 def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
     """alpha* at ``delta``, with the range error phrased for blocklength n."""
-    rng = delta_range(p)
-    if not rng.contains(delta):
+    try:
+        return solve_alpha_star(p, delta)
+    except DomainError:
+        rng = delta_range(p)
         if rng.is_empty:
             raise DomainError(
                 "uniform source: no admissible exponent; any epsilon in (0,1) "
                 "fails the tilted solve"
-            )
+            ) from None
         lo_eps = delta_to_epsilon(rng.hi, n)
         # where 2**(-n*hi) underflows, its exponent still names the lower end
         lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * rng.hi:.6g}"
         raise DomainError(
             f"delta={delta:.6g} outside (0, {rng.hi:.6g}); at n={n} the "
             f"admissible epsilon interval is ({lo}, 1)"
-        )
-    return solve_alpha_star(p, delta)
+        ) from None
 
 
 def blahut_rate(p: SourcePmf, n: int, epsilon: float) -> float:
@@ -425,7 +434,7 @@ def compute_rate_ladders(
         return []
     if n < 1:
         raise DomainError(f"blocklength must be >= 1, got {n}")
-    shannon, sigma = shannon_rate(p), math.sqrt(coding_variance_bits(p))
+    shannon, sigma = _source_terms(p)
     dist = exact_note = None
     if include_exact:
         try:

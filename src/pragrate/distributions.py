@@ -37,6 +37,8 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mul, sub, truediv
 from typing import Sequence, Union
 
 from .errors import DistributionError, DomainError
@@ -54,6 +56,9 @@ class SourcePmf:
     ``exact`` carries the entries as exact rationals when the pmf was built
     from decimal strings or Fractions summing to exactly 1; it enables the
     exact-rational code paths of the optimal-code evaluator.
+
+    The hash is computed once, at construction: memoized solvers key on the
+    pmf, and hashing the Fractions anew on every lookup costs microseconds.
     """
 
     probs: tuple[float, ...]
@@ -77,6 +82,10 @@ class SourcePmf:
                 raise DistributionError("exact/float entry count mismatch")
             if sum(self.exact) != 1:
                 raise DistributionError("exact entries must sum to exactly 1")
+        object.__setattr__(self, "_hash", hash((self.probs, self.exact)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -226,37 +235,59 @@ def _tilt_weights(ln_p: list[float], alpha: float) -> tuple[list[float], float, 
     """``(alpha * ln P, ln Z_alpha, P_alpha)`` for alpha in (0, 1).
 
     The one copy of the tilted-family weight code: :func:`tilt` and the lean
-    evaluators below all call it, so their floats agree bit for bit.
+    evaluator below call it, and the columnar kernel repeats its float
+    operations, so their floats agree bit for bit.
     """
     scaled = [alpha * lp for lp in ln_p]
     peak = max(scaled)
     zs = [math.exp(s - peak) for s in scaled]
-    z_shifted = neumaier_sum(zs)
+    z_shifted = math.fsum(zs)
     ln_z = peak + math.log(z_shifted)
     weights = [z / z_shifted for z in zs]
     return scaled, ln_z, weights
 
 
-def _tilted_kl_entropy(ln_p: list[float], alpha: float) -> tuple[float, float]:
-    """``(kl_bits, entropy_bits)`` of ``tilt(p, alpha)``, bit for bit, given
-    ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1).
+def _tilted_kl_entropy_sigma3(ln_p: list[float], alpha: float) -> tuple[float, float, float]:
+    """``(kl_bits, entropy_bits, sigma3_sq)`` of ``tilt(p, alpha)``, bit for
+    bit, given ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1).
 
-    Root finders on the tilted family read only these two fields; this skips
-    the moments and the validated pmf that :func:`tilt` builds.
+    Root finders on the tilted family read only these fields: the two values
+    and the variance behind their closed-form slopes.  This skips the other
+    moments and the validated pmf that :func:`tilt` builds.
     """
     scaled, ln_z, weights = _tilt_weights(ln_p, alpha)
     t1 = [s - ln_z for s in scaled]
-    mean1 = neumaier_sum(w * a for w, a in zip(weights, t1))
-    mean2 = neumaier_sum(w * (a - b) for w, a, b in zip(weights, t1, ln_p))
-    return max(mean2 * LOG2E, 0.0), -mean1 * LOG2E
+    mean1 = math.fsum(map(mul, weights, t1))
+    mean2 = math.fsum(map(mul, weights, map(sub, t1, ln_p)))
+    mean3 = math.fsum(map(mul, weights, ln_p))
+    sigma3_sq = math.fsum(w * (v - mean3) ** 2 for w, v in zip(weights, ln_p))
+    return max(mean2 * LOG2E, 0.0), -mean1 * LOG2E, max(sigma3_sq, 0.0)
 
 
-def _tilted_sigma3_rho3(ln_p: list[float], alpha: float) -> tuple[float, float]:
-    """``(sigma3_sq, rho3)`` of ``tilt(p, alpha)``, bit for bit, given
-    ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1)."""
-    _, _, weights = _tilt_weights(ln_p, alpha)
-    _, sigma3_sq, rho3 = _weighted_moments(weights, ln_p)
-    return sigma3_sq, rho3
+def _tilted_sigma3_rho3_columns(ln_p: list[float], alphas: Sequence[float]) -> tuple[list[float], list[float]]:
+    """``(sigma3_sq, rho3)`` of ``tilt(p, alpha)`` for every alpha in
+    ``alphas``, bit for bit, given ``ln_p = [log(x) for x in p.probs]`` and
+    alphas in (0, 1).
+
+    Columnar: one Python step per symbol, each a ``map`` over all the alphas,
+    with the float operations of :func:`_tilt_weights` and
+    :func:`_weighted_moments` in their order.  The peak ``max(alpha * ln_p)``
+    is ``alpha * max(ln_p)`` exactly, because rounding a product by a
+    positive factor is monotone, and ``math.fsum`` is correctly rounded, so
+    summing a column in any order gives the same float.
+    """
+    peaks = list(map(mul, alphas, repeat(max(ln_p))))
+    zs = [list(map(math.exp, map(sub, map(mul, alphas, repeat(lp)), peaks))) for lp in ln_p]
+    totals = list(map(math.fsum, zip(*zs)))
+    weights = [list(map(truediv, z, totals)) for z in zs]
+    means = list(map(math.fsum, zip(*[map(mul, w, repeat(lp)) for w, lp in zip(weights, ln_p)])))
+    devs = [list(map(sub, repeat(lp), means)) for lp in ln_p]
+    # every term is non-negative, so these sums are too: max(x, 0.0) is x
+    var = list(map(math.fsum, zip(*[map(mul, w, map(pow, d, repeat(2))) for w, d in zip(weights, devs)])))
+    rho = list(map(math.fsum, zip(*[
+        map(mul, w, map(pow, map(abs, d), repeat(3))) for w, d in zip(weights, devs)
+    ])))
+    return var, rho
 
 
 def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:

@@ -2,7 +2,13 @@
 
 Given a target exponent delta (bits), the map alpha -> D(P_alpha || P) is
 continuous and strictly decreasing on (0, 1), running from D(U || P) down to
-0, so a plain bisection pins the unique alpha* with D(P_alpha* || P) = delta.
+0, so there is a unique alpha* with D(P_alpha* || P) = delta.  A safeguarded
+Newton iteration finds it from the closed-form slope
+
+    dD/dalpha = (alpha - 1) sigma3_sq log2(e),
+
+with a bisection bracket as the fallback; the same solver inverts the
+entropy map, whose slope is dH/dalpha = -alpha sigma3_sq log2(e).
 H(P_alpha*) is then the inverse of the error-exponent function
 
     Delta_P(R) = inf { D(P' || P) : H(P') >= R },
@@ -14,24 +20,27 @@ the explicit converse constants downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
 from .distributions import (
     SourcePmf,
     TiltedPoint,
-    _tilted_kl_entropy,
-    _tilted_sigma3_rho3,
+    _tilted_kl_entropy_sigma3,
+    _tilted_sigma3_rho3_columns,
+    _weighted_moments,
     kl_divergence,
     tilt,
 )
 from .errors import DomainError, InvariantViolation
-from .numerics import golden_section_minimize
+from .numerics import LOG2E, golden_section_minimize
 
-ALPHA_BISECTION_TOL = 1e-14
+ALPHA_TOL = 1e-14
 ALPHA_STAR_KL_TOL = 1e-11
 ENVELOPE_EDGE = 1e-6
 ENVELOPE_GRID = 4096
+ENVELOPE_CHUNK = 32  # grid alphas per columnar kernel call; bounds its lists
 ENVELOPE_REFINE_TOL = 1e-10
 
 
@@ -59,10 +68,16 @@ class DeltaRange:
 
 @dataclass(frozen=True)
 class AlphaStarSolution:
+    """alpha* at ``delta``, with the solver's diagnostics: ``iterations``
+    counts the divergence evaluations, and ``residual`` is
+    |D(P_alpha* || P) - delta| in bits."""
+
     alpha_star: float
     delta: float
     h_tilted: float  # H(P_alpha*), bits
     tilted: TiltedPoint
+    iterations: int = field(compare=False)
+    residual: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -70,7 +85,8 @@ class MomentEnvelope:
     """Extremes of sigma3_sq and rho3 (nats) over the open tilt interval.
 
     The open-interval sup/inf are approximated on [1e-6, 1 - 1e-6]: a dense
-    grid evaluation followed by golden-section refinement around each grid
+    grid evaluation, in chunks of ``ENVELOPE_CHUNK`` alphas through one
+    columnar kernel, followed by golden-section refinement around each grid
     extremum.  This is a grid estimate (not yet a certified bound): by
     construction the returned values bound every grid evaluation, but not
     necessarily the moments between grid points.  ``degenerate`` marks the
@@ -91,12 +107,69 @@ def delta_range(p: SourcePmf) -> DeltaRange:
     return DeltaRange(hi=kl_divergence(uniform, p))
 
 
+def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float, int]:
+    """``(alpha, evaluations)``: the alpha in (0, 1) with D(P_alpha || P), or
+    H(P_alpha) if ``entropy``, equal to ``target``.
+
+    Both maps fall strictly in alpha, so each evaluation narrows a bracket
+    [lo, hi] around the root.  Newton runs on the square root of the distance
+    to the end where the slope vanishes: sqrt(D), zero at alpha = 1, and
+    sqrt(log2 m - H), zero at alpha = 0.  Both maps are quadratic there, so
+    the root is simple and the iteration nearly linear.  It starts from that
+    quadratic expansion.  A step that leaves the bracket, or that is more
+    than half the step before last, is replaced by bisection (the safeguard
+    of ``rtsafe``, Numerical Recipes 9.4).  The solve ends at the first step
+    no longer than ``ALPHA_TOL``, or once the value is within its own
+    rounding noise of the target: past that, steps only chase the noise, and
+    the last Newton step, taken without a further evaluation, is as good an
+    estimate as any.
+    """
+    ln_p = [math.log(x) for x in p.probs]
+    h_max = math.log2(p.m)
+    gap_target = math.sqrt(h_max - target if entropy else target)
+    # variance of ln P(X) at the flat end: under U at alpha = 0, under P at alpha = 1
+    at_end = [1.0 / p.m] * p.m if entropy else p.probs
+    scale = math.sqrt(2.0 / (_weighted_moments(at_end, ln_p)[1] * LOG2E))
+    alpha = scale * gap_target if entropy else 1.0 - scale * gap_target
+    if not 0.0 < alpha < 1.0:
+        alpha = 0.5
+    # rounding noise of D and H: a few ulps of the largest log-likelihood summed
+    noise = 4.0 * LOG2E * math.ulp(-min(ln_p))
+    lo, hi = 0.0, 1.0
+    step = last = hi - lo
+    for evaluations in count(1):
+        kl, h, sigma3_sq = _tilted_kl_entropy_sigma3(ln_p, alpha)
+        value = h if entropy else kl
+        if value > target:
+            lo = alpha
+        else:
+            hi = alpha
+        if entropy:  # the slopes dH/dalpha and dD/dalpha, and the gap to the flat end
+            gap, slope = math.sqrt(max(h_max - h, 0.0)), -alpha * sigma3_sq * LOG2E
+        else:
+            gap, slope = math.sqrt(kl), (alpha - 1.0) * sigma3_sq * LOG2E
+        # the Newton step on the gap, written through value - target so
+        # that no cancellation of square roots limits its resolution
+        newton = math.inf
+        if gap > 0.0 and slope != 0.0:
+            newton = (value - target) / slope * (2.0 * gap / (gap + gap_target))
+        if abs(value - target) <= noise and lo <= alpha - newton <= hi:
+            return alpha - newton, evaluations
+        if not (lo < alpha - newton < hi and abs(newton) <= 0.5 * abs(last)):
+            newton = alpha - 0.5 * (lo + hi)
+        last, step = step, newton
+        alpha -= step
+        if abs(step) <= ALPHA_TOL:
+            return alpha, evaluations
+
+
 @lru_cache(maxsize=256)
 def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
     """Find the unique alpha in (0, 1) with D(P_alpha || P) = delta (bits).
 
-    Bisection on the strictly decreasing divergence map, to bracket width
-    1e-14 in alpha.  ``delta`` must lie strictly inside ``delta_range(p)``.
+    Safeguarded Newton on the strictly decreasing divergence map, with a
+    bisection bracket as the fallback, to a last step of at most 1e-14 in
+    alpha.  ``delta`` must lie strictly inside ``delta_range(p)``.
 
     Pure in its (immutable) arguments, so results are memoized: alpha*
     depends on the exponent alone, and a ladder over many blocklengths at
@@ -112,31 +185,24 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
             f"delta={delta!r} outside the admissible open interval "
             f"(0, {rng.hi!r}) bits"
         )
-    ln_p = [math.log(x) for x in p.probs]
-    lo, hi = 0.0, 1.0  # D(lo+) > delta > D(hi) by the range check
-    while hi - lo > ALPHA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _tilted_kl_entropy(ln_p, mid)[0] > delta:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha, evaluations = _solve_tilted(p, delta, entropy=False)
     point = tilt(p, alpha)
-    if abs(point.kl_bits - delta) > ALPHA_STAR_KL_TOL:
-        raise InvariantViolation(
-            f"alpha* solve missed target: |D - delta| = {abs(point.kl_bits - delta)!r}"
-        )
+    residual = abs(point.kl_bits - delta)
+    if residual > ALPHA_STAR_KL_TOL:
+        raise InvariantViolation(f"alpha* solve missed target: |D - delta| = {residual!r}")
     return AlphaStarSolution(
-        alpha_star=alpha, delta=delta, h_tilted=point.entropy_bits, tilted=point
+        alpha_star=alpha, delta=delta, h_tilted=point.entropy_bits, tilted=point,
+        iterations=evaluations, residual=residual,
     )
 
 
 def error_exponent(p: SourcePmf, rate: float) -> float:
     """The exponent Delta_P(rate) = inf {D(P'||P) : H(P') >= rate}, in bits.
 
-    Computed through the tilted family: bisection on the strictly monotone
-    entropy map finds alpha with H(P_alpha) = rate, and D(P_alpha || P) is
-    returned.  ``rate`` must lie in [H(P), log2 m].
+    Computed through the tilted family: the solver of :func:`solve_alpha_star`
+    finds alpha with H(P_alpha) = rate on the strictly decreasing entropy
+    map, and D(P_alpha || P) is returned.  ``rate`` must lie in
+    [H(P), log2 m].
     """
     h_p = tilt(p, 1.0).entropy_bits
     h_max = math.log2(p.m)
@@ -152,15 +218,8 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     if rate >= h_max - tol:
         # Only the uniform law has full entropy, so the infimum is D(U || P).
         return delta_range(p).hi
-    ln_p = [math.log(x) for x in p.probs]
-    lo, hi = 0.0, 1.0  # H decreasing in alpha: H(lo+) = log2 m, H(1) = H(P)
-    while hi - lo > ALPHA_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _tilted_kl_entropy(ln_p, mid)[1] > rate:
-            lo = mid
-        else:
-            hi = mid
-    return _tilted_kl_entropy(ln_p, 0.5 * (lo + hi))[0]
+    alpha, _ = _solve_tilted(p, rate, entropy=True)
+    return tilt(p, alpha).kl_bits
 
 
 @lru_cache(maxsize=64)
@@ -186,18 +245,19 @@ def moment_envelope(
     def alpha_at(i: int) -> float:
         return lo_edge + i * step
 
-    # One streaming pass keeps the first argmin/argmax of each grid column.
+    # Chunk by chunk, keep the first argmin/argmax of each grid column.
     sig_lo = sig_hi = rho_hi = 0
-    sig_lo_v, rho_hi_v = _tilted_sigma3_rho3(ln_p, alpha_at(0))
-    sig_hi_v = sig_lo_v
-    for i in range(1, grid_size):
-        s, r = _tilted_sigma3_rho3(ln_p, alpha_at(i))
-        if s < sig_lo_v:
-            sig_lo, sig_lo_v = i, s
-        if s > sig_hi_v:
-            sig_hi, sig_hi_v = i, s
-        if r > rho_hi_v:
-            rho_hi, rho_hi_v = i, r
+    sig_lo_v, sig_hi_v, rho_hi_v = math.inf, -math.inf, -math.inf
+    for start in range(0, grid_size, ENVELOPE_CHUNK):
+        chunk = [lo_edge + i * step for i in range(start, min(start + ENVELOPE_CHUNK, grid_size))]
+        sig, rho = _tilted_sigma3_rho3_columns(ln_p, chunk)
+        s_lo, s_hi, r_hi = min(sig), max(sig), max(rho)
+        if s_lo < sig_lo_v:
+            sig_lo, sig_lo_v = start + sig.index(s_lo), s_lo
+        if s_hi > sig_hi_v:
+            sig_hi, sig_hi_v = start + sig.index(s_hi), s_hi
+        if r_hi > rho_hi_v:
+            rho_hi, rho_hi_v = start + rho.index(r_hi), r_hi
 
     def refine(idx: int, value: float, objective, minimize: bool) -> float:
         a = alpha_at(max(idx - 1, 0))
@@ -207,8 +267,8 @@ def moment_envelope(
         best = fx if minimize else -fx
         return min(best, value) if minimize else max(best, value)
 
-    sigma3_of = lambda a: _tilted_sigma3_rho3(ln_p, a)[0]
-    rho3_of = lambda a: _tilted_sigma3_rho3(ln_p, a)[1]
+    sigma3_of = lambda a: _tilted_sigma3_rho3_columns(ln_p, (a,))[0][0]
+    rho3_of = lambda a: _tilted_sigma3_rho3_columns(ln_p, (a,))[1][0]
     return MomentEnvelope(
         sigma3_inf_sq=refine(sig_lo, sig_lo_v, sigma3_of, minimize=True),
         sigma3_sup_sq=refine(sig_hi, sig_hi_v, sigma3_of, minimize=False),

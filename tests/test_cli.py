@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import pragrate
-from pragrate import cli, coding, exact_limits
+from pragrate import approximations, cli, coding, exact_limits
 from pragrate.cli import main
 from pragrate.distributions import SourcePmf
 from pragrate.exponents import solve_alpha_star
@@ -403,6 +403,18 @@ class TestDeltaLadder:
         assert code == 0
         assert len(out.splitlines()) == 1 + 40 * 2
         assert solve_alpha_star.cache_info().misses == 2
+
+    def test_per_source_terms_once_per_source(self, capsys, monkeypatch):
+        # H(P) and sigma(P) do not depend on n: one call each for 40 blocklengths
+        calls = []
+        for name in ("shannon_rate", "coding_variance_bits"):
+            original = getattr(approximations, name)
+            counting = lambda p, name=name, original=original: calls.append(name) or original(p)
+            monkeypatch.setattr(approximations, name, counting)
+        approximations._source_terms.cache_clear()
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0 and len(out.splitlines()) == 1 + 40 * 2
+        assert sorted(calls) == ["coding_variance_bits", "shannon_rate"]
 
     def test_cells_are_the_solve_at_the_given_delta(self, capsys):
         code, out, _ = run_cli(capsys, *self.ARGV)

@@ -1,4 +1,6 @@
+import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,7 +18,7 @@ from pragrate import (
     tilt_identity_residual,
     tilted_derivatives,
 )
-from pragrate.distributions import _tilted_kl_entropy, _tilted_sigma3_rho3
+from pragrate.distributions import _tilted_kl_entropy_sigma3, _tilted_sigma3_rho3_columns
 from pragrate.numerics import LOG2E
 
 from conftest import bern, random_pmf
@@ -52,6 +54,23 @@ class TestSourcePmf:
     def test_refuses_renormalization(self):
         with pytest.raises(DistributionError):
             SourcePmf((0.2, 0.75))
+
+    def test_equal_pmfs_hash_equal_across_constructors(self):
+        # the hash is computed once, at construction; every route to the same
+        # pmf must still agree with == on it
+        parsed = SourcePmf.parse("0.2,0.3,0.5")
+        built = [
+            SourcePmf.parse(json.dumps([0.2, 0.3, 0.5])),
+            SourcePmf.from_values(["0.2", "0.3", "0.5"]),
+            SourcePmf.from_values([Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]),
+            pickle.loads(pickle.dumps(parsed)),
+        ]
+        for other in built:
+            assert other == parsed and hash(other) == hash(parsed)
+        floats = SourcePmf.from_values([0.2, 0.3, 0.5])
+        restored = pickle.loads(pickle.dumps(floats))
+        assert restored == floats and hash(restored) == hash(floats)
+        assert {parsed: 1}[pickle.loads(pickle.dumps(parsed))] == 1
 
     def test_sum_tolerance_is_tight(self):
         SourcePmf((0.2, 0.8 + 5e-13))
@@ -169,8 +188,8 @@ class TestTilt:
 
 
 class TestLeanTiltEvaluators:
-    """The evaluators behind the alpha* bisection and the moment envelope
-    must reproduce tilt()'s fields bit for bit, not just closely."""
+    """The evaluators behind the alpha* solve and the moment envelope must
+    reproduce tilt()'s fields bit for bit, not just closely."""
 
     SKEWED = (SourcePmf((1e-6, 1 - 1e-6)), SourcePmf((0.001, 0.002, 0.997)))
 
@@ -179,10 +198,14 @@ class TestLeanTiltEvaluators:
         for p in sources:
             ln_p = [math.log(x) for x in p.probs]
             alphas = [rng.uniform(0.0, 1.0) for _ in range(8)] + [1e-6, 0.5, 1 - 1e-6, 1 - 1e-14]
-            for alpha in alphas:
-                t = tilt(p, alpha)
-                assert _tilted_kl_entropy(ln_p, alpha) == (t.kl_bits, t.entropy_bits)
-                assert _tilted_sigma3_rho3(ln_p, alpha) == (t.sigma3_sq, t.rho3)
+            points = [tilt(p, alpha) for alpha in alphas]
+            for alpha, t in zip(alphas, points):
+                assert _tilted_kl_entropy_sigma3(ln_p, alpha) == (t.kl_bits, t.entropy_bits, t.sigma3_sq)
+                assert _tilted_sigma3_rho3_columns(ln_p, (alpha,)) == ([t.sigma3_sq], [t.rho3])
+            # one columnar call over every alpha at once
+            assert _tilted_sigma3_rho3_columns(ln_p, alphas) == (
+                [t.sigma3_sq for t in points], [t.rho3 for t in points]
+            )
 
 
 class TestTiltedDerivatives:

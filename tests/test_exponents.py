@@ -1,4 +1,6 @@
+import json
 import math
+import statistics
 
 import pytest
 
@@ -12,11 +14,13 @@ from pragrate import (
     moment_envelope,
     solve_alpha_star,
     tilt,
+    tilted_derivatives,
 )
 
 from pragrate import exponents
-from pragrate.exponents import ALPHA_BISECTION_TOL, ENVELOPE_EDGE, ENVELOPE_REFINE_TOL
-from pragrate.numerics import golden_section_minimize
+from pragrate.cli import main
+from pragrate.exponents import ALPHA_STAR_KL_TOL, ENVELOPE_EDGE, ENVELOPE_REFINE_TOL
+from pragrate.numerics import LOG2E, golden_section_minimize
 
 from conftest import bern, random_pmf
 
@@ -173,24 +177,40 @@ class TestMomentEnvelope:
 
 
 def reference_bisection(p, target, field):
-    """The alpha bisection as a chain of full tilt() calls."""
+    """alpha with tilt(p, alpha).<field> == target, by bisection run down to
+    adjacent floats, as a chain of full tilt() calls."""
     lo, hi = 0.0, 1.0
-    while hi - lo > ALPHA_BISECTION_TOL:
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         if getattr(tilt(p, mid), field) > target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+
+
+SOLVE_FRACTIONS = (1e-6, 1e-3, 0.01, 0.3, 0.9, 0.999)  # of D(U || P)
+
+
+def solve_grid(rng, per_m=6):
+    """(p, delta) over seeded sources at m = 2..6 and SOLVE_FRACTIONS."""
+    for m in (2, 3, 4, 5, 6):
+        for _ in range(per_m):
+            p = random_pmf(rng, m)
+            hi = delta_range(p).hi
+            for frac in SOLVE_FRACTIONS:
+                yield p, frac * hi
 
 
 def reference_envelope(p, grid_size, refinement_tol=ENVELOPE_REFINE_TOL):
-    """moment_envelope as two lists of full tilt() calls over the grid."""
+    """moment_envelope as a list of full tilt() calls over the grid."""
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
     step = (hi_edge - lo_edge) / (grid_size - 1)
     alphas = [lo_edge + i * step for i in range(grid_size)]
-    sig = [tilt(p, a).sigma3_sq for a in alphas]
-    rho = [tilt(p, a).rho3 for a in alphas]
+    points = [tilt(p, a) for a in alphas]
+    sig = [t.sigma3_sq for t in points]
+    rho = [t.rho3 for t in points]
 
     def refine(values, objective, minimize):
         idx = min(range(grid_size), key=lambda i: values[i] if minimize else -values[i])
@@ -210,28 +230,59 @@ def reference_envelope(p, grid_size, refinement_tol=ENVELOPE_REFINE_TOL):
     )
 
 
-class TestBitIdenticalToTiltChains:
-    """The bisections and the envelope read lean evaluators, not tilt();
-    their outputs must equal the tilt()-based algorithms exactly."""
+class TestNewtonSolve:
+    """The safeguarded Newton solve of alpha* against a bisection on tilt(),
+    over sources at m = 2..6 and exponents from 1e-6 to 0.999 of D(U || P)."""
 
-    def test_alpha_star_and_error_exponent(self, rng):
-        for _ in range(12):
-            p = random_pmf(rng, rng.randint(2, 6))
-            hi = delta_range(p).hi
-            for frac in (0.01, rng.uniform(0.05, 0.95), 0.999):
-                sol = solve_alpha_star(p, frac * hi)
-                assert sol.alpha_star == reference_bisection(p, frac * hi, "kl_bits")
-            h0, h1 = entropy(p), math.log2(p.m)
-            rate = h0 + (h1 - h0) * rng.uniform(0.05, 0.95)
-            want = tilt(p, reference_bisection(p, rate, "entropy_bits")).kl_bits
-            assert error_exponent(p, rate) == want
+    def test_alpha_star_against_bisection(self, rng):
+        for p, delta in solve_grid(rng):
+            sol = solve_alpha_star(p, delta)
+            a = sol.alpha_star
+            assert sol.residual == abs(sol.tilted.kl_bits - delta) <= ALPHA_STAR_KL_TOL
+            slope = abs(tilted_derivatives(p, a).dD_dalpha)
+            if slope > 1e-3:
+                # Within D's rounding, a few ulps of the largest |log P| it
+                # sums, neither solver can order alpha; past that they agree.
+                noise = 4 * LOG2E * math.ulp(-min(math.log(x) for x in p.probs))
+                ref = reference_bisection(p, delta, "kl_bits")
+                assert abs(a - ref) <= 4 * math.ulp(a) + noise / slope, (p, delta)
+            assert error_exponent(p, sol.h_tilted) == pytest.approx(delta, rel=1e-9, abs=1e-15)
+
+    def test_iteration_counts(self, rng):
+        counts = [solve_alpha_star.__wrapped__(p, delta).iterations for p, delta in solve_grid(rng)]
+        assert statistics.median(counts) <= 8
+        assert max(counts) <= 47  # the bisection's fixed count
+
+    def test_diagnostics_do_not_enter_equality(self):
+        sol = solve_alpha_star(P02, 0.1)
+        assert sol.iterations >= 1 and sol.residual == abs(sol.tilted.kl_bits - 0.1)
+        again = solve_alpha_star.__wrapped__(P02, 0.1)
+        assert again == sol and hash(again) == hash(sol)
+
+
+class TestBitIdenticalToTiltChains:
+    """The envelope reads a columnar kernel, not tilt(); its output must
+    equal the tilt()-based algorithm exactly."""
+
+    # near-tie sources: two equal entries, and entries with 0.1 * 0.4 == 0.2 ** 2
+    ENVELOPE_SOURCES = ("0.3,0.3,0.4", "0.1,0.2,0.4,0.3")
 
     def test_moment_envelope(self, rng):
-        for m in (2, 3, 4, 5, 6):
-            p = random_pmf(rng, m)
-            env = moment_envelope(p, grid_size=257)
+        sources = [random_pmf(rng, m) for m in range(2, 9)]
+        sources += [SourcePmf.parse(text) for text in self.ENVELOPE_SOURCES]
+        for p in sources:
+            env = moment_envelope(p)
             got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
-            assert got == reference_envelope(p, 257)
+            assert got == reference_envelope(p, env.grid_size)
+
+    def test_constants_envelope_fields_pinned(self, capsys):
+        # repr strings printed before the Newton solve replaced the alpha*
+        # bisection: alpha* may move in its last bits, the envelope may not
+        assert main(["constants", "--source", "0.2,0.8", "--delta", "0.0703"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert repr(payload["sigma3_inf_sq"]) == "0.3074901846705934"
+        assert repr(payload["sigma3_sup_sq"]) == "0.4804530139179706"
+        assert repr(payload["rho3_sup"]) == "0.33302465198892944"
 
     def test_tilt_call_counts(self, monkeypatch):
         calls = []
