@@ -36,7 +36,7 @@ count vector's canonical index (:func:`~pragrate.types_census.type_index`,
 in closed form).  Decoding bisects the stored offsets, walks at most one
 stride of sizes and unranks the canonical index back to a count vector
 (:func:`~pragrate.types_census.type_at_index`).  Neither ordering lists
-its classes unless ``type_order``/``offsets`` are read.
+its classes.
 
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
@@ -58,13 +58,13 @@ and the tests that enumerate every string.
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
 the ranking is an index array.  Count vectors are built only for exact
-mode and for an expanded ordering, by enumerating the classes again.  The
-tails take two passes over the ranking.  The forward pass (``_straddles``)
-keeps one running big-integer offset and records, at each 2**L, the
-straddling class and how many of its strings survive.  The backward pass
-runs the logaddexp2 suffix chain over log2(size) - key and keeps it only
-at the recorded classes.  So a length distribution holds O(n) records
-beyond its columns, not an offset and a suffix per class.
+mode, by enumerating the classes again.  The tails take two passes over
+the ranking.  The forward pass (``_straddles``) keeps one running
+big-integer offset and records, at each 2**L, the straddling class and how
+many of its strings survive.  The backward pass runs the logaddexp2 suffix
+chain over log2(size) - key and keeps it only at the recorded classes.  So
+a length distribution holds O(n) records beyond its columns, not an offset
+and a suffix per class.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ from .types_census import (
     _distinct_permutations,
     _iter_partitions,
     _iter_prefixes,
-    _iter_types_with_sizes,
     _rank_in_class,
     count_types,
     type_at_index,
@@ -123,28 +122,6 @@ class Codeword:
 
     def to_index(self) -> int:
         return int("1" + self.bits, 2) if self.bits else 1
-
-
-@dataclass(frozen=True)
-class _ClassList:
-    """The expanded view of either ordering: ``type_order`` lists the count
-    vectors in code order and ``offsets[i]`` is the number of strings in
-    all earlier classes, so class i covers 0-based string indices
-    [offsets[i], offsets[i+1]).  The counts-to-position map is built on
-    the first :meth:`position_of`."""
-
-    type_order: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]  # length len(type_order)+1; last entry is m**n
-    _position: dict = field(repr=False, hash=False, compare=False, default_factory=dict)
-
-    @classmethod
-    def of(cls, order: Iterable[tuple[int, ...]], sizes: Iterable[int]) -> "_ClassList":
-        return cls(tuple(order), tuple(itertools.accumulate(sizes, initial=0)))
-
-    def position_of(self, counts: tuple[int, ...]) -> int:
-        if not self._position:
-            self._position.update((c, i) for i, c in enumerate(self.type_order))
-        return self._position[counts]
 
 
 # One permutation orbit of count vectors: its ascending vector, the size of
@@ -184,18 +161,6 @@ def _level_classes(
     return [counts for counts, _ in level], [size for _, size in level]
 
 
-def _expand_levels(levels: Sequence[Sequence[_Orbit]]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Count vectors and class sizes of every class, in code order."""
-    order: list[tuple[int, ...]] = []
-    sizes: list[int] = []
-    getters: dict = {}
-    for orbits in levels:
-        level_order, level_sizes = _level_classes(orbits, getters)
-        order += level_order
-        sizes += level_sizes
-    return order, sizes
-
-
 def _orbit_alphabet(asc: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The distinct values of an ascending vector and their multiplicities:
     the vectors of its orbit are the strings of that type over those values."""
@@ -208,12 +173,13 @@ class _EntropyLevels:
     """The universal order kept one entropy level at a time (see the module
     docstring): ``levels`` holds each level's orbits, ``offsets[i]`` the
     strings in all earlier levels, and ``level_of`` maps an ascending
-    vector to its level."""
+    vector to its level.  A class's offset is found by ranking its count
+    vector within its level, and no level's classes are listed unless the
+    level holds several orbits and a string falls in it."""
 
     levels: tuple[tuple[_Orbit, ...], ...]
     offsets: tuple[int, ...]  # length len(levels)+1; last entry is m**n
     level_of: dict[tuple[int, ...], int] = field(repr=False, hash=False, compare=False)
-    _expanded: list = field(repr=False, hash=False, compare=False, default_factory=list)
 
     @classmethod
     def build(cls, n: int, m: int) -> "_EntropyLevels":
@@ -255,37 +221,23 @@ class _EntropyLevels:
     def total(self) -> int:
         return self.offsets[-1]
 
-    def expanded(self) -> _ClassList:
-        """Every class in code order, expanded on first use."""
-        if not self._expanded:
-            self._expanded.append(_ClassList.of(*_expand_levels(self.levels)))
-        return self._expanded[0]
-
-
-def _expand_ranking(
-    n: int, m: int, sizes: Sequence[int], ranking: Sequence[int]
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Count vectors and class sizes of every known-source class, in code
-    order, from the canonical columns and the ranking."""
-    vectors = [counts for counts, _ in _iter_types_with_sizes(n, m)]
-    return list(map(vectors.__getitem__, ranking)), list(map(sizes.__getitem__, ranking))
-
 
 class _RankedClasses:
     """The known-source order kept as the engine's columns (see the module
     docstring): ``sizes`` in canonical order, the ``ranking`` (canonical
     indices in code order) and ``checkpoints[j]``, the strings in the
     ranked classes before position j * _OFFSET_STRIDE.  The inverse of the
-    ranking is built on the first encode, so a decoder never pays for it."""
+    ranking is built on the first encode, so a decoder never pays for it.
+    No count vector is stored: a class is found through its canonical
+    index, computed from the counts and back in closed form."""
 
-    __slots__ = ("n", "m", "total", "sizes", "ranking", "checkpoints", "_position", "_expanded")
+    __slots__ = ("n", "m", "total", "sizes", "ranking", "checkpoints", "_position")
 
     def __init__(self, n: int, m: int, sizes: list[int], ranking: array) -> None:
         offsets = itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)
         self.checkpoints = list(itertools.islice(offsets, 0, len(ranking), _OFFSET_STRIDE))
         self.n, self.m, self.total, self.sizes, self.ranking = n, m, m ** n, sizes, ranking
         self._position: array | None = None
-        self._expanded: _ClassList | None = None
 
     def class_offset(self, counts: tuple[int, ...]) -> int:
         """The strings in all classes ranked before the class of ``counts``."""
@@ -308,26 +260,17 @@ class _RankedClasses:
         pos, _ = _straddling_class(starts, k)
         return type_at_index(self.n, self.m, block[pos]), k - 1 - starts[pos]
 
-    def expanded(self) -> _ClassList:
-        """Every class in code order, expanded on first use."""
-        if self._expanded is None:
-            columns = _expand_ranking(self.n, self.m, self.sizes, self.ranking)
-            self._expanded = _ClassList.of(*columns)
-        return self._expanded
-
 
 @dataclass(frozen=True)
 class CodeOrdering:
     """A total order on A^n shared by encoder and decoder.
 
-    ``type_order`` lists count vectors in code order; ``offsets[i]`` is the
-    number of strings in all earlier classes, so class i covers 0-based
-    string indices [offsets[i], offsets[i+1]).  Neither ordering stores
-    them: the known-source one keeps the engine's columns and an offset
-    every ``_OFFSET_STRIDE`` ranked classes, the universal one its entropy
-    levels.  Both stores answer ``class_offset`` and ``locate`` and expand
-    the two lists (and the map behind :meth:`position_of`) only when they
-    are read, which their encoders and decoders never do.
+    Neither ordering lists its classes: the known-source one keeps the
+    engine's columns and an offset every ``_OFFSET_STRIDE`` ranked classes,
+    the universal one its entropy levels.  Both stores answer the two
+    questions of enumerative coding: ``class_offset`` (the strings in all
+    classes before a given one) and ``locate`` (the class holding a given
+    index, and the index's rank inside it).
     """
 
     mode: str
@@ -336,22 +279,8 @@ class CodeOrdering:
     _classes: _RankedClasses | _EntropyLevels = field(repr=False)
 
     @property
-    def type_order(self) -> tuple[tuple[int, ...], ...]:
-        return self._classes.expanded().type_order
-
-    @property
-    def offsets(self) -> tuple[int, ...]:
-        return self._classes.expanded().offsets
-
-    @property
     def total(self) -> int:
         return self._classes.total
-
-    def position_of(self, counts: tuple[int, ...]) -> int:
-        try:
-            return self._classes.expanded().position_of(counts)
-        except KeyError:
-            raise DomainError(f"type {counts} is not an {self.n}-type on {self.m} symbols")
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
@@ -388,8 +317,8 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     probability) and ``sizes[i]`` of class i in canonical order, and the
     ranking, the class indices by decreasing per-string probability with
     ties in canonical order: a stable sort on the float key alone.  No count
-    vector is kept; a caller that needs them (exact mode, an expanded code
-    ordering) enumerates the classes again in canonical order."""
+    vector is kept; a caller that needs them (exact mode) enumerates the
+    classes again in canonical order."""
     keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
     ranking = array("I" if len(keys) < 2 ** 32 else "Q",
                     sorted(range(len(keys)), key=keys.__getitem__))

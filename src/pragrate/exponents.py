@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
+from typing import Iterable
 
 from .distributions import (
     SourcePmf,
@@ -37,7 +38,7 @@ from .errors import DomainError, InvariantViolation
 from .numerics import LOG2E, golden_section_minimize
 
 ALPHA_TOL = 1e-14
-ALPHA_STAR_KL_TOL = 1e-11
+_ALPHA_STAR_NOISES = 8.0  # |D - delta| allowed at alpha*, in units of D's rounding noise
 ENVELOPE_EDGE = 1e-6
 ENVELOPE_GRID = 4096
 ENVELOPE_CHUNK = 32  # grid alphas per columnar kernel call; bounds its lists
@@ -107,6 +108,12 @@ def delta_range(p: SourcePmf) -> DeltaRange:
     return DeltaRange(hi=kl_divergence(uniform, p))
 
 
+def _rounding_noise(ln_p: Iterable[float]) -> float:
+    """The rounding noise of D and H in bits: a few ulps of the largest
+    |log P(x)| that they sum."""
+    return 4.0 * LOG2E * math.ulp(-min(ln_p))
+
+
 def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float, int]:
     """``(alpha, evaluations)``: the alpha in (0, 1) with D(P_alpha || P), or
     H(P_alpha) if ``entropy``, equal to ``target``.
@@ -133,8 +140,7 @@ def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float,
     alpha = scale * gap_target if entropy else 1.0 - scale * gap_target
     if not 0.0 < alpha < 1.0:
         alpha = 0.5
-    # rounding noise of D and H: a few ulps of the largest log-likelihood summed
-    noise = 4.0 * LOG2E * math.ulp(-min(ln_p))
+    noise = _rounding_noise(ln_p)
     lo, hi = 0.0, 1.0
     step = last = hi - lo
     for evaluations in count(1):
@@ -188,7 +194,9 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
     alpha, evaluations = _solve_tilted(p, delta, entropy=False)
     point = tilt(p, alpha)
     residual = abs(point.kl_bits - delta)
-    if residual > ALPHA_STAR_KL_TOL:
+    # relative to D's rounding noise, not absolute: a fixed bound would pass
+    # any alpha near 1 once delta itself falls below it
+    if residual > _ALPHA_STAR_NOISES * _rounding_noise(map(math.log, p.probs)):
         raise InvariantViolation(f"alpha* solve missed target: |D - delta| = {residual!r}")
     return AlphaStarSolution(
         alpha_star=alpha, delta=delta, h_tilted=point.entropy_bits, tilted=point,

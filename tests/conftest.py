@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -34,6 +35,23 @@ def compositions(n: int, m: int):
     for bars in itertools.combinations(range(n + m - 1), m - 1):
         edges = (-1,) + bars + (n + m - 1,)
         yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _class_size(counts):
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
+def _reference_ordering(n, m, key):
+    """(order, offsets) of a plain sort of every composition on ``key``:
+    the count vectors in code order, and the strings in all classes before
+    each (the last entry is m**n)."""
+    order = tuple(sorted(compositions(n, m), key=key))
+    return order, tuple(itertools.accumulate(map(_class_size, order), initial=0))
+
+
+def _lex_first(counts):
+    """The lexicographically first string of the class ``counts``."""
+    return tuple(s for s, c in enumerate(counts) for _ in range(c))
 
 
 def suffix_tails(sizes, probs, mass, add, zero, one, total):

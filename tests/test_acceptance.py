@@ -284,10 +284,12 @@ class TestCriterion6CodecRoundTrips:
 
     def test_universal_is_source_blind(self):
         base = pr.build_ordering(pr.UNIVERSAL, 10, 2)
+        strings = list(itertools.product(range(2), repeat=10))
+        indices = [pr.string_index(base, x) for x in strings]
         for src in (P02, bern("0.7"), bern("0.99")):
             other = pr.build_ordering(pr.UNIVERSAL, 10, 2, source=src)
-            assert other.type_order == base.type_order
-            assert other.offsets == base.offsets
+            assert other._classes == base._classes
+            assert [pr.string_index(other, x) for x in strings] == indices
         x = (0, 1, 1, 0, 0, 0, 1, 1, 1, 0)
         words = {
             pr.encode(pr.build_ordering(pr.UNIVERSAL, 10, 2, source=s), x).bits

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -21,15 +22,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, python_flags=()):
-    """Run ``python -m pragrate`` in a child process, so an uncaught
-    exception shows up as a traceback on stderr and exit code 1."""
+def run_cli_process(*argv, python_flags=(), stdin=None):
+    """Run ``python -m pragrate`` in a child process, with ``stdin`` (text)
+    as its input, so an uncaught exception shows up as a traceback on
+    stderr and exit code 1."""
     src = str(pathlib.Path(pragrate.__file__).resolve().parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, *python_flags, "-m", "pragrate", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -231,6 +233,28 @@ class TestCodecCommands:
         code, out2, _ = run_cli(capsys, "codec", "decode", str(coded))
         assert code == 0
         assert out2.splitlines() == strings
+
+    def test_universal_pipe_through_multi_orbit_levels(self, tmp_path):
+        # at m=4, n=50 the partitions (3,3,12,32) and (2,14,16,18) share
+        # their float entropy with others, so the codec lists the classes of
+        # their levels; everywhere else it ranks within one orbit
+        levels = pragrate.build_ordering(pragrate.UNIVERSAL, 50, 4)._classes
+        for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
+            assert len(levels.levels[levels.level_of[asc]]) >= 2
+        rng = random.Random(50)
+        strings = ["".join(rng.choice("abcd") for _ in range(50)) for _ in range(10)]
+        for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
+            first = "".join(s * c for s, c in zip("abcd", asc[::-1]))
+            strings += [first, first[::-1]]
+        infile = tmp_path / "strings.txt"
+        infile.write_text("\n".join(strings) + "\n")
+        code, coded, err = run_cli_process(
+            "codec", "encode", "--mode", "universal", "--alphabet", "abcd", "--n", "50", str(infile),
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run_cli_process("codec", "decode", stdin=coded)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == strings
 
     def test_universal_output_ignores_source(self, capsys, tmp_path):
         infile = tmp_path / "strings.txt"

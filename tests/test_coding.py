@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from pragrate import (
     SourcePmf,
     build_ordering,
     coding,
+    count_types,
     decode,
     encode,
     kl_divergence,
@@ -28,7 +30,10 @@ from pragrate import (
 )
 from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern, compositions, peak_mib, random_pmf, suffix_tails
+from conftest import (
+    _class_size, _lex_first, _reference_ordering, bern, compositions, peak_mib, random_pmf,
+    suffix_tails,
+)
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
@@ -67,7 +72,8 @@ class TestCodeword:
 class TestOrderings:
     def test_universal_binary_n2_hand_example(self):
         o = build_ordering(UNIVERSAL, 2, 2)
-        assert o.type_order == ((0, 2), (2, 0), (1, 1))
+        # classes (0,2), (2,0), (1,1) in that order
+        assert [o._classes.class_offset(c) for c in ((0, 2), (2, 0), (1, 1))] == [0, 1, 2]
         # symbols {a=0, b=1}: bb, aa, ab, ba get indices 1..4
         assert string_index(o, (1, 1)) == 1
         assert encode(o, (1, 1)).bits == ""
@@ -93,8 +99,7 @@ class TestOrderings:
         a = build_ordering(UNIVERSAL, 6, 2)
         b = build_ordering(UNIVERSAL, 6, 2, source=P02)
         c = build_ordering(UNIVERSAL, 6, 2, source=bern("0.7"))
-        assert a.type_order == b.type_order == c.type_order
-        assert a.offsets == b.offsets == c.offsets
+        assert a._classes == b._classes == c._classes
 
     def test_known_source_needs_source(self):
         with pytest.raises(DomainError):
@@ -102,32 +107,15 @@ class TestOrderings:
 
     def test_universal_order_is_entropy_then_canonical(self):
         o = build_ordering(UNIVERSAL, 7, 3)
-        keys = [(type_entropy_bits(c), c) for c in o.type_order]
+        order = sorted(compositions(7, 3), key=o._classes.class_offset)
+        keys = [(type_entropy_bits(c), c) for c in order]
         assert keys == sorted(keys)
 
 
-def _class_size(counts):
-    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
-
-
-def _reference_ordering(n, m, key):
-    """(type_order, offsets) of a plain sort of every composition on ``key``."""
-    order = tuple(sorted(compositions(n, m), key=key))
-    return order, tuple(itertools.accumulate(map(_class_size, order), initial=0))
-
-
 class TestOrbitBuildMatchesReferenceSort:
-    """The orbit-at-a-time builds equal a sort of every composition."""
-
-    @pytest.mark.parametrize("m,ns", [
-        (2, range(1, 31)), (3, range(1, 31)), (4, range(1, 31, 3)),
-        (5, range(1, 17, 3)), (6, range(1, 11, 3)), (8, range(1, 6)),
-    ])
-    def test_universal(self, m, ns):
-        for n in ns:
-            o = build_ordering(UNIVERSAL, n, m)
-            want = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
-            assert (o.type_order, o.offsets) == want, (n, m)
+    """The known-source build equals a sort of every composition on (minus
+    log2 probability, counts).  The universal levels are checked against
+    their sort class by class in TestUniversalLevelPath."""
 
     @staticmethod
     def _known_key(p):
@@ -138,33 +126,26 @@ class TestOrbitBuildMatchesReferenceSort:
     def test_known_source_random_sources(self, m, n):
         rng = random.Random(1000 * m + n)
         for _ in range(4):
-            p = random_pmf(rng, m)
-            o = build_ordering(KNOWN_SOURCE, n, m, p)
-            assert (o.type_order, o.offsets) == _reference_ordering(n, m, self._known_key(p))
+            TestKnownSourceRankedPath._check_against_reference(n, m, random_pmf(rng, m))
 
     def test_known_source_tie_order_is_kept(self):
         # 0.1*0.4 == 0.2*0.2 exactly, so many classes tie in log-probability;
         # where the float keys tie too, ascending lex order decides
         p = SourcePmf.load("0.1,0.2,0.4,0.3")
-        o = build_ordering(KNOWN_SOURCE, 6, 4, p)
-        assert (o.type_order, o.offsets) == _reference_ordering(6, 4, self._known_key(p))
-        pos = o.type_order.index((0, 2, 3, 1))
-        assert o.type_order[pos + 1] == (1, 0, 4, 1)
-        pos = o.type_order.index((1, 4, 1, 0))
-        assert o.type_order[pos - 1:pos + 2] == ((0, 6, 0, 0), (1, 4, 1, 0), (2, 2, 2, 0))
+        TestKnownSourceRankedPath._check_against_reference(6, 4, p)
+        order, _ = _reference_ordering(6, 4, self._known_key(p))  # the store's order
+        pos = order.index((0, 2, 3, 1))
+        assert order[pos + 1] == (1, 0, 4, 1)
+        pos = order.index((1, 4, 1, 0))
+        assert order[pos - 1:pos + 2] == ((0, 6, 0, 0), (1, 4, 1, 0), (2, 2, 2, 0))
         # exactly equiprobable, but float rounding (not the canonical rule)
         # puts (1,0,5,0) first; an exact tie key would swap them
-        assert o.type_order[8:10] == ((1, 0, 5, 0), (0, 2, 4, 0))
-
-
-def _lex_first(counts):
-    return tuple(s for s, c in enumerate(counts) for _ in range(c))
+        assert order[8:10] == ((1, 0, 5, 0), (0, 2, 4, 0))
 
 
 class TestUniversalLevelPath:
-    """Encode and decode work on the entropy levels and never expand the
-    classes; every class still lands where a sort of all compositions puts
-    it."""
+    """Encode and decode work on the entropy levels; every class still
+    lands where a sort of all compositions puts it."""
 
     @staticmethod
     def _check_against_reference(n, m, stride=1):
@@ -175,6 +156,7 @@ class TestUniversalLevelPath:
         levels = o._classes
         shared = {asc for orbits in levels.levels if len(orbits) > 1 for asc, _, _ in orbits}
         order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
+        assert o.total == offsets[-1]
         for i, (counts, lo, hi) in enumerate(zip(order, offsets, offsets[1:])):
             assert levels.class_offset(counts) == lo, (n, m, counts)
             assert levels.locate(lo + 1) == (counts, 0)
@@ -186,7 +168,6 @@ class TestUniversalLevelPath:
             assert string_index(o, last) == hi, (n, m, counts)
             assert decode(o, Codeword.from_index(lo + 1)) == first
             assert decode(o, Codeword.from_index(hi)) == last
-        assert not levels._expanded  # type_order and offsets were never built
         return len(shared)
 
     @pytest.mark.parametrize("m,ns", [
@@ -201,11 +182,7 @@ class TestUniversalLevelPath:
     def test_multi_orbit_levels(self, m, n, stride):
         assert self._check_against_reference(n, m, stride) >= 2
 
-    def test_round_trip_never_expands(self, monkeypatch):
-        def refuse(levels):
-            raise AssertionError("the universal classes were expanded")
-
-        monkeypatch.setattr(coding, "_expand_levels", refuse)
+    def test_round_trip_never_expands(self):
         rng = random.Random(50)
         o = build_ordering(UNIVERSAL, 50, 4)
         for _ in range(30):
@@ -214,8 +191,13 @@ class TestUniversalLevelPath:
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):  # in multi-orbit levels
             x = _lex_first(asc[::-1])
             assert decode(o, encode(o, x)) == x
-        with pytest.raises(AssertionError, match="expanded"):
-            o.type_order
+        # the ordering is its store, and the store holds one entry per
+        # partition of n (not per class) and one offset per level
+        assert [f.name for f in dataclasses.fields(o)] == ["mode", "n", "m", "_classes"]
+        store = o._classes
+        assert [f.name for f in dataclasses.fields(store)] == ["levels", "offsets", "level_of"]
+        assert len(store.level_of) == sum(map(len, store.levels)) < count_types(50, 4) // 20
+        assert len(store.offsets) == len(store.levels) + 1
 
     def test_build_and_round_trip_stay_small(self):
         # the class list at m=4 n=50 (23,426 classes) alone takes over 5 MiB
@@ -231,19 +213,11 @@ class TestUniversalLevelPath:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
 
-    def test_expanded_view_is_built_once(self):
-        o = build_ordering(UNIVERSAL, 12, 5)
-        assert o.type_order is o.type_order
-        assert o.offsets[-1] == o.total == 5 ** 12
-        assert o.position_of(o.type_order[100]) == 100
-        with pytest.raises(DomainError):
-            o.position_of((12, 0, 0, 0, 1))
-
 
 class TestKnownSourceRankedPath:
     """Encode and decode work on the engine's columns and an offset every
     ``_OFFSET_STRIDE`` ranked classes; every class still lands where a sort
-    of all compositions puts it, and the class list is never built."""
+    of all compositions puts it."""
 
     K = coding._OFFSET_STRIDE
 
@@ -254,6 +228,7 @@ class TestKnownSourceRankedPath:
         o = build_ordering(KNOWN_SOURCE, n, m, p)
         store = o._classes
         order, offsets = _reference_ordering(n, m, TestOrbitBuildMatchesReferenceSort._known_key(p))
+        assert o.total == offsets[-1]
         for counts, lo, hi in zip(order, offsets, offsets[1:]):
             assert store.class_offset(counts) == lo, (n, m, counts)
             assert store.locate(lo + 1) == (counts, 0)
@@ -263,7 +238,6 @@ class TestKnownSourceRankedPath:
             assert string_index(o, last) == hi, (n, m, counts)
             assert decode(o, Codeword.from_index(lo + 1)) == first
             assert decode(o, Codeword.from_index(hi)) == last
-        assert store._expanded is None  # type_order and offsets were never built
         return len(order)
 
     # at m=2 there are n+1 classes: fewer than one stride, K-1, K, K+1,
@@ -282,11 +256,7 @@ class TestKnownSourceRankedPath:
         # 0.1*0.4 == 0.2*0.2: many classes tie; 84 classes at n=6, m=4
         assert self._check_against_reference(6, 4, SourcePmf.load("0.1,0.2,0.4,0.3")) == 84
 
-    def test_round_trip_never_expands(self, monkeypatch):
-        def refuse(*columns):
-            raise AssertionError("the known-source classes were expanded")
-
-        monkeypatch.setattr(coding, "_expand_ranking", refuse)
+    def test_round_trip_never_expands(self):
         rng = random.Random(51)
         p = SourcePmf.parse("0.1,0.2,0.3,0.4")
         o = build_ordering(KNOWN_SOURCE, 50, 4, p)
@@ -295,15 +265,20 @@ class TestKnownSourceRankedPath:
             assert decode(o, encode(o, x)) == x
         assert decode(o, Codeword("")) == (3,) * 50
         assert decode(o, Codeword.from_index(o.total)) == (0,) * 50
-        with pytest.raises(AssertionError, match="expanded"):
-            o.type_order
+        # the ordering is its store, and the store holds the engine's
+        # columns and one offset per stride: no count vector, no class list
+        assert [f.name for f in dataclasses.fields(o)] == ["mode", "n", "m", "_classes"]
+        store = o._classes
+        assert store.__slots__ == ("n", "m", "total", "sizes", "ranking", "checkpoints", "_position")
+        assert len(store.sizes) == len(store.ranking) == len(store._position) == count_types(50, 4)
+        assert len(store.checkpoints) == -(-len(store.ranking) // self.K)
 
     def test_inverse_ranking_is_built_on_first_encode_only(self):
         o = build_ordering(KNOWN_SOURCE, 6, 3, SourcePmf.parse("0.5,0.3,0.2"))
         x = decode(o, Codeword("0110"))
         assert o._classes._position is None
         assert decode(o, encode(o, x)) == x
-        assert sorted(o._classes._position) == list(range(len(o.type_order)))
+        assert sorted(o._classes._position) == list(range(len(o._classes.ranking)))
 
     def test_build_and_round_trip_stay_small(self):
         # the class list and position map at m=4 n=50 took 5.3 MiB
@@ -319,14 +294,6 @@ class TestKnownSourceRankedPath:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20, peak
-
-    def test_expanded_view_is_built_once(self):
-        o = build_ordering(KNOWN_SOURCE, 12, 4, SourcePmf.parse("0.1,0.2,0.3,0.4"))
-        assert o.type_order is o.type_order
-        assert o.offsets[-1] == o.total == 4 ** 12
-        assert o.position_of(o.type_order[100]) == 100
-        with pytest.raises(DomainError):
-            o.position_of((12, 0, 0, 1))
 
 
 class TestRoundTrips:
@@ -383,13 +350,13 @@ class TestOrderingSemantics:
     def test_universal_entropy_order_respected(self):
         n, m = 6, 2
         o = build_ordering(UNIVERSAL, n, m)
-        pos = {c: i for i, c in enumerate(o.type_order)}
+        pos = o._classes.class_offset
         for x, y in [((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
                      ((1, 1, 1, 1, 1, 0), (1, 1, 0, 0, 1, 0))]:
             cx = tuple(x.count(a) for a in range(m))
             cy = tuple(y.count(a) for a in range(m))
             if type_entropy_bits(cx) < type_entropy_bits(cy):
-                assert pos[cx] < pos[cy]
+                assert pos(cx) < pos(cy)
                 assert string_index(o, x) < string_index(o, y)
 
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from pragrate import (
     DomainError,
+    InvariantViolation,
     SourcePmf,
     delta_range,
     entropy,
@@ -19,7 +20,7 @@ from pragrate import (
 
 from pragrate import exponents
 from pragrate.cli import main
-from pragrate.exponents import ALPHA_STAR_KL_TOL, ENVELOPE_EDGE, ENVELOPE_REFINE_TOL
+from pragrate.exponents import ENVELOPE_EDGE, ENVELOPE_REFINE_TOL
 from pragrate.numerics import LOG2E, golden_section_minimize
 
 from conftest import bern, random_pmf
@@ -238,15 +239,26 @@ class TestNewtonSolve:
         for p, delta in solve_grid(rng):
             sol = solve_alpha_star(p, delta)
             a = sol.alpha_star
-            assert sol.residual == abs(sol.tilted.kl_bits - delta) <= ALPHA_STAR_KL_TOL
+            # D's rounding noise: a few ulps of the largest |log P| it sums
+            noise = 4 * LOG2E * math.ulp(-min(math.log(x) for x in p.probs))
+            assert sol.residual == abs(sol.tilted.kl_bits - delta) <= 8 * noise
             slope = abs(tilted_derivatives(p, a).dD_dalpha)
             if slope > 1e-3:
-                # Within D's rounding, a few ulps of the largest |log P| it
-                # sums, neither solver can order alpha; past that they agree.
-                noise = 4 * LOG2E * math.ulp(-min(math.log(x) for x in p.probs))
+                # within that noise neither solver can order alpha; past it they agree
                 ref = reference_bisection(p, delta, "kl_bits")
                 assert abs(a - ref) <= 4 * math.ulp(a) + noise / slope, (p, delta)
             assert error_exponent(p, sol.h_tilted) == pytest.approx(delta, rel=1e-9, abs=1e-15)
+
+    def test_wrong_alpha_star_at_tiny_delta_is_refused(self, monkeypatch):
+        # at delta = 1e-13 the root is 1 - 6.7e-7, but D(P_alpha || P) at
+        # alpha = 1 - 1e-7 is only 2.1e-15 bits: an absolute bound of 1e-11
+        # on |D - delta| would pass it, one relative to D's rounding noise
+        # must not
+        sol = solve_alpha_star.__wrapped__(P02, 1e-13)
+        assert 1 - sol.alpha_star == pytest.approx(6.7e-7, rel=0.01)
+        monkeypatch.setattr(exponents, "_solve_tilted", lambda p, target, entropy: (0.9999999, 1))
+        with pytest.raises(InvariantViolation, match="missed target"):
+            solve_alpha_star.__wrapped__(P02, 1e-13)
 
     def test_iteration_counts(self, rng):
         counts = [solve_alpha_star.__wrapped__(p, delta).iterations for p, delta in solve_grid(rng)]
