@@ -221,27 +221,48 @@ def _check_alphabet(alphabet: str | None) -> str:
     return alphabet
 
 
-def _build_cli_ordering(args: argparse.Namespace, m: int) -> coding.CodeOrdering:
-    mode = coding.KNOWN_SOURCE if args.mode == "known" else coding.UNIVERSAL
-    source = None
-    if mode == coding.KNOWN_SOURCE:
-        source = _load_source(args)
-        if source.m != m:
-            raise DomainError("source pmf size must match alphabet length")
+def _codec_source(args: argparse.Namespace, m: int) -> SourcePmf | None:
+    """The known-source codec's pmf, checked against the alphabet size;
+    None in universal mode, which ignores any --source."""
+    if args.mode != "known":
+        return None
+    source = _load_source(args)
+    if source.m != m:
+        raise DomainError("source pmf size must match alphabet length")
+    return source
+
+
+def _source_digest(source: SourcePmf) -> str:
+    """The known-source header's ``src=`` field: the first 16 hex digits of
+    sha256(repr(source.probs)).  The same pmf given inline, as JSON or in a
+    file has the same floats, hence the same digest."""
+    import hashlib  # only the known-source codec needs it
+
+    return hashlib.sha256(repr(source.probs).encode()).hexdigest()[:16]
+
+
+def _build_cli_ordering(
+    args: argparse.Namespace, m: int, source: SourcePmf | None
+) -> coding.CodeOrdering:
+    mode = coding.KNOWN_SOURCE if source is not None else coding.UNIVERSAL
     return coding.build_ordering(mode, args.n, m, source, cap_types=args.cap_types)
 
 
 def _cmd_codec_encode(args: argparse.Namespace) -> int:
     alphabet = _check_alphabet(args.alphabet)
     sym_index = {ch: i for i, ch in enumerate(alphabet)}
-    ordering = _build_cli_ordering(args, len(alphabet))
+    source = _codec_source(args, len(alphabet))
+    ordering = _build_cli_ordering(args, len(alphabet), source)
     lines = [ln.strip() for ln in args.infile.read().splitlines() if ln.strip()]
-    out = [f"# mode={args.mode} m={len(alphabet)} n={args.n} alphabet={alphabet}"]
+    header = f"# mode={args.mode} m={len(alphabet)} n={args.n} alphabet={alphabet}"
+    if source is not None:
+        header += f" src={_source_digest(source)}"
+    out = [header]
     for line in lines:
         if len(line) != args.n:
             raise DomainError(f"string {line!r} is not of length n={args.n}")
         try:
-            x = [sym_index[ch] for ch in line]
+            x = list(map(sym_index.__getitem__, line))
         except KeyError as exc:
             raise DomainError(f"symbol {exc} not in alphabet {alphabet!r}") from exc
         cw = coding.encode(ordering, x)
@@ -256,9 +277,11 @@ def _cmd_codec_encode(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_codec_header(line: str) -> tuple[str, int, int, str]:
-    """(mode, m, n, alphabet) from an encoder's ``# mode=... m=... n=...
-    alphabet=...`` line; a missing or bad field is refused."""
+def _parse_codec_header(line: str) -> tuple[str, int, int, str, str | None]:
+    """(mode, m, n, alphabet, src) from an encoder's ``# mode=... m=...
+    n=... alphabet=... [src=...]`` line; a missing or bad field is refused.
+    ``src`` is the source digest of a known-source stream, or None when the
+    header has no ``src=`` field."""
     header = dict(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
     try:
         mode, m, n, alphabet = (header[key] for key in ("mode", "m", "n", "alphabet"))
@@ -272,16 +295,33 @@ def _parse_codec_header(line: str) -> tuple[str, int, int, str]:
         raise DomainError(f"codeword header: bad m or n: {exc}") from exc
     if len(alphabet) != m:
         raise DomainError(f"codeword header: alphabet {alphabet!r} does not have m={m} symbols")
-    return mode, m, n, _check_alphabet(alphabet)
+    return mode, m, n, _check_alphabet(alphabet), header.get("src")
+
+
+def _check_source_digest(src: str | None, source: SourcePmf) -> None:
+    """Refuse to decode a known-source stream under a pmf other than the one
+    it was encoded with; a header without ``src=`` decodes unchecked, with
+    a warning."""
+    digest = _source_digest(source)
+    if src is None:
+        sys.stderr.write("warning: codeword header has no src= digest; the --source pmf is unchecked\n")
+    elif src != digest:
+        raise DomainError(
+            f"codeword stream was encoded under source src={src}, "
+            f"but --source has src={digest}"
+        )
 
 
 def _cmd_codec_decode(args: argparse.Namespace) -> int:
     lines = [ln.rstrip("\n") for ln in args.infile.read().splitlines()]
     if not lines or not lines[0].startswith("#"):
         raise DomainError("codeword stream must start with its '# mode=...' header")
-    mode, m, n, alphabet = _parse_codec_header(lines[0])
+    mode, m, n, alphabet, src = _parse_codec_header(lines[0])
     args.mode, args.n = mode, n
-    ordering = _build_cli_ordering(args, m)
+    source = _codec_source(args, m)
+    if source is not None:
+        _check_source_digest(src, source)
+    ordering = _build_cli_ordering(args, m, source)
     out = []
     # Every line after the header is one codeword; an empty line is the
     # legitimate empty codeword (index 1), so blank lines are not skipped.
@@ -289,7 +329,7 @@ def _cmd_codec_decode(args: argparse.Namespace) -> int:
         bits = line.split("#", 1)[0].strip()
         word = coding.Codeword(bits)
         x = coding.decode(ordering, word)
-        out.append("".join(alphabet[s] for s in x))
+        out.append("".join(map(alphabet.__getitem__, x)))
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 

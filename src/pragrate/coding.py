@@ -11,11 +11,12 @@ Two orderings of A^n are supported, both total orders of the form
 Classes whose float sort keys are equal keep the canonical (ascending lex)
 type order in both modes.  The known-source build gets this from a stable
 sort, on the float key alone, of the classes listed in canonical order; the
-key is the ``fsum`` of per-symbol table entries c*log2 p_i.  The universal
-ordering is stored per entropy level: entropy and class size are computed
-once per partition of n (one permutation orbit of count vectors), the
-partitions are grouped by their exact float entropy, and each level keeps
-its orbits and one cumulative offset.  Inside a level the count vectors
+key is the ``fsum`` of per-symbol table entries c * -log2 p_i, computed by
+one C-level ``map`` per run of classes that differ only in their last two
+counts.  The universal ordering is stored per entropy level: entropy and
+class size are computed once per partition of n (one permutation orbit of
+count vectors), the partitions are grouped by their exact float entropy,
+and each level keeps its orbits and one cumulative offset.  Inside a level the count vectors
 come in lex order.  Since ``fsum`` is correctly rounded whatever the order
 of its terms, every vector of an orbit has its partition's entropy bit for
 bit, so this equals a sort of all C(n+m-1, m-1) classes on (entropy,
@@ -42,7 +43,10 @@ The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
 empty codeword.  Encoding is big-integer index arithmetic: the offset of the
 string's type class plus its lexicographic rank inside the class, so n in
-the hundreds is routine.  Decoding inverts exactly.
+the hundreds is routine.  Decoding inverts exactly.  The rank and its
+inverse (:mod:`pragrate.types_census`) cost one multiply and one exact
+division per symbol once two symbols are left in the rest of the string,
+which at m = 2 is every symbol.
 
 The length distribution of either code under a memoryless source is
 evaluated exactly by type aggregation, including the split of the class
@@ -90,7 +94,6 @@ from .types_census import (
     _rank_in_class,
     count_types,
     type_at_index,
-    type_entropy_bits,
     type_index,
     unrank_in_type_class,
 )
@@ -132,8 +135,11 @@ _Orbit = tuple[tuple[int, ...], int, int]
 def _universal_levels(n: int, m: int) -> list[list[_Orbit]]:
     """The orbits grouped by their exact float entropy, levels ascending."""
     levels: dict[float, list[_Orbit]] = {}
+    log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
     for parts, size, arrangements in _iter_partitions(n, m):
-        levels.setdefault(type_entropy_bits(parts), []).append((parts[::-1], size, arrangements))
+        # type_entropy_bits(parts), bit for bit, without its call overhead
+        h = max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0)
+        levels.setdefault(h, []).append((parts[::-1], size, arrangements))
     return [levels[h] for h in sorted(levels)]
 
 
@@ -284,11 +290,13 @@ class CodeOrdering:
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
-    """Per symbol, the table entry c*log2 p_i at c = 0..n (0.0 at c = 0).
-    Minus the fsum of one entry per symbol is a class's sort key: minus its
-    log2 per-string probability.  ``fsum`` is correctly rounded, so the key
-    does not depend on the order in which the entries are added."""
-    return [[0.0] + [c * lp for c in range(1, n + 1)] for lp in p.log2_probs()]
+    """Per symbol, the table entry c * -log2 p_i at c = 0..n (0.0 at c = 0).
+    The fsum of one entry per symbol is a class's sort key: minus its log2
+    per-string probability.  ``fsum`` is correctly rounded, so the key does
+    not depend on the order in which the entries are added; negation is
+    exact and rounding symmetric, so it is bit for bit minus the fsum of
+    the entries c*log2 p_i."""
+    return [[0.0] + [c * -lp for c in range(1, n + 1)] for lp in p.log2_probs()]
 
 
 def _canonical_columns(n: int, m: int, tables: list[list[float]]) -> tuple[array, list[int]]:
@@ -298,12 +306,14 @@ def _canonical_columns(n: int, m: int, tables: list[list[float]]) -> tuple[array
     last two slots unrolled here, so no count vector is built.  Along those
     two slots the size is symmetric, C(r, c) = C(r, r - c), so the second
     half of each run reuses the first half's integers: equal sizes share
-    one object."""
-    keys, sizes, fsum = array("d"), [], math.fsum
+    one object.  A run's keys come from one C-level ``map(fsum, zip(...))``
+    over the prefix's table entries, repeated, and the last two slots'
+    entries at (c, r - c)."""
+    keys, sizes, fsum, repeat = array("d"), [], math.fsum, itertools.repeat
     left, right = tables[-2], tables[-1]
     for prefix, r, coeff in _iter_prefixes(n, m - 2, (), 1):
-        head = list(map(list.__getitem__, tables, prefix))
-        keys.extend(-fsum((*head, left[c], right[r - c])) for c in range(r + 1))
+        heads = [repeat(t[c], r + 1) for t, c in zip(tables, prefix)]
+        keys.extend(map(fsum, zip(*heads, left[:r + 1], right[r::-1])))
         half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
         for c in range(r // 2):
             half.append(half[-1] * (r - c) // (c + 1))
@@ -469,11 +479,11 @@ def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
     """1-based index of string ``x`` in the ordering."""
     if len(x) != ordering.n:
         raise DomainError(f"string length {len(x)} != blocklength {ordering.n}")
-    counts = [0] * ordering.m
-    for s in x:
-        if not 0 <= s < ordering.m:
-            raise DomainError(f"symbol {s} outside alphabet of size {ordering.m}")
-        counts[s] += 1
+    symbols = range(ordering.m)
+    counts = list(map(x.count, symbols))
+    if sum(counts) != ordering.n:  # some symbol lies outside 0 .. m-1
+        bad = next(s for s in x if s not in symbols)
+        raise DomainError(f"symbol {bad} outside alphabet of size {ordering.m}")
     return ordering._classes.class_offset(tuple(counts)) + _rank_in_class(x, counts) + 1
 
 
@@ -508,7 +518,7 @@ def universal_length_distribution(
     tables, keys, sizes, getters = _key_tables(p, n), array("d"), [], {}
     for orbits in _universal_levels(n, p.m):  # one level's vectors at a time
         order, level_sizes = _level_classes(orbits, getters)
-        keys.extend(-math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
+        keys.extend(math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
         sizes += level_sizes
     tails = _log2_tails(keys, sizes, range(len(sizes)))  # already in code order
     return LengthDistribution(n=n, m=p.m, log2_tails=tails)

@@ -151,28 +151,38 @@ def _iter_types_with_sizes(n: int, m: int) -> Iterator[tuple[tuple[int, ...], in
 
 def _iter_partitions(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(parts, class size, arrangements) for every partition of n into at
-    most m parts, as a nonincreasing count vector of length m (zero padded).
+    most m parts, as a nonincreasing count vector of length m (zero padded),
+    in descending lex order.  Needs m >= 2.
 
     Each partition stands for the permutation orbit of the count vectors
     that rearrange it; entropy and class size are the same across an orbit,
     and ``arrangements`` = m!/prod(multiplicity!) is the orbit's size.  Both
-    integers are kept incrementally, one multiply/divide per part."""
+    integers are kept incrementally, one multiply/divide per part.  Only the
+    first m-2 parts recurse; the last two run in one flat loop, as in
+    :func:`_iter_types_with_sizes`: the last part is what is left, so it
+    adds no binomial, and its multiplicity only extends the run of the part
+    before it when the two are equal."""
 
     def rec(remaining, slot, prev, run, prefix, size, arr):
         # slot: 1-based position of the next part; run: parts equal to prev
         # at the end of the prefix, so a part equal to prev extends that run
-        if slot == m:
-            r = run + 1 if remaining == prev else 1
-            yield prefix + (remaining,), size, arr * m // r
-            return
         top = min(prev, remaining)
         binom = math.comb(remaining, top)  # C(remaining, c), c counting down
         # the largest part left is at least the mean of what is left
-        for c in range(top, -(-remaining // (m - slot + 1)) - 1, -1):
+        low = -(-remaining // (m - slot + 1))
+        if slot < m - 1:
+            for c in range(top, low - 1, -1):
+                r = run + 1 if c == prev else 1
+                yield from rec(remaining - c, slot + 1, c, r, prefix + (c,),
+                               size * binom, arr * slot // r)
+                binom = binom * c // (remaining - c + 1)
+            return
+        for c in range(top, low - 1, -1):  # parts m-1 and m: c, then the rest
             r = run + 1 if c == prev else 1
-            yield from rec(remaining - c, slot + 1, c, r, prefix + (c,),
-                           size * binom, arr * slot // r)
-            binom = binom * c // (remaining - c + 1)
+            last = remaining - c
+            yield (prefix + (c, last), size * binom,
+                   arr * slot // r * m // (r + 1 if last == c else 1))
+            binom = binom * c // (last + 1)
 
     yield from rec(n, 1, n, 0, (), 1, 1)
 
@@ -236,11 +246,12 @@ def entropy_slab_count(n: int, m: int, h: float) -> int:
     """Exact number of n-types with entropy in [h - 1/n, h] bits."""
     if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
         raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
-    lo = h - 1.0 / n
+    lo, hi = h - 1.0 / n - ENTROPY_CMP_TOL, h + ENTROPY_CMP_TOL
+    log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
     hits = 0
     for parts, _, arrangements in _iter_partitions(n, m):
-        ht = type_entropy_bits(parts)
-        if lo - ENTROPY_CMP_TOL <= ht <= h + ENTROPY_CMP_TOL:
+        # type_entropy_bits(parts), bit for bit, without its call overhead
+        if lo <= max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0) <= hi:
             hits += arrangements
     return hits
 
@@ -265,9 +276,12 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
     """Exact number of strings x^n with H(empirical type of x) <= h bits."""
     if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
         raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
+    hi = h + ENTROPY_CMP_TOL
+    log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
     count = 0
     for parts, size, arrangements in _iter_partitions(n, m):
-        if type_entropy_bits(parts) <= h + ENTROPY_CMP_TOL:
+        # type_entropy_bits(parts), bit for bit, without its call overhead
+        if max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0) <= hi:
             count += arrangements * size
     if count > 0:
         log2_ratio = math.log2(count) - 0.5 * (m - 3) * math.log2(n) - n * h
@@ -293,43 +307,116 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
 
 
 def _rank_in_class(x: Sequence[int], counts: list[int]) -> int:
-    """Rank of ``x`` in its class, given its symbol ``counts`` (consumed).
+    """Rank of ``x`` in its class, given its symbol ``counts`` (which it
+    may change).
 
-    At each position the strings that put a smaller symbol there number
-    size * below / remaining, an exact integer."""
+    Every division is exact.  Of the ``size`` strings that agree with ``x``
+    so far, those that put symbol s next number size * counts[s] / remaining,
+    the size of the class with one s fewer, and those that put a smaller
+    symbol next number size * below / remaining, a sum of such sizes.  Each
+    position adds the latter to the rank and keeps the former as ``size``,
+    with one-step rules that skip a multiply-divide:
+
+    * the smallest symbol still present adds nothing;
+    * the largest one adds size - new_size, since every other string that
+      agrees so far puts a smaller symbol there;
+    * once two symbols a < b are left, q = size * counts[a] / remaining
+      strings put a next: an a keeps q as the size, a b adds q to the rank
+      and keeps size - q.
+
+    Only a symbol between the smallest and the largest costs a second
+    multiply-divide, so at m = 2 a position costs one multiply and one
+    exact division.  The reference per-symbol loop is in the tests."""
     remaining = len(x)
     size = type_class_size(counts)
     rank = 0
-    for s in x:
-        below = sum(counts[:s])
-        if below:
-            rank += size * below // remaining
-        size = size * counts[s] // remaining
-        counts[s] -= 1
-        remaining -= 1
+    live = [s for s, c in enumerate(counts) if c]  # the symbols still present
+    symbols = iter(x)
+    if len(live) > 2:
+        lo, hi = live[0], live[-1]
+        for s in symbols:
+            c = counts[s]
+            new = size * c // remaining
+            if s == hi:
+                rank += size - new
+            elif s != lo:
+                rank += size * sum(counts[:s]) // remaining
+            size = new
+            remaining -= 1
+            counts[s] = c - 1
+            if c == 1:
+                live.remove(s)
+                if len(live) == 2:
+                    break
+                lo, hi = live[0], live[-1]
+    if len(live) == 2:
+        a, count_a = live[0], counts[live[0]]
+        for s in symbols:
+            q = size * count_a // remaining
+            if s == a:
+                size = q
+                count_a -= 1
+            else:
+                rank += q
+                size -= q
+            remaining -= 1
     return rank
 
 
 def unrank_in_type_class(t: NType | Sequence[int], rank: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_in_type_class` for the given type."""
+    """Inverse of :func:`rank_in_type_class` for the given type.
+
+    Each position takes the first symbol still present whose strings reach
+    past what is left of the rank, passing the earlier candidates' strings.
+    A candidate s has size * counts[s] / remaining of them, the size of the
+    class with one s fewer, so every division is exact.  One-step rules
+    skip work:
+
+    * exhausted symbols are never candidates;
+    * the last symbol still present takes what the earlier candidates left
+      of ``size``, with no multiply-divide;
+    * once two symbols are left, one multiply-divide per position picks
+      between them, and when one of the two runs out the other fills the
+      rest of the string in one step."""
     counts = list(t.counts if isinstance(t, NType) else t)
     size = type_class_size(counts)
     if not 0 <= rank < size:
         raise DomainError(f"rank {rank} outside [0, {size})")
     remaining = sum(counts)
+    live = [s for s, c in enumerate(counts) if c]  # the symbols still present
     out: list[int] = []
-    while remaining > 0:
-        for s, c in enumerate(counts):
-            if c == 0:
-                continue
-            here = size * c // remaining
+    head = live[:-1]  # the candidates that need a multiply-divide
+    while len(head) > 1:
+        start = rank
+        for s in head:
+            here = size * counts[s] // remaining
             if rank < here:
-                out.append(s)
-                size = here
-                counts[s] -= 1
-                remaining -= 1
                 break
             rank -= here
-        else:  # pragma: no cover - unreachable if rank was in range
-            raise DomainError("unrank walked off the type class")
-    return tuple(out)
+        else:  # the last symbol still present: what the others left of size
+            s = live[-1]
+            here = size - (start - rank)
+        out.append(s)
+        size = here
+        remaining -= 1
+        counts[s] -= 1
+        if not counts[s]:
+            live.remove(s)
+            head = live[:-1]
+    if len(live) == 2:
+        a, b = live
+        count_a = counts[a]
+        while 0 < count_a < remaining:
+            q = size * count_a // remaining
+            if rank < q:
+                out.append(a)
+                size = q
+                count_a -= 1
+            else:
+                out.append(b)
+                rank -= q
+                size -= q
+            remaining -= 1
+        # one of the two has run out, and the other fills the tail
+        return (*out, *[a] * count_a, *[b] * (remaining - count_a))
+    return (*out, *live * remaining)

@@ -54,6 +54,42 @@ def _lex_first(counts):
     return tuple(s for s, c in enumerate(counts) for _ in range(c))
 
 
+def reference_rank(x, counts):
+    """Lex rank of ``x`` in its type class ``counts``, one symbol at a time:
+    at each position the strings that put a smaller symbol there number
+    size * below / remaining.  The library's rank skips this multiply-divide
+    where it can; this loop is the reference it must equal."""
+    counts, remaining, size, rank = list(counts), len(x), _class_size(counts), 0
+    for s in x:
+        below = sum(counts[:s])
+        if below:
+            rank += size * below // remaining
+        size = size * counts[s] // remaining
+        counts[s] -= 1
+        remaining -= 1
+    return rank
+
+
+def reference_unrank(counts, rank):
+    """The string of lex rank ``rank`` in the type class ``counts``: at each
+    position, the first symbol whose size * count / remaining strings reach
+    past what is left of the rank."""
+    counts, remaining, size, out = list(counts), sum(counts), _class_size(counts), []
+    while remaining > 0:
+        for s, c in enumerate(counts):
+            if c == 0:
+                continue
+            here = size * c // remaining
+            if rank < here:
+                out.append(s)
+                size = here
+                counts[s] -= 1
+                remaining -= 1
+                break
+            rank -= here
+    return tuple(out)
+
+
 def suffix_tails(sizes, probs, mass, add, zero, one, total):
     """Tails at every codeword length of a code whose ranked classes have
     ``sizes`` and per-string ``probs``: suffix sums of ``mass(size, prob)``

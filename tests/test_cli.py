@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -293,10 +294,56 @@ class TestCodecCommands:
     def test_bad_symbol_is_input_error(self, capsys, tmp_path):
         infile = tmp_path / "strings.txt"
         infile.write_text("abcx\n")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "codec", "encode", "--alphabet", "ab", "--n", "4", str(infile)
         )
         assert code == 2
+        assert out == "" and err == "error: symbol 'c' not in alphabet 'ab'\n"
+
+    FOUND_STRINGS = "aabca\ncabba\nccccc\n"
+
+    def _encode_known(self, source="0.2,0.3,0.5"):
+        code, coded, err = run_cli_process(
+            "codec", "encode", "--mode", "known", "--source", source,
+            "--alphabet", "abc", "--n", "5", stdin=self.FOUND_STRINGS,
+        )
+        assert (code, err) == (0, "")
+        return coded
+
+    def test_known_header_carries_source_digest(self, capsys, tmp_path):
+        digest = hashlib.sha256(repr((0.2, 0.3, 0.5)).encode()).hexdigest()[:16]
+        header = self._encode_known().splitlines()[0]
+        assert header == f"# mode=known m=3 n=5 alphabet=abc src={digest}"
+        infile = tmp_path / "strings.txt"
+        infile.write_text(self.FOUND_STRINGS)
+        code, out, _ = run_cli(capsys, "codec", "encode", "--mode", "universal", "--source",
+                               "0.2,0.3,0.5", "--alphabet", "abc", "--n", "5", str(infile))
+        assert code == 0 and out.splitlines()[0] == "# mode=universal m=3 n=5 alphabet=abc"
+
+    def test_decode_refuses_another_source(self):
+        coded = self._encode_known()
+        digest = coded.splitlines()[0].split("src=")[1]
+        other = hashlib.sha256(repr((0.5, 0.3, 0.2)).encode()).hexdigest()[:16]
+        code, out, err = run_cli_process("codec", "decode", "--source", "0.5,0.3,0.2", stdin=coded)
+        assert (code, out) == (2, "")
+        assert err == (f"error: codeword stream was encoded under source src={digest}, "
+                       f"but --source has src={other}\n")
+
+    def test_header_without_digest_decodes_unchecked(self):
+        header, *words = self._encode_known().splitlines()
+        legacy = "\n".join([header.split(" src=")[0], *words]) + "\n"
+        code, out, err = run_cli_process("codec", "decode", "--source", "0.2,0.3,0.5", stdin=legacy)
+        assert (code, out) == (0, self.FOUND_STRINGS)
+        assert err == "warning: codeword header has no src= digest; the --source pmf is unchecked\n"
+
+    @pytest.mark.parametrize("form", ["inline", "json", "file"])
+    def test_same_pmf_in_any_form_decodes_cleanly(self, tmp_path, form):
+        pmf_file = tmp_path / "pmf.txt"
+        pmf_file.write_text("[0.2, 0.3, 0.5]\n")
+        source = {"inline": "0.2,0.3,0.5", "json": "[0.2, 0.3, 0.5]", "file": str(pmf_file)}[form]
+        coded = self._encode_known()
+        code, out, err = run_cli_process("codec", "decode", "--source", source, stdin=coded)
+        assert (code, out, err) == (0, self.FOUND_STRINGS, "")
 
     def test_decode_requires_header(self, capsys, tmp_path):
         badfile = tmp_path / "bad.txt"

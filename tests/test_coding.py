@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -326,11 +327,37 @@ class TestRoundTrips:
             decode(o, Codeword("0000"))  # index 16 > 8
 
     def test_encode_rejects_bad_symbols(self):
-        o = build_ordering(UNIVERSAL, 3, 2)
-        with pytest.raises(DomainError):
-            encode(o, (0, 2, 0))
-        with pytest.raises(DomainError):
-            encode(o, (0, 1))
+        for mode, m in itertools.product((UNIVERSAL, KNOWN_SOURCE), (2, 3)):
+            o = build_ordering(mode, 3, m, SourcePmf((1 / m,) * m))
+            for bad in (-1, m, m + 1):
+                with pytest.raises(DomainError, match=f"^symbol {bad} outside alphabet of size {m}$"):
+                    string_index(o, (0, bad, bad))
+            with pytest.raises(DomainError, match="^string length 2 != blocklength 3$"):
+                encode(o, (0, 1))
+
+    # (source, n) per alphabet size 2..5, and the tie source 0.1*0.4 = 0.2*0.2
+    SWEEP_SOURCES = [("0.2,0.8", 800), ("0.2,0.3,0.5", 150), ("0.05,0.15,0.3,0.5", 50),
+                     ("0.1,0.2,0.4,0.3", 50), ("0.1,0.15,0.2,0.25,0.3", 24)]
+    # the sha256 of the sweep's codewords, one per line, as first computed
+    SWEEP_SHA256 = "6b3313dfd8173b1897b7059d1775e9f8136c26f441a31dedd1128298b57a46e0"
+
+    def test_seeded_encode_sweep_is_pinned(self):
+        """Every codeword of a seeded sweep over both modes, byte for byte:
+        a change to the rank arithmetic or the class order shows here."""
+        rng = random.Random(13)
+        digest = hashlib.sha256()
+        for mode in (KNOWN_SOURCE, UNIVERSAL):
+            for spec, n in self.SWEEP_SOURCES:
+                p = SourcePmf.parse(spec)
+                o = build_ordering(mode, n, p.m, p)
+                strings = [tuple(rng.choices(range(p.m), weights=w, k=n))
+                           for w in (p.probs, [1.0] * p.m) for _ in range(12)]
+                strings += [(0,) * n, (p.m - 1,) * n, tuple(sorted(strings[0]))]
+                for x in strings:
+                    word = encode(o, x)
+                    assert decode(o, word) == x
+                    digest.update(word.bits.encode() + b"\n")
+        assert digest.hexdigest() == self.SWEEP_SHA256
 
 
 class TestOrderingSemantics:

@@ -30,7 +30,7 @@ from pragrate.types_census import (
     type_index,
 )
 
-from conftest import compositions
+from conftest import compositions, reference_rank, reference_unrank
 
 
 class TestEnumerateTypes:
@@ -330,6 +330,40 @@ class TestRankUnrank:
     def test_symbol_out_of_alphabet(self):
         with pytest.raises(DomainError):
             rank_in_type_class((0, 5), 2)
+
+    # per alphabet size, classes that must be among those checked: absent
+    # middle symbols, absent end symbols and single-symbol classes
+    @pytest.mark.parametrize("m, must_cover", [
+        (2, [(6, 0), (0, 6), (3, 3)]),
+        (3, [(2, 0, 3), (0, 4, 0), (0, 3, 2), (3, 2, 0)]),
+        (4, [(0, 3, 0, 2), (2, 0, 0, 2), (0, 0, 0, 6), (1, 1, 1, 1)]),
+        (5, [(1, 0, 2, 0, 3), (0, 2, 0, 2, 0), (0, 0, 5, 0, 0), (1, 1, 1, 1, 2)]),
+    ], ids=["m2", "m3", "m4", "m5"])
+    def test_every_string_matches_the_reference(self, m, must_cover):
+        seen = set()
+        for n in range(7):
+            for x in itertools.product(range(m), repeat=n):
+                counts = tuple(map(x.count, range(m)))
+                rank = rank_in_type_class(x, m)
+                assert rank == reference_rank(x, counts), x
+                assert unrank_in_type_class(counts, rank) == reference_unrank(counts, rank) == x
+                seen.add(counts)
+        assert set(must_cover) <= seen
+
+    @pytest.mark.parametrize("m, n", [(2, 2000), (3, 600), (5, 120)])
+    def test_long_strings_match_the_reference(self, m, n):
+        rng = random.Random(1000 * m + n)
+        for trial in range(6):
+            weights = [rng.random() for _ in range(m)]
+            if trial % 3 == 0:  # a class without symbol 1
+                weights[1] = 0.0
+            x = tuple(rng.choices(range(m), weights=weights, k=n))
+            counts = tuple(map(x.count, range(m)))
+            rank = rank_in_type_class(x, m)
+            assert rank == reference_rank(x, counts)
+            assert unrank_in_type_class(counts, rank) == x
+            other = rng.randrange(type_class_size(counts))
+            assert unrank_in_type_class(counts, other) == reference_unrank(counts, other)
 
     def test_big_blocklength_round_trip(self, rng):
         counts = [0] * 2
