@@ -20,6 +20,8 @@ the explicit converse constants downstream.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
@@ -43,6 +45,7 @@ ENVELOPE_EDGE = 1e-6
 ENVELOPE_GRID = 4096
 ENVELOPE_CHUNK = 32  # grid alphas per columnar kernel call; bounds its lists
 ENVELOPE_REFINE_TOL = 1e-10
+_ENVELOPE_SLACK = 1e-9  # relative widening of each block bound, over the kernel's rounding
 
 
 @dataclass(frozen=True)
@@ -85,13 +88,52 @@ class AlphaStarSolution:
 class MomentEnvelope:
     """Extremes of sigma3_sq and rho3 (nats) over the open tilt interval.
 
-    The open-interval sup/inf are approximated on [1e-6, 1 - 1e-6]: a dense
-    grid evaluation, in chunks of ``ENVELOPE_CHUNK`` alphas through one
-    columnar kernel, followed by golden-section refinement around each grid
-    extremum.  This is a grid estimate (not yet a certified bound): by
-    construction the returned values bound every grid evaluation, but not
-    necessarily the moments between grid points.  ``degenerate`` marks the
-    uniform source, where all the moments vanish identically.
+    The open-interval sup/inf are approximated on [1e-6, 1 - 1e-6]: the
+    extremes of a ``grid_size``-point grid, each refined by golden-section
+    search between its two grid neighbours.  This is a grid estimate (not yet
+    a certified bound): by construction the returned values bound every grid
+    evaluation, but not necessarily the moments between grid points.
+    ``degenerate`` marks the uniform source, where all the moments vanish
+    identically.
+
+    The grid extremes are those of a dense scan, bit for bit (ties go to the
+    lowest grid index), but most grid points are never evaluated: a bound on
+    the curvature of ln sigma3_sq and ln rho3 in alpha rules their blocks
+    out.  With V = ln P(X) under P_alpha, mu = E[V], D = V - mu,
+    sigma3_sq = E[D^2], rho3 = E[|D|^3] and R = max ln p - min ln p, every
+    |D| <= R, and d/dalpha E_alpha[g] = E[g D] + E[dg/dmu] sigma3_sq, so
+
+        (ln sigma3_sq)' = E[D^3] / sigma3_sq,                  |.| <= R,
+        (ln rho3)' = (E[|D|^3 D] - 3 sigma3_sq E[D|D|]) / rho3,  |.| <= 2.5 R,
+
+    the second because 3 sigma3^4 <= 1.5 R rho3, by Lyapunov
+    (sigma3^3 <= rho3) and Popoviciu (sigma3 <= R/2).  One more derivative:
+
+        (ln sigma3_sq)'' = (E[D^4] - 3 sigma3^4) / sigma3_sq - (E[D^3] / sigma3_sq)^2,
+        rho3'' = E[|D|^5] - 7 sigma3_sq rho3 - 3 E[D^3] E[D|D|] + 6 sigma3^4 E[|D|],
+
+    so -0.75 R^2 <= (ln sigma3_sq)'' <= R^2 (Cauchy-Schwarz bounds
+    E[D^3]^2 by sigma3_sq E[D^4]), rho3'' >= -3.25 R^2 rho3, and
+    (ln rho3)'' = rho3''/rho3 - ((ln rho3)')^2 >= -9.5 R^2.  A function
+    with g'' >= -K lies below its chord plus K h^2 / 2 on an interval of
+    half-width h, and one with g'' <= K above its chord minus that.  So on a
+    block [a, b] of half-width h, with c = R^2 h^2 / 2,
+
+        sigma3_sq <= max(sigma3_sq(a), sigma3_sq(b)) e^(0.75 c),
+        sigma3_sq >= min(sigma3_sq(a), sigma3_sq(b)) e^(-c),
+        rho3 <= max(rho3(a), rho3(b)) e^(9.5 c).
+
+    These hold for the exact moments.  The kernel's floats differ from them
+    by a relative error eps <= w + 3t + 3t^2 + t^3: w = 8 e (1 + max |ln p|),
+    with e the machine epsilon, bounds the error of the tilted weights, and
+    t = 2 w (1 + max |ln p|) / sigma3_floor that of a deviation D over the
+    smallest sigma3 the bound allows on the grid.  Each block bound is
+    widened by the factor 1 + 1e-9 + 4 eps, which covers (1 + eps)/(1 - eps)
+    and the rounding of the bound itself; past eps = 1/4 (a source within a
+    few hundred ulps of uniform) nothing is skipped.  ``grid_evaluations`` counts the grid
+    points the kernel evaluated: every ``ENVELOPE_CHUNK``-th point, the last
+    one, and the blocks between them that the bound could not rule out.  It
+    is a diagnostic and does not enter equality.
     """
 
     sigma3_inf_sq: float
@@ -99,6 +141,7 @@ class MomentEnvelope:
     rho3_sup: float
     grid_size: int
     refinement_tol: float
+    grid_evaluations: int = field(compare=False)
     degenerate: bool = False
 
 
@@ -230,7 +273,7 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     return tilt(p, alpha).kl_bits
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a float grid_size never hits an int's entry
 def moment_envelope(
     p: SourcePmf,
     grid_size: int = ENVELOPE_GRID,
@@ -239,33 +282,91 @@ def moment_envelope(
     """Extremes of sigma3_sq and rho3 over alpha in (0, 1): a grid estimate
     (not yet a certified bound), see :class:`MomentEnvelope`.
 
-    Pure in its (immutable) arguments, so results are memoized; the dense
-    grid pass is the dominant cost in sweeps that call this per blocklength.
+    Two levels, each through the columnar kernel in chunks of at most
+    ``ENVELOPE_CHUNK`` alphas.  First every ``ENVELOPE_CHUNK``-th grid point
+    and the last one; then, block by block, the points between two of them,
+    unless the curvature bound of :class:`MomentEnvelope`, widened by its
+    rounding margin, shows that none of them can beat or tie an extreme
+    found so far.  The extremes returned are those of the dense grid, bit
+    for bit.  ``grid_size`` must be an integer of at least 3, and
+    ``refinement_tol``, the golden-section bracket width, finite and
+    positive.
+
+    Pure in its (immutable) arguments, so results are memoized.
     """
-    if p.is_uniform:
-        return MomentEnvelope(0.0, 0.0, 0.0, grid_size, refinement_tol, degenerate=True)
+    if isinstance(grid_size, bool) or not isinstance(grid_size, int):
+        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 3:
         raise DomainError("grid_size must be at least 3")
+    if not (math.isfinite(refinement_tol) and refinement_tol > 0.0):
+        raise DomainError(f"refinement_tol must be finite and positive, got {refinement_tol!r}")
+    if p.is_uniform:
+        return MomentEnvelope(0.0, 0.0, 0.0, grid_size, refinement_tol, 0, degenerate=True)
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
     step = (hi_edge - lo_edge) / (grid_size - 1)
     ln_p = [math.log(x) for x in p.probs]
+    last = grid_size - 1
+    stride = ENVELOPE_CHUNK  # so that a block's interior is one kernel call
+    blocks = -(-last // stride)
 
     def alpha_at(i: int) -> float:
         return lo_edge + i * step
 
-    # Chunk by chunk, keep the first argmin/argmax of each grid column.
-    sig_lo = sig_hi = rho_hi = 0
-    sig_lo_v, sig_hi_v, rho_hi_v = math.inf, -math.inf, -math.inf
-    for start in range(0, grid_size, ENVELOPE_CHUNK):
-        chunk = [lo_edge + i * step for i in range(start, min(start + ENVELOPE_CHUNK, grid_size))]
-        sig, rho = _tilted_sigma3_rho3_columns(ln_p, chunk)
+    def coarse(j: int) -> int:  # grid index of the j-th block end
+        return min(j * stride, last)
+
+    # Level 1: the block ends, kept in arrays as the blocks read them.
+    sig_c, rho_c = array("d"), array("d")
+    for start in range(0, blocks + 1, ENVELOPE_CHUNK):
+        ends = [alpha_at(coarse(j)) for j in range(start, min(start + ENVELOPE_CHUNK, blocks + 1))]
+        sig, rho = _tilted_sigma3_rho3_columns(ln_p, ends)
+        sig_c.extend(sig)
+        rho_c.extend(rho)
+        del sig, rho  # before the next kernel call: the arrays take their memory
+    evaluations = blocks + 1
+    sig_lo_v, sig_hi_v, rho_hi_v = min(sig_c), max(sig_c), max(rho_c)
+    sig_lo, sig_hi = coarse(sig_c.index(sig_lo_v)), coarse(sig_c.index(sig_hi_v))
+    rho_hi = coarse(rho_c.index(rho_hi_v))
+
+    # The curvature scale R^2 / 2 and rounding margin of MomentEnvelope's
+    # docstring.  eps < 1/4 needs sigma_floor > 24 big weight_err; as
+    # sigma3_sq <= R^2 / 4, that holds only while c < 60 on the widest block,
+    # so e^(9.5 c) below stays finite.
+    spread = max(ln_p) - min(ln_p)
+    curve = spread * spread / 2.0
+    half_max = min(stride, last) * step / 2.0
+    big = 1.0 - min(ln_p)
+    weight_err = 8.0 * sys.float_info.epsilon * big
+    sigma_floor = math.sqrt(0.5 * sig_lo_v * math.exp(-curve * half_max * half_max))
+    t = 2.0 * big * weight_err / sigma_floor if sigma_floor > 0.0 else math.inf
+    eps = weight_err + t * (3.0 + t * (3.0 + t))
+    widen = 1.0 + _ENVELOPE_SLACK + 4.0 * eps
+    prune = eps < 0.25
+
+    # Level 2: a block's interior, unless no point of it can beat or tie.
+    for j in range(blocks):
+        a, b = coarse(j), coarse(j + 1)
+        if b - a < 2:
+            continue
+        if prune:
+            c = curve * ((b - a) * step / 2.0) ** 2
+            if (min(sig_c[j], sig_c[j + 1]) * math.exp(-c) > sig_lo_v * widen
+                    and max(sig_c[j], sig_c[j + 1]) * math.exp(0.75 * c) * widen < sig_hi_v
+                    and max(rho_c[j], rho_c[j + 1]) * math.exp(9.5 * c) * widen < rho_hi_v):
+                continue
+        sig, rho = _tilted_sigma3_rho3_columns(ln_p, [alpha_at(i) for i in range(a + 1, b)])
+        evaluations += b - a - 1
         s_lo, s_hi, r_hi = min(sig), max(sig), max(rho)
-        if s_lo < sig_lo_v:
-            sig_lo, sig_lo_v = start + sig.index(s_lo), s_lo
-        if s_hi > sig_hi_v:
-            sig_hi, sig_hi_v = start + sig.index(s_hi), s_hi
-        if r_hi > rho_hi_v:
-            rho_hi, rho_hi_v = start + rho.index(r_hi), r_hi
+        i = a + 1 + sig.index(s_lo)
+        if s_lo < sig_lo_v or (s_lo == sig_lo_v and i < sig_lo):
+            sig_lo, sig_lo_v = i, s_lo
+        i = a + 1 + sig.index(s_hi)
+        if s_hi > sig_hi_v or (s_hi == sig_hi_v and i < sig_hi):
+            sig_hi, sig_hi_v = i, s_hi
+        i = a + 1 + rho.index(r_hi)
+        if r_hi > rho_hi_v or (r_hi == rho_hi_v and i < rho_hi):
+            rho_hi, rho_hi_v = i, r_hi
+        del sig, rho
 
     def refine(idx: int, value: float, objective, minimize: bool) -> float:
         a = alpha_at(max(idx - 1, 0))
@@ -283,4 +384,5 @@ def moment_envelope(
         rho3_sup=refine(rho_hi, rho_hi_v, rho3_of, minimize=False),
         grid_size=grid_size,
         refinement_tol=refinement_tol,
+        grid_evaluations=evaluations,
     )

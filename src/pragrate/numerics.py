@@ -44,14 +44,19 @@ def golden_section_minimize(
 ) -> tuple[float, float]:
     """Golden-section search for a local minimum of ``f`` on [lo, hi].
 
-    Returns (argmin, min value).  Requires lo < hi; ``tol`` is the final
-    bracket width in the argument.
+    Returns (argmin, min value).  Requires lo < hi; ``tol``, the final
+    bracket width in the argument, must be finite and positive.  The search
+    also ends once a step no longer shrinks the bracket, which happens at
+    float resolution when ``tol`` is below it.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"golden_section_minimize requires a finite tol > 0, got {tol!r}")
     a, b = lo, hi
     c = b - GOLDEN_RATIO * (b - a)
     d = a + GOLDEN_RATIO * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = b - a
+    while width > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN_RATIO * (b - a)
@@ -60,6 +65,9 @@ def golden_section_minimize(
             a, c, fc = c, d, fd
             d = a + GOLDEN_RATIO * (b - a)
             fd = f(d)
+        if b - a >= width:
+            break
+        width = b - a
     x = (a + b) / 2.0
     return x, f(x)
 

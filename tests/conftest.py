@@ -29,6 +29,15 @@ def random_pmf(rng: random.Random, m: int, *, min_prob: float = 0.05, spread: fl
         return SourcePmf(tuple(probs))
 
 
+def skewed_pmf(rng: random.Random, m: int, smallest: float = 1e-5) -> SourcePmf:
+    """A full-support pmf whose first entry is between ``smallest`` and twice
+    that, so R = max ln p - min ln p reaches about ln(1 / smallest)."""
+    first = smallest * rng.uniform(1.0, 2.0)
+    rest = [rng.uniform(0.05, 1.0) for _ in range(m - 1)]
+    total = sum(rest)
+    return SourcePmf((first, *((1.0 - first) * x / total for x in rest)))
+
+
 def compositions(n: int, m: int):
     """All count vectors of n into m slots (stars and bars), in no
     particular order; independent of the library's enumerators."""

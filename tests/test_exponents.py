@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import statistics
@@ -20,10 +21,10 @@ from pragrate import (
 
 from pragrate import exponents
 from pragrate.cli import main
-from pragrate.exponents import ENVELOPE_EDGE, ENVELOPE_REFINE_TOL
+from pragrate.exponents import ENVELOPE_EDGE, ENVELOPE_GRID, ENVELOPE_REFINE_TOL
 from pragrate.numerics import LOG2E, golden_section_minimize
 
-from conftest import bern, random_pmf
+from conftest import bern, random_pmf, skewed_pmf
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)  # alpha* = 1/2 exactly
@@ -176,6 +177,46 @@ class TestMomentEnvelope:
         assert env.sigma3_sup_sq == pytest.approx(0.25 * l4sq, rel=1e-4)
         assert env.rho3_sup == pytest.approx(0.25 * 0.5 * math.log(4.0) ** 3, rel=1e-4)
 
+    def test_grid_evaluations(self, rng):
+        # the block ends (129 of 4096) are always evaluated; the curvature
+        # bound rules out most blocks between them
+        counts = [moment_envelope.__wrapped__(random_pmf(rng, 3)).grid_evaluations for _ in range(40)]
+        assert all(129 <= c <= ENVELOPE_GRID for c in counts)
+        assert statistics.median(counts) <= 1536
+        assert moment_envelope(SourcePmf((0.25,) * 4)).grid_evaluations == 0
+
+    def test_grid_evaluations_do_not_enter_equality(self):
+        env = moment_envelope(P02)
+        again = moment_envelope.__wrapped__(P02)
+        assert again is not env and again == env and hash(again) == hash(env)
+        assert dataclasses.replace(env, grid_evaluations=ENVELOPE_GRID) == env
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
+    def test_bad_refinement_tol_is_refused(self, tol):
+        with pytest.raises(DomainError, match="refinement_tol"):
+            moment_envelope(P02, refinement_tol=tol)
+        with pytest.raises(DomainError, match="refinement_tol"):
+            moment_envelope(SourcePmf((0.5, 0.5)), refinement_tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol)
+
+    def test_refinement_tol_below_float_resolution_returns(self):
+        # golden-section search stops once its bracket stops shrinking
+        env = moment_envelope.__wrapped__(P02, refinement_tol=1e-300)
+        default = moment_envelope(P02)
+        assert env.sigma3_inf_sq == pytest.approx(default.sigma3_inf_sq, rel=1e-12)
+        assert env.sigma3_sup_sq == pytest.approx(default.sigma3_sup_sq, rel=1e-12)
+        assert env.rho3_sup == pytest.approx(default.rho3_sup, rel=1e-12)
+        x, fx = golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-300)
+        assert x == pytest.approx(0.3, abs=1e-8) and fx <= 1e-16
+        x, _ = golden_section_minimize(lambda x: x, 0.5, math.nextafter(0.5, 1.0), 1e-300)
+        assert 0.5 <= x <= math.nextafter(0.5, 1.0)
+
+    @pytest.mark.parametrize("grid_size", [3.5, 4096.0, "4096", True, 2])
+    def test_bad_grid_size_is_refused(self, grid_size):
+        with pytest.raises(DomainError, match="grid_size"):
+            moment_envelope(P02, grid_size=grid_size)
+
 
 def reference_bisection(p, target, field):
     """alpha with tilt(p, alpha).<field> == target, by bisection run down to
@@ -276,16 +317,56 @@ class TestBitIdenticalToTiltChains:
     """The envelope reads a columnar kernel, not tilt(); its output must
     equal the tilt()-based algorithm exactly."""
 
-    # near-tie sources: two equal entries, and entries with 0.1 * 0.4 == 0.2 ** 2
-    ENVELOPE_SOURCES = ("0.3,0.3,0.4", "0.1,0.2,0.4,0.3")
+    # near-tie sources: two equal entries, and entries with 0.1 * 0.4 == 0.2 ** 2;
+    # then a near-uniform source with flat moments
+    ENVELOPE_SOURCES = ("0.3,0.3,0.4", "0.1,0.2,0.4,0.3", "0.333,0.333,0.334")
+    # sizes that are not one more than a multiple of the block stride, so the
+    # last block is short (or empty), and grids of one or two blocks
+    GRID_SIZES = (3, 4, 5, 33, 65, 100, 129, 4097)
+    # Sources on which a block bound without its curvature term, or without
+    # the kernel's rounding margin, skips the block that holds the dense
+    # extreme, or on which a tie left to the later grid index moves an
+    # extreme (found by search against such variants): moments with two
+    # peaks, from clustered log-probabilities given as (-ln weight, count)
+    # pairs, and sources within a few hundred ulps of uniform, where rounding
+    # noise makes exact ties, at the grid sizes where that happens.
+    SENSITIVE = (
+        (((10.06, 1), (13.1, 13), (17.42, 3)), 100),
+        (((0.75, 1), (3.97, 13), (9.68, 1), (12.62, 1), (19.21, 2)), 100),
+        (((3.66, 1), (8.79, 3), (10.24, 13), (17.25, 1), (17.28, 2)), 129),
+        (((12.19, 2), (14.4, 8), (14.49, 5), (19.79, 1)), 257),
+        ((0.20000000000010018, 0.19999999999962692, 0.20000000000029475,
+          0.20000000000009324, 0.19999999999988494), 257),
+        ((0.20000000000049514, 0.2000000000005361, 0.19999999999966073,
+          0.20000000000011228, 0.1999999999991957), 1025),
+        ((0.2500000000000072, 0.25000000000001205, 0.2500000000000053, 0.24999999999997535), 129),
+        ((0.49999999996935507, 0.5000000000306449), 65),
+    )
 
     def test_moment_envelope(self, rng):
         sources = [random_pmf(rng, m) for m in range(2, 9)]
+        sources += [skewed_pmf(rng, m) for m in (2, 3, 5, 8)]  # R up to about 11
         sources += [SourcePmf.parse(text) for text in self.ENVELOPE_SOURCES]
         for p in sources:
-            env = moment_envelope(p)
+            env = moment_envelope.__wrapped__(p)
             got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
-            assert got == reference_envelope(p, env.grid_size)
+            assert got == reference_envelope(p, env.grid_size), p
+
+    def test_moment_envelope_grid_sizes(self, rng):
+        # R of about 69 at the last one: a block bound of e^(9.5c) on a grid of
+        # one block would overflow, and the rounding margin skips nothing there
+        sources = [random_pmf(rng, 3), random_pmf(rng, 8), skewed_pmf(rng, 2), skewed_pmf(rng, 4),
+                   SourcePmf.parse("0.333,0.333,0.334"), skewed_pmf(rng, 3, smallest=1e-30)]
+        cases = [(p, grid_size) for p in sources for grid_size in self.GRID_SIZES]
+        for spec, grid_size in self.SENSITIVE:
+            if isinstance(spec[0], tuple):
+                raw = [math.exp(-level) for level, count in spec for _ in range(count)]
+                spec = tuple(x / math.fsum(raw) for x in raw)
+            cases.append((SourcePmf(spec), grid_size))
+        for p, grid_size in cases:
+            env = moment_envelope.__wrapped__(p, grid_size)
+            got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
+            assert got == reference_envelope(p, grid_size), (p, grid_size)
 
     def test_constants_envelope_fields_pinned(self, capsys):
         # repr strings printed before the Newton solve replaced the alpha*

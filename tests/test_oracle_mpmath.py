@@ -1,5 +1,6 @@
-"""High-precision oracle: the tilted family, the alpha* solve and the normal
-tail inverse against mpmath at 50 significant digits.
+"""High-precision oracle: the tilted family, the alpha* solve, the
+derivative bounds behind the moment envelope and the normal tail inverse
+against mpmath at 50 significant digits.
 
 The oracle evaluates the defining formulas directly on the exact binary
 values of the source's float entries, so it shares no code and no rounding
@@ -13,7 +14,7 @@ import pytest
 from pragrate import delta_range, solve_alpha_star, tilt
 from pragrate.numerics import normal_tail_inverse
 
-from conftest import random_pmf
+from conftest import random_pmf, skewed_pmf
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -80,6 +81,29 @@ def test_alpha_star():
         got = solve_alpha_star(p, delta).alpha_star
         want = exact_alpha_star(p.probs, delta)
         assert abs(got - want) <= REL, (p, delta)
+
+
+def test_log_moment_slope_and_curvature_bounds():
+    # the bounds that let moment_envelope skip grid blocks (MomentEnvelope's
+    # docstring): |(ln sigma3_sq)'| <= R, |(ln rho3)'| <= 2.5 R,
+    # -0.75 R^2 <= (ln sigma3_sq)'' <= R^2 and (ln rho3)'' >= -9.5 R^2,
+    # with R = max ln p - min ln p; the skewed sources reach R of about 11
+    rng = random.Random(0xB0B)
+    sources = [random_pmf(rng, m) for m in (2, 3, 4, 6)] + [skewed_pmf(rng, m) for m in (2, 3, 5)]
+    steepest = 0.0
+    for p in sources:
+        ln_p = [mp.log(mp.mpf(x)) for x in p.probs]
+        r = max(ln_p) - min(ln_p)
+        ln_sigma3_sq = lambda a: mp.log(exact_tilt(p.probs, a)[2])
+        ln_rho3 = lambda a: mp.log(exact_tilt(p.probs, a)[3])
+        for k in range(1, 40):
+            alpha = mp.mpf(k) / 40
+            _, slope, curve = mpmath.diffs(ln_sigma3_sq, alpha, 2)
+            assert abs(slope) <= r and -0.75 * r ** 2 <= curve <= r ** 2, (p, k)
+            steepest = max(steepest, abs(slope) / r)
+            _, slope, curve = mpmath.diffs(ln_rho3, alpha, 2)
+            assert abs(slope) <= 2.5 * r and curve >= -9.5 * r ** 2, (p, k)
+    assert steepest > 0.99  # the slope bound of sigma3_sq is all but attained
 
 
 def test_normal_tail_inverse_down_to_smallest_subnormal():
