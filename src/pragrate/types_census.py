@@ -23,18 +23,32 @@ of visiting all C(n+m-1, m-1) count vectors.  The universal code order in
 its orbit is its lex rank among the rearrangements of the partition (a
 multiset rank, :func:`_rank_in_class`), and :func:`_distinct_permutations`
 lists an orbit in lex order when one is expanded.
+
+The partitions come in runs (:func:`_iter_runs`): those that share their
+first m-2 parts and split the rest R between their last two parts as
+(c, R - c), c from min(previous part, R) down to ceil(R/2).  Along a run
+the float entropy does not decrease as c falls, except possibly in a band
+of steps at the centre of runs far longer than any the default type cap
+admits (:func:`_band_width`).  So the census never tests every partition:
+it bisects each run for the c where the entropy crosses its threshold
+(:func:`_iter_spans`), with O(log R) entropies per run and the plain test
+for each c of the band, and sums the arrangements and the binomials over
+the interval between the cuts, with counts bit-identical to a test of
+every partition.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import fsum, log2
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
+_TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
 DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
 
 
@@ -149,6 +163,49 @@ def _iter_types_with_sizes(n: int, m: int) -> Iterator[tuple[tuple[int, ...], in
             size = size * (remaining - c) // (c + 1)
 
 
+def _iter_runs(
+    n: int, m: int
+) -> Iterator[tuple[tuple[int, ...], int, int, int, int, int]]:
+    """(prefix, rest, prev, run, size, arr) for every run of partitions of
+    n into at most m parts, in descending lex order.  Needs m >= 2.
+
+    A run is the partitions that share their first m-2 parts, ``prefix``
+    (nonincreasing); its last two parts are (c, rest - c) for c from
+    min(prev, rest) down to ceil(rest/2), with ``prev`` the last part of
+    the prefix (n when there is none).  ``size`` is the prefix's product of
+    binomials and ``arr`` its share of the arrangements, with ``run`` the
+    number of parts equal to ``prev`` at the end of the prefix, so a part
+    equal to ``prev`` extends that run."""
+    if m == 2:  # one run, with no prefix
+        return iter((((), n, n, 0, 1, 1),))
+    return _iter_runs_after(m, n, 1, n, 0, (), 1, 1)
+
+
+def _iter_runs_after(
+    m: int, remaining: int, slot: int, prev: int, run: int,
+    prefix: tuple[int, ...], size: int, arr: int,
+) -> Iterator[tuple[tuple[int, ...], int, int, int, int, int]]:
+    """The runs of :func:`_iter_runs` that start with ``prefix``, with
+    ``remaining`` of n left for parts ``slot`` (1-based, at most m - 2)
+    onwards.  A module-level generator, not a closure, so that a census
+    call builds no function object."""
+    top = min(prev, remaining)
+    binom = math.comb(remaining, top)  # C(remaining, c), c counting down
+    # the largest part left is at least the mean of what is left
+    low = -(-remaining // (m - slot + 1))
+    if slot < m - 2:
+        for c in range(top, low - 1, -1):
+            r = run + 1 if c == prev else 1
+            yield from _iter_runs_after(m, remaining - c, slot + 1, c, r, prefix + (c,),
+                                        size * binom, arr * slot // r)
+            binom = binom * c // (remaining - c + 1)
+        return
+    for c in range(top, low - 1, -1):
+        r = run + 1 if c == prev else 1
+        yield prefix + (c,), remaining - c, c, r, size * binom, arr * slot // r
+        binom = binom * c // (remaining - c + 1)
+
+
 def _iter_partitions(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(parts, class size, arrangements) for every partition of n into at
     most m parts, as a nonincreasing count vector of length m (zero padded),
@@ -157,34 +214,20 @@ def _iter_partitions(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int
     Each partition stands for the permutation orbit of the count vectors
     that rearrange it; entropy and class size are the same across an orbit,
     and ``arrangements`` = m!/prod(multiplicity!) is the orbit's size.  Both
-    integers are kept incrementally, one multiply/divide per part.  Only the
-    first m-2 parts recurse; the last two run in one flat loop, as in
-    :func:`_iter_types_with_sizes`: the last part is what is left, so it
-    adds no binomial, and its multiplicity only extends the run of the part
-    before it when the two are equal."""
-
-    def rec(remaining, slot, prev, run, prefix, size, arr):
-        # slot: 1-based position of the next part; run: parts equal to prev
-        # at the end of the prefix, so a part equal to prev extends that run
-        top = min(prev, remaining)
-        binom = math.comb(remaining, top)  # C(remaining, c), c counting down
-        # the largest part left is at least the mean of what is left
-        low = -(-remaining // (m - slot + 1))
-        if slot < m - 1:
-            for c in range(top, low - 1, -1):
-                r = run + 1 if c == prev else 1
-                yield from rec(remaining - c, slot + 1, c, r, prefix + (c,),
-                               size * binom, arr * slot // r)
-                binom = binom * c // (remaining - c + 1)
-            return
-        for c in range(top, low - 1, -1):  # parts m-1 and m: c, then the rest
+    integers are kept incrementally, one multiply/divide per part.  Each run
+    of :func:`_iter_runs` expands in one flat loop: the last part is what is
+    left, so it adds no binomial, and its multiplicity only extends the run
+    of the part before it when the two are equal."""
+    slot = m - 1
+    for prefix, rest, prev, run, size, arr in _iter_runs(n, m):
+        top = min(prev, rest)
+        binom = math.comb(rest, top)
+        for c in range(top, (rest - 1) // 2, -1):  # parts m-1 and m: c, then the rest
             r = run + 1 if c == prev else 1
-            last = remaining - c
+            last = rest - c
             yield (prefix + (c, last), size * binom,
                    arr * slot // r * m // (r + 1 if last == c else 1))
             binom = binom * c // (last + 1)
-
-    yield from rec(n, 1, n, 0, (), 1, 1)
 
 
 def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -242,17 +285,120 @@ def stirling_ratio(t: NType | Sequence[int]) -> float:
     return 2.0 ** log2_ratio
 
 
-def entropy_slab_count(n: int, m: int, h: float) -> int:
-    """Exact number of n-types with entropy in [h - 1/n, h] bits."""
+def _check_census(n: int, m: int, h: float) -> None:
+    for name, value, least in (("n", n, 1), ("m", m, 2)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
         raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
-    lo, hi = h - 1.0 / n - ENTROPY_CMP_TOL, h + ENTROPY_CMP_TOL
-    log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
+
+
+def _band_width(rest: int) -> int:
+    """The largest k = 2c - rest - 1 at which the step c -> c-1 of a run
+    over ``rest`` (or over any smaller rest) may break the monotonicity of
+    the float entropy; 0 when no step can, since every step has k >= 1.
+
+    A run's terms c*log2(c) and d*log2(d), d = rest - c, each carry a
+    relative error below eps = ``_TERM_ERROR`` = 4u, u = 2**-53: a log2
+    within 1 ulp and the rounded product make 3u, and the last u leaves
+    room for the rounding of this bound.  With F(x) = x log2 x, the exact
+    step F(c) + F(d) - F(c-1) - F(d+1) is at least
+    log2(c/(d+1)) >= log2(e) k/c, while rounding moves it by at most
+    2 eps rest log2(rest), as F(c) + F(d) <= F(rest) by convexity.  As
+    c = (rest+1+k)/2, the step is safe once
+    k > eps rest (rest+1) ln(rest) / (1 - eps rest ln(rest)), a bound that
+    grows with rest.  It is below 1 for rest up to about 1.2e7, so for
+    every run the default type cap admits; at 1e9 it is about 9200, a band
+    of 4600 steps above the centre."""
+    t = _TERM_ERROR * rest * math.log(rest) if rest > 1 else 0.0
+    return rest if t >= 1.0 else int(t * (rest + 1) / (1.0 - t))
+
+
+def _iter_spans(
+    n: int, m: int, lo: float, hi: float
+) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+    """(rest, a, b, size, inner, end_a, end_b) for the intervals [a, b] of c
+    over which the partitions (prefix, c, rest - c) of one run
+    of :func:`_iter_runs` have lo <= entropy <= hi, the entropy computed
+    bit for bit as :func:`type_entropy_bits` does.  ``size`` is the
+    prefix's product of binomials, so a partition's class size is
+    size * C(rest, c); its arrangements are ``end_a`` at c = a, ``end_b``
+    at c = b and ``inner`` in between.
+
+    Along a run the float entropy max(log2 n - fsum(c_i log2 c_i)/n, 0)
+    does not decrease as c falls: the exact sum F(c) + F(rest - c),
+    F(x) = x log2 x, falls towards the centre, and fsum, the division, the
+    subtraction and max are each correctly rounded, hence monotone.  Only
+    the rounding of the two terms can break this, and only in a band of
+    steps at the centre of a very long run (:func:`_band_width`).  So each
+    run splits into a monotone piece, from the band up to its top, and
+    the c of the band one at a time, each its own interval.  In a piece [low, high] the entropy
+    cuts at both bounds are found by bisection, after probing the two ends
+    (a run is often wholly in or out), with at most as many entropies as
+    the piece has partitions and O(log rest) on a long one."""
+    log2_n = math.log2(n)
+    below_lo = math.nextafter(lo, -math.inf)  # entropy < lo iff entropy <= below_lo
+    band = _band_width(n)
+    terms = [0.0] * m  # c*log2(c) per part, 0.0 for a zero part
+    for prefix, rest, prev, run, size, arr in _iter_runs(n, m):
+        for i, c in enumerate(prefix):
+            terms[i] = c * log2(c) if c else 0.0
+        floor = (rest + 1) // 2
+        high = min(prev, rest)
+        low = max(floor, min((rest + 1 + band) // 2, high))
+        arr *= m - 1
+        while high >= floor:  # the monotone piece, then the band one c at a time
+            # the smallest c in [low, high] with entropy <= hi lies in (la, ua],
+            # the smallest with entropy <= below_lo in (lb, ub]; high + 1: none
+            la = lb = low - 1
+            ua = ub = high + 1
+            c = high
+            while True:
+                d = rest - c
+                terms[-2] = c * log2(c) if c else 0.0
+                terms[-1] = d * log2(d) if d else 0.0
+                # fsum is correctly rounded: 0.0 terms and their order change nothing
+                e = max(log2_n - fsum(terms) / n, 0.0)
+                if e > hi:
+                    la = c
+                elif c < ua:
+                    ua = c
+                if e <= below_lo:
+                    ub = c
+                elif c > lb:
+                    lb = c
+                if ua - la > 1:
+                    c = low if la < low else (la + ua) // 2
+                elif ub - lb > 1:
+                    c = (lb + ub) // 2
+                else:
+                    break
+            if ua < ub:
+                r = run + 1 if ub - 1 == prev else 1  # a part equal to prev extends its run
+                yield (rest, ua, ub - 1, size, arr * m,
+                       arr * m // (2 if 2 * ua == rest else 1),
+                       arr // r * m // (r + 1 if 2 * ub - 2 == rest else 1))
+            high = low = low - 1
+
+
+def entropy_slab_count(n: int, m: int, h: float) -> int:
+    """Exact number of n-types with entropy in [h - 1/n, h] bits.
+
+    Requires an integer n >= 1, an integer m >= 2 and 0 < h <= log2 m.
+    The partitions of n into at most m parts come in runs that share all
+    but their last two parts (c, R - c).  Along a run the float entropy
+    does not decrease as c falls (rounding can break this only in a band
+    at the centre of a run over R of more than about 1.2e7, where each
+    partition is tested alone), so the types in the slab form one
+    interval of c, found by bisecting for both of its ends
+    (:func:`_iter_spans`).  A run costs O(log R) entropies and no big
+    integer, and the count is the one a test of every type would give."""
+    _check_census(n, m, h)
     hits = 0
-    for parts, _, arrangements in _iter_partitions(n, m):
-        # type_entropy_bits(parts), bit for bit, without its call overhead
-        if lo <= max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0) <= hi:
-            hits += arrangements
+    for _, a, b, _, inner, end_a, end_b in _iter_spans(
+        n, m, h - 1.0 / n - ENTROPY_CMP_TOL, h + ENTROPY_CMP_TOL
+    ):
+        hits += end_b if a == b else end_a + end_b + inner * (b - a - 1)
     return hits
 
 
@@ -273,16 +419,42 @@ class CensusReport:
 
 
 def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
-    """Exact number of strings x^n with H(empirical type of x) <= h bits."""
-    if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
-        raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
-    hi = h + ENTROPY_CMP_TOL
-    log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
+    """Exact number of strings x^n with H(empirical type of x) <= h bits.
+
+    Requires an integer n >= 1, an integer m >= 2 and 0 < h <= log2 m.
+    The partitions of n into at most m parts come in runs that share all
+    but their last two parts (c, R - c).  Along a run the float entropy
+    does not decrease as c falls (rounding can break this only in a band
+    at the centre of a run over R of more than about 1.2e7, where each
+    partition is tested alone), so the selected partitions form one
+    interval [c*, top], and c* is found by bisection (:func:`_iter_spans`)
+    with O(log R) entropies.  Over the interval the class sizes
+    size * C(R, c) follow the binomial recurrence, one big-integer
+    multiply, divide and add per partition, and the arrangements change
+    only at its ends.  The count is the one a test of every type would
+    give, bit for bit."""
+    _check_census(n, m, h)
     count = 0
-    for parts, size, arrangements in _iter_partitions(n, m):
-        # type_entropy_bits(parts), bit for bit, without its call overhead
-        if max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0) <= hi:
-            count += arrangements * size
+    for rest, a, b, size, inner, end_a, end_b in _iter_spans(
+        n, m, 0.0, h + ENTROPY_CMP_TOL
+    ):
+        # One big integer changes per statement, in place, so that no more
+        # than three of the count's length are alive at once (the tracemalloc
+        # peak grows with the count's length by that many, not more).
+        binom = size * math.comb(rest, b)  # size * C(rest, c), c falling
+        count += end_b * binom
+        if a < b:
+            between = 0
+            for c in range(b, a + 1, -1):
+                binom *= c
+                binom //= rest - c + 1  # size * C(rest, c - 1)
+                between += binom
+            binom *= a + 1
+            binom //= rest - a  # size * C(rest, a)
+            binom *= end_a
+            between *= inner
+            between += binom
+            count += between
     if count > 0:
         log2_ratio = math.log2(count) - 0.5 * (m - 3) * math.log2(n) - n * h
         theta = 2.0 ** log2_ratio

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pragrate import SourcePmf
+from pragrate.types_census import ENTROPY_CMP_TOL, _iter_partitions, type_entropy_bits
 
 
 def bern(p: float | str) -> SourcePmf:
@@ -97,6 +98,22 @@ def reference_unrank(counts, rank):
                 break
             rank -= here
     return tuple(out)
+
+
+def reference_low_entropy_count(n, m, h):
+    """The census count by a test of every partition of n into at most m
+    parts: the loop the library's per-run bisection must equal."""
+    hi = h + ENTROPY_CMP_TOL
+    return sum(arrangements * size for parts, size, arrangements in _iter_partitions(n, m)
+               if type_entropy_bits(parts) <= hi)
+
+
+def reference_slab_count(n, m, h):
+    """The slab count (types with entropy in [h - 1/n, h]) by a test of
+    every partition of n into at most m parts."""
+    lo, hi = h - 1.0 / n - ENTROPY_CMP_TOL, h + ENTROPY_CMP_TOL
+    return sum(arrangements for parts, _, arrangements in _iter_partitions(n, m)
+               if lo <= type_entropy_bits(parts) <= hi)
 
 
 def suffix_tails(sizes, probs, mass, add, zero, one, total):

@@ -209,6 +209,35 @@ class TestCensusCommand:
         rep = low_entropy_count(30, 3, entropy([0.6, 0.3, 0.1]))
         assert ratio == pytest.approx(rep.count / 2 ** (30 * rep.threshold_bits), rel=1e-9)
 
+    # threshold-bits and threshold-source sweeps at m = 2..5, with and
+    # without --slab: the README example, the CI slab sweep, exact type
+    # entropies (0.25,0.75 at n divisible by 4) and h = log2 3
+    SWEEPS = [
+        ("--m", "2", "--threshold-source", "0.2,0.8", "--n", "20:2000:20"),
+        ("--m", "2", "--threshold-bits", "0.5", "--n", "1:400:3", "--slab"),
+        ("--m", "2", "--threshold-source", "0.25,0.75", "--n", "4:400:4", "--slab"),
+        ("--m", "3", "--threshold-bits", "1.2", "--n", "100:1000:300", "--slab"),
+        ("--m", "3", "--threshold-source", "0.6,0.3,0.1", "--n", "1:150:7"),
+        ("--m", "3", "--threshold-bits", repr(math.log2(3)), "--n", "1:60:5", "--slab"),
+        ("--m", "4", "--threshold-bits", "1.5", "--n", "1:60:4"),
+        ("--m", "4", "--threshold-source", "0.1,0.2,0.4,0.3", "--n", "1:60:4", "--slab"),
+        ("--m", "5", "--threshold-bits", "2.0", "--n", "1:30:3"),
+        ("--m", "5", "--threshold-source", "0.1,0.15,0.2,0.25,0.3", "--n", "1:30:3", "--slab"),
+    ]
+    # the sha256 of the sweeps' stdout, concatenated, as computed by a test
+    # of every partition
+    SWEEP_SHA256 = "961814a52803b224f3a11f6c18cc9a369555502107b6d8a5c4e37db194aaaaf2"
+
+    def test_sweeps_are_pinned(self, capsys):
+        """Every census row of a set of sweeps, byte for byte: a change to
+        a count, a threshold comparison or the CSV shows here."""
+        digest = hashlib.sha256()
+        for argv in self.SWEEPS:
+            code, out, _ = run_cli(capsys, "census", *argv)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == self.SWEEP_SHA256
+
     def test_slab_mode(self, capsys):
         # threshold taken from a pmf so it equals the type entropy bit-exactly
         code, out, _ = run_cli(

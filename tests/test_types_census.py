@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from math import comb, factorial
 
 import pytest
@@ -22,15 +23,25 @@ from pragrate import (
     unrank_in_type_class,
 )
 from pragrate.types_census import (
+    DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
+    _band_width,
     _distinct_permutations,
     _iter_partitions,
+    _iter_spans,
     _iter_types_with_sizes,
     type_at_index,
     type_index,
 )
 
-from conftest import compositions, reference_rank, reference_unrank
+from conftest import (
+    compositions,
+    peak_mib,
+    reference_low_entropy_count,
+    reference_rank,
+    reference_slab_count,
+    reference_unrank,
+)
 
 
 class TestEnumerateTypes:
@@ -168,6 +179,125 @@ class TestCensusMatchesCompositionSum:
                     continue
                 assert low_entropy_count(n, m, h).count == _count_oracle(n, m, h), (n, m, h)
                 assert entropy_slab_count(n, m, h) == _slab_oracle(n, m, h), (n, m, h)
+
+
+def _grid_thresholds(n, m):
+    """Thresholds that stress the census cut: the exact entropies of a
+    spread of types, each moved by 0, +-ENTROPY_CMP_TOL, +-1/n and +-1 ulp,
+    values near 0, and log2 m; only those in (0, log2 m + tol] are kept."""
+    parts = [p for p, _, _ in _iter_partitions(n, m)]
+    picks = {type_entropy_bits(p) for p in parts[:: max(1, len(parts) // 7)] + parts[-2:]}
+    hs = {math.log2(m), math.log2(m) + ENTROPY_CMP_TOL, 5e-324, 1e-300, 1e-12, 2e-12, 1e-9}
+    for h0 in picks:
+        for d in (0.0, ENTROPY_CMP_TOL, -ENTROPY_CMP_TOL, 1.0 / n, -1.0 / n):
+            hs.add(h0 + d)
+        hs.update((math.nextafter(h0, 0.0), math.nextafter(h0, 9.0)))
+    return sorted(h for h in hs if 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL)
+
+
+class TestCensusMatchesReference:
+    """The per-run bisection equals a test of every partition, exactly."""
+
+    @pytest.mark.parametrize("m,ns", [
+        (2, (1, 2, 3, 8, 65, 300, 1001)), (3, (1, 2, 5, 17, 60)), (4, (1, 3, 9, 26)),
+        (5, (2, 7, 16)), (6, (3, 11)),
+    ])
+    def test_grid(self, m, ns):
+        for n in ns:
+            for h in _grid_thresholds(n, m):
+                rep = low_entropy_count(n, m, h)
+                want = reference_low_entropy_count(n, m, h)
+                assert rep.count == want, (n, m, h)
+                assert entropy_slab_count(n, m, h) == reference_slab_count(n, m, h), (n, m, h)
+
+    def test_random_cases(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            m = rng.randint(2, 6)
+            n = rng.randint(1, {2: 400, 3: 90, 4: 36, 5: 22, 6: 16}[m])
+            h = rng.uniform(1e-9, math.log2(m))
+            assert low_entropy_count(n, m, h).count == reference_low_entropy_count(n, m, h)
+            assert entropy_slab_count(n, m, h) == reference_slab_count(n, m, h)
+
+
+class TestCensusBadInput:
+    @pytest.mark.parametrize("fn", [low_entropy_count, entropy_slab_count],
+                             ids=["count", "slab"])
+    @pytest.mark.parametrize("n,m,h,match", [
+        (0, 2, 0.5, "n must be an integer >= 1"),
+        (-3, 2, 0.5, "n must be an integer >= 1"),
+        (4.0, 2, 0.5, "n must be an integer >= 1"),
+        (True, 2, 0.5, "n must be an integer >= 1"),
+        (4, 2.0, 0.5, "m must be an integer >= 2"),
+        (4, True, 0.5, "m must be an integer >= 2"),
+        (4, 1, 0.5, "m must be an integer >= 2"),
+        (4, 2, float("nan"), "threshold"),
+    ], ids=["n0", "n_negative", "n_float", "n_bool", "m_float", "m_bool", "m1", "h_nan"])
+    def test_refused(self, fn, n, m, h, match):
+        with pytest.raises(DomainError, match=match):
+            fn(n, m, h)
+
+
+def _window_scan(R, lo, hi, width):
+    """The c in the first ``width`` steps of the run (c, R - c) from
+    ceil(R/2) up whose entropy lies in [lo, hi], by a plain test of each."""
+    floor = (R + 1) // 2
+    return {c for c in range(floor, floor + width) if lo <= type_entropy_bits((c, R - c)) <= hi}
+
+
+class TestCentreBand:
+    """At m = 2 and n = R the census is one run over R, so long runs can be
+    checked near their centre, where rounding may break monotonicity."""
+
+    WIDTH = 64
+
+    @pytest.mark.parametrize("R", [2 ** 20, 2 ** 23, 10 ** 8, 10 ** 9])
+    def test_spans_match_a_linear_scan(self, R):
+        floor = (R + 1) // 2
+        window = range(floor, floor + self.WIDTH)
+        entropies = [type_entropy_bits((c, R - c)) for c in window]
+        if R == 10 ** 9:  # the band is needed here: the entropy rises somewhere in the window
+            assert any(b > a for a, b in zip(entropies, entropies[1:]))
+        xs = sorted({x for e in entropies[::4] + entropies[1:12]
+                     for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))})
+        bounds = [(0.0, x) for x in xs] + [(a, b) for a, b in zip(xs, xs[5:])]
+        for lo, hi in bounds:
+            got = set()
+            for rest, a, b, *_ in _iter_spans(R, 2, lo, hi):
+                assert rest == R and floor <= a <= b <= R
+                for c in (a, b):  # every span starts and ends inside the bounds
+                    assert lo <= type_entropy_bits((c, R - c)) <= hi
+                got.update(range(a, min(b, window[-1]) + 1))
+            assert got == _window_scan(R, lo, hi, self.WIDTH), (R, lo, hi)
+
+    def test_band_only_past_the_type_cap(self):
+        assert _band_width(2 ** 20) == _band_width(2 ** 23) == 0
+        assert _band_width(DEFAULT_TYPE_CAP) == 0  # every run at m = 2 under the default cap
+        assert 0 < _band_width(10 ** 8) < _band_width(10 ** 9) < 10 ** 5
+
+
+@pytest.mark.parametrize("fn,args", [
+    (low_entropy_count, (1700, 2, 0.9)),
+    (low_entropy_count, (90, 3, 1.3)),
+    (entropy_slab_count, (90, 3, 1.3)),
+    (low_entropy_count, (32, 4, 1.5)),
+])
+def test_census_peak_memory_is_a_few_kib(fn, args):
+    """A run allocates O(m) small objects: no per-type list or O(n) table
+    (a list of n floats would add over 13 KiB at n = 1700)."""
+    fn(*args)  # imports and caches settle outside the measured call
+    assert peak_mib(fn, *args) < 4 / 1024
+
+
+def test_census_peak_follows_the_count_by_few_integers():
+    """From h = 0.3 to 0.99 at n = 1700, m = 2 the peak grows only with the
+    big integers of the count's length that the interval sum holds at once
+    (three, with one-digit slack), so a sweep's peak barely depends on its
+    threshold; summing with whole-expression temporaries grew it by five."""
+    low_entropy_count(1700, 2, 0.3)
+    growth = peak_mib(low_entropy_count, 1700, 2, 0.99) - peak_mib(low_entropy_count, 1700, 2, 0.3)
+    per_int = sys.getsizeof(2 ** 1683) - sys.getsizeof(2 ** 510)  # count bits at 0.99 and 0.3
+    assert growth * 2 ** 20 < 4 * per_int
 
 
 class TestTypeEntropy:
