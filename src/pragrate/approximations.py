@@ -226,6 +226,10 @@ def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:
     and the moment envelope over the whole tilt interval."""
     sol = solve_alpha_star(p_src, delta)
     env = moment_envelope(p_src)
+    if env.sigma3_inf_sq == 0.0:
+        raise DomainError(
+            "source within rounding noise of uniform: its moments have no certified bound"
+        )
     a = sol.alpha_star
     sigma3_sq = sol.tilted.sigma3_sq
     sigma3_tilde_sq = env.sigma3_inf_sq

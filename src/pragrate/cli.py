@@ -197,7 +197,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
     else:
         out = ["n,threshold_bits,log2_count,theta_ratio"]
     for n in ns:
-        if tc.count_types(n, m) > args.cap_types:
+        # the census visits partitions; count them only past the cheap count
+        if tc.count_types(n, m) > args.cap_types and tc.count_partitions(n, m) > args.cap_types:
             sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
             break
         if args.slab:

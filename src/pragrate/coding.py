@@ -460,9 +460,7 @@ def build_ordering(
     resulting ordering (hence every codeword) is byte-identical whatever is
     passed.
     """
-    if n < 1 or m < 2:
-        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    _check_type_cap(n, m, cap_types)
+    _check_type_cap(n, m, cap_types)  # count_types checks n and m
     if mode == UNIVERSAL:
         return CodeOrdering(mode, n, m, _EntropyLevels.build(n, m))
     if mode != KNOWN_SOURCE:

@@ -232,7 +232,7 @@ def _weighted_moments(weights: Sequence[float], values: Sequence[float]) -> tupl
 
 
 def _tilt_weights(ln_p: list[float], alpha: float) -> tuple[list[float], float, list[float]]:
-    """``(alpha * ln P, ln Z_alpha, P_alpha)`` for alpha in (0, 1).
+    """``(alpha * ln P, ln Z_alpha, P_alpha)`` for alpha in [0, 1].
 
     The one copy of the tilted-family weight code: :func:`tilt` and the lean
     evaluator below call it, and the columnar kernel repeats its float
@@ -267,7 +267,8 @@ def _tilted_kl_entropy_sigma3(ln_p: list[float], alpha: float) -> tuple[float, f
 def _tilted_sigma3_rho3_columns(ln_p: list[float], alphas: Sequence[float]) -> tuple[list[float], list[float]]:
     """``(sigma3_sq, rho3)`` of ``tilt(p, alpha)`` for every alpha in
     ``alphas``, bit for bit, given ``ln_p = [log(x) for x in p.probs]`` and
-    alphas in (0, 1).
+    alphas in [0, 1] (at the closed ends, those of :func:`_tilt_weights`
+    and :func:`_weighted_moments`, which :func:`tilt` does not take).
 
     Columnar: one Python step per symbol, each a ``map`` over all the alphas,
     with the float operations of :func:`_tilt_weights` and

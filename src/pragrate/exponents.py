@@ -37,14 +37,13 @@ from .distributions import (
     tilt,
 )
 from .errors import DomainError, InvariantViolation
-from .numerics import LOG2E, golden_section_minimize
+from .numerics import LOG2E
 
 ALPHA_TOL = 1e-14
 _ALPHA_STAR_NOISES = 8.0  # |D - delta| allowed at alpha*, in units of D's rounding noise
 ENVELOPE_EDGE = 1e-6
 ENVELOPE_GRID = 4096
 ENVELOPE_CHUNK = 32  # grid alphas per columnar kernel call; bounds its lists
-ENVELOPE_REFINE_TOL = 1e-10
 _ENVELOPE_SLACK = 1e-9  # relative widening of each block bound, over the kernel's rounding
 
 
@@ -86,22 +85,25 @@ class AlphaStarSolution:
 
 @dataclass(frozen=True)
 class MomentEnvelope:
-    """Extremes of sigma3_sq and rho3 (nats) over the open tilt interval.
+    """Certified bounds on sigma3_sq and rho3 (nats) over the tilt interval.
 
-    The open-interval sup/inf are approximated on [1e-6, 1 - 1e-6]: the
-    extremes of a ``grid_size``-point grid, each refined by golden-section
-    search between its two grid neighbours.  This is a grid estimate (not yet
-    a certified bound): by construction the returned values bound every grid
-    evaluation, but not necessarily the moments between grid points.
+    ``sigma3_inf_sq`` <= sigma3_sq(alpha) <= ``sigma3_sup_sq`` and
+    rho3(alpha) <= ``rho3_sup`` for every alpha in [0, 1], so also over the
+    open interval (0, 1) whose sup and inf the converse constants need.
+    They come from a ``grid_size``-point grid on [1e-6, 1 - 1e-6] and the
+    closed ends alpha = 0 and alpha = 1: every alpha lies on an interval
+    between two of these points, of half-width at most
+    h = max(step, 1e-6) / 2, and the curvature bounds below carry the
+    extremes of the evaluated points over it (the half-step inflation).
     ``degenerate`` marks the uniform source, where all the moments vanish
     identically.
 
-    The grid extremes are those of a dense scan, bit for bit (ties go to the
-    lowest grid index), but most grid points are never evaluated: a bound on
-    the curvature of ln sigma3_sq and ln rho3 in alpha rules their blocks
-    out.  With V = ln P(X) under P_alpha, mu = E[V], D = V - mu,
-    sigma3_sq = E[D^2], rho3 = E[|D|^3] and R = max ln p - min ln p, every
-    |D| <= R, and d/dalpha E_alpha[g] = E[g D] + E[dg/dmu] sigma3_sq, so
+    The grid extremes are those of a dense scan, bit for bit, but most grid
+    points are never evaluated: a bound on the curvature of ln sigma3_sq
+    and ln rho3 in alpha rules their blocks out.  With V = ln P(X) under
+    P_alpha, mu = E[V], D = V - mu, sigma3_sq = E[D^2], rho3 = E[|D|^3]
+    and R = max ln p - min ln p, every |D| <= R, and
+    d/dalpha E_alpha[g] = E[g D] + E[dg/dmu] sigma3_sq, so
 
         (ln sigma3_sq)' = E[D^3] / sigma3_sq,                  |.| <= R,
         (ln rho3)' = (E[|D|^3 D] - 3 sigma3_sq E[D|D|]) / rho3,  |.| <= 2.5 R,
@@ -123,24 +125,32 @@ class MomentEnvelope:
         sigma3_sq >= min(sigma3_sq(a), sigma3_sq(b)) e^(-c),
         rho3 <= max(rho3(a), rho3(b)) e^(9.5 c).
 
-    These hold for the exact moments.  The kernel's floats differ from them
-    by a relative error eps <= w + 3t + 3t^2 + t^3: w = 8 e (1 + max |ln p|),
-    with e the machine epsilon, bounds the error of the tilted weights, and
-    t = 2 w (1 + max |ln p|) / sigma3_floor that of a deviation D over the
-    smallest sigma3 the bound allows on the grid.  Each block bound is
-    widened by the factor 1 + 1e-9 + 4 eps, which covers (1 + eps)/(1 - eps)
-    and the rounding of the bound itself; past eps = 1/4 (a source within a
-    few hundred ulps of uniform) nothing is skipped.  ``grid_evaluations`` counts the grid
-    points the kernel evaluated: every ``ENVELOPE_CHUNK``-th point, the last
-    one, and the blocks between them that the bound could not rule out.  It
-    is a diagnostic and does not enter equality.
+    These hold for the exact moments.  Taken over every interval between
+    two evaluated points, with h = max(step, 1e-6) / 2, they give the
+    returned bounds: the extremes of the evaluated points times e^(-c),
+    e^(0.75 c) and e^(9.5 c).  The kernel's floats differ from the exact
+    moments by a relative error eps <= w + 3t + 3t^2 + t^3:
+    w = 8 e (1 + max |ln p|), with e the machine epsilon, bounds the error
+    of the tilted weights, and t = 2 w (1 + max |ln p|) / sigma3_floor that
+    of a deviation D over the smallest sigma3 the bound allows on the grid,
+    taken with a factor 1/2 on sigma3_sq to spare: the closed ends lie
+    within 1e-6 of the grid, so by the slope bound their sigma3_sq is at
+    least e^(-1e-6 R) times a grid value.  Each block bound is widened by
+    the factor 1 + 1e-9 + 4 eps, which covers (1 + eps)/(1 - eps) and the
+    rounding of the bound itself; past eps = 1/4 (a source within a few
+    hundred ulps of uniform) nothing is skipped.  The returned bounds
+    are widened by the same factor, which covers (1 + eps)/(1 - eps) up to
+    eps = 1/2; past that the floats bound nothing, and the envelope is
+    [0, inf].  ``grid_evaluations`` counts the grid points the kernel
+    evaluated: every ``ENVELOPE_CHUNK``-th point, the last one, and the
+    blocks between them that the bound could not rule out, but not the two
+    closed ends.  It is a diagnostic and does not enter equality.
     """
 
     sigma3_inf_sq: float
     sigma3_sup_sq: float
     rho3_sup: float
     grid_size: int
-    refinement_tol: float
     grid_evaluations: int = field(compare=False)
     degenerate: bool = False
 
@@ -274,23 +284,20 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
 
 
 @lru_cache(maxsize=64, typed=True)  # typed: a float grid_size never hits an int's entry
-def moment_envelope(
-    p: SourcePmf,
-    grid_size: int = ENVELOPE_GRID,
-    refinement_tol: float = ENVELOPE_REFINE_TOL,
-) -> MomentEnvelope:
-    """Extremes of sigma3_sq and rho3 over alpha in (0, 1): a grid estimate
-    (not yet a certified bound), see :class:`MomentEnvelope`.
+def moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnvelope:
+    """Certified bounds on sigma3_sq and rho3 over alpha in [0, 1], see
+    :class:`MomentEnvelope`.
 
-    Two levels, each through the columnar kernel in chunks of at most
-    ``ENVELOPE_CHUNK`` alphas.  First every ``ENVELOPE_CHUNK``-th grid point
-    and the last one; then, block by block, the points between two of them,
-    unless the curvature bound of :class:`MomentEnvelope`, widened by its
-    rounding margin, shows that none of them can beat or tie an extreme
-    found so far.  The extremes returned are those of the dense grid, bit
-    for bit.  ``grid_size`` must be an integer of at least 3, and
-    ``refinement_tol``, the golden-section bracket width, finite and
-    positive.
+    Two levels over the grid, each through the columnar kernel in chunks of
+    at most ``ENVELOPE_CHUNK`` alphas.  First every ``ENVELOPE_CHUNK``-th
+    grid point and the last one; then, block by block, the points between
+    two of them, unless the curvature bound of :class:`MomentEnvelope`,
+    widened by its rounding margin, shows that none of them can beat or tie
+    an extreme found so far.  The extremes of the grid are those of a dense
+    scan, bit for bit.  One more kernel call evaluates the closed ends
+    alpha = 0 and alpha = 1; the extremes of all these points, inflated over
+    half a grid step and widened by the rounding margin, are returned.
+    ``grid_size`` must be an integer of at least 3.
 
     Pure in its (immutable) arguments, so results are memoized.
     """
@@ -298,10 +305,8 @@ def moment_envelope(
         raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 3:
         raise DomainError("grid_size must be at least 3")
-    if not (math.isfinite(refinement_tol) and refinement_tol > 0.0):
-        raise DomainError(f"refinement_tol must be finite and positive, got {refinement_tol!r}")
     if p.is_uniform:
-        return MomentEnvelope(0.0, 0.0, 0.0, grid_size, refinement_tol, 0, degenerate=True)
+        return MomentEnvelope(0.0, 0.0, 0.0, grid_size, 0, degenerate=True)
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
     step = (hi_edge - lo_edge) / (grid_size - 1)
     ln_p = [math.log(x) for x in p.probs]
@@ -324,9 +329,7 @@ def moment_envelope(
         rho_c.extend(rho)
         del sig, rho  # before the next kernel call: the arrays take their memory
     evaluations = blocks + 1
-    sig_lo_v, sig_hi_v, rho_hi_v = min(sig_c), max(sig_c), max(rho_c)
-    sig_lo, sig_hi = coarse(sig_c.index(sig_lo_v)), coarse(sig_c.index(sig_hi_v))
-    rho_hi = coarse(rho_c.index(rho_hi_v))
+    sig_lo, sig_hi, rho_hi = min(sig_c), max(sig_c), max(rho_c)
 
     # The curvature scale R^2 / 2 and rounding margin of MomentEnvelope's
     # docstring.  eps < 1/4 needs sigma_floor > 24 big weight_err; as
@@ -337,7 +340,7 @@ def moment_envelope(
     half_max = min(stride, last) * step / 2.0
     big = 1.0 - min(ln_p)
     weight_err = 8.0 * sys.float_info.epsilon * big
-    sigma_floor = math.sqrt(0.5 * sig_lo_v * math.exp(-curve * half_max * half_max))
+    sigma_floor = math.sqrt(0.5 * sig_lo * math.exp(-curve * half_max * half_max))
     t = 2.0 * big * weight_err / sigma_floor if sigma_floor > 0.0 else math.inf
     eps = weight_err + t * (3.0 + t * (3.0 + t))
     widen = 1.0 + _ENVELOPE_SLACK + 4.0 * eps
@@ -350,39 +353,27 @@ def moment_envelope(
             continue
         if prune:
             c = curve * ((b - a) * step / 2.0) ** 2
-            if (min(sig_c[j], sig_c[j + 1]) * math.exp(-c) > sig_lo_v * widen
-                    and max(sig_c[j], sig_c[j + 1]) * math.exp(0.75 * c) * widen < sig_hi_v
-                    and max(rho_c[j], rho_c[j + 1]) * math.exp(9.5 * c) * widen < rho_hi_v):
+            if (min(sig_c[j], sig_c[j + 1]) * math.exp(-c) > sig_lo * widen
+                    and max(sig_c[j], sig_c[j + 1]) * math.exp(0.75 * c) * widen < sig_hi
+                    and max(rho_c[j], rho_c[j + 1]) * math.exp(9.5 * c) * widen < rho_hi):
                 continue
         sig, rho = _tilted_sigma3_rho3_columns(ln_p, [alpha_at(i) for i in range(a + 1, b)])
         evaluations += b - a - 1
-        s_lo, s_hi, r_hi = min(sig), max(sig), max(rho)
-        i = a + 1 + sig.index(s_lo)
-        if s_lo < sig_lo_v or (s_lo == sig_lo_v and i < sig_lo):
-            sig_lo, sig_lo_v = i, s_lo
-        i = a + 1 + sig.index(s_hi)
-        if s_hi > sig_hi_v or (s_hi == sig_hi_v and i < sig_hi):
-            sig_hi, sig_hi_v = i, s_hi
-        i = a + 1 + rho.index(r_hi)
-        if r_hi > rho_hi_v or (r_hi == rho_hi_v and i < rho_hi):
-            rho_hi, rho_hi_v = i, r_hi
+        sig_lo, sig_hi, rho_hi = min(sig_lo, *sig), max(sig_hi, *sig), max(rho_hi, *rho)
         del sig, rho
 
-    def refine(idx: int, value: float, objective, minimize: bool) -> float:
-        a = alpha_at(max(idx - 1, 0))
-        b = alpha_at(min(idx + 1, grid_size - 1))
-        f = objective if minimize else (lambda x: -objective(x))
-        _, fx = golden_section_minimize(f, a, b, refinement_tol)
-        best = fx if minimize else -fx
-        return min(best, value) if minimize else max(best, value)
-
-    sigma3_of = lambda a: _tilted_sigma3_rho3_columns(ln_p, (a,))[0][0]
-    rho3_of = lambda a: _tilted_sigma3_rho3_columns(ln_p, (a,))[1][0]
+    if eps >= 0.5:  # past this the kernel's floats bound nothing
+        return MomentEnvelope(0.0, math.inf, math.inf, grid_size, evaluations)
+    # The closed ends: then every alpha in [0, 1] lies between two evaluated
+    # points at most 2 half apart, where the chord bounds apply.  As for the
+    # blocks above, eps < 1/2 keeps c below 61, so e^(9.5 c) stays finite.
+    sig, rho = _tilted_sigma3_rho3_columns(ln_p, (0.0, 1.0))
+    half = max(step, ENVELOPE_EDGE) / 2.0
+    c = curve * half * half
     return MomentEnvelope(
-        sigma3_inf_sq=refine(sig_lo, sig_lo_v, sigma3_of, minimize=True),
-        sigma3_sup_sq=refine(sig_hi, sig_hi_v, sigma3_of, minimize=False),
-        rho3_sup=refine(rho_hi, rho_hi_v, rho3_of, minimize=False),
+        sigma3_inf_sq=min(sig_lo, *sig) * math.exp(-c) / widen,
+        sigma3_sup_sq=max(sig_hi, *sig) * math.exp(0.75 * c) * widen,
+        rho3_sup=max(rho_hi, *rho) * math.exp(9.5 * c) * widen,
         grid_size=grid_size,
-        refinement_tol=refinement_tol,
         grid_evaluations=evaluations,
     )

@@ -1,6 +1,6 @@
 """Small floating-point toolbox: correctly rounded sums, base-2 log-domain
-addition (tail sums live in ``coding._log2_tails``), golden-section search,
-and the normal tail inverse.
+addition (tail sums live in ``coding._log2_tails``) and the normal tail
+inverse.
 
 Unit convention used across the package: entropies, divergences, rates and
 exponents are in bits (log base 2); central moments of log-likelihoods are
@@ -10,15 +10,13 @@ in nats (log base e).  ``LOG2E`` converts nats to bits.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import DomainError
 
 LOG2E = math.log2(math.e)  # bits per nat
 NEG_INF = float("-inf")
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def neumaier_sum(values: Iterable[float]) -> float:
@@ -37,39 +35,6 @@ def logaddexp2(a: float, b: float) -> float:
     if d < -1075.0:
         return hi
     return hi + math.log1p(2.0 ** d) * LOG2E
-
-
-def golden_section_minimize(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section search for a local minimum of ``f`` on [lo, hi].
-
-    Returns (argmin, min value).  Requires lo < hi; ``tol``, the final
-    bracket width in the argument, must be finite and positive.  The search
-    also ends once a step no longer shrinks the bracket, which happens at
-    float resolution when ``tol`` is below it.
-    """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"golden_section_minimize requires a finite tol > 0, got {tol!r}")
-    a, b = lo, hi
-    c = b - GOLDEN_RATIO * (b - a)
-    d = a + GOLDEN_RATIO * (b - a)
-    fc, fd = f(c), f(d)
-    width = b - a
-    while width > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO * (b - a)
-            fd = f(d)
-        if b - a >= width:
-            break
-        width = b - a
-    x = (a + b) / 2.0
-    return x, f(x)
 
 
 # Rational approximation for the inverse normal CDF (Acklam's algorithm),

@@ -75,15 +75,35 @@ class NType:
         return len(self.counts)
 
 
+def _check_n_m(n: int, m: int) -> None:
+    for name, value, least in (("n", n, 1), ("m", m, 2)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def count_types(n: int, m: int) -> int:
     """Number of n-types on m symbols: C(n + m - 1, m - 1)."""
+    _check_n_m(n, m)
     return math.comb(n + m - 1, m - 1)
+
+
+def count_partitions(n: int, m: int) -> int:
+    """Number of partitions of n into at most m parts: the orbits that the
+    census visits, about m! times fewer than :func:`count_types` for large n.
+
+    By conjugation these are the partitions into parts of size at most m,
+    counted by the O(n m) recurrence that adds one part size at a time."""
+    _check_n_m(n, m)
+    ways = [1] + [0] * n
+    for k in range(1, min(m, n) + 1):
+        for j in range(k, n + 1):
+            ways[j] += ways[j - k]
+    return ways[n]
 
 
 def enumerate_types(n: int, m: int) -> Iterator[NType]:
     """All n-types on m symbols in the canonical (ascending lex) order."""
-    if n < 1 or m < 2:
-        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
+    _check_n_m(n, m)
     for counts, _ in _iter_types_with_sizes(n, m):
         yield NType(counts)
 
@@ -108,10 +128,9 @@ def type_index(t: NType | Sequence[int]) -> int:
 def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
     """The count vector at 0-based ``index`` in the canonical order of the
     n-types on m symbols: the inverse of :func:`type_index`."""
-    if n < 1 or m < 2:
-        raise DomainError(f"need n >= 1 and m >= 2, got n={n}, m={m}")
-    if not 0 <= index < count_types(n, m):
-        raise DomainError(f"type index {index} outside [0, {count_types(n, m)})")
+    total = count_types(n, m)  # checks n and m
+    if not 0 <= index < total:
+        raise DomainError(f"type index {index} outside [0, {total})")
     counts, remaining = [], n
     for k in range(m - 2, 0, -1):  # k + 1 slots after this one
         c, block = 0, math.comb(remaining + k, k)  # types with this slot at c
@@ -286,9 +305,7 @@ def stirling_ratio(t: NType | Sequence[int]) -> float:
 
 
 def _check_census(n: int, m: int, h: float) -> None:
-    for name, value, least in (("n", n, 1), ("m", m, 2)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_n_m(n, m)
     if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
         raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
 

@@ -17,6 +17,7 @@ from pragrate import (
     count_types,
     delta_range,
     kl_divergence,
+    moment_envelope,
     optimal_rate,
     pragmatic_rate,
     prefix_adjust,
@@ -228,6 +229,15 @@ class TestConverseConstants:
         cc = converse_constants(p, delta_range(p).hi / 2)
         for v in (cc.C, cc.N0, cc.p, cc.q, cc.r):
             assert math.isfinite(v) and v > 0
+
+    def test_refuses_a_source_without_a_certified_envelope(self):
+        # within a few hundred ulps of uniform, the kernel's rounding margin
+        # passes 1/2 and the envelope certifies only [0, inf]
+        p = SourcePmf((0.2500000000000072, 0.25000000000001205, 0.2500000000000053, 0.24999999999997535))
+        env = moment_envelope(p)
+        assert (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup) == (0.0, math.inf, math.inf)
+        with pytest.raises(DomainError, match="no certified bound"):
+            converse_constants(p, 1e-28)
 
     def test_alpha_star_solved_once(self, monkeypatch):
         calls = []

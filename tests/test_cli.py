@@ -238,6 +238,15 @@ class TestCensusCommand:
             digest.update(out.encode())
         assert digest.hexdigest() == self.SWEEP_SHA256
 
+    def test_cap_counts_partitions(self, capsys):
+        # 12,507,501 compositions of 5000 into 3 parts exceed the default cap
+        # of 10^7, but the census visits 2,085,834 partitions
+        code, out, err = run_cli(
+            capsys, "census", "--m", "3", "--threshold-bits", "1.2", "--n", "5000", "--slab",
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["n,threshold_bits,slab_type_count", "5000,1.2,3036"]
+
     def test_slab_mode(self, capsys):
         # threshold taken from a pmf so it equals the type entropy bit-exactly
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import statistics
+import sys
 
 import pytest
 
@@ -21,8 +22,9 @@ from pragrate import (
 
 from pragrate import exponents
 from pragrate.cli import main
-from pragrate.exponents import ENVELOPE_EDGE, ENVELOPE_GRID, ENVELOPE_REFINE_TOL
-from pragrate.numerics import LOG2E, golden_section_minimize
+from pragrate.distributions import _tilt_weights, _weighted_moments
+from pragrate.exponents import ENVELOPE_CHUNK, ENVELOPE_EDGE, ENVELOPE_GRID
+from pragrate.numerics import LOG2E
 
 from conftest import bern, random_pmf, skewed_pmf
 
@@ -152,11 +154,19 @@ class TestMomentEnvelope:
         assert math.isfinite(env.rho3_sup)
 
     def test_grid_refinement_stability(self):
-        e1 = moment_envelope(P02, grid_size=4096)
-        e2 = moment_envelope(P02, grid_size=8192)
-        assert e1.sigma3_inf_sq == pytest.approx(e2.sigma3_inf_sq, abs=1e-9)
-        assert e1.sigma3_sup_sq == pytest.approx(e2.sigma3_sup_sq, abs=1e-9)
-        assert e1.rho3_sup == pytest.approx(e2.rho3_sup, abs=1e-9)
+        # For Bern(0.2), sigma3_sq = w(1-w) ln(4)^2 and rho3 = w(1-w)(w^2 + (1-w)^2) ln(4)^3
+        # with w in [0.2, 0.5]: the inf is at alpha = 1, the sups at alpha = 0.
+        # Each envelope is on the safe side of them, by at most its own
+        # inflation e^(k R^2 h^2 / 2), R = ln 4 and h half a grid step, and
+        # its rounding margin, far below 1e-8 here.
+        l4 = math.log(4.0)
+        for grid_size in (4096, 8192):
+            env = moment_envelope(P02, grid_size=grid_size)
+            h = (1.0 - 2 * ENVELOPE_EDGE) / (grid_size - 1) / 2
+            c = l4 * l4 * h * h / 2
+            assert 0.16 * l4 ** 2 * math.exp(-c) * (1 - 1e-8) <= env.sigma3_inf_sq <= 0.16 * l4 ** 2
+            assert 0.25 * l4 ** 2 <= env.sigma3_sup_sq <= 0.25 * l4 ** 2 * math.exp(0.75 * c) * (1 + 1e-8)
+            assert 0.125 * l4 ** 3 <= env.rho3_sup <= 0.125 * l4 ** 3 * math.exp(9.5 * c) * (1 + 1e-8)
 
     def test_envelope_bounds_every_grid_point(self, rng):
         p = random_pmf(rng, 3)
@@ -191,27 +201,6 @@ class TestMomentEnvelope:
         assert again is not env and again == env and hash(again) == hash(env)
         assert dataclasses.replace(env, grid_evaluations=ENVELOPE_GRID) == env
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf, -math.inf])
-    def test_bad_refinement_tol_is_refused(self, tol):
-        with pytest.raises(DomainError, match="refinement_tol"):
-            moment_envelope(P02, refinement_tol=tol)
-        with pytest.raises(DomainError, match="refinement_tol"):
-            moment_envelope(SourcePmf((0.5, 0.5)), refinement_tol=tol)
-        with pytest.raises(DomainError, match="tol"):
-            golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0, tol)
-
-    def test_refinement_tol_below_float_resolution_returns(self):
-        # golden-section search stops once its bracket stops shrinking
-        env = moment_envelope.__wrapped__(P02, refinement_tol=1e-300)
-        default = moment_envelope(P02)
-        assert env.sigma3_inf_sq == pytest.approx(default.sigma3_inf_sq, rel=1e-12)
-        assert env.sigma3_sup_sq == pytest.approx(default.sigma3_sup_sq, rel=1e-12)
-        assert env.rho3_sup == pytest.approx(default.rho3_sup, rel=1e-12)
-        x, fx = golden_section_minimize(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 1e-300)
-        assert x == pytest.approx(0.3, abs=1e-8) and fx <= 1e-16
-        x, _ = golden_section_minimize(lambda x: x, 0.5, math.nextafter(0.5, 1.0), 1e-300)
-        assert 0.5 <= x <= math.nextafter(0.5, 1.0)
-
     @pytest.mark.parametrize("grid_size", [3.5, 4096.0, "4096", True, 2])
     def test_bad_grid_size_is_refused(self, grid_size):
         with pytest.raises(DomainError, match="grid_size"):
@@ -245,30 +234,38 @@ def solve_grid(rng, per_m=6):
                 yield p, frac * hi
 
 
-def reference_envelope(p, grid_size, refinement_tol=ENVELOPE_REFINE_TOL):
-    """moment_envelope as a list of full tilt() calls over the grid."""
-    lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE
-    step = (hi_edge - lo_edge) / (grid_size - 1)
-    alphas = [lo_edge + i * step for i in range(grid_size)]
-    points = [tilt(p, a) for a in alphas]
+def reference_envelope(p, grid_size):
+    """moment_envelope from full tilt() calls over the whole grid, and
+    tilt()'s weight and moment code at the closed ends, which tilt() does not
+    take; certified as MomentEnvelope's docstring says."""
+    ln_p = [math.log(x) for x in p.probs]
+    step = (1.0 - ENVELOPE_EDGE - ENVELOPE_EDGE) / (grid_size - 1)
+    points = [tilt(p, ENVELOPE_EDGE + i * step) for i in range(grid_size)]
     sig = [t.sigma3_sq for t in points]
     rho = [t.rho3 for t in points]
-
-    def refine(values, objective, minimize):
-        idx = min(range(grid_size), key=lambda i: values[i] if minimize else -values[i])
-        a = alphas[max(idx - 1, 0)]
-        b = alphas[min(idx + 1, grid_size - 1)]
-        f = objective if minimize else (lambda x: -objective(x))
-        _, fx = golden_section_minimize(f, a, b, refinement_tol)
-        best = fx if minimize else -fx
-        return min(best, values[idx]) if minimize else max(best, values[idx])
-
-    sigma3_of = lambda a: tilt(p, a).sigma3_sq
-    rho3_of = lambda a: tilt(p, a).rho3
+    # the kernel's rounding margin, from the smallest sigma3_sq at every
+    # ENVELOPE_CHUNK-th grid point and the last one, less the curvature bound
+    # over a block of ENVELOPE_CHUNK steps
+    r = max(ln_p) - min(ln_p)
+    block = min(ENVELOPE_CHUNK, grid_size - 1) * step / 2
+    big = 1.0 - min(ln_p)
+    w = 8.0 * sys.float_info.epsilon * big
+    floor = math.sqrt(0.5 * min(sig[::ENVELOPE_CHUNK] + sig[-1:]) * math.exp(-r * r / 2 * block * block))
+    t = 2.0 * big * w / floor if floor > 0.0 else math.inf
+    eps = w + t * (3.0 + t * (3.0 + t))
+    if eps >= 0.5:
+        return 0.0, math.inf, math.inf
+    widen = 1.0 + 1e-9 + 4.0 * eps
+    for alpha in (0.0, 1.0):
+        _, sigma3_sq, rho3 = _weighted_moments(_tilt_weights(ln_p, alpha)[2], ln_p)
+        sig.append(sigma3_sq)
+        rho.append(rho3)
+    h = max(step, ENVELOPE_EDGE) / 2
+    c = r * r / 2 * h * h
     return (
-        refine(sig, sigma3_of, minimize=True),
-        refine(sig, sigma3_of, minimize=False),
-        refine(rho, rho3_of, minimize=False),
+        min(sig) * math.exp(-c) / widen,
+        max(sig) * math.exp(0.75 * c) * widen,
+        max(rho) * math.exp(9.5 * c) * widen,
     )
 
 
@@ -325,11 +322,12 @@ class TestBitIdenticalToTiltChains:
     GRID_SIZES = (3, 4, 5, 33, 65, 100, 129, 4097)
     # Sources on which a block bound without its curvature term, or without
     # the kernel's rounding margin, skips the block that holds the dense
-    # extreme, or on which a tie left to the later grid index moves an
     # extreme (found by search against such variants): moments with two
     # peaks, from clustered log-probabilities given as (-ln weight, count)
     # pairs, and sources within a few hundred ulps of uniform, where rounding
-    # noise makes exact ties, at the grid sizes where that happens.
+    # noise makes exact ties, at the grid sizes where that happens.  The
+    # four-symbol one has no certified envelope: its rounding margin is too
+    # wide.
     SENSITIVE = (
         (((10.06, 1), (13.1, 13), (17.42, 3)), 100),
         (((0.75, 1), (3.97, 13), (9.68, 1), (12.62, 1), (19.21, 2)), 100),
@@ -369,13 +367,13 @@ class TestBitIdenticalToTiltChains:
             assert got == reference_envelope(p, grid_size), (p, grid_size)
 
     def test_constants_envelope_fields_pinned(self, capsys):
-        # repr strings printed before the Newton solve replaced the alpha*
-        # bisection: alpha* may move in its last bits, the envelope may not
+        # repr strings of the certified envelope: alpha* may move in its last
+        # bits, the envelope may not
         assert main(["constants", "--source", "0.2,0.8", "--delta", "0.0703"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert repr(payload["sigma3_inf_sq"]) == "0.3074901846705934"
-        assert repr(payload["sigma3_sup_sq"]) == "0.4804530139179706"
-        assert repr(payload["rho3_sup"]) == "0.33302465198892944"
+        assert repr(payload["sigma3_inf_sq"]) == "0.30748992419496257"
+        assert repr(payload["sigma3_sup_sq"]) == "0.48045301956108527"
+        assert repr(payload["rho3_sup"]) == "0.33302469764444986"
 
     def test_tilt_call_counts(self, monkeypatch):
         calls = []

@@ -1,20 +1,23 @@
 """High-precision oracle: the tilted family, the alpha* solve, the
-derivative bounds behind the moment envelope and the normal tail inverse
-against mpmath at 50 significant digits.
+derivative bounds behind the moment envelope, the envelope itself and the
+normal tail inverse against mpmath at 50 significant digits.
 
 The oracle evaluates the defining formulas directly on the exact binary
 values of the source's float entries, so it shares no code and no rounding
 with the library.
 """
 
+import math
 import random
 
 import pytest
 
-from pragrate import delta_range, solve_alpha_star, tilt
+from pragrate import SourcePmf, delta_range, moment_envelope, solve_alpha_star, tilt
+from pragrate.distributions import _tilted_sigma3_rho3_columns
+from pragrate.exponents import ENVELOPE_EDGE, ENVELOPE_GRID
 from pragrate.numerics import normal_tail_inverse
 
-from conftest import random_pmf, skewed_pmf
+from conftest import bern, random_pmf, skewed_pmf
 
 mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
@@ -104,6 +107,36 @@ def test_log_moment_slope_and_curvature_bounds():
             _, slope, curve = mpmath.diffs(ln_rho3, alpha, 2)
             assert abs(slope) <= 2.5 * r and curve >= -9.5 * r ** 2, (p, k)
     assert steepest > 0.99  # the slope bound of sigma3_sq is all but attained
+
+
+def test_moment_envelope_is_a_bound():
+    # sigma3_inf_sq <= sigma3_sq <= sigma3_sup_sq and rho3 <= rho3_sup at the
+    # closed ends, near them, and between grid points: next to the grid's
+    # extremes (located with the library's kernel) and at random.  Bern(0.2)
+    # has its sups at alpha = 0, off the grid.  At grid_size=65 the sigma3_sq
+    # and rho3 of 0.5,0.3,0.2 peak between grid points, above every point
+    # the envelope evaluates: only the half-step inflation covers them.
+    rng = random.Random(0xE4E1)
+    sources = [random_pmf(rng, m) for m in range(2, 7)] + [skewed_pmf(rng, m) for m in (2, 3, 5)]
+    cases = [(p, ENVELOPE_GRID) for p in sources + [bern("0.2")]]
+    cases.append((SourcePmf.parse("0.5,0.3,0.2"), 65))
+    for p, grid_size in cases:
+        env = moment_envelope(p, grid_size)
+        step = (1.0 - 2 * ENVELOPE_EDGE) / (grid_size - 1)
+        grid = [ENVELOPE_EDGE + i * step for i in range(grid_size)]
+        sig, rho = _tilted_sigma3_rho3_columns([math.log(x) for x in p.probs], grid)
+        intervals = set(rng.sample(range(grid_size - 1), 32))
+        for i in (sig.index(min(sig)), sig.index(max(sig)), rho.index(max(rho))):
+            intervals.update(j for j in (i - 1, i) if 0 <= j < grid_size - 1)
+        alphas = [0.0, 1.0, 1e-12, 1e-9, 5e-7, 1 - 5e-7, 1 - 1e-9, 1 - 1e-12]
+        alphas += [ENVELOPE_EDGE + (i + f) * step for i in intervals for f in (0.25, 0.5, 0.75)]
+        sampled = [exact_tilt(p.probs, a)[2:] for a in alphas]
+        sig_max, rho_max = max(v for v, _ in sampled), max(r for _, r in sampled)
+        assert env.sigma3_inf_sq <= min(v for v, _ in sampled), (p, grid_size)
+        assert env.sigma3_sup_sq >= sig_max, (p, grid_size)
+        assert env.rho3_sup >= rho_max, (p, grid_size)
+    evaluated = [exact_tilt(p.probs, a)[2:] for a in [0.0, 1.0] + grid]
+    assert max(v for v, _ in evaluated) < sig_max and max(r for _, r in evaluated) < rho_max
 
 
 def test_normal_tail_inverse_down_to_smallest_subnormal():

@@ -30,6 +30,7 @@ from pragrate.types_census import (
     _iter_partitions,
     _iter_spans,
     _iter_types_with_sizes,
+    count_partitions,
     type_at_index,
     type_index,
 )
@@ -68,6 +69,24 @@ class TestEnumerateTypes:
             list(enumerate_types(0, 2))
         with pytest.raises(DomainError):
             list(enumerate_types(3, 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda: list(enumerate_types(2.5, 2)),
+        lambda: type_at_index(3, 2.0, 1),
+        lambda: list(enumerate_types(True, 2)),
+        lambda: count_types(-1, 2),
+        lambda: count_types(3, 0),
+    ], ids=["enumerate_n_float", "index_m_float", "enumerate_n_bool", "count_n_negative", "count_m0"])
+    def test_integer_checks(self, call):
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+
+    def test_count_partitions(self):
+        for n in range(1, 16):
+            for m in range(2, 7):
+                assert count_partitions(n, m) == len({tuple(sorted(c)) for c in compositions(n, m)})
+        assert count_partitions(5000, 3) == 2_085_834 < DEFAULT_TYPE_CAP < count_types(5000, 3)
+        assert count_partitions(3, 10) == 3
 
 
 class TestTypeIndex:
