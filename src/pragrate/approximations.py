@@ -20,8 +20,10 @@ The exponent/probability conversion is delta = log2(1/epsilon)/n throughout.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -37,15 +39,14 @@ from .exponents import (
     solve_alpha_star,
 )
 from .numerics import LOG2E, SQRT_2PI, neumaier_sum, normal_tail_inverse
-from .types_census import DEFAULT_TYPE_CAP, low_entropy_count
+from .types_census import DEFAULT_TYPE_CAP, check_blocklength, low_entropy_count
 
 
 def epsilon_to_delta(epsilon: float, n: int) -> float:
     """delta = log2(1/epsilon)/n (bits)."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    check_blocklength(n)
     return -math.log2(epsilon) / n
 
 
@@ -75,8 +76,7 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    check_blocklength(n)
     return _strassen(*_source_terms(p), n, epsilon)
 
 
@@ -198,10 +198,12 @@ def _first_n_with(predicate, start: int) -> int:
     """min{n >= start : predicate(n)} for predicates of the form
     log2(n) <= g(n) with log2(n)/g(n) eventually decreasing.
 
-    A direct ascending scan, accelerated by doubling and bisection once the
-    predicate region is bracketed; both ratios involved are strictly
-    decreasing beyond e**2, so the first hit is well defined and the
-    bracketed search returns exactly the scan's answer.
+    Doubling brackets the first hit and ``bisect`` finds it; both ratios
+    involved are strictly decreasing beyond e**2, so the predicate is False
+    then True over the bracket and the search returns the first n of an
+    ascending scan.  Where n outgrows a double's 53 bits the float predicate
+    can flicker within a few units of its crossing, and the result is then
+    one of those n.
     """
     if predicate(start):
         return start
@@ -212,13 +214,10 @@ def _first_n_with(predicate, start: int) -> int:
         hi *= 2
         if hi > 1 << 200:  # pragma: no cover - absurd inputs
             raise DomainError("threshold search diverged")
-    while hi - lo > 1:
+    while hi - lo > sys.maxsize:  # bisect indexes a range by a C ssize_t
         mid = (lo + hi) // 2
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        lo, hi = (lo, mid) if predicate(mid) else (mid, hi)
+    return lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), True, key=predicate)
 
 
 def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:
@@ -286,8 +285,7 @@ def universal_rate_bound(p: SourcePmf, n: int, delta: float) -> float:
     empirical stand-in for it.  At m = 2 this collapses to the pragmatic
     rate exactly.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    check_blocklength(n)
     sol = solve_alpha_star(p, delta)
     m = p.m
     coeff = (m - 2) / 2.0 - 1.0 / (2.0 * (1.0 - sol.alpha_star))
@@ -328,8 +326,7 @@ def universal_threshold_alpha_n(
     ``include_census=False`` skips the exact string count (useful for very
     large n where only alpha_n itself is wanted).
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    check_blocklength(n)
     sol = solve_alpha_star(p, delta)
     env = moment_envelope(p)
     a = sol.alpha_star
@@ -371,8 +368,7 @@ def universal_threshold_alpha_n(
 
 def prefix_adjust(rate_per_symbol: float, n: int) -> float:
     """One-to-one limit -> prefix-free limit: add exactly 1/n per symbol."""
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    check_blocklength(n)
     return rate_per_symbol + 1.0 / n
 
 
@@ -430,14 +426,13 @@ def compute_rate_ladders(
     """
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
+    check_blocklength(n)
     if epsilons is not None:
         points = [(eps, epsilon_to_delta(eps, n), math.log2(eps)) for eps in epsilons]
     else:
         points = [(delta_to_epsilon(d, n), check_delta(d), -n * d) for d in deltas]
     if not points:
         return []
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
     shannon, sigma = _source_terms(p)
     dist = exact_note = None
     if include_exact:

@@ -58,6 +58,17 @@ def _parse_n_range(text: str) -> list[int]:
     return ns
 
 
+def _cap_types(text: str) -> int:
+    """``--cap-types``: an integer >= 1, from the command line or a config."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -87,8 +98,12 @@ def _apply_config(argv: list[str] | None) -> argparse.Namespace:
             raise DomainError(f"unknown config key {key!r}")
         if action.choices is not None and value not in action.choices:
             raise DomainError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        # argparse converts and checks a string default like a command-line value
-        action.default = value if isinstance(value, bool) else str(value)
+        if action.nargs == 0:  # a flag (store_true) takes only a JSON bool
+            if not isinstance(value, bool):
+                raise DomainError(f"config key {key!r}: {value!r} is not true or false")
+            action.default = value
+        else:  # argparse converts and checks a string default like a command-line value
+            action.default = str(value)
     return parser.parse_args(argv)
 
 
@@ -345,10 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, source=True):
+    def common(sp, source=True, cap_types=True):
         sp.set_defaults(subparser=sp)
         sp.add_argument("--config", help="JSON config file supplying defaults")
-        sp.add_argument("--cap-types", type=int, default=el.DEFAULT_TYPE_CAP)
+        if cap_types:
+            sp.add_argument("--cap-types", type=_cap_types, default=el.DEFAULT_TYPE_CAP)
         if source:
             sp.add_argument("--source", help="pmf: inline '0.2,0.8', JSON, or a file path")
 
@@ -370,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     limits.set_defaults(func=_cmd_limits)
 
     constants = sub.add_parser("constants", help="achievability/converse constants")
-    common(constants)
+    common(constants, cap_types=False)  # the envelope enumerates no types
     constants.add_argument("--delta", required=True, type=float)
     constants.set_defaults(func=_cmd_constants)
 

@@ -92,6 +92,7 @@ from .types_census import (
     _iter_partitions,
     _iter_prefixes,
     _rank_in_class,
+    check_integer,
     count_types,
     type_at_index,
     type_index,
@@ -336,8 +337,10 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
 
 
 def _check_type_cap(n: int, m: int, cap_types: int) -> None:
-    """Refuse to rank more than ``cap_types`` type classes."""
+    """Refuse to rank more than ``cap_types`` type classes; a cap that is
+    not an integer >= 1 is bad input, not a limit."""
     total = count_types(n, m)
+    check_integer("cap_types", cap_types, 1)
     if total > cap_types:
         raise ResourceLimitError(
             f"{total} type classes at n={n}, m={m} exceeds the cap of {cap_types}"
@@ -510,8 +513,6 @@ def universal_length_distribution(
     each class's per-string probability.  Memoized on (p, n, cap_types):
     an entry holds n+2 floats, and each further tail read is free.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
     _check_type_cap(n, p.m, cap_types)
     tables, keys, sizes, getters = _key_tables(p, n), array("d"), [], {}
     for orbits in _universal_levels(n, p.m):  # one level's vectors at a time

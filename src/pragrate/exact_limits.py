@@ -50,7 +50,7 @@ from .coding import (
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
 from .numerics import NEG_INF
-from .types_census import DEFAULT_TYPE_CAP, _iter_types_with_sizes
+from .types_census import DEFAULT_TYPE_CAP, _iter_types_with_sizes, check_blocklength
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
@@ -67,8 +67,6 @@ def length_distribution(
     With ``exact=True`` the tails are additionally computed in exact rational
     arithmetic; the source must then carry exact rational probabilities.
     """
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
     if exact and p.exact is None:
         raise DomainError("exact mode requires a source with exact rational probabilities")
     _check_type_cap(n, p.m, cap_types)
@@ -156,8 +154,7 @@ def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
     """
     if p.exact is None:
         raise DomainError("brute force oracle needs exact rational probabilities")
-    if n < 1:
-        raise DomainError(f"blocklength must be >= 1, got {n}")
+    check_blocklength(n)
     total = p.m ** n
     if total > BRUTE_FORCE_STRING_CAP:
         raise ResourceLimitError(

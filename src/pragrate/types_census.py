@@ -75,10 +75,19 @@ class NType:
         return len(self.counts)
 
 
+def check_integer(name: str, value: int, least: int) -> None:
+    """Refuse ``value`` unless it is an integer >= ``least`` (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_blocklength(n: int) -> None:
+    check_integer("blocklength n", n, 1)
+
+
 def _check_n_m(n: int, m: int) -> None:
-    for name, value, least in (("n", n, 1), ("m", m, 2)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    check_blocklength(n)
+    check_integer("m", m, 2)
 
 
 def count_types(n: int, m: int) -> int:

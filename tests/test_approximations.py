@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -11,12 +12,14 @@ from pragrate import (
     achievability_constant,
     approximations,
     blahut_rate,
+    brute_force_limits,
     compute_rate_ladder,
     compute_rate_ladders,
     converse_constants,
     count_types,
     delta_range,
     kl_divergence,
+    length_distribution,
     moment_envelope,
     optimal_rate,
     pragmatic_rate,
@@ -25,7 +28,9 @@ from pragrate import (
     solve_alpha_star,
     strassen_rate,
     tilt,
+    universal_length_distribution,
     universal_rate_bound,
+    universal_threshold_alpha_n,
 )
 from pragrate.approximations import (
     coding_variance_bits,
@@ -214,15 +219,40 @@ class TestConverseConstants:
         )
         assert cc.N0 == pytest.approx(expected_n0, rel=1e-12)
 
-    def test_threshold_minimality(self):
-        cc = converse_constants(P02, DELTA_HALF)
+    # N1 and N2 range from the search's start values, 8 and 3, up to
+    # 143,630; at 0.001,0.999 with half the exponent range the start values
+    # already satisfy both predicates
+    @pytest.mark.parametrize("source,share", [pytest.param("0.2,0.8", None, id="bern02-delta_half")] + [
+        pytest.param(source, share, id=f"{name}-share{share}".replace(".", ""))
+        for name, source in (("bern02", "0.2,0.8"), ("bern0001", "0.001,0.999"), ("m3", "0.6,0.3,0.1"),
+                             ("m4", "0.1,0.2,0.4,0.3"), ("m4_skewed", "0.001,0.002,0.003,0.994"))
+        for share in (0.02, 0.5, 0.9)
+    ])
+    def test_threshold_minimality(self, source, share):
+        p = SourcePmf.parse(source)
+        delta = DELTA_HALF if share is None else delta_range(p).hi * share
+        cc = converse_constants(p, delta)
         n1, n2 = cc.N1, cc.N2
+        # an ascending scan from the start values finds the same thresholds
+        assert n1 == next(n for n in itertools.count(8) if math.log2(n) <= cc.p * math.sqrt(n))
+        assert n2 == next(
+            n for n in itertools.count(3) if math.log2(n) <= cc.p * (1 - cc.alpha_star) * n
+        )
         assert math.log2(n1) <= cc.p * math.sqrt(n1)
         if n1 > 8:
             assert math.log2(n1 - 1) > cc.p * math.sqrt(n1 - 1)
         assert math.log2(n2) <= cc.p * (1 - cc.alpha_star) * n2
         if n2 > 3:
             assert math.log2(n2 - 1) > cc.p * (1 - cc.alpha_star) * (n2 - 1)
+
+    def test_threshold_search_past_a_machine_word(self):
+        # bisect indexes its range by a C ssize_t: brackets wider than 2**63
+        # are halved first
+        for target in (9, 1000, 2 ** 63 + 12345, 3 ** 100):
+            assert approximations._first_n_with(lambda n: n >= target, 8) == target
+        assert approximations._first_n_with(lambda n: n >= 5, 8) == 8
+        cc = converse_constants(bern("0.500001"), 1e-14)
+        assert cc.N1 > 2 ** 63 and cc.N0 == float(cc.N1)
 
     def test_near_uniform_finite(self):
         p = bern("0.51")
@@ -400,3 +430,26 @@ class TestRateLadders:
         assert row.epsilon == 0.0 and row.delta == 0.07 and row.strassen is None
         assert row.blahut == sol.h_tilted
         assert row.note == "strassen column unavailable: epsilon = 2**-1400 underflows a double"
+
+
+BLOCKLENGTH_ENTRY_POINTS = {
+    "strassen_rate": lambda n: strassen_rate(P02, n, 0.01),
+    "blahut_rate": lambda n: blahut_rate(P02, n, 0.01),
+    "pragmatic_rate": lambda n: pragmatic_rate(P02, n, 0.01),
+    "epsilon_to_delta": lambda n: epsilon_to_delta(0.01, n),
+    "universal_rate_bound": lambda n: universal_rate_bound(P02, n, 0.05),
+    "universal_threshold_alpha_n": lambda n: universal_threshold_alpha_n(P02, 0.05, n),
+    "prefix_adjust": lambda n: prefix_adjust(0.5, n),
+    "compute_rate_ladders": lambda n: compute_rate_ladders(P02, n, deltas=[0.05], include_exact=False),
+    "length_distribution": lambda n: length_distribution(P02, n),
+    "universal_length_distribution": lambda n: universal_length_distribution(P02, n),
+    "brute_force_limits": lambda n: brute_force_limits(P02, n),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, math.nan], ids=["float", "bool", "zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", list(BLOCKLENGTH_ENTRY_POINTS))
+def test_bad_blocklength_refused(entry, n):
+    # True would pass for n = 1 and 2.5 for a blocklength; nan fails every comparison
+    with pytest.raises(DomainError, match=r"^blocklength n must be an integer >= 1, got "):
+        BLOCKLENGTH_ENTRY_POINTS[entry](n)

@@ -680,6 +680,41 @@ class TestInputErrorsExit2:
         assert out.count("\n") == 1  # the header only
         assert err == "warning: n=50 exceeds type cap; sweep truncated\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (("constants", "--source", "0.2,0.8", "--delta", "0.0703", "--cap-types", "-5"),
+         "unrecognized arguments: --cap-types -5"),
+        (("codec", "encode", "--mode", "universal", "--alphabet", "ab", "--n", "3", "--cap-types", "-1"),
+         "argument --cap-types: must be an integer >= 1, got -1"),
+        (("census", "--m", "3", "--threshold-bits", "1.0", "--n", "50", "--cap-types", "-3"),
+         "argument --cap-types: must be an integer >= 1, got -3"),
+    ], ids=["constants", "codec", "census"])
+    def test_bad_cap_types(self, argv, message):
+        # constants enumerates no type classes and takes no cap
+        code, out, err = run_cli_process(*argv, stdin="aab\n")
+        assert code == 2
+        assert out == "" and err.rstrip().endswith(message)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [-5, 0, 2.5, True], ids=["negative", "zero", "float", "bool"])
+    def test_bad_cap_types_in_config(self, tmp_path, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"cap_types": value}))
+        code, out, err = run_cli_process(
+            "census", "--config", str(cfg), "--m", "3", "--threshold-bits", "1.0", "--n", "50"
+        )
+        assert code == 2
+        assert out == "" and "argument --cap-types: " in err
+
+    def test_config_flag_must_be_a_bool(self, tmp_path):
+        # the string "false" is truthy: taken as it was, it skipped the exact column
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"no_exact": "false"}))
+        code, out, err = run_cli_process(
+            "ladder", "--config", str(cfg), "--source", "0.2,0.8", "--n", "10", "--eps", "0.1"
+        )
+        assert code == 2
+        assert out == "" and err == "error: config key 'no_exact': 'false' is not true or false\n"
+
     def test_missing_config_file(self, tmp_path):
         missing = tmp_path / "absent.json"
         code, out, err = run_cli_process(

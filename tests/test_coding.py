@@ -489,6 +489,19 @@ class TestUniversalExcessProbability:
         with pytest.raises(ResourceLimitError):
             universal_excess_probability(p, 10, 0, cap_types=65)
 
+    @pytest.mark.parametrize("cap", [0, -1, 2.5, True, None], ids=["zero", "negative", "float", "bool", "none"])
+    def test_bad_type_cap_is_bad_input(self, cap):
+        # a cap below 1 is no resource limit: the CLI maps DomainError to exit 2
+        calls = [
+            lambda: universal_length_distribution(P02, 5, cap_types=cap),
+            lambda: length_distribution(P02, 5, cap_types=cap),
+            lambda: build_ordering(UNIVERSAL, 5, 2, cap_types=cap),
+            lambda: build_ordering(KNOWN_SOURCE, 5, 2, P02, cap_types=cap),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="cap_types must be an integer >= 1"):
+                call()
+
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("length", [0, 1])
     def test_blocklength_below_one_refused(self, n, length):
