@@ -20,10 +20,8 @@ The exponent/probability conversion is delta = log2(1/epsilon)/n throughout.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -198,12 +196,10 @@ def _first_n_with(predicate, start: int) -> int:
     """min{n >= start : predicate(n)} for predicates of the form
     log2(n) <= g(n) with log2(n)/g(n) eventually decreasing.
 
-    Doubling brackets the first hit and ``bisect`` finds it; both ratios
-    involved are strictly decreasing beyond e**2, so the predicate is False
-    then True over the bracket and the search returns the first n of an
-    ascending scan.  Where n outgrows a double's 53 bits the float predicate
-    can flicker within a few units of its crossing, and the result is then
-    one of those n.
+    A direct ascending scan, accelerated by doubling and bisection once the
+    predicate region is bracketed; both ratios involved are strictly
+    decreasing beyond e**2, so the first hit is well defined and the
+    bracketed search returns exactly the scan's answer.
     """
     if predicate(start):
         return start
@@ -214,10 +210,13 @@ def _first_n_with(predicate, start: int) -> int:
         hi *= 2
         if hi > 1 << 200:  # pragma: no cover - absurd inputs
             raise DomainError("threshold search diverged")
-    while hi - lo > sys.maxsize:  # bisect indexes a range by a C ssize_t
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if predicate(mid) else (mid, hi)
-    return lo + 1 + bisect.bisect_left(range(lo + 1, hi + 1), True, key=predicate)
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:

@@ -503,7 +503,7 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
     return unrank_in_type_class(*ordering._classes.locate(k))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: True or 1.0 never hits n=1's entry
 def universal_length_distribution(
     p: SourcePmf, n: int, *, cap_types: int = DEFAULT_TYPE_CAP
 ) -> LengthDistribution:

@@ -246,8 +246,7 @@ class TestConverseConstants:
             assert math.log2(n2 - 1) > cc.p * (1 - cc.alpha_star) * (n2 - 1)
 
     def test_threshold_search_past_a_machine_word(self):
-        # bisect indexes its range by a C ssize_t: brackets wider than 2**63
-        # are halved first
+        # the search runs on Python ints: a bracket past 2**63 is found exactly
         for target in (9, 1000, 2 ** 63 + 12345, 3 ** 100):
             assert approximations._first_n_with(lambda n: n >= target, 8) == target
         assert approximations._first_n_with(lambda n: n >= 5, 8) == 8

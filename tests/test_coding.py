@@ -502,6 +502,19 @@ class TestUniversalExcessProbability:
             with pytest.raises(DomainError, match="cap_types must be an integer >= 1"):
                 call()
 
+    def test_bad_arguments_refused_after_an_equal_good_call(self):
+        # the memo must not answer True or 1.0 from n=1's entry, nor 1e7
+        # from the default cap's: True == 1 == 1.0 and they hash alike
+        universal_length_distribution(P02, 1)
+        universal_length_distribution(P02, 3, cap_types=10 ** 7)
+        for n in (True, 1.0):
+            with pytest.raises(DomainError, match="blocklength n must be an integer >= 1"):
+                universal_length_distribution(P02, n)
+            with pytest.raises(DomainError, match="blocklength n must be an integer >= 1"):
+                universal_excess_probability(P02, n, 1)
+        with pytest.raises(DomainError, match="cap_types must be an integer >= 1"):
+            universal_length_distribution(P02, 3, cap_types=1e7)
+
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("length", [0, 1])
     def test_blocklength_below_one_refused(self, n, length):
