@@ -103,6 +103,62 @@ class TestLadderCommand:
         assert r2["blahut"] == r1["blahut"]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestLadderBytes:
+    """Every byte the ladder emits, pinned as sha256 of stdout plus stderr:
+    the golden table, a sweep whose out-of-range delta writes ``note:`` lines,
+    and the deep regime, where epsilon prints 0.0 and strassen prints '-'.
+    The digests were recorded with CPython on x86-64 Linux."""
+
+    GOLDEN = ("ladder", "--source", "0.2,0.8", "--n", "50", "--eps", GOLDEN_EPS)
+    SWEEP = ("ladder", "--source", "0.1,0.2,0.4,0.3", "--n", "50:300:50",
+             "--delta", "0.05,0.2", "--no-exact")  # 0.2 > D(U||P) = 0.1757
+    DEEP = ("ladder", "--source", "0.2,0.8", "--n", "20000", "--delta", "0.07", "--no-exact")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (GOLDEN + ("--format", "csv"),
+         "d87ee7e48e3b4c1973d843ac660891b65e3a01726074ab8e50524eb9201a146f"),
+        (GOLDEN + ("--format", "markdown"),
+         "01efd00abfb2a1e545b42d51a6dcdfb3a1a3beee8df906c012f83f022fea531b"),
+        (GOLDEN + ("--format", "json"),
+         "6f15a334237d94e6c2ab2af459c8945dfa01ae094bd7f341466511fd74aa078b"),
+        (GOLDEN + ("--mode", "prefix", "--format", "csv"),
+         "dbc5f3a01f32c96925722ae9f2ea25ef59bdf5e0a428755bf59987f5aa05c5d3"),
+        (GOLDEN + ("--mode", "prefix", "--format", "markdown"),
+         "74490da5124f6dda76b25414eef4b45c5163fb5ece5bd13b572b0dc85645266b"),
+        (GOLDEN + ("--mode", "prefix", "--format", "json"),
+         "062949e74a96e1a16adccb77e419b5e7a36478a6ebe48a6df86b2c6435b8bd4f"),
+        (SWEEP + ("--format", "csv"),
+         "00669eb067c582ceae27ee895916ee28772efe6bce3b076d9b48ae1825cd1489"),
+        (SWEEP + ("--format", "markdown"),
+         "9fa342f9fa182747d503dfda96fd5b87e92d02e9b3c1a1b3d3d5143e584ca8f9"),
+        (SWEEP + ("--format", "json"),
+         "98f8cee94fcb060d45e864781c29da29fff1e559a831b41752ef7656a0c55ace"),
+        (DEEP + ("--format", "csv"),
+         "84267e1f26d042894ed8cd7236ea8970838a460d6cba6008a89ed8e2feb5ac97"),
+        (DEEP + ("--format", "markdown"),
+         "dea9ffd8e102f463558cba5c6055ec6a8ecc5197d485e5c118da52c06c2da57c"),
+        (DEEP + ("--format", "json"),
+         "77a400d7b835b5002dab29ae68b232c70b5ae5d57c2efb3e09059d2441667457"),
+    ], ids=[f"{table}-{fmt}" for table in ("golden", "golden_prefix", "sweep_note", "deep")
+            for fmt in ("csv", "markdown", "json")])
+    def test_cli_tables(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert _sha256(out + err) == digest
+
+    def test_csv_at_four_digits(self):
+        rows = approximations.compute_rate_ladders(
+            SourcePmf.parse("0.2,0.8"), 50, [float(e) for e in GOLDEN_EPS.split(",")]
+        )
+        assert _sha256(approximations.ladder_to_csv(rows, digits=4)) == (
+            "d3e8be900cadae7bf692aa0dfa00b736e62ed4893a8d609ab49026271b85e777"
+        )
+
+
 class TestLimitsCommand:
     def test_csv_golden_row(self, capsys):
         code, out, _ = run_cli(
