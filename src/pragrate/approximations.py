@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 from . import exact_limits
@@ -467,74 +468,35 @@ def compute_rate_ladders(
     return rows
 
 
-_LADDER_COLUMNS = ("n", "epsilon", "delta", "exact", "shannon", "strassen", "blahut", "pragmatic")
+_RATE_COLUMNS = ("exact", "shannon", "strassen", "blahut", "pragmatic")
+_rates = attrgetter(*_RATE_COLUMNS)
 
 
-def _cell(value, digits: int | None) -> str:
-    if value is None:
-        return "-"
-    if digits is None:
-        return repr(value)
-    return f"{value:.{digits}f}"
+def _rate_cells(rows: list[RateLadder], digits: int | None) -> list[list[str]]:
+    """Each row's rate cells in ``_RATE_COLUMNS`` order: '-' where the rate
+    is None, else its repr (``digits`` None) or ``digits`` decimals."""
+    fmt = repr if digits is None else f"{{:.{digits}f}}".format
+    return [["-" if v is None else fmt(v) for v in _rates(r)] for r in rows]
 
 
 def ladder_to_csv(rows: list[RateLadder], *, digits: int | None = None) -> str:
     """CSV with full-precision cells by default; '-' marks unavailable ones."""
-    out = [",".join(_LADDER_COLUMNS)]
-    for r in rows:
-        out.append(
-            ",".join(
-                [
-                    str(r.n),
-                    repr(r.epsilon),
-                    repr(r.delta),
-                    _cell(r.exact, digits),
-                    _cell(r.shannon, digits),
-                    _cell(r.strassen, digits),
-                    _cell(r.blahut, digits),
-                    _cell(r.pragmatic, digits),
-                ]
-            )
-        )
+    out = [",".join(("n", "epsilon", "delta", *_RATE_COLUMNS))]
+    for r, rates in zip(rows, _rate_cells(rows, digits)):
+        out.append(",".join([str(r.n), repr(r.epsilon), repr(r.delta), *rates]))
     return "\n".join(out) + "\n"
 
 
 def ladder_to_markdown(rows: list[RateLadder], *, digits: int = 3) -> str:
     """Markdown table rounded for display (3 decimals by default)."""
-    header = "| epsilon | exact | shannon | strassen | blahut | pragmatic |"
-    sep = "|---|---|---|---|---|---|"
-    lines = [header, sep]
-    for r in rows:
-        lines.append(
-            "| "
-            + " | ".join(
-                [
-                    f"{r.epsilon:g}",
-                    _cell(r.exact, digits),
-                    _cell(r.shannon, digits),
-                    _cell(r.strassen, digits),
-                    _cell(r.blahut, digits),
-                    _cell(r.pragmatic, digits),
-                ]
-            )
-            + " |"
-        )
+    lines = ["| " + " | ".join(("epsilon", *_RATE_COLUMNS)) + " |",
+             "|---" * (1 + len(_RATE_COLUMNS)) + "|"]
+    for r, rates in zip(rows, _rate_cells(rows, digits)):
+        lines.append(" | ".join([f"| {r.epsilon:g}", *rates]) + " |")
     return "\n".join(lines) + "\n"
 
 
 def ladder_to_json(rows: list[RateLadder]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "epsilon": r.epsilon,
-            "delta": r.delta,
-            "exact": r.exact,
-            "shannon": r.shannon,
-            "strassen": r.strassen,
-            "blahut": r.blahut,
-            "pragmatic": r.pragmatic,
-            "note": r.note,
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2)
+    keys = ("n", "epsilon", "delta", *_RATE_COLUMNS, "note")
+    fields = attrgetter(*keys)
+    return json.dumps([dict(zip(keys, fields(r))) for r in rows], indent=2)
