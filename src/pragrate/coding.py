@@ -303,8 +303,9 @@ def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
 def _canonical_columns(n: int, m: int, tables: list[list[float]]) -> tuple[array, list[int]]:
     """Sort keys and class sizes of every class in canonical order.
 
-    This is :func:`~pragrate.types_census._iter_types_with_sizes` with its
-    last two slots unrolled here, so no count vector is built.  Along those
+    Each prefix from :func:`~pragrate.types_census._iter_prefixes` (the
+    first m-2 counts) is one run; its last two slots, (c, r - c) for
+    c = 0..r, are unrolled here, so no count vector is built.  Along those
     two slots the size is symmetric, C(r, c) = C(r, r - c), so the second
     half of each run reuses the first half's integers: equal sizes share
     one object.  A run's keys come from one C-level ``map(fsum, zip(...))``

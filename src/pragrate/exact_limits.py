@@ -50,7 +50,7 @@ from .coding import (
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
 from .numerics import NEG_INF
-from .types_census import DEFAULT_TYPE_CAP, _iter_types_with_sizes, check_blocklength
+from .types_census import DEFAULT_TYPE_CAP, _iter_prefixes, check_blocklength
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
@@ -91,8 +91,10 @@ def _exact_tails(
     denominator = math.lcm(*(f.denominator for f in fracs))
     numerators = [f.numerator * (denominator // f.denominator) for f in fracs]
     powers = [[w ** c for c in range(n + 1)] for w in numerators]
-    weights = [math.prod(map(list.__getitem__, powers, counts))
-               for counts, _ in _iter_types_with_sizes(n, len(fracs))]
+    left, right, weights = powers[-2], powers[-1], []
+    for prefix, r, _ in _iter_prefixes(n, len(fracs) - 2, (), 1):
+        head = math.prod(map(list.__getitem__, powers, prefix))
+        weights += [head * a * b for a, b in zip(left[:r + 1], right[r::-1])]
     ranked = sorted(ranking, key=weights.__getitem__, reverse=True)
     total = denominator ** n
     tails, done, before = [Fraction(1)], 0, 0  # before: mass of ranked[:done]

@@ -113,8 +113,9 @@ def count_partitions(n: int, m: int) -> int:
 def enumerate_types(n: int, m: int) -> Iterator[NType]:
     """All n-types on m symbols in the canonical (ascending lex) order."""
     _check_n_m(n, m)
-    for counts, _ in _iter_types_with_sizes(n, m):
-        yield NType(counts)
+    for prefix, remaining, _ in _iter_prefixes(n, m - 2, (), 1):
+        for c in range(remaining + 1):
+            yield NType(prefix + (c, remaining - c))
 
 
 def type_index(t: NType | Sequence[int]) -> int:
@@ -177,18 +178,6 @@ def _iter_prefixes(
     for c in range(remaining + 1):
         yield from _iter_prefixes(remaining - c, slots - 1, prefix + (c,), coeff * binom)
         binom = binom * (remaining - c) // (c + 1)
-
-
-def _iter_types_with_sizes(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(counts, exact class size) in canonical order, with the multinomials
-    maintained incrementally (one small multiply/divide per step) so that
-    sweeps over tens of thousands of types stay cheap.  Only the first m-2
-    slots recurse; the last two run in one flat loop.  Needs m >= 2."""
-    for prefix, remaining, coeff in _iter_prefixes(n, m - 2, (), 1):
-        size = coeff  # coeff * C(remaining, c)
-        for c in range(remaining + 1):
-            yield prefix + (c, remaining - c), size
-            size = size * (remaining - c) // (c + 1)
 
 
 def _iter_runs(

@@ -22,6 +22,7 @@ from pragrate import (
     type_entropy_bits,
     unrank_in_type_class,
 )
+from pragrate.coding import _canonical_columns
 from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
@@ -29,7 +30,6 @@ from pragrate.types_census import (
     _distinct_permutations,
     _iter_partitions,
     _iter_spans,
-    _iter_types_with_sizes,
     count_partitions,
     type_at_index,
     type_index,
@@ -121,6 +121,11 @@ class TestTypeIndex:
             type_index((0, 0))
 
 
+def canonical_sizes(n, m):
+    """The class sizes the ranked-class engine builds, in canonical order."""
+    return _canonical_columns(n, m, [[0.0] * (n + 1)] * m)[1]
+
+
 class TestTypeClassSize:
     def test_balanced_four(self):
         assert type_class_size(NType((2, 2))) == 6
@@ -135,20 +140,18 @@ class TestTypeClassSize:
         # sum over all n-types of |T(type)| = m^n, exactly, in big integers
         for m in (2, 3, 4):
             for n in range(1, 61):
-                total = sum(size for _, size in _iter_types_with_sizes(n, m))
-                assert total == m ** n
+                assert sum(canonical_sizes(n, m)) == m ** n
 
     def test_incremental_sizes_match_direct(self):
         for n, m in [(9, 2), (7, 3), (5, 4)]:
-            for counts, size in _iter_types_with_sizes(n, m):
-                assert size == type_class_size(counts)
+            assert canonical_sizes(n, m) == [type_class_size(t) for t in enumerate_types(n, m)]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_flat_enumerator_is_every_composition_in_lex_order(self, m):
         for n in (1, 2, 5, 9):
-            got = list(_iter_types_with_sizes(n, m))
-            assert [c for c, _ in got] == sorted(compositions(n, m))
-            assert all(size == type_class_size(c) for c, size in got)
+            got = [t.counts for t in enumerate_types(n, m)]
+            assert got == sorted(compositions(n, m))
+            assert canonical_sizes(n, m) == [type_class_size(c) for c in got]
 
 
 class TestOrbits:
