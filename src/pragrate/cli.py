@@ -83,7 +83,6 @@ def _apply_config(argv: list[str] | None) -> argparse.Namespace:
     defaults go on a parser built for this call; the shared one never changes."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _close_input(args)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -107,11 +106,15 @@ def _apply_config(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _close_input(args: argparse.Namespace) -> None:
-    """Close the codec's input file, if it opened one; stdin stays open."""
-    infile = getattr(args, "infile", None)
-    if infile is not None and infile is not sys.stdin:
-        infile.close()
+def _read_input(path: str) -> str:
+    """The codec's input text: the file at ``path``, or stdin for '-'."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read input file {path!r}: {exc}") from exc
 
 
 def _load_source(args: argparse.Namespace) -> SourcePmf:
@@ -268,8 +271,8 @@ def _cmd_codec_encode(args: argparse.Namespace) -> int:
     alphabet = _check_alphabet(args.alphabet)
     sym_index = {ch: i for i, ch in enumerate(alphabet)}
     source = _codec_source(args, len(alphabet))
+    lines = [ln.strip() for ln in _read_input(args.infile).splitlines() if ln.strip()]
     ordering = _build_cli_ordering(args, len(alphabet), source)
-    lines = [ln.strip() for ln in args.infile.read().splitlines() if ln.strip()]
     header = f"# mode={args.mode} m={len(alphabet)} n={args.n} alphabet={alphabet}"
     if source is not None:
         header += f" src={_source_digest(source)}"
@@ -329,7 +332,7 @@ def _check_source_digest(src: str | None, source: SourcePmf) -> None:
 
 
 def _cmd_codec_decode(args: argparse.Namespace) -> int:
-    lines = [ln.rstrip("\n") for ln in args.infile.read().splitlines()]
+    lines = [ln.rstrip("\n") for ln in _read_input(args.infile).splitlines()]
     if not lines or not lines[0].startswith("#"):
         raise DomainError("codeword stream must start with its '# mode=...' header")
     mode, m, n, alphabet, src = _parse_codec_header(lines[0])
@@ -407,12 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--alphabet", required=True, help="symbol order, e.g. 'ab'")
     enc.add_argument("--n", required=True, type=int)
     enc.add_argument("--audit", action="store_true", help="emit lengths and empirical entropies")
-    # "-" is opened when parsed, so it reads the sys.stdin of that call
-    enc.add_argument("infile", nargs="?", type=argparse.FileType("r"), default="-")
+    enc.add_argument("infile", nargs="?", default="-", help="input path, '-' for stdin")
     enc.set_defaults(func=_cmd_codec_encode)
     dec = codec_sub.add_parser("decode")
     common(dec)
-    dec.add_argument("infile", nargs="?", type=argparse.FileType("r"), default="-")
+    dec.add_argument("infile", nargs="?", default="-", help="input path, '-' for stdin")
     dec.set_defaults(func=_cmd_codec_decode)
 
     return parser
@@ -434,7 +436,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         if args.config:
-            _close_input(args)
             args = _apply_config(argv)
         return args.func(args)
     except (DistributionError, DomainError, CodewordError) as exc:
@@ -449,8 +450,6 @@ def main(argv: list[str] | None = None) -> int:
     except PragrateError as exc:  # pragma: no cover - safety net
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INTERNAL
-    finally:
-        _close_input(args)
 
 
 if __name__ == "__main__":

@@ -790,6 +790,18 @@ class TestInputErrorsExit2:
         assert out == "" and err.startswith("error: cannot read config file")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("codec", "encode", "--alphabet", "ab", "--n", "4"),
+        ("codec", "decode"),
+    ], ids=["encode", "decode"])
+    @pytest.mark.parametrize("name", ["absent.txt", "."], ids=["missing", "directory"])
+    def test_unreadable_codec_input(self, tmp_path, argv, name):
+        path = tmp_path / name
+        code, out, err = run_cli_process(*argv, str(path))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: cannot read input file {str(path)!r}")
+        assert "Traceback" not in err
+
 
 def test_subnormal_epsilon_ladder_has_finite_strassen_cell():
     # n*delta = 1050: epsilon = 2**-1050 is subnormal but not zero
