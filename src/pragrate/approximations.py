@@ -51,7 +51,8 @@ def epsilon_to_delta(epsilon: float, n: int) -> float:
 
 def delta_to_epsilon(delta: float, n: int) -> float:
     """epsilon = 2**(-n*delta); underflows to 0.0 for very large exponents."""
-    return 2.0 ** (-n * delta)
+    check_blocklength(n)
+    return 2.0 ** (-n * check_delta(delta))
 
 
 def shannon_rate(p: SourcePmf) -> float:
@@ -430,7 +431,7 @@ def compute_rate_ladders(
     if epsilons is not None:
         points = [(eps, epsilon_to_delta(eps, n), math.log2(eps)) for eps in epsilons]
     else:
-        points = [(delta_to_epsilon(d, n), check_delta(d), -n * d) for d in deltas]
+        points = [(delta_to_epsilon(d, n), d, -n * d) for d in deltas]
     if not points:
         return []
     shannon, sigma = _source_terms(p)

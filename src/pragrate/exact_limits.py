@@ -114,8 +114,8 @@ def excess_rate_probability(
     Lengths are integers, so the event is length >= ceil(n*rate); a tiny
     guard keeps nearly-integer products from being rounded up spuriously.
     """
-    if rate < 0.0:
-        raise DomainError(f"rate must be nonnegative, got {rate}")
+    if not 0.0 <= rate < math.inf:
+        raise DomainError(f"rate must be nonnegative and finite, got {rate}")
     dist = length_distribution(p, n, cap_types=cap_types)
     threshold = math.ceil(n * rate - 1e-12)
     return dist.tail(threshold)

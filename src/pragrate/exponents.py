@@ -268,7 +268,7 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     h_p = tilt(p, 1.0).entropy_bits
     h_max = math.log2(p.m)
     tol = 1e-12
-    if rate < h_p - tol or rate > h_max + tol:
+    if not h_p - tol <= rate <= h_max + tol:  # refuses nan too
         raise DomainError(
             f"rate={rate!r} outside [H(P), log2 m] = [{h_p!r}, {h_max!r}]"
         )

@@ -34,6 +34,7 @@ from pragrate import (
 )
 from pragrate.approximations import (
     coding_variance_bits,
+    delta_to_epsilon,
     epsilon_to_delta,
     ladder_to_csv,
     ladder_to_json,
@@ -436,6 +437,7 @@ BLOCKLENGTH_ENTRY_POINTS = {
     "blahut_rate": lambda n: blahut_rate(P02, n, 0.01),
     "pragmatic_rate": lambda n: pragmatic_rate(P02, n, 0.01),
     "epsilon_to_delta": lambda n: epsilon_to_delta(0.01, n),
+    "delta_to_epsilon": lambda n: delta_to_epsilon(0.05, n),
     "universal_rate_bound": lambda n: universal_rate_bound(P02, n, 0.05),
     "universal_threshold_alpha_n": lambda n: universal_threshold_alpha_n(P02, 0.05, n),
     "prefix_adjust": lambda n: prefix_adjust(0.5, n),
@@ -452,3 +454,14 @@ def test_bad_blocklength_refused(entry, n):
     # True would pass for n = 1 and 2.5 for a blocklength; nan fails every comparison
     with pytest.raises(DomainError, match=r"^blocklength n must be an integer >= 1, got "):
         BLOCKLENGTH_ENTRY_POINTS[entry](n)
+
+
+@pytest.mark.parametrize("delta", [-2000.0, -0.1, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    lambda d: delta_to_epsilon(d, 10),
+    lambda d: compute_rate_ladders(P02, 10, deltas=[d], include_exact=False),
+], ids=["delta_to_epsilon", "compute_rate_ladders"])
+def test_bad_delta_refused(entry, delta):
+    # -2000 at n=10 would be 2**20000, an OverflowError, if converted before the check
+    with pytest.raises(DomainError, match=r"^delta must be a positive finite exponent, got "):
+        entry(delta)

@@ -684,7 +684,7 @@ class TestInputErrorsExit2:
         assert out == "" and err.startswith("error: --m must be >= 2")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("delta", ["0", "-0.1", "nan", "inf", "0.05,-inf"])
+    @pytest.mark.parametrize("delta", ["0", "-0.1", "nan", "inf", "0.05,-inf", "-2000"])
     def test_bad_delta(self, delta):
         code, out, err = run_cli_process(
             "ladder", "--source", "0.2,0.8", "--n", "50", f"--delta={delta}", "--no-exact"

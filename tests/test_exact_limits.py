@@ -257,6 +257,12 @@ class TestExcessRateProbability:
         with pytest.raises(DomainError):
             excess_rate_probability(P02, 3, -0.1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # was a ValueError (nan) or an OverflowError (inf) from math.ceil
+        with pytest.raises(DomainError, match=r"^rate must be nonnegative and finite"):
+            excess_rate_probability(P02, 3, rate)
+
 
 class TestOptimalRate:
     def test_small_case(self):

@@ -108,6 +108,12 @@ class TestErrorExponent:
         with pytest.raises(DomainError):
             error_exponent(P02, 1.1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_refused(self, rate):
+        # nan fails both comparisons of `rate < lo or rate > hi`: D(U||P) came back
+        with pytest.raises(DomainError, match=r"^rate=nan outside|^rate=-?inf outside"):
+            error_exponent(P02, rate)
+
     def test_convex_nondecreasing(self, rng):
         for _ in range(5):
             p = random_pmf(rng, 3)
