@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import exact_limits
 from .distributions import SourcePmf, tilt
@@ -473,11 +473,12 @@ _RATE_COLUMNS = ("exact", "shannon", "strassen", "blahut", "pragmatic")
 _rates = attrgetter(*_RATE_COLUMNS)
 
 
-def _rate_cells(rows: list[RateLadder], digits: int | None) -> list[list[str]]:
+def _rate_cells(rows: list[RateLadder], digits: int | None) -> Iterator[list[str]]:
     """Each row's rate cells in ``_RATE_COLUMNS`` order: '-' where the rate
-    is None, else its repr (``digits`` None) or ``digits`` decimals."""
+    is None, else its repr (``digits`` None) or ``digits`` decimals.  Lazy,
+    so only one row's cells are held at a time."""
     fmt = repr if digits is None else f"{{:.{digits}f}}".format
-    return [["-" if v is None else fmt(v) for v in _rates(r)] for r in rows]
+    return (["-" if v is None else fmt(v) for v in _rates(r)] for r in rows)
 
 
 def ladder_to_csv(rows: list[RateLadder], *, digits: int | None = None) -> str:
