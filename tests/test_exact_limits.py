@@ -259,7 +259,7 @@ class TestExcessRateProbability:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_rejected(self, rate):
-        # was a ValueError (nan) or an OverflowError (inf) from math.ceil
+        # math.ceil raises ValueError on nan and OverflowError on inf
         with pytest.raises(DomainError, match=r"^rate must be nonnegative and finite"):
             excess_rate_probability(P02, 3, rate)
 

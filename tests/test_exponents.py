@@ -110,7 +110,7 @@ class TestErrorExponent:
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
     def test_non_finite_rate_refused(self, rate):
-        # nan fails both comparisons of `rate < lo or rate > hi`: D(U||P) came back
+        # nan compares false with everything, so `rate < lo or rate > hi` lets it through
         with pytest.raises(DomainError, match=r"^rate=nan outside|^rate=-?inf outside"):
             error_exponent(P02, rate)
 
