@@ -70,8 +70,11 @@ def _cap_types(text: str) -> int:
 
 
 def _parse_float_list(text: str) -> list[float]:
+    """A comma-separated list's values (none for only commas); no entry may be empty."""
+    if not text.replace(",", "").strip():
+        return []
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"bad numeric list {text!r}: {exc}") from exc
 

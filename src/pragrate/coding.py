@@ -16,16 +16,20 @@ one C-level ``map`` per run of classes that differ only in their last two
 counts.  The universal ordering is stored per entropy level: entropy and
 class size are computed once per partition of n (one permutation orbit of
 count vectors), the partitions are grouped by their exact float entropy,
-and each level keeps its orbits and one cumulative offset.  Inside a level the count vectors
-come in lex order.  Since ``fsum`` is correctly rounded whatever the order
-of its terms, every vector of an orbit has its partition's entropy bit for
-bit, so this equals a sort of all C(n+m-1, m-1) classes on (entropy,
-counts).  A single-orbit level's classes all have one size, so a class's
-offset is the level's plus that size times the lex rank of its count
-vector among the rearrangements of the partition: the codec ranks (and
-unranks) twice, once over the multiset of counts and once over the string,
-and never lists the classes.  The rare level of several orbits (distinct
-partitions with equal float entropy) is expanded when a string falls in it.
+and each level keeps its entropy, its orbits and one cumulative offset.
+Inside a level the count vectors come in lex order.  Since ``fsum`` is
+correctly rounded whatever the order of its terms, every vector of an
+orbit has its partition's entropy bit for bit, so this equals a sort of all
+C(n+m-1, m-1) classes on (entropy, counts), and a class's level is found by
+bisecting the sorted level entropies with
+:func:`~pragrate.types_census.type_entropy_bits` of its counts: no map from
+partitions to levels is kept.  A single-orbit level's classes all have one
+size, so a class's offset is the level's plus that size times the lex rank
+of its count vector among the rearrangements of the partition: the codec
+ranks (and unranks) twice, once over the multiset of counts and once over
+the string, and never lists the classes.  The rare level of several orbits
+(distinct partitions with equal float entropy) is expanded when a string
+falls in it.
 
 The known-source ordering is stored as the engine's columns (below): the
 class sizes in canonical order and the ranking, plus one cumulative
@@ -42,9 +46,10 @@ its classes.
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
 empty codeword.  Encoding is big-integer index arithmetic: the offset of the
-string's type class plus its lexicographic rank inside the class, so n in
-the hundreds is routine.  Decoding inverts exactly.  The rank and its
-inverse (:mod:`pragrate.types_census`) cost one multiply and one exact
+string's type class plus its lexicographic rank inside the class
+(:func:`~pragrate.types_census.rank_in_type_class`), so n in the hundreds
+is routine.  Decoding inverts exactly.  The rank and its inverse
+(:mod:`pragrate.types_census`) cost one multiply and one exact
 division per symbol once two symbols are left in the rest of the string,
 which at m = 2 is every symbol.
 
@@ -78,23 +83,24 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .distributions import SourcePmf
-from .errors import CodewordError, DomainError, ResourceLimitError
+from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
     _distinct_permutations,
     _iter_partitions,
     _iter_prefixes,
-    _rank_in_class,
     check_integer,
     count_types,
+    rank_in_type_class,
     type_at_index,
+    type_entropy_bits,
     type_index,
     unrank_in_type_class,
 )
@@ -133,15 +139,17 @@ class Codeword:
 _Orbit = tuple[tuple[int, ...], int, int]
 
 
-def _universal_levels(n: int, m: int) -> list[list[_Orbit]]:
-    """The orbits grouped by their exact float entropy, levels ascending."""
+def _universal_levels(n: int, m: int) -> tuple[array, list[list[_Orbit]]]:
+    """The orbits grouped by their exact float entropy: the entropies
+    ascending, and the levels in that order."""
     levels: dict[float, list[_Orbit]] = {}
     log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
     for parts, size, arrangements in _iter_partitions(n, m):
         # type_entropy_bits(parts), bit for bit, without its call overhead
         h = max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0)
         levels.setdefault(h, []).append((parts[::-1], size, arrangements))
-    return [levels[h] for h in sorted(levels)]
+    keys = sorted(levels)
+    return array("d", keys), list(map(levels.__getitem__, keys))
 
 
 def _level_classes(
@@ -168,43 +176,56 @@ def _level_classes(
     return [counts for counts, _ in level], [size for _, size in level]
 
 
-def _orbit_alphabet(asc: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """The distinct values of an ascending vector and their multiplicities:
-    the vectors of its orbit are the strings of that type over those values."""
-    values = sorted(set(asc))
-    return values, [asc.count(v) for v in values]
+class CodeOrdering:
+    """A total order on A^n shared by encoder and decoder.
+
+    Each ordering is its own store, and neither lists its classes: the
+    known-source one keeps the engine's columns and an offset every
+    ``_OFFSET_STRIDE`` ranked classes, the universal one its entropy levels.
+    Both answer the two questions of enumerative coding: ``class_offset``
+    (the strings in all classes before a given one) and ``locate`` (the
+    class holding a given index, and the index's rank inside it).
+    """
+
+    __slots__ = ("mode", "n", "m", "total")
+
+    def __init__(self, mode: str, n: int, m: int) -> None:
+        self.mode, self.n, self.m, self.total = mode, n, m, m ** n
 
 
-@dataclass(frozen=True)
-class _EntropyLevels:
+class _EntropyLevels(CodeOrdering):
     """The universal order kept one entropy level at a time (see the module
-    docstring): ``levels`` holds each level's orbits, ``offsets[i]`` the
-    strings in all earlier levels, and ``level_of`` maps an ascending
-    vector to its level.  A class's offset is found by ranking its count
-    vector within its level, and no level's classes are listed unless the
-    level holds several orbits and a string falls in it."""
+    docstring): the ``entropies`` ascending, ``levels[i]`` the orbits at
+    ``entropies[i]`` and ``offsets[i]`` the strings in all earlier levels.
+    No level's classes are listed unless it holds several orbits and a
+    string falls in it.  Two universal orderings are equal when their levels are."""
 
-    levels: tuple[tuple[_Orbit, ...], ...]
-    offsets: tuple[int, ...]  # length len(levels)+1; last entry is m**n
-    level_of: dict[tuple[int, ...], int] = field(repr=False, hash=False, compare=False)
+    __slots__ = ("levels", "entropies", "offsets")
 
-    @classmethod
-    def build(cls, n: int, m: int) -> "_EntropyLevels":
-        levels = tuple(map(tuple, _universal_levels(n, m)))
-        strings = (sum(size * arr for _, size, arr in orbits) for orbits in levels)
-        return cls(
-            levels=levels,
-            offsets=tuple(itertools.accumulate(strings, initial=0)),
-            level_of={asc: i for i, orbits in enumerate(levels) for asc, _, _ in orbits},
-        )
+    def __init__(self, n: int, m: int) -> None:
+        super().__init__(UNIVERSAL, n, m)
+        self.entropies, self.levels = _universal_levels(n, m)
+        strings = (sum(size * arr for _, size, arr in orbits) for orbits in self.levels)
+        self.offsets = tuple(itertools.accumulate(strings, initial=0))  # last entry m**n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _EntropyLevels):
+            return NotImplemented
+        return (self.levels, self.offsets) == (other.levels, other.offsets)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.m))
 
     def class_offset(self, counts: tuple[int, ...]) -> int:
-        i = self.level_of[tuple(sorted(counts))]
+        h = type_entropy_bits(counts)
+        i = bisect.bisect_left(self.entropies, h)
+        if i == len(self.entropies) or self.entropies[i] != h:
+            raise InvariantViolation(f"no entropy level of the universal ordering holds {counts}")
         orbits = self.levels[i]
         if len(orbits) == 1:
             asc, size, _ = orbits[0]
-            values, multiplicities = _orbit_alphabet(asc)
-            rank = _rank_in_class([values.index(c) for c in counts], multiplicities)
+            values = sorted(set(asc))  # the orbit's vectors are the strings over these
+            rank = rank_in_type_class(list(map(values.index, counts)), len(values))
             return self.offsets[i] + size * rank
         order, sizes = _level_classes(orbits, {})
         return self.offsets[i] + sum(sizes[:order.index(counts)])
@@ -217,19 +238,16 @@ class _EntropyLevels:
         if len(orbits) == 1:
             asc, size, _ = orbits[0]
             rank, within = divmod(rest, size)
-            values, multiplicities = _orbit_alphabet(asc)
-            return tuple(values[j] for j in unrank_in_type_class(multiplicities, rank)), within
+            values = sorted(set(asc))
+            vector = unrank_in_type_class(list(map(asc.count, values)), rank)
+            return tuple(map(values.__getitem__, vector)), within
         order, sizes = _level_classes(orbits, {})
         starts = list(itertools.accumulate(sizes, initial=0))
         pos, _ = _straddling_class(starts, rest + 1)
         return order[pos], rest - starts[pos]
 
-    @property
-    def total(self) -> int:
-        return self.offsets[-1]
 
-
-class _RankedClasses:
+class _RankedClasses(CodeOrdering):
     """The known-source order kept as the engine's columns (see the module
     docstring): ``sizes`` in canonical order, the ``ranking`` (canonical
     indices in code order) and ``checkpoints[j]``, the strings in the
@@ -238,14 +256,14 @@ class _RankedClasses:
     No count vector is stored: a class is found through its canonical
     index, computed from the counts and back in closed form."""
 
-    __slots__ = ("n", "m", "total", "sizes", "ranking", "checkpoints", "_position")
+    __slots__ = ("sizes", "ranking", "checkpoints", "_position")
 
     def __init__(self, n: int, m: int, sizes: list[int], ranking: array) -> None:
+        super().__init__(KNOWN_SOURCE, n, m)
         offsets = itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)
         self.checkpoints = list(itertools.islice(offsets, 0, len(ranking), _OFFSET_STRIDE))
-        self.n, self.m, self.total, self.sizes, self.ranking = n, m, m ** n, sizes, ranking
+        self.sizes, self.ranking = sizes, ranking
         self._position: array | None = None
-
     def class_offset(self, counts: tuple[int, ...]) -> int:
         """The strings in all classes ranked before the class of ``counts``."""
         if self._position is None:  # the inverse ranking: canonical index -> position
@@ -266,28 +284,6 @@ class _RankedClasses:
         starts = list(itertools.accumulate(ranked_sizes, initial=self.checkpoints[j]))
         pos, _ = _straddling_class(starts, k)
         return type_at_index(self.n, self.m, block[pos]), k - 1 - starts[pos]
-
-
-@dataclass(frozen=True)
-class CodeOrdering:
-    """A total order on A^n shared by encoder and decoder.
-
-    Neither ordering lists its classes: the known-source one keeps the
-    engine's columns and an offset every ``_OFFSET_STRIDE`` ranked classes,
-    the universal one its entropy levels.  Both stores answer the two
-    questions of enumerative coding: ``class_offset`` (the strings in all
-    classes before a given one) and ``locate`` (the class holding a given
-    index, and the index's rank inside it).
-    """
-
-    mode: str
-    n: int
-    m: int
-    _classes: _RankedClasses | _EntropyLevels = field(repr=False)
-
-    @property
-    def total(self) -> int:
-        return self._classes.total
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
@@ -466,7 +462,7 @@ def build_ordering(
     """
     _check_type_cap(n, m, cap_types)  # count_types checks n and m
     if mode == UNIVERSAL:
-        return CodeOrdering(mode, n, m, _EntropyLevels.build(n, m))
+        return _EntropyLevels(n, m)
     if mode != KNOWN_SOURCE:
         raise DomainError(f"unknown ordering mode {mode!r}")
     if source is None:
@@ -474,19 +470,15 @@ def build_ordering(
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
     _, sizes, ranking = _known_source_classes(n, m, source)
-    return CodeOrdering(mode, n, m, _RankedClasses(n, m, sizes, ranking))
+    return _RankedClasses(n, m, sizes, ranking)
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
     """1-based index of string ``x`` in the ordering."""
     if len(x) != ordering.n:
         raise DomainError(f"string length {len(x)} != blocklength {ordering.n}")
-    symbols = range(ordering.m)
-    counts = list(map(x.count, symbols))
-    if sum(counts) != ordering.n:  # some symbol lies outside 0 .. m-1
-        bad = next(s for s in x if s not in symbols)
-        raise DomainError(f"symbol {bad} outside alphabet of size {ordering.m}")
-    return ordering._classes.class_offset(tuple(counts)) + _rank_in_class(x, counts) + 1
+    rank = rank_in_type_class(x, ordering.m)  # refuses a symbol outside 0 .. m-1
+    return ordering.class_offset(tuple(map(x.count, range(ordering.m)))) + rank + 1
 
 
 def encode(ordering: CodeOrdering, x: Sequence[int]) -> Codeword:
@@ -501,7 +493,7 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
         raise CodewordError(
             f"index {k} exceeds the {ordering.total} strings of this ordering"
         )
-    return unrank_in_type_class(*ordering._classes.locate(k))
+    return unrank_in_type_class(*ordering.locate(k))
 
 
 @functools.lru_cache(maxsize=64, typed=True)  # typed: True or 1.0 never hits n=1's entry
@@ -516,7 +508,7 @@ def universal_length_distribution(
     """
     _check_type_cap(n, p.m, cap_types)
     tables, keys, sizes, getters = _key_tables(p, n), array("d"), [], {}
-    for orbits in _universal_levels(n, p.m):  # one level's vectors at a time
+    for orbits in _universal_levels(n, p.m)[1]:  # one level's vectors at a time
         order, level_sizes = _level_classes(orbits, getters)
         keys.extend(math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
         sizes += level_sizes

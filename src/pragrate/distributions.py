@@ -109,6 +109,10 @@ class SourcePmf:
         exact: list[Fraction] | None = []
         floats: list[float] = []
         for v in values:
+            try:
+                floats.append(float(v))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DistributionError(f"bad pmf entry {v!r}: {exc}") from exc
             if isinstance(v, float):
                 exact = None
             elif exact is not None:
@@ -116,7 +120,6 @@ class SourcePmf:
                     exact.append(Fraction(v))
                 except (ValueError, TypeError):
                     exact = None
-            floats.append(float(v))
         if exact is not None and sum(exact) != 1:
             exact = None
         return cls(tuple(floats), tuple(exact) if exact is not None else None)
@@ -149,8 +152,11 @@ class SourcePmf:
     def load(cls, spec: str) -> "SourcePmf":
         """Parse an inline spec, or read one from a file if ``spec`` names one."""
         if os.path.exists(spec):
-            with open(spec, "r", encoding="utf-8") as fh:
-                return cls.parse(fh.read())
+            try:
+                with open(spec, "r", encoding="utf-8") as fh:
+                    spec = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DistributionError(f"cannot read source file {spec!r}: {exc}") from exc
         return cls.parse(spec)
 
 

@@ -38,6 +38,7 @@ from .distributions import (
 )
 from .errors import DomainError, InvariantViolation
 from .numerics import LOG2E
+from .types_census import check_integer
 
 ALPHA_TOL = 1e-14
 _ALPHA_STAR_NOISES = 8.0  # |D - delta| allowed at alpha*, in units of D's rounding noise
@@ -301,10 +302,7 @@ def moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnvel
 
     Pure in its (immutable) arguments, so results are memoized.
     """
-    if isinstance(grid_size, bool) or not isinstance(grid_size, int):
-        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 3:
-        raise DomainError("grid_size must be at least 3")
+    check_integer("grid_size", grid_size, 3)
     if p.is_uniform:
         return MomentEnvelope(0.0, 0.0, 0.0, grid_size, 0, degenerate=True)
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE

@@ -21,7 +21,7 @@ by its number of distinct rearrangements, m!/prod(multiplicity!), instead
 of visiting all C(n+m-1, m-1) count vectors.  The universal code order in
 :mod:`pragrate.coding` is kept as the same orbits: a count vector's place in
 its orbit is its lex rank among the rearrangements of the partition (a
-multiset rank, :func:`_rank_in_class`), and :func:`_distinct_permutations`
+multiset rank, :func:`rank_in_type_class`), and :func:`_distinct_permutations`
 lists an orbit in lex order when one is expanded.
 
 The partitions come in runs (:func:`_iter_runs`): those that share their
@@ -59,12 +59,7 @@ class NType:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.counts) < 1:
-            raise DomainError("a type needs at least one symbol slot")
-        if any(c < 0 or c != int(c) for c in self.counts):
-            raise DomainError(f"counts must be nonnegative integers: {self.counts}")
-        if sum(self.counts) < 1:
-            raise DomainError("a type must have n >= 1")
+        check_blocklength(sum(_type_counts(self.counts)))
 
     @property
     def n(self) -> int:
@@ -79,6 +74,16 @@ def check_integer(name: str, value: int, least: int) -> None:
     """Refuse ``value`` unless it is an integer >= ``least`` (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _type_counts(t: NType | Sequence[int]) -> tuple[int, ...]:
+    """The counts of an NType, or of a sequence whose counts are integers >= 0."""
+    if isinstance(t, NType):
+        return t.counts
+    counts = tuple(t)
+    for c in counts:
+        check_integer("a type's count", c, 0)
+    return counts
 
 
 def check_blocklength(n: int) -> None:
@@ -126,8 +131,9 @@ def type_index(t: NType | Sequence[int]) -> int:
     there number C(r - v + k, k), with r what is left of n and k + 1 the
     slots after i.  Their sum over v is a difference of two binomials (the
     hockey-stick identity), so the index costs two binomials per slot."""
-    counts = t.counts if isinstance(t, NType) else NType(tuple(t)).counts
+    counts = _type_counts(t)
     index, remaining, after = 0, sum(counts), len(counts) - 1  # after = k + 1
+    check_blocklength(remaining)
     for c in counts[:-1]:
         index += math.comb(remaining + after, after) - math.comb(remaining - c + after, after)
         remaining -= c
@@ -139,7 +145,8 @@ def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
     """The count vector at 0-based ``index`` in the canonical order of the
     n-types on m symbols: the inverse of :func:`type_index`."""
     total = count_types(n, m)  # checks n and m
-    if not 0 <= index < total:
+    check_integer("type index", index, 0)
+    if index >= total:
         raise DomainError(f"type index {index} outside [0, {total})")
     counts, remaining = [], n
     for k in range(m - 2, 0, -1):  # k + 1 slots after this one
@@ -156,10 +163,8 @@ def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
 
 def type_class_size(t: NType | Sequence[int]) -> int:
     """Exact multinomial coefficient n! / prod(counts!)."""
-    counts = t.counts if isinstance(t, NType) else tuple(t)
-    total = sum(counts)
-    size = 1
-    remaining = total
+    counts = _type_counts(t)
+    size, remaining = 1, sum(counts)
     for c in counts:
         size *= math.comb(remaining, c)
         remaining -= c
@@ -270,6 +275,7 @@ def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def type_entropy_bits(counts: Sequence[int]) -> float:
     """Entropy of the empirical pmf counts/n, in bits, with 0 log 0 = 0."""
+    counts = _type_counts(counts)
     n = sum(counts)
     if n < 1:
         raise DomainError("empty type")
@@ -287,7 +293,7 @@ def stirling_ratio(t: NType | Sequence[int]) -> float:
     computed in the log domain and stays inside a two-sided constant band
     for fixed k, which is what the census sweeps assert.
     """
-    counts = t.counts if isinstance(t, NType) else tuple(t)
+    counts = _type_counts(t)
     if any(c == 0 for c in counts):
         raise DomainError("stirling_ratio requires a full-support type")
     n = sum(counts)
@@ -481,21 +487,8 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
 def rank_in_type_class(x: Sequence[int], m: int) -> int:
     """Lexicographic rank of string ``x`` among all strings of its type.
 
-    Symbols are integers 0..m-1.  Runs in O(n) big-integer operations via
-    decrement-and-count multinomial recursion; the inverse is
+    Symbols are integers 0..m-1, counted with ``x.count``; the inverse is
     :func:`unrank_in_type_class`.
-    """
-    if any(not 0 <= s < m for s in x):
-        raise DomainError("symbol out of alphabet range")
-    counts = [0] * m
-    for s in x:
-        counts[s] += 1
-    return _rank_in_class(x, counts)
-
-
-def _rank_in_class(x: Sequence[int], counts: list[int]) -> int:
-    """Rank of ``x`` in its class, given its symbol ``counts`` (which it
-    may change).
 
     Every division is exact.  Of the ``size`` strings that agree with ``x``
     so far, those that put symbol s next number size * counts[s] / remaining,
@@ -514,7 +507,12 @@ def _rank_in_class(x: Sequence[int], counts: list[int]) -> int:
     Only a symbol between the smallest and the largest costs a second
     multiply-divide, so at m = 2 a position costs one multiply and one
     exact division.  The reference per-symbol loop is in the tests."""
+    check_integer("m", m, 1)
+    counts = list(map(x.count, range(m)))
     remaining = len(x)
+    if sum(counts) != remaining:  # some symbol lies outside 0 .. m-1
+        bad = next(s for s in x if s not in range(m))
+        raise DomainError(f"symbol {bad} outside alphabet of size {m}")
     size = type_class_size(counts)
     rank = 0
     live = [s for s, c in enumerate(counts) if c]  # the symbols still present
@@ -565,9 +563,10 @@ def unrank_in_type_class(t: NType | Sequence[int], rank: int) -> tuple[int, ...]
     * once two symbols are left, one multiply-divide per position picks
       between them, and when one of the two runs out the other fills the
       rest of the string in one step."""
-    counts = list(t.counts if isinstance(t, NType) else t)
+    counts = list(_type_counts(t))
     size = type_class_size(counts)
-    if not 0 <= rank < size:
+    check_integer("rank", rank, 0)
+    if rank >= size:
         raise DomainError(f"rank {rank} outside [0, {size})")
     remaining = sum(counts)
     live = [s for s, c in enumerate(counts) if c]  # the symbols still present

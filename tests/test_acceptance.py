@@ -288,7 +288,8 @@ class TestCriterion6CodecRoundTrips:
         indices = [pr.string_index(base, x) for x in strings]
         for src in (P02, bern("0.7"), bern("0.99")):
             other = pr.build_ordering(pr.UNIVERSAL, 10, 2, source=src)
-            assert other._classes == base._classes
+            assert other == base
+            assert (other.levels, other.offsets) == (base.levels, base.offsets)
             assert [pr.string_index(other, x) for x in strings] == indices
         x = (0, 1, 1, 0, 0, 0, 1, 1, 1, 0)
         words = {

@@ -333,9 +333,10 @@ class TestCodecCommands:
         # at m=4, n=50 the partitions (3,3,12,32) and (2,14,16,18) share
         # their float entropy with others, so the codec lists the classes of
         # their levels; everywhere else it ranks within one orbit
-        levels = pragrate.build_ordering(pragrate.UNIVERSAL, 50, 4)._classes
+        levels = pragrate.build_ordering(pragrate.UNIVERSAL, 50, 4).levels
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
-            assert len(levels.levels[levels.level_of[asc]]) >= 2
+            level = next(orbits for orbits in levels if asc in [a for a, _, _ in orbits])
+            assert len(level) >= 2
         rng = random.Random(50)
         strings = ["".join(rng.choice("abcd") for _ in range(50)) for _ in range(10)]
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
@@ -726,6 +727,36 @@ class TestInputErrorsExit2:
         code, out, err = run_cli_process(command, "--source", "0.2,0.8", "--n", "10", flag, ",")
         assert code == 2
         assert out == "" and err == f"error: {flag} ',' holds no values\n"
+
+    @pytest.mark.parametrize("command", ["ladder", "limits"])
+    @pytest.mark.parametrize("flag,text", [("--eps", "0.1,,0.2"), ("--delta", "0.05,"), ("--eps", ",0.1")])
+    def test_list_with_an_empty_entry(self, capsys, command, flag, text):
+        code, out, err = run_cli(capsys, command, "--source", "0.2,0.8", "--n", "10", flag, text)
+        assert code == 2
+        assert out == "" and err == f"error: bad numeric list {text!r}: could not convert string to float: ''\n"
+
+    @pytest.mark.parametrize("route", ["source", "threshold_source", "config"])
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8", "null_entry", "nested_entries"])
+    def test_malformed_source(self, capsys, tmp_path, route, kind):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe0.2,0.8")
+        spec, message = {
+            "directory": (str(tmp_path), "cannot read source file"),
+            "non_utf8": (str(bad), "cannot read source file"),
+            "null_entry": ("[null, 1]", "bad pmf entry"),
+            "nested_entries": ("[[0.2],[0.8]]", "bad pmf entry"),
+        }[kind]
+        if route == "source":
+            argv = ("ladder", "--source", spec, "--n", "5", "--eps", "0.1")
+        elif route == "threshold_source":
+            argv = ("census", "--threshold-source", spec, "--n", "5")
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"source": spec}))
+            argv = ("limits", "--config", str(cfg), "--n", "5", "--eps", "0.1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("slab", [(), ("--slab",)], ids=["sweep", "slab"])
     def test_census_type_cap(self, slab):

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -11,9 +10,11 @@ import pytest
 from pragrate import (
     KNOWN_SOURCE,
     UNIVERSAL,
+    CodeOrdering,
     CodewordError,
     Codeword,
     DomainError,
+    InvariantViolation,
     ResourceLimitError,
     SourcePmf,
     build_ordering,
@@ -23,6 +24,7 @@ from pragrate import (
     encode,
     kl_divergence,
     length_distribution,
+    rank_in_type_class,
     string_index,
     type_entropy_bits,
     universal_excess_probability,
@@ -30,6 +32,7 @@ from pragrate import (
     universal_threshold_alpha_n,
 )
 from pragrate.numerics import NEG_INF, logaddexp2
+from pragrate.types_census import count_partitions
 
 from conftest import (
     _class_size, _lex_first, _reference_ordering, bern, compositions, peak_mib, random_pmf,
@@ -74,7 +77,7 @@ class TestOrderings:
     def test_universal_binary_n2_hand_example(self):
         o = build_ordering(UNIVERSAL, 2, 2)
         # classes (0,2), (2,0), (1,1) in that order
-        assert [o._classes.class_offset(c) for c in ((0, 2), (2, 0), (1, 1))] == [0, 1, 2]
+        assert [o.class_offset(c) for c in ((0, 2), (2, 0), (1, 1))] == [0, 1, 2]
         # symbols {a=0, b=1}: bb, aa, ab, ba get indices 1..4
         assert string_index(o, (1, 1)) == 1
         assert encode(o, (1, 1)).bits == ""
@@ -100,7 +103,23 @@ class TestOrderings:
         a = build_ordering(UNIVERSAL, 6, 2)
         b = build_ordering(UNIVERSAL, 6, 2, source=P02)
         c = build_ordering(UNIVERSAL, 6, 2, source=bern("0.7"))
-        assert a._classes == b._classes == c._classes
+        assert a == b == c
+        assert [(o.levels, o.offsets) for o in (b, c)] == [(a.levels, a.offsets)] * 2
+
+    def test_both_orderings_are_code_orderings(self):
+        p = SourcePmf.parse("0.2,0.3,0.5")
+        for mode in (UNIVERSAL, KNOWN_SOURCE):
+            o = build_ordering(mode, 5, 3, p)
+            assert isinstance(o, CodeOrdering)
+            assert (o.mode, o.n, o.m, o.total) == (mode, 5, 3, 3 ** 5)
+        a, b = build_ordering(UNIVERSAL, 5, 3), build_ordering(UNIVERSAL, 5, 3, p)
+        assert a == b and hash(a) == hash(b) and a != build_ordering(UNIVERSAL, 6, 3)
+
+    def test_universal_class_of_no_level_is_an_invariant_violation(self):
+        # (1, 2) is a type of n=3: its entropy, h(1/3), is no level's at n=4
+        o = build_ordering(UNIVERSAL, 4, 2)
+        with pytest.raises(InvariantViolation):
+            o.class_offset((1, 2))
 
     def test_known_source_needs_source(self):
         with pytest.raises(DomainError):
@@ -108,7 +127,7 @@ class TestOrderings:
 
     def test_universal_order_is_entropy_then_canonical(self):
         o = build_ordering(UNIVERSAL, 7, 3)
-        order = sorted(compositions(7, 3), key=o._classes.class_offset)
+        order = sorted(compositions(7, 3), key=o.class_offset)
         keys = [(type_entropy_bits(c), c) for c in order]
         assert keys == sorted(keys)
 
@@ -153,8 +172,7 @@ class TestUniversalLevelPath:
         """Check every class's offset and lookup, and the first and last
         string of every ``stride``-th class and of every class in a level
         of several orbits; return the number of such levels."""
-        o = build_ordering(UNIVERSAL, n, m)
-        levels = o._classes
+        levels = o = build_ordering(UNIVERSAL, n, m)
         shared = {asc for orbits in levels.levels if len(orbits) > 1 for asc, _, _ in orbits}
         order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
         assert o.total == offsets[-1]
@@ -193,12 +211,12 @@ class TestUniversalLevelPath:
             x = _lex_first(asc[::-1])
             assert decode(o, encode(o, x)) == x
         # the ordering is its store, and the store holds one entry per
-        # partition of n (not per class) and one offset per level
-        assert [f.name for f in dataclasses.fields(o)] == ["mode", "n", "m", "_classes"]
-        store = o._classes
-        assert [f.name for f in dataclasses.fields(store)] == ["levels", "offsets", "level_of"]
-        assert len(store.level_of) == sum(map(len, store.levels)) < count_types(50, 4) // 20
-        assert len(store.offsets) == len(store.levels) + 1
+        # partition of n (not per class), and one entropy and one offset per level
+        assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == ("mode", "n", "m", "total")
+        assert type(o).__slots__ == ("levels", "entropies", "offsets")
+        assert sum(map(len, o.levels)) == count_partitions(50, 4) < count_types(50, 4) // 20
+        assert len(o.entropies) == len(o.offsets) - 1 == len(o.levels)
+        assert list(o.entropies) == sorted(set(o.entropies))
 
     def test_build_and_round_trip_stay_small(self):
         # the class list at m=4 n=50 (23,426 classes) alone takes over 5 MiB
@@ -226,8 +244,7 @@ class TestKnownSourceRankedPath:
     def _check_against_reference(n, m, p):
         """Check every class's offset and lookup and the first and last
         string of every class; return the number of classes."""
-        o = build_ordering(KNOWN_SOURCE, n, m, p)
-        store = o._classes
+        store = o = build_ordering(KNOWN_SOURCE, n, m, p)
         order, offsets = _reference_ordering(n, m, TestOrbitBuildMatchesReferenceSort._known_key(p))
         assert o.total == offsets[-1]
         for counts, lo, hi in zip(order, offsets, offsets[1:]):
@@ -268,18 +285,18 @@ class TestKnownSourceRankedPath:
         assert decode(o, Codeword.from_index(o.total)) == (0,) * 50
         # the ordering is its store, and the store holds the engine's
         # columns and one offset per stride: no count vector, no class list
-        assert [f.name for f in dataclasses.fields(o)] == ["mode", "n", "m", "_classes"]
-        store = o._classes
-        assert store.__slots__ == ("n", "m", "total", "sizes", "ranking", "checkpoints", "_position")
+        assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == ("mode", "n", "m", "total")
+        store = o
+        assert type(store).__slots__ == ("sizes", "ranking", "checkpoints", "_position")
         assert len(store.sizes) == len(store.ranking) == len(store._position) == count_types(50, 4)
         assert len(store.checkpoints) == -(-len(store.ranking) // self.K)
 
     def test_inverse_ranking_is_built_on_first_encode_only(self):
         o = build_ordering(KNOWN_SOURCE, 6, 3, SourcePmf.parse("0.5,0.3,0.2"))
         x = decode(o, Codeword("0110"))
-        assert o._classes._position is None
+        assert o._position is None
         assert decode(o, encode(o, x)) == x
-        assert sorted(o._classes._position) == list(range(len(o._classes.ranking)))
+        assert sorted(o._position) == list(range(len(o.ranking)))
 
     def test_build_and_round_trip_stay_small(self):
         # the class list and position map at m=4 n=50 took 5.3 MiB
@@ -327,11 +344,14 @@ class TestRoundTrips:
             decode(o, Codeword("0000"))  # index 16 > 8
 
     def test_encode_rejects_bad_symbols(self):
+        # string_index leaves the symbol check to rank_in_type_class: one message
         for mode, m in itertools.product((UNIVERSAL, KNOWN_SOURCE), (2, 3)):
             o = build_ordering(mode, 3, m, SourcePmf((1 / m,) * m))
-            for bad in (-1, m, m + 1):
+            for bad, refuse in itertools.product(
+                (-1, m, m + 1), (lambda x: string_index(o, x), lambda x: rank_in_type_class(x, m))
+            ):
                 with pytest.raises(DomainError, match=f"^symbol {bad} outside alphabet of size {m}$"):
-                    string_index(o, (0, bad, bad))
+                    refuse((0, bad, bad))
             with pytest.raises(DomainError, match="^string length 2 != blocklength 3$"):
                 encode(o, (0, 1))
 
@@ -377,7 +397,7 @@ class TestOrderingSemantics:
     def test_universal_entropy_order_respected(self):
         n, m = 6, 2
         o = build_ordering(UNIVERSAL, n, m)
-        pos = o._classes.class_offset
+        pos = o.class_offset
         for x, y in [((0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)),
                      ((1, 1, 1, 1, 1, 0), (1, 1, 0, 0, 1, 0))]:
             cx = tuple(x.count(a) for a in range(m))

@@ -77,6 +77,17 @@ class TestSourcePmf:
         with pytest.raises(DistributionError):
             SourcePmf((0.2, 0.8 + 5e-12))
 
+    def test_unreadable_source_file_is_refused(self, tmp_path):
+        (tmp_path / "bad.txt").write_bytes(b"\xff\xfe0.2,0.8")
+        for spec in (tmp_path, tmp_path / "bad.txt"):  # a directory, then non-UTF-8 bytes
+            with pytest.raises(DistributionError, match=f"^cannot read source file {str(spec)!r}"):
+                SourcePmf.load(str(spec))
+
+    @pytest.mark.parametrize("spec", ["[null, 1]", "[[0.2], [0.8]]", '["x", 1]'])
+    def test_non_numeric_entry_is_refused(self, spec):
+        with pytest.raises(DistributionError, match="^bad pmf entry "):
+            SourcePmf.load(spec)
+
     def test_needs_two_symbols(self):
         with pytest.raises(DistributionError):
             SourcePmf((1.0,))

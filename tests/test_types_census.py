@@ -483,6 +483,21 @@ class TestRankUnrank:
         with pytest.raises(DomainError):
             rank_in_type_class((0, 5), 2)
 
+    # each of these used to return a value or raise a bare ValueError
+    @pytest.mark.parametrize("call", [
+        lambda: type_at_index(3, 2, 1.5),
+        lambda: type_at_index(3, 2, True),
+        lambda: unrank_in_type_class((2, 2), 2.5),
+        lambda: type_entropy_bits((2, -1)),
+        lambda: type_class_size((2, -1)),
+        lambda: unrank_in_type_class((2, -1, 3), 0),
+        lambda: NType((2.0, True)),
+    ], ids=["type_index_float", "type_index_bool", "rank_float", "entropy_negative_count",
+            "size_negative_count", "unrank_negative_count", "ntype_float_and_bool"])
+    def test_non_integer_or_negative_input_is_refused(self, call):
+        with pytest.raises(DomainError, match="must be an integer >= "):
+            call()
+
     # per alphabet size, classes that must be among those checked: absent
     # middle symbols, absent end symbols and single-symbol classes
     @pytest.mark.parametrize("m, must_cover", [
