@@ -498,7 +498,18 @@ def ladder_to_markdown(rows: list[RateLadder], *, digits: int = 3) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_KEYS = ("n", "epsilon", "delta", *_RATE_COLUMNS, "note")
+# indent=2 would force json's pure-Python encoder; the C one, given the
+# indented item separator, writes a flat row object's members byte for byte
+_JSON_ROW = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
 def ladder_to_json(rows: list[RateLadder]) -> str:
-    keys = ("n", "epsilon", "delta", *_RATE_COLUMNS, "note")
-    fields = attrgetter(*keys)
-    return json.dumps([dict(zip(keys, fields(r))) for r in rows], indent=2)
+    """The rows as ``json.dumps(..., indent=2)`` writes them, byte for byte:
+    each row is one flat object, its members from the C encoder, and only
+    the brackets and the row separators are written here."""
+    if not rows:
+        return "[]"
+    fields = attrgetter(*_JSON_KEYS)
+    objects = ("{\n    " + _JSON_ROW(dict(zip(_JSON_KEYS, fields(r))))[1:-1] + "\n  }" for r in rows)
+    return "[\n  " + ",\n  ".join(objects) + "\n]"

@@ -13,23 +13,28 @@ type order in both modes.  The known-source build gets this from a stable
 sort, on the float key alone, of the classes listed in canonical order; the
 key is the ``fsum`` of per-symbol table entries c * -log2 p_i, computed by
 one C-level ``map`` per run of classes that differ only in their last two
-counts.  The universal ordering is stored per entropy level: entropy and
-class size are computed once per partition of n (one permutation orbit of
-count vectors), the partitions are grouped by their exact float entropy,
-and each level keeps its entropy, its orbits and one cumulative offset.
-Inside a level the count vectors come in lex order.  Since ``fsum`` is
-correctly rounded whatever the order of its terms, every vector of an
-orbit has its partition's entropy bit for bit, so this equals a sort of all
-C(n+m-1, m-1) classes on (entropy, counts), and a class's level is found by
-bisecting the sorted level entropies with
+counts.  The universal ordering is stored as columns, one entry per
+partition of n (each stands for the permutation orbit of the count vectors
+that rearrange it): one pass over the partitions computes each one's float
+entropy and the strings of its orbit, and a stable sort on the entropy
+alone groups them into levels of equal entropy.  The store keeps the level
+entropies in an ``array('d')``, the partitions packed in code order (m-1
+small parts each), each level's first partition and one cumulative
+big-integer offset per level; no tuple and no exact size per partition
+outlive the build.  Inside a level the count vectors come in lex order.
+Since ``fsum`` is correctly rounded whatever the order of its terms, every
+vector of an orbit has its partition's entropy bit for bit, so this equals
+a sort of all C(n+m-1, m-1) classes on (entropy, counts), and a class's
+level is found by bisecting the level entropies with
 :func:`~pragrate.types_census.type_entropy_bits` of its counts: no map from
 partitions to levels is kept.  A single-orbit level's classes all have one
-size, so a class's offset is the level's plus that size times the lex rank
-of its count vector among the rearrangements of the partition: the codec
-ranks (and unranks) twice, once over the multiset of counts and once over
-the string, and never lists the classes.  The rare level of several orbits
-(distinct partitions with equal float entropy) is expanded when a string
-falls in it.
+size, the level's strings over the orbit's arrangements, so a class's
+offset is the level's plus that size times the lex rank of its count vector
+among the rearrangements of the partition: the codec ranks (and unranks)
+twice, once over the multiset of counts and once over the string, and never
+lists the classes.  The rare level of several orbits (distinct partitions
+with equal float entropy) is expanded when a string falls in it.  The
+universal code's length distribution walks the same levels.
 
 The known-source ordering is stored as the engine's columns (below): the
 class sizes in canonical order and the ranking, plus one cumulative
@@ -82,6 +87,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,6 +106,7 @@ from .types_census import (
     count_types,
     rank_in_type_class,
     type_at_index,
+    type_class_size,
     type_entropy_bits,
     type_index,
     unrank_in_type_class,
@@ -134,45 +141,35 @@ class Codeword:
         return int("1" + self.bits, 2) if self.bits else 1
 
 
-# One permutation orbit of count vectors: its ascending vector, the size of
-# each of its classes and its number of distinct arrangements.
-_Orbit = tuple[tuple[int, ...], int, int]
-
-
-def _universal_levels(n: int, m: int) -> tuple[array, list[list[_Orbit]]]:
-    """The orbits grouped by their exact float entropy: the entropies
-    ascending, and the levels in that order."""
-    levels: dict[float, list[_Orbit]] = {}
-    log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
-    for parts, size, arrangements in _iter_partitions(n, m):
-        # type_entropy_bits(parts), bit for bit, without its call overhead
-        h = max(log2_n - fsum([c * log2(c) for c in parts if c]) / n, 0.0)
-        levels.setdefault(h, []).append((parts[::-1], size, arrangements))
-    keys = sorted(levels)
-    return array("d", keys), list(map(levels.__getitem__, keys))
+def _unsigned_typecode(bound: int) -> str:
+    """The narrowest unsigned array typecode that holds 0 .. ``bound``."""
+    return next(code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize)
 
 
 def _level_classes(
-    orbits: Sequence[_Orbit], getters: dict[tuple[int, ...], list[itemgetter]]
+    vectors: Iterable[tuple[int, ...]], strings: int,
+    getters: dict[tuple[int, ...], list[itemgetter]],
 ) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Count vectors and class sizes of one entropy level in lex order.
+    """Count vectors and class sizes, in lex order, of the entropy level of
+    the partitions ``vectors`` (ascending count vectors), whose classes hold
+    ``strings`` strings in all.
 
     An orbit's shape maps each slot of its ascending vector to the first
     slot holding the same value.  That index rises with the value, so the
     shape's distinct permutations, as itemgetters on the ascending vector,
     list the orbit in lex order; orbits of one shape share the getters,
     cached in ``getters``."""
-    expanded = []
-    for asc, size, _ in orbits:
+    orbits = []
+    for asc in vectors:
         shape = tuple(map(asc.index, asc))
         if shape not in getters:
             getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
-        expanded.append(([g(asc) for g in getters[shape]], size))
-    if len(expanded) == 1:
-        order, size = expanded[0]
-        return order, [size] * len(order)
+        orbits.append((asc, [g(asc) for g in getters[shape]]))
+    if len(orbits) == 1:
+        order = orbits[0][1]  # its length is the orbit's arrangements
+        return order, [strings // len(order)] * len(order)
     # orbits are disjoint, so the sort never compares sizes
-    level = sorted((counts, size) for order, size in expanded for counts in order)
+    level = sorted((counts, type_class_size(asc)) for asc, order in orbits for counts in order)
     return [counts for counts, _ in level], [size for _, size in level]
 
 
@@ -181,7 +178,8 @@ class CodeOrdering:
 
     Each ordering is its own store, and neither lists its classes: the
     known-source one keeps the engine's columns and an offset every
-    ``_OFFSET_STRIDE`` ranked classes, the universal one its entropy levels.
+    ``_OFFSET_STRIDE`` ranked classes, the universal one its entropy levels
+    as columns.
     Both answer the two questions of enumerative coding: ``class_offset``
     (the strings in all classes before a given one) and ``locate`` (the
     class holding a given index, and the index's rank inside it).
@@ -193,58 +191,119 @@ class CodeOrdering:
         self.mode, self.n, self.m, self.total = mode, n, m, m ** n
 
 
-class _EntropyLevels(CodeOrdering):
-    """The universal order kept one entropy level at a time (see the module
-    docstring): the ``entropies`` ascending, ``levels[i]`` the orbits at
-    ``entropies[i]`` and ``offsets[i]`` the strings in all earlier levels.
-    No level's classes are listed unless it holds several orbits and a
-    string falls in it.  Two universal orderings are equal when their levels are."""
+class _EntropyColumns(CodeOrdering):
+    """The universal order kept as columns (see the module docstring): the
+    level ``entropies`` ascending; ``parts``, the partitions of n packed in
+    code order, m-1 parts each, ascending (the last part is n minus the
+    others); ``starts[i]``, the code-order index of level i's first
+    partition (the partition count last); and ``offsets[i]``, the
+    strings in all earlier levels (m**n last).  No per-partition tuple or
+    size is kept: a single-orbit level's class size is its strings divided
+    by its arrangements.  No level's classes are listed unless it holds
+    several orbits and a string falls in it, or the tails walk it.  Two
+    universal orderings are equal when their columns are."""
 
-    __slots__ = ("levels", "entropies", "offsets")
+    __slots__ = ("entropies", "starts", "parts", "offsets")
 
     def __init__(self, n: int, m: int) -> None:
         super().__init__(UNIVERSAL, n, m)
-        self.entropies, self.levels = _universal_levels(n, m)
-        strings = (sum(size * arr for _, size, arr in orbits) for orbits in self.levels)
-        self.offsets = tuple(itertools.accumulate(strings, initial=0))  # last entry m**n
+        keys, canonical, strings = array("d"), array(_unsigned_typecode(n)), []
+        log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
+        term = [0.0, *(c * log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
+        for parts, size, arrangements in _iter_partitions(n, m):
+            # type_entropy_bits(parts), bit for bit, without its call overhead:
+            # fsum is correctly rounded, so the zero parts' 0.0 terms change nothing
+            keys.append(max(log2_n - fsum(map(term, parts)) / n, 0.0))
+            canonical.extend(parts)
+            strings.append(size * arrangements)  # the strings of the partition's orbit
+        # a stable sort on the entropy alone makes each level one block, its
+        # partitions in descending lex order
+        count = len(keys)
+        ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
+        keys = array("d", [keys[j] for j in ranking])  # now in code order
+        first = [True, *map(operator.ne, keys[1:], keys), True]  # opens a level, or ends the last
+        # the orbits' strings in code order, popped from the end of a list
+        # that holds them last first (None stops the pops): each is freed as
+        # the running total passes it, so the build never holds two big
+        # integers per partition
+        pending = [None, *map(strings.__getitem__, reversed(ranking))]
+        del strings
+        totals = itertools.accumulate(iter(pending.pop, None), initial=0)
+        self.offsets = list(itertools.compress(totals, first))
+        self.entropies = array("d", itertools.compress(keys, first))
+        self.starts = array(ranking.typecode, itertools.compress(range(count + 1), first))
+        width, typecode = m - 1, canonical.typecode
+        self.parts = array(typecode, bytes(count * width * canonical.itemsize))
+        for i in range(width):  # the smallest m-1 parts, ascending, in code order
+            column = canonical[m - 1 - i::m]
+            self.parts[i::width] = array(typecode, [column[j] for j in ranking])
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _EntropyLevels):
+        if not isinstance(other, _EntropyColumns):
             return NotImplemented
-        return (self.levels, self.offsets) == (other.levels, other.offsets)
+        return ((self.n, self.m, self.entropies, self.starts, self.parts, self.offsets)
+                == (other.n, other.m, other.entropies, other.starts, other.parts, other.offsets))
 
     def __hash__(self) -> int:
         return hash((self.n, self.m))
+
+    def _partition(self, j: int) -> tuple[int, ...]:
+        """The ascending count vector of the j-th partition in code order."""
+        width = self.m - 1
+        head = tuple(self.parts[j * width:(j + 1) * width])
+        return head + (self.n - sum(head),)
+
+    def _class_size(self, i: int, multiplicities: list[int]) -> int:
+        """The class size of single-orbit level i, whose partition repeats
+        its distinct values ``multiplicities`` times: the level's strings
+        over the orbit's arrangements, m! / prod(multiplicity!)."""
+        factorial = math.factorial
+        arrangements = factorial(self.m) // math.prod(map(factorial, multiplicities))
+        return (self.offsets[i + 1] - self.offsets[i]) // arrangements
+
+    def _level(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Count vectors and class sizes of level i in lex order."""
+        vectors = map(self._partition, range(self.starts[i], self.starts[i + 1]))
+        return _level_classes(vectors, self.offsets[i + 1] - self.offsets[i], {})
+
+    def _levels(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
+        """Count vectors and class sizes of every level, in code order."""
+        getters: dict[tuple[int, ...], list[itemgetter]] = {}
+        width = self.m - 1
+        columns = [self.parts[i::width] for i in range(width)]
+        largest = map(operator.sub, itertools.repeat(self.n), map(sum, zip(*columns)))
+        vectors = list(zip(*columns, largest))  # ascending count vectors, in code order
+        strings = map(operator.sub, self.offsets[1:], self.offsets)
+        for lo, hi, level_strings in zip(self.starts, self.starts[1:], strings):
+            yield _level_classes(vectors[lo:hi], level_strings, getters)
 
     def class_offset(self, counts: tuple[int, ...]) -> int:
         h = type_entropy_bits(counts)
         i = bisect.bisect_left(self.entropies, h)
         if i == len(self.entropies) or self.entropies[i] != h:
             raise InvariantViolation(f"no entropy level of the universal ordering holds {counts}")
-        orbits = self.levels[i]
-        if len(orbits) == 1:
-            asc, size, _ = orbits[0]
-            values = sorted(set(asc))  # the orbit's vectors are the strings over these
-            rank = rank_in_type_class(list(map(values.index, counts)), len(values))
-            return self.offsets[i] + size * rank
-        order, sizes = _level_classes(orbits, {})
-        return self.offsets[i] + sum(sizes[:order.index(counts)])
+        if self.starts[i + 1] - self.starts[i] > 1:
+            order, sizes = self._level(i)
+            return self.offsets[i] + sum(sizes[:order.index(counts)])
+        values = sorted(set(counts))  # the orbit's vectors are the strings over these
+        size = self._class_size(i, list(map(counts.count, values)))
+        return self.offsets[i] + size * rank_in_type_class(list(map(values.index, counts)), len(values))
 
     def locate(self, k: int) -> tuple[tuple[int, ...], int]:
         """(counts, 0-based rank in its class) of the 1-based index k."""
         i, _ = _straddling_class(self.offsets, k)
         rest = k - 1 - self.offsets[i]
-        orbits = self.levels[i]
-        if len(orbits) == 1:
-            asc, size, _ = orbits[0]
-            rank, within = divmod(rest, size)
-            values = sorted(set(asc))
-            vector = unrank_in_type_class(list(map(asc.count, values)), rank)
-            return tuple(map(values.__getitem__, vector)), within
-        order, sizes = _level_classes(orbits, {})
-        starts = list(itertools.accumulate(sizes, initial=0))
-        pos, _ = _straddling_class(starts, rest + 1)
-        return order[pos], rest - starts[pos]
+        if self.starts[i + 1] - self.starts[i] > 1:
+            order, sizes = self._level(i)
+            starts = list(itertools.accumulate(sizes, initial=0))
+            pos, _ = _straddling_class(starts, rest + 1)
+            return order[pos], rest - starts[pos]
+        asc = self._partition(self.starts[i])
+        values = sorted(set(asc))
+        multiplicities = list(map(asc.count, values))
+        rank, within = divmod(rest, self._class_size(i, multiplicities))
+        vector = unrank_in_type_class(multiplicities, rank)
+        return tuple(map(values.__getitem__, vector)), within
 
 
 class _RankedClasses(CodeOrdering):
@@ -462,7 +521,7 @@ def build_ordering(
     """
     _check_type_cap(n, m, cap_types)  # count_types checks n and m
     if mode == UNIVERSAL:
-        return _EntropyLevels(n, m)
+        return _EntropyColumns(n, m)
     if mode != KNOWN_SOURCE:
         raise DomainError(f"unknown ordering mode {mode!r}")
     if source is None:
@@ -507,9 +566,8 @@ def universal_length_distribution(
     an entry holds n+2 floats, and each further tail read is free.
     """
     _check_type_cap(n, p.m, cap_types)
-    tables, keys, sizes, getters = _key_tables(p, n), array("d"), [], {}
-    for orbits in _universal_levels(n, p.m)[1]:  # one level's vectors at a time
-        order, level_sizes = _level_classes(orbits, getters)
+    tables, keys, sizes = _key_tables(p, n), array("d"), []
+    for order, level_sizes in _EntropyColumns(n, p.m)._levels():  # one level at a time
         keys.extend(math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
         sizes += level_sizes
     tails = _log2_tails(keys, sizes, range(len(sizes)))  # already in code order

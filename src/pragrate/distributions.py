@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -112,7 +113,8 @@ class SourcePmf:
             try:
                 floats.append(float(v))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise DistributionError(f"bad pmf entry {v!r}: {exc}") from exc
+                # reprlib: an entry like 1e999 is an exact integer of 1000 digits
+                raise DistributionError(f"bad pmf entry {reprlib.repr(v)}: {exc}") from exc
             if isinstance(v, float):
                 exact = None
             elif exact is not None:
@@ -136,7 +138,7 @@ class SourcePmf:
         if text.startswith("["):
             try:
                 values = json.loads(text, parse_float=Fraction, parse_int=Fraction)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
                 raise DistributionError(f"bad JSON pmf: {exc}") from exc
             if not isinstance(values, list):
                 raise DistributionError("JSON pmf must be an array of numbers")

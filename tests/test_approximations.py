@@ -344,6 +344,17 @@ class TestLadder:
         assert payload[0]["exact"] == rows[0].exact
         assert payload[1]["pragmatic"] == rows[1].pragmatic
 
+    def test_json_bytes_equal_indented_dumps(self):
+        # the emitter skips json's pure-Python indenting encoder, not its bytes
+        odd = RateLadder(n=7, epsilon=0.0, delta=math.inf, shannon=-0.0, strassen=None,
+                         blahut=math.nan, pragmatic=1e-300, exact=None,
+                         note='say "}",\n\t{ ünïcode \\ }')
+        rows = [compute_rate_ladder(P02, 50, e) for e in (0.01444, 0.00003)]
+        keys = ("n", "epsilon", "delta", "exact", "shannon", "strassen", "blahut", "pragmatic", "note")
+        for case in ([], rows[:1], rows, [odd], rows + [odd] + rows):
+            want = json.dumps([{k: getattr(r, k) for k in keys} for r in case], indent=2)
+            assert ladder_to_json(case) == want
+
     def test_csv_and_markdown_shapes(self):
         rows = [compute_rate_ladder(P02, 50, 0.01444)]
         csv = ladder_to_csv(rows)

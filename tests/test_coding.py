@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,19 @@ from conftest import (
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
+
+
+def _columns(o):
+    return o.entropies, o.starts, o.parts, o.offsets
+
+
+def _levels(o):
+    """Each level of a universal ordering as its partitions, ascending
+    count vectors, read from the packed columns."""
+    width = o.m - 1
+    parts = [tuple(o.parts[j:j + width]) for j in range(0, len(o.parts), width)]
+    asc = [p + (o.n - sum(p),) for p in parts]
+    return [asc[a:b] for a, b in zip(o.starts, o.starts[1:])]
 
 
 class TestCodeword:
@@ -104,7 +118,7 @@ class TestOrderings:
         b = build_ordering(UNIVERSAL, 6, 2, source=P02)
         c = build_ordering(UNIVERSAL, 6, 2, source=bern("0.7"))
         assert a == b == c
-        assert [(o.levels, o.offsets) for o in (b, c)] == [(a.levels, a.offsets)] * 2
+        assert [_columns(o) for o in (b, c)] == [_columns(a)] * 2
 
     def test_both_orderings_are_code_orderings(self):
         p = SourcePmf.parse("0.2,0.3,0.5")
@@ -173,7 +187,7 @@ class TestUniversalLevelPath:
         string of every ``stride``-th class and of every class in a level
         of several orbits; return the number of such levels."""
         levels = o = build_ordering(UNIVERSAL, n, m)
-        shared = {asc for orbits in levels.levels if len(orbits) > 1 for asc, _, _ in orbits}
+        shared = {asc for level in _levels(o) if len(level) > 1 for asc in level}
         order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
         assert o.total == offsets[-1]
         for i, (counts, lo, hi) in enumerate(zip(order, offsets, offsets[1:])):
@@ -213,10 +227,63 @@ class TestUniversalLevelPath:
         # the ordering is its store, and the store holds one entry per
         # partition of n (not per class), and one entropy and one offset per level
         assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == ("mode", "n", "m", "total")
-        assert type(o).__slots__ == ("levels", "entropies", "offsets")
-        assert sum(map(len, o.levels)) == count_partitions(50, 4) < count_types(50, 4) // 20
-        assert len(o.entropies) == len(o.offsets) - 1 == len(o.levels)
+        assert type(o).__slots__ == ("entropies", "starts", "parts", "offsets")
+        assert sum(map(len, _levels(o))) == count_partitions(50, 4) < count_types(50, 4) // 20
+        assert len(o.entropies) == len(o.offsets) - 1 == len(o.starts) - 1 == len(_levels(o))
         assert list(o.entropies) == sorted(set(o.entropies))
+
+    def test_store_keeps_no_tuple_or_size_per_partition(self):
+        # columns only: flat arrays of small numbers, and one big integer per level
+        o = build_ordering(UNIVERSAL, 50, 4)
+        partitions = count_partitions(50, 4)
+        assert type(o).__slots__ == ("entropies", "starts", "parts", "offsets")
+        assert not hasattr(o, "__dict__")
+        assert isinstance(o.entropies, array) and o.entropies.typecode == "d"
+        assert isinstance(o.starts, array) and o.starts.typecode in "BHIQ"
+        assert isinstance(o.parts, array) and o.parts.typecode in "BHIQ"
+        assert len(o.parts) == 3 * partitions  # m-1 parts each, none of them a tuple
+        assert (o.starts[0], o.starts[-1]) == (0, partitions)
+        assert list(o.starts) == sorted(set(o.starts))
+        assert type(o.offsets) is list and all(type(v) is int for v in o.offsets)
+        assert len(o.offsets) == len(o.entropies) + 1 < partitions + 1  # some levels are shared
+        assert (o.offsets[0], o.offsets[-1]) == (0, 4 ** 50)
+        assert all(a < b for a, b in zip(o.offsets, o.offsets[1:]))
+
+    def test_build_holds_little_memory(self):
+        # the orbit tuples and a size per partition held 0.64 MiB here; the
+        # columns hold 0.14 MiB (CPython 3.11)
+        tracemalloc.start()
+        try:
+            o = build_ordering(UNIVERSAL, 150, 3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert o.total == 3 ** 150
+        assert held < 0.2 * 2 ** 20, held
+
+    def test_round_trip_through_every_multi_orbit_level(self):
+        # every class of every level of several orbits at m=4, n=50, at its
+        # first and last string, against the reference sort of all classes
+        o = build_ordering(UNIVERSAL, 50, 4)
+        shared = [level for level in _levels(o) if len(level) > 1]
+        order, offsets = _reference_ordering(50, 4, lambda c: (type_entropy_bits(c), c))
+        # the store's shared levels are the partitions that tie in float entropy
+        ties: dict[float, list[tuple[int, ...]]] = {}
+        for counts in filter(lambda c: list(c) == sorted(c), order):
+            ties.setdefault(type_entropy_bits(counts), []).append(counts)
+        assert sorted(map(sorted, shared)) == sorted(g for g in ties.values() if len(g) > 1)
+        assert len(shared) >= 2
+        where = {counts: (lo, hi) for counts, lo, hi in zip(order, offsets, offsets[1:])}
+        classes = [c for level in shared for asc in level for c in set(itertools.permutations(asc))]
+        assert len(classes) > 2 * len(shared)
+        for counts in classes:
+            lo, hi = where[counts]
+            assert o.class_offset(counts) == lo, counts
+            first = _lex_first(counts)
+            for k, x in ((lo + 1, first), (hi, first[::-1])):
+                assert o.locate(k) == (counts, k - lo - 1)
+                assert string_index(o, x) == k
+                assert decode(o, encode(o, x)) == x
 
     def test_build_and_round_trip_stay_small(self):
         # the class list at m=4 n=50 (23,426 classes) alone takes over 5 MiB
@@ -480,13 +547,13 @@ class TestUniversalExcessProbability:
     @pytest.fixture
     def level_builds(self, monkeypatch):
         calls = []
-        universal_levels = coding._universal_levels
+        store = coding._EntropyColumns
 
         def counting(n, m):
             calls.append((n, m))
-            return universal_levels(n, m)
+            return store(n, m)
 
-        monkeypatch.setattr(coding, "_universal_levels", counting)
+        monkeypatch.setattr(coding, "_EntropyColumns", counting)
         return calls
 
     def test_one_class_build_per_distribution(self, level_builds):
@@ -502,7 +569,7 @@ class TestUniversalExcessProbability:
         assert tails == [fresh.tail(length) for length in range(20)]
 
     def test_type_cap_refused_before_ranking(self, monkeypatch):
-        monkeypatch.setattr(coding, "_universal_levels", None)  # any call would fail
+        monkeypatch.setattr(coding, "_EntropyColumns", None)  # any call would fail
         p = SourcePmf.parse("0.5,0.3,0.2")  # 66 type classes at n=10
         with pytest.raises(ResourceLimitError, match="66 type classes"):
             universal_length_distribution(p, 10, cap_types=65)
