@@ -34,13 +34,10 @@ from .coding import (
 )
 from .distributions import (
     SourcePmf,
-    TiltedDerivatives,
     TiltedPoint,
     entropy,
     kl_divergence,
     tilt,
-    tilt_identity_residual,
-    tilted_derivatives,
 )
 from .errors import (
     CodewordError,
@@ -68,13 +65,11 @@ from .exponents import (
 )
 from .types_census import (
     CensusReport,
-    NType,
     count_types,
     entropy_slab_count,
     enumerate_types,
     low_entropy_count,
     rank_in_type_class,
-    stirling_ratio,
     type_class_size,
     type_entropy_bits,
     unrank_in_type_class,

@@ -19,7 +19,7 @@ For a full-support pmf P and alpha in (0, 1], the tilted pmf is
 
 It interpolates between the uniform distribution (alpha -> 0) and P itself
 (alpha = 1).  :func:`tilt` returns the tilted pmf together with the second
-and third centered moments, under P_alpha, of the three log-likelihoods
+and absolute third centered moments, under P_alpha, of the three log-likelihoods
 
     log_e P_alpha(X),   log_e [P_alpha(X)/P(X)],   log_e P(X),
 
@@ -113,8 +113,7 @@ class SourcePmf:
             try:
                 floats.append(float(v))
             except (TypeError, ValueError, OverflowError) as exc:
-                # reprlib: an entry like 1e999 is an exact integer of 1000 digits
-                raise DistributionError(f"bad pmf entry {reprlib.repr(v)}: {exc}") from exc
+                raise DistributionError(f"bad pmf entry {_entry_name(v)}: {exc}") from exc
             if isinstance(v, float):
                 exact = None
             elif exact is not None:
@@ -160,6 +159,20 @@ class SourcePmf:
             except (OSError, UnicodeDecodeError) as exc:
                 raise DistributionError(f"cannot read source file {spec!r}: {exc}") from exc
         return cls.parse(spec)
+
+
+def _entry_name(v) -> str:
+    """A refused pmf entry in brief: reprlib shortens one like 1e999, an
+    integer of 1000 digits, but past ``sys.get_int_max_str_digits()`` digits
+    a rational has no repr and is named by its order of magnitude."""
+    if isinstance(v, (int, Fraction)):
+        try:
+            repr(v)
+        except ValueError:  # math.log10 reads a big int without a string
+            v = Fraction(v)
+            digits = math.log10(abs(v.numerator)) - math.log10(v.denominator)
+            return f"of order {'-' * (v < 0)}1e{round(digits)}"
+    return reprlib.repr(v)
 
 
 def _as_prob_vector(p: PmfLike, *, what: str) -> tuple[float, ...]:
@@ -228,7 +241,6 @@ class TiltedPoint:
     rho3: float
     entropy_bits: float
     kl_bits: float
-    third_central_moment3: float  # signed E[(log_e P(X) - mean)^3], nats^3
 
 
 def _weighted_moments(weights: Sequence[float], values: Sequence[float]) -> tuple[float, float, float]:
@@ -300,7 +312,7 @@ def _tilted_sigma3_rho3_columns(ln_p: list[float], alphas: Sequence[float]) -> t
 
 
 def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
-    """Exponentially tilt ``p``: returns P_alpha, Z_alpha and all moments.
+    """Exponentially tilt ``p``: returns P_alpha, Z_alpha and its moments.
 
     alpha must lie in (0, 1]; alpha = 1 reproduces ``p`` itself.
     """
@@ -321,8 +333,7 @@ def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
 
     mean1, sigma1_sq, rho1 = _weighted_moments(weights, t1)
     mean2, sigma2_sq, rho2 = _weighted_moments(weights, t2)
-    mean3, sigma3_sq, rho3 = _weighted_moments(weights, t3)
-    m3 = neumaier_sum(w * (v - mean3) ** 3 for w, v in zip(weights, t3))
+    _, sigma3_sq, rho3 = _weighted_moments(weights, t3)
 
     return TiltedPoint(
         alpha=alpha,
@@ -336,58 +347,4 @@ def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
         rho3=rho3,
         entropy_bits=-mean1 * LOG2E,
         kl_bits=max(mean2 * LOG2E, 0.0),
-        third_central_moment3=m3,
     )
-
-
-@dataclass(frozen=True)
-class TiltedDerivatives:
-    """Closed-form derivatives along the tilted family at a fixed alpha.
-
-    dD_dalpha, d2D_dalpha2 differentiate D(P_alpha || P) in bits;
-    dH_dalpha, d2H_dalpha2 differentiate H(P_alpha) in bits;
-    dsigma3sq_dalpha differentiates the nat-valued variance sigma3_sq, and
-    equals the signed third central moment of log_e P(X) under P_alpha.
-    """
-
-    dD_dalpha: float
-    d2D_dalpha2: float
-    dH_dalpha: float
-    d2H_dalpha2: float
-    dsigma3sq_dalpha: float
-
-
-def tilted_derivatives(p: SourcePmf, alpha: float) -> TiltedDerivatives:
-    """Derivatives of D(P_alpha||P), H(P_alpha) and sigma3_sq at alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(
-            f"tilted_derivatives requires alpha strictly inside (0, 1), got {alpha!r}"
-        )
-    t = tilt(p, alpha)
-    s3 = t.sigma3_sq
-    m3 = t.third_central_moment3
-    return TiltedDerivatives(
-        dD_dalpha=(alpha - 1.0) * s3 * LOG2E,
-        d2D_dalpha2=LOG2E * (s3 + (alpha - 1.0) * m3),
-        dH_dalpha=-LOG2E * alpha * s3,
-        d2H_dalpha2=-LOG2E * (s3 + alpha * m3),
-        dsigma3sq_dalpha=m3,
-    )
-
-
-def tilt_identity_residual(p: SourcePmf, q: PmfLike, alpha: float) -> float:
-    """Residual of the exact tilting identity linking D, H and P_alpha.
-
-    For any pmf Q (P full support) and alpha in (0, 1),
-
-        alpha [D(Q||P) - D(P_alpha||P)] = D(Q||P_alpha) + (1-alpha)[H(Q) - H(P_alpha)]
-
-    holds identically; the returned left-minus-right value is zero up to
-    floating-point noise (|residual| <= 1e-11 over the valid domain).
-    """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    t = tilt(p, alpha)
-    lhs = alpha * (kl_divergence(q, p) - t.kl_bits)
-    rhs = kl_divergence(q, t.pmf) + (1.0 - alpha) * (entropy(q) - t.entropy_bits)
-    return lhs - rhs

@@ -52,34 +52,14 @@ _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
 DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
 
 
-@dataclass(frozen=True)
-class NType:
-    """A composition of n into m nonnegative counts: the type of a string."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        check_blocklength(sum(_type_counts(self.counts)))
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def m(self) -> int:
-        return len(self.counts)
-
-
 def check_integer(name: str, value: int, least: int) -> None:
     """Refuse ``value`` unless it is an integer >= ``least`` (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _type_counts(t: NType | Sequence[int]) -> tuple[int, ...]:
-    """The counts of an NType, or of a sequence whose counts are integers >= 0."""
-    if isinstance(t, NType):
-        return t.counts
+def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
+    """The counts of a type, refused unless each is an integer >= 0."""
     counts = tuple(t)
     for c in counts:
         check_integer("a type's count", c, 0)
@@ -115,15 +95,15 @@ def count_partitions(n: int, m: int) -> int:
     return ways[n]
 
 
-def enumerate_types(n: int, m: int) -> Iterator[NType]:
+def enumerate_types(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All n-types on m symbols in the canonical (ascending lex) order."""
     _check_n_m(n, m)
     for prefix, remaining, _ in _iter_prefixes(n, m - 2, (), 1):
         for c in range(remaining + 1):
-            yield NType(prefix + (c, remaining - c))
+            yield prefix + (c, remaining - c)
 
 
-def type_index(t: NType | Sequence[int]) -> int:
+def type_index(t: Sequence[int]) -> int:
     """0-based position of a type in the canonical order of
     :func:`enumerate_types`; the inverse is :func:`type_at_index`.
 
@@ -161,7 +141,7 @@ def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
     return (*counts, index, remaining - index)
 
 
-def type_class_size(t: NType | Sequence[int]) -> int:
+def type_class_size(t: Sequence[int]) -> int:
     """Exact multinomial coefficient n! / prod(counts!)."""
     counts = _type_counts(t)
     size, remaining = 1, sum(counts)
@@ -283,29 +263,6 @@ def type_entropy_bits(counts: Sequence[int]) -> float:
     s = neumaier_sum(c * math.log2(c) for c in counts if c > 0)
     h = math.log2(n) - s / n
     return max(h, 0.0)
-
-
-def stirling_ratio(t: NType | Sequence[int]) -> float:
-    """Type-class size divided by its Stirling-style estimate.
-
-    For a full-support type with support size k the estimate is
-    2**(n H) * n**(-(k-1)/2) * prod(1/sqrt(counts[a]/n)); the ratio is
-    computed in the log domain and stays inside a two-sided constant band
-    for fixed k, which is what the census sweeps assert.
-    """
-    counts = _type_counts(t)
-    if any(c == 0 for c in counts):
-        raise DomainError("stirling_ratio requires a full-support type")
-    n = sum(counts)
-    k = len(counts)
-    h = type_entropy_bits(counts)
-    log2_ratio = (
-        math.log2(type_class_size(counts))
-        - n * h
-        + 0.5 * (k - 1) * math.log2(n)
-        + 0.5 * neumaier_sum(math.log2(c / n) for c in counts)
-    )
-    return 2.0 ** log2_ratio
 
 
 def _check_census(n: int, m: int, h: float) -> None:
@@ -548,7 +505,7 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
     return rank
 
 
-def unrank_in_type_class(t: NType | Sequence[int], rank: int) -> tuple[int, ...]:
+def unrank_in_type_class(t: Sequence[int], rank: int) -> tuple[int, ...]:
     """Inverse of :func:`rank_in_type_class` for the given type.
 
     Each position takes the first symbol still present whose strings reach

@@ -3,11 +3,13 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from pragrate import SourcePmf
-from pragrate.types_census import ENTROPY_CMP_TOL, _iter_partitions, type_entropy_bits
+from pragrate import DomainError, SourcePmf, entropy, kl_divergence, tilt
+from pragrate.numerics import LOG2E
+from pragrate.types_census import ENTROPY_CMP_TOL, _iter_partitions, type_class_size, type_entropy_bits
 
 
 def bern(p: float | str) -> SourcePmf:
@@ -37,6 +39,72 @@ def skewed_pmf(rng: random.Random, m: int, smallest: float = 1e-5) -> SourcePmf:
     rest = [rng.uniform(0.05, 1.0) for _ in range(m - 1)]
     total = sum(rest)
     return SourcePmf((first, *((1.0 - first) * x / total for x in rest)))
+
+
+class TiltedDerivatives(NamedTuple):
+    """Closed-form derivatives along the tilted family at a fixed alpha.
+
+    dD_dalpha, d2D_dalpha2 differentiate D(P_alpha || P) in bits;
+    dH_dalpha, d2H_dalpha2 differentiate H(P_alpha) in bits;
+    dsigma3sq_dalpha differentiates the nat-valued variance sigma3_sq, and
+    equals the signed third central moment of log_e P(X) under P_alpha.
+    """
+
+    dD_dalpha: float
+    d2D_dalpha2: float
+    dH_dalpha: float
+    d2H_dalpha2: float
+    dsigma3sq_dalpha: float
+
+
+def tilted_derivatives(p: SourcePmf, alpha: float) -> TiltedDerivatives:
+    """Derivatives of D(P_alpha||P), H(P_alpha) and sigma3_sq at alpha in
+    (0, 1), in closed form from ``tilt``'s sigma3_sq and the signed third
+    central moment m3 of ln P(X), taken here over ``tilt``'s pmf."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"tilted derivatives need alpha strictly inside (0, 1), got {alpha!r}")
+    t = tilt(p, alpha)
+    ln_p = [math.log(x) for x in p.probs]
+    mean = math.fsum(w * v for w, v in zip(t.pmf.probs, ln_p))
+    m3 = math.fsum(w * (v - mean) ** 3 for w, v in zip(t.pmf.probs, ln_p))
+    s3 = t.sigma3_sq
+    return TiltedDerivatives(
+        dD_dalpha=(alpha - 1.0) * s3 * LOG2E,
+        d2D_dalpha2=LOG2E * (s3 + (alpha - 1.0) * m3),
+        dH_dalpha=-LOG2E * alpha * s3,
+        d2H_dalpha2=-LOG2E * (s3 + alpha * m3),
+        dsigma3sq_dalpha=m3,
+    )
+
+
+def tilt_identity_residual(p: SourcePmf, q, alpha: float) -> float:
+    """Left minus right side of the exact tilting identity: for any pmf Q
+    (P full support) and alpha in (0, 1),
+
+        alpha [D(Q||P) - D(P_alpha||P)] = D(Q||P_alpha) + (1-alpha)[H(Q) - H(P_alpha)],
+
+    so the residual is zero up to floating-point noise."""
+    t = tilt(p, alpha)
+    lhs = alpha * (kl_divergence(q, p) - t.kl_bits)
+    rhs = kl_divergence(q, t.pmf) + (1.0 - alpha) * (entropy(q) - t.entropy_bits)
+    return lhs - rhs
+
+
+def stirling_ratio(counts) -> float:
+    """Type-class size over its Stirling-style estimate, for a full-support
+    type with k counts: 2**(n H) * n**(-(k-1)/2) * prod(1/sqrt(counts[a]/n)),
+    the ratio taken in the log domain.  It stays inside a two-sided constant
+    band for fixed k."""
+    if any(c == 0 for c in counts):
+        raise DomainError("stirling_ratio requires a full-support type")
+    n, k = sum(counts), len(counts)
+    log2_ratio = (
+        math.log2(type_class_size(counts))
+        - n * type_entropy_bits(counts)
+        + 0.5 * (k - 1) * math.log2(n)
+        + 0.5 * math.fsum(math.log2(c / n) for c in counts)
+    )
+    return 2.0 ** log2_ratio
 
 
 def compositions(n: int, m: int):

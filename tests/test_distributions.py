@@ -15,13 +15,11 @@ from pragrate import (
     entropy,
     kl_divergence,
     tilt,
-    tilt_identity_residual,
-    tilted_derivatives,
 )
 from pragrate.distributions import _tilted_kl_entropy_sigma3, _tilted_sigma3_rho3_columns
 from pragrate.numerics import LOG2E
 
-from conftest import bern, random_pmf
+from conftest import bern, random_pmf, tilt_identity_residual, tilted_derivatives
 
 
 def pmf_strategy(m_values=(2, 3, 4)):
@@ -87,6 +85,18 @@ class TestSourcePmf:
     def test_non_numeric_entry_is_refused(self, spec):
         with pytest.raises(DistributionError, match="^bad pmf entry "):
             SourcePmf.load(spec)
+
+    @pytest.mark.parametrize("build, order", [
+        (lambda: SourcePmf.parse("[1e5000, 0]"), "1e5000"),
+        (lambda: SourcePmf.parse("[0.5, -1e5000]"), "-1e5000"),
+        (lambda: SourcePmf.from_values([10 ** 5000, 0]), "1e5000"),
+    ], ids=["json", "json_negative", "int"])
+    def test_entry_past_the_repr_digit_limit_is_named_by_its_order(self, build, order):
+        # such an integer has no repr, and reprlib would name an object address
+        with pytest.raises(DistributionError) as info:
+            build()
+        assert str(info.value).startswith(f"bad pmf entry of order {order}: ")
+        assert " at 0x" not in str(info.value)
 
     def test_needs_two_symbols(self):
         with pytest.raises(DistributionError):
