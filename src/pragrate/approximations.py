@@ -28,7 +28,7 @@ from operator import attrgetter
 from typing import Iterator, Sequence
 
 from . import exact_limits
-from .distributions import SourcePmf, tilt
+from .distributions import SourcePmf, TiltedPoint, tilt
 from .errors import DomainError, ResourceLimitError
 from .exponents import (
     AlphaStarSolution,
@@ -129,9 +129,12 @@ def pragmatic_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     return sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
 
 
-def _berry_esseen_prefactor_log2(sigma: float, rho: float) -> float:
-    """log2 of (1/sigma) (1/sqrt(2 pi) + rho/sigma**2); sigma, rho in nats."""
-    return math.log2((1.0 / sigma) * (1.0 / SQRT_2PI + rho / sigma ** 2))
+def _berry_esseen_prefactor_log2(scale: float, t: TiltedPoint) -> float:
+    """log2 of (1/sigma) (1/sqrt(2 pi) + rho/sigma**2) for the log-likelihood
+    ``scale`` * log_e P(X) plus a constant under P_alpha: sigma = scale *
+    sigma3 and rho = scale**3 * rho3, in nats."""
+    sigma = scale * math.sqrt(t.sigma3_sq)
+    return math.log2((1.0 / sigma) * (1.0 / SQRT_2PI + scale ** 3 * t.rho3 / sigma ** 2))
 
 
 def achievability_constant(p: SourcePmf, delta: float) -> float:
@@ -140,13 +143,12 @@ def achievability_constant(p: SourcePmf, delta: float) -> float:
 
 
 def _achievability_c(sol: AlphaStarSolution) -> float:
-    t = sol.tilted
-    sigma1, rho1 = math.sqrt(t.sigma1_sq), t.rho1
-    sigma2, rho2 = math.sqrt(t.sigma2_sq), t.rho2
-    a = sol.alpha_star
-    return _berry_esseen_prefactor_log2(sigma1, rho1) + (
+    # log_e P_alpha(X) and log_e [P_alpha/P](X) are alpha and alpha - 1
+    # times log_e P(X), plus constants; the sign drops out of sigma and rho
+    a, t = sol.alpha_star, sol.tilted
+    return _berry_esseen_prefactor_log2(a, t) + (
         a / (1.0 - a)
-    ) * _berry_esseen_prefactor_log2(sigma2, rho2)
+    ) * _berry_esseen_prefactor_log2(1.0 - a, t)
 
 
 @dataclass(frozen=True)
@@ -332,14 +334,13 @@ def universal_threshold_alpha_n(
     env = moment_envelope(p)
     a = sol.alpha_star
     t = sol.tilted
-    sigma2, rho2 = math.sqrt(t.sigma2_sq), t.rho2
     p_bar = t.sigma3_sq * LOG2E
     q_bar = (LOG2E / 2.0) * (
         abs(env.sigma3_inf_sq - (1.0 - a) * env.rho3_sup)
         + env.sigma3_sup_sq
         + env.rho3_sup
     )
-    r_bar = (1.0 / (1.0 - a)) * _berry_esseen_prefactor_log2(sigma2, rho2)
+    r_bar = (1.0 / (1.0 - a)) * _berry_esseen_prefactor_log2(1.0 - a, t)
     alpha_n = (
         a
         + math.log2(n) / (2.0 * p_bar * (1.0 - a) * n)
@@ -420,10 +421,10 @@ def compute_rate_ladders(
     where 2**(-n*delta) underflows a double still has its tilted and exact
     columns.  Every point is validated before any work.  The optimal code's
     length distribution is built once and read at each point.  Columns that
-    are undefined at a point (exponent out of range, epsilon underflowed for
-    the normal approximation, or the exact computation infeasible) come back
-    as None with a note; in prefix mode the exact column is shifted by the
-    1/n prefix penalty.
+    are undefined at a point (exponent out of range, epsilon underflowed or
+    rounded to 1 for the normal approximation, or the exact computation
+    infeasible) come back as None with a note; in prefix mode the exact
+    column is shifted by the 1/n prefix penalty.
     """
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
@@ -456,12 +457,11 @@ def compute_rate_ladders(
             exact = prefix_adjust(exact, n) if prefix_mode else exact
         elif exact_note:
             notes.append(exact_note)
-        if epsilon > 0.0:
+        if 0.0 < epsilon < 1.0:
             strassen = _strassen(shannon, sigma, n, epsilon)
-        else:
-            notes.append(
-                f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} underflows a double"
-            )
+        else:  # 2**(-n*delta) underflows to 0, or rounds to 1 for a tiny n*delta
+            fate = "underflows" if epsilon == 0.0 else "rounds to 1 in"
+            notes.append(f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} {fate} a double")
         rows.append(RateLadder(
             n=n, epsilon=epsilon, delta=delta, shannon=shannon, strassen=strassen,
             blahut=blahut, pragmatic=pragmatic, exact=exact, note="; ".join(notes),
@@ -499,17 +499,9 @@ def ladder_to_markdown(rows: list[RateLadder], *, digits: int = 3) -> str:
 
 
 _JSON_KEYS = ("n", "epsilon", "delta", *_RATE_COLUMNS, "note")
-# indent=2 would force json's pure-Python encoder; the C one, given the
-# indented item separator, writes a flat row object's members byte for byte
-_JSON_ROW = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
 def ladder_to_json(rows: list[RateLadder]) -> str:
-    """The rows as ``json.dumps(..., indent=2)`` writes them, byte for byte:
-    each row is one flat object, its members from the C encoder, and only
-    the brackets and the row separators are written here."""
-    if not rows:
-        return "[]"
+    """The rows as a JSON array of flat objects, keys in table order."""
     fields = attrgetter(*_JSON_KEYS)
-    objects = ("{\n    " + _JSON_ROW(dict(zip(_JSON_KEYS, fields(r))))[1:-1] + "\n  }" for r in rows)
-    return "[\n  " + ",\n  ".join(objects) + "\n]"
+    return json.dumps([dict(zip(_JSON_KEYS, fields(r))) for r in rows], indent=2)

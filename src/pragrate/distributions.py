@@ -18,16 +18,19 @@ For a full-support pmf P and alpha in (0, 1], the tilted pmf is
     P_alpha(x) = P(x)**alpha / Z_alpha,   Z_alpha = sum_x P(x)**alpha.
 
 It interpolates between the uniform distribution (alpha -> 0) and P itself
-(alpha = 1).  :func:`tilt` returns the tilted pmf together with the second
-and absolute third centered moments, under P_alpha, of the three log-likelihoods
+(alpha = 1).  The paper's constants use the second and absolute third
+centered moments, under P_alpha, of the three log-likelihoods
 
-    log_e P_alpha(X),   log_e [P_alpha(X)/P(X)],   log_e P(X),
+    log_e P_alpha(X),   log_e [P_alpha(X)/P(X)],   log_e P(X)
 
-(indices 1, 2, 3 below).  Because the first two are affine in the third,
+(indices 1, 2, 3).  The first two are alpha log_e P(X) and
+(alpha-1) log_e P(X) plus constants, so
 
+    sigma1_sq = alpha**2 * sigma3_sq,       rho1 = alpha**3 * rho3,
     sigma2_sq = (1-alpha)**2 * sigma3_sq,   rho2 = (1-alpha)**3 * rho3,
 
-which downstream property tests verify to 1e-10 relative.
+exactly.  :func:`tilt` returns the tilted pmf with sigma3_sq and rho3
+alone, and the constants apply these scalings where they use the others.
 """
 
 from __future__ import annotations
@@ -161,18 +164,23 @@ class SourcePmf:
         return cls.parse(spec)
 
 
-def _entry_name(v) -> str:
-    """A refused pmf entry in brief: reprlib shortens one like 1e999, an
-    integer of 1000 digits, but past ``sys.get_int_max_str_digits()`` digits
-    a rational has no repr and is named by its order of magnitude."""
-    if isinstance(v, (int, Fraction)):
-        try:
-            repr(v)
-        except ValueError:  # math.log10 reads a big int without a string
-            v = Fraction(v)
-            digits = math.log10(abs(v.numerator)) - math.log10(v.denominator)
-            return f"of order {'-' * (v < 0)}1e{round(digits)}"
-    return reprlib.repr(v)
+class _EntryRepr(reprlib.Repr):
+    """reprlib's brief names, except that an int or Fraction past
+    ``sys.get_int_max_str_digits()`` digits, which has no repr, is named by
+    its order of magnitude at any depth, not by an object address."""
+
+    def repr1(self, x, level: int) -> str:
+        if isinstance(x, (int, Fraction)):
+            try:
+                repr(x)
+            except ValueError:  # math.log10 reads a big int without a string
+                x = Fraction(x)
+                digits = math.log10(abs(x.numerator)) - math.log10(x.denominator)
+                return f"of order {'-' * (x < 0)}1e{round(digits)}"
+        return super().repr1(x, level)
+
+
+_entry_name = _EntryRepr().repr  # a refused pmf entry in brief
 
 
 def _as_prob_vector(p: PmfLike, *, what: str) -> tuple[float, ...]:
@@ -223,39 +231,30 @@ def kl_divergence(q: PmfLike, p: PmfLike) -> float:
 
 @dataclass(frozen=True)
 class TiltedPoint:
-    """The tilted pmf P_alpha with its normalizer and log-likelihood moments.
+    """The tilted pmf P_alpha with its normalizer and the moments of ln P(X).
 
     ``logZ`` is log2 of the normalizer; ``entropy_bits`` and ``kl_bits`` are
     H(P_alpha) and D(P_alpha || P), precomputed from the same weighted sums
     as the moments so that root finders see a smooth, cheap map.
+    ``sigma3_sq`` and ``rho3`` are the variance and absolute third central
+    moment of log_e P(X) under P_alpha; those of the other two
+    log-likelihoods are their scalings, see the module docstring.
     """
 
     alpha: float
     pmf: SourcePmf
     logZ: float
-    sigma1_sq: float
-    rho1: float
-    sigma2_sq: float
-    rho2: float
     sigma3_sq: float
     rho3: float
     entropy_bits: float
     kl_bits: float
 
 
-def _weighted_moments(weights: Sequence[float], values: Sequence[float]) -> tuple[float, float, float]:
-    """Mean, variance, absolute third central moment."""
-    mean = neumaier_sum(w * v for w, v in zip(weights, values))
-    var = neumaier_sum(w * (v - mean) ** 2 for w, v in zip(weights, values))
-    rho = neumaier_sum(w * abs(v - mean) ** 3 for w, v in zip(weights, values))
-    return mean, max(var, 0.0), max(rho, 0.0)
-
-
 def _tilt_weights(ln_p: list[float], alpha: float) -> tuple[list[float], float, list[float]]:
     """``(alpha * ln P, ln Z_alpha, P_alpha)`` for alpha in [0, 1].
 
-    The one copy of the tilted-family weight code: :func:`tilt` and the lean
-    evaluator below call it, and the columnar kernel repeats its float
+    The one copy of the tilted-family weight code: :func:`tilt` and the
+    alpha* solver call it, and the columnar kernel repeats its float
     operations, so their floats agree bit for bit.
     """
     scaled = [alpha * lp for lp in ln_p]
@@ -267,35 +266,39 @@ def _tilt_weights(ln_p: list[float], alpha: float) -> tuple[list[float], float, 
     return scaled, ln_z, weights
 
 
-def _tilted_kl_entropy_sigma3(ln_p: list[float], alpha: float) -> tuple[float, float, float]:
-    """``(kl_bits, entropy_bits, sigma3_sq)`` of ``tilt(p, alpha)``, bit for
-    bit, given ``ln_p = [log(x) for x in p.probs]`` and alpha in (0, 1).
+def _tilted_values(
+    ln_p: Sequence[float], scaled: Sequence[float], ln_z: float, weights: Sequence[float]
+) -> tuple[float, float, float, float]:
+    """``(kl_bits, entropy_bits, mean3, sigma3_sq)`` of the tilted pmf
+    ``weights``, whose log is ``scaled - ln_z``, given
+    ``ln_p = [log(x) for x in p.probs]``: D(P_alpha || P), H(P_alpha), and
+    the mean and variance of log_e P(X) under P_alpha.
 
-    Root finders on the tilted family read only these fields: the two values
-    and the variance behind their closed-form slopes.  This skips the other
-    moments and the validated pmf that :func:`tilt` builds.
+    The one scalar moment pass over the tilted family: :func:`tilt` adds
+    rho3 to it, and the alpha* solver reads it alone.
     """
-    scaled, ln_z, weights = _tilt_weights(ln_p, alpha)
-    t1 = [s - ln_z for s in scaled]
+    t1 = [s - ln_z for s in scaled]  # log_e P_alpha(x)
     mean1 = math.fsum(map(mul, weights, t1))
-    mean2 = math.fsum(map(mul, weights, map(sub, t1, ln_p)))
+    mean2 = math.fsum(map(mul, weights, map(sub, t1, ln_p)))  # of log_e [P_alpha/P](x)
     mean3 = math.fsum(map(mul, weights, ln_p))
+    # every term is non-negative, so the sum is too
     sigma3_sq = math.fsum(w * (v - mean3) ** 2 for w, v in zip(weights, ln_p))
-    return max(mean2 * LOG2E, 0.0), -mean1 * LOG2E, max(sigma3_sq, 0.0)
+    return max(mean2 * LOG2E, 0.0), -mean1 * LOG2E, mean3, sigma3_sq
 
 
 def _tilted_sigma3_rho3_columns(ln_p: list[float], alphas: Sequence[float]) -> tuple[list[float], list[float]]:
     """``(sigma3_sq, rho3)`` of ``tilt(p, alpha)`` for every alpha in
     ``alphas``, bit for bit, given ``ln_p = [log(x) for x in p.probs]`` and
-    alphas in [0, 1] (at the closed ends, those of :func:`_tilt_weights`
-    and :func:`_weighted_moments`, which :func:`tilt` does not take).
+    alphas in [0, 1] (at the closed ends, which :func:`tilt` does not take,
+    those of its sums over the weights of :func:`_tilt_weights`).
 
     Columnar: one Python step per symbol, each a ``map`` over all the alphas,
-    with the float operations of :func:`_tilt_weights` and
-    :func:`_weighted_moments` in their order.  The peak ``max(alpha * ln_p)``
-    is ``alpha * max(ln_p)`` exactly, because rounding a product by a
-    positive factor is monotone, and ``math.fsum`` is correctly rounded, so
-    summing a column in any order gives the same float.
+    with the float operations of :func:`_tilt_weights`, of
+    :func:`_tilted_values` and of :func:`tilt`'s rho3 sum in their order.
+    The peak ``max(alpha * ln_p)`` is ``alpha * max(ln_p)`` exactly, because
+    rounding a product by a positive factor is monotone, and ``math.fsum``
+    is correctly rounded, so summing a column in any order gives the same
+    float.
     """
     peaks = list(map(mul, alphas, repeat(max(ln_p))))
     zs = [list(map(math.exp, map(sub, map(mul, alphas, repeat(lp)), peaks))) for lp in ln_p]
@@ -323,28 +326,16 @@ def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
     ln_p = [math.log(x) for x in p.probs]
     if alpha == 1.0:
         # No tilt: P_1 = P and Z_1 = 1 exactly.
-        scaled, ln_z, weights = ln_p, 0.0, list(p.probs)
+        scaled, ln_z, weights = ln_p, 0.0, p.probs
     else:
         scaled, ln_z, weights = _tilt_weights(ln_p, alpha)
-
-    t1 = [s - ln_z for s in scaled]            # log_e P_alpha(x)
-    t3 = ln_p                                  # log_e P(x)
-    t2 = [a - b for a, b in zip(t1, t3)]       # log_e [P_alpha/P](x)
-
-    mean1, sigma1_sq, rho1 = _weighted_moments(weights, t1)
-    mean2, sigma2_sq, rho2 = _weighted_moments(weights, t2)
-    _, sigma3_sq, rho3 = _weighted_moments(weights, t3)
-
+    kl_bits, entropy_bits, mean3, sigma3_sq = _tilted_values(ln_p, scaled, ln_z, weights)
     return TiltedPoint(
         alpha=alpha,
         pmf=SourcePmf(tuple(weights)),
         logZ=ln_z * LOG2E,
-        sigma1_sq=sigma1_sq,
-        rho1=rho1,
-        sigma2_sq=sigma2_sq,
-        rho2=rho2,
         sigma3_sq=sigma3_sq,
-        rho3=rho3,
-        entropy_bits=-mean1 * LOG2E,
-        kl_bits=max(mean2 * LOG2E, 0.0),
+        rho3=math.fsum(w * abs(v - mean3) ** 3 for w, v in zip(weights, ln_p)),
+        entropy_bits=entropy_bits,
+        kl_bits=kl_bits,
     )

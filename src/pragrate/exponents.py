@@ -30,9 +30,9 @@ from typing import Iterable
 from .distributions import (
     SourcePmf,
     TiltedPoint,
-    _tilted_kl_entropy_sigma3,
+    _tilt_weights,
     _tilted_sigma3_rho3_columns,
-    _weighted_moments,
+    _tilted_values,
     kl_divergence,
     tilt,
 )
@@ -189,8 +189,8 @@ def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float,
     h_max = math.log2(p.m)
     gap_target = math.sqrt(h_max - target if entropy else target)
     # variance of ln P(X) at the flat end: under U at alpha = 0, under P at alpha = 1
-    at_end = [1.0 / p.m] * p.m if entropy else p.probs
-    scale = math.sqrt(2.0 / (_weighted_moments(at_end, ln_p)[1] * LOG2E))
+    at_end = _tilt_weights(ln_p, 0.0) if entropy else (ln_p, 0.0, p.probs)
+    scale = math.sqrt(2.0 / (_tilted_values(ln_p, *at_end)[3] * LOG2E))
     alpha = scale * gap_target if entropy else 1.0 - scale * gap_target
     if not 0.0 < alpha < 1.0:
         alpha = 0.5
@@ -198,7 +198,7 @@ def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float,
     lo, hi = 0.0, 1.0
     step = last = hi - lo
     for evaluations in count(1):
-        kl, h, sigma3_sq = _tilted_kl_entropy_sigma3(ln_p, alpha)
+        kl, h, _, sigma3_sq = _tilted_values(ln_p, *_tilt_weights(ln_p, alpha))
         value = h if entropy else kl
         if value > target:
             lo = alpha

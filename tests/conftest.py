@@ -77,6 +77,37 @@ def tilted_derivatives(p: SourcePmf, alpha: float) -> TiltedDerivatives:
     )
 
 
+def weighted_moments(weights, values) -> tuple[float, float, float]:
+    """Mean, variance and absolute third central moment of ``values`` under
+    ``weights``, each a correctly rounded sum of its textbook terms."""
+    mean = math.fsum(w * v for w, v in zip(weights, values))
+    var = math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, values))
+    rho = math.fsum(w * abs(v - mean) ** 3 for w, v in zip(weights, values))
+    return mean, var, rho
+
+
+class LogLikelihoodMoments(NamedTuple):
+    """Variance and absolute third central moment, in nats, of
+    log_e P_alpha(X) (index 1) and log_e [P_alpha/P](X) (index 2) under
+    P_alpha."""
+
+    sigma1_sq: float
+    rho1: float
+    sigma2_sq: float
+    rho2: float
+
+
+def tilted_log_moments(p: SourcePmf, t) -> LogLikelihoodMoments:
+    """The moments of the two log-likelihoods that ``tilt`` does not store,
+    taken straight from the tilted pmf ``t.pmf`` and ln P, with no use of
+    their scalings of sigma3_sq and rho3."""
+    w = t.pmf.probs
+    ln_pa = [math.log(x) for x in w]
+    _, sigma1_sq, rho1 = weighted_moments(w, ln_pa)
+    _, sigma2_sq, rho2 = weighted_moments(w, [a - math.log(x) for a, x in zip(ln_pa, p.probs)])
+    return LogLikelihoodMoments(sigma1_sq, rho1, sigma2_sq, rho2)
+
+
 def tilt_identity_residual(p: SourcePmf, q, alpha: float) -> float:
     """Left minus right side of the exact tilting identity: for any pmf Q
     (P full support) and alpha in (0, 1),

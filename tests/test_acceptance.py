@@ -20,7 +20,7 @@ import pytest
 import pragrate as pr
 from pragrate.types_census import type_entropy_bits
 
-from conftest import bern, random_pmf, tilt_identity_residual, tilted_derivatives
+from conftest import bern, random_pmf, tilt_identity_residual, tilted_derivatives, tilted_log_moments
 
 P02 = bern("0.2")
 GOLDEN_EPS = (0.00003, 0.00010, 0.00032, 0.00093, 0.00251, 0.00626, 0.01444)
@@ -176,10 +176,13 @@ class TestCriterion4TiltedCalculus:
     def test_moment_scaling_relations(self):
         for p, alpha in self._instances():
             t = pr.tilt(p, alpha)
-            assert t.sigma2_sq == pytest.approx(
+            m = tilted_log_moments(p, t)
+            assert m.sigma1_sq == pytest.approx(alpha ** 2 * t.sigma3_sq, rel=1e-10)
+            assert m.rho1 == pytest.approx(alpha ** 3 * t.rho3, rel=1e-10)
+            assert m.sigma2_sq == pytest.approx(
                 (1 - alpha) ** 2 * t.sigma3_sq, rel=1e-10
             )
-            assert t.rho2 == pytest.approx((1 - alpha) ** 3 * t.rho3, rel=1e-10)
+            assert m.rho2 == pytest.approx((1 - alpha) ** 3 * t.rho3, rel=1e-10)
         print("\nACCEPTANCE 4a (second/third-moment scaling, 108 instances): PASS")
 
     def test_derivatives_match_finite_differences(self):

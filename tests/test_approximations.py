@@ -42,7 +42,7 @@ from pragrate.approximations import (
 )
 from pragrate.numerics import normal_tail_inverse
 
-from conftest import bern, random_pmf
+from conftest import bern, random_pmf, tilted_log_moments
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
@@ -169,17 +169,13 @@ class TestBlahutPragmatic:
 
 class TestAchievabilityConstant:
     def test_dual_implementation_oracle(self):
-        # sigma1/rho1 and sigma2/rho2 are alpha-scalings of the log-likelihood
-        # moments under the tilted law; recompute both directly.
+        # the library scales the moments of ln P(X); take those of
+        # ln P_alpha(X) and ln [P_alpha/P](X) directly from the tilted pmf
         sol = solve_alpha_star(P02, DELTA_HALF)
-        a, t = sol.alpha_star, sol.tilted
-        w = t.pmf.probs
-        lnp = [math.log(x) for x in P02.probs]
-        mean3 = sum(wi * v for wi, v in zip(w, lnp))
-        s3 = sum(wi * (v - mean3) ** 2 for wi, v in zip(w, lnp))
-        r3 = sum(wi * abs(v - mean3) ** 3 for wi, v in zip(w, lnp))
-        sigma1, rho1 = a * math.sqrt(s3), a ** 3 * r3
-        sigma2, rho2 = (1 - a) * math.sqrt(s3), (1 - a) ** 3 * r3
+        a = sol.alpha_star
+        m = tilted_log_moments(P02, sol.tilted)
+        sigma1, rho1 = math.sqrt(m.sigma1_sq), m.rho1
+        sigma2, rho2 = math.sqrt(m.sigma2_sq), m.rho2
         expect = math.log2((1 / sigma1) * (1 / math.sqrt(2 * math.pi) + rho1 / sigma1 ** 2))
         expect += (a / (1 - a)) * math.log2(
             (1 / sigma2) * (1 / math.sqrt(2 * math.pi) + rho2 / sigma2 ** 2)
@@ -441,6 +437,15 @@ class TestRateLadders:
         assert row.epsilon == 0.0 and row.delta == 0.07 and row.strassen is None
         assert row.blahut == sol.h_tilted
         assert row.note == "strassen column unavailable: epsilon = 2**-1400 underflows a double"
+
+    def test_tiny_delta_row(self):
+        # n*delta = 5e-17: epsilon rounds to 1, where Qinv is undefined; the
+        # other columns are filled
+        row, = compute_rate_ladders(P02, 5, deltas=[1e-17])
+        assert row.epsilon == 1.0 and row.strassen is None
+        assert row.blahut == solve_alpha_star(P02, 1e-17).h_tilted
+        assert None not in (row.shannon, row.pragmatic, row.exact)
+        assert row.note == "strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double"
 
 
 BLOCKLENGTH_ENTRY_POINTS = {

@@ -542,6 +542,17 @@ class TestOneDistributionPerBlocklength:
         assert all(deep[c] != "-" for c in ("exact", "blahut", "pragmatic"))
         assert err == "note: strassen column unavailable: epsilon = 2**-1400 underflows a double\n"
 
+    def test_tiny_delta_ladder_leaves_only_strassen_empty(self, capsys):
+        # 2**(-5 * 1e-17) rounds to 1.0, an epsilon the normal approximation
+        # cannot take; it is a note, not an error
+        code, out, err = run_cli(capsys, "ladder", "--source", "0.2,0.8", "--n", "5", "--delta", "1e-17")
+        assert code == 0
+        header, row = [line.split(",") for line in out.splitlines()]
+        cells = dict(zip(header, row))
+        assert cells["epsilon"] == "1.0" and cells["strassen"] == "-"
+        assert all(cells[c] != "-" for c in ("exact", "shannon", "blahut", "pragmatic"))
+        assert err == "note: strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double\n"
+
     def test_bad_delta_exits_before_any_build(self, capsys, builds):
         for command in ("ladder", "limits"):
             code, out, err = run_cli(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pickle
@@ -12,14 +13,17 @@ from pragrate import (
     DistributionError,
     DomainError,
     SourcePmf,
+    TiltedPoint,
     entropy,
     kl_divergence,
     tilt,
 )
-from pragrate.distributions import _tilted_kl_entropy_sigma3, _tilted_sigma3_rho3_columns
+from pragrate.distributions import _tilt_weights, _tilted_sigma3_rho3_columns, _tilted_values
 from pragrate.numerics import LOG2E
 
-from conftest import bern, random_pmf, tilt_identity_residual, tilted_derivatives
+from conftest import (
+    bern, random_pmf, tilt_identity_residual, tilted_derivatives, tilted_log_moments, weighted_moments,
+)
 
 
 def pmf_strategy(m_values=(2, 3, 4)):
@@ -86,16 +90,19 @@ class TestSourcePmf:
         with pytest.raises(DistributionError, match="^bad pmf entry "):
             SourcePmf.load(spec)
 
-    @pytest.mark.parametrize("build, order", [
-        (lambda: SourcePmf.parse("[1e5000, 0]"), "1e5000"),
-        (lambda: SourcePmf.parse("[0.5, -1e5000]"), "-1e5000"),
-        (lambda: SourcePmf.from_values([10 ** 5000, 0]), "1e5000"),
-    ], ids=["json", "json_negative", "int"])
-    def test_entry_past_the_repr_digit_limit_is_named_by_its_order(self, build, order):
-        # such an integer has no repr, and reprlib would name an object address
+    @pytest.mark.parametrize("build, name", [
+        (lambda: SourcePmf.parse("[1e5000, 0]"), "of order 1e5000"),
+        (lambda: SourcePmf.parse("[0.5, -1e5000]"), "of order -1e5000"),
+        (lambda: SourcePmf.from_values([10 ** 5000, 0]), "of order 1e5000"),
+        (lambda: SourcePmf.parse("[[1e5000], 0]"), "[of order 1e5000]"),
+        (lambda: SourcePmf.parse('[{"a": 1e5000}, 0]'), "{'a': of order 1e5000}"),
+    ], ids=["json", "json_negative", "int", "json_nested_array", "json_nested_object"])
+    def test_entry_past_the_repr_digit_limit_is_named_by_its_order(self, build, name):
+        # such an integer has no repr, and reprlib would name an object
+        # address, at the top level or nested in a list or dict
         with pytest.raises(DistributionError) as info:
             build()
-        assert str(info.value).startswith(f"bad pmf entry of order {order}: ")
+        assert str(info.value).startswith(f"bad pmf entry {name}: ")
         assert " at 0x" not in str(info.value)
 
     def test_needs_two_symbols(self):
@@ -167,9 +174,19 @@ class TestTilt:
         assert t.logZ == 0.0  # Z_1 = 1 exactly
 
     def test_moment_scaling_at_half(self):
-        t = tilt(bern("0.2"), 0.5)
-        assert t.sigma2_sq == pytest.approx(0.25 * t.sigma3_sq, rel=1e-12)
-        assert t.rho2 == pytest.approx(0.125 * t.rho3, rel=1e-12)
+        p = bern("0.2")
+        t = tilt(p, 0.5)
+        m = tilted_log_moments(p, t)
+        assert m.sigma1_sq == pytest.approx(0.25 * t.sigma3_sq, rel=1e-12)
+        assert m.rho1 == pytest.approx(0.125 * t.rho3, rel=1e-12)
+        assert m.sigma2_sq == pytest.approx(0.25 * t.sigma3_sq, rel=1e-12)
+        assert m.rho2 == pytest.approx(0.125 * t.rho3, rel=1e-12)
+
+    def test_fields_are_the_moments_of_ln_p_alone(self):
+        # the moments of ln P_alpha(X) and ln [P_alpha/P](X) are scalings of
+        # these, applied where the constants use them
+        names = [f.name for f in dataclasses.fields(TiltedPoint)]
+        assert names == ["alpha", "pmf", "logZ", "sigma3_sq", "rho3", "entropy_bits", "kl_bits"]
 
     def test_alpha_domain(self):
         p = bern("0.2")
@@ -190,8 +207,11 @@ class TestTilt:
     @given(pmf_strategy(), st.floats(0.01, 0.99))
     def test_moment_scaling_property(self, p, alpha):
         t = tilt(p, alpha)
-        assert t.sigma2_sq == pytest.approx((1 - alpha) ** 2 * t.sigma3_sq, rel=1e-10, abs=1e-18)
-        assert t.rho2 == pytest.approx((1 - alpha) ** 3 * t.rho3, rel=1e-10, abs=1e-18)
+        m = tilted_log_moments(p, t)
+        assert m.sigma1_sq == pytest.approx(alpha ** 2 * t.sigma3_sq, rel=1e-10, abs=1e-18)
+        assert m.rho1 == pytest.approx(alpha ** 3 * t.rho3, rel=1e-10, abs=1e-18)
+        assert m.sigma2_sq == pytest.approx((1 - alpha) ** 2 * t.sigma3_sq, rel=1e-10, abs=1e-18)
+        assert m.rho2 == pytest.approx((1 - alpha) ** 3 * t.rho3, rel=1e-10, abs=1e-18)
 
     def test_divergence_strictly_decreasing_in_alpha(self, rng):
         for _ in range(10):
@@ -209,8 +229,9 @@ class TestTilt:
 
 
 class TestLeanTiltEvaluators:
-    """The evaluators behind the alpha* solve and the moment envelope must
-    reproduce tilt()'s fields bit for bit, not just closely."""
+    """The moment pass behind tilt() and the alpha* solve, and the columnar
+    kernel behind the moment envelope, must reproduce tilt()'s fields bit
+    for bit, and those the textbook sums over tilt()'s pmf."""
 
     SKEWED = (SourcePmf((1e-6, 1 - 1e-6)), SourcePmf((0.001, 0.002, 0.997)))
 
@@ -221,7 +242,10 @@ class TestLeanTiltEvaluators:
             alphas = [rng.uniform(0.0, 1.0) for _ in range(8)] + [1e-6, 0.5, 1 - 1e-6, 1 - 1e-14]
             points = [tilt(p, alpha) for alpha in alphas]
             for alpha, t in zip(alphas, points):
-                assert _tilted_kl_entropy_sigma3(ln_p, alpha) == (t.kl_bits, t.entropy_bits, t.sigma3_sq)
+                mean3, sigma3_sq, rho3 = weighted_moments(t.pmf.probs, ln_p)
+                assert (t.sigma3_sq, t.rho3) == (sigma3_sq, rho3)
+                got = _tilted_values(ln_p, *_tilt_weights(ln_p, alpha))
+                assert got == (t.kl_bits, t.entropy_bits, mean3, t.sigma3_sq)
                 assert _tilted_sigma3_rho3_columns(ln_p, (alpha,)) == ([t.sigma3_sq], [t.rho3])
             # one columnar call over every alpha at once
             assert _tilted_sigma3_rho3_columns(ln_p, alphas) == (

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import json
 import math
+import random
 import statistics
 import sys
 
@@ -21,11 +23,11 @@ from pragrate import (
 
 from pragrate import exponents
 from pragrate.cli import main
-from pragrate.distributions import _tilt_weights, _weighted_moments
+from pragrate.distributions import _tilt_weights
 from pragrate.exponents import ENVELOPE_CHUNK, ENVELOPE_EDGE, ENVELOPE_GRID
 from pragrate.numerics import LOG2E
 
-from conftest import bern, random_pmf, skewed_pmf
+from conftest import bern, random_pmf, skewed_pmf, weighted_moments
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)  # alpha* = 1/2 exactly
@@ -262,7 +264,7 @@ def reference_envelope(p, grid_size):
         return 0.0, math.inf, math.inf
     widen = 1.0 + 1e-9 + 4.0 * eps
     for alpha in (0.0, 1.0):
-        _, sigma3_sq, rho3 = _weighted_moments(_tilt_weights(ln_p, alpha)[2], ln_p)
+        _, sigma3_sq, rho3 = weighted_moments(_tilt_weights(ln_p, alpha)[2], ln_p)
         sig.append(sigma3_sq)
         rho.append(rho3)
     h = max(step, ENVELOPE_EDGE) / 2
@@ -379,6 +381,28 @@ class TestBitIdenticalToTiltChains:
         assert repr(payload["sigma3_inf_sq"]) == "0.30748992419496257"
         assert repr(payload["sigma3_sup_sq"]) == "0.48045301956108527"
         assert repr(payload["rho3_sup"]) == "0.33302469764444986"
+
+    # the sha256 of the sweep below, as first computed
+    TILTED_SWEEP_SHA256 = "db4535dd5c33ba462569d786ee1f575ac47fb7c248259c1c403450fee44f4ff0"
+
+    def test_seeded_tilt_and_solve_sweep_is_pinned(self):
+        """Every tilt() field, alpha*, H(P_alpha*) and the evaluation count
+        over a seeded sweep, bit for bit: a change to the order of the
+        moment arithmetic or to the solver's steps shows here."""
+        rng = random.Random(22)
+        digest = hashlib.sha256()
+        sources = [random_pmf(rng, m) for m in (2, 3, 4, 5, 6) for _ in range(10)]
+        sources += [skewed_pmf(rng, m) for m in (2, 3, 5) for _ in range(4)]
+        for p in sources:
+            for alpha in (1e-6, rng.uniform(0.0, 0.5), 0.5, rng.uniform(0.5, 1.0), 1 - 1e-9, 1.0):
+                t = tilt(p, alpha)
+                fields = (t.alpha, t.pmf.probs, t.logZ, t.sigma3_sq, t.rho3, t.entropy_bits, t.kl_bits)
+                digest.update(repr(fields).encode() + b"\n")
+            hi = delta_range(p).hi
+            for frac in (1e-6, 0.01, rng.uniform(0.05, 0.95), 0.999):
+                sol = solve_alpha_star.__wrapped__(p, frac * hi)
+                digest.update(repr((sol.alpha_star, sol.h_tilted, sol.iterations)).encode() + b"\n")
+        assert digest.hexdigest() == self.TILTED_SWEEP_SHA256
 
     def test_tilt_call_counts(self, monkeypatch):
         calls = []
