@@ -403,6 +403,14 @@ def compute_rate_ladder(
     return compute_rate_ladders(p, n, [epsilon], **options)[0]
 
 
+def _nonnegative(column: str, rate: float, notes: list[str]) -> float | None:
+    """``rate``, or None with a note naming ``column`` if it is below 0."""
+    if rate < 0.0:
+        notes.append(f"{column} column unavailable: {rate:.6g} bits/symbol is below 0")
+        return None
+    return rate
+
+
 def compute_rate_ladders(
     p: SourcePmf,
     n: int,
@@ -423,8 +431,9 @@ def compute_rate_ladders(
     length distribution is built once and read at each point.  Columns that
     are undefined at a point (exponent out of range, epsilon underflowed or
     rounded to 1 for the normal approximation, or the exact computation
-    infeasible) come back as None with a note; in prefix mode the exact
-    column is shifted by the 1/n prefix penalty.
+    infeasible, or a strassen or pragmatic value below 0 bits/symbol) come
+    back as None with a note; in prefix mode the exact column is shifted by
+    the 1/n prefix penalty.
     """
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
@@ -450,6 +459,7 @@ def compute_rate_ladders(
             sol = _solve_for(p, n, delta)
             blahut = sol.h_tilted
             pragmatic = sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
+            pragmatic = _nonnegative("pragmatic", pragmatic, notes)
         except DomainError as exc:
             notes.append(f"tilted columns unavailable: {exc}")
         if dist is not None:
@@ -458,7 +468,7 @@ def compute_rate_ladders(
         elif exact_note:
             notes.append(exact_note)
         if 0.0 < epsilon < 1.0:
-            strassen = _strassen(shannon, sigma, n, epsilon)
+            strassen = _nonnegative("strassen", _strassen(shannon, sigma, n, epsilon), notes)
         else:  # 2**(-n*delta) underflows to 0, or rounds to 1 for a tiny n*delta
             fate = "underflows" if epsilon == 0.0 else "rounds to 1 in"
             notes.append(f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} {fate} a double")

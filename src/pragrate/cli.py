@@ -128,19 +128,22 @@ def _load_source(args: argparse.Namespace) -> SourcePmf:
 
 def _parse_eps_or_delta(args: argparse.Namespace) -> tuple[list[float] | None, list[float] | None]:
     """(epsilons, deltas) from exactly one of --eps and --delta; the other
-    is None.  A bad value, or a list with none, is refused here, before any
-    type is enumerated."""
+    is None.  A bad value, named as typed, or a list with none, is refused
+    here, before any type is enumerated."""
     if bool(args.eps) == bool(args.delta):
         raise DomainError("provide exactly one of --eps or --delta")
     flag, text = ("--delta", args.delta) if args.delta else ("--eps", args.eps)
     values = _parse_float_list(text)
     if not values:
         raise DomainError(f"{flag} {text!r} holds no values")
-    if args.delta:
-        return None, [ap.check_delta(d) for d in values]
-    for eps in values:
-        ap.epsilon_to_delta(eps, 1)
-    return values, None
+    for token, value in zip(text.split(","), values):
+        if not 0.0 < value < (math.inf if args.delta else 1.0):
+            need = "be a positive finite exponent" if args.delta else "lie in (0, 1)"
+            if value == 0.0:  # typed as zero, or too small for a double
+                need += "; it is 0.0 as a double"
+                need += "" if args.delta else ", so give its exponent with --delta"
+            raise DomainError(f"{flag} entry {token!r} must {need}")
+    return (None, values) if args.delta else (values, None)
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
@@ -175,7 +178,7 @@ def _cmd_limits(args: argparse.Namespace) -> int:
     else:
         column, values, log2_eps = "delta", deltas, lambda n, delta: -n * delta
     out = [f"n,{column},L_star,rate"]
-    for n in ns if values else []:
+    for n in ns:
         dist = el.length_distribution(p, n, cap_types=args.cap_types)
         for value in values:
             rate = dist.optimal_rate(log2_eps(n, value))

@@ -33,8 +33,9 @@ offset is the level's plus that size times the lex rank of its count vector
 among the rearrangements of the partition: the codec ranks (and unranks)
 twice, once over the multiset of counts and once over the string, and never
 lists the classes.  The rare level of several orbits (distinct partitions
-with equal float entropy) is expanded when a string falls in it.  The
-universal code's length distribution walks the same levels.
+with equal float entropy) is expanded when a string falls in it.  One
+method, ``_vectors``, decodes the packed partitions, for the codec and for
+the universal code's length distribution, which streams the same levels.
 
 The known-source ordering is stored as the engine's columns (below): the
 class sizes in canonical order and the ranking, plus one cumulative
@@ -199,9 +200,9 @@ class _EntropyColumns(CodeOrdering):
     partition (the partition count last); and ``offsets[i]``, the
     strings in all earlier levels (m**n last).  No per-partition tuple or
     size is kept: a single-orbit level's class size is its strings divided
-    by its arrangements.  No level's classes are listed unless it holds
-    several orbits and a string falls in it, or the tails walk it.  Two
-    universal orderings are equal when their columns are."""
+    by its arrangements.  ``_vectors`` is the one decoder of ``parts``.  No
+    level's classes are listed unless it holds several orbits and a string
+    falls in it, or the tails walk it."""
 
     __slots__ = ("entropies", "starts", "parts", "offsets")
 
@@ -238,20 +239,13 @@ class _EntropyColumns(CodeOrdering):
             column = canonical[m - 1 - i::m]
             self.parts[i::width] = array(typecode, [column[j] for j in ranking])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _EntropyColumns):
-            return NotImplemented
-        return ((self.n, self.m, self.entropies, self.starts, self.parts, self.offsets)
-                == (other.n, other.m, other.entropies, other.starts, other.parts, other.offsets))
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.m))
-
-    def _partition(self, j: int) -> tuple[int, ...]:
-        """The ascending count vector of the j-th partition in code order."""
+    def _vectors(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        """The ascending count vectors of partitions lo .. hi-1 in code
+        order: the m-1 strided slices of ``parts``, and n minus their sum."""
         width = self.m - 1
-        head = tuple(self.parts[j * width:(j + 1) * width])
-        return head + (self.n - sum(head),)
+        heads = [self.parts[lo * width + i:hi * width:width] for i in range(width)]
+        largest = map(operator.sub, itertools.repeat(self.n), map(sum, zip(*heads)))
+        return zip(*heads, largest)
 
     def _class_size(self, i: int, multiplicities: list[int]) -> int:
         """The class size of single-orbit level i, whose partition repeats
@@ -263,19 +257,16 @@ class _EntropyColumns(CodeOrdering):
 
     def _level(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
         """Count vectors and class sizes of level i in lex order."""
-        vectors = map(self._partition, range(self.starts[i], self.starts[i + 1]))
+        vectors = self._vectors(self.starts[i], self.starts[i + 1])
         return _level_classes(vectors, self.offsets[i + 1] - self.offsets[i], {})
 
     def _levels(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
-        """Count vectors and class sizes of every level, in code order."""
+        """Count vectors and class sizes of every level, in code order, from one stream."""
         getters: dict[tuple[int, ...], list[itemgetter]] = {}
-        width = self.m - 1
-        columns = [self.parts[i::width] for i in range(width)]
-        largest = map(operator.sub, itertools.repeat(self.n), map(sum, zip(*columns)))
-        vectors = list(zip(*columns, largest))  # ascending count vectors, in code order
+        vectors = self._vectors(0, self.starts[-1])
         strings = map(operator.sub, self.offsets[1:], self.offsets)
         for lo, hi, level_strings in zip(self.starts, self.starts[1:], strings):
-            yield _level_classes(vectors[lo:hi], level_strings, getters)
+            yield _level_classes(itertools.islice(vectors, hi - lo), level_strings, getters)
 
     def class_offset(self, counts: tuple[int, ...]) -> int:
         h = type_entropy_bits(counts)
@@ -298,7 +289,7 @@ class _EntropyColumns(CodeOrdering):
             starts = list(itertools.accumulate(sizes, initial=0))
             pos, _ = _straddling_class(starts, rest + 1)
             return order[pos], rest - starts[pos]
-        asc = self._partition(self.starts[i])
+        asc = next(self._vectors(self.starts[i], self.starts[i] + 1))
         values = sorted(set(asc))
         multiplicities = list(map(asc.count, values))
         rank, within = divmod(rest, self._class_size(i, multiplicities))
@@ -387,8 +378,7 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     vector is kept; a caller that needs them (exact mode) enumerates the
     classes again in canonical order."""
     keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
-    ranking = array("I" if len(keys) < 2 ** 32 else "Q",
-                    sorted(range(len(keys)), key=keys.__getitem__))
+    ranking = array(_unsigned_typecode(len(keys)), sorted(range(len(keys)), key=keys.__getitem__))
     return keys, sizes, ranking
 
 

@@ -59,10 +59,6 @@ class DeltaRange:
     hi: float
 
     @property
-    def lo(self) -> float:
-        return 0.0
-
-    @property
     def is_empty(self) -> bool:
         return self.hi <= 0.0
 

@@ -439,13 +439,32 @@ class TestRateLadders:
         assert row.note == "strassen column unavailable: epsilon = 2**-1400 underflows a double"
 
     def test_tiny_delta_row(self):
-        # n*delta = 5e-17: epsilon rounds to 1, where Qinv is undefined; the
+        # n*delta = 5e-17: epsilon rounds to 1, where Qinv is undefined, and
+        # 1 - alpha* is about 7e-9, so the pragmatic rate is far below 0; the
         # other columns are filled
         row, = compute_rate_ladders(P02, 5, deltas=[1e-17])
-        assert row.epsilon == 1.0 and row.strassen is None
+        assert row.epsilon == 1.0 and row.strassen is None and row.pragmatic is None
         assert row.blahut == solve_alpha_star(P02, 1e-17).h_tilted
-        assert None not in (row.shannon, row.pragmatic, row.exact)
-        assert row.note == "strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double"
+        assert None not in (row.shannon, row.exact)
+        assert row.note == (
+            "pragmatic column unavailable: -3.78259e+07 bits/symbol is below 0; "
+            "strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double"
+        )
+
+    def test_negative_rates_are_none_with_a_note(self):
+        # at n=5, delta=1e-10 both expansions fall below 0 bits/symbol; the
+        # bare formulas still return the negative values
+        row, = compute_rate_ladders(P02, 5, deltas=[1e-10])
+        assert 0.0 < row.epsilon < 1.0
+        assert row.strassen is None and row.pragmatic is None
+        assert None not in (row.shannon, row.blahut, row.exact)
+        strassen, pragmatic = strassen_rate(P02, 5, row.epsilon), pragmatic_rate(P02, 5, row.epsilon)
+        assert strassen < 0.0 and pragmatic < 0.0
+        assert row.note == (
+            f"pragmatic column unavailable: {pragmatic:.6g} bits/symbol is below 0; "
+            f"strassen column unavailable: {strassen:.6g} bits/symbol is below 0"
+        )
+        assert "-10934.8" in row.note and "-1.71687" in row.note
 
 
 BLOCKLENGTH_ENTRY_POINTS = {

@@ -524,7 +524,10 @@ class TestOneDistributionPerBlocklength:
             capsys, "limits", "--source", "0.2,0.8", "--n", "20:40:10", "--eps", "0.01,0.0,0.1"
         )
         assert code == 2
-        assert out == "" and err == "error: epsilon must lie in (0, 1), got 0.0\n"
+        assert out == "" and err == (
+            "error: --eps entry '0.0' must lie in (0, 1); it is 0.0 as a double, "
+            "so give its exponent with --delta\n"
+        )
         assert builds == []
 
     def test_deep_delta_ladder_builds_once_per_n(self, capsys, builds):
@@ -544,14 +547,35 @@ class TestOneDistributionPerBlocklength:
 
     def test_tiny_delta_ladder_leaves_only_strassen_empty(self, capsys):
         # 2**(-5 * 1e-17) rounds to 1.0, an epsilon the normal approximation
-        # cannot take; it is a note, not an error
+        # cannot take; it is a note, not an error.  The pragmatic rate is
+        # about -3.8e7 there, so it is a note too
         code, out, err = run_cli(capsys, "ladder", "--source", "0.2,0.8", "--n", "5", "--delta", "1e-17")
         assert code == 0
         header, row = [line.split(",") for line in out.splitlines()]
         cells = dict(zip(header, row))
-        assert cells["epsilon"] == "1.0" and cells["strassen"] == "-"
-        assert all(cells[c] != "-" for c in ("exact", "shannon", "blahut", "pragmatic"))
-        assert err == "note: strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double\n"
+        assert cells["epsilon"] == "1.0" and cells["strassen"] == "-" and cells["pragmatic"] == "-"
+        assert all(cells[c] != "-" for c in ("exact", "shannon", "blahut"))
+        assert err == (
+            "note: pragmatic column unavailable: -3.78259e+07 bits/symbol is below 0; "
+            "strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double\n"
+        )
+
+    def test_negative_rates_print_dash_with_a_note(self, capsys):
+        # at n=5, delta=1e-10, epsilon is just below 1: strassen is -1.717
+        # and pragmatic -10934.8 bits/symbol, so both print '-'
+        code, out, err = run_cli(
+            capsys, "ladder", "--source", "0.2,0.8", "--n", "5", "--delta", "1e-17,1e-10"
+        )
+        assert code == 0
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert cells["strassen"] == cells["pragmatic"] == "-"
+            assert all(cells[c] != "-" for c in ("exact", "shannon", "blahut"))
+        assert err.splitlines()[1] == (
+            "note: pragmatic column unavailable: -10934.8 bits/symbol is below 0; "
+            "strassen column unavailable: -1.71687 bits/symbol is below 0"
+        )
 
     def test_bad_delta_exits_before_any_build(self, capsys, builds):
         for command in ("ladder", "limits"):
@@ -559,7 +583,21 @@ class TestOneDistributionPerBlocklength:
                 capsys, command, "--source", "0.2,0.8", "--n", "20:40:10", "--delta", "0.05,0"
             )
             assert code == 2
-            assert out == "" and err == "error: delta must be a positive finite exponent, got 0.0\n"
+            assert out == "" and err == (
+                "error: --delta entry '0' must be a positive finite exponent; it is 0.0 as a double\n"
+            )
+        assert builds == []
+
+    @pytest.mark.parametrize("command", ["ladder", "limits"])
+    @pytest.mark.parametrize("flag, hint", [
+        ("--eps", "must lie in (0, 1); it is 0.0 as a double, so give its exponent with --delta"),
+        ("--delta", "must be a positive finite exponent; it is 0.0 as a double"),
+    ], ids=["eps", "delta"])
+    def test_underflowing_entry_is_named_as_typed(self, capsys, builds, command, flag, hint):
+        # 1e-400 is 0.0 as a double; the error names the entry as typed
+        code, out, err = run_cli(capsys, command, "--source", "0.2,0.8", "--n", "5", flag, "0.1,1e-400")
+        assert code == 2
+        assert out == "" and err == f"error: {flag} entry '1e-400' {hint}\n"
         assert builds == []
 
     def test_limits_delta_builds_once_per_n(self, capsys, builds):
@@ -703,9 +741,10 @@ class TestInputErrorsExit2:
         code, out, err = run_cli_process(
             "ladder", "--source", "0.2,0.8", "--n", "50", f"--delta={delta}", "--no-exact"
         )
-        bad = float(delta.split(",")[-1])
+        bad = delta.split(",")[-1]
+        hint = "; it is 0.0 as a double" if float(bad) == 0.0 else ""
         assert code == 2
-        assert out == "" and err == f"error: delta must be a positive finite exponent, got {bad}\n"
+        assert out == "" and err == f"error: --delta entry {bad!r} must be a positive finite exponent{hint}\n"
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("header, message", [

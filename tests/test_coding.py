@@ -117,7 +117,6 @@ class TestOrderings:
         a = build_ordering(UNIVERSAL, 6, 2)
         b = build_ordering(UNIVERSAL, 6, 2, source=P02)
         c = build_ordering(UNIVERSAL, 6, 2, source=bern("0.7"))
-        assert a == b == c
         assert [_columns(o) for o in (b, c)] == [_columns(a)] * 2
 
     def test_both_orderings_are_code_orderings(self):
@@ -127,7 +126,7 @@ class TestOrderings:
             assert isinstance(o, CodeOrdering)
             assert (o.mode, o.n, o.m, o.total) == (mode, 5, 3, 3 ** 5)
         a, b = build_ordering(UNIVERSAL, 5, 3), build_ordering(UNIVERSAL, 5, 3, p)
-        assert a == b and hash(a) == hash(b) and a != build_ordering(UNIVERSAL, 6, 3)
+        assert _columns(a) == _columns(b) != _columns(build_ordering(UNIVERSAL, 6, 3))
 
     def test_universal_class_of_no_level_is_an_invariant_violation(self):
         # (1, 2) is a type of n=3: its entropy, h(1/3), is no level's at n=4
@@ -260,6 +259,18 @@ class TestUniversalLevelPath:
             tracemalloc.stop()
         assert o.total == 3 ** 150
         assert held < 0.2 * 2 ** 20, held
+
+    def test_level_walk_streams_the_partitions(self):
+        # after a first walk, a list of every partition as a tuple, made
+        # before the walk, peaked at 0.16 MiB here; one stream of them peaks
+        # at 0.03 MiB (CPython 3.11)
+        o = build_ordering(UNIVERSAL, 150, 3)
+
+        def walk():
+            return sum(1 for _ in o._levels())
+
+        assert walk() == len(o.entropies)
+        assert peak_mib(walk) < 0.08
 
     def test_round_trip_through_every_multi_orbit_level(self):
         # every class of every level of several orbits at m=4, n=50, at its
