@@ -72,14 +72,15 @@ and the tests that enumerate every string.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
-the ranking is an index array.  Count vectors are built only for exact
-mode, by enumerating the classes again.  The tails take two passes over
-the ranking.  The forward pass (``_straddles``) keeps one running
-big-integer offset and records, at each 2**L, the straddling class and how
-many of its strings survive.  The backward pass runs the logaddexp2 suffix
-chain over log2(size) - key and keeps it only at the recorded classes.  So
-a length distribution holds O(n) records beyond its columns, not an offset
-and a suffix per class.
+the ranking is the sort's list of class indices (the known-source store
+narrows it to an index array).  Count vectors are built only for exact
+mode, by enumerating the classes again.  The tails take one pass over the
+ranking, from the last class.  It keeps the ranks not yet passed, the
+logaddexp2 suffix chain over log2(size) - key and the next boundary 2**L,
+and splits each class that holds a boundary as it passes it: the tail is
+the chain past the class plus the class's strings at ranks >= 2**L.  So a
+length distribution holds O(n) tails beyond its columns, not an offset and
+a suffix per class.
 """
 
 from __future__ import annotations
@@ -370,16 +371,17 @@ def _canonical_columns(n: int, m: int, tables: list[list[float]]) -> tuple[array
     return keys, sizes
 
 
-def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], array]:
+def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], list[int]]:
     """The engine's columns: ``keys[i]`` (minus the log2 per-string
     probability) and ``sizes[i]`` of class i in canonical order, and the
     ranking, the class indices by decreasing per-string probability with
-    ties in canonical order: a stable sort on the float key alone.  No count
-    vector is kept; a caller that needs them (exact mode) enumerates the
-    classes again in canonical order."""
+    ties in canonical order: a stable sort on the float key alone.  The
+    ranking stays the sort's list: the tails read it once, and only
+    :class:`_RankedClasses`, which keeps it, narrows it to an array.  No
+    count vector is kept; a caller that needs them (exact mode) enumerates
+    the classes again in canonical order."""
     keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
-    ranking = array(_unsigned_typecode(len(keys)), sorted(range(len(keys)), key=keys.__getitem__))
-    return keys, sizes, ranking
+    return keys, sizes, sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def _check_type_cap(n: int, m: int, cap_types: int) -> None:
@@ -424,6 +426,10 @@ class LengthDistribution:
         return len(self.log2_tails) - 2
 
     def log2_tail(self, length: int) -> float:
+        """log2 P(codeword length >= ``length``): 0.0 at or below 0, -inf past
+        the longest codeword.  A non-integer length (a bool too) is refused."""
+        if isinstance(length, bool) or not isinstance(length, int):
+            raise DomainError(f"codeword length must be an integer, got {length!r}")
         if length <= 0:
             return 0.0
         if length >= len(self.log2_tails):
@@ -444,55 +450,37 @@ class LengthDistribution:
         raise DomainError("no admissible length found")  # pragma: no cover
 
 
-def _straddles(ranked_sizes: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """The forward pass: (pos, surviving) for L = 1, 2, ... while 2**L is
-    at most the number of strings.  Class ``pos`` (in code order) holds the
-    1-based rank 2**L, and ``surviving`` of its ranks lie at or past it, as
-    :func:`_straddling_class` finds them, from one running offset."""
-    boundary, end = 2, 0  # end: the ranks in classes 0 .. pos
-    for pos, size in enumerate(ranked_sizes):
-        end += size
-        while boundary <= end:
-            yield pos, end - boundary + 1
-            boundary <<= 1
-
-
 def _log2_tails(
-    keys: Sequence[float], sizes: Sequence[int], ranking: Sequence[int]
+    keys: Sequence[float], sizes: Sequence[int], ranking: Sequence[int], total: int
 ) -> tuple[float, ...]:
     """log2 tails at every length from the columns of
-    :func:`_known_source_classes`: per class its sort key and size, and the
-    class indices in code order.
+    :func:`_known_source_classes`: per class its sort key and size, the
+    class indices in code order, and ``total``, the strings in all classes.
 
-    The forward pass (:func:`_straddles`) splits the class straddling each
-    2**L.  The backward pass runs the logaddexp2 suffix chain over
-    log2(size) - key from the last class down, with
-    :func:`~pragrate.numerics.logaddexp2` inlined, and keeps the chain only
-    just past the recorded classes."""
+    One pass walks the ranking from the last class.  It keeps the ranks not
+    yet passed, the logaddexp2 suffix chain over log2(size) - key (with
+    :func:`~pragrate.numerics.logaddexp2` inlined) and the next boundary
+    2**L, from the largest at most ``total`` down to 2.  A boundary that
+    falls inside class c leaves ``remaining - 2**L + 1`` of its strings in
+    the tail, next to the chain past c."""
     log2, log1p = math.log2, math.log1p
-    # surviving counts can have O(n) bits each, so only their logs are kept
-    ranked_sizes = map(sizes.__getitem__, ranking)
-    records = [(pos, log2(partial)) for pos, partial in _straddles(ranked_sizes)]
-    past: dict[int, float] = {}  # pos -> log2 mass of the classes after pos
-    s, end = NEG_INF, len(ranking)
-    for pos, _ in reversed(records):
-        if pos in past:
-            continue
-        for c in reversed(ranking[pos + 1:end]):
-            a = log2(sizes[c]) - keys[c]
-            # s = logaddexp2(a, s); a is finite, and s = -inf gives d = -inf
-            if a >= s:
-                hi, d = a, s - a
-            else:
-                hi, d = s, a - s
-            s = hi if d < -1075.0 else hi + log1p(2.0 ** d) * LOG2E
-        past[pos] = s
-        end = pos + 1
-    tails = [0.0]
-    for pos, log2_partial in records:
-        tails.append(logaddexp2(log2_partial - keys[ranking[pos]], past[pos]))
-    tails.append(NEG_INF)
-    return tuple(tails)
+    tails, boundary = [], 1 << (total.bit_length() - 1)
+    remaining, s = total, NEG_INF  # ranks 1 .. remaining lie in classes not yet passed
+    for c in reversed(ranking):
+        key, start = keys[c], remaining - sizes[c]
+        while start < boundary > 1:  # class c holds rank boundary = 2**L
+            # the surviving count can have O(n) bits, so only its log is taken
+            tails.append(logaddexp2(log2(remaining - boundary + 1) - key, s))
+            boundary >>= 1
+        a = log2(sizes[c]) - key
+        # s = logaddexp2(a, s); a is finite, and s = -inf gives d = -inf
+        if a >= s:
+            hi, d = a, s - a
+        else:
+            hi, d = s, a - s
+        s = hi if d < -1075.0 else hi + log1p(2.0 ** d) * LOG2E
+        remaining = start
+    return (0.0, *reversed(tails), NEG_INF)
 
 
 def build_ordering(
@@ -519,7 +507,7 @@ def build_ordering(
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
     _, sizes, ranking = _known_source_classes(n, m, source)
-    return _RankedClasses(n, m, sizes, ranking)
+    return _RankedClasses(n, m, sizes, array(_unsigned_typecode(len(ranking)), ranking))
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
@@ -560,7 +548,7 @@ def universal_length_distribution(
     for order, level_sizes in _EntropyColumns(n, p.m)._levels():  # one level at a time
         keys.extend(math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
         sizes += level_sizes
-    tails = _log2_tails(keys, sizes, range(len(sizes)))  # already in code order
+    tails = _log2_tails(keys, sizes, range(len(sizes)), p.m ** n)  # already in code order
     return LengthDistribution(n=n, m=p.m, log2_tails=tails)
 
 

@@ -9,13 +9,13 @@ equiprobable under a memoryless source, so the whole computation aggregates
 over type classes.  The classes come ranked by per-string probability from
 the known-source code ordering of :mod:`pragrate.coding`, together with
 their sizes and sort keys, as columns; the probability that a codeword has
-length at least L is the probability mass of ranks >= 2**L.  The class
-straddling each boundary comes from one forward pass over the ranked sizes
-(``coding._straddles``) and is split exactly; ``coding._log2_tails``, the
-one float tail routine, which the universal code's length distribution
-shares, adds the mass past it from one backward pass.  Exact mode reuses
-the forward pass on its own ranking.  ``LengthDistribution`` lives in
-``coding`` too and is re-exported here.
+length at least L is the probability mass of ranks >= 2**L.
+``coding._log2_tails``, the one float tail routine, which the universal
+code's length distribution shares, walks the ranked classes once from the
+last: it splits the class holding each boundary exactly and adds the mass
+past it from the suffix chain it carries.  Exact mode walks its own
+ranking the same way with an integer suffix mass.  ``LengthDistribution``
+lives in ``coding`` too and is re-exported here.
 
 Numerics: per-type log2-probabilities are correctly rounded sums
 (``math.fsum``) of per-symbol terms, and tail sums are accumulated entirely
@@ -40,13 +40,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coding import (
-    LengthDistribution,
-    _check_type_cap,
-    _known_source_classes,
-    _log2_tails,
-    _straddles,
-)
+from .coding import LengthDistribution, _check_type_cap, _known_source_classes, _log2_tails
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
 from .numerics import NEG_INF
@@ -71,7 +65,7 @@ def length_distribution(
         raise DomainError("exact mode requires a source with exact rational probabilities")
     _check_type_cap(n, p.m, cap_types)
     keys, sizes, ranking = _known_source_classes(n, p.m, p)
-    tails = _log2_tails(keys, sizes, ranking)
+    tails = _log2_tails(keys, sizes, ranking, p.m ** n)
     exact_tails = _exact_tails(p.exact, n, sizes, ranking) if exact else None
     return LengthDistribution(n=n, m=p.m, log2_tails=tails, exact_tails=exact_tails)
 
@@ -84,10 +78,12 @@ def _exact_tails(
     With D the common denominator, p_i = w_i / D, so a class's per-string
     probability is the integer weight prod w_i**c_i over D**n.  The float
     sort already ordered the classes; re-sorting by the weights (stable,
-    same tie order) repairs any ulp-level misorder.  The forward pass of
-    the float tails then splits the straddling classes, and the exact pmf
-    sums to 1, so the class masses sum to D**n and a tail is D**n less
-    the mass before the boundary."""
+    same tie order) repairs any ulp-level misorder.  One pass then walks
+    the re-ranking from the last class as :func:`~pragrate.coding._log2_tails`
+    walks the float one, with the integer suffix mass sum(size * weight) in
+    place of the log2 chain: the tail at a boundary 2**L inside class c is
+    the mass past c plus the weight of each of c's strings at ranks >= 2**L,
+    over D**n."""
     denominator = math.lcm(*(f.denominator for f in fracs))
     numerators = [f.numerator * (denominator // f.denominator) for f in fracs]
     powers = [[w ** c for c in range(n + 1)] for w in numerators]
@@ -96,14 +92,16 @@ def _exact_tails(
         head = math.prod(map(list.__getitem__, powers, prefix))
         weights += [head * a * b for a, b in zip(left[:r + 1], right[r::-1])]
     ranked = sorted(ranking, key=weights.__getitem__, reverse=True)
-    total = denominator ** n
-    tails, done, before = [Fraction(1)], 0, 0  # before: mass of ranked[:done]
-    for pos, surviving in _straddles(map(sizes.__getitem__, ranked)):
-        before += sum(sizes[c] * weights[c] for c in ranked[done:pos])
-        done, c = pos, ranked[pos]
-        tails.append(Fraction(total - before - (sizes[c] - surviving) * weights[c], total))
-    tails.append(Fraction(0))
-    return tuple(tails)
+    remaining, past, scale = len(fracs) ** n, 0, denominator ** n
+    tails, boundary = [], 1 << (remaining.bit_length() - 1)
+    for c in reversed(ranked):
+        weight, start = weights[c], remaining - sizes[c]
+        while start < boundary > 1:  # class c holds rank boundary = 2**L
+            tails.append(Fraction(past + (remaining - boundary + 1) * weight, scale))
+            boundary >>= 1
+        past += sizes[c] * weight
+        remaining = start
+    return (Fraction(1), *reversed(tails), Fraction(0))
 
 
 def excess_rate_probability(

@@ -626,6 +626,24 @@ class TestUniversalExcessProbability:
         p = SourcePmf.parse("0.1,0.2,0.4,0.3")
         assert peak_mib(universal_length_distribution.__wrapped__, p, 32) < 0.5
 
+    @pytest.mark.parametrize("length", [2.5, math.nan, 1.0, True, "1", None],
+                             ids=["float", "nan", "integral-float", "bool", "str", "none"])
+    def test_non_integer_length_refused(self, length):
+        # 2.5 and nan raised a bare TypeError from the tuple index; True read as L = 1
+        p = SourcePmf.parse("0.2,0.8")
+        dists = [universal_length_distribution(p, 10), length_distribution(p, 10)]
+        with pytest.raises(DomainError, match="^codeword length must be an integer, got "):
+            universal_excess_probability(p, 10, length)
+        for dist in dists:
+            for read in (dist.tail, dist.log2_tail):
+                with pytest.raises(DomainError, match="^codeword length must be an integer, got "):
+                    read(length)
+
+    def test_negative_length_has_tail_one(self):
+        for dist in (universal_length_distribution(P02, 10), length_distribution(P02, 10)):
+            assert [dist.tail(L) for L in (-1, -10 ** 30)] == [1.0, 1.0]
+            assert dist.log2_tail(-3) == 0.0
+
     def test_decreasing_in_length(self):
         vals = [universal_excess_probability(P02, 20, L) for L in range(0, 22)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))

@@ -1,4 +1,4 @@
-import itertools
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,6 +19,7 @@ from pragrate import (
     optimal_rate,
     solve_alpha_star,
     type_class_size,
+    universal_length_distribution,
 )
 from pragrate.numerics import NEG_INF, logaddexp2
 
@@ -118,18 +119,48 @@ class TestLengthDistribution:
 
 
 class TestColumnarEngine:
-    """The columns and the two passes over them give what a per-class
+    """The columns and the one backward pass over them give what a per-class
     offset list, its bisection and a full suffix list gave."""
+
+    TAIL_SIZES = ((2, 150), (2, 350), (2, 550), (3, 28), (3, 45), (3, 65), (4, 24))
+    UNIVERSAL_SIZES = ((3, 80), (4, 32))
+    TAILS_SHA256 = "c84290140f00caeb2cae0d882fe73a9cb491e25911e4f95431ac416e4594d3be"
 
     @pytest.mark.parametrize("seed", range(8))
     def test_forward_pass_equals_bisection(self, seed):
-        # huge classes hold several boundaries each, runs of 1s none
+        # the backward pass splits each class at the boundaries inside it as
+        # a bisection of the class offsets would: huge classes hold several
+        # boundaries each, runs of 1s none.  With every key 0.0 a string
+        # weighs 1, so the tail at L is log2 of the number of ranks 2**L .. total
         rng = random.Random(seed)
         sizes = [rng.choice((1, 1, 2, 3, rng.randint(1, 10 ** rng.randint(1, 15))))
                  for _ in range(rng.randint(1, 80))]
-        offsets = list(itertools.accumulate(sizes, initial=0))
-        want = [coding._straddling_class(offsets, 1 << L) for L in range(1, offsets[-1].bit_length())]
-        assert list(coding._straddles(sizes)) == want
+        total = sum(sizes)
+        tails = coding._log2_tails([0.0] * len(sizes), sizes, range(len(sizes)), total)
+        assert len(tails) == total.bit_length() + 1
+        assert (tails[0], tails[-1]) == (0.0, NEG_INF)
+        for L in range(1, total.bit_length()):
+            assert tails[L] == pytest.approx(math.log2(total - 2 ** L + 1), rel=1e-12, abs=0.0), L
+
+    def test_seeded_tails_are_pinned(self):
+        """Float and exact tails of the optimal code at the benchmark's exact
+        sizes, and float tails of the universal code at its codec sizes, byte
+        for byte: classes that hold several boundaries and chains below
+        2**-1075, past the reach of the reference sorts."""
+        rng = random.Random(24)
+        digest = hashlib.sha256()
+        for m, n in self.TAIL_SIZES:
+            w = [rng.randint(1, 40) for _ in range(m)]
+            rational = SourcePmf.from_values([Fraction(x, sum(w)) for x in w])
+            for p in (rational, random_pmf(rng, m, spread=1.01)):
+                d = length_distribution(p, n, exact=p.exact is not None)
+                digest.update(" ".join(map(float.hex, d.log2_tails)).encode() + b"\n")
+                for t in d.exact_tails or ():
+                    digest.update(f"{t.numerator:x}/{t.denominator:x}\n".encode())
+        for m, n in self.UNIVERSAL_SIZES:
+            d = universal_length_distribution(random_pmf(rng, m, spread=1.01), n)
+            digest.update(" ".join(map(float.hex, d.log2_tails)).encode() + b"\n")
+        assert digest.hexdigest() == self.TAILS_SHA256
 
     @pytest.mark.parametrize("p, ns", [
         (SourcePmf.parse("0.4,0.4,0.2"), range(1, 8)),
