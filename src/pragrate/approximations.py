@@ -92,8 +92,8 @@ def _strassen(h: float, sigma: float, n: int, epsilon: float) -> float:
 
 
 def check_delta(delta: float) -> float:
-    """Return ``delta`` if it is a positive, finite exponent (bits); else raise."""
-    if not 0.0 < delta < math.inf:
+    """Return ``delta`` if it is a positive, finite exponent in bits (not a bool); else raise."""
+    if isinstance(delta, bool) or not 0.0 < delta < math.inf:
         raise DomainError(f"delta must be a positive finite exponent, got {delta}")
     return delta
 

@@ -354,8 +354,8 @@ def _cmd_codec_decode(args: argparse.Namespace) -> int:
         bits = line.split("#", 1)[0].strip()
         word = coding.Codeword(bits)
         x = coding.decode(ordering, word)
-        out.append("".join(map(alphabet.__getitem__, x)))
-    sys.stdout.write("\n".join(out) + "\n")
+        out.append("".join(map(alphabet.__getitem__, x)) + "\n")
+    sys.stdout.write("".join(out))
     return EXIT_OK
 
 

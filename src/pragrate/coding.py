@@ -19,9 +19,10 @@ that rearrange it): one pass over the partitions computes each one's float
 entropy and the strings of its orbit, and a stable sort on the entropy
 alone groups them into levels of equal entropy.  The store keeps the level
 entropies in an ``array('d')``, the partitions packed in code order (m-1
-small parts each), each level's first partition and one cumulative
-big-integer offset per level; no tuple and no exact size per partition
-outlive the build.  Inside a level the count vectors come in lex order.
+small parts each), each level's first partition and its strings, a
+single-partition level's being its partition's own integer; no tuple and
+no exact size per partition outlive the build.  Inside a level the count
+vectors come in lex order.
 Since ``fsum`` is correctly rounded whatever the order of its terms, every
 vector of an orbit has its partition's entropy bit for bit, so this equals
 a sort of all C(n+m-1, m-1) classes on (entropy, counts), and a class's
@@ -29,7 +30,7 @@ level is found by bisecting the level entropies with
 :func:`~pragrate.types_census.type_entropy_bits` of its counts: no map from
 partitions to levels is kept.  A single-orbit level's classes all have one
 size, the level's strings over the orbit's arrangements, so a class's
-offset is the level's plus that size times the lex rank of its count vector
+offset is its level's plus that size times the lex rank of its count vector
 among the rearrangements of the partition: the codec ranks (and unranks)
 twice, once over the multiset of counts and once over the string, and never
 lists the classes.  The rare level of several orbits (distinct partitions
@@ -37,15 +38,16 @@ with equal float entropy) is expanded when a string falls in it.  One
 method, ``_vectors``, decodes the packed partitions, for the codec and for
 the universal code's length distribution, which streams the same levels.
 
-The known-source ordering is stored as the engine's columns (below): the
-class sizes in canonical order and the ranking, plus one cumulative
-big-integer offset every ``_OFFSET_STRIDE`` ranked classes.  Enumerative
-coding (Cover, 1973) needs nothing more.  A class's offset is the offset
-stored before its rank position plus fewer than ``_OFFSET_STRIDE`` sizes;
-the position is the inverse ranking, built on the first encode, at the
-count vector's canonical index (:func:`~pragrate.types_census.type_index`,
-in closed form).  Decoding bisects the stored offsets, walks at most one
-stride of sizes and unranks the canonical index back to a count vector
+The known-source ordering is stored as the engine's ranking (below) and
+the class sizes in code order.  Both orderings share one offset structure
+for enumerative coding (Cover, 1973): the sizes of their units (ranked
+classes or entropy levels) in code order and a cumulative offset every
+``_OFFSET_STRIDE`` units, so a unit's offset is a checkpoint plus fewer
+than ``_OFFSET_STRIDE`` sizes, and the unit holding an index is found by
+bisecting the checkpoints and walking one stride.  A known-source class's
+position is the inverse ranking, built on the first encode, at its count
+vector's canonical index (:func:`~pragrate.types_census.type_index`, in
+closed form); decoding maps the ranked class back to a count vector
 (:func:`~pragrate.types_census.type_at_index`).  Neither ordering lists
 its classes.
 
@@ -62,20 +64,20 @@ which at m = 2 is every symbol.
 The length distribution of either code under a memoryless source is
 evaluated exactly by type aggregation, including the split of the class
 straddling a 2**L boundary.  This module holds the package's one
-ranked-class engine: the known-source class ranking, the type cap check,
-the lookup of the class holding a given rank and the one float tail routine
-(``_log2_tails``, which fills a :class:`LengthDistribution`) serve the
-codecs, the universal code's length distribution and the optimal-code tails
-of :mod:`pragrate.exact_limits` alike.  The checks that stay independent of
-it are the brute-force string oracle ``exact_limits.brute_force_limits``
-and the tests that enumerate every string.
+ranked-class engine: the known-source class ranking, the type cap check
+and the one float tail routine (``_log2_tails``, which fills a
+:class:`LengthDistribution`) serve the codecs, the universal code's length
+distribution and the optimal-code tails of :mod:`pragrate.exact_limits`
+alike.  The checks that stay independent of it are the brute-force string
+oracle ``exact_limits.brute_force_limits`` and the tests that enumerate
+every string.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
 the ranking is the sort's list of class indices (the known-source store
-narrows it to an index array).  Count vectors are built only for exact
-mode, by enumerating the classes again.  The tails take one pass over the
-ranking, from the last class.  It keeps the ranks not yet passed, the
+narrows it to an index array).  No count vector is built: exact mode
+computes integer weights per run of classes.  The tails take one pass over
+the ranking, from the last class.  It keeps the ranks not yet passed, the
 logaddexp2 suffix chain over log2(size) - key and the next boundary 2**L,
 and splits each class that holds a boundary as it passes it: the tail is
 the chain past the class plus the class's strings at ranks >= 2**L.  So a
@@ -116,7 +118,7 @@ from .types_census import (
 
 KNOWN_SOURCE = "known-source"
 UNIVERSAL = "universal"
-_OFFSET_STRIDE = 64  # ranked classes per stored offset of the known-source codec
+_OFFSET_STRIDE = 64  # units (ranked classes or entropy levels) per checkpoint of an ordering
 
 
 @dataclass(frozen=True)
@@ -176,39 +178,54 @@ def _level_classes(
 
 
 class CodeOrdering:
-    """A total order on A^n shared by encoder and decoder.
-
-    Each ordering is its own store, and neither lists its classes: the
-    known-source one keeps the engine's columns and an offset every
-    ``_OFFSET_STRIDE`` ranked classes, the universal one its entropy levels
-    as columns.
-    Both answer the two questions of enumerative coding: ``class_offset``
-    (the strings in all classes before a given one) and ``locate`` (the
-    class holding a given index, and the index's rank inside it).
+    """A total order on A^n shared by encoder and decoder, as a sequence of
+    units: ranked classes for the known source, entropy levels for the
+    universal code.  The base holds the one offset structure of both:
+    ``sizes``, the strings of each unit in code order, and
+    ``checkpoints[j]``, the strings before unit j * _OFFSET_STRIDE; from a
+    checkpoint, ``_offset`` and ``_unit`` walk less than one stride.  Each
+    store answers the two questions of enumerative coding without listing
+    its classes: ``class_offset`` (the strings in all classes before a
+    given one) and ``locate`` (the class holding a given index, and the
+    index's rank inside it).
     """
 
-    __slots__ = ("mode", "n", "m", "total")
+    __slots__ = ("mode", "n", "m", "total", "sizes", "checkpoints")
 
-    def __init__(self, mode: str, n: int, m: int) -> None:
-        self.mode, self.n, self.m, self.total = mode, n, m, m ** n
+    def __init__(self, mode: str, n: int, m: int, sizes: list[int]) -> None:
+        self.mode, self.n, self.m, self.total, self.sizes = mode, n, m, m ** n, sizes
+        offsets = itertools.accumulate(sizes, initial=0)
+        self.checkpoints = list(itertools.islice(offsets, 0, len(sizes), _OFFSET_STRIDE))
+
+    def _offset(self, pos: int) -> int:
+        """The strings in the units before unit ``pos``."""
+        start = pos - pos % _OFFSET_STRIDE
+        return self.checkpoints[pos // _OFFSET_STRIDE] + sum(self.sizes[start:pos])
+
+    def _unit(self, k: int) -> tuple[int, int]:
+        """(unit holding the 1-based index k, the strings before that unit)."""
+        j = bisect.bisect_left(self.checkpoints, k) - 1
+        block = self.sizes[j * _OFFSET_STRIDE:(j + 1) * _OFFSET_STRIDE]
+        offsets = list(itertools.accumulate(block, initial=self.checkpoints[j]))
+        pos = bisect.bisect_left(offsets, k) - 1  # unit pos holds offsets[pos]+1 .. offsets[pos+1]
+        return j * _OFFSET_STRIDE + pos, offsets[pos]
 
 
 class _EntropyColumns(CodeOrdering):
     """The universal order kept as columns (see the module docstring): the
     level ``entropies`` ascending; ``parts``, the partitions of n packed in
     code order, m-1 parts each, ascending (the last part is n minus the
-    others); ``starts[i]``, the code-order index of level i's first
-    partition (the partition count last); and ``offsets[i]``, the
-    strings in all earlier levels (m**n last).  No per-partition tuple or
+    others); and ``starts[i]``, the code-order index of level i's first
+    partition (the partition count last).  The base's units are the
+    levels: ``sizes[i]`` is level i's strings.  No per-partition tuple or
     size is kept: a single-orbit level's class size is its strings divided
     by its arrangements.  ``_vectors`` is the one decoder of ``parts``.  No
     level's classes are listed unless it holds several orbits and a string
     falls in it, or the tails walk it."""
 
-    __slots__ = ("entropies", "starts", "parts", "offsets")
+    __slots__ = ("entropies", "starts", "parts")
 
     def __init__(self, n: int, m: int) -> None:
-        super().__init__(UNIVERSAL, n, m)
         keys, canonical, strings = array("d"), array(_unsigned_typecode(n)), []
         log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
         term = [0.0, *(c * log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
@@ -224,16 +241,15 @@ class _EntropyColumns(CodeOrdering):
         ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
         keys = array("d", [keys[j] for j in ranking])  # now in code order
         first = [True, *map(operator.ne, keys[1:], keys), True]  # opens a level, or ends the last
-        # the orbits' strings in code order, popped from the end of a list
-        # that holds them last first (None stops the pops): each is freed as
-        # the running total passes it, so the build never holds two big
-        # integers per partition
-        pending = [None, *map(strings.__getitem__, reversed(ranking))]
-        del strings
-        totals = itertools.accumulate(iter(pending.pop, None), initial=0)
-        self.offsets = list(itertools.compress(totals, first))
         self.entropies = array("d", itertools.compress(keys, first))
         self.starts = array(ranking.typecode, itertools.compress(range(count + 1), first))
+        # each level's strings: its first orbit's own integer, to which the
+        # rare level of several orbits adds the others'
+        sizes = list(itertools.compress(map(strings.__getitem__, ranking), first))
+        for j in itertools.compress(range(count), map(operator.not_, first)):
+            sizes[bisect.bisect_right(self.starts, j) - 1] += strings[ranking[j]]
+        del strings
+        super().__init__(UNIVERSAL, n, m, sizes)
         width, typecode = m - 1, canonical.typecode
         self.parts = array(typecode, bytes(count * width * canonical.itemsize))
         for i in range(width):  # the smallest m-1 parts, ascending, in code order
@@ -254,19 +270,17 @@ class _EntropyColumns(CodeOrdering):
         over the orbit's arrangements, m! / prod(multiplicity!)."""
         factorial = math.factorial
         arrangements = factorial(self.m) // math.prod(map(factorial, multiplicities))
-        return (self.offsets[i + 1] - self.offsets[i]) // arrangements
+        return self.sizes[i] // arrangements
 
     def _level(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
         """Count vectors and class sizes of level i in lex order."""
-        vectors = self._vectors(self.starts[i], self.starts[i + 1])
-        return _level_classes(vectors, self.offsets[i + 1] - self.offsets[i], {})
+        return _level_classes(self._vectors(self.starts[i], self.starts[i + 1]), self.sizes[i], {})
 
     def _levels(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
         """Count vectors and class sizes of every level, in code order, from one stream."""
         getters: dict[tuple[int, ...], list[itemgetter]] = {}
         vectors = self._vectors(0, self.starts[-1])
-        strings = map(operator.sub, self.offsets[1:], self.offsets)
-        for lo, hi, level_strings in zip(self.starts, self.starts[1:], strings):
+        for lo, hi, level_strings in zip(self.starts, self.starts[1:], self.sizes):
             yield _level_classes(itertools.islice(vectors, hi - lo), level_strings, getters)
 
     def class_offset(self, counts: tuple[int, ...]) -> int:
@@ -276,19 +290,19 @@ class _EntropyColumns(CodeOrdering):
             raise InvariantViolation(f"no entropy level of the universal ordering holds {counts}")
         if self.starts[i + 1] - self.starts[i] > 1:
             order, sizes = self._level(i)
-            return self.offsets[i] + sum(sizes[:order.index(counts)])
+            return self._offset(i) + sum(sizes[:order.index(counts)])
         values = sorted(set(counts))  # the orbit's vectors are the strings over these
         size = self._class_size(i, list(map(counts.count, values)))
-        return self.offsets[i] + size * rank_in_type_class(list(map(values.index, counts)), len(values))
+        return self._offset(i) + size * rank_in_type_class(list(map(values.index, counts)), len(values))
 
     def locate(self, k: int) -> tuple[tuple[int, ...], int]:
         """(counts, 0-based rank in its class) of the 1-based index k."""
-        i, _ = _straddling_class(self.offsets, k)
-        rest = k - 1 - self.offsets[i]
+        i, offset = self._unit(k)
+        rest = k - 1 - offset
         if self.starts[i + 1] - self.starts[i] > 1:
             order, sizes = self._level(i)
             starts = list(itertools.accumulate(sizes, initial=0))
-            pos, _ = _straddling_class(starts, rest + 1)
+            pos = bisect.bisect_left(starts, rest + 1) - 1
             return order[pos], rest - starts[pos]
         asc = next(self._vectors(self.starts[i], self.starts[i] + 1))
         values = sorted(set(asc))
@@ -300,21 +314,21 @@ class _EntropyColumns(CodeOrdering):
 
 class _RankedClasses(CodeOrdering):
     """The known-source order kept as the engine's columns (see the module
-    docstring): ``sizes`` in canonical order, the ``ranking`` (canonical
-    indices in code order) and ``checkpoints[j]``, the strings in the
-    ranked classes before position j * _OFFSET_STRIDE.  The inverse of the
-    ranking is built on the first encode, so a decoder never pays for it.
-    No count vector is stored: a class is found through its canonical
-    index, computed from the counts and back in closed form."""
+    docstring): the ``ranking`` (canonical indices in code order), and the
+    base's units are the ranked classes, ``sizes`` their sizes in code
+    order.  The inverse of the ranking is built on the first encode, so a
+    decoder never pays for it.  No count vector is stored: a class is found
+    through its canonical index, computed from the counts and back in
+    closed form."""
 
-    __slots__ = ("sizes", "ranking", "checkpoints", "_position")
+    __slots__ = ("ranking", "_position")
 
     def __init__(self, n: int, m: int, sizes: list[int], ranking: array) -> None:
-        super().__init__(KNOWN_SOURCE, n, m)
-        offsets = itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)
-        self.checkpoints = list(itertools.islice(offsets, 0, len(ranking), _OFFSET_STRIDE))
-        self.sizes, self.ranking = sizes, ranking
+        # the canonical sizes' own integers, so equal sizes still share one object
+        super().__init__(KNOWN_SOURCE, n, m, list(map(sizes.__getitem__, ranking)))
+        self.ranking = ranking
         self._position: array | None = None
+
     def class_offset(self, counts: tuple[int, ...]) -> int:
         """The strings in all classes ranked before the class of ``counts``."""
         if self._position is None:  # the inverse ranking: canonical index -> position
@@ -322,19 +336,12 @@ class _RankedClasses(CodeOrdering):
             self._position = array(ranking.typecode, bytes(len(ranking) * ranking.itemsize))
             for pos, i in enumerate(ranking):
                 self._position[i] = pos
-        pos = self._position[type_index(counts)]
-        start = pos - pos % _OFFSET_STRIDE
-        return self.checkpoints[pos // _OFFSET_STRIDE] + sum(
-            map(self.sizes.__getitem__, self.ranking[start:pos]))
+        return self._offset(self._position[type_index(counts)])
 
     def locate(self, k: int) -> tuple[tuple[int, ...], int]:
         """(counts, 0-based rank in its class) of the 1-based index k."""
-        j = bisect.bisect_left(self.checkpoints, k) - 1
-        block = self.ranking[j * _OFFSET_STRIDE:(j + 1) * _OFFSET_STRIDE]
-        ranked_sizes = map(self.sizes.__getitem__, block)
-        starts = list(itertools.accumulate(ranked_sizes, initial=self.checkpoints[j]))
-        pos, _ = _straddling_class(starts, k)
-        return type_at_index(self.n, self.m, block[pos]), k - 1 - starts[pos]
+        pos, offset = self._unit(k)
+        return type_at_index(self.n, self.m, self.ranking[pos]), k - 1 - offset
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
@@ -378,8 +385,7 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     ties in canonical order: a stable sort on the float key alone.  The
     ranking stays the sort's list: the tails read it once, and only
     :class:`_RankedClasses`, which keeps it, narrows it to an array.  No
-    count vector is kept; a caller that needs them (exact mode) enumerates
-    the classes again in canonical order."""
+    count vector is kept."""
     keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
     return keys, sizes, sorted(range(len(keys)), key=keys.__getitem__)
 
@@ -393,17 +399,6 @@ def _check_type_cap(n: int, m: int, cap_types: int) -> None:
         raise ResourceLimitError(
             f"{total} type classes at n={n}, m={m} exceeds the cap of {cap_types}"
         )
-
-
-def _straddling_class(offsets: Sequence[int], rank: int) -> tuple[int, int]:
-    """(pos, surviving): class ``pos`` holds the 1-based ``rank``, and
-    ``surviving`` of its ranks lie at or past it.
-
-    Class pos covers ranks offsets[pos]+1 .. offsets[pos+1]; the rank must
-    lie in 1 .. offsets[-1].  At rank 2**L this is the class that the
-    boundary of codeword length L splits."""
-    pos = bisect.bisect_left(offsets, rank) - 1
-    return pos, offsets[pos + 1] - rank + 1
 
 
 @dataclass(frozen=True)

@@ -317,11 +317,11 @@ def _tilted_sigma3_rho3_columns(ln_p: list[float], alphas: Sequence[float]) -> t
 def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
     """Exponentially tilt ``p``: returns P_alpha, Z_alpha and its moments.
 
-    alpha must lie in (0, 1]; alpha = 1 reproduces ``p`` itself.
+    alpha must lie in (0, 1], and not be a bool; alpha = 1 reproduces ``p`` itself.
     """
     if not isinstance(p, SourcePmf):
         raise DomainError("tilt requires a SourcePmf (full support)")
-    if not 0.0 < alpha <= 1.0:
+    if isinstance(alpha, bool) or not 0.0 < alpha <= 1.0:
         raise DomainError(f"tilt requires alpha in (0, 1], got {alpha!r}")
     ln_p = [math.log(x) for x in p.probs]
     if alpha == 1.0:

@@ -219,7 +219,7 @@ def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float,
             return alpha, evaluations
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: True never answers from 1.0's entry
 def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
     """Find the unique alpha in (0, 1) with D(P_alpha || P) = delta (bits).
 
@@ -229,8 +229,10 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
 
     Pure in its (immutable) arguments, so results are memoized: alpha*
     depends on the exponent alone, and a ladder over many blocklengths at
-    one delta shares a single solve.
+    one delta shares a single solve.  A bool delta is refused.
     """
+    if isinstance(delta, bool):
+        raise DomainError(f"delta must be a number, got {delta!r}")
     rng = delta_range(p)
     if rng.is_empty:
         raise DomainError(
@@ -260,8 +262,10 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     Computed through the tilted family: the solver of :func:`solve_alpha_star`
     finds alpha with H(P_alpha) = rate on the strictly decreasing entropy
     map, and D(P_alpha || P) is returned.  ``rate`` must lie in
-    [H(P), log2 m].
+    [H(P), log2 m]; a bool is refused.
     """
+    if isinstance(rate, bool):
+        raise DomainError(f"rate must be a number, got {rate!r}")
     h_p = tilt(p, 1.0).entropy_bits
     h_max = math.log2(p.m)
     tol = 1e-12

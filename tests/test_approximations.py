@@ -18,6 +18,8 @@ from pragrate import (
     converse_constants,
     count_types,
     delta_range,
+    error_exponent,
+    excess_rate_probability,
     kl_divergence,
     length_distribution,
     moment_envelope,
@@ -500,3 +502,25 @@ def test_bad_delta_refused(entry, delta):
     # -2000 at n=10 would be 2**20000, an OverflowError, if converted before the check
     with pytest.raises(DomainError, match=r"^delta must be a positive finite exponent, got "):
         entry(delta)
+
+
+Q005 = SourcePmf.parse("0.05,0.95")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: delta_to_epsilon(True, 3),
+    lambda: compute_rate_ladders(Q005, 5, deltas=[True], include_exact=False),
+    lambda: solve_alpha_star(Q005, True),
+    lambda: tilt(P02, True),
+    lambda: excess_rate_probability(P02, 10, True),
+    lambda: error_exponent(P02, True),
+], ids=["delta_to_epsilon", "compute_rate_ladders", "solve_alpha_star", "tilt",
+        "excess_rate_probability", "error_exponent"])
+def test_bool_exponent_rate_or_tilt_refused(entry):
+    # True read as 1.0: a ladder row with delta True, the tail at rate 1.0, a
+    # tilt at alpha True; and solve_alpha_star(q, 1.0) then answered from the
+    # entry that True left in its memo
+    solve_alpha_star(Q005, 1.0)
+    with pytest.raises(DomainError, match=r"\bgot True$"):
+        entry()
+    assert type(solve_alpha_star(Q005, 1.0).delta) is float

@@ -329,6 +329,22 @@ class TestCodecCommands:
         assert code == 0
         assert out2.splitlines() == strings
 
+    @pytest.mark.parametrize("mode,source", [("universal", []), ("known", ["--source", "0.2,0.8"])],
+                             ids=["universal", "known"])
+    def test_empty_stream_decodes_to_nothing(self, capsys, tmp_path, mode, source):
+        # an empty input encodes to the header alone, which decoded to one
+        # blank line; a header and one empty codeword decode to index 1
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, header, _ = run_cli(
+            capsys, "codec", "encode", "--mode", mode, *source, "--alphabet", "ab", "--n", "3", str(empty),
+        )
+        assert code == 0 and header.count("\n") == 1 and header.startswith("# mode=")
+        coded = tmp_path / "coded.txt"
+        for stream, decoded in ((header, ""), (header + "\n", "bbb\n")):
+            coded.write_text(stream)
+            assert run_cli(capsys, "codec", "decode", *source, str(coded)) == (0, decoded, "")
+
     def test_universal_pipe_through_multi_orbit_levels(self, tmp_path):
         # at m=4, n=50 the partitions (3,3,12,32) and (2,14,16,18) share
         # their float entropy with others, so the codec lists the classes of

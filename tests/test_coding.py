@@ -42,10 +42,13 @@ from conftest import (
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
+# both stores keep the same offset structure: unit sizes in code order and
+# a checkpoint every _OFFSET_STRIDE units
+STORE_SLOTS = ("mode", "n", "m", "total", "sizes", "checkpoints")
 
 
 def _columns(o):
-    return o.entropies, o.starts, o.parts, o.offsets
+    return o.entropies, o.starts, o.parts, o.sizes, o.checkpoints
 
 
 def _levels(o):
@@ -205,10 +208,20 @@ class TestUniversalLevelPath:
     @pytest.mark.parametrize("m,ns", [
         (2, range(1, 31)), (3, range(1, 31)), (4, range(1, 31, 3)),
         (5, range(1, 17, 3)), (6, range(1, 11, 3)), (8, range(1, 6)),
+        (2, (124, 126, 128, 254, 256)), (3, (40,)),  # levels past a checkpoint
     ])
     def test_every_class_matches_reference_sort(self, m, ns):
         for n in ns:
             self._check_against_reference(n, m)
+
+    def test_reference_cases_cross_checkpoints(self):
+        # the largest cases above hold K-1, K, K+1, 2K, 2K+1 and 154 levels:
+        # a whole number of strides, and partial last strides
+        K = coding._OFFSET_STRIDE
+        cases = ((2, 124), (2, 126), (2, 128), (2, 254), (2, 256), (3, 40))
+        counts = [len(build_ordering(UNIVERSAL, n, m).sizes) for m, n in cases]
+        assert counts == [K - 1, K, K + 1, 2 * K, 2 * K + 1, 154]
+        assert any(c % K == 0 for c in counts) and any(c > K and c % K for c in counts)
 
     @pytest.mark.parametrize("m,n,stride", [(4, 50, 25), (5, 12, 1)])
     def test_multi_orbit_levels(self, m, n, stride):
@@ -224,18 +237,18 @@ class TestUniversalLevelPath:
             x = _lex_first(asc[::-1])
             assert decode(o, encode(o, x)) == x
         # the ordering is its store, and the store holds one entry per
-        # partition of n (not per class), and one entropy and one offset per level
-        assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == ("mode", "n", "m", "total")
-        assert type(o).__slots__ == ("entropies", "starts", "parts", "offsets")
+        # partition of n (not per class), and one entropy and one size per level
+        assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
+        assert type(o).__slots__ == ("entropies", "starts", "parts")
         assert sum(map(len, _levels(o))) == count_partitions(50, 4) < count_types(50, 4) // 20
-        assert len(o.entropies) == len(o.offsets) - 1 == len(o.starts) - 1 == len(_levels(o))
+        assert len(o.entropies) == len(o.sizes) == len(o.starts) - 1 == len(_levels(o))
         assert list(o.entropies) == sorted(set(o.entropies))
 
     def test_store_keeps_no_tuple_or_size_per_partition(self):
         # columns only: flat arrays of small numbers, and one big integer per level
         o = build_ordering(UNIVERSAL, 50, 4)
         partitions = count_partitions(50, 4)
-        assert type(o).__slots__ == ("entropies", "starts", "parts", "offsets")
+        assert type(o).__slots__ == ("entropies", "starts", "parts")
         assert not hasattr(o, "__dict__")
         assert isinstance(o.entropies, array) and o.entropies.typecode == "d"
         assert isinstance(o.starts, array) and o.starts.typecode in "BHIQ"
@@ -243,10 +256,12 @@ class TestUniversalLevelPath:
         assert len(o.parts) == 3 * partitions  # m-1 parts each, none of them a tuple
         assert (o.starts[0], o.starts[-1]) == (0, partitions)
         assert list(o.starts) == sorted(set(o.starts))
-        assert type(o.offsets) is list and all(type(v) is int for v in o.offsets)
-        assert len(o.offsets) == len(o.entropies) + 1 < partitions + 1  # some levels are shared
-        assert (o.offsets[0], o.offsets[-1]) == (0, 4 ** 50)
-        assert all(a < b for a, b in zip(o.offsets, o.offsets[1:]))
+        assert type(o.sizes) is list and all(type(v) is int and v > 0 for v in o.sizes)
+        assert len(o.sizes) == len(o.entropies) < partitions  # some levels are shared
+        assert sum(o.sizes) == 4 ** 50
+        # one checkpoint every _OFFSET_STRIDE levels, the first at 0
+        offsets = list(itertools.accumulate(o.sizes, initial=0))
+        assert o.checkpoints == offsets[:len(o.sizes):coding._OFFSET_STRIDE]
 
     def test_build_holds_little_memory(self):
         # the orbit tuples and a size per partition held 0.64 MiB here; the
@@ -259,6 +274,11 @@ class TestUniversalLevelPath:
             tracemalloc.stop()
         assert o.total == 3 ** 150
         assert held < 0.2 * 2 ** 20, held
+
+    def test_build_peak_stays_small(self):
+        # 0.094 MiB here (CPython 3.11); a fresh cumulative offset per level,
+        # built while every partition's own integer was still held, peaked at 0.137 MiB
+        assert peak_mib(build_ordering, UNIVERSAL, 800, 2) < 0.11
 
     def test_level_walk_streams_the_partitions(self):
         # after a first walk, a list of every partition as a tuple, made
@@ -363,10 +383,12 @@ class TestKnownSourceRankedPath:
         assert decode(o, Codeword.from_index(o.total)) == (0,) * 50
         # the ordering is its store, and the store holds the engine's
         # columns and one offset per stride: no count vector, no class list
-        assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == ("mode", "n", "m", "total")
+        assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
         store = o
-        assert type(store).__slots__ == ("sizes", "ranking", "checkpoints", "_position")
+        assert type(store).__slots__ == ("ranking", "_position")
         assert len(store.sizes) == len(store.ranking) == len(store._position) == count_types(50, 4)
+        canonical = coding._known_source_classes(50, 4, p)[1]
+        assert store.sizes == [canonical[i] for i in store.ranking]  # in code order
         assert len(store.checkpoints) == -(-len(store.ranking) // self.K)
 
     def test_inverse_ranking_is_built_on_first_encode_only(self):
