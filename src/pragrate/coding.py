@@ -15,14 +15,19 @@ key is the ``fsum`` of per-symbol table entries c * -log2 p_i, computed by
 one C-level ``map`` per run of classes that differ only in their last two
 counts.  The universal ordering is stored as columns, one entry per
 partition of n (each stands for the permutation orbit of the count vectors
-that rearrange it): one pass over the partitions computes each one's float
-entropy and the strings of its orbit, and a stable sort on the entropy
-alone groups them into levels of equal entropy.  The store keeps the level
-entropies in an ``array('d')``, the partitions packed in code order (m-1
-small parts each), each level's first partition and its strings, a
-single-partition level's being its partition's own integer; no tuple and
-no exact size per partition outlive the build.  Inside a level the count
-vectors come in lex order.
+that rearrange it), built by two walks of the runs of partitions
+(:func:`~pragrate.types_census._iter_runs`) around one stable sort.  The
+first walk lists each partition's parts and float entropy.  A stable sort
+on the entropy alone groups the partitions into levels of equal entropy;
+its ranking gives the level entropies (an ``array('d')``), each level's
+first partition and the partitions packed in code order (m-1 small parts
+each), and the canonical columns are dropped; what is left of the ranking
+is each partition's level, a small index per partition.  No class size
+exists while the partitions sort: the second walk computes the strings of
+each orbit in canonical order, by the binomial recurrence along each run,
+and adds them to their level's strings.  No tuple and no exact size per
+partition outlive the build.  Inside a level the count vectors come in lex
+order.
 Since ``fsum`` is correctly rounded whatever the order of its terms, every
 vector of an orbit has its partition's entropy bit for bit, so this equals
 a sort of all C(n+m-1, m-1) classes on (entropy, counts), and a class's
@@ -104,8 +109,8 @@ from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
     _distinct_permutations,
-    _iter_partitions,
     _iter_prefixes,
+    _iter_runs,
     check_integer,
     count_types,
     rank_in_type_class,
@@ -226,35 +231,55 @@ class _EntropyColumns(CodeOrdering):
     __slots__ = ("entropies", "starts", "parts")
 
     def __init__(self, n: int, m: int) -> None:
-        keys, canonical, strings = array("d"), array(_unsigned_typecode(n)), []
-        log2, fsum, log2_n = math.log2, math.fsum, math.log2(n)
-        term = [0.0, *(c * log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
-        for parts, size, arrangements in _iter_partitions(n, m):
-            # type_entropy_bits(parts), bit for bit, without its call overhead:
-            # fsum is correctly rounded, so the zero parts' 0.0 terms change nothing
-            keys.append(max(log2_n - fsum(map(term, parts)) / n, 0.0))
-            canonical.extend(parts)
-            strings.append(size * arrangements)  # the strings of the partition's orbit
+        # first walk: each partition's m parts, smallest first, one row per
+        # partition in canonical order (descending lex); its two smallest
+        # parts are rest - c and c
+        rows = []
+        for prefix, rest, prev, _, _, _ in _iter_runs(n, m):
+            smaller = prefix[::-1]
+            for c in range(min(prev, rest), (rest - 1) // 2, -1):
+                rows += (rest - c, c, *smaller)
+        canonical = array(_unsigned_typecode(n), rows)
+        del rows
+        # type_entropy_bits of each partition, bit for bit, without its call
+        # overhead: fsum is correctly rounded, so the zero parts' 0.0 terms
+        # change nothing
+        log2_n, repeat = math.log2(n), itertools.repeat
+        term = [0.0, *(c * math.log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
+        sums = map(math.fsum, zip(*[map(term, canonical)] * m))  # one row's terms at a time
+        unclamped = map(operator.sub, repeat(log2_n), map(operator.truediv, sums, repeat(n)))
+        keys = array("d", map(max, unclamped, repeat(0.0)))
         # a stable sort on the entropy alone makes each level one block, its
-        # partitions in descending lex order
+        # partitions in descending lex order; no class size exists yet
         count = len(keys)
         ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
-        keys = array("d", [keys[j] for j in ranking])  # now in code order
+        keys = array("d", map(keys.__getitem__, ranking))  # now in code order
         first = [True, *map(operator.ne, keys[1:], keys), True]  # opens a level, or ends the last
         self.entropies = array("d", itertools.compress(keys, first))
         self.starts = array(ranking.typecode, itertools.compress(range(count + 1), first))
-        # each level's strings: its first orbit's own integer, to which the
-        # rare level of several orbits adds the others'
-        sizes = list(itertools.compress(map(strings.__getitem__, ranking), first))
-        for j in itertools.compress(range(count), map(operator.not_, first)):
-            sizes[bisect.bisect_right(self.starts, j) - 1] += strings[ranking[j]]
-        del strings
-        super().__init__(UNIVERSAL, n, m, sizes)
+        # each partition's level, by canonical index: the level openings up to its position
+        level = array(ranking.typecode, bytes(count * ranking.itemsize))
+        for j, i in zip(ranking, itertools.accumulate(first[1:count], initial=0)):
+            level[j] = i
+        del keys, first
         width, typecode = m - 1, canonical.typecode
         self.parts = array(typecode, bytes(count * width * canonical.itemsize))
         for i in range(width):  # the smallest m-1 parts, ascending, in code order
-            column = canonical[m - 1 - i::m]
+            column = canonical[i::m]
             self.parts[i::width] = array(typecode, [column[j] for j in ranking])
+        del canonical, ranking
+        # second walk: the strings of each partition's orbit, in canonical
+        # order, added to its level's (a level of several orbits sums them)
+        sizes, slot, levels = [0] * len(self.entropies), m - 1, iter(level)
+        for _, rest, prev, run, size, arr in _iter_runs(n, m):
+            top = min(prev, rest)
+            cls = size * math.comb(rest, top)  # the class size, size * C(rest, c), c falling
+            for c in range(top, (rest - 1) // 2, -1):
+                r = run + 1 if c == prev else 1  # a part equal to prev extends its run
+                last = rest - c
+                sizes[next(levels)] += cls * (arr * slot // r * m // (r + 1 if last == c else 1))
+                cls = cls * c // (last + 1)
+        super().__init__(UNIVERSAL, n, m, sizes)
 
     def _vectors(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         """The ascending count vectors of partitions lo .. hi-1 in code

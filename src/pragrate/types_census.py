@@ -208,30 +208,6 @@ def _iter_runs_after(
         binom = binom * c // (remaining - c + 1)
 
 
-def _iter_partitions(n: int, m: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(parts, class size, arrangements) for every partition of n into at
-    most m parts, as a nonincreasing count vector of length m (zero padded),
-    in descending lex order.  Needs m >= 2.
-
-    Each partition stands for the permutation orbit of the count vectors
-    that rearrange it; entropy and class size are the same across an orbit,
-    and ``arrangements`` = m!/prod(multiplicity!) is the orbit's size.  Both
-    integers are kept incrementally, one multiply/divide per part.  Each run
-    of :func:`_iter_runs` expands in one flat loop: the last part is what is
-    left, so it adds no binomial, and its multiplicity only extends the run
-    of the part before it when the two are equal."""
-    slot = m - 1
-    for prefix, rest, prev, run, size, arr in _iter_runs(n, m):
-        top = min(prev, rest)
-        binom = math.comb(rest, top)
-        for c in range(top, (rest - 1) // 2, -1):  # parts m-1 and m: c, then the rest
-            r = run + 1 if c == prev else 1
-            last = rest - c
-            yield (prefix + (c, last), size * binom,
-                   arr * slot // r * m // (r + 1 if last == c else 1))
-            binom = binom * c // (last + 1)
-
-
 def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The distinct permutations of ``values`` in ascending lex order.
 
@@ -394,6 +370,18 @@ class CensusReport:
     threshold_bits: float
     count: int
     theta_ratio: float
+
+    def __repr__(self) -> str:
+        """The dataclass repr, except that a count past
+        ``sys.get_int_max_str_digits()`` digits, which has no repr, is named
+        by its bit length."""
+        try:
+            count = repr(self.count)
+        except ValueError:
+            count = f"<int of {self.count.bit_length()} bits>"
+        return (f"{type(self).__qualname__}(n={self.n!r}, m={self.m!r}, "
+                f"threshold_bits={self.threshold_bits!r}, count={count}, "
+                f"theta_ratio={self.theta_ratio!r})")
 
 
 def low_entropy_count(n: int, m: int, h: float) -> CensusReport:

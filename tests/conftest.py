@@ -7,9 +7,9 @@ from typing import NamedTuple
 
 import pytest
 
-from pragrate import DomainError, SourcePmf, entropy, kl_divergence, tilt
+from pragrate import DomainError, SourcePmf, coding, entropy, kl_divergence, tilt
 from pragrate.numerics import LOG2E
-from pragrate.types_census import ENTROPY_CMP_TOL, _iter_partitions, type_class_size, type_entropy_bits
+from pragrate.types_census import ENTROPY_CMP_TOL, _iter_runs, type_class_size, type_entropy_bits
 
 
 def bern(p: float | str) -> SourcePmf:
@@ -197,6 +197,55 @@ def reference_unrank(counts, rank):
                 break
             rank -= here
     return tuple(out)
+
+
+def _iter_partitions(n, m):
+    """(parts, class size, arrangements) for every partition of n into at
+    most m parts, as a nonincreasing count vector of length m (zero padded),
+    in descending lex order.  Needs m >= 2.
+
+    Each partition stands for the permutation orbit of the count vectors
+    that rearrange it; entropy and class size are the same across an orbit,
+    and ``arrangements`` = m!/prod(multiplicity!) is the orbit's size.  Both
+    integers are kept incrementally, one multiply/divide per part.  Each run
+    of ``types_census._iter_runs`` expands in one flat loop: the last part
+    is what is left, so it adds no binomial, and its multiplicity only
+    extends the run of the part before it when the two are equal."""
+    slot = m - 1
+    for prefix, rest, prev, run, size, arr in _iter_runs(n, m):
+        top = min(prev, rest)
+        binom = math.comb(rest, top)
+        for c in range(top, (rest - 1) // 2, -1):  # parts m-1 and m: c, then the rest
+            r = run + 1 if c == prev else 1
+            last = rest - c
+            yield (prefix + (c, last), size * binom,
+                   arr * slot // r * m // (r + 1 if last == c else 1))
+            binom = binom * c // (last + 1)
+
+
+def reference_entropy_columns(n, m):
+    """(entropies, starts, parts, sizes, checkpoints) of the universal store
+    of blocklength n over m symbols, built in one pass that keeps every
+    orbit's strings through the sort: a stable sort of the partitions of
+    :func:`_iter_partitions` on ``type_entropy_bits`` alone, each level's
+    strings the sum of its orbits', and the smallest m-1 parts of each
+    partition, ascending, in code order."""
+    partitions = list(_iter_partitions(n, m))
+    keys = [type_entropy_bits(parts) for parts, _, _ in partitions]
+    ranking = sorted(range(len(keys)), key=keys.__getitem__)
+    entropies, starts, sizes = [], [], []
+    for pos, j in enumerate(ranking):
+        parts, size, arrangements = partitions[j]
+        if not entropies or keys[j] != entropies[-1]:
+            entropies.append(keys[j])
+            starts.append(pos)
+            sizes.append(0)
+        sizes[-1] += size * arrangements
+    starts.append(len(ranking))
+    packed = [c for j in ranking for c in partitions[j][0][:0:-1]]
+    offsets = itertools.accumulate(sizes, initial=0)
+    checkpoints = list(itertools.islice(offsets, 0, len(sizes), coding._OFFSET_STRIDE))
+    return entropies, starts, packed, sizes, checkpoints
 
 
 def reference_low_entropy_count(n, m, h):

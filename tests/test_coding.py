@@ -37,7 +37,7 @@ from pragrate.types_census import count_partitions
 
 from conftest import (
     _class_size, _lex_first, _reference_ordering, bern, compositions, peak_mib, random_pmf,
-    suffix_tails,
+    reference_entropy_columns, suffix_tails,
 )
 
 P02 = bern("0.2")
@@ -280,6 +280,13 @@ class TestUniversalLevelPath:
         # built while every partition's own integer was still held, peaked at 0.137 MiB
         assert peak_mib(build_ordering, UNIVERSAL, 800, 2) < 0.11
 
+    @pytest.mark.parametrize("n,m,bound", [(150, 3, 0.2), (50, 4, 0.12)])
+    def test_build_peak_has_no_size_during_the_sort(self, n, m, bound):
+        # sorting while every orbit's strings were held peaked at 0.272 and
+        # 0.145 MiB here; with no class size until the sort returns, 0.155
+        # and 0.089 MiB (CPython 3.11)
+        assert peak_mib(build_ordering, UNIVERSAL, n, m) < bound
+
     def test_level_walk_streams_the_partitions(self):
         # after a first walk, a list of every partition as a tuple, made
         # before the walk, peaked at 0.16 MiB here; one stream of them peaks
@@ -329,6 +336,34 @@ class TestUniversalLevelPath:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
+
+
+class TestUniversalBuildMatchesReference:
+    """The two walks of the runs around the sort give the store that one
+    pass keeping every orbit's strings through the sort gives, column for
+    column and bit for bit."""
+
+    @staticmethod
+    def _check(n, m):
+        """Compare every column with the reference; return the number of
+        levels of several orbits."""
+        o = build_ordering(UNIVERSAL, n, m)
+        entropies, starts, parts, sizes, checkpoints = reference_entropy_columns(n, m)
+        assert o.entropies.tobytes() == array("d", entropies).tobytes(), (n, m)
+        assert list(o.starts) == starts, (n, m)
+        assert list(o.parts) == parts, (n, m)
+        assert o.sizes == sizes, (n, m)
+        assert o.checkpoints == checkpoints, (n, m)
+        return sum(b - a > 1 for a, b in zip(starts, starts[1:]))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_blocklengths_up_to_40(self, m):
+        for n in range(1, 41):
+            self._check(n, m)
+
+    @pytest.mark.parametrize("m,n,shared", [(2, 800, 0), (3, 150, 0), (4, 50, 2)])
+    def test_codec_sizes(self, m, n, shared):
+        assert self._check(n, m) == shared
 
 
 class TestKnownSourceRankedPath:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragrate import (
+    CensusReport,
     DomainError,
     count_types,
     entropy,
@@ -26,7 +27,6 @@ from pragrate.types_census import (
     ENTROPY_CMP_TOL,
     _band_width,
     _distinct_permutations,
-    _iter_partitions,
     _iter_spans,
     count_partitions,
     type_at_index,
@@ -34,6 +34,7 @@ from pragrate.types_census import (
 )
 
 from conftest import (
+    _iter_partitions,
     compositions,
     peak_mib,
     reference_low_entropy_count,
@@ -430,6 +431,26 @@ class TestLowEntropyCount:
             )
             # compare raw counts normalized at the same h
             assert 1.0 <= r1 / r0 < 8.0
+
+    def test_repr_under_the_digit_limit_is_the_dataclass_repr(self):
+        rep = low_entropy_count(100, 3, 1.2)
+        assert eval(repr(rep), {"CensusReport": CensusReport}) == rep
+        assert repr(rep).startswith("CensusReport(n=100, m=3, threshold_bits=1.2, count=1781793")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_repr_names_a_count_past_the_digit_limit_by_its_bit_length(self):
+        rep = low_entropy_count(20000, 2, 0.99)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # the default limit
+        try:
+            with pytest.raises(ValueError):
+                str(rep.count)
+            text = repr(rep)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rep.count.bit_length() == 19796
+        assert text == ("CensusReport(n=20000, m=2, threshold_bits=0.99, count=<int of 19796 bits>, "
+                        f"theta_ratio={rep.theta_ratio!r})")
 
 
 class TestRankUnrank:
