@@ -37,14 +37,14 @@ from .exponents import (
     moment_envelope,
     solve_alpha_star,
 )
+from .inputs import check_blocklength, check_integer, check_real
 from .numerics import LOG2E, SQRT_2PI, neumaier_sum, normal_tail_inverse
-from .types_census import DEFAULT_TYPE_CAP, check_blocklength, low_entropy_count
+from .types_census import DEFAULT_TYPE_CAP, low_entropy_count
 
 
 def epsilon_to_delta(epsilon: float, n: int) -> float:
     """delta = log2(1/epsilon)/n (bits)."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    epsilon = check_real("epsilon", epsilon, 0, 1, need="lie in (0, 1)")
     check_blocklength(n)
     return -math.log2(epsilon) / n
 
@@ -52,7 +52,7 @@ def epsilon_to_delta(epsilon: float, n: int) -> float:
 def delta_to_epsilon(delta: float, n: int) -> float:
     """epsilon = 2**(-n*delta); underflows to 0.0 for very large exponents."""
     check_blocklength(n)
-    return 2.0 ** (-n * check_delta(delta))
+    return 2.0 ** (-n * check_real("delta", delta, 0, math.inf, need="be a positive finite exponent"))
 
 
 def shannon_rate(p: SourcePmf) -> float:
@@ -72,10 +72,8 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
 
     Only informative for moderate epsilon; at very small epsilon the Qinv
     term dominates and the expansion is no longer trustworthy, but the value
-    is still reported.
+    is still reported; ``normal_tail_inverse`` checks epsilon.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
     check_blocklength(n)
     return _strassen(*_source_terms(p), n, epsilon)
 
@@ -91,13 +89,6 @@ def _strassen(h: float, sigma: float, n: int, epsilon: float) -> float:
     return h + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
-def check_delta(delta: float) -> float:
-    """Return ``delta`` if it is a positive, finite exponent in bits (not a bool); else raise."""
-    if isinstance(delta, bool) or not 0.0 < delta < math.inf:
-        raise DomainError(f"delta must be a positive finite exponent, got {delta}")
-    return delta
-
-
 def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
     """alpha* at ``delta``, with the range error phrased for blocklength n."""
     try:
@@ -105,17 +96,13 @@ def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
     except DomainError:
         rng = delta_range(p)
         if rng.is_empty:
-            raise DomainError(
-                "uniform source: no admissible exponent; any epsilon in (0,1) "
-                "fails the tilted solve"
-            ) from None
+            raise DomainError("uniform source: no admissible exponent; any epsilon in (0,1) "
+                              "fails the tilted solve") from None
         lo_eps = delta_to_epsilon(rng.hi, n)
         # where 2**(-n*hi) underflows, its exponent still names the lower end
         lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * rng.hi:.6g}"
-        raise DomainError(
-            f"delta={delta:.6g} outside (0, {rng.hi:.6g}); at n={n} the "
-            f"admissible epsilon interval is ({lo}, 1)"
-        ) from None
+        raise DomainError(f"delta={float(delta):.6g} outside (0, {rng.hi:.6g}); at n={n} the "
+                          f"admissible epsilon interval is ({lo}, 1)") from None
 
 
 def blahut_rate(p: SourcePmf, n: int, epsilon: float) -> float:
@@ -371,7 +358,7 @@ def universal_threshold_alpha_n(
 def prefix_adjust(rate_per_symbol: float, n: int) -> float:
     """One-to-one limit -> prefix-free limit: add exactly 1/n per symbol."""
     check_blocklength(n)
-    return rate_per_symbol + 1.0 / n
+    return check_real("rate_per_symbol", rate_per_symbol) + 1.0 / n
 
 
 @dataclass(frozen=True)
@@ -438,6 +425,7 @@ def compute_rate_ladders(
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
     check_blocklength(n)
+    check_integer("cap_types", cap_types, 1)  # read only by the exact column
     if epsilons is not None:
         points = [(eps, epsilon_to_delta(eps, n), math.log2(eps)) for eps in epsilons]
     else:

@@ -202,14 +202,13 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    if (args.threshold_bits is None) == (args.threshold_source is None):
+        raise DomainError("provide exactly one of --threshold-bits or --threshold-source")
     if args.threshold_bits is not None:
-        h = float(args.threshold_bits)
-        m = args.m
+        h, m = float(args.threshold_bits), args.m
         if m is None:
             raise DomainError("--m is required with --threshold-bits")
     else:
-        if not args.threshold_source:
-            raise DomainError("provide --threshold-bits or --threshold-source")
         q = SourcePmf.load(args.threshold_source)
         h = entropy(q)
         m = args.m if args.m is not None else q.m

@@ -105,13 +105,13 @@ from typing import Iterable, Iterator, Sequence
 
 from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError
+from .inputs import check_integer, check_real, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
     _distinct_permutations,
     _iter_prefixes,
     _iter_runs,
-    check_integer,
     count_types,
     rank_in_type_class,
     type_at_index,
@@ -421,9 +421,13 @@ def _check_type_cap(n: int, m: int, cap_types: int) -> None:
     total = count_types(n, m)
     check_integer("cap_types", cap_types, 1)
     if total > cap_types:
-        raise ResourceLimitError(
-            f"{total} type classes at n={n}, m={m} exceeds the cap of {cap_types}"
-        )
+        raise ResourceLimitError(f"{describe(total)} type classes at n={describe(n)}, "
+                                 f"m={describe(m)} exceeds the cap of {cap_types}")
+
+
+def _check_log2_epsilon(x: float) -> float:
+    """``x`` as a float below 0, or -inf (epsilon = 0)."""
+    return check_real("log2_epsilon", x, -math.inf, 0, lo_open=False, need="be negative (epsilon < 1)")
 
 
 @dataclass(frozen=True)
@@ -448,8 +452,7 @@ class LengthDistribution:
     def log2_tail(self, length: int) -> float:
         """log2 P(codeword length >= ``length``): 0.0 at or below 0, -inf past
         the longest codeword.  A non-integer length (a bool too) is refused."""
-        if isinstance(length, bool) or not isinstance(length, int):
-            raise DomainError(f"codeword length must be an integer, got {length!r}")
+        check_integer("codeword length", length)
         if length <= 0:
             return 0.0
         if length >= len(self.log2_tails):
@@ -462,12 +465,9 @@ class LengthDistribution:
 
     def optimal_rate(self, log2_epsilon: float) -> float:
         """(L* - 1)/n with L* = min{L : log2 P(length >= L) <= log2_epsilon}."""
-        if not log2_epsilon < 0.0:
-            raise DomainError("log2_epsilon must be negative (epsilon < 1)")
-        for length, log2_tail in enumerate(self.log2_tails):
-            if log2_tail <= log2_epsilon:
-                return (length - 1) / self.n
-        raise DomainError("no admissible length found")  # pragma: no cover
+        log2_epsilon = _check_log2_epsilon(log2_epsilon)  # so the last tail, -inf, meets it
+        length = next(L for L, log2_tail in enumerate(self.log2_tails) if log2_tail <= log2_epsilon)
+        return (length - 1) / self.n
 
 
 def _log2_tails(
@@ -577,4 +577,5 @@ def universal_excess_probability(
 ) -> float:
     """Exact P(codeword length >= ``length``) for the universal code under p:
     one read of :func:`universal_length_distribution`."""
+    check_integer("codeword length", length)  # before the distribution is built
     return universal_length_distribution(p, n, cap_types=cap_types).tail(length)

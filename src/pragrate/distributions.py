@@ -46,6 +46,7 @@ from operator import mul, sub, truediv
 from typing import Sequence, Union
 
 from .errors import DistributionError, DomainError
+from .inputs import check_real
 from .numerics import LOG2E, neumaier_sum
 
 SUM_ABS_TOL = 1e-12
@@ -317,12 +318,11 @@ def _tilted_sigma3_rho3_columns(ln_p: list[float], alphas: Sequence[float]) -> t
 def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
     """Exponentially tilt ``p``: returns P_alpha, Z_alpha and its moments.
 
-    alpha must lie in (0, 1], and not be a bool; alpha = 1 reproduces ``p`` itself.
+    alpha must be a real in (0, 1]; alpha = 1 reproduces ``p`` itself.
     """
     if not isinstance(p, SourcePmf):
         raise DomainError("tilt requires a SourcePmf (full support)")
-    if isinstance(alpha, bool) or not 0.0 < alpha <= 1.0:
-        raise DomainError(f"tilt requires alpha in (0, 1], got {alpha!r}")
+    alpha = check_real("alpha", alpha, 0, 1, hi_open=False)
     ln_p = [math.log(x) for x in p.probs]
     if alpha == 1.0:
         # No tilt: P_1 = P and Z_1 = 1 exactly.

@@ -40,11 +40,12 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .coding import LengthDistribution, _check_type_cap, _known_source_classes, _log2_tails
+from .coding import LengthDistribution, _check_log2_epsilon, _check_type_cap, _known_source_classes, _log2_tails
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
+from .inputs import check_integer, check_real, describe
 from .numerics import NEG_INF
-from .types_census import DEFAULT_TYPE_CAP, _iter_prefixes, check_blocklength
+from .types_census import DEFAULT_TYPE_CAP, _iter_prefixes
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
@@ -112,11 +113,8 @@ def excess_rate_probability(
     Lengths are integers, so the event is length >= ceil(n*rate); a tiny
     guard keeps nearly-integer products from being rounded up spuriously.
     """
-    if isinstance(rate, bool) or not 0.0 <= rate < math.inf:
-        raise DomainError(f"rate must be nonnegative and finite, got {rate}")
-    dist = length_distribution(p, n, cap_types=cap_types)
-    threshold = math.ceil(n * rate - 1e-12)
-    return dist.tail(threshold)
+    rate = check_real("rate", rate, 0, math.inf, lo_open=False, need="be nonnegative and finite")
+    return length_distribution(p, n, cap_types=cap_types).tail(math.ceil(n * rate - 1e-12))
 
 
 def optimal_rate(
@@ -136,11 +134,8 @@ def optimal_rate(
     if (epsilon is None) == (log2_epsilon is None):
         raise DomainError("provide exactly one of epsilon, log2_epsilon")
     if epsilon is not None:
-        if not 0.0 < epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-        log2_epsilon = math.log2(epsilon)
-    elif log2_epsilon >= 0.0:
-        raise DomainError("log2_epsilon must be negative (epsilon < 1)")
+        log2_epsilon = math.log2(check_real("epsilon", epsilon, 0, 1, need="lie in (0, 1)"))
+    _check_log2_epsilon(log2_epsilon)  # before the distribution is built
     return length_distribution(p, n, cap_types=cap_types).optimal_rate(log2_epsilon)
 
 
@@ -154,12 +149,11 @@ def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
     """
     if p.exact is None:
         raise DomainError("brute force oracle needs exact rational probabilities")
-    check_blocklength(n)
-    total = p.m ** n
+    check_integer("blocklength n", n, 1)
+    total = p.m ** min(n, BRUTE_FORCE_STRING_CAP.bit_length())  # m**n wherever it is within the cap
     if total > BRUTE_FORCE_STRING_CAP:
-        raise ResourceLimitError(
-            f"{total} strings exceeds the brute-force cap of {BRUTE_FORCE_STRING_CAP}"
-        )
+        raise ResourceLimitError(f"{p.m}**{describe(n)} strings exceeds the brute-force cap "
+                                 f"of {BRUTE_FORCE_STRING_CAP}")
     prob_of_counts: dict[tuple[int, ...], Fraction] = {}
     rows = []
     for string in itertools.product(range(p.m), repeat=n):
@@ -179,9 +173,7 @@ def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
 
     max_len = total.bit_length() - 1
     tails: list[Fraction] = [Fraction(0)] * (max_len + 2)
-    boundary_to_len = {
-        1 << L: L for L in range(max_len + 2) if (1 << L) <= total
-    }
+    boundary_to_len = {1 << L: L for L in range(max_len + 2) if (1 << L) <= total}
     acc = Fraction(0)
     for k in range(total, 0, -1):
         acc += -rows[k - 1][0]
@@ -189,9 +181,5 @@ def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
         if L is not None:
             tails[L] = acc  # suffix sum over ranks >= k = 2**L
 
-    log2_tails = tuple(
-        math.log2(t) if t > 0 else NEG_INF for t in tails
-    )
-    return LengthDistribution(
-        n=n, m=p.m, log2_tails=log2_tails, exact_tails=tuple(tails)
-    )
+    log2_tails = tuple(math.log2(t) if t > 0 else NEG_INF for t in tails)
+    return LengthDistribution(n=n, m=p.m, log2_tails=log2_tails, exact_tails=tuple(tails))

@@ -36,14 +36,15 @@ from .distributions import (
     kl_divergence,
     tilt,
 )
-from .errors import DomainError, InvariantViolation
+from .errors import DomainError, InvariantViolation, ResourceLimitError
+from .inputs import check_integer, check_real, describe
 from .numerics import LOG2E
-from .types_census import check_integer
 
 ALPHA_TOL = 1e-14
 _ALPHA_STAR_NOISES = 8.0  # |D - delta| allowed at alpha*, in units of D's rounding noise
 ENVELOPE_EDGE = 1e-6
 ENVELOPE_GRID = 4096
+ENVELOPE_GRID_CAP = 10_000_000  # grid points an envelope may take
 ENVELOPE_CHUNK = 32  # grid alphas per columnar kernel call; bounds its lists
 _ENVELOPE_SLACK = 1e-9  # relative widening of each block bound, over the kernel's rounding
 
@@ -229,20 +230,12 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
 
     Pure in its (immutable) arguments, so results are memoized: alpha*
     depends on the exponent alone, and a ladder over many blocklengths at
-    one delta shares a single solve.  A bool delta is refused.
+    one delta shares a single solve.
     """
-    if isinstance(delta, bool):
-        raise DomainError(f"delta must be a number, got {delta!r}")
     rng = delta_range(p)
     if rng.is_empty:
-        raise DomainError(
-            "uniform source: the admissible exponent interval is empty"
-        )
-    if not rng.contains(delta):
-        raise DomainError(
-            f"delta={delta!r} outside the admissible open interval "
-            f"(0, {rng.hi!r}) bits"
-        )
+        raise DomainError("uniform source: the admissible exponent interval is empty")
+    delta = check_real("delta", delta, 0, rng.hi)
     alpha, evaluations = _solve_tilted(p, delta, entropy=False)
     point = tilt(p, alpha)
     residual = abs(point.kl_bits - delta)
@@ -262,20 +255,13 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     Computed through the tilted family: the solver of :func:`solve_alpha_star`
     finds alpha with H(P_alpha) = rate on the strictly decreasing entropy
     map, and D(P_alpha || P) is returned.  ``rate`` must lie in
-    [H(P), log2 m]; a bool is refused.
+    [H(P), log2 m], within 1e-12.
     """
-    if isinstance(rate, bool):
-        raise DomainError(f"rate must be a number, got {rate!r}")
     h_p = tilt(p, 1.0).entropy_bits
     h_max = math.log2(p.m)
     tol = 1e-12
-    if not h_p - tol <= rate <= h_max + tol:  # refuses nan too
-        raise DomainError(
-            f"rate={rate!r} outside [H(P), log2 m] = [{h_p!r}, {h_max!r}]"
-        )
-    if p.is_uniform:
-        return 0.0
-    if rate <= h_p + tol:
+    rate = check_real("rate", rate, h_p - tol, h_max + tol, lo_open=False, hi_open=False)
+    if p.is_uniform or rate <= h_p + tol:
         return 0.0
     if rate >= h_max - tol:
         # Only the uniform law has full entropy, so the infimum is D(U || P).
@@ -298,11 +284,13 @@ def moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnvel
     scan, bit for bit.  One more kernel call evaluates the closed ends
     alpha = 0 and alpha = 1; the extremes of all these points, inflated over
     half a grid step and widened by the rounding margin, are returned.
-    ``grid_size`` must be an integer of at least 3.
+    ``grid_size`` must be an integer from 3 to ``ENVELOPE_GRID_CAP``.
 
     Pure in its (immutable) arguments, so results are memoized.
     """
     check_integer("grid_size", grid_size, 3)
+    if grid_size > ENVELOPE_GRID_CAP:
+        raise ResourceLimitError(f"grid_size={describe(grid_size)} exceeds the cap of {ENVELOPE_GRID_CAP}")
     if p.is_uniform:
         return MomentEnvelope(0.0, 0.0, 0.0, grid_size, 0, degenerate=True)
     lo_edge, hi_edge = ENVELOPE_EDGE, 1.0 - ENVELOPE_EDGE

@@ -18,7 +18,7 @@ import math
 from statistics import NormalDist
 from typing import Iterable
 
-from .errors import DomainError
+from .inputs import check_real
 
 LOG2E = math.log2(math.e)  # bits per nat
 NEG_INF = float("-inf")
@@ -49,6 +49,4 @@ def normal_tail_inverse(epsilon: float) -> float:
 
     Wichura's AS241 (``statistics.NormalDist.inv_cdf``), within a few ulps
     down to the smallest subnormal epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"normal_tail_inverse requires epsilon in (0, 1), got {epsilon!r}")
-    return -_STANDARD_NORMAL.inv_cdf(epsilon)
+    return -_STANDARD_NORMAL.inv_cdf(check_real("epsilon", epsilon, 0, 1, need="lie in (0, 1)"))

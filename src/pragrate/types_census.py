@@ -44,18 +44,13 @@ from dataclasses import dataclass
 from math import fsum, log2
 from typing import Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+from .inputs import check_blocklength, check_integer, check_real, describe
 from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
 DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
-
-
-def check_integer(name: str, value: int, least: int) -> None:
-    """Refuse ``value`` unless it is an integer >= ``least`` (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
@@ -66,18 +61,17 @@ def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
     return counts
 
 
-def check_blocklength(n: int) -> None:
-    check_integer("blocklength n", n, 1)
-
-
 def _check_n_m(n: int, m: int) -> None:
-    check_blocklength(n)
+    check_blocklength(n)  # n enters the entropies as a real
     check_integer("m", m, 2)
+    if m > DEFAULT_TYPE_CAP:
+        raise ResourceLimitError(f"m={describe(m)} symbols: more than the cap of {DEFAULT_TYPE_CAP} types at any n")
 
 
 def count_types(n: int, m: int) -> int:
-    """Number of n-types on m symbols: C(n + m - 1, m - 1)."""
-    _check_n_m(n, m)
+    """Number of n-types on m symbols: C(n + m - 1, m - 1), for any integers n >= 1, m >= 2."""
+    check_integer("blocklength n", n, 1)
+    check_integer("m", m, 2)
     return math.comb(n + m - 1, m - 1)
 
 
@@ -233,18 +227,17 @@ def type_entropy_bits(counts: Sequence[int]) -> float:
     """Entropy of the empirical pmf counts/n, in bits, with 0 log 0 = 0."""
     counts = _type_counts(counts)
     n = sum(counts)
-    if n < 1:
-        raise DomainError("empty type")
+    check_blocklength(n)  # an empty type has n = 0
     # H = log2 n - (1/n) sum c*log2 c ; exact at the degenerate corners.
     s = neumaier_sum(c * math.log2(c) for c in counts if c > 0)
     h = math.log2(n) - s / n
     return max(h, 0.0)
 
 
-def _check_census(n: int, m: int, h: float) -> None:
+def _check_census(n: int, m: int, h: float) -> float:
     _check_n_m(n, m)
-    if not 0.0 < h <= math.log2(m) + ENTROPY_CMP_TOL:
-        raise DomainError(f"threshold h={h!r} outside (0, log2 m]")
+    hi = math.log2(m) + ENTROPY_CMP_TOL
+    return check_real("threshold h", h, 0, hi, hi_open=False, need="lie in (0, log2 m]")
 
 
 def _band_width(rest: int) -> int:
@@ -347,7 +340,7 @@ def entropy_slab_count(n: int, m: int, h: float) -> int:
     interval of c, found by bisecting for both of its ends
     (:func:`_iter_spans`).  A run costs O(log R) entropies and no big
     integer, and the count is the one a test of every type would give."""
-    _check_census(n, m, h)
+    h = _check_census(n, m, h)
     hits = 0
     for _, a, b, _, inner, end_a, end_b in _iter_spans(
         n, m, h - 1.0 / n - ENTROPY_CMP_TOL, h + ENTROPY_CMP_TOL
@@ -372,15 +365,9 @@ class CensusReport:
     theta_ratio: float
 
     def __repr__(self) -> str:
-        """The dataclass repr, except that a count past
-        ``sys.get_int_max_str_digits()`` digits, which has no repr, is named
-        by its bit length."""
-        try:
-            count = repr(self.count)
-        except ValueError:
-            count = f"<int of {self.count.bit_length()} bits>"
+        """The dataclass repr, with a count past int's digit limit named by its bits."""
         return (f"{type(self).__qualname__}(n={self.n!r}, m={self.m!r}, "
-                f"threshold_bits={self.threshold_bits!r}, count={count}, "
+                f"threshold_bits={self.threshold_bits!r}, count={describe(self.count)}, "
                 f"theta_ratio={self.theta_ratio!r})")
 
 
@@ -399,7 +386,7 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
     multiply, divide and add per partition, and the arrangements change
     only at its ends.  The count is the one a test of every type would
     give, bit for bit."""
-    _check_census(n, m, h)
+    h = _check_census(n, m, h)
     count = 0
     for rest, a, b, size, inner, end_a, end_b in _iter_spans(
         n, m, 0.0, h + ENTROPY_CMP_TOL
@@ -432,7 +419,8 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
 def rank_in_type_class(x: Sequence[int], m: int) -> int:
     """Lexicographic rank of string ``x`` among all strings of its type.
 
-    Symbols are integers 0..m-1, counted with ``x.count``; the inverse is
+    Symbols are integers 0..m-1, counted with ``x.count`` up to the largest
+    one ``x`` holds, so the cost does not grow with m; the inverse is
     :func:`unrank_in_type_class`.
 
     Every division is exact.  Of the ``size`` strings that agree with ``x``
@@ -453,11 +441,12 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
     multiply-divide, so at m = 2 a position costs one multiply and one
     exact division.  The reference per-symbol loop is in the tests."""
     check_integer("m", m, 1)
-    counts = list(map(x.count, range(m)))
+    held = set(x)
+    for s in held:
+        if not (isinstance(s, int) and 0 <= s < m):
+            raise DomainError(f"symbol {describe(s)} outside alphabet of size {describe(m)}")
+    counts = list(map(x.count, range(max(held, default=-1) + 1)))  # none past the largest held
     remaining = len(x)
-    if sum(counts) != remaining:  # some symbol lies outside 0 .. m-1
-        bad = next(s for s in x if s not in range(m))
-        raise DomainError(f"symbol {bad} outside alphabet of size {m}")
     size = type_class_size(counts)
     rank = 0
     live = [s for s, c in enumerate(counts) if c]  # the symbols still present
@@ -512,7 +501,7 @@ def unrank_in_type_class(t: Sequence[int], rank: int) -> tuple[int, ...]:
     size = type_class_size(counts)
     check_integer("rank", rank, 0)
     if rank >= size:
-        raise DomainError(f"rank {rank} outside [0, {size})")
+        raise DomainError(f"rank {describe(rank)} outside [0, {describe(size)})")
     remaining = sum(counts)
     live = [s for s, c in enumerate(counts) if c]  # the symbols still present
     out: list[int] = []

@@ -239,6 +239,15 @@ class TestConstantsCommand:
 
 
 class TestCensusCommand:
+    def test_threshold_bits_and_source_are_exclusive(self, capsys):
+        # the source used to be dropped, and the sweep ran on the bits alone
+        code, out, err = run_cli(
+            capsys, "census", "--n", "10:20", "--m", "2", "--threshold-bits", "0.5",
+            "--threshold-source", "0.2,0.8",
+        )
+        assert code == 2
+        assert out == "" and err == "error: provide exactly one of --threshold-bits or --threshold-source\n"
+
     def test_sweep_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "census", "--m", "2", "--threshold-source", "0.2,0.8",

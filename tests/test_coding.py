@@ -644,6 +644,16 @@ class TestUniversalExcessProbability:
         with pytest.raises(ResourceLimitError):
             universal_excess_probability(p, 10, 0, cap_types=65)
 
+    @pytest.mark.parametrize("call", [
+        lambda: build_ordering(UNIVERSAL, 10 ** 5000, 2),
+        lambda: length_distribution(P02, 10 ** 5000),
+        lambda: universal_length_distribution(P02, 10 ** 5000),
+    ], ids=["build_ordering", "length_distribution", "universal_length_distribution"])
+    def test_type_cap_names_a_huge_count_by_its_bits(self, call):
+        # str() of a count past 4,300 digits raised ValueError before the refusal existed
+        with pytest.raises(ResourceLimitError, match=r"^<int of 16610 bits> type classes at n=<int of 16610 bits>"):
+            call()
+
     @pytest.mark.parametrize("cap", [0, -1, 2.5, True, None], ids=["zero", "negative", "float", "bool", "none"])
     def test_bad_type_cap_is_bad_input(self, cap):
         # a cap below 1 is no resource limit: the CLI maps DomainError to exit 2

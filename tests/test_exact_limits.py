@@ -251,6 +251,11 @@ class TestBruteForceOracle:
         with pytest.raises(ResourceLimitError):
             brute_force_limits(P02, 25)
 
+    def test_string_cap_before_any_power(self):
+        # 2**(10**5000) was computed before the cap was compared
+        with pytest.raises(ResourceLimitError, match=r"^2\*\*<int of 16610 bits> strings exceeds"):
+            brute_force_limits(P02, 10 ** 5000)
+
 
 class TestTieInvariance:
     def test_reversed_tie_order_preserves_tails(self):

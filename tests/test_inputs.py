@@ -1,0 +1,126 @@
+"""Every numeric parameter of every public function, fed bad values.
+
+``CALLS`` holds, per public function, calls with valid values; each numeric
+parameter in a call (annotated ``int``, ``float`` or ``float | None``) is
+replaced in turn by each of ``BAD``.  A bool, a str, None, nan and +inf are
+refused with ``DomainError``; -inf and a 5,000-digit int are refused with
+``DomainError`` or ``ResourceLimitError`` where the function does not take
+them (``count_types(10**5000, 2)`` is exact); a Fraction is a real, so it
+gives the float's answer, and no integer.  Nothing raises a bare
+``TypeError``, ``ValueError`` or ``OverflowError``.
+"""
+
+import inspect
+import math
+from fractions import Fraction
+
+import pytest
+
+import pragrate
+from pragrate import UNIVERSAL, DomainError, ResourceLimitError, SourcePmf
+from pragrate.types_census import DEFAULT_TYPE_CAP as CAP
+
+from test_public_surface import PUBLIC_NAMES
+
+P = SourcePmf.parse("0.2,0.8")
+NUMERIC = {"int", "float", "float | None"}
+HUGE = 10 ** 5000
+
+CALLS = {
+    "achievability_constant": [dict(p=P, delta=0.05)],
+    "blahut_rate": [dict(p=P, n=50, epsilon=0.01)],
+    "brute_force_limits": [dict(p=P, n=4)],
+    "build_ordering": [dict(mode=UNIVERSAL, n=6, m=2, cap_types=CAP)],
+    "compute_rate_ladder": [dict(p=P, n=10, epsilon=0.01, cap_types=CAP)],
+    "compute_rate_ladders": [dict(p=P, n=10, epsilons=[0.01], cap_types=CAP)],
+    "converse_constants": [dict(p_src=P, delta=0.05)],
+    "count_types": [dict(n=5, m=2)],
+    "decode": [],
+    "delta_range": [],
+    "delta_to_epsilon": [dict(delta=0.05, n=10)],
+    "encode": [],
+    "entropy": [],
+    "entropy_slab_count": [dict(n=10, m=2, h=0.7)],
+    "enumerate_types": [dict(n=3, m=2)],
+    "epsilon_to_delta": [dict(epsilon=0.01, n=10)],
+    "error_exponent": [dict(p=P, rate=0.9)],
+    "excess_rate_probability": [dict(p=P, n=10, rate=0.5, cap_types=CAP)],
+    "kl_divergence": [],
+    "length_distribution": [dict(p=P, n=10, cap_types=CAP)],
+    "low_entropy_count": [dict(n=10, m=2, h=0.7)],
+    "moment_envelope": [dict(p=P, grid_size=64)],
+    "optimal_rate": [dict(p=P, n=10, epsilon=0.01, cap_types=CAP), dict(p=P, n=10, log2_epsilon=-7.0)],
+    "pragmatic_rate": [dict(p=P, n=50, epsilon=0.01)],
+    "prefix_adjust": [dict(rate_per_symbol=0.5, n=10)],
+    "rank_in_type_class": [dict(x=[0, 1, 1], m=2)],
+    "shannon_rate": [],
+    "solve_alpha_star": [dict(p=P, delta=0.05)],
+    "strassen_rate": [dict(p=P, n=20, epsilon=0.01)],
+    "string_index": [],
+    "tilt": [dict(p=P, alpha=0.5)],
+    "type_class_size": [],
+    "type_entropy_bits": [],
+    "universal_excess_probability": [dict(p=P, n=10, length=3, cap_types=CAP)],
+    "universal_length_distribution": [dict(p=P, n=10, cap_types=CAP)],
+    "universal_rate_bound": [dict(p=P, n=20, delta=0.05)],
+    "universal_threshold_alpha_n": [dict(p=P, delta=0.05, n=100)],
+    "unrank_in_type_class": [dict(t=(1, 2), rank=1)],
+}
+
+BAD = {"bool": True, "str": "1", "none": None, "nan": math.nan, "inf": math.inf,
+       "minus_inf": -math.inf, "huge_int": HUGE}
+
+
+def public_functions():
+    """The public names that are functions: no class, exception or constant."""
+    return sorted(name for name in PUBLIC_NAMES
+                  if inspect.isfunction(inspect.unwrap(getattr(pragrate, name))))
+
+
+def numeric_parameters(name):
+    signature = inspect.signature(getattr(pragrate, name))
+    return {k for k, v in signature.parameters.items() if v.annotation in NUMERIC}
+
+
+def call(name, kwargs):
+    """The call's result; a lazy one (an iterator) yields its first item."""
+    result = getattr(pragrate, name)(**kwargs)
+    return next(result) if inspect.isgenerator(result) else result
+
+
+CASES = [
+    pytest.param(name, kwargs, param, id=f"{name}[{i}]-{param}")
+    for name, calls in CALLS.items() for i, kwargs in enumerate(calls)
+    for param in sorted(numeric_parameters(name) & set(kwargs))
+]
+
+
+def test_table_covers_every_numeric_parameter():
+    # a new public function, or a new numeric parameter, needs an entry here
+    assert sorted(CALLS) == public_functions()
+    for name, calls in CALLS.items():
+        assert set().union(*calls) & numeric_parameters(name) == numeric_parameters(name), name
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_valid_calls_return(name):
+    for kwargs in CALLS[name]:
+        call(name, kwargs)
+
+
+@pytest.mark.parametrize("kind", [*BAD, "fraction"])
+@pytest.mark.parametrize("name, kwargs, param", CASES)
+def test_bad_value(name, kwargs, param, kind):
+    valid = kwargs[param]
+    bad = Fraction(valid) if kind == "fraction" else BAD[kind]
+    try:
+        got = call(name, {**kwargs, param: bad})
+    except (DomainError, ResourceLimitError) as exc:
+        refused = exc
+    else:
+        refused = None
+    is_int = inspect.signature(getattr(pragrate, name)).parameters[param].annotation == "int"
+    if kind in ("bool", "str", "none", "nan", "inf") or kind == "fraction" and is_int:
+        assert isinstance(refused, DomainError), refused
+    elif kind == "fraction":  # a real: the float's answer
+        assert refused is None and got == call(name, kwargs)

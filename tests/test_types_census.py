@@ -503,6 +503,14 @@ class TestRankUnrank:
         with pytest.raises(DomainError):
             rank_in_type_class((0, 5), 2)
 
+    def test_rank_cost_does_not_grow_with_m(self):
+        # a count per symbol of 0 .. m-1 never returned at m = 10**5000
+        x = (1, 0, 1, 1, 0, 0, 1)
+        assert rank_in_type_class(x, 10 ** 5000) == rank_in_type_class(x, 2)
+        assert rank_in_type_class((0, 7, 3), 10 ** 5000) == rank_in_type_class((0, 2, 1), 3)
+        with pytest.raises(DomainError, match=r"^symbol -1 outside alphabet of size <int of 16610 bits>$"):
+            rank_in_type_class((0, -1), 10 ** 5000)
+
     # each of these used to return a value or raise a bare ValueError
     @pytest.mark.parametrize("call", [
         lambda: type_at_index(3, 2, 1.5),
