@@ -89,7 +89,7 @@ def _apply_config(argv: list[str] | None) -> argparse.Namespace:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a decode error, or an integer past int's digit limit
         raise DomainError(f"cannot read config file {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError("config file must hold a JSON object")
@@ -190,8 +190,6 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     p = _load_source(args)
-    if args.delta is None:
-        raise DomainError("--delta is required for constants")
     cc = ap.converse_constants(p, float(args.delta))
     payload = cc.to_dict()
     payload["pragmatic_correction_note"] = (
@@ -220,8 +218,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     else:
         out = ["n,threshold_bits,log2_count,theta_ratio"]
     for n in ns:
-        # the census visits partitions; count them only past the cheap count
-        if tc.count_types(n, m) > args.cap_types and tc.count_partitions(n, m) > args.cap_types:
+        # the census visits partitions, orbits of at most perm(m, min(m, n)) classes (m! once
+        # n >= m): count them only when the classes pass the cap and that bound does not decide
+        types = tc.count_types(n, m)
+        if types > args.cap_types and (types > args.cap_types * math.perm(m, min(m, n))
+                                       or tc.count_partitions(n, m) > args.cap_types):
             sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
             break
         if args.slab:

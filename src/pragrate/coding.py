@@ -143,7 +143,7 @@ class Codeword:
     @classmethod
     def from_index(cls, k: int) -> "Codeword":
         if k < 1:
-            raise CodewordError(f"codeword index must be >= 1, got {k}")
+            raise CodewordError(f"codeword index must be >= 1, got {describe(k)}")
         return cls(bin(k)[3:])
 
     def to_index(self) -> int:
@@ -548,7 +548,7 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
     k = codeword.to_index()
     if k > ordering.total:
         raise CodewordError(
-            f"index {k} exceeds the {ordering.total} strings of this ordering"
+            f"index {describe(k)} exceeds the {describe(ordering.total)} strings of this ordering"
         )
     return unrank_in_type_class(*ordering.locate(k))
 

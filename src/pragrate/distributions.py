@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -46,7 +45,7 @@ from operator import mul, sub, truediv
 from typing import Sequence, Union
 
 from .errors import DistributionError, DomainError
-from .inputs import check_real
+from .inputs import brief, check_real
 from .numerics import LOG2E, neumaier_sum
 
 SUM_ABS_TOL = 1e-12
@@ -117,7 +116,7 @@ class SourcePmf:
             try:
                 floats.append(float(v))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise DistributionError(f"bad pmf entry {_entry_name(v)}: {exc}") from exc
+                raise DistributionError(f"bad pmf entry {brief(v)}: {exc}") from exc
             if isinstance(v, float):
                 exact = None
             elif exact is not None:
@@ -163,25 +162,6 @@ class SourcePmf:
             except (OSError, UnicodeDecodeError) as exc:
                 raise DistributionError(f"cannot read source file {spec!r}: {exc}") from exc
         return cls.parse(spec)
-
-
-class _EntryRepr(reprlib.Repr):
-    """reprlib's brief names, except that an int or Fraction past
-    ``sys.get_int_max_str_digits()`` digits, which has no repr, is named by
-    its order of magnitude at any depth, not by an object address."""
-
-    def repr1(self, x, level: int) -> str:
-        if isinstance(x, (int, Fraction)):
-            try:
-                repr(x)
-            except ValueError:  # math.log10 reads a big int without a string
-                x = Fraction(x)
-                digits = math.log10(abs(x.numerator)) - math.log10(x.denominator)
-                return f"of order {'-' * (x < 0)}1e{round(digits)}"
-        return super().repr1(x, level)
-
-
-_entry_name = _EntryRepr().repr  # a refused pmf entry in brief
 
 
 def _as_prob_vector(p: PmfLike, *, what: str) -> tuple[float, ...]:

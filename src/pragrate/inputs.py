@@ -5,17 +5,36 @@ nan lies in no interval); an integer is an int, not a bool.  Bad input raises Do
 from __future__ import annotations
 
 import math
+import reprlib
+from fractions import Fraction
 from numbers import Real
 
 from .errors import DomainError
 
 
+class _Brief(reprlib.Repr):
+    """reprlib's brief names, but an int or Fraction past the digit limit of int's str, which has
+    no repr, is named by its sign and size in bits at any depth, not by an object address."""
+
+    def repr1(self, x: object, level: int) -> str:
+        if isinstance(x, (int, Fraction)):
+            try:
+                repr(x)
+            except ValueError:
+                bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+                return f"{'-' * (x < 0)}<{type(x).__name__} of {bits} bits>"
+        return super().repr1(x, level)
+
+
+brief = _Brief().repr  # a value named in brief: long strings, numbers and containers cut short
+
+
 def describe(x: object) -> str:
-    """``repr(x)``, or for an int or Fraction past the digit limit of int's str its size in bits."""
+    """``repr(x)``, or where a number with no repr makes that raise, :func:`brief`'s name."""
     try:
         return repr(x)
     except ValueError:
-        return f"<{type(x).__name__} of {max(x.numerator.bit_length(), x.denominator.bit_length())} bits>"
+        return brief(x)
 
 
 def check_integer(name: str, value: int, least: int | None = None) -> None:

@@ -121,7 +121,7 @@ def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
     total = count_types(n, m)  # checks n and m
     check_integer("type index", index, 0)
     if index >= total:
-        raise DomainError(f"type index {index} outside [0, {total})")
+        raise DomainError(f"type index {describe(index)} outside [0, {describe(total)})")
     counts, remaining = [], n
     for k in range(m - 2, 0, -1):  # k + 1 slots after this one
         c, block = 0, math.comb(remaining + k, k)  # types with this slot at c

@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,6 +237,14 @@ class TestConstantsCommand:
             capsys, "constants", "--source", "0.2,0.9", "--delta", "0.05"
         )
         assert code == 2
+
+    def test_delta_from_a_config_file_is_not_enough(self, tmp_path):
+        # --delta is a required flag: argparse refuses before any config is read
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"delta": 0.1}))
+        code, out, err = run_cli_process("constants", "--source", "0.2,0.8", "--config", str(cfg))
+        assert code == 2
+        assert out == "" and err.rstrip().endswith("the following arguments are required: --delta")
 
 
 class TestCensusCommand:
@@ -860,6 +869,27 @@ class TestInputErrorsExit2:
         assert out.count("\n") == 1  # the header only
         assert err == "warning: n=50 exceeds type cap; sweep truncated\n"
 
+    def test_census_far_past_the_cap_is_refused_without_counting_partitions(self):
+        # 10**14 + 1 binary types pass the cap times 2!, so the partitions,
+        # an (n+1)-entry table to count, are never counted
+        start = time.perf_counter()
+        code, out, err = run_cli_process("census", "--n", "100000000000000", "--m", "2", "--threshold-bits", "0.5")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == "n,threshold_bits,log2_count,theta_ratio\n"
+        assert err == "warning: n=100000000000000 exceeds type cap; sweep truncated\n"
+
+    def test_decode_past_the_ordering_names_the_index_by_its_bits(self):
+        # the codeword of 15,000 ones is index 2**15001 - 1 of 2**15000
+        # strings, both past the 4,300-digit limit of an int's str
+        stream = "# mode=universal m=2 n=15000 alphabet=ab\n" + "1" * 15000 + "\n"
+        code, out, err = run_cli_process("codec", "decode", stdin=stream)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: index ")
+        if hasattr(sys, "set_int_max_str_digits"):
+            assert err == "error: index <int of 15001 bits> exceeds the <int of 15001 bits> strings of this ordering\n"
+
     @pytest.mark.parametrize("argv,message", [
         (("constants", "--source", "0.2,0.8", "--delta", "0.0703", "--cap-types", "-5"),
          "unrecognized arguments: --cap-types -5"),
@@ -907,6 +937,18 @@ class TestInputErrorsExit2:
     def test_invalid_json_config_file(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("{not json")
+        code, out, err = run_cli_process(
+            "limits", "--config", str(cfg), "--source", "0.2,0.8", "--n", "5", "--eps", "0.1"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot read config file")
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_config_integer_past_the_digit_limit(self, tmp_path):
+        # the JSON reader raises a plain ValueError for an int past 4,300 digits
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"cap_types": 1' + "0" * 5000 + "}")
         code, out, err = run_cli_process(
             "limits", "--config", str(cfg), "--source", "0.2,0.8", "--n", "5", "--eps", "0.1"
         )

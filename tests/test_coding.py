@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -83,6 +84,15 @@ class TestCodeword:
             Codeword("0a1")
         with pytest.raises(CodewordError):
             Codeword.from_index(0)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_huge_index_is_named_by_its_bits(self):
+        # the index of 15,000 ones, 2**15001 - 1, and the 2**15000 strings
+        # both pass the 4,300-digit limit of an int's str
+        with pytest.raises(CodewordError, match=r"^codeword index must be >= 1, got -<int of 16610 bits>$"):
+            Codeword.from_index(-10 ** 5000)
+        with pytest.raises(CodewordError, match=r"^index <int of 15001 bits> exceeds the <int of 15001 bits> strings"):
+            decode(build_ordering(UNIVERSAL, 15000, 2), Codeword("1" * 15000))
 
     @pytest.mark.parametrize("bits", ["a01", "01a", "0 1", "10\n", "2"])
     def test_validation_anywhere_in_the_word(self, bits):

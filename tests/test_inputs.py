@@ -2,8 +2,10 @@
 
 ``CALLS`` holds, per public function, calls with valid values; each numeric
 parameter in a call (annotated ``int``, ``float`` or ``float | None``) is
-replaced in turn by each of ``BAD``.  A bool, a str, None, nan and +inf are
-refused with ``DomainError``; -inf and a 5,000-digit int are refused with
+replaced in turn by each of ``BAD``.  A bool, a str, None, nan, +inf and a
+tuple holding a 5,000-digit int (hashable, so a memoized function reaches its
+check; it has no repr, so the refusal names it by its bit length) are refused
+with ``DomainError``; -inf and a 5,000-digit int are refused with
 ``DomainError`` or ``ResourceLimitError`` where the function does not take
 them (``count_types(10**5000, 2)`` is exact); a Fraction is a real, so it
 gives the float's answer, and no integer.  Nothing raises a bare
@@ -12,12 +14,14 @@ gives the float's answer, and no integer.  Nothing raises a bare
 
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 import pragrate
 from pragrate import UNIVERSAL, DomainError, ResourceLimitError, SourcePmf
+from pragrate.inputs import describe
 from pragrate.types_census import DEFAULT_TYPE_CAP as CAP
 
 from test_public_surface import PUBLIC_NAMES
@@ -68,7 +72,7 @@ CALLS = {
 }
 
 BAD = {"bool": True, "str": "1", "none": None, "nan": math.nan, "inf": math.inf,
-       "minus_inf": -math.inf, "huge_int": HUGE}
+       "minus_inf": -math.inf, "huge_int": HUGE, "huge_int_in_tuple": (HUGE,)}
 
 
 def public_functions():
@@ -120,7 +124,26 @@ def test_bad_value(name, kwargs, param, kind):
     else:
         refused = None
     is_int = inspect.signature(getattr(pragrate, name)).parameters[param].annotation == "int"
-    if kind in ("bool", "str", "none", "nan", "inf") or kind == "fraction" and is_int:
+    if kind in ("bool", "str", "none", "nan", "inf", "huge_int_in_tuple") or kind == "fraction" and is_int:
         assert isinstance(refused, DomainError), refused
     elif kind == "fraction":  # a real: the float's answer
         assert refused is None and got == call(name, kwargs)
+
+
+@pytest.mark.parametrize("value", [1.5, -(10 ** 4000), Fraction(-1, 3), "x" * 100, [10 ** 100] * 10, {"a": (None, 2)}])
+def test_describe_is_repr_where_repr_works(value):
+    assert describe(value) == repr(value)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("value, name", [
+    (HUGE, "<int of 16610 bits>"),
+    (-HUGE, "-<int of 16610 bits>"),
+    (Fraction(-1, HUGE), "-<Fraction of 16610 bits>"),
+    ((HUGE,), "(<int of 16610 bits>,)"),
+    ([0.5, [-HUGE]], "[0.5, [-<int of 16610 bits>]]"),
+    ({"n": Fraction(HUGE, 3)}, "{'n': <Fraction of 16610 bits>}"),
+], ids=["int", "negative_int", "fraction", "in_tuple", "nested_in_list", "in_dict"])
+def test_describe_names_a_number_with_no_repr_by_its_bits(value, name):
+    # a number past the 4,300-digit limit of int's str, at any depth
+    assert describe(value) == name

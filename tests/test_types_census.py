@@ -114,6 +114,11 @@ class TestTypeIndex:
         with pytest.raises(DomainError):
             type_at_index(n, m, index)
 
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit")
+    def test_huge_index_is_named_by_its_bits(self):
+        with pytest.raises(DomainError, match=r"^type index <int of 16610 bits> outside \[0, 3\)$"):
+            type_at_index(2, 2, 10 ** 5000)
+
     def test_bad_counts_refused(self):
         with pytest.raises(DomainError):
             type_index((2, -1, 3))
