@@ -81,7 +81,7 @@ The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
 the ranking is the sort's list of class indices (the known-source store
 narrows it to an index array).  No count vector is built: exact mode
-computes integer weights per run of classes.  The tails take one pass over
+reduces the same runs' rows to integer weights.  The tails take one pass over
 the ranking, from the last class.  It keeps the ranks not yet passed, the
 logaddexp2 suffix chain over log2(size) - key and the next boundary 2**L,
 and splits each class that holds a boundary as it passes it: the tail is
@@ -109,8 +109,8 @@ from .inputs import check_integer, check_real, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
+    _class_runs,
     _distinct_permutations,
-    _iter_prefixes,
     _iter_runs,
     count_types,
     rank_in_type_class,
@@ -379,39 +379,25 @@ def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
     return [[0.0] + [c * -lp for c in range(1, n + 1)] for lp in p.log2_probs()]
 
 
-def _canonical_columns(n: int, m: int, tables: list[list[float]]) -> tuple[array, list[int]]:
-    """Sort keys and class sizes of every class in canonical order.
-
-    Each prefix from :func:`~pragrate.types_census._iter_prefixes` (the
-    first m-2 counts) is one run; its last two slots, (c, r - c) for
-    c = 0..r, are unrolled here, so no count vector is built.  Along those
-    two slots the size is symmetric, C(r, c) = C(r, r - c), so the second
-    half of each run reuses the first half's integers: equal sizes share
-    one object.  A run's keys come from one C-level ``map(fsum, zip(...))``
-    over the prefix's table entries, repeated, and the last two slots'
-    entries at (c, r - c)."""
-    keys, sizes, fsum, repeat = array("d"), [], math.fsum, itertools.repeat
-    left, right = tables[-2], tables[-1]
-    for prefix, r, coeff in _iter_prefixes(n, m - 2, (), 1):
-        heads = [repeat(t[c], r + 1) for t, c in zip(tables, prefix)]
-        keys.extend(map(fsum, zip(*heads, left[:r + 1], right[r::-1])))
-        half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
-        for c in range(r // 2):
-            half.append(half[-1] * (r - c) // (c + 1))
-        sizes += half
-        sizes += half[-2::-1] if r % 2 == 0 else half[::-1]
-    return keys, sizes
-
-
 def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], list[int]]:
     """The engine's columns: ``keys[i]`` (minus the log2 per-string
     probability) and ``sizes[i]`` of class i in canonical order, and the
     ranking, the class indices by decreasing per-string probability with
     ties in canonical order: a stable sort on the float key alone.  The
     ranking stays the sort's list: the tails read it once, and only
-    :class:`_RankedClasses`, which keeps it, narrows it to an array.  No
-    count vector is kept."""
-    keys, sizes = _canonical_columns(n, m, _key_tables(source, n))
+    :class:`_RankedClasses`, which keeps it, narrows it to an array.  A
+    key is the ``fsum`` of a row of :func:`~pragrate.types_census._class_runs`;
+    a run's sizes coeff * C(r, c) are symmetric in c, so its second half
+    reuses the first half's integers: equal sizes share one object."""
+    keys, sizes = array("d"), []
+    for coeff, r, rows in _class_runs(_key_tables(source, n), n):
+        keys.extend(map(math.fsum, rows))
+        del rows  # its two table slices, before the run's sizes exist
+        half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
+        for c in range(r // 2):
+            half.append(half[-1] * (r - c) // (c + 1))
+        sizes += half
+        sizes += half[-2::-1] if r % 2 == 0 else half[::-1]
     return keys, sizes, sorted(range(len(keys)), key=keys.__getitem__)
 
 

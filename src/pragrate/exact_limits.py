@@ -45,7 +45,7 @@ from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
 from .inputs import check_integer, check_real, describe
 from .numerics import NEG_INF
-from .types_census import DEFAULT_TYPE_CAP, _iter_prefixes
+from .types_census import DEFAULT_TYPE_CAP, _class_runs
 
 BRUTE_FORCE_STRING_CAP = 2_000_000
 
@@ -77,21 +77,20 @@ def _exact_tails(
     """Exact tails of the ranked classes under the rational pmf ``fracs``.
 
     With D the common denominator, p_i = w_i / D, so a class's per-string
-    probability is the integer weight prod w_i**c_i over D**n.  The float
-    sort already ordered the classes; re-sorting by the weights (stable,
-    same tie order) repairs any ulp-level misorder.  One pass then walks
-    the re-ranking from the last class as :func:`~pragrate.coding._log2_tails`
-    walks the float one, with the integer suffix mass sum(size * weight) in
-    place of the log2 chain: the tail at a boundary 2**L inside class c is
-    the mass past c plus the weight of each of c's strings at ranks >= 2**L,
-    over D**n."""
+    probability is the integer weight prod w_i**c_i over D**n, the ``prod``
+    of its row of powers.  The float sort already ordered the classes;
+    re-sorting by the weights (stable, same tie order) repairs any ulp-level
+    misorder.  One pass then walks the re-ranking from the last class as
+    :func:`~pragrate.coding._log2_tails` walks the float one, with the
+    integer suffix mass sum(size * weight) in place of the log2 chain: the
+    tail at a boundary 2**L inside class c is the mass past c plus the
+    weight of each of c's strings at ranks >= 2**L, over D**n."""
     denominator = math.lcm(*(f.denominator for f in fracs))
     numerators = [f.numerator * (denominator // f.denominator) for f in fracs]
-    powers = [[w ** c for c in range(n + 1)] for w in numerators]
-    left, right, weights = powers[-2], powers[-1], []
-    for prefix, r, _ in _iter_prefixes(n, len(fracs) - 2, (), 1):
-        head = math.prod(map(list.__getitem__, powers, prefix))
-        weights += [head * a * b for a, b in zip(left[:r + 1], right[r::-1])]
+    powers, weights = [[w ** c for c in range(n + 1)] for w in numerators], []
+    for _, _, rows in _class_runs(powers, n):
+        weights += map(math.prod, rows)
+    del powers, rows  # the tables and the last run's two slices, before the sort
     ranked = sorted(ranking, key=weights.__getitem__, reverse=True)
     remaining, past, scale = len(fracs) ** n, 0, denominator ** n
     tails, boundary = [], 1 << (remaining.bit_length() - 1)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import fsum, log2
 from typing import Iterator, Sequence
 
@@ -92,9 +93,8 @@ def count_partitions(n: int, m: int) -> int:
 def enumerate_types(n: int, m: int) -> Iterator[tuple[int, ...]]:
     """All n-types on m symbols in the canonical (ascending lex) order."""
     _check_n_m(n, m)
-    for prefix, remaining, _ in _iter_prefixes(n, m - 2, (), 1):
-        for c in range(remaining + 1):
-            yield prefix + (c, remaining - c)
+    for _, _, rows in _class_runs([range(n + 1)] * m, n):
+        yield from rows
 
 
 def type_index(t: Sequence[int]) -> int:
@@ -145,17 +145,26 @@ def type_class_size(t: Sequence[int]) -> int:
     return size
 
 
-def _iter_prefixes(
-    remaining: int, slots: int, prefix: tuple[int, ...], coeff: int
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(prefix extended by ``slots`` counts, what is left of n, the prefix's
-    product of binomials), the prefixes in ascending lex order."""
-    if slots == 0:
-        yield prefix, remaining, coeff
+def _class_runs(tables: Sequence[Sequence], n: int) -> Iterator[tuple[int, int, Iterator[tuple]]]:
+    """(coeff, r, rows) per run of the canonical order of the n-types on
+    m = len(tables) symbols: the classes (prefix, c, r - c), c = 0..r, of
+    coeff * C(r, c) strings each, that share their first m-2 counts.
+    ``rows`` is one C-level ``zip`` of each class's entries tables[i][count i]
+    (a reader reduces them: a key by ``fsum``, a weight by ``prod``; over
+    ``range(n + 1)`` a row is the count vector); it holds two table slices."""
+    return _class_runs_after(tables, n, 0, (), 1)
+
+
+def _class_runs_after(
+    tables: Sequence[Sequence], remaining: int, slot: int, heads: tuple, coeff: int
+) -> Iterator[tuple[int, int, Iterator[tuple]]]:
+    """The runs of :func:`_class_runs` after the prefix entries ``heads``."""
+    if slot == len(tables) - 2:
+        yield coeff, remaining, zip(*map(repeat, heads), tables[-2][:remaining + 1], tables[-1][remaining::-1])
         return
-    binom = 1  # C(remaining, c)
+    table, binom = tables[slot], 1  # C(remaining, c)
     for c in range(remaining + 1):
-        yield from _iter_prefixes(remaining - c, slots - 1, prefix + (c,), coeff * binom)
+        yield from _class_runs_after(tables, remaining - c, slot + 1, heads + (table[c],), coeff * binom)
         binom = binom * (remaining - c) // (c + 1)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pragrate import (
     CensusReport,
     DomainError,
+    SourcePmf,
     count_types,
     entropy,
     entropy_slab_count,
@@ -21,7 +22,7 @@ from pragrate import (
     type_entropy_bits,
     unrank_in_type_class,
 )
-from pragrate.coding import _canonical_columns
+from pragrate.coding import _known_source_classes
 from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
@@ -128,7 +129,7 @@ class TestTypeIndex:
 
 def canonical_sizes(n, m):
     """The class sizes the ranked-class engine builds, in canonical order."""
-    return _canonical_columns(n, m, [[0.0] * (n + 1)] * m)[1]
+    return _known_source_classes(n, m, SourcePmf((1 / m,) * m))[1]  # sizes ignore the pmf
 
 
 class TestTypeClassSize:
@@ -157,6 +158,13 @@ class TestTypeClassSize:
             got = list(enumerate_types(n, m))
             assert got == sorted(compositions(n, m))
             assert canonical_sizes(n, m) == [type_class_size(c) for c in got]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_enumerate_types_is_every_composition_in_lex_order(m):
+    # m = 2 is one run; each larger m adds a prefix slot to the walk
+    for n in range(1, 13):
+        assert list(enumerate_types(n, m)) == sorted(compositions(n, m))
 
 
 class TestOrbits:
