@@ -109,6 +109,7 @@ from .inputs import check_integer, check_real, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
+    _check_walk_depth,
     _class_runs,
     _distinct_permutations,
     _iter_runs,
@@ -402,13 +403,15 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
 
 
 def _check_type_cap(n: int, m: int, cap_types: int) -> None:
-    """Refuse to rank more than ``cap_types`` type classes; a cap that is
-    not an integer >= 1 is bad input, not a limit."""
+    """Refuse to rank more than ``cap_types`` type classes, or an alphabet
+    too large to walk; a cap that is not an integer >= 1 is bad input, not
+    a limit."""
     total = count_types(n, m)
     check_integer("cap_types", cap_types, 1)
     if total > cap_types:
         raise ResourceLimitError(f"{describe(total)} type classes at n={describe(n)}, "
                                  f"m={describe(m)} exceeds the cap of {cap_types}")
+    _check_walk_depth(m)
 
 
 def _check_log2_epsilon(x: float) -> float:

@@ -45,7 +45,7 @@ from operator import mul, sub, truediv
 from typing import Sequence, Union
 
 from .errors import DistributionError, DomainError
-from .inputs import brief, check_real
+from .inputs import brief, check_real, describe
 from .numerics import LOG2E, neumaier_sum
 
 SUM_ABS_TOL = 1e-12
@@ -168,7 +168,10 @@ def _as_prob_vector(p: PmfLike, *, what: str) -> tuple[float, ...]:
     """Validate a probability vector; zeros allowed (empirical types)."""
     if isinstance(p, SourcePmf):
         return p.probs
-    vec = tuple(float(x) for x in p)
+    try:
+        vec = tuple(check_real(what, x) for x in p)
+    except (TypeError, DomainError):  # not iterable, or an entry no double holds
+        raise DistributionError(f"{what}: not a vector of reals: {describe(p)}") from None
     if len(vec) < 1:
         raise DistributionError(f"{what}: empty vector")
     if any(x < 0.0 for x in vec):

@@ -10,7 +10,7 @@ the exponentially many strings.
 The canonical type order used across the whole package (census, optimal-code
 evaluation, codecs) is ascending lexicographic on the count vectors; the
 encoder and decoder must derive the identical order, so it is fixed here
-once and documented.  A type's position in it has a closed form both ways
+once and documented, and walked here once, run by run (:func:`_class_runs`).  A type's position in it has a closed form both ways
 (:func:`type_index`, :func:`type_at_index`), so the known-source codec in
 :mod:`pragrate.coding` keeps no count vectors and no counts-to-class map.
 
@@ -40,6 +40,7 @@ every partition.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from math import fsum, log2
@@ -52,13 +53,19 @@ from .numerics import neumaier_sum
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
 DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
+_CALLER_FRAMES = 200  # frames left to a walk's callers under the recursion limit
 
 
 def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
-    """The counts of a type, refused unless each is an integer >= 0."""
-    counts = tuple(t)
+    """The counts of a type, refused unless each is an integer >= 0 and
+    their sum, the blocklength, an integer that a double holds."""
+    try:
+        counts = tuple(t)
+    except TypeError:
+        raise DomainError(f"a type must be a sequence of counts, got {describe(t)}") from None
     for c in counts:
         check_integer("a type's count", c, 0)
+    check_real("a type's blocklength", sum(counts), need="be an integer that a double holds")
     return counts
 
 
@@ -67,6 +74,7 @@ def _check_n_m(n: int, m: int) -> None:
     check_integer("m", m, 2)
     if m > DEFAULT_TYPE_CAP:
         raise ResourceLimitError(f"m={describe(m)} symbols: more than the cap of {DEFAULT_TYPE_CAP} types at any n")
+    _check_walk_depth(m)
 
 
 def count_types(n: int, m: int) -> int:
@@ -143,6 +151,17 @@ def type_class_size(t: Sequence[int]) -> int:
         size *= math.comb(remaining, c)
         remaining -= c
     return size
+
+
+def _check_walk_depth(m: int) -> None:
+    """Refuse an alphabet too large for the walks of the runs
+    (:func:`_class_runs`, :func:`_iter_runs`): they nest m - 2 generator
+    frames, which with ``_CALLER_FRAMES`` for their callers' must stay
+    within the interpreter's recursion limit."""
+    limit = sys.getrecursionlimit()
+    if m - 2 + _CALLER_FRAMES > limit:
+        raise ResourceLimitError(f"m={describe(m)} symbols: its walks nest {m - 2} frames, past the "
+                                 f"recursion limit of {limit} less {_CALLER_FRAMES} for their callers")
 
 
 def _class_runs(tables: Sequence[Sequence], n: int) -> Iterator[tuple[int, int, Iterator[tuple]]]:
@@ -245,6 +264,10 @@ def type_entropy_bits(counts: Sequence[int]) -> float:
 
 def _check_census(n: int, m: int, h: float) -> float:
     _check_n_m(n, m)
+    alone = _band_width(n) // 2  # the c of a run's centre band, each tested alone
+    if alone > DEFAULT_TYPE_CAP:
+        raise ResourceLimitError(f"n={describe(n)}: a run's centre band holds {alone} partitions "
+                                 f"to test one at a time, past the cap of {DEFAULT_TYPE_CAP}")
     hi = math.log2(m) + ENTROPY_CMP_TOL
     return check_real("threshold h", h, 0, hi, hi_open=False, need="lie in (0, log2 m]")
 
@@ -450,7 +473,10 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
     multiply-divide, so at m = 2 a position costs one multiply and one
     exact division.  The reference per-symbol loop is in the tests."""
     check_integer("m", m, 1)
-    held = set(x)
+    try:
+        held = set(x)
+    except TypeError:  # not iterable, or a symbol that is not hashable
+        raise DomainError(f"a string must be a sequence of symbols, got {describe(x)}") from None
     for s in held:
         if not (isinstance(s, int) and 0 <= s < m):
             raise DomainError(f"symbol {describe(s)} outside alphabet of size {describe(m)}")

@@ -879,6 +879,15 @@ class TestInputErrorsExit2:
         assert out == "n,threshold_bits,log2_count,theta_ratio\n"
         assert err == "warning: n=100000000000000 exceeds type cap; sweep truncated\n"
 
+    @pytest.mark.parametrize("codec", [False, True], ids=["census", "codec"])
+    def test_alphabet_past_the_recursion_limit_is_a_resource_limit(self, codec):
+        # the walks nest m - 2 frames: a RecursionError traceback (exit 1) before the refusal
+        argv = (("codec", "encode", "--mode", "universal", "--alphabet", "".join(map(chr, range(256, 1756))),
+                 "--n", "2") if codec else ("census", "--n", "5", "--m", "1000000", "--threshold-bits", "0.5"))
+        code, out, err = run_cli_process(*argv, stdin="")
+        assert code == 3 and "Traceback" not in err
+        assert err.startswith("resource limit: m=1") and "recursion limit" in err
+
     def test_decode_past_the_ordering_names_the_index_by_its_bits(self):
         # the codeword of 15,000 ones is index 2**15001 - 1 of 2**15000
         # strings, both past the 4,300-digit limit of an int's str

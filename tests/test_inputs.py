@@ -10,6 +10,12 @@ with ``DomainError``; -inf and a 5,000-digit int are refused with
 them (``count_types(10**5000, 2)`` is exact); a Fraction is a real, so it
 gives the float's answer, and no integer.  Nothing raises a bare
 ``TypeError``, ``ValueError`` or ``OverflowError``.
+
+``SEQUENCE_CALLS`` does the same for the sequence parameters (a probability
+vector, a type's counts, a string), fed None, a str, a list holding a str and
+a list holding a 5,000-digit int: each is refused with ``DomainError`` or
+``DistributionError``.  A plain list passed as a ``SourcePmf`` is not yet
+refused.
 """
 
 import inspect
@@ -20,9 +26,10 @@ from fractions import Fraction
 import pytest
 
 import pragrate
-from pragrate import UNIVERSAL, DomainError, ResourceLimitError, SourcePmf
+from pragrate import UNIVERSAL, DistributionError, DomainError, ResourceLimitError, SourcePmf
 from pragrate.inputs import describe
 from pragrate.types_census import DEFAULT_TYPE_CAP as CAP
+from pragrate.types_census import type_index
 
 from test_public_surface import PUBLIC_NAMES
 
@@ -128,6 +135,28 @@ def test_bad_value(name, kwargs, param, kind):
         assert isinstance(refused, DomainError), refused
     elif kind == "fraction":  # a real: the float's answer
         assert refused is None and got == call(name, kwargs)
+
+
+SEQUENCE_CALLS = {  # a public function with its sequence parameter left open
+    "entropy": lambda bad: pragrate.entropy(bad),
+    "kl_divergence[q]": lambda bad: pragrate.kl_divergence(bad, [0.5, 0.5]),
+    "kl_divergence[p]": lambda bad: pragrate.kl_divergence([0.5, 0.5], bad),
+    "type_class_size": lambda bad: pragrate.type_class_size(bad),
+    "type_entropy_bits": lambda bad: pragrate.type_entropy_bits(bad),
+    "type_index": lambda bad: type_index(bad),
+    "unrank_in_type_class": lambda bad: pragrate.unrank_in_type_class(bad, 0),
+    "rank_in_type_class": lambda bad: pragrate.rank_in_type_class(bad, 2),
+}
+BAD_SEQUENCES = {"none": None, "str": "ab", "str_in_list": [1, "x"], "huge_int_in_list": [HUGE]}
+
+
+@pytest.mark.parametrize("kind", BAD_SEQUENCES)
+@pytest.mark.parametrize("name", SEQUENCE_CALLS)
+def test_bad_sequence(name, kind):
+    # the package's refusal, naming the value in brief: never a bare error
+    with pytest.raises((DomainError, DistributionError)) as refused:
+        SEQUENCE_CALLS[name](BAD_SEQUENCES[kind])
+    assert " at 0x" not in str(refused.value) and len(str(refused.value)) < 200
 
 
 @pytest.mark.parametrize("value", [1.5, -(10 ** 4000), Fraction(-1, 3), "x" * 100, [10 ** 100] * 10, {"a": (None, 2)}])

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from math import comb, factorial
 
 import pytest
@@ -9,13 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragrate import (
+    KNOWN_SOURCE,
+    UNIVERSAL,
     CensusReport,
     DomainError,
+    ResourceLimitError,
     SourcePmf,
+    build_ordering,
     count_types,
     entropy,
     entropy_slab_count,
     enumerate_types,
+    length_distribution,
     low_entropy_count,
     rank_in_type_class,
     type_class_size,
@@ -165,6 +171,41 @@ def test_enumerate_types_is_every_composition_in_lex_order(m):
     # m = 2 is one run; each larger m adds a prefix slot to the walk
     for n in range(1, 13):
         assert list(enumerate_types(n, m)) == sorted(compositions(n, m))
+
+
+class TestWalkRefusals:
+    """Refusals made before any walk starts, as ``ResourceLimitError``."""
+
+    @pytest.mark.parametrize("fn", [low_entropy_count, entropy_slab_count])
+    def test_centre_band_past_the_cap(self, fn):
+        # at n = 10**14 the band is the whole run: every partition tested alone
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="centre band"):
+            fn(10 ** 14, 2, 0.5)
+        with pytest.raises(ResourceLimitError, match="centre band"):
+            fn(10 ** 11, 2, 0.5)  # a band of about 1.1e8 steps
+        assert time.perf_counter() - start < 1.0
+
+    def test_centre_band_within_the_cap_still_counts(self):
+        assert _band_width(10 ** 10) // 2 <= DEFAULT_TYPE_CAP
+        assert entropy_slab_count(10 ** 10, 2, 0.5) == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: low_entropy_count(3, 2000, 1.0),
+        lambda: entropy_slab_count(3, 2000, 1.0),
+        lambda: next(enumerate_types(3, 2000)),
+        lambda: length_distribution(SourcePmf((1 / 2000,) * 2000), 2),
+        lambda: build_ordering(UNIVERSAL, 2, 1500),
+        lambda: build_ordering(KNOWN_SOURCE, 2, 1500, SourcePmf((1 / 1500,) * 1500)),
+    ], ids=["census", "slab", "enumerate", "length_distribution", "universal", "known_source"])
+    def test_alphabet_past_the_recursion_limit(self, call):
+        # the walks nest m - 2 generator frames: RecursionError before the refusal
+        with pytest.raises(ResourceLimitError, match=r"^m=\d+ symbols: its walks nest \d+ frames"):
+            call()
+
+    def test_alphabet_within_the_recursion_limit_still_walks(self):
+        assert low_entropy_count(3, 500, 1.0).count == 500 + 500 * 499 * 3  # one symbol thrice, or two
+        assert len(build_ordering(UNIVERSAL, 2, 500).sizes) == 2
 
 
 class TestOrbits:
