@@ -105,7 +105,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError
-from .inputs import check_integer, check_real, describe
+from .inputs import check_integer, check_real, check_string, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
@@ -134,8 +134,8 @@ class Codeword:
     bits: str
 
     def __post_init__(self) -> None:
-        if self.bits.strip("01"):
-            raise CodewordError(f"codeword must be over '0'/'1': {self.bits!r}")
+        if not isinstance(self.bits, str) or self.bits.strip("01"):
+            raise CodewordError(f"codeword must be a str over '0'/'1', got {describe(self.bits)}")
 
     @property
     def length(self) -> int:
@@ -521,6 +521,7 @@ def build_ordering(
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
     """1-based index of string ``x`` in the ordering."""
+    check_string(x)
     if len(x) != ordering.n:
         raise DomainError(f"string length {len(x)} != blocklength {ordering.n}")
     rank = rank_in_type_class(x, ordering.m)  # refuses a symbol outside 0 .. m-1
@@ -534,6 +535,8 @@ def encode(ordering: CodeOrdering, x: Sequence[int]) -> Codeword:
 
 def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
     """Exact inverse of :func:`encode`."""
+    if not isinstance(codeword, Codeword):
+        raise CodewordError(f"a codeword must be a Codeword, got {describe(codeword)}")
     k = codeword.to_index()
     if k > ordering.total:
         raise CodewordError(

@@ -69,6 +69,11 @@ class SourcePmf:
     exact: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
+        # tuples only: the pmf is hashed below, and a list or a set has no hash
+        if not isinstance(self.probs, tuple) or not isinstance(self.exact, (tuple, type(None))):
+            raise DistributionError(
+                f"source pmf entries must be tuples, got {describe(self.probs)} and {describe(self.exact)}"
+            )
         if len(self.probs) < 2:
             raise DistributionError("a source pmf needs at least 2 symbols")
         if any(not (x > 0.0) or x > 1.0 for x in self.probs):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+from collections.abc import Sequence
 from fractions import Fraction
 from numbers import Real
 
@@ -42,6 +43,13 @@ def check_integer(name: str, value: int, least: int | None = None) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise DomainError(f"{name} must be an integer{bound}, got {describe(value)}")
+
+
+def check_string(x: Sequence[int]) -> None:
+    """Refuse ``x`` unless it is a sequence, which has a length and counts its symbols: an
+    iterator or a set has neither."""
+    if not isinstance(x, Sequence):
+        raise DomainError(f"a string must be a sequence of symbols, got {describe(x)}")
 
 
 def check_blocklength(n: int) -> None:

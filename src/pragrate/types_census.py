@@ -47,7 +47,7 @@ from math import fsum, log2
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
-from .inputs import check_blocklength, check_integer, check_real, describe
+from .inputs import check_blocklength, check_integer, check_real, check_string, describe
 from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
@@ -473,12 +473,13 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
     multiply-divide, so at m = 2 a position costs one multiply and one
     exact division.  The reference per-symbol loop is in the tests."""
     check_integer("m", m, 1)
+    check_string(x)
     try:
         held = set(x)
-    except TypeError:  # not iterable, or a symbol that is not hashable
+    except TypeError:  # a symbol that is not hashable
         raise DomainError(f"a string must be a sequence of symbols, got {describe(x)}") from None
     for s in held:
-        if not (isinstance(s, int) and 0 <= s < m):
+        if isinstance(s, bool) or not (isinstance(s, int) and 0 <= s < m):
             raise DomainError(f"symbol {describe(s)} outside alphabet of size {describe(m)}")
     counts = list(map(x.count, range(max(held, default=-1) + 1)))  # none past the largest held
     remaining = len(x)

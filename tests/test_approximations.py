@@ -82,7 +82,7 @@ class TestNormalTailInverse:
 
     def test_subnormal_epsilon_is_finite_and_monotone(self):
         # exp(x*x/2) overflows below about 2**-1031; the smallest subnormal is 2**-1074
-        xs = [normal_tail_inverse(2.0 ** -k) for k in range(1030, 1075)]
+        xs = [normal_tail_inverse(2.0 ** -k) for k in range(1000, 1075)]
         assert all(math.isfinite(x) for x in xs)
         assert all(a < b for a, b in zip(xs, xs[1:]))
         assert 38.4 < xs[-1] < 38.5

@@ -781,6 +781,14 @@ class TestInputErrorsExit2:
         assert out == "" and err == f"error: --delta entry {bad!r} must be a positive finite exponent{hint}\n"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("ladder", "--source", "0.2,0.8", "--n", "5", "--eps", "abc"),
+         "bad numeric list 'abc': could not convert string to float: 'abc'"),
+        (("codec", "encode", "--alphabet", "ab", "--n", "0"), "blocklength n must be an integer >= 1, got 0"),
+    ], ids=["eps_not_a_number", "codec_zero_blocklength"])
+    def test_bad_value(self, argv, message):
+        assert run_cli_process(*argv, stdin="") == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("header, message", [
         ("# mode=universal m=2 n=abc alphabet=ab", "codeword header: bad m or n"),
         ("# mode=universal m=3 n=4 alphabet=ab", "codeword header: alphabet 'ab' does not have m=3"),

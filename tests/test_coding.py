@@ -478,6 +478,12 @@ class TestRoundTrips:
         for _ in range(300):
             x = tuple(rng.randrange(2) for _ in range(200))
             assert decode(o, encode(o, x)) == x
+        # both codecs at n=2000: the two-symbol rank/unrank loops on 2000-bit class sizes
+        rng, p = random.Random(6), SourcePmf.parse("0.2,0.8")
+        strings = [tuple(rng.choices(range(2), weights=(2, 8), k=2000)) for _ in range(50)]
+        for mode in (UNIVERSAL, KNOWN_SOURCE):
+            o = build_ordering(mode, 2000, 2, p)
+            assert [decode(o, encode(o, x)) for x in strings] == strings
 
     def test_decode_of_empty_is_first_string(self):
         o = build_ordering(UNIVERSAL, 5, 2)

@@ -209,6 +209,13 @@ class TestExactMode:
         # float path agrees with the exact path everywhere
         for L, frac in enumerate(d.exact_tails):
             assert d.tail(L) == pytest.approx(float(frac), rel=1e-12, abs=1e-300)
+        # at n=400 each large binomial class holds many 2^L boundaries, split by the one backward pass
+        d = length_distribution(P02, 400, exact=True)
+        assert d.exact_tails[0] == 1 and d.exact_tails[-1] == 0
+        checked = [(L, t) for L, t in enumerate(d.exact_tails) if t > 2.0 ** -1000]
+        assert len(checked) > 100
+        for L, t in checked:
+            assert abs(d.tail(L) - float(t)) <= 1e-12 * float(t), (L, d.tail(L), float(t))
 
 
 class TestBruteForceOracle:

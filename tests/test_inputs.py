@@ -16,6 +16,12 @@ vector, a type's counts, a string), fed None, a str, a list holding a str and
 a list holding a 5,000-digit int: each is refused with ``DomainError`` or
 ``DistributionError``.  A plain list passed as a ``SourcePmf`` is not yet
 refused.
+
+``CODEC_CALLS`` feeds the codec's own parameters (the string of
+``string_index`` and ``encode``, the codeword of ``decode``, the bits of
+``Codeword`` and the entries of ``SourcePmf``) None, an iterator, a set, a
+list of bools and a str, except where the parameter takes one: each is
+refused with the package's error.
 """
 
 import inspect
@@ -26,7 +32,8 @@ from fractions import Fraction
 import pytest
 
 import pragrate
-from pragrate import UNIVERSAL, DistributionError, DomainError, ResourceLimitError, SourcePmf
+from pragrate import (UNIVERSAL, Codeword, CodewordError, DistributionError, DomainError,
+                      ResourceLimitError, SourcePmf)
 from pragrate.inputs import describe
 from pragrate.types_census import DEFAULT_TYPE_CAP as CAP
 from pragrate.types_census import type_index
@@ -147,7 +154,8 @@ SEQUENCE_CALLS = {  # a public function with its sequence parameter left open
     "unrank_in_type_class": lambda bad: pragrate.unrank_in_type_class(bad, 0),
     "rank_in_type_class": lambda bad: pragrate.rank_in_type_class(bad, 2),
 }
-BAD_SEQUENCES = {"none": None, "str": "ab", "str_in_list": [1, "x"], "huge_int_in_list": [HUGE]}
+BAD_SEQUENCES = {"none": None, "str": "ab", "str_in_list": [1, "x"], "huge_int_in_list": [HUGE],
+                 "bools": [True, False]}
 
 
 @pytest.mark.parametrize("kind", BAD_SEQUENCES)
@@ -157,6 +165,31 @@ def test_bad_sequence(name, kind):
     with pytest.raises((DomainError, DistributionError)) as refused:
         SEQUENCE_CALLS[name](BAD_SEQUENCES[kind])
     assert " at 0x" not in str(refused.value) and len(str(refused.value)) < 200
+
+
+O = pragrate.build_ordering(UNIVERSAL, 2, 2)
+CODEC_CALLS = {  # a codec parameter left open: its refusal, and the bad kinds it takes
+    "string_index": (lambda bad: pragrate.string_index(O, bad), DomainError, ()),
+    "encode": (lambda bad: pragrate.encode(O, bad), DomainError, ()),
+    "decode": (lambda bad: pragrate.decode(O, bad), CodewordError, ()),
+    "Codeword": (Codeword, CodewordError, ("str",)),
+    "SourcePmf[probs]": (SourcePmf, DistributionError, ()),
+    "SourcePmf[exact]": (lambda bad: SourcePmf((0.5, 0.5), bad), DistributionError, ("none",)),
+}
+BAD_CODEC = {  # a fresh value per call: an iterator is spent once read
+    "none": lambda: None, "iterator": lambda: iter([0, 1]), "set": lambda: {0, 1},
+    "bools": lambda: [True, False], "str": lambda: "01",
+}
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, (_, _, takes) in CODEC_CALLS.items() for kind in BAD_CODEC if kind not in takes
+])
+def test_bad_codec_value(name, kind):
+    # the package's refusal, never a bare AttributeError or TypeError
+    refuse, error, _ = CODEC_CALLS[name]
+    with pytest.raises(error):
+        refuse(BAD_CODEC[kind]())
 
 
 @pytest.mark.parametrize("value", [1.5, -(10 ** 4000), Fraction(-1, 3), "x" * 100, [10 ** 100] * 10, {"a": (None, 2)}])

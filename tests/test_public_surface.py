@@ -1,4 +1,7 @@
+import ast
+import sys
 import types
+from pathlib import Path
 
 import pragrate
 
@@ -28,3 +31,29 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert got == sorted(PUBLIC_NAMES)
+
+
+def third_party_imports(source):
+    """The absolute imports in ``source``, at any depth, whose top-level name
+    is neither a standard-library module nor ``pragrate``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted(name for name in names
+                  if name.partition(".")[0] not in {*sys.stdlib_module_names, "pragrate"})
+
+
+def test_runtime_imports_only_the_standard_library():
+    # every import, function-level ones too, not only those a run happens to reach
+    found = {path.name: third_party_imports(path.read_text())
+             for path in sorted(Path(pragrate.__file__).parent.rglob("*.py"))}
+    assert "cli.py" in found and not any(found.values()), found
+
+
+def test_third_party_imports_are_flagged():
+    source = ("from . import inputs\nimport pragrate.cli\nimport os.path\n"
+              "def f():\n    import numpy.linalg\nfrom scipy import special\n")
+    assert third_party_imports(source) == ["numpy.linalg", "scipy"]
