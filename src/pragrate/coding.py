@@ -16,7 +16,8 @@ one C-level ``map`` per run of classes that differ only in their last two
 counts.  The universal ordering is stored as columns, one entry per
 partition of n (each stands for the permutation orbit of the count vectors
 that rearrange it), built by two walks of the runs of partitions
-(:func:`~pragrate.types_census._iter_runs`) around one stable sort.  The
+(:func:`~pragrate.types_census._iter_runs`, which walks the known-source
+runs too) around one stable sort.  The
 first walk lists each partition's parts and float entropy.  A stable sort
 on the entropy alone groups the partitions into levels of equal entropy;
 its ranking gives the level entropies (an ``array('d')``), each level's
@@ -109,7 +110,7 @@ from .inputs import check_integer, check_real, check_string, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
-    _check_walk_depth,
+    _check_n_m,
     _class_runs,
     _distinct_permutations,
     _iter_runs,
@@ -236,7 +237,7 @@ class _EntropyColumns(CodeOrdering):
         # partition in canonical order (descending lex); its two smallest
         # parts are rest - c and c
         rows = []
-        for prefix, rest, prev, _, _, _ in _iter_runs(n, m):
+        for prefix, rest, prev, _, _, _ in _iter_runs(n, m, True):
             smaller = prefix[::-1]
             for c in range(min(prev, rest), (rest - 1) // 2, -1):
                 rows += (rest - c, c, *smaller)
@@ -272,7 +273,7 @@ class _EntropyColumns(CodeOrdering):
         # second walk: the strings of each partition's orbit, in canonical
         # order, added to its level's (a level of several orbits sums them)
         sizes, slot, levels = [0] * len(self.entropies), m - 1, iter(level)
-        for _, rest, prev, run, size, arr in _iter_runs(n, m):
+        for _, rest, prev, run, size, arr in _iter_runs(n, m, True):
             top = min(prev, rest)
             cls = size * math.comb(rest, top)  # the class size, size * C(rest, c), c falling
             for c in range(top, (rest - 1) // 2, -1):
@@ -403,15 +404,15 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
 
 
 def _check_type_cap(n: int, m: int, cap_types: int) -> None:
-    """Refuse to rank more than ``cap_types`` type classes, or an alphabet
-    too large to walk; a cap that is not an integer >= 1 is bad input, not
-    a limit."""
+    """Refuse to rank more than ``cap_types`` type classes, or more symbols
+    than the alphabet cap; a cap that is not an integer >= 1 is bad input,
+    not a limit."""
     total = count_types(n, m)
     check_integer("cap_types", cap_types, 1)
     if total > cap_types:
         raise ResourceLimitError(f"{describe(total)} type classes at n={describe(n)}, "
                                  f"m={describe(m)} exceeds the cap of {cap_types}")
-    _check_walk_depth(m)
+    _check_n_m(n, m)
 
 
 def _check_log2_epsilon(x: float) -> float:

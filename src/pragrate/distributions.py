@@ -91,6 +91,9 @@ class SourcePmf:
                 raise DistributionError("exact/float entry count mismatch")
             if sum(self.exact) != 1:
                 raise DistributionError("exact entries must sum to exactly 1")
+            for q, x in zip(self.exact, self.probs):
+                if not -1 < q < 2 or abs(float(q) - x) > 4 * math.ulp(x):  # no float(q) overflows
+                    raise DistributionError(f"exact entry {brief(q)} is more than 4 ulps from its float {x!r}")
         object.__setattr__(self, "_hash", hash((self.probs, self.exact)))
 
     def __hash__(self) -> int:

@@ -10,9 +10,10 @@ the exponentially many strings.
 The canonical type order used across the whole package (census, optimal-code
 evaluation, codecs) is ascending lexicographic on the count vectors; the
 encoder and decoder must derive the identical order, so it is fixed here
-once and documented, and walked here once, run by run (:func:`_class_runs`).  A type's position in it has a closed form both ways
-(:func:`type_index`, :func:`type_at_index`), so the known-source codec in
-:mod:`pragrate.coding` keeps no count vectors and no counts-to-class map.
+once and documented, and walked here once, run by run (:func:`_class_runs`).
+A type's position in it has a closed form both ways (:func:`type_index`,
+:func:`type_at_index`), so the known-source codec in :mod:`pragrate.coding`
+keeps no count vectors and no counts-to-class map.
 
 Entropy and class size are symmetric under permuting the counts, so the
 census works one permutation orbit at a time: it enumerates the partitions
@@ -24,7 +25,8 @@ its orbit is its lex rank among the rearrangements of the partition (a
 multiset rank, :func:`rank_in_type_class`), and :func:`_distinct_permutations`
 lists an orbit in lex order when one is expanded.
 
-The partitions come in runs (:func:`_iter_runs`): those that share their
+The partitions come in runs too (:func:`_iter_runs`, the one walker of
+both orders, with no stack that grows with m): those that share their
 first m-2 parts and split the rest R between their last two parts as
 (c, R - c), c from min(previous part, R) down to ceil(R/2).  Along a run
 the float entropy does not decrease as c falls, except possibly in a band
@@ -40,10 +42,10 @@ every partition.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from math import fsum, log2
+from operator import getitem
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ResourceLimitError
@@ -53,7 +55,7 @@ from .numerics import neumaier_sum
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
 DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
-_CALLER_FRAMES = 200  # frames left to a walk's callers under the recursion limit
+ALPHABET_CAP = 802  # symbols: the engine reads m counts per class, the universal tails list m-tuples
 
 
 def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
@@ -72,9 +74,8 @@ def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
 def _check_n_m(n: int, m: int) -> None:
     check_blocklength(n)  # n enters the entropies as a real
     check_integer("m", m, 2)
-    if m > DEFAULT_TYPE_CAP:
-        raise ResourceLimitError(f"m={describe(m)} symbols: more than the cap of {DEFAULT_TYPE_CAP} types at any n")
-    _check_walk_depth(m)
+    if m > ALPHABET_CAP:
+        raise ResourceLimitError(f"m={describe(m)} symbols: past the alphabet cap of {ALPHABET_CAP}")
 
 
 def count_types(n: int, m: int) -> int:
@@ -153,17 +154,6 @@ def type_class_size(t: Sequence[int]) -> int:
     return size
 
 
-def _check_walk_depth(m: int) -> None:
-    """Refuse an alphabet too large for the walks of the runs
-    (:func:`_class_runs`, :func:`_iter_runs`): they nest m - 2 generator
-    frames, which with ``_CALLER_FRAMES`` for their callers' must stay
-    within the interpreter's recursion limit."""
-    limit = sys.getrecursionlimit()
-    if m - 2 + _CALLER_FRAMES > limit:
-        raise ResourceLimitError(f"m={describe(m)} symbols: its walks nest {m - 2} frames, past the "
-                                 f"recursion limit of {limit} less {_CALLER_FRAMES} for their callers")
-
-
 def _class_runs(tables: Sequence[Sequence], n: int) -> Iterator[tuple[int, int, Iterator[tuple]]]:
     """(coeff, r, rows) per run of the canonical order of the n-types on
     m = len(tables) symbols: the classes (prefix, c, r - c), c = 0..r, of
@@ -171,63 +161,68 @@ def _class_runs(tables: Sequence[Sequence], n: int) -> Iterator[tuple[int, int, 
     ``rows`` is one C-level ``zip`` of each class's entries tables[i][count i]
     (a reader reduces them: a key by ``fsum``, a weight by ``prod``; over
     ``range(n + 1)`` a row is the count vector); it holds two table slices."""
-    return _class_runs_after(tables, n, 0, (), 1)
-
-
-def _class_runs_after(
-    tables: Sequence[Sequence], remaining: int, slot: int, heads: tuple, coeff: int
-) -> Iterator[tuple[int, int, Iterator[tuple]]]:
-    """The runs of :func:`_class_runs` after the prefix entries ``heads``."""
-    if slot == len(tables) - 2:
-        yield coeff, remaining, zip(*map(repeat, heads), tables[-2][:remaining + 1], tables[-1][remaining::-1])
-        return
-    table, binom = tables[slot], 1  # C(remaining, c)
-    for c in range(remaining + 1):
-        yield from _class_runs_after(tables, remaining - c, slot + 1, heads + (table[c],), coeff * binom)
-        binom = binom * (remaining - c) // (c + 1)
+    for prefix, r, _, _, coeff, _ in _iter_runs(n, len(tables), False):
+        yield coeff, r, zip(*map(repeat, map(getitem, tables, prefix)), tables[-2][:r + 1], tables[-1][r::-1])
 
 
 def _iter_runs(
-    n: int, m: int
+    n: int, m: int, partitions: bool
 ) -> Iterator[tuple[tuple[int, ...], int, int, int, int, int]]:
-    """(prefix, rest, prev, run, size, arr) for every run of partitions of
-    n into at most m parts, in descending lex order.  Needs m >= 2.
+    """(prefix, rest, prev, run, size, arr) for every run of the count
+    vectors of n over m >= 2 slots: those that share their first m-2
+    counts, ``prefix`` (its last count ``prev``, n when there is none), with
+    ``rest`` left for the last two; ``size`` is the prefix's product of
+    binomials.  Compositions come in ascending lex order, each slot's c
+    rising over 0..remaining.  With ``partitions``, c falls from
+    min(prev, remaining) to the mean of what is left, so the partitions of
+    n into at most m parts come in descending lex order, a run's last two
+    parts are (c, rest - c) for c from min(prev, rest) down to ceil(rest/2),
+    ``arr`` is the prefix's share of the arrangements and ``run`` the number
+    of parts equal to ``prev`` at its end, which a part equal to ``prev``
+    extends (for compositions the two mean nothing).
 
-    A run is the partitions that share their first m-2 parts, ``prefix``
-    (nonincreasing); its last two parts are (c, rest - c) for c from
-    min(prev, rest) down to ceil(rest/2), with ``prev`` the last part of
-    the prefix (n when there is none).  ``size`` is the prefix's product of
-    binomials and ``arr`` its share of the arrangements, with ``run`` the
-    number of parts equal to ``prev`` at the end of the prefix, so a part
-    equal to ``prev`` extends that run."""
+    An odometer turns slots 0 .. m-4, and slot m-3 is a flat loop.  Once a
+    prefix leaves nothing, its zero counts make one run without turning
+    their slots: a partition costs its nonzero parts, and no stack grows
+    with m."""
     if m == 2:  # one run, with no prefix
-        return iter((((), n, n, 0, 1, 1),))
-    return _iter_runs_after(m, n, 1, n, 0, (), 1, 1)
-
-
-def _iter_runs_after(
-    m: int, remaining: int, slot: int, prev: int, run: int,
-    prefix: tuple[int, ...], size: int, arr: int,
-) -> Iterator[tuple[tuple[int, ...], int, int, int, int, int]]:
-    """The runs of :func:`_iter_runs` that start with ``prefix``, with
-    ``remaining`` of n left for parts ``slot`` (1-based, at most m - 2)
-    onwards.  A module-level generator, not a closure, so that a census
-    call builds no function object."""
-    top = min(prev, remaining)
-    binom = math.comb(remaining, top)  # C(remaining, c), c counting down
-    # the largest part left is at least the mean of what is left
-    low = -(-remaining // (m - slot + 1))
-    if slot < m - 2:
-        for c in range(top, low - 1, -1):
-            r = run + 1 if c == prev else 1
-            yield from _iter_runs_after(m, remaining - c, slot + 1, c, r, prefix + (c,),
-                                        size * binom, arr * slot // r)
-            binom = binom * c // (remaining - c + 1)
+        yield (), n, n, 0, 1, 1
         return
-    for c in range(top, low - 1, -1):
-        r = run + 1 if c == prev else 1
-        yield prefix + (c,), remaining - c, c, r, size * binom, arr * slot // r
-        binom = binom * c // (remaining - c + 1)
+    last = m - 3  # the flat loop's slot
+    counts, values = [0] * last, [iter(())] * (last + 1)  # each slot's count and the values it has left
+    rems, sizes, runs, arrs = [n] * (last + 1), [1] * (last + 1), [0] * (last + 1), [1] * (last + 1)
+    i, rem, prev = 0, n, n  # rems, sizes, runs and arrs hold the state before each slot
+    while i >= 0:  # slot i takes its values, then the odometer turns
+        # the largest part left is at least the mean of what is left
+        cs = range(min(prev, rem), -(-rem // (m - i)) - 1, -1) if partitions else range(rem + 1)
+        if i < last:
+            values[i] = iter(cs)
+        elif partitions:  # the flat loop, C(rem, c) by its recurrence
+            head, size, run, arr, binom = tuple(counts), sizes[i], runs[i], arrs[i] * (m - 2), math.comb(rem, cs[0])
+            for c in cs:
+                r = run + 1 if c == prev else 1
+                yield head + (c,), rem - c, c, r, size * binom, arr // r
+                binom = binom * c // (rem - c + 1)
+        else:
+            head, size, binom = tuple(counts), sizes[i], 1
+            for c in cs:
+                yield head + (c,), rem - c, c, 0, size * binom, 1
+                binom = binom * (rem - c) // (c + 1)
+        while i >= 0:  # the deepest slot with a value left takes it
+            c = next(values[i], None)
+            if c is None:
+                i -= 1
+                continue
+            rem, prev = rems[i], counts[i - 1] if i else n
+            counts[i] = c
+            rems[i + 1], sizes[i + 1] = rem - c, sizes[i] * math.comb(rem, c)
+            runs[i + 1] = r = runs[i] + 1 if c == prev else 1
+            arrs[i + 1] = arrs[i] * (i + 1) // r
+            if c < rem:
+                i, rem, prev = i + 1, rem - c, c
+                break
+            k = last - i  # nothing remains: slots i+1 .. m-3 hold zeros
+            yield (*counts[:i + 1], *repeat(0, k)), 0, 0, k, sizes[i + 1], arrs[i + 1] * math.comb(m - 2, k)
 
 
 def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -319,7 +314,7 @@ def _iter_spans(
     below_lo = math.nextafter(lo, -math.inf)  # entropy < lo iff entropy <= below_lo
     band = _band_width(n)
     terms = [0.0] * m  # c*log2(c) per part, 0.0 for a zero part
-    for prefix, rest, prev, run, size, arr in _iter_runs(n, m):
+    for prefix, rest, prev, run, size, arr in _iter_runs(n, m, True):
         for i, c in enumerate(prefix):
             terms[i] = c * log2(c) if c else 0.0
         floor = (rest + 1) // 2

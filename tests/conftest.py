@@ -3,13 +3,14 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 import pytest
 
 from pragrate import DomainError, SourcePmf, coding, entropy, kl_divergence, tilt
 from pragrate.numerics import LOG2E
-from pragrate.types_census import ENTROPY_CMP_TOL, _iter_runs, type_class_size, type_entropy_bits
+from pragrate.types_census import ENTROPY_CMP_TOL, type_class_size, type_entropy_bits
 
 
 def bern(p: float | str) -> SourcePmf:
@@ -199,6 +200,54 @@ def reference_unrank(counts, rank):
     return tuple(out)
 
 
+def reference_class_runs(tables, n):
+    """The runs of ``types_census._class_runs``, by the recursive walk that
+    nests one generator per count slot: the walker must equal it."""
+    return _class_runs_after(tables, n, 0, (), 1)
+
+
+def _class_runs_after(tables, remaining, slot, heads, coeff):
+    """The runs of :func:`reference_class_runs` after the prefix entries ``heads``."""
+    if slot == len(tables) - 2:
+        yield coeff, remaining, zip(*map(repeat, heads), tables[-2][:remaining + 1], tables[-1][remaining::-1])
+        return
+    table, binom = tables[slot], 1  # C(remaining, c)
+    for c in range(remaining + 1):
+        yield from _class_runs_after(tables, remaining - c, slot + 1, heads + (table[c],), coeff * binom)
+        binom = binom * (remaining - c) // (c + 1)
+
+
+def reference_iter_runs(n, m):
+    """(prefix, rest, prev, run, size, arr) for every run of partitions of n
+    into at most m parts, in descending lex order, by the recursive walk that
+    nests one generator per part: ``types_census._iter_runs`` with
+    ``partitions`` must equal it."""
+    if m == 2:  # one run, with no prefix
+        return iter((((), n, n, 0, 1, 1),))
+    return _iter_runs_after(m, n, 1, n, 0, (), 1, 1)
+
+
+def _iter_runs_after(m, remaining, slot, prev, run, prefix, size, arr):
+    """The runs of :func:`reference_iter_runs` that start with ``prefix``,
+    with ``remaining`` of n left for parts ``slot`` (1-based, at most m - 2)
+    onwards."""
+    top = min(prev, remaining)
+    binom = math.comb(remaining, top)  # C(remaining, c), c counting down
+    # the largest part left is at least the mean of what is left
+    low = -(-remaining // (m - slot + 1))
+    if slot < m - 2:
+        for c in range(top, low - 1, -1):
+            r = run + 1 if c == prev else 1
+            yield from _iter_runs_after(m, remaining - c, slot + 1, c, r, prefix + (c,),
+                                        size * binom, arr * slot // r)
+            binom = binom * c // (remaining - c + 1)
+        return
+    for c in range(top, low - 1, -1):
+        r = run + 1 if c == prev else 1
+        yield prefix + (c,), remaining - c, c, r, size * binom, arr * slot // r
+        binom = binom * c // (remaining - c + 1)
+
+
 def _iter_partitions(n, m):
     """(parts, class size, arrangements) for every partition of n into at
     most m parts, as a nonincreasing count vector of length m (zero padded),
@@ -208,11 +257,11 @@ def _iter_partitions(n, m):
     that rearrange it; entropy and class size are the same across an orbit,
     and ``arrangements`` = m!/prod(multiplicity!) is the orbit's size.  Both
     integers are kept incrementally, one multiply/divide per part.  Each run
-    of ``types_census._iter_runs`` expands in one flat loop: the last part
+    of :func:`reference_iter_runs` expands in one flat loop: the last part
     is what is left, so it adds no binomial, and its multiplicity only
     extends the run of the part before it when the two are equal."""
     slot = m - 1
-    for prefix, rest, prev, run, size, arr in _iter_runs(n, m):
+    for prefix, rest, prev, run, size, arr in reference_iter_runs(n, m):
         top = min(prev, rest)
         binom = math.comb(rest, top)
         for c in range(top, (rest - 1) // 2, -1):  # parts m-1 and m: c, then the rest

@@ -357,7 +357,7 @@ class TestUniversalBuildMatchesReference:
     def _check(n, m):
         """Compare every column with the reference; return the number of
         levels of several orbits."""
-        o = build_ordering(UNIVERSAL, n, m)
+        o = build_ordering(UNIVERSAL, n, m, cap_types=count_types(n, m))
         entropies, starts, parts, sizes, checkpoints = reference_entropy_columns(n, m)
         assert o.entropies.tobytes() == array("d", entropies).tobytes(), (n, m)
         assert list(o.starts) == starts, (n, m)
@@ -370,6 +370,10 @@ class TestUniversalBuildMatchesReference:
     def test_blocklengths_up_to_40(self, m):
         for n in range(1, 41):
             self._check(n, m)
+
+    def test_byte_alphabet(self):
+        for n in range(1, 13):
+            self._check(n, 256)
 
     @pytest.mark.parametrize("m,n,shared", [(2, 800, 0), (3, 150, 0), (4, 50, 2)])
     def test_codec_sizes(self, m, n, shared):

@@ -74,6 +74,13 @@ class TestSourcePmf:
         assert restored == floats and hash(restored) == hash(floats)
         assert {parsed: 1}[pickle.loads(pickle.dumps(parsed))] == 1
 
+    def test_exact_entries_must_be_the_floats(self):
+        # a zero exact entry once gave exact tails of (1, 0, 0, 0, 0) at n = 3
+        with pytest.raises(DistributionError, match=r"^exact entry Fraction\(1, 1\) is more than 4 ulps"):
+            SourcePmf((0.5, 0.5), (Fraction(1), Fraction(0)))
+        near = SourcePmf((1 / 3, 1 - 1 / 3), (Fraction(1, 3), Fraction(2, 3)))  # 1 ulp apart
+        assert near.exact == (Fraction(1, 3), Fraction(2, 3))
+
     def test_sum_tolerance_is_tight(self):
         SourcePmf((0.2, 0.8 + 5e-13))
         with pytest.raises(DistributionError):

@@ -57,3 +57,24 @@ def test_third_party_imports_are_flagged():
     source = ("from . import inputs\nimport pragrate.cli\nimport os.path\n"
               "def f():\n    import numpy.linalg\nfrom scipy import special\n")
     assert third_party_imports(source) == ["numpy.linalg", "scipy"]
+
+
+def recursive_functions(source):
+    """The functions in ``source``, at any depth, that call themselves by their bare name."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id == node.name for call in ast.walk(node)))
+
+
+def test_runtime_has_no_recursive_function():
+    # a recursive walk ties what the package admits to the interpreter's recursion limit
+    found = {path.name: recursive_functions(path.read_text())
+             for path in sorted(Path(pragrate.__file__).parent.rglob("*.py"))}
+    assert "types_census.py" in found and not any(found.values()), found
+
+
+def test_recursive_functions_are_flagged():
+    source = ("def walk(n):\n    def inner():\n        return walk(n - 1)\n    return inner() if n else 0\n"
+              "class Store(Base):\n    def __init__(self):\n        super().__init__(1)\n")
+    assert recursive_functions(source) == ["walk"]

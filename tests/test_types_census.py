@@ -33,7 +33,9 @@ from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
     _band_width,
+    _class_runs,
     _distinct_permutations,
+    _iter_runs,
     _iter_spans,
     count_partitions,
     type_at_index,
@@ -44,6 +46,8 @@ from conftest import (
     _iter_partitions,
     compositions,
     peak_mib,
+    reference_class_runs,
+    reference_iter_runs,
     reference_low_entropy_count,
     reference_rank,
     reference_slab_count,
@@ -199,13 +203,42 @@ class TestWalkRefusals:
         lambda: build_ordering(KNOWN_SOURCE, 2, 1500, SourcePmf((1 / 1500,) * 1500)),
     ], ids=["census", "slab", "enumerate", "length_distribution", "universal", "known_source"])
     def test_alphabet_past_the_recursion_limit(self, call):
-        # the walks nest m - 2 generator frames: RecursionError before the refusal
-        with pytest.raises(ResourceLimitError, match=r"^m=\d+ symbols: its walks nest \d+ frames"):
+        # the cap sits where the recursive walks stopped at the default recursion limit
+        with pytest.raises(ResourceLimitError, match=r"^m=\d+ symbols: past the alphabet cap of 802$"):
             call()
 
     def test_alphabet_within_the_recursion_limit_still_walks(self):
         assert low_entropy_count(3, 500, 1.0).count == 500 + 500 * 499 * 3  # one symbol thrice, or two
         assert len(build_ordering(UNIVERSAL, 2, 500).sizes) == 2
+
+    def test_admission_does_not_read_the_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(300)
+        try:
+            assert low_entropy_count(3, 500, 1.0).count == 500 + 500 * 499 * 3
+            assert len(build_ordering(UNIVERSAL, 2, 500).sizes) == 2
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+class TestRunWalker:
+    """The one iterative walker of the runs equals the recursive walks it
+    replaced, kept in the tests as references."""
+
+    GRID = (*range(2, 9), 12, 30)
+    NS = (1, 2, 3, 4, 5, 7, 10, 14, 20, 28, 40)
+
+    @pytest.mark.parametrize("m", GRID)
+    def test_compositions(self, m):
+        for n in (n for n in self.NS if count_types(n, m) <= 2e5):
+            tables = [range(n + 1)] * m
+            want = [(coeff, r, list(rows)) for coeff, r, rows in reference_class_runs(tables, n)]
+            assert [(coeff, r, list(rows)) for coeff, r, rows in _class_runs(tables, n)] == want, (n, m)
+
+    @pytest.mark.parametrize("m", (*GRID, 256, 600))
+    def test_partitions(self, m):
+        for n in {256: range(1, 13), 600: (1, 2)}.get(m, self.NS):
+            assert list(_iter_runs(n, m, True)) == list(reference_iter_runs(n, m)), (n, m)
 
 
 class TestOrbits:
@@ -276,7 +309,7 @@ class TestCensusMatchesReference:
 
     @pytest.mark.parametrize("m,ns", [
         (2, (1, 2, 3, 8, 65, 300, 1001)), (3, (1, 2, 5, 17, 60)), (4, (1, 3, 9, 26)),
-        (5, (2, 7, 16)), (6, (3, 11)),
+        (5, (2, 7, 16)), (6, (3, 11)), (64, (2, 9)), (256, (1, 5, 12)),
     ])
     def test_grid(self, m, ns):
         for n in ns:
