@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from array import array
 
 from . import approximations as ap
 from . import coding
@@ -273,28 +274,38 @@ def _build_cli_ordering(
     return coding.build_ordering(mode, args.n, m, source, cap_types=args.cap_types)
 
 
+class _SymbolTable(dict):
+    """``str.translate``'s table from each alphabet character to the
+    character whose code point is its index; a character outside the
+    alphabet, the first of a line, is refused as the translation meets it."""
+
+    def __init__(self, alphabet: str) -> None:
+        super().__init__(zip(map(ord, alphabet), range(len(alphabet))))
+        self.alphabet = alphabet
+
+    def __missing__(self, code: int) -> int:
+        raise DomainError(f"symbol {chr(code)!r} not in alphabet {self.alphabet!r}")
+
+
 def _cmd_codec_encode(args: argparse.Namespace) -> int:
     alphabet = _check_alphabet(args.alphabet)
-    sym_index = {ch: i for i, ch in enumerate(alphabet)}
     source = _codec_source(args, len(alphabet))
-    lines = [ln.strip() for ln in _read_input(args.infile).splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, _read_input(args.infile).splitlines()) if ln]
     ordering = _build_cli_ordering(args, len(alphabet), source)
     header = f"# mode={args.mode} m={len(alphabet)} n={args.n} alphabet={alphabet}"
     if source is not None:
         header += f" src={_source_digest(source)}"
     out = [header]
+    table = _SymbolTable(alphabet)
     for line in lines:
         if len(line) != args.n:
             raise DomainError(f"string {line!r} is not of length n={args.n}")
-        try:
-            x = list(map(sym_index.__getitem__, line))
-        except KeyError as exc:
-            raise DomainError(f"symbol {exc} not in alphabet {alphabet!r}") from exc
+        indices = line.translate(table)
+        # one byte per symbol up to 256 symbols, else two (ALPHABET_CAP < 2**16)
+        x = indices.encode("latin-1") if len(alphabet) <= 256 else array("H", map(ord, indices))
         cw = coding.encode(ordering, x)
         if args.audit:
-            h_emp = tc.type_entropy_bits(
-                [line.count(ch) for ch in alphabet]
-            )
+            h_emp = tc.type_entropy_bits(list(map(x.count, range(len(alphabet)))))
             out.append(f"{cw.bits} # len={cw.length} emp_entropy={h_emp!r}")
         else:
             out.append(cw.bits)
@@ -352,9 +363,10 @@ def _cmd_codec_decode(args: argparse.Namespace) -> int:
     # legitimate empty codeword (index 1), so blank lines are not skipped.
     for line in lines[1:]:
         bits = line.split("#", 1)[0].strip()
-        word = coding.Codeword(bits)
-        x = coding.decode(ordering, word)
-        out.append("".join(map(alphabet.__getitem__, x)) + "\n")
+        x = coding.decode(ordering, coding.Codeword(bits))
+        # symbol i is code point i, and the alphabet, indexed by it, its character
+        indices = bytes(x).decode("latin-1") if m <= 256 else "".join(map(chr, x))
+        out.append(indices.translate(alphabet) + "\n")
     sys.stdout.write("".join(out))
     return EXIT_OK
 

@@ -60,10 +60,16 @@ its classes.
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
 empty codeword.  Encoding is big-integer index arithmetic: the offset of the
-string's type class plus its lexicographic rank inside the class
-(:func:`~pragrate.types_census.rank_in_type_class`), so n in the hundreds
-is routine.  Decoding inverts exactly.  The rank and its inverse
-(:mod:`pragrate.types_census`) cost one multiply and one exact
+string's type class plus its lexicographic rank inside the class, so n in
+the hundreds is routine.  Decoding inverts exactly.  A string is checked
+and counted once (``x.count`` per symbol, at C speed on ``bytes``, which
+is how the CLI hands each line over), and the ordering answers a class's
+offset together with its size (``_span``, and ``_class_at`` to decode):
+the size is read from the ordering's ``sizes``, or in a single-orbit
+entropy level is the level's strings over the orbit's arrangements, so no
+multinomial is computed per string.  The rank and its inverse
+(:func:`~pragrate.types_census._rank`, :func:`~pragrate.types_census._unrank`)
+take those counts and that size, and cost one multiply and one exact
 division per symbol once two symbols are left in the rest of the string,
 which at m = 2 is every symbol.
 
@@ -106,7 +112,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError
-from .inputs import check_integer, check_real, check_string, describe
+from .inputs import check_integer, check_real, check_source, check_string, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
@@ -114,13 +120,14 @@ from .types_census import (
     _class_runs,
     _distinct_permutations,
     _iter_runs,
+    _rank,
+    _string_counts,
+    _unrank,
     count_types,
-    rank_in_type_class,
     type_at_index,
     type_class_size,
     type_entropy_bits,
     type_index,
-    unrank_in_type_class,
 )
 
 KNOWN_SOURCE = "known-source"
@@ -135,8 +142,9 @@ class Codeword:
     bits: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bits, str) or self.bits.strip("01"):
-            raise CodewordError(f"codeword must be a str over '0'/'1', got {describe(self.bits)}")
+        bits = self.bits
+        if not isinstance(bits, str) or bits.count("0") + bits.count("1") != len(bits):
+            raise CodewordError(f"codeword must be a str over '0'/'1', got {describe(bits)}")
 
     @property
     def length(self) -> int:
@@ -194,7 +202,9 @@ class CodeOrdering:
     store answers the two questions of enumerative coding without listing
     its classes: ``class_offset`` (the strings in all classes before a
     given one) and ``locate`` (the class holding a given index, and the
-    index's rank inside it).
+    index's rank inside it).  Both are views of the store's ``_span`` and
+    ``_class_at``, which also answer the class's size, so the codec never
+    computes a multinomial per string.
     """
 
     __slots__ = ("mode", "n", "m", "total", "sizes", "checkpoints")
@@ -216,6 +226,14 @@ class CodeOrdering:
         offsets = list(itertools.accumulate(block, initial=self.checkpoints[j]))
         pos = bisect.bisect_left(offsets, k) - 1  # unit pos holds offsets[pos]+1 .. offsets[pos+1]
         return j * _OFFSET_STRIDE + pos, offsets[pos]
+
+    def class_offset(self, counts: tuple[int, ...]) -> int:
+        """The strings in all classes before the class of ``counts``."""
+        return self._span(counts)[0]
+
+    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
+        """(counts, 0-based rank in its class) of the 1-based index k."""
+        return self._class_at(k)[:2]
 
 
 class _EntropyColumns(CodeOrdering):
@@ -291,13 +309,15 @@ class _EntropyColumns(CodeOrdering):
         largest = map(operator.sub, itertools.repeat(self.n), map(sum, zip(*heads)))
         return zip(*heads, largest)
 
-    def _class_size(self, i: int, multiplicities: list[int]) -> int:
-        """The class size of single-orbit level i, whose partition repeats
-        its distinct values ``multiplicities`` times: the level's strings
-        over the orbit's arrangements, m! / prod(multiplicity!)."""
+    def _orbit(self, i: int, vector: tuple[int, ...]) -> tuple[list[int], list[int], int, int]:
+        """(distinct values, their multiplicities, arrangements, class size)
+        of single-orbit level i, whose partition ``vector`` rearranges: the
+        orbit's m! / prod(multiplicity!) vectors share the level's strings."""
+        values = sorted(set(vector))
+        multiplicities = list(map(vector.count, values))
         factorial = math.factorial
         arrangements = factorial(self.m) // math.prod(map(factorial, multiplicities))
-        return self.sizes[i] // arrangements
+        return values, multiplicities, arrangements, self.sizes[i] // arrangements
 
     def _level(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
         """Count vectors and class sizes of level i in lex order."""
@@ -310,33 +330,35 @@ class _EntropyColumns(CodeOrdering):
         for lo, hi, level_strings in zip(self.starts, self.starts[1:], self.sizes):
             yield _level_classes(itertools.islice(vectors, hi - lo), level_strings, getters)
 
-    def class_offset(self, counts: tuple[int, ...]) -> int:
+    def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
+        """(strings before the class of ``counts``, the class's size)."""
         h = type_entropy_bits(counts)
         i = bisect.bisect_left(self.entropies, h)
         if i == len(self.entropies) or self.entropies[i] != h:
             raise InvariantViolation(f"no entropy level of the universal ordering holds {counts}")
+        offset = self._offset(i)
         if self.starts[i + 1] - self.starts[i] > 1:
             order, sizes = self._level(i)
-            return self._offset(i) + sum(sizes[:order.index(counts)])
-        values = sorted(set(counts))  # the orbit's vectors are the strings over these
-        size = self._class_size(i, list(map(counts.count, values)))
-        return self._offset(i) + size * rank_in_type_class(list(map(values.index, counts)), len(values))
+            pos = order.index(counts)
+            return offset + sum(sizes[:pos]), sizes[pos]
+        # the orbit's vectors are the strings over its values: rank counts among them
+        values, multiplicities, arrangements, size = self._orbit(i, counts)
+        return offset + size * _rank(list(map(values.index, counts)), multiplicities, arrangements), size
 
-    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
-        """(counts, 0-based rank in its class) of the 1-based index k."""
+    def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
+        """(counts, 0-based rank in its class, class size) of the 1-based index k."""
         i, offset = self._unit(k)
         rest = k - 1 - offset
         if self.starts[i + 1] - self.starts[i] > 1:
             order, sizes = self._level(i)
             starts = list(itertools.accumulate(sizes, initial=0))
             pos = bisect.bisect_left(starts, rest + 1) - 1
-            return order[pos], rest - starts[pos]
+            return order[pos], rest - starts[pos], sizes[pos]
         asc = next(self._vectors(self.starts[i], self.starts[i] + 1))
-        values = sorted(set(asc))
-        multiplicities = list(map(asc.count, values))
-        rank, within = divmod(rest, self._class_size(i, multiplicities))
-        vector = unrank_in_type_class(multiplicities, rank)
-        return tuple(map(values.__getitem__, vector)), within
+        values, multiplicities, arrangements, size = self._orbit(i, asc)
+        rank, within = divmod(rest, size)
+        vector = _unrank(multiplicities, arrangements, rank)
+        return tuple(map(values.__getitem__, vector)), within, size
 
 
 class _RankedClasses(CodeOrdering):
@@ -356,19 +378,20 @@ class _RankedClasses(CodeOrdering):
         self.ranking = ranking
         self._position: array | None = None
 
-    def class_offset(self, counts: tuple[int, ...]) -> int:
-        """The strings in all classes ranked before the class of ``counts``."""
+    def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
+        """(strings in all classes ranked before the class of ``counts``, its size)."""
         if self._position is None:  # the inverse ranking: canonical index -> position
             ranking = self.ranking
             self._position = array(ranking.typecode, bytes(len(ranking) * ranking.itemsize))
             for pos, i in enumerate(ranking):
                 self._position[i] = pos
-        return self._offset(self._position[type_index(counts)])
+        pos = self._position[type_index(counts)]
+        return self._offset(pos), self.sizes[pos]
 
-    def locate(self, k: int) -> tuple[tuple[int, ...], int]:
-        """(counts, 0-based rank in its class) of the 1-based index k."""
+    def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
+        """(counts, 0-based rank in its class, class size) of the 1-based index k."""
         pos, offset = self._unit(k)
-        return type_at_index(self.n, self.m, self.ranking[pos]), k - 1 - offset
+        return type_at_index(self.n, self.m, self.ranking[pos]), k - 1 - offset, self.sizes[pos]
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
@@ -507,6 +530,8 @@ def build_ordering(
     resulting ordering (hence every codeword) is byte-identical whatever is
     passed.
     """
+    if mode == KNOWN_SOURCE and source is not None:
+        check_source(source)
     _check_type_cap(n, m, cap_types)  # count_types checks n and m
     if mode == UNIVERSAL:
         return _EntropyColumns(n, m)
@@ -521,12 +546,16 @@ def build_ordering(
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
-    """1-based index of string ``x`` in the ordering."""
+    """1-based index of string ``x`` in the ordering: its class's offset,
+    which the ordering answers with the class's size, plus its rank in the
+    class.  ``x`` is counted once; ``bytes`` is the fastest sequence."""
     check_string(x)
     if len(x) != ordering.n:
         raise DomainError(f"string length {len(x)} != blocklength {ordering.n}")
-    rank = rank_in_type_class(x, ordering.m)  # refuses a symbol outside 0 .. m-1
-    return ordering.class_offset(tuple(map(x.count, range(ordering.m)))) + rank + 1
+    counts = _string_counts(x, ordering.m)  # refuses a symbol outside 0 .. m-1
+    counts += [0] * (ordering.m - len(counts))
+    offset, size = ordering._span(tuple(counts))
+    return offset + _rank(x, counts, size) + 1
 
 
 def encode(ordering: CodeOrdering, x: Sequence[int]) -> Codeword:
@@ -543,7 +572,8 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
         raise CodewordError(
             f"index {describe(k)} exceeds the {describe(ordering.total)} strings of this ordering"
         )
-    return unrank_in_type_class(*ordering.locate(k))
+    counts, rank, size = ordering._class_at(k)
+    return _unrank(list(counts), size, rank)
 
 
 @functools.lru_cache(maxsize=64, typed=True)  # typed: True or 1.0 never hits n=1's entry

@@ -43,7 +43,7 @@ from typing import Sequence
 from .coding import LengthDistribution, _check_log2_epsilon, _check_type_cap, _known_source_classes, _log2_tails
 from .distributions import SourcePmf
 from .errors import DomainError, ResourceLimitError
-from .inputs import check_integer, check_real, describe
+from .inputs import check_integer, check_real, check_source, describe
 from .numerics import NEG_INF
 from .types_census import DEFAULT_TYPE_CAP, _class_runs
 
@@ -62,6 +62,7 @@ def length_distribution(
     With ``exact=True`` the tails are additionally computed in exact rational
     arithmetic; the source must then carry exact rational probabilities.
     """
+    check_source(p)
     if exact and p.exact is None:
         raise DomainError("exact mode requires a source with exact rational probabilities")
     _check_type_cap(n, p.m, cap_types)

@@ -52,6 +52,14 @@ def check_string(x: Sequence[int]) -> None:
         raise DomainError(f"a string must be a sequence of symbols, got {describe(x)}")
 
 
+def check_source(p: object) -> None:
+    """Refuse ``p`` unless it is a SourcePmf: a list of probabilities has none of its fields."""
+    from .distributions import SourcePmf  # distributions imports this module
+
+    if not isinstance(p, SourcePmf):
+        raise DomainError(f"a source must be a SourcePmf, got {describe(p)}")
+
+
 def check_blocklength(n: int) -> None:
     """Refuse n unless it is an integer >= 1 that a double holds: the formulas divide by it."""
     check_integer("blocklength n", n, 1)

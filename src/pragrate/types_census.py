@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import fsum, log2
 from operator import getitem
 from typing import Iterator, Sequence
@@ -443,12 +443,48 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
     return CensusReport(n=n, m=m, threshold_bits=h, count=count, theta_ratio=theta)
 
 
+def _string_counts(x: Sequence[int], m: int) -> list[int]:
+    """The counts of symbols 0 .. the largest one the string ``x`` holds,
+    after the one check of its symbols: each must be an integer (not a
+    bool) in 0 .. m-1.  ``bytes`` and ``bytearray`` hold such integers by
+    type, so they take only the range check; any other sequence takes one
+    C-level pass over its symbols' types first.  A symbol outside the
+    range is found by ``max``, or else by the counts falling short of the
+    length, so the cost does not grow with m."""
+    if not isinstance(x, (bytes, bytearray)) and set(map(type, x)) - {int}:
+        try:
+            held = set(x)
+        except TypeError:  # a symbol that is not hashable
+            raise DomainError(f"a string must be a sequence of symbols, got {describe(x)}") from None
+        # the set names a bad symbol, but hides True and 1.0 behind an equal int
+        for s in chain(held, x):
+            if isinstance(s, bool) or not isinstance(s, int):
+                raise DomainError(f"symbol {describe(s)} outside alphabet of size {describe(m)}")
+    top = max(x, default=-1)
+    if top < m:
+        counts = list(map(x.count, range(top + 1)))  # none past the largest held
+        if sum(counts) == len(x):
+            return counts
+    bad = top if top >= m else min(x)  # else a negative symbol went uncounted
+    raise DomainError(f"symbol {describe(bad)} outside alphabet of size {describe(m)}")
+
+
 def rank_in_type_class(x: Sequence[int], m: int) -> int:
     """Lexicographic rank of string ``x`` among all strings of its type.
 
     Symbols are integers 0..m-1, counted with ``x.count`` up to the largest
     one ``x`` holds, so the cost does not grow with m; the inverse is
-    :func:`unrank_in_type_class`.
+    :func:`unrank_in_type_class`.  The rank itself is :func:`_rank`, which
+    the codec calls with the counts and the class size it already has."""
+    check_integer("m", m, 1)
+    check_string(x)
+    counts = _string_counts(x, m)
+    return _rank(x, counts, type_class_size(counts))
+
+
+def _rank(x: Sequence[int], counts: list[int], size: int) -> int:
+    """The rank of :func:`rank_in_type_class` from the checked string ``x``,
+    its symbol ``counts`` (used up) and its class ``size``.
 
     Every division is exact.  Of the ``size`` strings that agree with ``x``
     so far, those that put symbol s next number size * counts[s] / remaining,
@@ -467,18 +503,7 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
     Only a symbol between the smallest and the largest costs a second
     multiply-divide, so at m = 2 a position costs one multiply and one
     exact division.  The reference per-symbol loop is in the tests."""
-    check_integer("m", m, 1)
-    check_string(x)
-    try:
-        held = set(x)
-    except TypeError:  # a symbol that is not hashable
-        raise DomainError(f"a string must be a sequence of symbols, got {describe(x)}") from None
-    for s in held:
-        if isinstance(s, bool) or not (isinstance(s, int) and 0 <= s < m):
-            raise DomainError(f"symbol {describe(s)} outside alphabet of size {describe(m)}")
-    counts = list(map(x.count, range(max(held, default=-1) + 1)))  # none past the largest held
     remaining = len(x)
-    size = type_class_size(counts)
     rank = 0
     live = [s for s, c in enumerate(counts) if c]  # the symbols still present
     symbols = iter(x)
@@ -514,7 +539,19 @@ def rank_in_type_class(x: Sequence[int], m: int) -> int:
 
 
 def unrank_in_type_class(t: Sequence[int], rank: int) -> tuple[int, ...]:
-    """Inverse of :func:`rank_in_type_class` for the given type.
+    """Inverse of :func:`rank_in_type_class` for the given type: the checks
+    of the type and the rank, then :func:`_unrank`."""
+    counts = list(_type_counts(t))
+    size = type_class_size(counts)
+    check_integer("rank", rank, 0)
+    if rank >= size:
+        raise DomainError(f"rank {describe(rank)} outside [0, {describe(size)})")
+    return _unrank(counts, size, rank)
+
+
+def _unrank(counts: list[int], size: int, rank: int) -> tuple[int, ...]:
+    """The string of :func:`unrank_in_type_class` from a type's ``counts``
+    (used up), its class ``size`` and a ``rank`` in 0 .. size-1.
 
     Each position takes the first symbol still present whose strings reach
     past what is left of the rank, passing the earlier candidates' strings.
@@ -528,11 +565,6 @@ def unrank_in_type_class(t: Sequence[int], rank: int) -> tuple[int, ...]:
     * once two symbols are left, one multiply-divide per position picks
       between them, and when one of the two runs out the other fills the
       rest of the string in one step."""
-    counts = list(_type_counts(t))
-    size = type_class_size(counts)
-    check_integer("rank", rank, 0)
-    if rank >= size:
-        raise DomainError(f"rank {describe(rank)} outside [0, {describe(size)})")
     remaining = sum(counts)
     live = [s for s, c in enumerate(counts) if c]  # the symbols still present
     out: list[int] = []

@@ -431,6 +431,70 @@ class TestCodecCommands:
         assert code == 2
         assert out == "" and err == "error: symbol 'c' not in alphabet 'ab'\n"
 
+    def test_bad_non_latin1_symbol_is_named(self, capsys, tmp_path):
+        # the first character outside the alphabet, as typed, whatever its code point
+        infile = tmp_path / "strings.txt"
+        infile.write_text("αβжγ\n", encoding="utf-8")
+        code, coded, err = run_cli_process("codec", "encode", "--alphabet", "αβγ", "--n", "4", str(infile))
+        assert (code, coded) == (2, "")
+        assert err == "error: symbol 'ж' not in alphabet 'αβγ'\n"
+
+    def test_non_latin1_round_trip(self):
+        strings = ["αβγα", "γγββ", "αααα", "βγαγ"]
+        code, coded, err = run_cli_process("codec", "encode", "--alphabet", "αβγ", "--n", "4",
+                                           stdin="\n".join(strings) + "\n")
+        assert (code, err) == (0, "")
+        code, out, err = run_cli_process("codec", "decode", stdin=coded)
+        assert (code, out.splitlines(), err) == (0, strings, "")
+
+    def test_wide_alphabet_round_trip(self, capsys, tmp_path):
+        # past 256 symbols a string crosses the CLI as an array of two-byte indices
+        alphabet = "".join(chr(0x100 + i) for i in range(300))
+        rng = random.Random(300)
+        strings = ["".join(rng.choices(alphabet, k=2)) for _ in range(20)]
+        strings += [alphabet[0] * 2, alphabet[-1] * 2, alphabet[0] + alphabet[-1], alphabet[255:257]]
+        infile, coded = tmp_path / "strings.txt", tmp_path / "coded.txt"
+        infile.write_text("\n".join(strings) + "\n", encoding="utf-8")
+        pmf = ",".join(["0.005"] * 100 + ["0.0025"] * 200)
+        for mode, source in (("universal", ()), ("known", ("--source", pmf))):
+            code, out, err = run_cli(capsys, "codec", "encode", "--mode", mode, *source,
+                                     "--alphabet", alphabet, "--n", "2", str(infile))
+            assert (code, err) == (0, "")
+            coded.write_text(out, encoding="utf-8")
+            assert run_cli(capsys, "codec", "decode", *source, str(coded)) == (0, "\n".join(strings) + "\n", "")
+
+    # the benchmark's six codec cells: alphabet, n and the known mode's source
+    STREAM_CELLS = {"m2_n800": ("ab", 800, "0.2,0.8"), "m3_n150": ("abc", 150, "0.2,0.3,0.5"),
+                    "m4_n50": ("abcd", 50, "0.1,0.2,0.3,0.4")}
+    # sha256 of each cell's encode stdout, as first computed with per-character symbol maps
+    STREAM_SHA256 = {
+        ("known", "m2_n800"): "14a5b82fe785e2c827161516f9992997a1962d57d290e1b2d31e9c6147cd260d",
+        ("known", "m3_n150"): "616d9b8b3b08f62eb84438bdb243a2a4f161965638aaabbf3ee55810cb1b9ccf",
+        ("known", "m4_n50"): "5fe2d11293b5d5ee2031d2d2b6c510cb19d0248aca3caaa6796d3248d4f484b7",
+        ("universal", "m2_n800"): "e64bcb70199f64ee880af74eae042730a2606a759ebbc6d6ec78b2ec89a3ab31",
+        ("universal", "m3_n150"): "05f42dffc720c86292b16c954adf3bcb14e3fb7f1718d1ae13a6062b43185655",
+        ("universal", "m4_n50"): "dc3b42943840bb3fc428af0ddea018b09c59fcb116ff2707464fd25a65582da9",
+        ("audit", "m3_n150"): "d9346005206357e7db66c4761a60a8c25a0172625197e608f88c4392602f2724",
+    }
+
+    @pytest.mark.parametrize("mode, cell", STREAM_SHA256, ids="_".join)
+    def test_encode_streams_are_pinned(self, capsys, tmp_path, mode, cell):
+        """20 strings drawn from the source at each cell: the encoded stream
+        byte for byte, and its decode back to the input."""
+        alphabet, n, source = self.STREAM_CELLS[cell]
+        rng = random.Random(cell)
+        weights = list(map(float, source.split(",")))
+        text = "".join("".join(rng.choices(alphabet, weights=weights, k=n)) + "\n" for _ in range(20))
+        infile, coded = tmp_path / "strings.txt", tmp_path / "coded.txt"
+        infile.write_text(text)
+        flags = ("--mode", "universal", "--audit") if mode == "audit" else ("--mode", mode)
+        code, out, err = run_cli(capsys, "codec", "encode", *flags, "--source", source,
+                                 "--alphabet", alphabet, "--n", str(n), str(infile))
+        assert (code, err) == (0, "")
+        assert _sha256(out) == self.STREAM_SHA256[mode, cell]
+        coded.write_text(out)
+        assert run_cli(capsys, "codec", "decode", "--source", source, str(coded)) == (0, text, "")
+
     FOUND_STRINGS = "aabca\ncabba\nccccc\n"
 
     def _encode_known(self, source="0.2,0.3,0.5"):

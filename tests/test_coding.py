@@ -34,6 +34,7 @@ from pragrate import (
     universal_threshold_alpha_n,
 )
 from pragrate.numerics import NEG_INF, logaddexp2
+from pragrate import types_census
 from pragrate.types_census import count_partitions
 
 from conftest import (
@@ -509,6 +510,51 @@ class TestRoundTrips:
                     refuse((0, bad, bad))
             with pytest.raises(DomainError, match="^string length 2 != blocklength 3$"):
                 encode(o, (0, 1))
+
+    @pytest.mark.parametrize("x, name", [([1, True], "True"), ([1, 1.0], "1.0"), ([True, 1], "True"),
+                                         ([0, "a"], "'a'"), ([True, False], "False")])
+    def test_bool_or_non_int_at_any_position_refused(self, x, name):
+        # True == 1 == 1.0, so a set of the symbols once hid the first two as [1, 1]
+        o = build_ordering(UNIVERSAL, 2, 2)
+        for refuse in (lambda x: rank_in_type_class(x, 2), lambda x: string_index(o, x), lambda x: encode(o, x)):
+            with pytest.raises(DomainError, match=f"^symbol {name} outside alphabet of size 2$"):
+                refuse(x)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    def test_bytes_take_the_range_check_only(self, kind):
+        for mode in (UNIVERSAL, KNOWN_SOURCE):
+            o = build_ordering(mode, 4, 3, SourcePmf.parse("0.2,0.3,0.5"))
+            for x in itertools.product(range(3), repeat=4):
+                assert string_index(o, kind(x)) == string_index(o, x)
+                assert rank_in_type_class(kind(x), 3) == rank_in_type_class(x, 3)
+            for refuse in (lambda x: rank_in_type_class(x, 3), lambda x: string_index(o, x), lambda x: encode(o, x)):
+                with pytest.raises(DomainError, match="^symbol 3 outside alphabet of size 3$"):
+                    refuse(kind([0, 3, 1, 2]))
+
+    @pytest.mark.parametrize("mode", [UNIVERSAL, KNOWN_SOURCE])
+    def test_no_multinomial_per_string(self, monkeypatch, mode):
+        """Once built, an ordering answers each class's size with its
+        offset: encode and decode compute no type_class_size.  (A level of
+        several equal-entropy orbits sizes its classes when a string falls
+        in it; no string here does.)"""
+        p = SourcePmf.parse("0.2,0.3,0.5")
+        rng = random.Random(31)
+        strings = [tuple(rng.choices(range(3), weights=p.probs, k=60)) for _ in range(8)]
+        strings += [(0,) * 60, (2,) * 60, (0, 1) * 30, (0, 1, 2) * 20]
+        o = build_ordering(mode, 60, 3, p)
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return size(t)
+
+        size = coding.type_class_size
+        monkeypatch.setattr(coding, "type_class_size", counting)
+        monkeypatch.setattr(types_census, "type_class_size", counting)
+        for x in strings:
+            assert decode(o, encode(o, x)) == x
+            assert decode(o, encode(o, bytes(x))) == x
+        assert calls == []
 
     # (source, n) per alphabet size 2..5, and the tie source 0.1*0.4 = 0.2*0.2
     SWEEP_SOURCES = [("0.2,0.8", 800), ("0.2,0.3,0.5", 150), ("0.05,0.15,0.3,0.5", 50),

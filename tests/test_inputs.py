@@ -14,8 +14,10 @@ gives the float's answer, and no integer.  Nothing raises a bare
 ``SEQUENCE_CALLS`` does the same for the sequence parameters (a probability
 vector, a type's counts, a string), fed None, a str, a list holding a str and
 a list holding a 5,000-digit int: each is refused with ``DomainError`` or
-``DistributionError``.  A plain list passed as a ``SourcePmf`` is not yet
-refused.
+``DistributionError``.  ``SOURCE_CALLS`` passes a plain list, a tuple, a
+str or None where ``build_ordering`` and ``length_distribution`` take a
+``SourcePmf``: each is refused by name with ``DomainError`` before any work.
+The memoized functions still hash such a list before they can check it.
 
 ``CODEC_CALLS`` feeds the codec's own parameters (the string of
 ``string_index`` and ``encode``, the codeword of ``decode``, the bits of
@@ -26,13 +28,14 @@ refused with the package's error.
 
 import inspect
 import math
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
 import pragrate
-from pragrate import (UNIVERSAL, Codeword, CodewordError, DistributionError, DomainError,
+from pragrate import (KNOWN_SOURCE, UNIVERSAL, Codeword, CodewordError, DistributionError, DomainError,
                       ResourceLimitError, SourcePmf)
 from pragrate.inputs import describe
 from pragrate.types_census import DEFAULT_TYPE_CAP as CAP
@@ -165,6 +168,22 @@ def test_bad_sequence(name, kind):
     with pytest.raises((DomainError, DistributionError)) as refused:
         SEQUENCE_CALLS[name](BAD_SEQUENCES[kind])
     assert " at 0x" not in str(refused.value) and len(str(refused.value)) < 200
+
+
+SOURCE_CALLS = {  # n past the type cap: a refusal of the source shows it came first
+    "build_ordering": lambda bad: pragrate.build_ordering(KNOWN_SOURCE, 10 ** 5000, 2, bad),
+    "length_distribution": lambda bad: pragrate.length_distribution(bad, 10 ** 5000),
+}
+BAD_SOURCES = {"list": [0.2, 0.8], "tuple": (0.2, 0.8), "str": "0.2,0.8", "none": None}
+
+
+@pytest.mark.parametrize("name, kind", [  # None is the known-source ordering's own refusal, after the cap
+    (name, kind) for name in SOURCE_CALLS for kind in BAD_SOURCES if (name, kind) != ("build_ordering", "none")
+])
+def test_bad_source(name, kind):
+    bad = BAD_SOURCES[kind]
+    with pytest.raises(DomainError, match=f"^a source must be a SourcePmf, got {re.escape(describe(bad))}$"):
+        SOURCE_CALLS[name](bad)
 
 
 O = pragrate.build_ordering(UNIVERSAL, 2, 2)
