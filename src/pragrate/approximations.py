@@ -37,7 +37,7 @@ from .exponents import (
     moment_envelope,
     solve_alpha_star,
 )
-from .inputs import check_blocklength, check_integer, check_real
+from .inputs import check_blocklength, check_integer, check_real, check_source
 from .numerics import LOG2E, SQRT_2PI, neumaier_sum, normal_tail_inverse
 from .types_census import DEFAULT_TYPE_CAP, low_entropy_count
 
@@ -57,6 +57,7 @@ def delta_to_epsilon(delta: float, n: int) -> float:
 
 def shannon_rate(p: SourcePmf) -> float:
     """First-order approximation: the source entropy H(P)."""
+    check_source(p)
     return tilt(p, 1.0).entropy_bits
 
 
@@ -74,6 +75,7 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     term dominates and the expansion is no longer trustworthy, but the value
     is still reported; ``normal_tail_inverse`` checks epsilon.
     """
+    check_source(p)
     check_blocklength(n)
     return _strassen(*_source_terms(p), n, epsilon)
 
@@ -107,11 +109,13 @@ def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
 
 def blahut_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """Error-exponent approximation H(P_alpha*) with delta = log2(1/eps)/n."""
+    check_source(p)
     return _solve_for(p, n, epsilon_to_delta(epsilon, n)).h_tilted
 
 
 def pragmatic_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """H(P_alpha*) - log2(n)/(2n(1-alpha*)): the finite-n refined rate."""
+    check_source(p)
     sol = _solve_for(p, n, epsilon_to_delta(epsilon, n))
     return sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
 
@@ -126,6 +130,7 @@ def _berry_esseen_prefactor_log2(scale: float, t: TiltedPoint) -> float:
 
 def achievability_constant(p: SourcePmf, delta: float) -> float:
     """The additive c in the bound R*_n <= pragmatic + c/n, valid all n >= 1."""
+    check_source(p)
     return _achievability_c(solve_alpha_star(p, delta))
 
 
@@ -189,8 +194,10 @@ def _first_n_with(predicate, start: int) -> int:
 
     A direct ascending scan, accelerated by doubling and bisection once the
     predicate region is bracketed; both ratios involved are strictly
-    decreasing beyond e**2, so the first hit is well defined and the
-    bracketed search returns exactly the scan's answer.
+    decreasing beyond e**2, so the first hit is well defined.  Below 2**52
+    the bracketed search returns exactly the scan's answer.  Above it the
+    predicate sees n rounded to a double and need not be monotone near its
+    crossing, so the answer is accurate only to that rounding of n.
     """
     if predicate(start):
         return start
@@ -212,7 +219,11 @@ def _first_n_with(predicate, start: int) -> int:
 
 def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:
     """Assemble C, N0, p, q, r, N1, N2 from the tilted moments at alpha*
-    and the moment envelope over the whole tilt interval."""
+    and the moment envelope over the whole tilt interval.
+
+    N1 and N2 are exact below 2**52 and accurate to the double rounding of
+    n above it (see :func:`_first_n_with`)."""
+    check_source(p_src)
     sol = solve_alpha_star(p_src, delta)
     env = moment_envelope(p_src)
     if env.sigma3_inf_sq == 0.0:
@@ -275,6 +286,7 @@ def universal_rate_bound(p: SourcePmf, n: int, delta: float) -> float:
     empirical stand-in for it.  At m = 2 this collapses to the pragmatic
     rate exactly.
     """
+    check_source(p)
     check_blocklength(n)
     sol = solve_alpha_star(p, delta)
     m = p.m
@@ -316,6 +328,7 @@ def universal_threshold_alpha_n(
     ``include_census=False`` skips the exact string count (useful for very
     large n where only alpha_n itself is wanted).
     """
+    check_source(p)
     check_blocklength(n)
     sol = solve_alpha_star(p, delta)
     env = moment_envelope(p)
@@ -386,6 +399,7 @@ def compute_rate_ladder(
     prefix_mode: bool = False,
 ) -> RateLadder:
     """The one-row :func:`compute_rate_ladders`."""
+    check_source(p)
     options = dict(include_exact=include_exact, cap_types=cap_types, prefix_mode=prefix_mode)
     return compute_rate_ladders(p, n, [epsilon], **options)[0]
 
@@ -422,6 +436,7 @@ def compute_rate_ladders(
     back as None with a note; in prefix mode the exact column is shifted by
     the 1/n prefix penalty.
     """
+    check_source(p)
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
     check_blocklength(n)

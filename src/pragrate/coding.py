@@ -86,15 +86,17 @@ every string.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
-the ranking is the sort's list of class indices (the known-source store
-narrows it to an index array).  No count vector is built: exact mode
-reduces the same runs' rows to integer weights.  The tails take one pass over
-the ranking, from the last class.  It keeps the ranks not yet passed, the
-logaddexp2 suffix chain over log2(size) - key and the next boundary 2**L,
-and splits each class that holds a boundary as it passes it: the tail is
-the chain past the class plus the class's strings at ranks >= 2**L.  So a
-length distribution holds O(n) tails beyond its columns, not an offset and
-a suffix per class.
+the ranking, the class indices in code order as an index array.  Like the
+universal store it sorts before any class size exists: one walk of the
+runs fills the keys, the sort's list is narrowed at once to the index
+array, and a second walk computes the sizes.  No count vector is built:
+exact mode reduces the same runs' rows to integer weights.  The tails
+take one pass over the ranking, from the last class.  It keeps the ranks
+not yet passed, the logaddexp2 suffix chain over log2(size) - key and the
+next boundary 2**L, and splits each class that holds a boundary as it
+passes it: the tail is the chain past the class plus the class's strings
+at ranks >= 2**L.  So a length distribution holds O(n) tails beyond its
+columns, not an offset and a suffix per class.
 """
 
 from __future__ import annotations
@@ -404,26 +406,32 @@ def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
     return [[0.0] + [c * -lp for c in range(1, n + 1)] for lp in p.log2_probs()]
 
 
-def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], list[int]]:
+def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], array]:
     """The engine's columns: ``keys[i]`` (minus the log2 per-string
     probability) and ``sizes[i]`` of class i in canonical order, and the
     ranking, the class indices by decreasing per-string probability with
-    ties in canonical order: a stable sort on the float key alone.  The
-    ranking stays the sort's list: the tails read it once, and only
-    :class:`_RankedClasses`, which keeps it, narrows it to an array.  A
-    key is the ``fsum`` of a row of :func:`~pragrate.types_census._class_runs`;
-    a run's sizes coeff * C(r, c) are symmetric in c, so its second half
-    reuses the first half's integers: equal sizes share one object."""
-    keys, sizes = array("d"), []
-    for coeff, r, rows in _class_runs(_key_tables(source, n), n):
+    ties in canonical order: a stable sort on the float key alone.
+
+    The sort's peak and the sizes' never overlap.  One walk of
+    :func:`~pragrate.types_census._class_runs` fills the keys (a key is the
+    ``fsum`` of a row); the sort's list is narrowed at once to an index
+    array, which frees its int objects and the sort's key floats; only then
+    does a second walk of the runs compute the sizes.  A run's sizes
+    coeff * C(r, c) are symmetric in c, so its second half reuses the first
+    half's integers: equal sizes share one object."""
+    keys = array("d")
+    for _, _, rows in _class_runs(_key_tables(source, n), n):
         keys.extend(map(math.fsum, rows))
-        del rows  # its two table slices, before the run's sizes exist
+    count = len(keys)
+    ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
+    sizes = []
+    for _, r, _, _, coeff, _ in _iter_runs(n, m, False):
         half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
         for c in range(r // 2):
             half.append(half[-1] * (r - c) // (c + 1))
         sizes += half
         sizes += half[-2::-1] if r % 2 == 0 else half[::-1]
-    return keys, sizes, sorted(range(len(keys)), key=keys.__getitem__)
+    return keys, sizes, ranking
 
 
 def _check_type_cap(n: int, m: int, cap_types: int) -> None:
@@ -542,7 +550,7 @@ def build_ordering(
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
     _, sizes, ranking = _known_source_classes(n, m, source)
-    return _RankedClasses(n, m, sizes, array(_unsigned_typecode(len(ranking)), ranking))
+    return _RankedClasses(n, m, sizes, ranking)
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
@@ -576,17 +584,25 @@ def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
     return _unrank(list(counts), size, rank)
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # typed: True or 1.0 never hits n=1's entry
 def universal_length_distribution(
     p: SourcePmf, n: int, *, cap_types: int = DEFAULT_TYPE_CAP
 ) -> LengthDistribution:
     """Length distribution of the universal code under the source p.
 
     The classes come in the universal order, which ignores p; p only sets
-    each class's per-string probability.  Memoized on (p, n, cap_types):
-    an entry holds n+2 floats, and each further tail read is free.
+    each class's per-string probability.  Memoized on (p, n) once the
+    arguments are checked, so an unhashable one is refused like any bad
+    value: an entry holds n+2 floats, and each further tail read is free.
     """
+    check_source(p)
     _check_type_cap(n, p.m, cap_types)
+    return _universal_length_distribution(p, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _universal_length_distribution(p: SourcePmf, n: int) -> LengthDistribution:
+    """The memoized body of :func:`universal_length_distribution`, keyed on
+    its checked arguments (the cap only admits or refuses them)."""
     tables, keys, sizes = _key_tables(p, n), array("d"), []
     for order, level_sizes in _EntropyColumns(n, p.m)._levels():  # one level at a time
         keys.extend(math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
@@ -600,5 +616,6 @@ def universal_excess_probability(
 ) -> float:
     """Exact P(codeword length >= ``length``) for the universal code under p:
     one read of :func:`universal_length_distribution`."""
+    check_source(p)
     check_integer("codeword length", length)  # before the distribution is built
     return universal_length_distribution(p, n, cap_types=cap_types).tail(length)

@@ -45,7 +45,7 @@ from operator import mul, sub, truediv
 from typing import Sequence, Union
 
 from .errors import DistributionError, DomainError
-from .inputs import brief, check_real, describe
+from .inputs import brief, check_real, check_source, describe
 from .numerics import LOG2E, neumaier_sum
 
 SUM_ABS_TOL = 1e-12
@@ -311,8 +311,7 @@ def tilt(p: SourcePmf, alpha: float) -> TiltedPoint:
 
     alpha must be a real in (0, 1]; alpha = 1 reproduces ``p`` itself.
     """
-    if not isinstance(p, SourcePmf):
-        raise DomainError("tilt requires a SourcePmf (full support)")
+    check_source(p)
     alpha = check_real("alpha", alpha, 0, 1, hi_open=False)
     ln_p = [math.log(x) for x in p.probs]
     if alpha == 1.0:

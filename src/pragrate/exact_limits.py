@@ -113,6 +113,7 @@ def excess_rate_probability(
     Lengths are integers, so the event is length >= ceil(n*rate); a tiny
     guard keeps nearly-integer products from being rounded up spuriously.
     """
+    check_source(p)
     rate = check_real("rate", rate, 0, math.inf, lo_open=False, need="be nonnegative and finite")
     return length_distribution(p, n, cap_types=cap_types).tail(math.ceil(n * rate - 1e-12))
 
@@ -131,6 +132,7 @@ def optimal_rate(
     epsilon = 2**(-n*delta) underflows a double).  Output lies on the grid
     {0, 1/n, 2/n, ...}.
     """
+    check_source(p)
     if (epsilon is None) == (log2_epsilon is None):
         raise DomainError("provide exactly one of epsilon, log2_epsilon")
     if epsilon is not None:
@@ -147,6 +149,7 @@ def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
     assigns length floor(log2 k) to the k-th string and tabulates tails.
     Must equal ``length_distribution(p, n, exact=True)`` exactly.
     """
+    check_source(p)
     if p.exact is None:
         raise DomainError("brute force oracle needs exact rational probabilities")
     check_integer("blocklength n", n, 1)

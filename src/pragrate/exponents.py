@@ -37,7 +37,7 @@ from .distributions import (
     tilt,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
-from .inputs import check_integer, check_real, describe
+from .inputs import check_integer, check_real, check_source, describe
 from .numerics import LOG2E
 
 ALPHA_TOL = 1e-14
@@ -155,6 +155,7 @@ class MomentEnvelope:
 
 def delta_range(p: SourcePmf) -> DeltaRange:
     """Open interval of exponents for which the tilted solve is well posed."""
+    check_source(p)
     uniform = [1.0 / p.m] * p.m
     return DeltaRange(hi=kl_divergence(uniform, p))
 
@@ -220,7 +221,6 @@ def _solve_tilted(p: SourcePmf, target: float, *, entropy: bool) -> tuple[float,
             return alpha, evaluations
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: True never answers from 1.0's entry
 def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
     """Find the unique alpha in (0, 1) with D(P_alpha || P) = delta (bits).
 
@@ -230,8 +230,20 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
 
     Pure in its (immutable) arguments, so results are memoized: alpha*
     depends on the exponent alone, and a ladder over many blocklengths at
-    one delta shares a single solve.
+    one delta shares a single solve.  Only a SourcePmf and a float reach
+    the memo (any other delta is made one by ``check_real`` or refused), so
+    an unhashable argument is refused like any bad value; the range is
+    checked on a miss, and a refusal is never memoized.
     """
+    check_source(p)
+    if type(delta) is not float:
+        delta = check_real("delta", delta)
+    return _solve_alpha_star(p, delta)
+
+
+@lru_cache(maxsize=256)
+def _solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
+    """The memoized body of :func:`solve_alpha_star`."""
     rng = delta_range(p)
     if rng.is_empty:
         raise DomainError("uniform source: the admissible exponent interval is empty")
@@ -257,6 +269,7 @@ def error_exponent(p: SourcePmf, rate: float) -> float:
     map, and D(P_alpha || P) is returned.  ``rate`` must lie in
     [H(P), log2 m], within 1e-12.
     """
+    check_source(p)
     h_p = tilt(p, 1.0).entropy_bits
     h_max = math.log2(p.m)
     tol = 1e-12
@@ -288,6 +301,7 @@ def moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnvel
 
     Pure in its (immutable) arguments, so results are memoized.
     """
+    check_source(p)
     check_integer("grid_size", grid_size, 3)
     if grid_size > ENVELOPE_GRID_CAP:
         raise ResourceLimitError(f"grid_size={describe(grid_size)} exceeds the cap of {ENVELOPE_GRID_CAP}")

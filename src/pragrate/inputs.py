@@ -54,9 +54,7 @@ def check_string(x: Sequence[int]) -> None:
 
 def check_source(p: object) -> None:
     """Refuse ``p`` unless it is a SourcePmf: a list of probabilities has none of its fields."""
-    from .distributions import SourcePmf  # distributions imports this module
-
-    if not isinstance(p, SourcePmf):
+    if not isinstance(p, distributions.SourcePmf):
         raise DomainError(f"a source must be a SourcePmf, got {describe(p)}")
 
 
@@ -80,3 +78,8 @@ def check_real(name: str, x: float, lo: float = -math.inf, hi: float = math.inf,
     if need or not real:
         raise DomainError(f"{name} must {need or 'be a real number that a double holds'}, got {describe(x)}")
     raise DomainError(f"{name}={describe(x)} outside {'[('[lo_open]}{lo!r}, {hi!r}{'])'[hi_open]}")
+
+
+# distributions imports the checks above, so it is bound last: whichever of the
+# two modules is imported first, the other then finds every name it reads
+from . import distributions  # noqa: E402

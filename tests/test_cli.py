@@ -12,7 +12,7 @@ import time
 import pytest
 
 import pragrate
-from pragrate import approximations, cli, coding, exact_limits
+from pragrate import approximations, cli, coding, exact_limits, exponents
 from pragrate.cli import main
 from pragrate.distributions import SourcePmf
 from pragrate.exponents import solve_alpha_star
@@ -713,11 +713,11 @@ class TestDeltaLadder:
     ARGV = ("ladder", "--source", "0.2,0.8", "--n", "50:2000:50", "--delta", "0.013,0.052", "--no-exact")
 
     def test_one_solve_per_delta(self, capsys):
-        solve_alpha_star.cache_clear()
+        exponents._solve_alpha_star.cache_clear()
         code, out, _ = run_cli(capsys, *self.ARGV)
         assert code == 0
         assert len(out.splitlines()) == 1 + 40 * 2
-        assert solve_alpha_star.cache_info().misses == 2
+        assert exponents._solve_alpha_star.cache_info().misses == 2
 
     def test_per_source_terms_once_per_source(self, capsys, monkeypatch):
         # H(P) and sigma(P) do not depend on n: one call each for 40 blocklengths

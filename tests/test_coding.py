@@ -691,15 +691,15 @@ class TestUniversalExcessProbability:
         return calls
 
     def test_one_class_build_per_distribution(self, level_builds):
-        universal_length_distribution.__wrapped__(SourcePmf.parse("0.5,0.3,0.2"), 10)
+        coding._universal_length_distribution.__wrapped__(SourcePmf.parse("0.5,0.3,0.2"), 10)
         assert level_builds == [(10, 3)]
 
     def test_excess_reads_share_one_build(self, level_builds):
-        universal_length_distribution.cache_clear()
+        coding._universal_length_distribution.cache_clear()
         p = SourcePmf.parse("0.6,0.3,0.1")
         tails = [universal_excess_probability(p, 11, length) for length in range(20)]
         assert level_builds == [(11, 3)]
-        fresh = universal_length_distribution.__wrapped__(p, 11)
+        fresh = coding._universal_length_distribution.__wrapped__(p, 11)
         assert tails == [fresh.tail(length) for length in range(20)]
 
     def test_type_cap_refused_before_ranking(self, monkeypatch):
@@ -757,7 +757,7 @@ class TestUniversalExcessProbability:
     def test_distribution_peak_memory(self):
         # all count vectors, offsets and suffix floats took 1.30 MiB here
         p = SourcePmf.parse("0.1,0.2,0.4,0.3")
-        assert peak_mib(universal_length_distribution.__wrapped__, p, 32) < 0.5
+        assert peak_mib(coding._universal_length_distribution.__wrapped__, p, 32) < 0.5
 
     @pytest.mark.parametrize("length", [2.5, math.nan, 1.0, True, "1", None],
                              ids=["float", "nan", "integral-float", "bool", "str", "none"])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,16 @@ class TestColumnarEngine:
         # a count tuple, a row tuple, an offset and a suffix float per class
         # took 0.755 MiB here; the columns take about 0.3
         assert peak_mib(length_distribution, SourcePmf.parse("0.1,0.2,0.4,0.3"), 24) < 0.45
+
+    def test_sort_peak_and_sizes_peak_never_overlap(self):
+        # keys first, the sort's list narrowed at once to an index array, and
+        # only then the sizes: the engine peaks about 1.12 times its own sort,
+        # where sorting while every class size was held took 1.44 times
+        p = SourcePmf.parse("0.1,0.2,0.4,0.3")
+        keys, _, ranking = coding._known_source_classes(24, 4, p)
+        sort = peak_mib(sorted, range(len(keys)), key=keys.__getitem__)
+        assert peak_mib(coding._known_source_classes, 24, 4, p) < 1.25 * sort
+        assert isinstance(ranking, array) and ranking.typecode == coding._unsigned_typecode(len(keys))
 
 
 class TestExactMode:

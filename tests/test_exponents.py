@@ -299,21 +299,21 @@ class TestNewtonSolve:
         # alpha = 1 - 1e-7 is only 2.1e-15 bits: an absolute bound of 1e-11
         # on |D - delta| would pass it, one relative to D's rounding noise
         # must not
-        sol = solve_alpha_star.__wrapped__(P02, 1e-13)
+        sol = exponents._solve_alpha_star.__wrapped__(P02, 1e-13)
         assert 1 - sol.alpha_star == pytest.approx(6.7e-7, rel=0.01)
         monkeypatch.setattr(exponents, "_solve_tilted", lambda p, target, entropy: (0.9999999, 1))
         with pytest.raises(InvariantViolation, match="missed target"):
-            solve_alpha_star.__wrapped__(P02, 1e-13)
+            exponents._solve_alpha_star.__wrapped__(P02, 1e-13)
 
     def test_iteration_counts(self, rng):
-        counts = [solve_alpha_star.__wrapped__(p, delta).iterations for p, delta in solve_grid(rng)]
+        counts = [exponents._solve_alpha_star.__wrapped__(p, delta).iterations for p, delta in solve_grid(rng)]
         assert statistics.median(counts) <= 8
         assert max(counts) <= 47  # the bisection's fixed count
 
     def test_diagnostics_do_not_enter_equality(self):
         sol = solve_alpha_star(P02, 0.1)
         assert sol.iterations >= 1 and sol.residual == abs(sol.tilted.kl_bits - 0.1)
-        again = solve_alpha_star.__wrapped__(P02, 0.1)
+        again = exponents._solve_alpha_star.__wrapped__(P02, 0.1)
         assert again == sol and hash(again) == hash(sol)
 
 
@@ -400,7 +400,7 @@ class TestBitIdenticalToTiltChains:
                 digest.update(repr(fields).encode() + b"\n")
             hi = delta_range(p).hi
             for frac in (1e-6, 0.01, rng.uniform(0.05, 0.95), 0.999):
-                sol = solve_alpha_star.__wrapped__(p, frac * hi)
+                sol = exponents._solve_alpha_star.__wrapped__(p, frac * hi)
                 digest.update(repr((sol.alpha_star, sol.h_tilted, sol.iterations)).encode() + b"\n")
         assert digest.hexdigest() == self.TILTED_SWEEP_SHA256
 
@@ -416,5 +416,5 @@ class TestBitIdenticalToTiltChains:
         p = SourcePmf((0.1, 0.2, 0.3, 0.4))
         moment_envelope.__wrapped__(p, grid_size=129)  # bypass the memo
         assert calls == []
-        sol = solve_alpha_star.__wrapped__(p, 0.05)  # bypass the memo
+        sol = exponents._solve_alpha_star.__wrapped__(p, 0.05)  # bypass the memo
         assert calls == [sol.alpha_star]

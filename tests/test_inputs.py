@@ -2,10 +2,12 @@
 
 ``CALLS`` holds, per public function, calls with valid values; each numeric
 parameter in a call (annotated ``int``, ``float`` or ``float | None``) is
-replaced in turn by each of ``BAD``.  A bool, a str, None, nan, +inf and a
-tuple holding a 5,000-digit int (hashable, so a memoized function reaches its
-check; it has no repr, so the refusal names it by its bit length) are refused
-with ``DomainError``; -inf and a 5,000-digit int are refused with
+replaced in turn by each of ``BAD``.  A bool, a str, None, nan, +inf, a
+list, and a tuple holding a 5,000-digit int (it has no repr, so the refusal
+names it by its bit length) are refused with ``DomainError``: a memoized
+function checks its arguments before the memo hashes them, except
+``moment_envelope``, whose list case is still open.  -inf and a 5,000-digit
+int are refused with
 ``DomainError`` or ``ResourceLimitError`` where the function does not take
 them (``count_types(10**5000, 2)`` is exact); a Fraction is a real, so it
 gives the float's answer, and no integer.  Nothing raises a bare
@@ -15,9 +17,9 @@ gives the float's answer, and no integer.  Nothing raises a bare
 vector, a type's counts, a string), fed None, a str, a list holding a str and
 a list holding a 5,000-digit int: each is refused with ``DomainError`` or
 ``DistributionError``.  ``SOURCE_CALLS`` passes a plain list, a tuple, a
-str or None where ``build_ordering`` and ``length_distribution`` take a
-``SourcePmf``: each is refused by name with ``DomainError`` before any work.
-The memoized functions still hash such a list before they can check it.
+str or None where each public function takes a ``SourcePmf``: each is
+refused by name with ``DomainError`` before any other argument is read,
+except a list given to ``moment_envelope``, which its memo hashes first.
 
 ``CODEC_CALLS`` feeds the codec's own parameters (the string of
 ``string_index`` and ``encode``, the codeword of ``decode``, the bits of
@@ -89,7 +91,10 @@ CALLS = {
 }
 
 BAD = {"bool": True, "str": "1", "none": None, "nan": math.nan, "inf": math.inf,
-       "minus_inf": -math.inf, "huge_int": HUGE, "huge_int_in_tuple": (HUGE,)}
+       "minus_inf": -math.inf, "huge_int": HUGE, "huge_int_in_tuple": (HUGE,), "list": [5]}
+# moment_envelope stays the lru_cache object that bench/tracer.py reads, so it
+# hashes its arguments before its body can check them
+UNHASHABLE_OPEN = pytest.mark.xfail(raises=TypeError, strict=True, reason="the memo hashes a list first")
 
 
 def public_functions():
@@ -119,6 +124,9 @@ CASES = [
 def test_table_covers_every_numeric_parameter():
     # a new public function, or a new numeric parameter, needs an entry here
     assert sorted(CALLS) == public_functions()
+    takes_source = [name for name in public_functions() if any(
+        "SourcePmf" in v.annotation for v in inspect.signature(getattr(pragrate, name)).parameters.values())]
+    assert sorted(SOURCE_CALLS) == takes_source
     for name, calls in CALLS.items():
         assert set().union(*calls) & numeric_parameters(name) == numeric_parameters(name), name
 
@@ -131,7 +139,9 @@ def test_valid_calls_return(name):
 
 @pytest.mark.parametrize("kind", [*BAD, "fraction"])
 @pytest.mark.parametrize("name, kwargs, param", CASES)
-def test_bad_value(name, kwargs, param, kind):
+def test_bad_value(name, kwargs, param, kind, request):
+    if (name, kind) == ("moment_envelope", "list"):
+        request.applymarker(UNHASHABLE_OPEN)
     valid = kwargs[param]
     bad = Fraction(valid) if kind == "fraction" else BAD[kind]
     try:
@@ -141,7 +151,7 @@ def test_bad_value(name, kwargs, param, kind):
     else:
         refused = None
     is_int = inspect.signature(getattr(pragrate, name)).parameters[param].annotation == "int"
-    if kind in ("bool", "str", "none", "nan", "inf", "huge_int_in_tuple") or kind == "fraction" and is_int:
+    if kind in ("bool", "str", "none", "nan", "inf", "huge_int_in_tuple", "list") or kind == "fraction" and is_int:
         assert isinstance(refused, DomainError), refused
     elif kind == "fraction":  # a real: the float's answer
         assert refused is None and got == call(name, kwargs)
@@ -170,15 +180,36 @@ def test_bad_sequence(name, kind):
     assert " at 0x" not in str(refused.value) and len(str(refused.value)) < 200
 
 
-SOURCE_CALLS = {  # n past the type cap: a refusal of the source shows it came first
-    "build_ordering": lambda bad: pragrate.build_ordering(KNOWN_SOURCE, 10 ** 5000, 2, bad),
-    "length_distribution": lambda bad: pragrate.length_distribution(bad, 10 ** 5000),
+SOURCE_CALLS = {  # every other argument bad: a refusal of the source shows it came first
+    "achievability_constant": lambda bad: pragrate.achievability_constant(bad, math.nan),
+    "blahut_rate": lambda bad: pragrate.blahut_rate(bad, HUGE, math.nan),
+    "brute_force_limits": lambda bad: pragrate.brute_force_limits(bad, HUGE),
+    "build_ordering": lambda bad: pragrate.build_ordering(KNOWN_SOURCE, HUGE, 2, bad),
+    "compute_rate_ladder": lambda bad: pragrate.compute_rate_ladder(bad, HUGE, math.nan),
+    "compute_rate_ladders": lambda bad: pragrate.compute_rate_ladders(bad, HUGE, [math.nan]),
+    "converse_constants": lambda bad: pragrate.converse_constants(bad, math.nan),
+    "delta_range": lambda bad: pragrate.delta_range(bad),
+    "error_exponent": lambda bad: pragrate.error_exponent(bad, math.nan),
+    "excess_rate_probability": lambda bad: pragrate.excess_rate_probability(bad, HUGE, math.nan),
+    "length_distribution": lambda bad: pragrate.length_distribution(bad, HUGE),
+    "moment_envelope": lambda bad: pragrate.moment_envelope(bad, HUGE),
+    "optimal_rate": lambda bad: pragrate.optimal_rate(bad, HUGE, math.nan),
+    "pragmatic_rate": lambda bad: pragrate.pragmatic_rate(bad, HUGE, math.nan),
+    "shannon_rate": lambda bad: pragrate.shannon_rate(bad),
+    "solve_alpha_star": lambda bad: pragrate.solve_alpha_star(bad, math.nan),
+    "strassen_rate": lambda bad: pragrate.strassen_rate(bad, HUGE, math.nan),
+    "tilt": lambda bad: pragrate.tilt(bad, math.nan),
+    "universal_excess_probability": lambda bad: pragrate.universal_excess_probability(bad, HUGE, math.nan),
+    "universal_length_distribution": lambda bad: pragrate.universal_length_distribution(bad, HUGE),
+    "universal_rate_bound": lambda bad: pragrate.universal_rate_bound(bad, HUGE, math.nan),
+    "universal_threshold_alpha_n": lambda bad: pragrate.universal_threshold_alpha_n(bad, math.nan, HUGE),
 }
 BAD_SOURCES = {"list": [0.2, 0.8], "tuple": (0.2, 0.8), "str": "0.2,0.8", "none": None}
 
 
 @pytest.mark.parametrize("name, kind", [  # None is the known-source ordering's own refusal, after the cap
-    (name, kind) for name in SOURCE_CALLS for kind in BAD_SOURCES if (name, kind) != ("build_ordering", "none")
+    pytest.param(name, kind, marks=UNHASHABLE_OPEN if (name, kind) == ("moment_envelope", "list") else ())
+    for name in SOURCE_CALLS for kind in BAD_SOURCES if (name, kind) != ("build_ordering", "none")
 ])
 def test_bad_source(name, kind):
     bad = BAD_SOURCES[kind]
