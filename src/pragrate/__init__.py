@@ -49,7 +49,6 @@ from .errors import (
 )
 from .exact_limits import (
     LengthDistribution,
-    brute_force_limits,
     excess_rate_probability,
     length_distribution,
     optimal_rate,

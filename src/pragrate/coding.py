@@ -80,9 +80,9 @@ ranked-class engine: the known-source class ranking, the type cap check
 and the one float tail routine (``_log2_tails``, which fills a
 :class:`LengthDistribution`) serve the codecs, the universal code's length
 distribution and the optimal-code tails of :mod:`pragrate.exact_limits`
-alike.  The checks that stay independent of it are the brute-force string
-oracle ``exact_limits.brute_force_limits`` and the tests that enumerate
-every string.
+alike.  The checks that stay independent of it are the tests that
+enumerate every string, the brute-force oracle ``brute_force_limits`` of
+``tests/conftest.py`` among them.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and

@@ -23,9 +23,9 @@ in the base-2 log domain so that tails far below the smallest positive
 double remain meaningful.  When the source probabilities are exact
 rationals, an exact-Fraction mode is available: it re-sorts the classes by
 their exact probabilities, which repairs any ulp-level misorder of the float
-ranking, and is required to agree with the brute-force string enumeration
-bit for bit.  It works in integers over the common denominator D**n and
-builds one Fraction per tail.
+ranking, and is required to agree bit for bit with the brute-force string
+enumeration, ``brute_force_limits`` in ``tests/conftest.py``.  It works in
+integers over the common denominator D**n and builds one Fraction per tail.
 
 Rate convention: with L* = min{L : P(length >= L) <= epsilon}, the optimal
 rate is (L* - 1)/n.  The defining infimum is over rates R with
@@ -35,19 +35,15 @@ makes the boundary point (L* - 1)/n that infimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .coding import LengthDistribution, _check_log2_epsilon, _check_type_cap, _known_source_classes, _log2_tails
 from .distributions import SourcePmf
-from .errors import DomainError, ResourceLimitError
-from .inputs import check_integer, check_real, check_source, describe
-from .numerics import NEG_INF
+from .errors import DomainError
+from .inputs import check_real, check_source
 from .types_census import DEFAULT_TYPE_CAP, _class_runs
-
-BRUTE_FORCE_STRING_CAP = 2_000_000
 
 
 def length_distribution(
@@ -139,50 +135,3 @@ def optimal_rate(
         log2_epsilon = math.log2(check_real("epsilon", epsilon, 0, 1, need="lie in (0, 1)"))
     _check_log2_epsilon(log2_epsilon)  # before the distribution is built
     return length_distribution(p, n, cap_types=cap_types).optimal_rate(log2_epsilon)
-
-
-def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
-    """Independent oracle: enumerate all m**n strings in exact rationals.
-
-    Sorts strings by probability with the same tie conventions as
-    :func:`length_distribution` (canonical type order, then lexicographic),
-    assigns length floor(log2 k) to the k-th string and tabulates tails.
-    Must equal ``length_distribution(p, n, exact=True)`` exactly.
-    """
-    check_source(p)
-    if p.exact is None:
-        raise DomainError("brute force oracle needs exact rational probabilities")
-    check_integer("blocklength n", n, 1)
-    total = p.m ** min(n, BRUTE_FORCE_STRING_CAP.bit_length())  # m**n wherever it is within the cap
-    if total > BRUTE_FORCE_STRING_CAP:
-        raise ResourceLimitError(f"{p.m}**{describe(n)} strings exceeds the brute-force cap "
-                                 f"of {BRUTE_FORCE_STRING_CAP}")
-    prob_of_counts: dict[tuple[int, ...], Fraction] = {}
-    rows = []
-    for string in itertools.product(range(p.m), repeat=n):
-        counts = [0] * p.m
-        for s in string:
-            counts[s] += 1
-        key = tuple(counts)
-        prob = prob_of_counts.get(key)
-        if prob is None:
-            prob = Fraction(1)
-            for c, f in zip(key, p.exact):
-                if c:
-                    prob *= f ** c
-            prob_of_counts[key] = prob
-        rows.append((-prob, key, string))
-    rows.sort()
-
-    max_len = total.bit_length() - 1
-    tails: list[Fraction] = [Fraction(0)] * (max_len + 2)
-    boundary_to_len = {1 << L: L for L in range(max_len + 2) if (1 << L) <= total}
-    acc = Fraction(0)
-    for k in range(total, 0, -1):
-        acc += -rows[k - 1][0]
-        L = boundary_to_len.get(k)
-        if L is not None:
-            tails[L] = acc  # suffix sum over ranks >= k = 2**L
-
-    log2_tails = tuple(math.log2(t) if t > 0 else NEG_INF for t in tails)
-    return LengthDistribution(n=n, m=p.m, log2_tails=log2_tails, exact_tails=tuple(tails))

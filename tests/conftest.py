@@ -8,8 +8,10 @@ from typing import NamedTuple
 
 import pytest
 
-from pragrate import DomainError, SourcePmf, coding, entropy, kl_divergence, tilt
-from pragrate.numerics import LOG2E
+from pragrate import (DomainError, LengthDistribution, ResourceLimitError, SourcePmf, coding, entropy,
+                      kl_divergence, tilt)
+from pragrate.inputs import check_integer, check_source, describe
+from pragrate.numerics import LOG2E, NEG_INF
 from pragrate.types_census import ENTROPY_CMP_TOL, type_class_size, type_entropy_bits
 
 
@@ -332,6 +334,58 @@ def suffix_tails(sizes, probs, mass, add, zero, one, total):
         tails.append(add(mass(partial, probs[i]), suffix[i + 1]))
     tails.append(zero)
     return tuple(tails)
+
+
+BRUTE_FORCE_STRING_CAP = 2_000_000
+
+
+def brute_force_limits(p: SourcePmf, n: int) -> LengthDistribution:
+    """Independent oracle: enumerate all m**n strings in exact rationals.
+
+    Sorts strings by probability with the same tie conventions as
+    :func:`~pragrate.length_distribution` (canonical type order, then
+    lexicographic), assigns length floor(log2 k) to the k-th string and
+    tabulates tails.  Must equal ``length_distribution(p, n, exact=True)``
+    exactly.  Refuses more than ``BRUTE_FORCE_STRING_CAP`` strings before
+    computing m**n.
+    """
+    check_source(p)
+    if p.exact is None:
+        raise DomainError("brute force oracle needs exact rational probabilities")
+    check_integer("blocklength n", n, 1)
+    total = p.m ** min(n, BRUTE_FORCE_STRING_CAP.bit_length())  # m**n wherever it is within the cap
+    if total > BRUTE_FORCE_STRING_CAP:
+        raise ResourceLimitError(f"{p.m}**{describe(n)} strings exceeds the brute-force cap "
+                                 f"of {BRUTE_FORCE_STRING_CAP}")
+    prob_of_counts: dict[tuple[int, ...], Fraction] = {}
+    rows = []
+    for string in itertools.product(range(p.m), repeat=n):
+        counts = [0] * p.m
+        for s in string:
+            counts[s] += 1
+        key = tuple(counts)
+        prob = prob_of_counts.get(key)
+        if prob is None:
+            prob = Fraction(1)
+            for c, f in zip(key, p.exact):
+                if c:
+                    prob *= f ** c
+            prob_of_counts[key] = prob
+        rows.append((-prob, key, string))
+    rows.sort()
+
+    max_len = total.bit_length() - 1
+    tails: list[Fraction] = [Fraction(0)] * (max_len + 2)
+    boundary_to_len = {1 << L: L for L in range(max_len + 2) if (1 << L) <= total}
+    acc = Fraction(0)
+    for k in range(total, 0, -1):
+        acc += -rows[k - 1][0]
+        L = boundary_to_len.get(k)
+        if L is not None:
+            tails[L] = acc  # suffix sum over ranks >= k = 2**L
+
+    log2_tails = tuple(math.log2(t) if t > 0 else NEG_INF for t in tails)
+    return LengthDistribution(n=n, m=p.m, log2_tails=log2_tails, exact_tails=tuple(tails))
 
 
 def peak_mib(fn, *args, **kwargs):

@@ -12,7 +12,6 @@ from pragrate import (
     achievability_constant,
     approximations,
     blahut_rate,
-    brute_force_limits,
     compute_rate_ladder,
     compute_rate_ladders,
     converse_constants,
@@ -481,7 +480,6 @@ BLOCKLENGTH_ENTRY_POINTS = {
     "compute_rate_ladders": lambda n: compute_rate_ladders(P02, n, deltas=[0.05], include_exact=False),
     "length_distribution": lambda n: length_distribution(P02, n),
     "universal_length_distribution": lambda n: universal_length_distribution(P02, n),
-    "brute_force_limits": lambda n: brute_force_limits(P02, n),
 }
 
 

@@ -10,7 +10,6 @@ from pragrate import (
     DomainError,
     ResourceLimitError,
     SourcePmf,
-    brute_force_limits,
     coding,
     converse_constants,
     exact_limits,
@@ -24,7 +23,7 @@ from pragrate import (
 )
 from pragrate.numerics import NEG_INF, logaddexp2
 
-from conftest import bern, compositions, peak_mib, random_pmf, suffix_tails
+from conftest import bern, brute_force_limits, compositions, peak_mib, random_pmf, suffix_tails
 
 P02 = bern("0.2")
 P532 = SourcePmf.parse("0.5,0.3,0.2")

@@ -11,6 +11,7 @@ import pytest
 from pragrate import (
     DomainError,
     InvariantViolation,
+    ResourceLimitError,
     SourcePmf,
     delta_range,
     entropy,
@@ -24,7 +25,7 @@ from pragrate import (
 from pragrate import exponents
 from pragrate.cli import main
 from pragrate.distributions import _tilt_weights
-from pragrate.exponents import ENVELOPE_CHUNK, ENVELOPE_EDGE, ENVELOPE_GRID
+from pragrate.exponents import ENVELOPE_CHUNK, ENVELOPE_EDGE, ENVELOPE_GRID, ENVELOPE_GRID_CAP
 from pragrate.numerics import LOG2E
 
 from conftest import bern, random_pmf, skewed_pmf, weighted_moments
@@ -197,14 +198,14 @@ class TestMomentEnvelope:
     def test_grid_evaluations(self, rng):
         # the block ends (129 of 4096) are always evaluated; the curvature
         # bound rules out most blocks between them
-        counts = [moment_envelope.__wrapped__(random_pmf(rng, 3)).grid_evaluations for _ in range(40)]
+        counts = [exponents._moment_envelope.__wrapped__(random_pmf(rng, 3)).grid_evaluations for _ in range(40)]
         assert all(129 <= c <= ENVELOPE_GRID for c in counts)
         assert statistics.median(counts) <= 1536
         assert moment_envelope(SourcePmf((0.25,) * 4)).grid_evaluations == 0
 
     def test_grid_evaluations_do_not_enter_equality(self):
         env = moment_envelope(P02)
-        again = moment_envelope.__wrapped__(P02)
+        again = exponents._moment_envelope.__wrapped__(P02)
         assert again is not env and again == env and hash(again) == hash(env)
         assert dataclasses.replace(env, grid_evaluations=ENVELOPE_GRID) == env
 
@@ -212,6 +213,19 @@ class TestMomentEnvelope:
     def test_bad_grid_size_is_refused(self, grid_size):
         with pytest.raises(DomainError, match="grid_size"):
             moment_envelope(P02, grid_size=grid_size)
+
+    def test_memo_counts_checked_calls_only(self):
+        # bench/run.py reads the memo's hit ratio through the public name
+        exponents._moment_envelope.cache_clear()
+        env = moment_envelope(P02, 64)
+        assert moment_envelope.cache_info()[:2] == (0, 1)  # hits, misses
+        assert moment_envelope(P02, 64) is env
+        assert moment_envelope.cache_info()[:2] == (1, 1)
+        for args, refusal in [(([0.2, 0.8],), DomainError), ((P02, [64]), DomainError),
+                              ((P02, 64.0), DomainError), ((P02, ENVELOPE_GRID_CAP + 1), ResourceLimitError)]:
+            with pytest.raises(refusal):
+                moment_envelope(*args)
+        assert moment_envelope.cache_info()[:2] == (1, 1)
 
 
 def reference_bisection(p, target, field):
@@ -353,7 +367,7 @@ class TestBitIdenticalToTiltChains:
         sources += [skewed_pmf(rng, m) for m in (2, 3, 5, 8)]  # R up to about 11
         sources += [SourcePmf.parse(text) for text in self.ENVELOPE_SOURCES]
         for p in sources:
-            env = moment_envelope.__wrapped__(p)
+            env = exponents._moment_envelope.__wrapped__(p)
             got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
             assert got == reference_envelope(p, env.grid_size), p
 
@@ -369,7 +383,7 @@ class TestBitIdenticalToTiltChains:
                 spec = tuple(x / math.fsum(raw) for x in raw)
             cases.append((SourcePmf(spec), grid_size))
         for p, grid_size in cases:
-            env = moment_envelope.__wrapped__(p, grid_size)
+            env = exponents._moment_envelope.__wrapped__(p, grid_size)
             got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
             assert got == reference_envelope(p, grid_size), (p, grid_size)
 
@@ -414,7 +428,7 @@ class TestBitIdenticalToTiltChains:
 
         monkeypatch.setattr(exponents, "tilt", counting)
         p = SourcePmf((0.1, 0.2, 0.3, 0.4))
-        moment_envelope.__wrapped__(p, grid_size=129)  # bypass the memo
+        exponents._moment_envelope.__wrapped__(p, grid_size=129)  # bypass the memo
         assert calls == []
         sol = exponents._solve_alpha_star.__wrapped__(p, 0.05)  # bypass the memo
         assert calls == [sol.alpha_star]

@@ -5,21 +5,19 @@ parameter in a call (annotated ``int``, ``float`` or ``float | None``) is
 replaced in turn by each of ``BAD``.  A bool, a str, None, nan, +inf, a
 list, and a tuple holding a 5,000-digit int (it has no repr, so the refusal
 names it by its bit length) are refused with ``DomainError``: a memoized
-function checks its arguments before the memo hashes them, except
-``moment_envelope``, whose list case is still open.  -inf and a 5,000-digit
-int are refused with
-``DomainError`` or ``ResourceLimitError`` where the function does not take
-them (``count_types(10**5000, 2)`` is exact); a Fraction is a real, so it
-gives the float's answer, and no integer.  Nothing raises a bare
-``TypeError``, ``ValueError`` or ``OverflowError``.
+function checks its arguments before the memo hashes them.  -inf and a
+5,000-digit int are refused with ``DomainError`` or ``ResourceLimitError``
+where the function does not take them (``count_types(10**5000, 2)`` is
+exact); a Fraction is a real, so it gives the float's answer, and no
+integer.  Nothing raises a bare ``TypeError``, ``ValueError`` or
+``OverflowError``.
 
 ``SEQUENCE_CALLS`` does the same for the sequence parameters (a probability
 vector, a type's counts, a string), fed None, a str, a list holding a str and
 a list holding a 5,000-digit int: each is refused with ``DomainError`` or
 ``DistributionError``.  ``SOURCE_CALLS`` passes a plain list, a tuple, a
 str or None where each public function takes a ``SourcePmf``: each is
-refused by name with ``DomainError`` before any other argument is read,
-except a list given to ``moment_envelope``, which its memo hashes first.
+refused by name with ``DomainError`` before any other argument is read.
 
 ``CODEC_CALLS`` feeds the codec's own parameters (the string of
 ``string_index`` and ``encode``, the codeword of ``decode``, the bits of
@@ -52,7 +50,6 @@ HUGE = 10 ** 5000
 CALLS = {
     "achievability_constant": [dict(p=P, delta=0.05)],
     "blahut_rate": [dict(p=P, n=50, epsilon=0.01)],
-    "brute_force_limits": [dict(p=P, n=4)],
     "build_ordering": [dict(mode=UNIVERSAL, n=6, m=2, cap_types=CAP)],
     "compute_rate_ladder": [dict(p=P, n=10, epsilon=0.01, cap_types=CAP)],
     "compute_rate_ladders": [dict(p=P, n=10, epsilons=[0.01], cap_types=CAP)],
@@ -92,9 +89,6 @@ CALLS = {
 
 BAD = {"bool": True, "str": "1", "none": None, "nan": math.nan, "inf": math.inf,
        "minus_inf": -math.inf, "huge_int": HUGE, "huge_int_in_tuple": (HUGE,), "list": [5]}
-# moment_envelope stays the lru_cache object that bench/tracer.py reads, so it
-# hashes its arguments before its body can check them
-UNHASHABLE_OPEN = pytest.mark.xfail(raises=TypeError, strict=True, reason="the memo hashes a list first")
 
 
 def public_functions():
@@ -139,9 +133,7 @@ def test_valid_calls_return(name):
 
 @pytest.mark.parametrize("kind", [*BAD, "fraction"])
 @pytest.mark.parametrize("name, kwargs, param", CASES)
-def test_bad_value(name, kwargs, param, kind, request):
-    if (name, kind) == ("moment_envelope", "list"):
-        request.applymarker(UNHASHABLE_OPEN)
+def test_bad_value(name, kwargs, param, kind):
     valid = kwargs[param]
     bad = Fraction(valid) if kind == "fraction" else BAD[kind]
     try:
@@ -183,7 +175,6 @@ def test_bad_sequence(name, kind):
 SOURCE_CALLS = {  # every other argument bad: a refusal of the source shows it came first
     "achievability_constant": lambda bad: pragrate.achievability_constant(bad, math.nan),
     "blahut_rate": lambda bad: pragrate.blahut_rate(bad, HUGE, math.nan),
-    "brute_force_limits": lambda bad: pragrate.brute_force_limits(bad, HUGE),
     "build_ordering": lambda bad: pragrate.build_ordering(KNOWN_SOURCE, HUGE, 2, bad),
     "compute_rate_ladder": lambda bad: pragrate.compute_rate_ladder(bad, HUGE, math.nan),
     "compute_rate_ladders": lambda bad: pragrate.compute_rate_ladders(bad, HUGE, [math.nan]),
@@ -208,8 +199,7 @@ BAD_SOURCES = {"list": [0.2, 0.8], "tuple": (0.2, 0.8), "str": "0.2,0.8", "none"
 
 
 @pytest.mark.parametrize("name, kind", [  # None is the known-source ordering's own refusal, after the cap
-    pytest.param(name, kind, marks=UNHASHABLE_OPEN if (name, kind) == ("moment_envelope", "list") else ())
-    for name in SOURCE_CALLS for kind in BAD_SOURCES if (name, kind) != ("build_ordering", "none")
+    (name, kind) for name in SOURCE_CALLS for kind in BAD_SOURCES if (name, kind) != ("build_ordering", "none")
 ])
 def test_bad_source(name, kind):
     bad = BAD_SOURCES[kind]
