@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+_CODEC_FORMAT = "1"  # the header's fmt=: 1 is the universal code's orbit tie order
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -295,7 +296,7 @@ def _cmd_codec_encode(args: argparse.Namespace) -> int:
     header = f"# mode={args.mode} m={len(alphabet)} n={args.n} alphabet={alphabet}"
     if source is not None:
         header += f" src={_source_digest(source)}"
-    out = [header]
+    out = [header + f" fmt={_CODEC_FORMAT}"]
     table = _SymbolTable(alphabet)
     for line in lines:
         if len(line) != args.n:
@@ -315,9 +316,12 @@ def _cmd_codec_encode(args: argparse.Namespace) -> int:
 
 def _parse_codec_header(line: str) -> tuple[str, int, int, str, str | None]:
     """(mode, m, n, alphabet, src) from an encoder's ``# mode=... m=...
-    n=... alphabet=... [src=...]`` line; a missing or bad field is refused.
-    ``src`` is the source digest of a known-source stream, or None when the
-    header has no ``src=`` field."""
+    n=... alphabet=... [src=...] fmt=1`` line; a missing or bad field is
+    refused.  ``src`` is the source digest of a known-source stream, or None
+    when the header has no ``src=`` field.  A format other than
+    ``_CODEC_FORMAT`` is refused, and so is a universal header with no
+    ``fmt=``: it predates the orbit tie order.  A known-source header with
+    no ``fmt=`` decodes, since that order never changed."""
     header = dict(tok.split("=", 1) for tok in line.lstrip("# ").split() if "=" in tok)
     try:
         mode, m, n, alphabet = (header[key] for key in ("mode", "m", "n", "alphabet"))
@@ -331,7 +335,13 @@ def _parse_codec_header(line: str) -> tuple[str, int, int, str, str | None]:
         raise DomainError(f"codeword header: bad m or n: {exc}") from exc
     if len(alphabet) != m:
         raise DomainError(f"codeword header: alphabet {alphabet!r} does not have m={m} symbols")
-    return mode, m, n, _check_alphabet(alphabet), header.get("src")
+    alphabet, fmt = _check_alphabet(alphabet), header.get("fmt")
+    if fmt is None and mode == "universal":
+        raise DomainError("codeword header: a universal stream with no fmt= field was written under an "
+                          f"earlier tie order; re-encode it (this version writes fmt={_CODEC_FORMAT})")
+    if fmt not in (None, _CODEC_FORMAT):
+        raise DomainError(f"codeword header: unknown format fmt={fmt!r}; this version reads fmt={_CODEC_FORMAT}")
+    return mode, m, n, alphabet, header.get("src")
 
 
 def _check_source_digest(src: str | None, source: SourcePmf) -> None:

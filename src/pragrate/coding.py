@@ -8,52 +8,54 @@ Two orderings of A^n are supported, both total orders of the form
 * universal: type classes sorted by increasing empirical entropy, with no
   reference to any source.
 
-Classes whose float sort keys are equal keep the canonical (ascending lex)
-type order in both modes.  The known-source build gets this from a stable
-sort, on the float key alone, of the classes listed in canonical order; the
-key is the ``fsum`` of per-symbol table entries c * -log2 p_i, computed by
-one C-level ``map`` per run of classes that differ only in their last two
-counts.  The universal ordering is stored as columns, one entry per
-partition of n (each stands for the permutation orbit of the count vectors
-that rearrange it), built by two walks of the runs of partitions
-(:func:`~pragrate.types_census._iter_runs`, which walks the known-source
-runs too) around one stable sort.  The
-first walk lists each partition's parts and float entropy.  A stable sort
-on the entropy alone groups the partitions into levels of equal entropy;
-its ranking gives the level entropies (an ``array('d')``), each level's
-first partition and the partitions packed in code order (m-1 small parts
-each), and the canonical columns are dropped; what is left of the ranking
-is each partition's level, a small index per partition.  No class size
-exists while the partitions sort: the second walk computes the strings of
-each orbit in canonical order, by the binomial recurrence along each run,
-and adds them to their level's strings.  No tuple and no exact size per
-partition outlive the build.  Inside a level the count vectors come in lex
-order.
+The known-source classes whose float sort keys are equal keep the canonical
+(ascending lex) type order.  The build gets this from a stable sort, on the
+float key alone, of the classes listed in canonical order; the key is the
+``fsum`` of per-symbol table entries c * -log2 p_i, computed by one C-level
+``map`` per run of classes that differ only in their last two counts.
+
+The universal code is ordered one permutation orbit at a time, and its tie
+rule is part of the format: the partitions of n (each stands for the orbit
+of the count vectors that rearrange it) come by nondecreasing float
+entropy, partitions of bit-equal entropy keep the canonical descending-lex
+order of :func:`~pragrate.types_census._iter_runs`, and each orbit's
+classes follow in lex order.  The paper's price-for-universality bound
+holds for any fixed rule among types of equal entropy; this one ranks every
+class in closed form within its own orbit.  The ordering is stored as
+columns, one entry per partition, built by two walks of the runs of
+partitions (which walk the known-source runs too) around one stable sort.
+The first walk lists each partition's parts and float entropy.  A stable
+sort on the entropy alone ranks the partitions; the ranking gives the
+entropies and the partitions (m-1 small parts each) in code order, and the
+canonical columns are dropped; what is left of the ranking is its inverse,
+each partition's position.  No class size exists while the partitions
+sort: the second walk computes the strings of each orbit in canonical
+order, by the binomial recurrence along each run, and stores them at its
+position.  No tuple and no exact size per class outlive the build.
 Since ``fsum`` is correctly rounded whatever the order of its terms, every
-vector of an orbit has its partition's entropy bit for bit, so this equals
-a sort of all C(n+m-1, m-1) classes on (entropy, counts), and a class's
-level is found by bisecting the level entropies with
-:func:`~pragrate.types_census.type_entropy_bits` of its counts: no map from
-partitions to levels is kept.  A single-orbit level's classes all have one
-size, the level's strings over the orbit's arrangements, so a class's
-offset is its level's plus that size times the lex rank of its count vector
-among the rearrangements of the partition: the codec ranks (and unranks)
-twice, once over the multiset of counts and once over the string, and never
-lists the classes.  The rare level of several orbits (distinct partitions
-with equal float entropy) is expanded when a string falls in it.  One
-method, ``_vectors``, decodes the packed partitions, for the codec and for
-the universal code's length distribution, which streams the same levels.
+vector of an orbit has its partition's entropy bit for bit, so a class's
+orbit is found by bisecting the entropies with
+:func:`~pragrate.types_census.type_entropy_bits` of its counts (and, in the
+rare case of several partitions of that entropy, by comparing their parts):
+no map from partitions to positions is kept.  An orbit's classes all have
+one size, the orbit's strings over its arrangements, so a class's offset
+is its orbit's plus that size times the lex rank of its count vector among
+the rearrangements of the partition: the codec ranks (and unranks) twice,
+once over the multiset of counts and once over the string, and never lists
+the classes.  One method, ``_vectors``, decodes the packed partitions, for
+the codec and for the universal code's length distribution, which streams
+the orbits (``_orbits``) and alone lists their classes.
 
 The known-source ordering is stored as the engine's ranking (below) and
 the class sizes in code order.  Both orderings share one offset structure
 for enumerative coding (Cover, 1973): the sizes of their units (ranked
-classes or entropy levels) in code order and a cumulative offset every
+classes or orbits) in code order and a cumulative offset every
 ``_OFFSET_STRIDE`` units, so a unit's offset is a checkpoint plus fewer
 than ``_OFFSET_STRIDE`` sizes, and the unit holding an index is found by
 bisecting the checkpoints and walking one stride.  A known-source class's
-position is the inverse ranking, built on the first encode, at its count
-vector's canonical index (:func:`~pragrate.types_census.type_index`, in
-closed form); decoding maps the ranked class back to a count vector
+position is the inverse ranking (``_inverse``), built on the first
+encode, at its count vector's canonical index
+(:func:`~pragrate.types_census.type_index`, in closed form); decoding maps the ranked class back to a count vector
 (:func:`~pragrate.types_census.type_at_index`).  Neither ordering lists
 its classes.
 
@@ -65,13 +67,12 @@ the hundreds is routine.  Decoding inverts exactly.  A string is checked
 and counted once (``x.count`` per symbol, at C speed on ``bytes``, which
 is how the CLI hands each line over), and the ordering answers a class's
 offset together with its size (``_span``, and ``_class_at`` to decode):
-the size is read from the ordering's ``sizes``, or in a single-orbit
-entropy level is the level's strings over the orbit's arrangements, so no
-multinomial is computed per string.  The rank and its inverse
-(:func:`~pragrate.types_census._rank`, :func:`~pragrate.types_census._unrank`)
-take those counts and that size, and cost one multiply and one exact
-division per symbol once two symbols are left in the rest of the string,
-which at m = 2 is every symbol.
+the size is read from the ordering's ``sizes``, or is an orbit's strings
+over its arrangements, so no multinomial is computed per string.  The rank
+and its inverse (:func:`~pragrate.types_census._rank`,
+:func:`~pragrate.types_census._unrank`) take those counts and that size,
+and cost one multiply and one exact division per symbol once two symbols
+are left in the rest of the string, which at m = 2 is every symbol.
 
 The length distribution of either code under a memoryless source is
 evaluated exactly by type aggregation, including the split of the class
@@ -110,7 +111,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError
@@ -127,14 +128,13 @@ from .types_census import (
     _unrank,
     count_types,
     type_at_index,
-    type_class_size,
     type_entropy_bits,
     type_index,
 )
 
 KNOWN_SOURCE = "known-source"
 UNIVERSAL = "universal"
-_OFFSET_STRIDE = 64  # units (ranked classes or entropy levels) per checkpoint of an ordering
+_OFFSET_STRIDE = 64  # units (ranked classes or orbits) per checkpoint of an ordering
 
 
 @dataclass(frozen=True)
@@ -167,38 +167,19 @@ def _unsigned_typecode(bound: int) -> str:
     return next(code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize)
 
 
-def _level_classes(
-    vectors: Iterable[tuple[int, ...]], strings: int,
-    getters: dict[tuple[int, ...], list[itemgetter]],
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Count vectors and class sizes, in lex order, of the entropy level of
-    the partitions ``vectors`` (ascending count vectors), whose classes hold
-    ``strings`` strings in all.
-
-    An orbit's shape maps each slot of its ascending vector to the first
-    slot holding the same value.  That index rises with the value, so the
-    shape's distinct permutations, as itemgetters on the ascending vector,
-    list the orbit in lex order; orbits of one shape share the getters,
-    cached in ``getters``."""
-    orbits = []
-    for asc in vectors:
-        shape = tuple(map(asc.index, asc))
-        if shape not in getters:
-            getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
-        orbits.append((asc, [g(asc) for g in getters[shape]]))
-    if len(orbits) == 1:
-        order = orbits[0][1]  # its length is the orbit's arrangements
-        return order, [strings // len(order)] * len(order)
-    # orbits are disjoint, so the sort never compares sizes
-    level = sorted((counts, type_class_size(asc)) for asc, order in orbits for counts in order)
-    return [counts for counts, _ in level], [size for _, size in level]
+def _inverse(ranking: array) -> array:
+    """The inverse permutation of ``ranking``: canonical index -> position."""
+    position = array(ranking.typecode, bytes(len(ranking) * ranking.itemsize))
+    for pos, i in enumerate(ranking):
+        position[i] = pos
+    return position
 
 
 class CodeOrdering:
     """A total order on A^n shared by encoder and decoder, as a sequence of
-    units: ranked classes for the known source, entropy levels for the
-    universal code.  The base holds the one offset structure of both:
-    ``sizes``, the strings of each unit in code order, and
+    units: ranked classes for the known source, orbits (partitions of n)
+    for the universal code.  The base holds the one offset structure of
+    both: ``sizes``, the strings of each unit in code order, and
     ``checkpoints[j]``, the strings before unit j * _OFFSET_STRIDE; from a
     checkpoint, ``_offset`` and ``_unit`` walk less than one stride.  Each
     store answers the two questions of enumerative coding without listing
@@ -239,18 +220,17 @@ class CodeOrdering:
 
 
 class _EntropyColumns(CodeOrdering):
-    """The universal order kept as columns (see the module docstring): the
-    level ``entropies`` ascending; ``parts``, the partitions of n packed in
-    code order, m-1 parts each, ascending (the last part is n minus the
-    others); and ``starts[i]``, the code-order index of level i's first
-    partition (the partition count last).  The base's units are the
-    levels: ``sizes[i]`` is level i's strings.  No per-partition tuple or
-    size is kept: a single-orbit level's class size is its strings divided
-    by its arrangements.  ``_vectors`` is the one decoder of ``parts``.  No
-    level's classes are listed unless it holds several orbits and a string
-    falls in it, or the tails walk it."""
+    """The universal order kept as columns (see the module docstring):
+    ``entropies``, each partition's float entropy in code order
+    (nondecreasing), and ``parts``, the partitions of n packed in code
+    order, m-1 parts each, ascending (the last part is n minus the others).
+    The base's units are the orbits: ``sizes[i]`` is the strings of
+    partition i's orbit, and a class's size is that over the orbit's
+    arrangements.  No per-partition tuple or per-class size is kept.
+    ``_vectors`` is the one decoder of ``parts``; the codec lists no
+    classes, and only the tails' ``_orbits`` does."""
 
-    __slots__ = ("entropies", "starts", "parts")
+    __slots__ = ("entropies", "parts")
 
     def __init__(self, n: int, m: int) -> None:
         # first walk: each partition's m parts, smallest first, one row per
@@ -271,35 +251,29 @@ class _EntropyColumns(CodeOrdering):
         sums = map(math.fsum, zip(*[map(term, canonical)] * m))  # one row's terms at a time
         unclamped = map(operator.sub, repeat(log2_n), map(operator.truediv, sums, repeat(n)))
         keys = array("d", map(max, unclamped, repeat(0.0)))
-        # a stable sort on the entropy alone makes each level one block, its
-        # partitions in descending lex order; no class size exists yet
+        # a stable sort on the entropy alone keeps partitions of equal
+        # entropy in descending lex order; no class size exists yet
         count = len(keys)
         ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
-        keys = array("d", map(keys.__getitem__, ranking))  # now in code order
-        first = [True, *map(operator.ne, keys[1:], keys), True]  # opens a level, or ends the last
-        self.entropies = array("d", itertools.compress(keys, first))
-        self.starts = array(ranking.typecode, itertools.compress(range(count + 1), first))
-        # each partition's level, by canonical index: the level openings up to its position
-        level = array(ranking.typecode, bytes(count * ranking.itemsize))
-        for j, i in zip(ranking, itertools.accumulate(first[1:count], initial=0)):
-            level[j] = i
-        del keys, first
+        self.entropies = array("d", map(keys.__getitem__, ranking))
+        del keys
         width, typecode = m - 1, canonical.typecode
         self.parts = array(typecode, bytes(count * width * canonical.itemsize))
         for i in range(width):  # the smallest m-1 parts, ascending, in code order
             column = canonical[i::m]
             self.parts[i::width] = array(typecode, [column[j] for j in ranking])
+        positions = iter(_inverse(ranking))
         del canonical, ranking
         # second walk: the strings of each partition's orbit, in canonical
-        # order, added to its level's (a level of several orbits sums them)
-        sizes, slot, levels = [0] * len(self.entropies), m - 1, iter(level)
+        # order, stored at its position
+        sizes, slot = [0] * count, m - 1
         for _, rest, prev, run, size, arr in _iter_runs(n, m, True):
             top = min(prev, rest)
             cls = size * math.comb(rest, top)  # the class size, size * C(rest, c), c falling
             for c in range(top, (rest - 1) // 2, -1):
                 r = run + 1 if c == prev else 1  # a part equal to prev extends its run
                 last = rest - c
-                sizes[next(levels)] += cls * (arr * slot // r * m // (r + 1 if last == c else 1))
+                sizes[next(positions)] = cls * (arr * slot // r * m // (r + 1 if last == c else 1))
                 cls = cls * c // (last + 1)
         super().__init__(UNIVERSAL, n, m, sizes)
 
@@ -313,52 +287,49 @@ class _EntropyColumns(CodeOrdering):
 
     def _orbit(self, i: int, vector: tuple[int, ...]) -> tuple[list[int], list[int], int, int]:
         """(distinct values, their multiplicities, arrangements, class size)
-        of single-orbit level i, whose partition ``vector`` rearranges: the
-        orbit's m! / prod(multiplicity!) vectors share the level's strings."""
+        of the orbit of partition i, which ``vector`` rearranges: its
+        m! / prod(multiplicity!) vectors share the orbit's strings."""
         values = sorted(set(vector))
         multiplicities = list(map(vector.count, values))
         factorial = math.factorial
         arrangements = factorial(self.m) // math.prod(map(factorial, multiplicities))
         return values, multiplicities, arrangements, self.sizes[i] // arrangements
 
-    def _level(self, i: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """Count vectors and class sizes of level i in lex order."""
-        return _level_classes(self._vectors(self.starts[i], self.starts[i + 1]), self.sizes[i], {})
+    def _orbits(self) -> Iterator[tuple[list[tuple[int, ...]], int]]:
+        """Per partition in code order, from one stream: its orbit's count
+        vectors in lex order and their class size.
 
-    def _levels(self) -> Iterator[tuple[list[tuple[int, ...]], list[int]]]:
-        """Count vectors and class sizes of every level, in code order, from one stream."""
+        An orbit's shape maps each slot of its ascending vector to the first
+        slot holding the same value.  That index rises with the value, so the
+        shape's distinct permutations, as itemgetters on the ascending vector,
+        list the orbit in lex order; orbits of one shape share the getters."""
         getters: dict[tuple[int, ...], list[itemgetter]] = {}
-        vectors = self._vectors(0, self.starts[-1])
-        for lo, hi, level_strings in zip(self.starts, self.starts[1:], self.sizes):
-            yield _level_classes(itertools.islice(vectors, hi - lo), level_strings, getters)
+        for asc, strings in zip(self._vectors(0, len(self.sizes)), self.sizes):
+            shape = tuple(map(asc.index, asc))
+            if shape not in getters:
+                getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
+            order = [g(asc) for g in getters[shape]]
+            yield order, strings // len(order)
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """(strings before the class of ``counts``, the class's size)."""
         h = type_entropy_bits(counts)
         i = bisect.bisect_left(self.entropies, h)
-        if i == len(self.entropies) or self.entropies[i] != h:
-            raise InvariantViolation(f"no entropy level of the universal ordering holds {counts}")
-        offset = self._offset(i)
-        if self.starts[i + 1] - self.starts[i] > 1:
-            order, sizes = self._level(i)
-            pos = order.index(counts)
-            return offset + sum(sizes[:pos]), sizes[pos]
+        tied = bisect.bisect_right(self.entropies, h, i) - i
+        if not tied:
+            raise InvariantViolation(f"no orbit of the universal ordering holds {counts}")
+        if tied > 1:  # rare: several partitions of this entropy; find the one counts rearranges
+            i += list(self._vectors(i, i + tied)).index(tuple(sorted(counts)))
         # the orbit's vectors are the strings over its values: rank counts among them
         values, multiplicities, arrangements, size = self._orbit(i, counts)
-        return offset + size * _rank(list(map(values.index, counts)), multiplicities, arrangements), size
+        return self._offset(i) + size * _rank(list(map(values.index, counts)), multiplicities, arrangements), size
 
     def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
         """(counts, 0-based rank in its class, class size) of the 1-based index k."""
         i, offset = self._unit(k)
-        rest = k - 1 - offset
-        if self.starts[i + 1] - self.starts[i] > 1:
-            order, sizes = self._level(i)
-            starts = list(itertools.accumulate(sizes, initial=0))
-            pos = bisect.bisect_left(starts, rest + 1) - 1
-            return order[pos], rest - starts[pos], sizes[pos]
-        asc = next(self._vectors(self.starts[i], self.starts[i] + 1))
+        asc = next(self._vectors(i, i + 1))
         values, multiplicities, arrangements, size = self._orbit(i, asc)
-        rank, within = divmod(rest, size)
+        rank, within = divmod(k - 1 - offset, size)
         vector = _unrank(multiplicities, arrangements, rank)
         return tuple(map(values.__getitem__, vector)), within, size
 
@@ -382,11 +353,8 @@ class _RankedClasses(CodeOrdering):
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """(strings in all classes ranked before the class of ``counts``, its size)."""
-        if self._position is None:  # the inverse ranking: canonical index -> position
-            ranking = self.ranking
-            self._position = array(ranking.typecode, bytes(len(ranking) * ranking.itemsize))
-            for pos, i in enumerate(ranking):
-                self._position[i] = pos
+        if self._position is None:
+            self._position = _inverse(self.ranking)
         pos = self._position[type_index(counts)]
         return self._offset(pos), self.sizes[pos]
 
@@ -604,9 +572,9 @@ def _universal_length_distribution(p: SourcePmf, n: int) -> LengthDistribution:
     """The memoized body of :func:`universal_length_distribution`, keyed on
     its checked arguments (the cap only admits or refuses them)."""
     tables, keys, sizes = _key_tables(p, n), array("d"), []
-    for order, level_sizes in _EntropyColumns(n, p.m)._levels():  # one level at a time
+    for order, size in _EntropyColumns(n, p.m)._orbits():  # one orbit at a time
         keys.extend(math.fsum(map(list.__getitem__, tables, counts)) for counts in order)
-        sizes += level_sizes
+        sizes += itertools.repeat(size, len(order))
     tails = _log2_tails(keys, sizes, range(len(sizes)), p.m ** n)  # already in code order
     return LengthDistribution(n=n, m=p.m, log2_tails=tails)
 

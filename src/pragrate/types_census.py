@@ -23,7 +23,7 @@ of visiting all C(n+m-1, m-1) count vectors.  The universal code order in
 :mod:`pragrate.coding` is kept as the same orbits: a count vector's place in
 its orbit is its lex rank among the rearrangements of the partition (a
 multiset rank, :func:`rank_in_type_class`), and :func:`_distinct_permutations`
-lists an orbit in lex order when one is expanded.
+lists an orbit in lex order, for the universal code's tails only.
 
 The partitions come in runs too (:func:`_iter_runs`, the one walker of
 both orders, with no stack that grows with m): those that share their

@@ -275,28 +275,39 @@ def _iter_partitions(n, m):
 
 
 def reference_entropy_columns(n, m):
-    """(entropies, starts, parts, sizes, checkpoints) of the universal store
-    of blocklength n over m symbols, built in one pass that keeps every
+    """(entropies, parts, sizes, checkpoints) of the universal store of
+    blocklength n over m symbols, built in one pass that keeps every
     orbit's strings through the sort: a stable sort of the partitions of
-    :func:`_iter_partitions` on ``type_entropy_bits`` alone, each level's
-    strings the sum of its orbits', and the smallest m-1 parts of each
-    partition, ascending, in code order."""
+    :func:`_iter_partitions` on ``type_entropy_bits`` alone, and per
+    partition in code order its entropy, its smallest m-1 parts ascending
+    and its orbit's strings."""
     partitions = list(_iter_partitions(n, m))
     keys = [type_entropy_bits(parts) for parts, _, _ in partitions]
     ranking = sorted(range(len(keys)), key=keys.__getitem__)
-    entropies, starts, sizes = [], [], []
-    for pos, j in enumerate(ranking):
-        parts, size, arrangements = partitions[j]
-        if not entropies or keys[j] != entropies[-1]:
-            entropies.append(keys[j])
-            starts.append(pos)
-            sizes.append(0)
-        sizes[-1] += size * arrangements
-    starts.append(len(ranking))
+    entropies = [keys[j] for j in ranking]
+    sizes = [partitions[j][1] * partitions[j][2] for j in ranking]
     packed = [c for j in ranking for c in partitions[j][0][:0:-1]]
     offsets = itertools.accumulate(sizes, initial=0)
     checkpoints = list(itertools.islice(offsets, 0, len(sizes), coding._OFFSET_STRIDE))
-    return entropies, starts, packed, sizes, checkpoints
+    return entropies, packed, sizes, checkpoints
+
+
+def universal_key(n, m):
+    """The universal order as a sort key on the compositions of n into m
+    slots, independent of the store: (entropy, the index of its partition
+    in the order of :func:`_iter_partitions`, counts).  So partitions of
+    equal float entropy keep that order, and an orbit's classes are lex."""
+    index = {parts: i for i, (parts, _, _) in enumerate(_iter_partitions(n, m))}
+    return lambda c: (type_entropy_bits(c), index[tuple(sorted(c, reverse=True))], c)
+
+
+def equal_entropy_groups(n, m):
+    """The groups of two or more partitions of n into at most m parts
+    (ascending count vectors) whose float entropies are bit-equal."""
+    groups = {}
+    for parts, _, _ in _iter_partitions(n, m):
+        groups.setdefault(type_entropy_bits(parts), []).append(parts[::-1])
+    return [group for group in groups.values() if len(group) > 1]
 
 
 def reference_low_entropy_count(n, m, h):

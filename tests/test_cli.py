@@ -365,14 +365,14 @@ class TestCodecCommands:
 
     def test_universal_pipe_through_multi_orbit_levels(self, tmp_path):
         # at m=4, n=50 the partitions (3,3,12,32) and (2,14,16,18) share
-        # their float entropy with others, so the codec lists the classes of
-        # their levels; everywhere else it ranks within one orbit
+        # their float entropy with others, so the codec finds their orbits
+        # among several of one entropy; everywhere else the entropy alone
+        # finds the orbit
         o = pragrate.build_ordering(pragrate.UNIVERSAL, 50, 4)
         parts = [tuple(o.parts[j:j + 3]) for j in range(0, len(o.parts), 3)]  # the 3 smallest
-        levels = [parts[a:b] for a, b in zip(o.starts, o.starts[1:])]
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
-            level = next(level for level in levels if asc[:3] in level)
-            assert len(level) >= 2
+            h = o.entropies[parts.index(asc[:3])]
+            assert list(o.entropies).count(h) >= 2
         rng = random.Random(50)
         strings = ["".join(rng.choice("abcd") for _ in range(50)) for _ in range(10)]
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
@@ -466,15 +466,16 @@ class TestCodecCommands:
     # the benchmark's six codec cells: alphabet, n and the known mode's source
     STREAM_CELLS = {"m2_n800": ("ab", 800, "0.2,0.8"), "m3_n150": ("abc", 150, "0.2,0.3,0.5"),
                     "m4_n50": ("abcd", 50, "0.1,0.2,0.3,0.4")}
-    # sha256 of each cell's encode stdout, as first computed with per-character symbol maps
+    # sha256 of each cell's encode stdout, as first computed with per-character symbol maps,
+    # re-pinned when the header gained fmt=1 (the codeword lines are unchanged)
     STREAM_SHA256 = {
-        ("known", "m2_n800"): "14a5b82fe785e2c827161516f9992997a1962d57d290e1b2d31e9c6147cd260d",
-        ("known", "m3_n150"): "616d9b8b3b08f62eb84438bdb243a2a4f161965638aaabbf3ee55810cb1b9ccf",
-        ("known", "m4_n50"): "5fe2d11293b5d5ee2031d2d2b6c510cb19d0248aca3caaa6796d3248d4f484b7",
-        ("universal", "m2_n800"): "e64bcb70199f64ee880af74eae042730a2606a759ebbc6d6ec78b2ec89a3ab31",
-        ("universal", "m3_n150"): "05f42dffc720c86292b16c954adf3bcb14e3fb7f1718d1ae13a6062b43185655",
-        ("universal", "m4_n50"): "dc3b42943840bb3fc428af0ddea018b09c59fcb116ff2707464fd25a65582da9",
-        ("audit", "m3_n150"): "d9346005206357e7db66c4761a60a8c25a0172625197e608f88c4392602f2724",
+        ("known", "m2_n800"): "de86c7041b45e6d6efba1bcb684ea3854122c885f7bb00e843853e8214670cc4",
+        ("known", "m3_n150"): "e28d965000a2ed19644052f6fb7c43e79e7ae3940a351436c940f87941e81a22",
+        ("known", "m4_n50"): "a256b5b91f8d7f97bb87370ef34611cf07aa30d5dab71a45bdd009b2dd2ea41c",
+        ("universal", "m2_n800"): "b21c3e44905a61181d5f3f8b81f310d68875408da364be1214469db0cfc808ed",
+        ("universal", "m3_n150"): "2b58de443e39bc15d4db2325b1dcf92d3c3899aa01e8fa2bb6d8d0f0817c521c",
+        ("universal", "m4_n50"): "7238a595dd9b4d963e42e4d6b38439b07cd2ebb8d1bb4805153a3ac44cf182c1",
+        ("audit", "m3_n150"): "44977d880ceac7f1550d2e72a4f78d5dc6408a739c4271c5c65bbd504db5393d",
     }
 
     @pytest.mark.parametrize("mode, cell", STREAM_SHA256, ids="_".join)
@@ -508,16 +509,16 @@ class TestCodecCommands:
     def test_known_header_carries_source_digest(self, capsys, tmp_path):
         digest = hashlib.sha256(repr((0.2, 0.3, 0.5)).encode()).hexdigest()[:16]
         header = self._encode_known().splitlines()[0]
-        assert header == f"# mode=known m=3 n=5 alphabet=abc src={digest}"
+        assert header == f"# mode=known m=3 n=5 alphabet=abc src={digest} fmt=1"
         infile = tmp_path / "strings.txt"
         infile.write_text(self.FOUND_STRINGS)
         code, out, _ = run_cli(capsys, "codec", "encode", "--mode", "universal", "--source",
                                "0.2,0.3,0.5", "--alphabet", "abc", "--n", "5", str(infile))
-        assert code == 0 and out.splitlines()[0] == "# mode=universal m=3 n=5 alphabet=abc"
+        assert code == 0 and out.splitlines()[0] == "# mode=universal m=3 n=5 alphabet=abc fmt=1"
 
     def test_decode_refuses_another_source(self):
         coded = self._encode_known()
-        digest = coded.splitlines()[0].split("src=")[1]
+        digest = coded.splitlines()[0].split("src=")[1].split()[0]
         other = hashlib.sha256(repr((0.5, 0.3, 0.2)).encode()).hexdigest()[:16]
         code, out, err = run_cli_process("codec", "decode", "--source", "0.5,0.3,0.2", stdin=coded)
         assert (code, out) == (2, "")
@@ -526,10 +527,18 @@ class TestCodecCommands:
 
     def test_header_without_digest_decodes_unchecked(self):
         header, *words = self._encode_known().splitlines()
-        legacy = "\n".join([header.split(" src=")[0], *words]) + "\n"
+        legacy = "\n".join([" ".join(t for t in header.split() if not t.startswith("src=")), *words]) + "\n"
         code, out, err = run_cli_process("codec", "decode", "--source", "0.2,0.3,0.5", stdin=legacy)
         assert (code, out) == (0, self.FOUND_STRINGS)
         assert err == "warning: codeword header has no src= digest; the --source pmf is unchecked\n"
+
+    def test_known_header_without_format_decodes(self):
+        # the known-source order is the same before and after fmt=1
+        header, *words = self._encode_known().splitlines()
+        legacy = "\n".join([header.removesuffix(" fmt=1"), *words]) + "\n"
+        assert "fmt=" not in legacy
+        code, out, err = run_cli_process("codec", "decode", "--source", "0.2,0.3,0.5", stdin=legacy)
+        assert (code, out, err) == (0, self.FOUND_STRINGS, "")
 
     @pytest.mark.parametrize("form", ["inline", "json", "file"])
     def test_same_pmf_in_any_form_decodes_cleanly(self, tmp_path, form):
@@ -858,7 +867,10 @@ class TestInputErrorsExit2:
         ("# mode=universal m=3 n=4 alphabet=ab", "codeword header: alphabet 'ab' does not have m=3"),
         ("# mode=foo m=2 n=4 alphabet=ab", "codeword header: mode must be 'known' or 'universal'"),
         ("# mode=universal m=2 n=4 alphabet=aa", "alphabet must be >= 2 distinct symbols"),
-    ], ids=["n_not_integer", "alphabet_shorter_than_m", "unknown_mode", "repeated_symbol"])
+        ("# mode=known m=2 n=4 alphabet=ab fmt=2", "codeword header: unknown format fmt='2'; this version reads fmt=1"),
+        ("# mode=universal m=2 n=4 alphabet=ab", "codeword header: a universal stream with no fmt= field"),
+    ], ids=["n_not_integer", "alphabet_shorter_than_m", "unknown_mode", "repeated_symbol", "unknown_format",
+            "universal_without_format"])
     def test_bad_codec_header(self, tmp_path, header, message):
         coded = tmp_path / "coded.txt"
         coded.write_text(f"{header}\n100\n")
@@ -963,7 +975,7 @@ class TestInputErrorsExit2:
     def test_decode_past_the_ordering_names_the_index_by_its_bits(self):
         # the codeword of 15,000 ones is index 2**15001 - 1 of 2**15000
         # strings, both past the 4,300-digit limit of an int's str
-        stream = "# mode=universal m=2 n=15000 alphabet=ab\n" + "1" * 15000 + "\n"
+        stream = "# mode=universal m=2 n=15000 alphabet=ab fmt=1\n" + "1" * 15000 + "\n"
         code, out, err = run_cli_process("codec", "decode", stdin=stream)
         assert code == 2
         assert out == "" and "Traceback" not in err
@@ -1071,7 +1083,7 @@ def test_subnormal_epsilon_ladder_has_finite_strassen_cell():
 def test_codec_closes_its_input_file(tmp_path, argv, code):
     files = {
         "strings": ("strings.txt", "abab\nbbba\n"),
-        "coded": ("coded.txt", "# mode=universal m=2 n=4 alphabet=ab\n100\n"),
+        "coded": ("coded.txt", "# mode=universal m=2 n=4 alphabet=ab fmt=1\n100\n"),
         "config": ("run.json", json.dumps({"mode": "known", "source": "0.3,0.7"})),
     }
     paths = {}

@@ -1,3 +1,5 @@
+import bisect
+import collections
 import hashlib
 import itertools
 import math
@@ -38,8 +40,8 @@ from pragrate import types_census
 from pragrate.types_census import count_partitions
 
 from conftest import (
-    _class_size, _lex_first, _reference_ordering, bern, compositions, peak_mib, random_pmf,
-    reference_entropy_columns, suffix_tails,
+    _class_size, _lex_first, _reference_ordering, bern, compositions, equal_entropy_groups, peak_mib,
+    random_pmf, reference_entropy_columns, suffix_tails, universal_key,
 )
 
 P02 = bern("0.2")
@@ -48,18 +50,49 @@ DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
 # a checkpoint every _OFFSET_STRIDE units
 STORE_SLOTS = ("mode", "n", "m", "total", "sizes", "checkpoints")
 
+# the source paper's abstract, as ASCII bytes: cut into blocks of 16 or 24
+# bytes, many fall in orbits that share their float entropy with another
+ABSTRACT = (
+    rb"The problem of variable-rate lossless data compression is considered, for codes with "
+    rb"and without prefix constraints. Sharp bounds are derived for the best achievable "
+    rb"compression rate of memoryless sources, when the excess-rate probability is required "
+    rb"to be exponentially small in the blocklength. Accurate nonasymptotic expansions with "
+    rb"explicit constants are obtained for the optimal rate, using tools from large "
+    rb"deviations and Gaussian approximation. When the source distribution is unknown, a "
+    rb"universal achievability result is obtained with an explicit ``price for "
+    rb"universality'' term. This is based on a fine combinatorial estimate on the number of "
+    rb"sequences with small empirical entropy, which might be of independent interest. "
+    rb"Examples are shown indicating that, in the small excess-rate-probability regime, the "
+    rb"approximation to the fundamental limit of the compression rate suggested by these "
+    rb"bounds is significantly more accurate than the approximations provided by either "
+    rb"normal approximation or error exponents. The new bounds reinforce the crucial "
+    rb"operational conclusion that, in applications where the blocklength is relatively "
+    rb"short and where stringent guarantees are required on the rate, the best achievable "
+    rb"rate is no longer close to the entropy. Rather, it is an appropriate, more {\em "
+    rb"pragmatic} rate, determined via the inverse error exponent function and the "
+    rb"blocklength."
+)
+
 
 def _columns(o):
-    return o.entropies, o.starts, o.parts, o.sizes, o.checkpoints
+    return o.entropies, o.parts, o.sizes, o.checkpoints
 
 
-def _levels(o):
-    """Each level of a universal ordering as its partitions, ascending
+def _partitions(o):
+    """The partitions of a universal ordering in code order, as ascending
     count vectors, read from the packed columns."""
     width = o.m - 1
     parts = [tuple(o.parts[j:j + width]) for j in range(0, len(o.parts), width)]
-    asc = [p + (o.n - sum(p),) for p in parts]
-    return [asc[a:b] for a, b in zip(o.starts, o.starts[1:])]
+    return [p + (o.n - sum(p),) for p in parts]
+
+
+def _ties(o):
+    """The store's groups of two or more partitions of bit-equal entropy,
+    each in code order."""
+    groups = {}
+    for h, asc in zip(o.entropies, _partitions(o)):
+        groups.setdefault(h, []).append(asc)
+    return [group for group in groups.values() if len(group) > 1]
 
 
 class TestCodeword:
@@ -155,13 +188,13 @@ class TestOrderings:
     def test_universal_order_is_entropy_then_canonical(self):
         o = build_ordering(UNIVERSAL, 7, 3)
         order = sorted(compositions(7, 3), key=o.class_offset)
-        keys = [(type_entropy_bits(c), c) for c in order]
+        keys = list(map(universal_key(7, 3), order))
         assert keys == sorted(keys)
 
 
 class TestOrbitBuildMatchesReferenceSort:
     """The known-source build equals a sort of every composition on (minus
-    log2 probability, counts).  The universal levels are checked against
+    log2 probability, counts).  The universal orbits are checked against
     their sort class by class in TestUniversalLevelPath."""
 
     @staticmethod
@@ -191,22 +224,25 @@ class TestOrbitBuildMatchesReferenceSort:
 
 
 class TestUniversalLevelPath:
-    """Encode and decode work on the entropy levels; every class still
-    lands where a sort of all compositions puts it."""
+    """Encode and decode work one orbit at a time; every class still lands
+    where a sort of all compositions on (entropy, canonical partition index,
+    counts) puts it."""
 
     @staticmethod
     def _check_against_reference(n, m, stride=1):
         """Check every class's offset and lookup, and the first and last
-        string of every ``stride``-th class and of every class in a level
-        of several orbits; return the number of such levels."""
-        levels = o = build_ordering(UNIVERSAL, n, m)
-        shared = {asc for level in _levels(o) if len(level) > 1 for asc in level}
-        order, offsets = _reference_ordering(n, m, lambda c: (type_entropy_bits(c), c))
+        string of every ``stride``-th class and of every class whose
+        partition shares its float entropy with another; return the number
+        of such groups of partitions."""
+        o = build_ordering(UNIVERSAL, n, m)
+        groups = equal_entropy_groups(n, m)
+        shared = {asc for group in groups for asc in group}
+        order, offsets = _reference_ordering(n, m, universal_key(n, m))
         assert o.total == offsets[-1]
         for i, (counts, lo, hi) in enumerate(zip(order, offsets, offsets[1:])):
-            assert levels.class_offset(counts) == lo, (n, m, counts)
-            assert levels.locate(lo + 1) == (counts, 0)
-            assert levels.locate(hi) == (counts, hi - lo - 1)
+            assert o.class_offset(counts) == lo, (n, m, counts)
+            assert o.locate(lo + 1) == (counts, 0)
+            assert o.locate(hi) == (counts, hi - lo - 1)
             if i % stride and tuple(sorted(counts)) not in shared:
                 continue
             first, last = _lex_first(counts), _lex_first(counts)[::-1]
@@ -214,19 +250,19 @@ class TestUniversalLevelPath:
             assert string_index(o, last) == hi, (n, m, counts)
             assert decode(o, Codeword.from_index(lo + 1)) == first
             assert decode(o, Codeword.from_index(hi)) == last
-        return len(shared)
+        return len(groups)
 
     @pytest.mark.parametrize("m,ns", [
         (2, range(1, 31)), (3, range(1, 31)), (4, range(1, 31, 3)),
         (5, range(1, 17, 3)), (6, range(1, 11, 3)), (8, range(1, 6)),
-        (2, (124, 126, 128, 254, 256)), (3, (40,)),  # levels past a checkpoint
+        (2, (124, 126, 128, 254, 256)), (3, (40,)),  # orbits past a checkpoint
     ])
     def test_every_class_matches_reference_sort(self, m, ns):
         for n in ns:
             self._check_against_reference(n, m)
 
     def test_reference_cases_cross_checkpoints(self):
-        # the largest cases above hold K-1, K, K+1, 2K, 2K+1 and 154 levels:
+        # the largest cases above hold K-1, K, K+1, 2K, 2K+1 and 154 orbits:
         # a whole number of strides, and partial last strides
         K = coding._OFFSET_STRIDE
         cases = ((2, 124), (2, 126), (2, 128), (2, 254), (2, 256), (3, 40))
@@ -244,33 +280,30 @@ class TestUniversalLevelPath:
         for _ in range(30):
             x = tuple(rng.randrange(4) for _ in range(50))
             assert decode(o, encode(o, x)) == x
-        for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):  # in multi-orbit levels
+        for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):  # share their entropy with other partitions
             x = _lex_first(asc[::-1])
             assert decode(o, encode(o, x)) == x
-        # the ordering is its store, and the store holds one entry per
-        # partition of n (not per class), and one entropy and one size per level
+        # the ordering is its store, and the store holds one entropy, one
+        # entry and one size per partition of n (not per class)
         assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
-        assert type(o).__slots__ == ("entropies", "starts", "parts")
-        assert sum(map(len, _levels(o))) == count_partitions(50, 4) < count_types(50, 4) // 20
-        assert len(o.entropies) == len(o.sizes) == len(o.starts) - 1 == len(_levels(o))
-        assert list(o.entropies) == sorted(set(o.entropies))
+        assert type(o).__slots__ == ("entropies", "parts")
+        assert len(_partitions(o)) == count_partitions(50, 4) < count_types(50, 4) // 20
+        assert len(o.entropies) == len(o.sizes) == len(_partitions(o))
+        assert list(o.entropies) == sorted(o.entropies) != sorted(set(o.entropies))  # some tie
 
-    def test_store_keeps_no_tuple_or_size_per_partition(self):
-        # columns only: flat arrays of small numbers, and one big integer per level
+    def test_store_keeps_no_tuple_or_size_per_class(self):
+        # columns only: flat arrays of small numbers, and one big integer per orbit
         o = build_ordering(UNIVERSAL, 50, 4)
         partitions = count_partitions(50, 4)
-        assert type(o).__slots__ == ("entropies", "starts", "parts")
+        assert type(o).__slots__ == ("entropies", "parts")
         assert not hasattr(o, "__dict__")
         assert isinstance(o.entropies, array) and o.entropies.typecode == "d"
-        assert isinstance(o.starts, array) and o.starts.typecode in "BHIQ"
         assert isinstance(o.parts, array) and o.parts.typecode in "BHIQ"
         assert len(o.parts) == 3 * partitions  # m-1 parts each, none of them a tuple
-        assert (o.starts[0], o.starts[-1]) == (0, partitions)
-        assert list(o.starts) == sorted(set(o.starts))
         assert type(o.sizes) is list and all(type(v) is int and v > 0 for v in o.sizes)
-        assert len(o.sizes) == len(o.entropies) < partitions  # some levels are shared
+        assert len(o.sizes) == len(o.entropies) == partitions
         assert sum(o.sizes) == 4 ** 50
-        # one checkpoint every _OFFSET_STRIDE levels, the first at 0
+        # one checkpoint every _OFFSET_STRIDE orbits, the first at 0
         offsets = list(itertools.accumulate(o.sizes, initial=0))
         assert o.checkpoints == offsets[:len(o.sizes):coding._OFFSET_STRIDE]
 
@@ -298,32 +331,30 @@ class TestUniversalLevelPath:
         # and 0.089 MiB (CPython 3.11)
         assert peak_mib(build_ordering, UNIVERSAL, n, m) < bound
 
-    def test_level_walk_streams_the_partitions(self):
+    def test_orbit_walk_streams_the_partitions(self):
         # after a first walk, a list of every partition as a tuple, made
         # before the walk, peaked at 0.16 MiB here; one stream of them peaks
         # at 0.03 MiB (CPython 3.11)
         o = build_ordering(UNIVERSAL, 150, 3)
 
         def walk():
-            return sum(1 for _ in o._levels())
+            return sum(1 for _ in o._orbits())
 
         assert walk() == len(o.entropies)
         assert peak_mib(walk) < 0.08
 
     def test_round_trip_through_every_multi_orbit_level(self):
-        # every class of every level of several orbits at m=4, n=50, at its
-        # first and last string, against the reference sort of all classes
+        # every class of every group of partitions of equal float entropy at
+        # m=4, n=50, at its first and last string, against the reference
+        # sort of all classes
         o = build_ordering(UNIVERSAL, 50, 4)
-        shared = [level for level in _levels(o) if len(level) > 1]
-        order, offsets = _reference_ordering(50, 4, lambda c: (type_entropy_bits(c), c))
-        # the store's shared levels are the partitions that tie in float entropy
-        ties: dict[float, list[tuple[int, ...]]] = {}
-        for counts in filter(lambda c: list(c) == sorted(c), order):
-            ties.setdefault(type_entropy_bits(counts), []).append(counts)
-        assert sorted(map(sorted, shared)) == sorted(g for g in ties.values() if len(g) > 1)
+        shared = _ties(o)
+        order, offsets = _reference_ordering(50, 4, universal_key(50, 4))
+        # the store's groups are the reference's, each in canonical order
+        assert sorted(shared) == sorted(equal_entropy_groups(50, 4))
         assert len(shared) >= 2
         where = {counts: (lo, hi) for counts, lo, hi in zip(order, offsets, offsets[1:])}
-        classes = [c for level in shared for asc in level for c in set(itertools.permutations(asc))]
+        classes = [c for group in shared for asc in group for c in set(itertools.permutations(asc))]
         assert len(classes) > 2 * len(shared)
         for counts in classes:
             lo, hi = where[counts]
@@ -333,6 +364,31 @@ class TestUniversalLevelPath:
                 assert o.locate(k) == (counts, k - lo - 1)
                 assert string_index(o, x) == k
                 assert decode(o, encode(o, x)) == x
+
+    @pytest.mark.parametrize("n,shared,bound", [(16, 36, 0.8), (24, 54, 5.5)])
+    def test_byte_blocks_round_trip_with_no_orbit_listed(self, monkeypatch, n, shared, bound):
+        # every block of the abstract round-trips at m = 256, and the codec
+        # never lists an orbit's classes: listing the classes of every orbit
+        # of one entropy ran out of memory here.  Peaks 0.55 and 3.6 MiB
+        # (CPython 3.11), the first walk's rows of m parts per partition
+        def refuse(values):
+            raise AssertionError(f"the orbit of {values} was listed")
+
+        monkeypatch.setattr(types_census, "_distinct_permutations", refuse)
+        monkeypatch.setattr(coding, "_distinct_permutations", refuse)
+        blocks = [ABSTRACT[i:i + n] for i in range(0, len(ABSTRACT) - n + 1, n)]
+        built = []
+
+        def run():
+            o = build_ordering(UNIVERSAL, n, 256, cap_types=count_types(n, 256))
+            assert [decode(o, encode(o, x)) for x in blocks] == list(map(tuple, blocks))
+            built.append(o)
+
+        assert peak_mib(run) < bound
+        entropies = built[0].entropies
+        tied = [bisect.bisect_right(entropies, h) - bisect.bisect_left(entropies, h) > 1
+                for h in (type_entropy_bits(list(map(x.count, range(256)))) for x in blocks)]
+        assert sum(tied) == shared
 
     def test_build_and_round_trip_stay_small(self):
         # the class list at m=4 n=50 (23,426 classes) alone takes over 5 MiB
@@ -357,15 +413,14 @@ class TestUniversalBuildMatchesReference:
     @staticmethod
     def _check(n, m):
         """Compare every column with the reference; return the number of
-        levels of several orbits."""
+        groups of partitions of equal float entropy."""
         o = build_ordering(UNIVERSAL, n, m, cap_types=count_types(n, m))
-        entropies, starts, parts, sizes, checkpoints = reference_entropy_columns(n, m)
+        entropies, parts, sizes, checkpoints = reference_entropy_columns(n, m)
         assert o.entropies.tobytes() == array("d", entropies).tobytes(), (n, m)
-        assert list(o.starts) == starts, (n, m)
         assert list(o.parts) == parts, (n, m)
         assert o.sizes == sizes, (n, m)
         assert o.checkpoints == checkpoints, (n, m)
-        return sum(b - a > 1 for a, b in zip(starts, starts[1:]))
+        return sum(count > 1 for count in collections.Counter(entropies).values())
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_blocklengths_up_to_40(self, m):
@@ -534,9 +589,8 @@ class TestRoundTrips:
     @pytest.mark.parametrize("mode", [UNIVERSAL, KNOWN_SOURCE])
     def test_no_multinomial_per_string(self, monkeypatch, mode):
         """Once built, an ordering answers each class's size with its
-        offset: encode and decode compute no type_class_size.  (A level of
-        several equal-entropy orbits sizes its classes when a string falls
-        in it; no string here does.)"""
+        offset: encode and decode compute no type_class_size, wherever
+        it is bound."""
         p = SourcePmf.parse("0.2,0.3,0.5")
         rng = random.Random(31)
         strings = [tuple(rng.choices(range(3), weights=p.probs, k=60)) for _ in range(8)]
@@ -548,9 +602,12 @@ class TestRoundTrips:
             calls.append(t)
             return size(t)
 
-        size = coding.type_class_size
-        monkeypatch.setattr(coding, "type_class_size", counting)
-        monkeypatch.setattr(types_census, "type_class_size", counting)
+        size = types_census.type_class_size
+        bound = [module for name, module in list(sys.modules.items())
+                 if name.partition(".")[0] == "pragrate" and getattr(module, "type_class_size", None) is size]
+        assert types_census in bound
+        for module in bound:
+            monkeypatch.setattr(module, "type_class_size", counting)
         for x in strings:
             assert decode(o, encode(o, x)) == x
             assert decode(o, encode(o, bytes(x))) == x
@@ -650,13 +707,15 @@ class TestUniversalExcessProbability:
             got = universal_excess_probability(P02, n, L)
             assert got == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (4, 7), (5, 5)])
+    # m=4, n=50 holds two groups of partitions of equal float entropy
+    @pytest.mark.parametrize("m,n", [(2, 30), (3, 12), (4, 7), (5, 5), (4, 50)])
     def test_equals_all_class_reference(self, m, n):
         # every class, in a plain sort of every composition on (entropy,
-        # counts), through a logaddexp2 suffix chain with the straddling
-        # class split by hand: the value must match exactly
+        # canonical partition index, counts), through a logaddexp2 suffix
+        # chain with the straddling class split by hand: the value must
+        # match exactly
         rng = random.Random(31 * m + n)
-        order = sorted(compositions(n, m), key=lambda c: (type_entropy_bits(c), c))
+        order = sorted(compositions(n, m), key=universal_key(n, m))
         sizes = [_class_size(counts) for counts in order]
         for _ in range(3):
             p = random_pmf(rng, m)
