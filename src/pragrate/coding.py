@@ -125,6 +125,7 @@ from .types_census import (
     _iter_runs,
     _rank,
     _string_counts,
+    _type_counts,
     _unrank,
     count_types,
     type_at_index,
@@ -185,9 +186,10 @@ class CodeOrdering:
     store answers the two questions of enumerative coding without listing
     its classes: ``class_offset`` (the strings in all classes before a
     given one) and ``locate`` (the class holding a given index, and the
-    index's rank inside it).  Both are views of the store's ``_span`` and
-    ``_class_at``, which also answer the class's size, so the codec never
-    computes a multinomial per string.
+    index's rank inside it).  Both are checked views of the store's
+    ``_span`` and ``_class_at``, which also answer the class's size, so the
+    codec never computes a multinomial per string; the codec checks its
+    own input and calls those two directly.
     """
 
     __slots__ = ("mode", "n", "m", "total", "sizes", "checkpoints")
@@ -210,12 +212,20 @@ class CodeOrdering:
         pos = bisect.bisect_left(offsets, k) - 1  # unit pos holds offsets[pos]+1 .. offsets[pos+1]
         return j * _OFFSET_STRIDE + pos, offsets[pos]
 
-    def class_offset(self, counts: tuple[int, ...]) -> int:
-        """The strings in all classes before the class of ``counts``."""
+    def class_offset(self, counts: Sequence[int]) -> int:
+        """The strings in all classes before the class of ``counts``, which
+        must be m integers >= 0 that sum to n."""
+        counts = _type_counts(counts)
+        if len(counts) != self.m or sum(counts) != self.n:
+            raise DomainError(f"counts {describe(counts)} are not a type of blocklength {self.n} on {self.m} symbols")
         return self._span(counts)[0]
 
     def locate(self, k: int) -> tuple[tuple[int, ...], int]:
-        """(counts, 0-based rank in its class) of the 1-based index k."""
+        """(counts, 0-based rank in its class) of the 1-based index k, an
+        integer from 1 to ``total``."""
+        check_integer("index k", k, 1)
+        if k > self.total:
+            raise DomainError(f"index k={describe(k)} exceeds the {describe(self.total)} strings of this ordering")
         return self._class_at(k)[:2]
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub, truediv
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import DistributionError, DomainError
 from .inputs import brief, check_real, check_source, describe
@@ -217,6 +217,12 @@ def kl_divergence(q: PmfLike, p: PmfLike) -> float:
         if px == 0.0:
             raise DomainError("kl_divergence: q puts mass where p has none")
         terms.append(qx * math.log2(qx / px))
+    return _kl_from_terms(terms)
+
+
+def _kl_from_terms(terms: Iterable[float]) -> float:
+    """D(q || p) in bits from its terms q(x) log2 [q(x)/p(x)]: their
+    correctly rounded sum, a rounding noise below 1e-15 clamped at 0."""
     d = neumaier_sum(terms)
     return max(d, 0.0) if abs(d) < 1e-15 else d
 

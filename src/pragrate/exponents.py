@@ -24,16 +24,16 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
+from itertools import chain, count, islice
 from typing import Iterable
 
 from .distributions import (
     SourcePmf,
     TiltedPoint,
+    _kl_from_terms,
     _tilt_weights,
     _tilted_sigma3_rho3_columns,
     _tilted_values,
-    kl_divergence,
     tilt,
 )
 from .errors import DomainError, InvariantViolation, ResourceLimitError
@@ -45,8 +45,11 @@ _ALPHA_STAR_NOISES = 8.0  # |D - delta| allowed at alpha*, in units of D's round
 ENVELOPE_EDGE = 1e-6
 ENVELOPE_GRID = 4096
 ENVELOPE_GRID_CAP = 10_000_000  # grid points an envelope may take
-ENVELOPE_CHUNK = 32  # grid alphas per columnar kernel call; bounds its lists
+ENVELOPE_CHUNK = 32  # the stride of the final margin's grid points, and the most alphas per kernel call
 _ENVELOPE_SLACK = 1e-9  # relative widening of each block bound, over the kernel's rounding
+_ENVELOPE_FAN = 4  # blocks cut from a block at the next level; a power of two, so strides divide 32
+_ENVELOPE_GROUP = 16  # blocks of stride ENVELOPE_CHUNK refined together; bounds the state below it
+_ENVELOPE_CALL = 24  # alphas per kernel call after the top level: leaves room for a level's arrays
 
 
 @dataclass(frozen=True)
@@ -98,9 +101,9 @@ class MomentEnvelope:
 
     The grid extremes are those of a dense scan, bit for bit, but most grid
     points are never evaluated: a bound on the curvature of ln sigma3_sq
-    and ln rho3 in alpha rules their blocks out.  With V = ln P(X) under
-    P_alpha, mu = E[V], D = V - mu, sigma3_sq = E[D^2], rho3 = E[|D|^3]
-    and R = max ln p - min ln p, every |D| <= R, and
+    and ln rho3 in alpha rules out blocks of them, coarse ones first.  With
+    V = ln P(X) under P_alpha, mu = E[V], D = V - mu, sigma3_sq = E[D^2],
+    rho3 = E[|D|^3] and R = max ln p - min ln p, every |D| <= R, and
     d/dalpha E_alpha[g] = E[g D] + E[dg/dmu] sigma3_sq, so
 
         (ln sigma3_sq)' = E[D^3] / sigma3_sq,                  |.| <= R,
@@ -139,10 +142,27 @@ class MomentEnvelope:
     hundred ulps of uniform) nothing is skipped.  The returned bounds
     are widened by the same factor, which covers (1 + eps)/(1 - eps) up to
     eps = 1/2; past that the floats bound nothing, and the envelope is
-    [0, inf].  ``grid_evaluations`` counts the grid points the kernel
-    evaluated: every ``ENVELOPE_CHUNK``-th point, the last one, and the
-    blocks between them that the bound could not rule out, but not the two
-    closed ends.  It is a diagnostic and does not enter equality.
+    [0, inf].
+
+    That margin needs the smallest sigma3_sq over every
+    ``ENVELOPE_CHUNK``-th grid point and the last one, so the levels of
+    the scan coarser than ``ENVELOPE_CHUNK`` run before it is known.  They
+    prune with the margin eps_c that the same formula gives for
+    L = m e^(-c_top) / 2 in place of that smallest value, where m is the
+    smallest sigma3_sq of the top level's points and c_top the curvature
+    term over its widest block.  eps_c bounds the kernel's error on its
+    own: its floor on sigma3_sq is at most half the one that the top
+    level's points give by the argument above.  While eps_c < 1/4, the
+    only case in which it prunes, every ``ENVELOPE_CHUNK``-th point lies in
+    a top block, where the chord bound and the rounding keep its float
+    above m e^(-c_top) (1 - eps_c)/(1 + eps_c) > L.  So L is at most the
+    smallest value, and eps_c is no smaller than the final margin, as
+    rounding is monotone.  In particular, a final margin of 1/4 or more
+    gives eps_c >= 1/4, and then no level prunes, as in a dense scan.
+    ``grid_evaluations`` counts the grid points the kernel evaluated: the
+    top level's points and the points of every block that no level could
+    rule out, but not the two closed ends.  It is a diagnostic and does
+    not enter equality.
     """
 
     sigma3_inf_sq: float
@@ -156,8 +176,9 @@ class MomentEnvelope:
 def delta_range(p: SourcePmf) -> DeltaRange:
     """Open interval of exponents for which the tilted solve is well posed."""
     check_source(p)
-    uniform = [1.0 / p.m] * p.m
-    return DeltaRange(hi=kl_divergence(uniform, p))
+    # kl_divergence([u] * m, p), without checking the uniform vector it builds
+    u = 1.0 / p.m
+    return DeltaRange(hi=_kl_from_terms([u * math.log2(u / x) for x in p.probs]))
 
 
 def _rounding_noise(ln_p: Iterable[float]) -> float:
@@ -287,16 +308,25 @@ def moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnvel
     """Certified bounds on sigma3_sq and rho3 over alpha in [0, 1], see
     :class:`MomentEnvelope`.
 
-    Two levels over the grid, each through the columnar kernel in chunks of
-    at most ``ENVELOPE_CHUNK`` alphas.  First every ``ENVELOPE_CHUNK``-th
-    grid point and the last one; then, block by block, the points between
-    two of them, unless the curvature bound of :class:`MomentEnvelope`,
-    widened by its rounding margin, shows that none of them can beat or tie
-    an extreme found so far.  The extremes of the grid are those of a dense
-    scan, bit for bit.  One more kernel call evaluates the closed ends
-    alpha = 0 and alpha = 1; the extremes of all these points, inflated over
-    half a grid step and widened by the rounding margin, are returned.
-    ``grid_size`` must be an integer from 3 to ``ENVELOPE_GRID_CAP``.
+    A branch and bound over the grid, level by level, each level through
+    the columnar kernel in calls of at most ``ENVELOPE_CHUNK`` alphas.  The
+    top level is every top-th grid point and the last one, with top the
+    largest ``ENVELOPE_CHUNK * 4^k`` that leaves at least 4 blocks (so at
+    most 16), or ``ENVELOPE_CHUNK`` on a smaller grid.  Each level drops
+    the blocks in which the curvature bound of :class:`MomentEnvelope`,
+    widened by a rounding margin, shows that no point can beat or tie an
+    extreme found so far, and cuts the others into 4 blocks of the next
+    stride, down to single steps.  Blocks wider than ``ENVELOPE_CHUNK``
+    are tested with the coarse margin, which is no smaller than the final
+    one; the rest with the final margin, which needs every
+    ``ENVELOPE_CHUNK``-th point.  The extremes of the grid are those of a
+    dense scan, bit for bit.  One more kernel call evaluates the closed
+    ends alpha = 0 and alpha = 1; the extremes of all these points,
+    inflated over half a grid step and widened by the rounding margin, are
+    returned.  The scan holds one level's blocks in arrays, and refines the
+    blocks of stride ``ENVELOPE_CHUNK`` that survive ``_ENVELOPE_GROUP`` at
+    a time, so it never holds more than at that stride.  ``grid_size`` must
+    be an integer from 3 to ``ENVELOPE_GRID_CAP``.
 
     Checks its arguments, then memoizes: the result is pure in them, and
     only a SourcePmf and an int within the cap reach the memo, so an
@@ -319,65 +349,153 @@ def _moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnve
     step = (hi_edge - lo_edge) / (grid_size - 1)
     ln_p = [math.log(x) for x in p.probs]
     last = grid_size - 1
-    stride = ENVELOPE_CHUNK  # so that a block's interior is one kernel call
-    blocks = -(-last // stride)
 
-    def alpha_at(i: int) -> float:
-        return lo_edge + i * step
-
-    def coarse(j: int) -> int:  # grid index of the j-th block end
-        return min(j * stride, last)
-
-    # Level 1: the block ends, kept in arrays as the blocks read them.
-    sig_c, rho_c = array("d"), array("d")
-    for start in range(0, blocks + 1, ENVELOPE_CHUNK):
-        ends = [alpha_at(coarse(j)) for j in range(start, min(start + ENVELOPE_CHUNK, blocks + 1))]
-        sig, rho = _tilted_sigma3_rho3_columns(ln_p, ends)
-        sig_c.extend(sig)
-        rho_c.extend(rho)
-        del sig, rho  # before the next kernel call: the arrays take their memory
-    evaluations = blocks + 1
-    sig_lo, sig_hi, rho_hi = min(sig_c), max(sig_c), max(rho_c)
-
-    # The curvature scale R^2 / 2 and rounding margin of MomentEnvelope's
+    # The curvature scale R^2 / 2 and the rounding margin of MomentEnvelope's
     # docstring.  eps < 1/4 needs sigma_floor > 24 big weight_err; as
-    # sigma3_sq <= R^2 / 4, that holds only while c < 60 on the widest block,
-    # so e^(9.5 c) below stays finite.
+    # sigma3_sq <= R^2 / 4, that holds only while c < 60 on the widest block
+    # a margin below 1/4 tests, so e^(9.5 c) below stays finite.
     spread = max(ln_p) - min(ln_p)
     curve = spread * spread / 2.0
-    half_max = min(stride, last) * step / 2.0
     big = 1.0 - min(ln_p)
     weight_err = 8.0 * sys.float_info.epsilon * big
-    sigma_floor = math.sqrt(0.5 * sig_lo * math.exp(-curve * half_max * half_max))
-    t = 2.0 * big * weight_err / sigma_floor if sigma_floor > 0.0 else math.inf
-    eps = weight_err + t * (3.0 + t * (3.0 + t))
-    widen = 1.0 + _ENVELOPE_SLACK + 4.0 * eps
-    prune = eps < 0.25
+    half_max = min(ENVELOPE_CHUNK, last) * step / 2.0
 
-    # Level 2: a block's interior, unless no point of it can beat or tie.
-    for j in range(blocks):
-        a, b = coarse(j), coarse(j + 1)
-        if b - a < 2:
-            continue
-        if prune:
-            c = curve * ((b - a) * step / 2.0) ** 2
-            if (min(sig_c[j], sig_c[j + 1]) * math.exp(-c) > sig_lo * widen
-                    and max(sig_c[j], sig_c[j + 1]) * math.exp(0.75 * c) * widen < sig_hi
-                    and max(rho_c[j], rho_c[j + 1]) * math.exp(9.5 * c) * widen < rho_hi):
-                continue
-        sig, rho = _tilted_sigma3_rho3_columns(ln_p, [alpha_at(i) for i in range(a + 1, b)])
-        evaluations += b - a - 1
-        sig_lo, sig_hi, rho_hi = min(sig_lo, *sig), max(sig_hi, *sig), max(rho_hi, *rho)
-        del sig, rho
+    def margin(sig_min: float) -> float:
+        """eps, given a float no larger than any sigma3_sq of the
+        ENVELOPE_CHUNK-th grid points and the last one."""
+        sigma_floor = math.sqrt(0.5 * sig_min * math.exp(-curve * half_max * half_max))
+        t = 2.0 * big * weight_err / sigma_floor if sigma_floor > 0.0 else math.inf
+        return weight_err + t * (3.0 + t * (3.0 + t))
 
+    def evaluate(points: Iterable[int], total: int, most: int = _ENVELOPE_CALL) -> tuple[array, array]:
+        """sigma3_sq and rho3 at the ``total`` grid points, folded into the
+        extremes: in as few kernel calls of at most ``most`` alphas as there
+        can be, their sizes within one of each other.  The kernel's lists
+        grow with the alphas of a call, and the scan's peak is theirs plus
+        the level's arrays."""
+        nonlocal sig_lo, sig_hi, rho_hi, evaluations
+        sig, rho = array("d"), array("d")
+        points = iter(points)
+        calls = -(-total // most)
+        for k in range(calls):
+            size = (total + k) // calls  # these sum to total
+            chunk = _tilted_sigma3_rho3_columns(ln_p, [lo_edge + i * step for i in islice(points, size)])
+            sig.extend(chunk[0])
+            rho.extend(chunk[1])
+            del chunk  # before the next kernel call: the arrays take its memory
+        if total:
+            sig_lo, sig_hi, rho_hi = min(sig_lo, min(sig)), max(sig_hi, max(sig)), max(rho_hi, max(rho))
+            evaluations += total
+        return sig, rho
+
+    def survivors(blocks: tuple[array, ...], first: int, stop: int, width: int, eps: float) -> list[int]:
+        """The blocks first .. stop-1, each ``width`` >= 2 steps wide, that
+        the curvature bound, widened by the margin eps, does not rule out.
+        A product by a positive factor rounds monotonically, so testing both
+        ends is testing their min and their max."""
+        if eps >= 0.25 or first == stop:  # an empty range may name a width too wide for exp
+            return list(range(first, stop))
+        _, sig_a, rho_a, sig_b, rho_b = blocks
+        widen = 1.0 + _ENVELOPE_SLACK + 4.0 * eps
+        floor = sig_lo * widen
+        c = curve * (width * step / 2.0) ** 2
+        lo, hi, rh = math.exp(-c), math.exp(0.75 * c), math.exp(9.5 * c)
+        ends = zip(range(first, stop), sig_a[first:stop], sig_b[first:stop], rho_a[first:stop], rho_b[first:stop])
+        return [j for j, sa, sb, ra, rb in ends
+                if not (sa * lo > floor and sb * lo > floor and sa * hi * widen < sig_hi and sb * hi * widen < sig_hi
+                        and ra * rh * widen < rho_hi and rb * rh * widen < rho_hi)]
+
+    def prune(blocks: tuple[array, ...], stride: int, eps: float) -> tuple[array, ...]:
+        """The blocks whose interior may beat or tie an extreme found so far.
+        Every block is ``stride`` wide but the last one, which may be short."""
+        left = blocks[0]
+        full = len(left) - (len(left) > 0 and left[-1] + stride > last)
+        kept = survivors(blocks, 0, full, stride, eps)
+        if full < len(left) and last - left[-1] >= 2:
+            kept += survivors(blocks, full, len(left), last - left[-1], eps)
+        if len(kept) == len(left):
+            return blocks
+        return tuple(array(column.typecode, map(column.__getitem__, kept)) for column in blocks)
+
+    def split(blocks: tuple[array, ...], stride: int) -> tuple[array, ...]:
+        """The next level: each block [a, min(a + stride, last)] cut at every
+        sub-th grid point into blocks sub wide, or carried whole when it is
+        narrower; none once sub is 1, as a single step has no interior."""
+        left = blocks[0]
+        sub = max(stride // _ENVELOPE_FAN, 1)
+
+        def kids(a: int) -> range:
+            return range(a + sub, min(a + stride, last), sub)
+
+        sig, rho = evaluate(chain.from_iterable(map(kids, left)), sum(map(len, map(kids, left))))
+        out = tuple(column[:0] for column in blocks)
+        if sub == 1:
+            return out
+        starts, sig_a, rho_a, sig_b, rho_b = out
+        k = 0
+        for j, a in enumerate(left):
+            inner = kids(a)
+            end = k + len(inner)
+            starts.append(a)
+            starts.extend(inner)
+            sig_a.append(blocks[1][j])
+            sig_a.extend(sig[k:end])
+            rho_a.append(blocks[2][j])
+            rho_a.extend(rho[k:end])
+            sig_b.extend(sig[k:end])
+            sig_b.append(blocks[3][j])
+            rho_b.extend(rho[k:end])
+            rho_b.append(blocks[4][j])
+            k = end
+        return out
+
+    # The top level: every top-th grid point and the last one, at most
+    # _ENVELOPE_FAN^2 blocks.  A block is its left end and the moments at
+    # both ends, kept in arrays.
+    sig_lo, sig_hi, rho_hi, evaluations = math.inf, -math.inf, -math.inf, 0
+    top = ENVELOPE_CHUNK
+    while top * _ENVELOPE_FAN * _ENVELOPE_FAN <= last:
+        top *= _ENVELOPE_FAN
+    points = array("q", range(0, last, top))
+    points.append(last)
+    sig, rho = evaluate(points, len(points), ENVELOPE_CHUNK)  # at most 17 points, one call
+    blocks = (points[:-1], sig[:-1], rho[:-1], sig[1:], rho[1:])
+    del points, sig, rho
+    # The coarse levels, down to stride ENVELOPE_CHUNK, prune with a margin
+    # no smaller than the final one (MomentEnvelope's docstring), from a
+    # floor under the sigma3_sq of every ENVELOPE_CHUNK-th point.
+    half_top = min(top, last) * step / 2.0
+    coarse_eps = margin(0.5 * sig_lo * math.exp(-curve * half_top * half_top))
+    stride = top
+    while stride > ENVELOPE_CHUNK:
+        blocks = prune(blocks, stride, coarse_eps)
+        blocks = split(blocks, stride)
+        stride //= _ENVELOPE_FAN
+    # Every ENVELOPE_CHUNK-th point and the last one are now evaluated or
+    # ruled out, so sig_lo is the smallest of them: the final margin.
+    eps = margin(sig_lo)
     if eps >= 0.5:  # past this the kernel's floats bound nothing
         return MomentEnvelope(0.0, math.inf, math.inf, grid_size, evaluations)
+    # The levels below, down to single steps, with the final margin: the
+    # surviving blocks _ENVELOPE_GROUP at a time, moved out from the end.
+    blocks = prune(blocks, ENVELOPE_CHUNK, eps)
+    while blocks[0]:
+        group = tuple(column[-_ENVELOPE_GROUP:] for column in blocks)
+        for column in blocks:
+            del column[-_ENVELOPE_GROUP:]
+        stride = ENVELOPE_CHUNK
+        while group[0]:
+            group = split(group, stride)
+            stride = max(stride // _ENVELOPE_FAN, 1)
+            group = prune(group, stride, eps)
+
     # The closed ends: then every alpha in [0, 1] lies between two evaluated
     # points at most 2 half apart, where the chord bounds apply.  As for the
     # blocks above, eps < 1/2 keeps c below 61, so e^(9.5 c) stays finite.
     sig, rho = _tilted_sigma3_rho3_columns(ln_p, (0.0, 1.0))
     half = max(step, ENVELOPE_EDGE) / 2.0
     c = curve * half * half
+    widen = 1.0 + _ENVELOPE_SLACK + 4.0 * eps
     return MomentEnvelope(
         sigma3_inf_sq=min(sig_lo, *sig) * math.exp(-c) / widen,
         sigma3_sup_sq=max(sig_hi, *sig) * math.exp(0.75 * c) * widen,

@@ -176,10 +176,43 @@ class TestOrderings:
         assert _columns(a) == _columns(b) != _columns(build_ordering(UNIVERSAL, 6, 3))
 
     def test_universal_class_of_no_level_is_an_invariant_violation(self):
-        # (1, 2) is a type of n=3: its entropy, h(1/3), is no level's at n=4
+        # (1, 2) is a type of n=3: its entropy, h(1/3), is no level's at n=4.
+        # class_offset refuses it as bad input; the store's own lookup, which
+        # the codec calls on counts it has checked, still finds no orbit
         o = build_ordering(UNIVERSAL, 4, 2)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(DomainError, match="not a type of blocklength 4 on 2 symbols"):
             o.class_offset((1, 2))
+        with pytest.raises(InvariantViolation):
+            o._span((1, 2))
+
+    # counts of another blocklength or alphabet, or not counts at all; at
+    # n=4, m=2 these returned 10 for (3, 3), 0 for (4,), raised IndexError
+    # for (5, 0) (known source) or InvariantViolation for (1, 1, 2)
+    BAD_COUNTS = [(3, 3), (4,), (5, 0), (1, 1, 2), (2, 1), (-1, 5), (True, 3), (2.0, 2), ("2", 2), None, 4]
+
+    @pytest.mark.parametrize("mode", [UNIVERSAL, KNOWN_SOURCE])
+    @pytest.mark.parametrize("counts", BAD_COUNTS, ids=repr)
+    def test_class_offset_refuses_bad_counts(self, mode, counts):
+        o = build_ordering(mode, 4, 2, P02)
+        with pytest.raises(DomainError):
+            o.class_offset(counts)
+
+    # at n=4, m=2, 0 and 17 raised StopIteration (universal) or IndexError
+    # (known source)
+    @pytest.mark.parametrize("mode", [UNIVERSAL, KNOWN_SOURCE])
+    @pytest.mark.parametrize("k", [0, 17, -1, 10 ** 30, True, 3.0, "3", None], ids=repr)
+    def test_locate_refuses_an_index_outside_the_ordering(self, mode, k):
+        o = build_ordering(mode, 4, 2, P02)
+        with pytest.raises(DomainError):
+            o.locate(k)
+
+    @pytest.mark.parametrize("mode", [UNIVERSAL, KNOWN_SOURCE])
+    def test_checked_views_admit_every_class_and_index(self, mode):
+        # any sequence of m counts summing to n, and every index 1 .. total
+        o = build_ordering(mode, 4, 2, P02)
+        for k in range(1, o.total + 1):
+            counts, rank = o.locate(k)
+            assert o.class_offset(counts) == o.class_offset(list(counts)) == k - 1 - rank
 
     def test_known_source_needs_source(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import math
 import random
 import statistics
 import sys
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,18 @@ class TestDeltaRange:
         rng = delta_range(P02)
         assert not rng.contains(0.0)
         assert not rng.contains(rng.hi)
+
+    def test_equals_kl_divergence_of_the_uniform_law(self, rng):
+        # D(U || P) without the uniform vector's checks, bit for bit: seeded
+        # sources, sources a few ulps from uniform (where the clamp at 0
+        # acts) and the uniform source itself
+        sources = [random_pmf(rng, m) for m in range(2, 9) for _ in range(4)]
+        sources += [skewed_pmf(rng, m) for m in (2, 3, 5, 8)]
+        sources += [SourcePmf(tuple(x * (1 + rng.uniform(-1e-12, 1e-12)) for x in (1 / m,) * m)) for m in range(2, 9)]
+        sources += [SourcePmf((0.25,) * 4), SourcePmf((1 / 3,) * 3), bern("0.5")]
+        for p in sources:
+            hi = delta_range(p).hi
+            assert repr(hi) == repr(kl_divergence([1 / p.m] * p.m, p)), p
 
 
 class TestSolveAlphaStar:
@@ -195,13 +208,49 @@ class TestMomentEnvelope:
         assert env.sigma3_sup_sq == pytest.approx(0.25 * l4sq, rel=1e-4)
         assert env.rho3_sup == pytest.approx(0.25 * 0.5 * math.log(4.0) ** 3, rel=1e-4)
 
-    def test_grid_evaluations(self, rng):
-        # the block ends (129 of 4096) are always evaluated; the curvature
-        # bound rules out most blocks between them
-        counts = [exponents._moment_envelope.__wrapped__(random_pmf(rng, 3)).grid_evaluations for _ in range(40)]
-        assert all(129 <= c <= ENVELOPE_GRID for c in counts)
-        assert statistics.median(counts) <= 1536
+    def test_grid_evaluations(self, rng, monkeypatch):
+        # the top level (every 512th point of 4096 and the last one) is always
+        # evaluated, in the first kernel call; the curvature bound rules out
+        # most blocks below it, and no grid point is evaluated twice
+        calls = []
+        kernel = exponents._tilted_sigma3_rho3_columns
+
+        def recording(ln_p, alphas):
+            calls.append(list(alphas))
+            return kernel(ln_p, alphas)
+
+        monkeypatch.setattr(exponents, "_tilted_sigma3_rho3_columns", recording)
+        step = (1.0 - ENVELOPE_EDGE - ENVELOPE_EDGE) / (ENVELOPE_GRID - 1)
+        top = [ENVELOPE_EDGE + i * step for i in (*range(0, ENVELOPE_GRID - 1, 512), ENVELOPE_GRID - 1)]
+        counts = []
+        for _ in range(40):
+            calls.clear()
+            env = exponents._moment_envelope.__wrapped__(random_pmf(rng, 3))
+            assert calls[0] == top and calls[-1] == [0.0, 1.0]
+            grid = [alpha for call in calls[:-1] for alpha in call]
+            assert env.grid_evaluations == len(grid) == len(set(grid))
+            assert all(len(call) <= ENVELOPE_CHUNK for call in calls)
+            counts.append(env.grid_evaluations)
+        assert all(len(top) <= c <= ENVELOPE_GRID for c in counts)
+        assert statistics.median(counts) <= 80  # 55 measured
         assert moment_envelope(SourcePmf((0.25,) * 4)).grid_evaluations == 0
+
+    def test_peak_memory(self, rng):
+        # the scan holds the blocks of one level in arrays, and its kernel
+        # calls after the top level take at most 24 alphas: at most 19.0 KiB
+        # here on CPython 3.10 and 3.11 (20.4 KiB for the two-level scan it
+        # replaced, about 60 KiB with a dict per evaluated point)
+        sources = [random_pmf(rng, 3) for _ in range(20)] + [P02]
+        peaks = []
+        for p in sources:
+            exponents._moment_envelope.__wrapped__(p)
+            tracemalloc.start()
+            try:
+                exponents._moment_envelope.__wrapped__(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 22 * 1024, peaks
 
     def test_grid_evaluations_do_not_enter_equality(self):
         env = moment_envelope(P02)
@@ -383,6 +432,16 @@ class TestBitIdenticalToTiltChains:
                 spec = tuple(x / math.fsum(raw) for x in raw)
             cases.append((SourcePmf(spec), grid_size))
         for p, grid_size in cases:
+            env = exponents._moment_envelope.__wrapped__(p, grid_size)
+            got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
+            assert got == reference_envelope(p, grid_size), (p, grid_size)
+
+    @pytest.mark.parametrize("grid_size", [2049, 3001, 4100, 16385])
+    def test_moment_envelope_deep_grids(self, rng, grid_size):
+        # two levels above ENVELOPE_CHUNK, three at 16385; every block is
+        # full at 2049 and 16385, the last block of every level is short at
+        # 4100 (the last grid index is odd), and of the three coarsest at 3001
+        for p in (random_pmf(rng, 3), random_pmf(rng, 5), skewed_pmf(rng, 3)):
             env = exponents._moment_envelope.__wrapped__(p, grid_size)
             got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
             assert got == reference_envelope(p, grid_size), (p, grid_size)
