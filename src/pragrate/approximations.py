@@ -16,6 +16,12 @@ here from the tilted moments; the n-thresholds N1, N2, N0 under which the
 converse bound is guaranteed are computed by their defining minimizations.
 
 The exponent/probability conversion is delta = log2(1/epsilon)/n throughout.
+
+A ladder over many blocklengths is one column-wise sweep
+(``_rate_ladders``): the source, every blocklength and every point are
+checked once, alpha* is solved once per delta (or once per (n, epsilon),
+since an epsilon's delta depends on n), and each row then costs only its
+own arithmetic.  :func:`compute_rate_ladders` is its one-blocklength view.
 """
 
 from __future__ import annotations
@@ -32,13 +38,14 @@ from .distributions import SourcePmf, TiltedPoint, tilt
 from .errors import DomainError, ResourceLimitError
 from .exponents import (
     AlphaStarSolution,
+    DeltaRange,
     MomentEnvelope,
     delta_range,
     moment_envelope,
     solve_alpha_star,
 )
 from .inputs import check_blocklength, check_integer, check_real, check_source
-from .numerics import LOG2E, SQRT_2PI, neumaier_sum, normal_tail_inverse
+from .numerics import LOG2E, SQRT_2PI, _qinv, neumaier_sum, normal_tail_inverse
 from .types_census import DEFAULT_TYPE_CAP, low_entropy_count
 
 
@@ -77,7 +84,8 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """
     check_source(p)
     check_blocklength(n)
-    return _strassen(*_source_terms(p), n, epsilon)
+    h, sigma = _source_terms(p)
+    return h + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
 @lru_cache(maxsize=64)
@@ -87,24 +95,31 @@ def _source_terms(p: SourcePmf) -> tuple[float, float]:
     return shannon_rate(p), math.sqrt(coding_variance_bits(p))
 
 
-def _strassen(h: float, sigma: float, n: int, epsilon: float) -> float:
-    return h + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
+def _solve(p: SourcePmf, delta: float) -> AlphaStarSolution | DeltaRange:
+    """alpha* at ``delta``, or the admissible range that ``delta`` lies outside."""
+    try:
+        return solve_alpha_star(p, delta)
+    except DomainError:
+        return delta_range(p)
+
+
+def _out_of_range(rng: DeltaRange, n: int, delta: float) -> str:
+    """Why ``delta``, outside ``rng``, has no alpha*, phrased for blocklength n."""
+    if rng.is_empty:
+        return "uniform source: no admissible exponent; any epsilon in (0,1) fails the tilted solve"
+    lo_eps = delta_to_epsilon(rng.hi, n)
+    # where 2**(-n*hi) underflows, its exponent still names the lower end
+    lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * rng.hi:.6g}"
+    return (f"delta={float(delta):.6g} outside (0, {rng.hi:.6g}); at n={n} the "
+            f"admissible epsilon interval is ({lo}, 1)")
 
 
 def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
     """alpha* at ``delta``, with the range error phrased for blocklength n."""
-    try:
-        return solve_alpha_star(p, delta)
-    except DomainError:
-        rng = delta_range(p)
-        if rng.is_empty:
-            raise DomainError("uniform source: no admissible exponent; any epsilon in (0,1) "
-                              "fails the tilted solve") from None
-        lo_eps = delta_to_epsilon(rng.hi, n)
-        # where 2**(-n*hi) underflows, its exponent still names the lower end
-        lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * rng.hi:.6g}"
-        raise DomainError(f"delta={float(delta):.6g} outside (0, {rng.hi:.6g}); at n={n} the "
-                          f"admissible epsilon interval is ({lo}, 1)") from None
+    sol = _solve(p, delta)
+    if isinstance(sol, DeltaRange):
+        raise DomainError(_out_of_range(sol, n, delta))
+    return sol
 
 
 def blahut_rate(p: SourcePmf, n: int, epsilon: float) -> float:
@@ -435,50 +450,96 @@ def compute_rate_ladders(
     infeasible, or a strassen or pragmatic value below 0 bits/symbol) come
     back as None with a note; in prefix mode the exact column is shifted by
     the 1/n prefix penalty.
+
+    This is the one-blocklength view of the ladder sweep, which the CLI
+    runs over a whole range of n with alpha* solved once per delta.
+    """
+    options = dict(include_exact=include_exact, cap_types=cap_types, prefix_mode=prefix_mode)
+    return _rate_ladders(p, [n], epsilons, deltas=deltas, **options)
+
+
+def _rate_ladders(
+    p: SourcePmf,
+    ns: Sequence[int],
+    epsilons: Sequence[float] | None = None,
+    *,
+    deltas: Sequence[float] | None = None,
+    include_exact: bool,
+    cap_types: int,
+    prefix_mode: bool,
+) -> list[RateLadder]:
+    """The rows of :func:`compute_rate_ladders` at each n of ``ns`` in turn,
+    as one column-wise sweep.
+
+    The source, every blocklength and every point are checked once, before
+    any work.  alpha* is solved once per delta, on the first row that reads
+    it, which comes after the first length distribution is built, so no
+    solution is held through the engine's sort; an epsilon's delta depends
+    on n, so it is solved per (n, epsilon).  Each blocklength's length
+    distribution is dropped before the next one is built.  A row then takes
+    the float operations of the single-point formulas, in their order, so
+    every value is bit for bit the one-n ladder's.
     """
     check_source(p)
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
-    check_blocklength(n)
+    for n in ns:
+        check_blocklength(n)
     check_integer("cap_types", cap_types, 1)  # read only by the exact column
-    if epsilons is not None:
-        points = [(eps, epsilon_to_delta(eps, n), math.log2(eps)) for eps in epsilons]
+    by_delta = deltas is not None
+    given = list(deltas if by_delta else epsilons)  # a row's delta or epsilon is the value as given
+    if by_delta:
+        floats = [check_real("delta", d, 0, math.inf, need="be a positive finite exponent") for d in given]
     else:
-        points = [(delta_to_epsilon(d, n), d, -n * d) for d in deltas]
-    if not points:
+        floats = [check_real("epsilon", eps, 0, 1, need="lie in (0, 1)") for eps in given]
+    if not given:
         return []
     shannon, sigma = _source_terms(p)
-    dist = exact_note = None
-    if include_exact:
-        try:
-            dist = exact_limits.length_distribution(p, n, cap_types=cap_types)
-        except ResourceLimitError as exc:
-            exact_note = f"exact column infeasible: {exc}"
+    solved: list[AlphaStarSolution | DeltaRange | None] = [None] * len(given)  # per delta
     rows = []
-    for epsilon, delta, log2_epsilon in points:
-        notes = []
-        strassen = blahut = pragmatic = exact = None
-        try:
-            sol = _solve_for(p, n, delta)
-            blahut = sol.h_tilted
-            pragmatic = sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
-            pragmatic = _nonnegative("pragmatic", pragmatic, notes)
-        except DomainError as exc:
-            notes.append(f"tilted columns unavailable: {exc}")
-        if dist is not None:
-            exact = dist.optimal_rate(log2_epsilon)
-            exact = prefix_adjust(exact, n) if prefix_mode else exact
-        elif exact_note:
-            notes.append(exact_note)
-        if 0.0 < epsilon < 1.0:
-            strassen = _nonnegative("strassen", _strassen(shannon, sigma, n, epsilon), notes)
-        else:  # 2**(-n*delta) underflows to 0, or rounds to 1 for a tiny n*delta
-            fate = "underflows" if epsilon == 0.0 else "rounds to 1 in"
-            notes.append(f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} {fate} a double")
-        rows.append(RateLadder(
-            n=n, epsilon=epsilon, delta=delta, shannon=shannon, strassen=strassen,
-            blahut=blahut, pragmatic=pragmatic, exact=exact, note="; ".join(notes),
-        ))
+    for n in ns:
+        dist = exact_note = None  # the last n's distribution goes before this one is built
+        if include_exact:
+            try:
+                dist = exact_limits.length_distribution(p, n, cap_types=cap_types)
+            except ResourceLimitError as exc:
+                exact_note = f"exact column infeasible: {exc}"
+        log2_n, two_n, sqrt_n = math.log2(n), 2.0 * n, math.sqrt(n)
+        log_term = log2_n / two_n  # strassen's log2(n) / (2n)
+        for i, (point, value) in enumerate(zip(given, floats)):
+            if by_delta:
+                epsilon, delta, log2_epsilon = 2.0 ** (-n * value), point, -n * point
+                sol = solved[i]
+                if sol is None:
+                    sol = solved[i] = _solve(p, delta)
+            else:
+                log2_epsilon = math.log2(value)
+                epsilon, delta = point, -log2_epsilon / n
+                sol = _solve(p, delta)
+            notes = []
+            strassen = exact = pragmatic = blahut = None
+            if isinstance(sol, AlphaStarSolution):
+                blahut = sol.h_tilted
+                pragmatic = blahut - log2_n / (two_n * (1.0 - sol.alpha_star))
+                pragmatic = _nonnegative("pragmatic", pragmatic, notes)
+            else:
+                notes.append(f"tilted columns unavailable: {_out_of_range(sol, n, delta)}")
+            if dist is not None:
+                exact = dist.optimal_rate(log2_epsilon)
+                if prefix_mode:  # the 1/n penalty, as prefix_adjust adds it
+                    exact += 1.0 / n
+            elif exact_note:
+                notes.append(exact_note)
+            if 0.0 < epsilon < 1.0:
+                q = _qinv(epsilon if by_delta else value)  # epsilon as a float
+                strassen = shannon + sigma * q / sqrt_n - log_term
+                strassen = _nonnegative("strassen", strassen, notes)
+            else:  # 2**(-n*delta) underflows to 0, or rounds to 1 for a tiny n*delta
+                fate = "underflows" if epsilon == 0.0 else "rounds to 1 in"
+                notes.append(f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} {fate} a double")
+            rows.append(RateLadder(
+                n, epsilon, delta, shannon, strassen, blahut, pragmatic, exact, "; ".join(notes),
+            ))
     return rows
 
 
@@ -486,19 +547,30 @@ _RATE_COLUMNS = ("exact", "shannon", "strassen", "blahut", "pragmatic")
 _rates = attrgetter(*_RATE_COLUMNS)
 
 
-def _rate_cells(rows: list[RateLadder], digits: int | None) -> Iterator[list[str]]:
+def _rate_cells(rows: list[RateLadder], digits: int) -> Iterator[list[str]]:
     """Each row's rate cells in ``_RATE_COLUMNS`` order: '-' where the rate
-    is None, else its repr (``digits`` None) or ``digits`` decimals.  Lazy,
-    so only one row's cells are held at a time."""
-    fmt = repr if digits is None else f"{{:.{digits}f}}".format
+    is None, else its value to ``digits`` decimals.  Lazy, so only one
+    row's cells are held at a time."""
+    fmt = f"{{:.{digits}f}}".format
     return (["-" if v is None else fmt(v) for v in _rates(r)] for r in rows)
+
+
+def _csv_row(r: RateLadder) -> str:
+    """One full-precision CSV row, rates in ``_RATE_COLUMNS`` order: every
+    value's repr, and '-' for None (no repr of an int, float or Fraction
+    holds "None")."""
+    return (f"{r.n},{r.epsilon!r},{r.delta!r},{r.exact!r},{r.shannon!r},{r.strassen!r},"
+            f"{r.blahut!r},{r.pragmatic!r}").replace("None", "-")
 
 
 def ladder_to_csv(rows: list[RateLadder], *, digits: int | None = None) -> str:
     """CSV with full-precision cells by default; '-' marks unavailable ones."""
     out = [",".join(("n", "epsilon", "delta", *_RATE_COLUMNS))]
-    for r, rates in zip(rows, _rate_cells(rows, digits)):
-        out.append(",".join([str(r.n), repr(r.epsilon), repr(r.delta), *rates]))
+    if digits is None:
+        out += map(_csv_row, rows)
+    else:
+        for r, rates in zip(rows, _rate_cells(rows, digits)):
+            out.append(",".join([str(r.n), repr(r.epsilon), repr(r.delta), *rates]))
     return "\n".join(out) + "\n"
 
 

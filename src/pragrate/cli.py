@@ -152,12 +152,10 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
     p = _load_source(args)
     epsilons, deltas = _parse_eps_or_delta(args)
     ns = _parse_n_range(str(args.n))
-    rows = []
-    for n in ns:
-        rows += ap.compute_rate_ladders(
-            p, n, epsilons, deltas=deltas, include_exact=not args.no_exact,
-            cap_types=args.cap_types, prefix_mode=(args.mode == "prefix"),
-        )
+    rows = ap._rate_ladders(  # one sweep over the whole range: alpha* once per delta
+        p, ns, epsilons, deltas=deltas, include_exact=not args.no_exact,
+        cap_types=args.cap_types, prefix_mode=(args.mode == "prefix"),
+    )
     if args.format == "markdown":
         sys.stdout.write(ap.ladder_to_markdown(rows))
     elif args.format == "json":

@@ -125,12 +125,12 @@ from .types_census import (
     _iter_runs,
     _rank,
     _string_counts,
+    _type_at_index,
     _type_counts,
+    _type_entropy_bits,
+    _type_index,
     _unrank,
     count_types,
-    type_at_index,
-    type_entropy_bits,
-    type_index,
 )
 
 KNOWN_SOURCE = "known-source"
@@ -323,7 +323,7 @@ class _EntropyColumns(CodeOrdering):
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """(strings before the class of ``counts``, the class's size)."""
-        h = type_entropy_bits(counts)
+        h = _type_entropy_bits(counts)
         i = bisect.bisect_left(self.entropies, h)
         tied = bisect.bisect_right(self.entropies, h, i) - i
         if not tied:
@@ -365,13 +365,13 @@ class _RankedClasses(CodeOrdering):
         """(strings in all classes ranked before the class of ``counts``, its size)."""
         if self._position is None:
             self._position = _inverse(self.ranking)
-        pos = self._position[type_index(counts)]
+        pos = self._position[_type_index(counts)]
         return self._offset(pos), self.sizes[pos]
 
     def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
         """(counts, 0-based rank in its class, class size) of the 1-based index k."""
         pos, offset = self._unit(k)
-        return type_at_index(self.n, self.m, self.ranking[pos]), k - 1 - offset, self.sizes[pos]
+        return _type_at_index(self.n, self.m, self.ranking[pos]), k - 1 - offset, self.sizes[pos]
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:

@@ -89,7 +89,7 @@ class SourcePmf:
         if self.exact is not None:
             if len(self.exact) != len(self.probs):
                 raise DistributionError("exact/float entry count mismatch")
-            if sum(self.exact) != 1:
+            if not _sums_to_one(self.exact):
                 raise DistributionError("exact entries must sum to exactly 1")
             for q, x in zip(self.exact, self.probs):
                 if not -1 < q < 2 or abs(float(q) - x) > 4 * math.ulp(x):  # no float(q) overflows
@@ -128,11 +128,11 @@ class SourcePmf:
             if isinstance(v, float):
                 exact = None
             elif exact is not None:
-                try:
-                    exact.append(Fraction(v))
+                try:  # a Fraction is held as given, not copied
+                    exact.append(v if type(v) is Fraction else Fraction(v))
                 except (ValueError, TypeError):
                     exact = None
-        if exact is not None and sum(exact) != 1:
+        if exact is not None and not _sums_to_one(exact):
             exact = None
         return cls(tuple(floats), tuple(exact) if exact is not None else None)
 
@@ -170,6 +170,16 @@ class SourcePmf:
             except (OSError, UnicodeDecodeError) as exc:
                 raise DistributionError(f"cannot read source file {spec!r}: {exc}") from exc
         return cls.parse(spec)
+
+
+def _sums_to_one(values: Sequence) -> bool:
+    """Whether ``values`` sum to exactly 1.  Fractions and ints are summed
+    as integers over their common denominator, which builds no Fraction;
+    any other entries by their own ``sum``."""
+    if not all(isinstance(q, (Fraction, int)) for q in values):
+        return sum(values) == 1
+    denominator = math.lcm(*(q.denominator for q in values))
+    return sum(q.numerator * (denominator // q.denominator) for q in values) == denominator
 
 
 def _as_prob_vector(p: PmfLike, *, what: str) -> tuple[float, ...]:

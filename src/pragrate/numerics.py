@@ -6,6 +6,8 @@
 * ``normal_tail_inverse``: Qinv(epsilon), the only nontrivial term of the
   ``strassen`` ladder column, taken from ``statistics.NormalDist``.  Its
   argument is a double, so it stops at the smallest subnormal, 2**-1074.
+  ``_qinv`` is its unchecked body, for the ladder's rows, whose epsilons
+  are checked once per sweep.
 
 Unit convention used across the package: entropies, divergences, rates and
 exponents are in bits (log base 2); central moments of log-likelihoods are
@@ -49,4 +51,9 @@ def normal_tail_inverse(epsilon: float) -> float:
 
     Wichura's AS241 (``statistics.NormalDist.inv_cdf``), within a few ulps
     down to the smallest subnormal epsilon."""
-    return -_STANDARD_NORMAL.inv_cdf(check_real("epsilon", epsilon, 0, 1, need="lie in (0, 1)"))
+    return _qinv(check_real("epsilon", epsilon, 0, 1, need="lie in (0, 1)"))
+
+
+def _qinv(epsilon: float) -> float:
+    """:func:`normal_tail_inverse` of a float its caller knows lies in (0, 1)."""
+    return -_STANDARD_NORMAL.inv_cdf(epsilon)

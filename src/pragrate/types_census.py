@@ -115,8 +115,13 @@ def type_index(t: Sequence[int]) -> int:
     slots after i.  Their sum over v is a difference of two binomials (the
     hockey-stick identity), so the index costs two binomials per slot."""
     counts = _type_counts(t)
+    check_blocklength(sum(counts))
+    return _type_index(counts)
+
+
+def _type_index(counts: tuple[int, ...]) -> int:
+    """:func:`type_index` of counts already checked (integers >= 0, n >= 1)."""
     index, remaining, after = 0, sum(counts), len(counts) - 1  # after = k + 1
-    check_blocklength(remaining)
     for c in counts[:-1]:
         index += math.comb(remaining + after, after) - math.comb(remaining - c + after, after)
         remaining -= c
@@ -131,6 +136,12 @@ def type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
     check_integer("type index", index, 0)
     if index >= total:
         raise DomainError(f"type index {describe(index)} outside [0, {describe(total)})")
+    return _type_at_index(n, m, index)
+
+
+def _type_at_index(n: int, m: int, index: int) -> tuple[int, ...]:
+    """:func:`type_at_index` of a checked n, m and an index below
+    ``count_types(n, m)``."""
     counts, remaining = [], n
     for k in range(m - 2, 0, -1):  # k + 1 slots after this one
         c, block = 0, math.comb(remaining + k, k)  # types with this slot at c
@@ -249,8 +260,13 @@ def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:
 def type_entropy_bits(counts: Sequence[int]) -> float:
     """Entropy of the empirical pmf counts/n, in bits, with 0 log 0 = 0."""
     counts = _type_counts(counts)
+    check_blocklength(sum(counts))  # an empty type has n = 0
+    return _type_entropy_bits(counts)
+
+
+def _type_entropy_bits(counts: tuple[int, ...]) -> float:
+    """:func:`type_entropy_bits` of counts already checked (integers >= 0, n >= 1)."""
     n = sum(counts)
-    check_blocklength(n)  # an empty type has n = 0
     # H = log2 n - (1/n) sum c*log2 c ; exact at the degenerate corners.
     s = neumaier_sum(c * math.log2(c) for c in counts if c > 0)
     h = math.log2(n) - s / n

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +21,7 @@ from pragrate import (
     delta_range,
     error_exponent,
     excess_rate_probability,
+    exponents,
     kl_divergence,
     length_distribution,
     moment_envelope,
@@ -359,6 +362,18 @@ class TestLadder:
         md = ladder_to_markdown(rows)
         assert "| 0.01444 | 0.840 |" in md
 
+    def test_full_precision_csv_follows_the_rate_columns(self):
+        # each row is one f-string: its cells are the header's columns, every
+        # value's repr and '-' for None (delta 1.0 is out of range at m = 2)
+        rows = compute_rate_ladders(P02, 20, deltas=[0.05, 1.0], cap_types=5)
+        header, *lines = ladder_to_csv(rows).splitlines()
+        assert header.split(",") == ["n", "epsilon", "delta", *approximations._RATE_COLUMNS]
+        for r, line in zip(rows, lines, strict=True):
+            rates = [getattr(r, column) for column in approximations._RATE_COLUMNS]
+            want = [str(r.n), repr(r.epsilon), repr(r.delta), *("-" if v is None else repr(v) for v in rates)]
+            assert line.split(",") == want
+        assert lines[1].count(",-") == 3
+
     def test_epsilon_delta_conversion(self):
         assert epsilon_to_delta(0.01444, 50) == pytest.approx(
             math.log2(1 / 0.01444) / 50, abs=1e-15
@@ -466,6 +481,105 @@ class TestRateLadders:
             f"strassen column unavailable: {strassen:.6g} bits/symbol is below 0"
         )
         assert "-10934.8" in row.note and "-1.71687" in row.note
+
+
+def three_decimal_source(rng, m):
+    """A seeded 3-decimal pmf on m symbols, every entry at least 0.02, not uniform."""
+    while True:
+        cuts = sorted(rng.sample(range(20, 981), m - 1))
+        milli = [b - a for a, b in zip([0, *cuts], [*cuts, 1000])]
+        if min(milli) >= 20 and len(set(milli)) > 1:
+            return SourcePmf.parse(",".join(f"{x / 1000:.3f}" for x in milli))
+
+
+def traced_peak(call):
+    """Bytes that ``call()`` allocates at its peak, over what was held before it (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+class TestRateLadderSweep:
+    """``_rate_ladders``, the sweep the CLI runs over a range of n, gives the
+    rows of ``compute_rate_ladders`` at each n in turn, notes included."""
+
+    @staticmethod
+    def grid(m, kind):
+        """(source, blocklengths, points, cap_types) of the seeded grid at m:
+        the last blocklength's exact column is past the cap; the deltas hold
+        one past D(U||P) and one whose 2**(-n*delta) rounds to 1; the
+        epsilons one whose delta is out of range at every n."""
+        rng = random.Random(4000 + 10 * m + (kind == "deltas"))
+        p = three_decimal_source(rng, m)
+        ns = sorted(rng.sample(range(2, {2: 60, 3: 24, 4: 13}[m]), 3))
+        if kind == "deltas":
+            hi = delta_range(p).hi
+            points = [rng.uniform(0.05, 0.9) * hi, 1.5 * hi, 1e-18]
+        else:
+            points = [0.3, rng.uniform(1e-4, 0.1), 1e-40]
+        return p, ns, {kind: points}, count_types(ns[1], m)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["epsilons", "deltas"])
+    @pytest.mark.parametrize("include_exact", [True, False], ids=["exact", "no_exact"])
+    @pytest.mark.parametrize("prefix_mode", [False, True], ids=["one_to_one", "prefix"])
+    def test_sweep_is_the_per_n_rows(self, m, kind, include_exact, prefix_mode):
+        p, ns, points, cap = self.grid(m, kind)
+        options = dict(include_exact=include_exact, cap_types=cap, prefix_mode=prefix_mode)
+        sweep = approximations._rate_ladders(p, ns, **points, **options)
+        assert sweep == [row for n in ns for row in compute_rate_ladders(p, n, **points, **options)]
+        assert [r.n for r in sweep] == [n for n in ns for _ in range(3)]
+        notes = [r.note for r in sweep]
+        out_of_range = sum("tilted columns unavailable" in note for note in notes)
+        assert sum("exact column infeasible" in note for note in notes) == 3 * include_exact
+        if kind == "deltas":
+            assert out_of_range == len(ns)
+            assert sum("rounds to 1 in a double" in note for note in notes) == len(ns)
+        else:  # 1e-40, and at small n the others too
+            assert len(ns) <= out_of_range < len(sweep)
+        if include_exact and prefix_mode:
+            plain = approximations._rate_ladders(p, ns, **points, **dict(options, prefix_mode=False))
+            shifted = [(r.exact, q.exact + 1.0 / q.n) for r, q in zip(sweep, plain) if q.exact is not None]
+            assert shifted and all(a == b for a, b in shifted)
+
+    @pytest.mark.parametrize("source", ["0.2,0.8", "0.05,0.15,0.8"])
+    def test_deep_regime_sweep(self, source):
+        # n*delta = 1400 at n = 20000: epsilon underflows there and not at n = 100
+        p, ns = SourcePmf.parse(source), [100, 20000]
+        options = dict(include_exact=False, cap_types=10, prefix_mode=False)
+        sweep = approximations._rate_ladders(p, ns, deltas=[0.07, 0.01], **options)
+        assert sweep == [row for n in ns for row in compute_rate_ladders(p, n, deltas=[0.07, 0.01], **options)]
+        assert [r.epsilon == 0.0 for r in sweep] == [False, False, True, False]
+        assert sweep[2].note == "strassen column unavailable: epsilon = 2**-1400 underflows a double"
+
+    def test_checks_every_blocklength_before_any_row(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(approximations.exact_limits, "length_distribution",
+                            lambda *args, **kwargs: built.append(args))
+        options = dict(include_exact=True, cap_types=100, prefix_mode=False)
+        with pytest.raises(DomainError, match=r"^blocklength n must be an integer >= 1, got 2.5$"):
+            approximations._rate_ladders(P02, [10, 20, 2.5], deltas=[0.05], **options)
+        with pytest.raises(DomainError, match=r"^delta must be a positive finite exponent, got nan$"):
+            approximations._rate_ladders(P02, [10, 20], deltas=[0.05, math.nan], **options)
+        assert built == []
+
+    def test_exact_ladder_peak_is_the_engine_peak(self):
+        # alpha* is solved after the length distribution is built, so a
+        # one-n exact ladder peaks at the engine's own peak: solving first
+        # held the solutions through the sort
+        p = SourcePmf.parse("0.1,0.2,0.3,0.4")
+        deltas = [0.01 * k for k in range(1, 8)]
+        length_distribution(p, 24)
+        compute_rate_ladders(p, 24, deltas=deltas)  # warm every lazy import and table
+        alone = traced_peak(lambda: length_distribution(p, 24))
+        exponents._solve_alpha_star.cache_clear()
+        approximations._source_terms.cache_clear()
+        ladder = traced_peak(lambda: compute_rate_ladders(p, 24, deltas=deltas))
+        assert ladder <= alone + 1024, (ladder, alone)
 
 
 BLOCKLENGTH_ENTRY_POINTS = {

@@ -111,13 +111,17 @@ def _sha256(text: str) -> str:
 class TestLadderBytes:
     """Every byte the ladder emits, pinned as sha256 of stdout plus stderr:
     the golden table, a sweep whose out-of-range delta writes ``note:`` lines,
-    and the deep regime, where epsilon prints 0.0 and strassen prints '-'.
-    The digests were recorded with CPython on x86-64 Linux."""
+    the deep regime, where epsilon prints 0.0 and strassen prints '-', and
+    the benchmark's 40-blocklength sweep (its CSV digest is also checked in
+    CI under ``python -S``).  The digests were recorded with CPython on
+    x86-64 Linux."""
 
     GOLDEN = ("ladder", "--source", "0.2,0.8", "--n", "50", "--eps", GOLDEN_EPS)
     SWEEP = ("ladder", "--source", "0.1,0.2,0.4,0.3", "--n", "50:300:50",
              "--delta", "0.05,0.2", "--no-exact")  # 0.2 > D(U||P) = 0.1757
     DEEP = ("ladder", "--source", "0.2,0.8", "--n", "20000", "--delta", "0.07", "--no-exact")
+    # the tilted_sweep benchmark's ladder shape: 40 blocklengths, one delta
+    BENCH = ("ladder", "--source", "0.1,0.2,0.3,0.4", "--n", "50:2000:50", "--delta", "0.05", "--no-exact")
 
     @pytest.mark.parametrize("argv, digest", [
         (GOLDEN + ("--format", "csv"),
@@ -144,7 +148,13 @@ class TestLadderBytes:
          "dea9ffd8e102f463558cba5c6055ec6a8ecc5197d485e5c118da52c06c2da57c"),
         (DEEP + ("--format", "json"),
          "77a400d7b835b5002dab29ae68b232c70b5ae5d57c2efb3e09059d2441667457"),
-    ], ids=[f"{table}-{fmt}" for table in ("golden", "golden_prefix", "sweep_note", "deep")
+        (BENCH + ("--format", "csv"),
+         "4df968a4bf826cf7cbc69e2898eedf7ec30b7c0d6f3cc5ac96a4decdbadd7595"),
+        (BENCH + ("--format", "markdown"),
+         "12bf9abe3404b7bc8c7d7632d06faed2b25b5deadab4aff1f177eb6bacb4fcd5"),
+        (BENCH + ("--format", "json"),
+         "dc5fcd778f849bea201c517aa19b7e3bc67a1de518ea9e16608fe96279494694"),
+    ], ids=[f"{table}-{fmt}" for table in ("golden", "golden_prefix", "sweep_note", "deep", "bench_sweep")
             for fmt in ("csv", "markdown", "json")])
     def test_cli_tables(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
@@ -722,11 +732,26 @@ class TestDeltaLadder:
     ARGV = ("ladder", "--source", "0.2,0.8", "--n", "50:2000:50", "--delta", "0.013,0.052", "--no-exact")
 
     def test_one_solve_per_delta(self, capsys):
+        # one memo lookup per delta for the whole sweep, not one per row
         exponents._solve_alpha_star.cache_clear()
         code, out, _ = run_cli(capsys, *self.ARGV)
         assert code == 0
         assert len(out.splitlines()) == 1 + 40 * 2
-        assert exponents._solve_alpha_star.cache_info().misses == 2
+        info = exponents._solve_alpha_star.cache_info()
+        assert (info.hits, info.misses) == (0, 2)
+
+    def test_out_of_range_delta_refused_once(self, capsys):
+        # 0.9 is past D(U||P) = 0.322: one refused lookup, and a note
+        # phrased for each n
+        exponents._solve_alpha_star.cache_clear()
+        code, out, err = run_cli(capsys, *self.ARGV[:-2], "0.013,0.052,0.9", "--no-exact")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 40 * 3
+        info = exponents._solve_alpha_star.cache_info()
+        assert (info.hits, info.misses) == (0, 3)
+        notes = err.splitlines()
+        assert len(notes) == 40 and all("tilted columns unavailable: delta=0.9 outside" in x for x in notes)
+        assert "at n=50 the" in notes[0] and "at n=2000 the" in notes[-1]
 
     def test_per_source_terms_once_per_source(self, capsys, monkeypatch):
         # H(P) and sigma(P) do not depend on n: one call each for 40 blocklengths

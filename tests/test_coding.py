@@ -646,6 +646,25 @@ class TestRoundTrips:
             assert decode(o, encode(o, bytes(x))) == x
         assert calls == []
 
+    @pytest.mark.parametrize("mode", [UNIVERSAL, KNOWN_SOURCE])
+    def test_no_count_check_per_string(self, monkeypatch, mode):
+        """A string is checked and counted once, by string_index: the stores
+        find its class through the unchecked bodies of type_index,
+        type_at_index and type_entropy_bits, never through their checks."""
+        p = SourcePmf.parse("0.2,0.3,0.5")
+        rng = random.Random(37)
+        strings = [tuple(rng.choices(range(3), weights=p.probs, k=60)) for _ in range(8)]
+        strings += [(0,) * 60, (2,) * 60, (0, 1) * 30, (0, 1, 2) * 20]
+        o = build_ordering(mode, 60, 3, p)
+
+        def refuse(t):
+            raise AssertionError(f"counts {t} checked again")
+
+        monkeypatch.setattr(types_census, "_type_counts", refuse)
+        for x in strings:
+            assert decode(o, encode(o, x)) == x
+            assert decode(o, encode(o, bytes(x))) == x
+
     # (source, n) per alphabet size 2..5, and the tie source 0.1*0.4 = 0.2*0.2
     SWEEP_SOURCES = [("0.2,0.8", 800), ("0.2,0.3,0.5", 150), ("0.05,0.15,0.3,0.5", 50),
                      ("0.1,0.2,0.4,0.3", 50), ("0.1,0.15,0.2,0.25,0.3", 24)]

@@ -74,6 +74,25 @@ class TestSourcePmf:
         assert restored == floats and hash(restored) == hash(floats)
         assert {parsed: 1}[pickle.loads(pickle.dumps(parsed))] == 1
 
+    def test_parse_is_the_exact_construction(self):
+        # from_values keeps the Fractions it is given and sums them as
+        # integers: the pmf, its exact tuple and its hash are those built
+        # from the tokens directly; a sum 1e-13 off 1 drops the exact entries
+        rng = random.Random(40)
+        for trial in range(300):
+            m = rng.randint(2, 6)
+            cuts = sorted(rng.sample(range(1, 1000), m - 1))
+            tokens = [f"{(b - a) / 1000:.3f}" for a, b in zip([0, *cuts], [*cuts, 1000])]
+            if trial % 3 == 0:
+                tokens[-1] += "0000000001"
+            floats = tuple(map(float, tokens))
+            got = SourcePmf.parse(",".join(tokens))
+            want = SourcePmf(floats, tuple(map(Fraction, tokens)) if trial % 3 else None)
+            assert got == want and hash(got) == hash(want)
+            assert got.exact == want.exact and got.probs == want.probs
+        with pytest.raises(DistributionError, match="^exact entries must sum to exactly 1$"):
+            SourcePmf((0.5, 0.5), (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10 ** 30)))
+
     def test_exact_entries_must_be_the_floats(self):
         # a zero exact entry once gave exact tails of (1, 0, 0, 0, 0) at n = 3
         with pytest.raises(DistributionError, match=r"^exact entry Fraction\(1, 1\) is more than 4 ulps"):
