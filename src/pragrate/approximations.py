@@ -22,20 +22,21 @@ A ladder over many blocklengths is one column-wise sweep
 checked once, alpha* is solved once per delta (or once per (n, epsilon),
 since an epsilon's delta depends on n), and each row then costs only its
 own arithmetic.  :func:`compute_rate_ladders` is its one-blocklength view.
+Only the exact column reads ``exact_limits``, and only the universal
+operating point's census reads ``types_census``: each is imported where it
+is read, so a ladder without the exact column loads neither.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterator, Sequence
 
-from . import exact_limits
 from .distributions import SourcePmf, TiltedPoint, tilt
-from .errors import DomainError, ResourceLimitError
+from .errors import DEFAULT_TYPE_CAP, DomainError, ResourceLimitError
 from .exponents import (
     AlphaStarSolution,
     DeltaRange,
@@ -46,7 +47,6 @@ from .exponents import (
 )
 from .inputs import check_blocklength, check_integer, check_real, check_source
 from .numerics import LOG2E, SQRT_2PI, _qinv, neumaier_sum, normal_tail_inverse
-from .types_census import DEFAULT_TYPE_CAP, low_entropy_count
 
 
 def epsilon_to_delta(epsilon: float, n: int) -> float:
@@ -366,6 +366,7 @@ def universal_threshold_alpha_n(
     if 0.0 < alpha_n < 1.0:
         h_thr = tilt(p, alpha_n).entropy_bits
         if include_census:
+            from .types_census import low_entropy_count
             report = low_entropy_count(n, p.m, h_thr)
             string_count = report.count
             rate = (math.log2(string_count) + 1.0) / n
@@ -494,6 +495,8 @@ def _rate_ladders(
         floats = [check_real("epsilon", eps, 0, 1, need="lie in (0, 1)") for eps in given]
     if not given:
         return []
+    if include_exact:  # the exact column is the only reader of the engine
+        from . import exact_limits
     shannon, sigma = _source_terms(p)
     solved: list[AlphaStarSolution | DeltaRange | None] = [None] * len(given)  # per delta
     rows = []
@@ -588,5 +591,6 @@ _JSON_KEYS = ("n", "epsilon", "delta", *_RATE_COLUMNS, "note")
 
 def ladder_to_json(rows: list[RateLadder]) -> str:
     """The rows as a JSON array of flat objects, keys in table order."""
+    import json
     fields = attrgetter(*_JSON_KEYS)
     return json.dumps([dict(zip(_JSON_KEYS, fields(r))) for r in rows], indent=2)

@@ -6,22 +6,19 @@ optimal rates), ``constants`` (achievability/converse constant block),
 
 Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded,
 4 internal invariant violation.
+
+Start-up is the parser alone (``argparse``, ``sys`` and ``errors``): each
+handler imports the modules it runs, so ``codec`` never loads the rate
+approximations, nor ``constants`` the codec stores.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
-from array import array
 
-from . import approximations as ap
-from . import coding
-from . import exact_limits as el
-from . import types_census as tc
-from .distributions import SourcePmf, entropy
 from .errors import (
+    DEFAULT_TYPE_CAP,
     CodewordError,
     DistributionError,
     DomainError,
@@ -86,6 +83,7 @@ def _apply_config(argv: list[str] | None) -> argparse.Namespace:
     defaults: they beat argparse defaults, and explicit flags beat both.
     Unknown keys and values outside an option's choices are refused.  The
     defaults go on a parser built for this call; the shared one never changes."""
+    import json
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -123,6 +121,7 @@ def _read_input(path: str) -> str:
 
 
 def _load_source(args: argparse.Namespace) -> SourcePmf:
+    from .distributions import SourcePmf
     if not getattr(args, "source", None):
         raise DomainError("--source is required for this subcommand")
     return SourcePmf.load(str(args.source))
@@ -139,7 +138,7 @@ def _parse_eps_or_delta(args: argparse.Namespace) -> tuple[list[float] | None, l
     if not values:
         raise DomainError(f"{flag} {text!r} holds no values")
     for token, value in zip(text.split(","), values):
-        if not 0.0 < value < (math.inf if args.delta else 1.0):
+        if not 0.0 < value < (float("inf") if args.delta else 1.0):
             need = "be a positive finite exponent" if args.delta else "lie in (0, 1)"
             if value == 0.0:  # typed as zero, or too small for a double
                 need += "; it is 0.0 as a double"
@@ -149,6 +148,7 @@ def _parse_eps_or_delta(args: argparse.Namespace) -> tuple[list[float] | None, l
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
+    from . import approximations as ap
     p = _load_source(args)
     epsilons, deltas = _parse_eps_or_delta(args)
     ns = _parse_n_range(str(args.n))
@@ -169,6 +169,8 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
 
 
 def _cmd_limits(args: argparse.Namespace) -> int:
+    import math
+    from . import exact_limits as el
     p = _load_source(args)
     epsilons, deltas = _parse_eps_or_delta(args)
     ns = _parse_n_range(str(args.n))
@@ -189,6 +191,8 @@ def _cmd_limits(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    import json
+    from . import approximations as ap
     p = _load_source(args)
     cc = ap.converse_constants(p, float(args.delta))
     payload = cc.to_dict()
@@ -200,6 +204,9 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    import math
+    from . import types_census as tc
+    from .distributions import SourcePmf, entropy
     if (args.threshold_bits is None) == (args.threshold_source is None):
         raise DomainError("provide exactly one of --threshold-bits or --threshold-source")
     if args.threshold_bits is not None:
@@ -262,13 +269,13 @@ def _source_digest(source: SourcePmf) -> str:
     sha256(repr(source.probs)).  The same pmf given inline, as JSON or in a
     file has the same floats, hence the same digest."""
     import hashlib  # only the known-source codec needs it
-
     return hashlib.sha256(repr(source.probs).encode()).hexdigest()[:16]
 
 
 def _build_cli_ordering(
     args: argparse.Namespace, m: int, source: SourcePmf | None
 ) -> coding.CodeOrdering:
+    from . import coding
     mode = coding.KNOWN_SOURCE if source is not None else coding.UNIVERSAL
     return coding.build_ordering(mode, args.n, m, source, cap_types=args.cap_types)
 
@@ -287,6 +294,8 @@ class _SymbolTable(dict):
 
 
 def _cmd_codec_encode(args: argparse.Namespace) -> int:
+    from array import array
+    from . import coding, types_census as tc
     alphabet = _check_alphabet(args.alphabet)
     source = _codec_source(args, len(alphabet))
     lines = [ln for ln in map(str.strip, _read_input(args.infile).splitlines()) if ln]
@@ -357,6 +366,7 @@ def _check_source_digest(src: str | None, source: SourcePmf) -> None:
 
 
 def _cmd_codec_decode(args: argparse.Namespace) -> int:
+    from . import coding
     lines = [ln.rstrip("\n") for ln in _read_input(args.infile).splitlines()]
     if not lines or not lines[0].startswith("#"):
         raise DomainError("codeword stream must start with its '# mode=...' header")
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(subparser=sp)
         sp.add_argument("--config", help="JSON config file supplying defaults")
         if cap_types:
-            sp.add_argument("--cap-types", type=_cap_types, default=el.DEFAULT_TYPE_CAP)
+            sp.add_argument("--cap-types", type=_cap_types, default=DEFAULT_TYPE_CAP)
         if source:
             sp.add_argument("--source", help="pmf: inline '0.2,0.8', JSON, or a file path")
 

@@ -108,10 +108,10 @@ import itertools
 import math
 import operator
 from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, Sequence
 
 from .distributions import SourcePmf
 from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError

@@ -35,14 +35,13 @@ alone, and the constants apply these scalings where they use the others.
 
 from __future__ import annotations
 
-import json
 import math
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mul, sub, truediv
-from typing import Iterable, Sequence, Union
 
 from .errors import DistributionError, DomainError
 from .inputs import brief, check_real, check_source, describe
@@ -50,7 +49,7 @@ from .numerics import LOG2E, neumaier_sum
 
 SUM_ABS_TOL = 1e-12
 
-PmfLike = Union["SourcePmf", Sequence[float]]
+PmfLike = "SourcePmf | Sequence[float]"  # an annotation only
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,8 @@ class SourcePmf:
         if self.exact is not None:
             if len(self.exact) != len(self.probs):
                 raise DistributionError("exact/float entry count mismatch")
+            if not all(isinstance(q, (Fraction, int)) and not isinstance(q, bool) for q in self.exact):
+                raise DistributionError(f"exact entries must be ints or Fractions, got {brief(self.exact)}")
             if not _sums_to_one(self.exact):
                 raise DistributionError("exact entries must sum to exactly 1")
             for q, x in zip(self.exact, self.probs):
@@ -146,6 +147,7 @@ class SourcePmf:
         if not text:
             raise DistributionError("empty source pmf specification")
         if text.startswith("["):
+            import json  # only a JSON pmf needs it
             try:
                 values = json.loads(text, parse_float=Fraction, parse_int=Fraction)
             except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
@@ -172,12 +174,9 @@ class SourcePmf:
         return cls.parse(spec)
 
 
-def _sums_to_one(values: Sequence) -> bool:
-    """Whether ``values`` sum to exactly 1.  Fractions and ints are summed
-    as integers over their common denominator, which builds no Fraction;
-    any other entries by their own ``sum``."""
-    if not all(isinstance(q, (Fraction, int)) for q in values):
-        return sum(values) == 1
+def _sums_to_one(values: Sequence[Fraction | int]) -> bool:
+    """Whether ``values`` sum to exactly 1, summed as integers over their
+    common denominator, which builds no Fraction."""
     denominator = math.lcm(*(q.denominator for q in values))
     return sum(q.numerator * (denominator // q.denominator) for q in values) == denominator
 

@@ -1,7 +1,8 @@
 """Semantic exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes, so library code should raise
-these rather than bare ValueError/RuntimeError.
+these rather than bare ValueError/RuntimeError.  ``DEFAULT_TYPE_CAP`` is here
+so that the CLI's parser reads it without loading the type census.
 """
 
 
@@ -21,6 +22,9 @@ class DomainError(PragrateError, ValueError):
 class ResourceLimitError(PragrateError):
     """A feasibility guard was exceeded (too many type classes or strings
     to enumerate)."""
+
+
+DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
 
 
 class CodewordError(PragrateError, ValueError):

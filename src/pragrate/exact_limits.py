@@ -36,8 +36,8 @@ makes the boundary point (L* - 1)/n that infimum.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .coding import LengthDistribution, _check_log2_epsilon, _check_type_cap, _known_source_classes, _log2_tails
 from .distributions import SourcePmf

@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, count, islice
-from typing import Iterable
 
 from .distributions import (
     SourcePmf,

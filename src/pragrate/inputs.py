@@ -61,7 +61,10 @@ def check_source(p: object) -> None:
 def check_blocklength(n: int) -> None:
     """Refuse n unless it is an integer >= 1 that a double holds: the formulas divide by it."""
     check_integer("blocklength n", n, 1)
-    check_real("blocklength n", n, need="be an integer >= 1 that a double holds")
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError(f"blocklength n must be an integer >= 1 that a double holds, got {describe(n)}") from None
 
 
 def check_real(name: str, x: float, lo: float = -math.inf, hi: float = math.inf, *,

@@ -6,6 +6,7 @@
 * ``normal_tail_inverse``: Qinv(epsilon), the only nontrivial term of the
   ``strassen`` ladder column, taken from ``statistics.NormalDist``.  Its
   argument is a double, so it stops at the smallest subnormal, 2**-1074.
+  ``statistics`` is imported on the first call, not by every command.
   ``_qinv`` is its unchecked body, for the ladder's rows, whose epsilons
   are checked once per sweep.
 
@@ -17,15 +18,14 @@ in nats (log base e).  ``LOG2E`` converts nats to bits.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
-from typing import Iterable
+from collections.abc import Iterable
 
 from .inputs import check_real
 
 LOG2E = math.log2(math.e)  # bits per nat
 NEG_INF = float("-inf")
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-_STANDARD_NORMAL = NormalDist()
+_STANDARD_NORMAL = None  # statistics.NormalDist(), built by the first _qinv
 
 
 def neumaier_sum(values: Iterable[float]) -> float:
@@ -56,4 +56,8 @@ def normal_tail_inverse(epsilon: float) -> float:
 
 def _qinv(epsilon: float) -> float:
     """:func:`normal_tail_inverse` of a float its caller knows lies in (0, 1)."""
+    global _STANDARD_NORMAL
+    if _STANDARD_NORMAL is None:
+        from statistics import NormalDist
+        _STANDARD_NORMAL = NormalDist()
     return -_STANDARD_NORMAL.inv_cdf(epsilon)

@@ -42,19 +42,18 @@ every partition.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import fsum, log2
 from operator import getitem
-from typing import Iterator, Sequence
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DEFAULT_TYPE_CAP, DomainError, ResourceLimitError
 from .inputs import check_blocklength, check_integer, check_real, check_string, describe
 from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
-DEFAULT_TYPE_CAP = 10_000_000  # type classes an exact computation may enumerate
 ALPHABET_CAP = 802  # symbols: the engine reads m counts per class, the universal tails list m-tuples
 
 

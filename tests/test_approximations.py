@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+import pragrate.exact_limits
 from pragrate import (
     DomainError,
     RateLadder,
@@ -558,7 +559,7 @@ class TestRateLadderSweep:
 
     def test_checks_every_blocklength_before_any_row(self, monkeypatch):
         built = []
-        monkeypatch.setattr(approximations.exact_limits, "length_distribution",
+        monkeypatch.setattr(pragrate.exact_limits, "length_distribution",
                             lambda *args, **kwargs: built.append(args))
         options = dict(include_exact=True, cap_types=100, prefix_mode=False)
         with pytest.raises(DomainError, match=r"^blocklength n must be an integer >= 1, got 2.5$"):

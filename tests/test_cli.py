@@ -1137,3 +1137,68 @@ class TestDeepRangeNote:
         assert code == 0 and out.startswith("n,epsilon,delta,")
         assert f"at n={n} the admissible epsilon interval is {interval}" in err
         assert "Traceback" not in err
+
+
+# sha256 of each --help page at 80 columns, recorded before the handlers imported
+# their modules lazily; the same bytes on CPython 3.10, 3.11 and 3.13
+HELP_SHA256 = {
+    (): "a16cbdd454d7a4739c460b798772ee7f5d7476f1cb58c8fb430e257bb9fcae26",
+    ("ladder",): "0a1a738115baa1d9a24c930d8a01820d68d29d3a540dd38d0b4a90cf3eaaab4b",
+    ("limits",): "deae944c9fba8decd4c890057f460250ce486c10949690f739fc3367a2792499",
+    ("constants",): "9a23beeb033f60aab931c8e176f23376e6ae45fd64b55a4f130cd5c16be61fd7",
+    ("census",): "0e8aeb2452d2a46164aa3b66752595e2524cd3ad4251ae1e3e8c5e15f1116960",
+    ("codec",): "0d6570e6b7c48d6321b52bef28d371b484463a32351d61e84c0cd50af9c9163b",
+    ("codec", "encode"): "30559b820e066328049f69e391e39aef2b6ed6dac1b4a7e7076aac20671947fd",
+    ("codec", "decode"): "55b191b297f469258580c69f8e515e4bdae38809c688e4ca023dc2fc31ae51da",
+}
+
+
+@pytest.mark.parametrize("argv", HELP_SHA256, ids=lambda argv: "_".join(argv) or "pragrate")
+def test_help_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert _sha256(capsys.readouterr().out) == HELP_SHA256[argv]
+
+
+class TestStartUp:
+    """What each CLI call imports, read from the ``sys.modules`` of a fresh
+    ``python -S`` child.  Only what must not load is pinned, so the standard
+    library's own imports may differ between CPython versions."""
+
+    CODEC = ("codec", "encode", "--alphabet", "ab", "--n", "4")
+    NO_ENGINE = {"pragrate.coding", "pragrate.exact_limits", "pragrate.types_census"}
+    NO_LADDER = {"pragrate.approximations", "pragrate.exponents", "statistics"}
+
+    @staticmethod
+    def loaded(code, stdin=""):
+        """The modules loaded once ``code`` has run in a fresh child, which
+        prints them as the last line of its stderr."""
+        src = str(pathlib.Path(pragrate.__file__).resolve().parents[1])
+        code += "\nprint(*sys.modules, file=sys.stderr)"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], input=stdin, capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stderr.splitlines()[-1].split())
+
+    def test_parser_alone(self):
+        modules = self.loaded("import sys\nimport pragrate.cli as cli\ncli.build_parser()")
+        assert {m for m in modules if m.startswith("pragrate")} == {"pragrate", "pragrate.cli", "pragrate.errors"}
+        assert not modules & {"dataclasses", "json", "statistics", "typing"}
+
+    @pytest.mark.parametrize("argv, stdin, unloaded", [
+        (CODEC, "abab\nbbba\n", {"pragrate.exact_limits", *NO_LADDER}),
+        (("codec", "decode"), "# mode=universal m=2 n=4 alphabet=ab fmt=1\n100\n10\n",
+         {"pragrate.exact_limits", *NO_LADDER}),
+        (("census", "--m", "3", "--threshold-bits", "1.2", "--n", "10:30:10"), "",
+         {"pragrate.coding", "pragrate.exact_limits", *NO_LADDER}),
+        (("limits", "--source", "0.2,0.8", "--n", "50", "--eps", "0.001"), "", NO_LADDER),
+        (("ladder", "--source", "0.2,0.8", "--n", "50", "--eps", "0.001", "--no-exact"), "", NO_ENGINE),
+        (("constants", "--source", "0.2,0.8", "--delta", "0.07"), "", NO_ENGINE),
+    ], ids=["encode", "decode", "census", "limits", "ladder_no_exact", "constants"])
+    def test_subcommand_loads_only_its_path(self, argv, stdin, unloaded):
+        code = f"import sys\nimport pragrate.cli as cli\nassert cli.main({list(argv)!r}) == 0"
+        modules = self.loaded(code, stdin)
+        assert "pragrate.cli" in modules
+        assert not modules & {*unloaded, "typing"}

@@ -22,8 +22,9 @@ refused by name with ``DomainError`` before any other argument is read.
 ``CODEC_CALLS`` feeds the codec's own parameters (the string of
 ``string_index`` and ``encode``, the codeword of ``decode``, the bits of
 ``Codeword`` and the entries of ``SourcePmf``) None, an iterator, a set, a
-list of bools and a str, except where the parameter takes one: each is
-refused with the package's error.
+list of bools, a str and a tuple of floats, except where the parameter takes
+one: each is refused with the package's error.  A float is no exact entry:
+exact mode would read its numerator.
 """
 
 import inspect
@@ -213,12 +214,12 @@ CODEC_CALLS = {  # a codec parameter left open: its refusal, and the bad kinds i
     "encode": (lambda bad: pragrate.encode(O, bad), DomainError, ()),
     "decode": (lambda bad: pragrate.decode(O, bad), CodewordError, ()),
     "Codeword": (Codeword, CodewordError, ("str",)),
-    "SourcePmf[probs]": (SourcePmf, DistributionError, ()),
+    "SourcePmf[probs]": (SourcePmf, DistributionError, ("floats",)),
     "SourcePmf[exact]": (lambda bad: SourcePmf((0.5, 0.5), bad), DistributionError, ("none",)),
 }
 BAD_CODEC = {  # a fresh value per call: an iterator is spent once read
     "none": lambda: None, "iterator": lambda: iter([0, 1]), "set": lambda: {0, 1},
-    "bools": lambda: [True, False], "str": lambda: "01",
+    "bools": lambda: [True, False], "str": lambda: "01", "floats": lambda: (0.5, 0.5),
 }
 
 

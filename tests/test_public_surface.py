@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -26,11 +28,41 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    got = sorted(
-        name for name, value in vars(pragrate).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    )
-    assert got == sorted(PUBLIC_NAMES)
+    # the exports are lazy: vars(pragrate) holds only the names read so far, dir() all of them
+    listed = sorted(name for name in dir(pragrate)
+                    if not name.startswith("_") and not isinstance(getattr(pragrate, name), types.ModuleType))
+    assert pragrate.__all__ == listed == sorted(PUBLIC_NAMES)
+
+
+# In a fresh interpreter: importing the package loads none of its modules; each
+# public name is its home module's object, bound on first read; every module
+# of the package resolves as pragrate.<name>; an unknown name is refused.
+FRESH_PACKAGE = """
+import pkgutil, sys, types
+import pragrate
+assert [m for m in sys.modules if m.startswith("pragrate.")] == [], sys.modules
+for name in pragrate.__all__:
+    value = getattr(pragrate, name)
+    home = sys.modules[f"pragrate.{pragrate._HOME[name]}"]
+    assert value is vars(home)[name] and vars(pragrate)[name] is value, name
+for info in pkgutil.iter_modules(pragrate.__path__):
+    if info.name != "__main__":
+        module = getattr(pragrate, info.name)
+        assert isinstance(module, types.ModuleType) and module.__name__ == f"pragrate.{info.name}", info
+try:
+    pragrate.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'pragrate' has no attribute 'no_such_name'", exc
+else:
+    raise AssertionError("pragrate.no_such_name resolved")
+"""
+
+
+def test_each_export_is_its_home_modules_object():
+    src = str(Path(pragrate.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", FRESH_PACKAGE], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_public_name_is_a_memo():
