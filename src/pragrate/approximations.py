@@ -30,10 +30,9 @@ is read, so a ladder without the exact column loads neither.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
 from .distributions import SourcePmf, TiltedPoint, tilt
 from .errors import DEFAULT_TYPE_CAP, DomainError, ResourceLimitError
@@ -545,52 +544,3 @@ def _rate_ladders(
             ))
     return rows
 
-
-_RATE_COLUMNS = ("exact", "shannon", "strassen", "blahut", "pragmatic")
-_rates = attrgetter(*_RATE_COLUMNS)
-
-
-def _rate_cells(rows: list[RateLadder], digits: int) -> Iterator[list[str]]:
-    """Each row's rate cells in ``_RATE_COLUMNS`` order: '-' where the rate
-    is None, else its value to ``digits`` decimals.  Lazy, so only one
-    row's cells are held at a time."""
-    fmt = f"{{:.{digits}f}}".format
-    return (["-" if v is None else fmt(v) for v in _rates(r)] for r in rows)
-
-
-def _csv_row(r: RateLadder) -> str:
-    """One full-precision CSV row, rates in ``_RATE_COLUMNS`` order: every
-    value's repr, and '-' for None (no repr of an int, float or Fraction
-    holds "None")."""
-    return (f"{r.n},{r.epsilon!r},{r.delta!r},{r.exact!r},{r.shannon!r},{r.strassen!r},"
-            f"{r.blahut!r},{r.pragmatic!r}").replace("None", "-")
-
-
-def ladder_to_csv(rows: list[RateLadder], *, digits: int | None = None) -> str:
-    """CSV with full-precision cells by default; '-' marks unavailable ones."""
-    out = [",".join(("n", "epsilon", "delta", *_RATE_COLUMNS))]
-    if digits is None:
-        out += map(_csv_row, rows)
-    else:
-        for r, rates in zip(rows, _rate_cells(rows, digits)):
-            out.append(",".join([str(r.n), repr(r.epsilon), repr(r.delta), *rates]))
-    return "\n".join(out) + "\n"
-
-
-def ladder_to_markdown(rows: list[RateLadder], *, digits: int = 3) -> str:
-    """Markdown table rounded for display (3 decimals by default)."""
-    lines = ["| " + " | ".join(("epsilon", *_RATE_COLUMNS)) + " |",
-             "|---" * (1 + len(_RATE_COLUMNS)) + "|"]
-    for r, rates in zip(rows, _rate_cells(rows, digits)):
-        lines.append(" | ".join([f"| {r.epsilon:g}", *rates]) + " |")
-    return "\n".join(lines) + "\n"
-
-
-_JSON_KEYS = ("n", "epsilon", "delta", *_RATE_COLUMNS, "note")
-
-
-def ladder_to_json(rows: list[RateLadder]) -> str:
-    """The rows as a JSON array of flat objects, keys in table order."""
-    import json
-    fields = attrgetter(*_JSON_KEYS)
-    return json.dumps([dict(zip(_JSON_KEYS, fields(r))) for r in rows], indent=2)

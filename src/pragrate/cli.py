@@ -147,7 +147,44 @@ def _parse_eps_or_delta(args: argparse.Namespace) -> tuple[list[float] | None, l
     return (None, values) if args.delta else (values, None)
 
 
+# the ladder's columns in table order; every format reads this one tuple
+_LADDER_COLUMNS = ("n", "epsilon", "delta", "exact", "shannon", "strassen", "blahut", "pragmatic")
+# Markdown shows a table's inputs as given and every other cell to 3 decimals
+_MARKDOWN_SPEC = {"n": "d", "epsilon": "g", "delta": "g"}
+
+
+def _write_table(
+    columns: tuple[str, ...], rows: Iterable[tuple], fmt: str = "csv", notes: list[str] | None = None
+) -> None:
+    """Write a table to stdout: one tuple per row of ``rows``, its cells in
+    ``columns`` order at full precision and None where a value is unavailable.
+
+    CSV (the default) holds each cell's repr, '-' for None; Markdown rounds
+    for display (``_MARKDOWN_SPEC``); JSON is an array of flat objects, each
+    with its row's entry of ``notes`` under ``note``.  Every nonempty note
+    also goes to stderr as a ``note:`` line after the table."""
+    if fmt == "csv":
+        # one template per table; no column name, nor repr of an int or float, holds "None"
+        line = ",".join(["%r"] * len(columns))
+        text = "\n".join([",".join(columns), *[line % row for row in rows]]).replace("None", "-") + "\n"
+    elif fmt == "markdown":
+        specs = [_MARKDOWN_SPEC.get(column, ".3f") for column in columns]
+        lines = ["| " + " | ".join(columns) + " |", "|---" * len(columns) + "|"]
+        for row in rows:
+            cells = ["-" if v is None else format(v, spec) for v, spec in zip(row, specs)]
+            lines.append("| " + " | ".join(cells) + " |")
+        text = "\n".join(lines) + "\n"
+    else:
+        import json
+        keys = (*columns, "note")
+        text = json.dumps([dict(zip(keys, (*row, note))) for row, note in zip(rows, notes)], indent=2) + "\n"
+    sys.stdout.write(text)
+    for note in filter(None, notes or ()):
+        sys.stderr.write(f"note: {note}\n")
+
+
 def _cmd_ladder(args: argparse.Namespace) -> int:
+    from operator import attrgetter
     from . import approximations as ap
     p = _load_source(args)
     epsilons, deltas = _parse_eps_or_delta(args)
@@ -156,15 +193,8 @@ def _cmd_ladder(args: argparse.Namespace) -> int:
         p, ns, epsilons, deltas=deltas, include_exact=not args.no_exact,
         cap_types=args.cap_types, prefix_mode=(args.mode == "prefix"),
     )
-    if args.format == "markdown":
-        sys.stdout.write(ap.ladder_to_markdown(rows))
-    elif args.format == "json":
-        sys.stdout.write(ap.ladder_to_json(rows) + "\n")
-    else:
-        sys.stdout.write(ap.ladder_to_csv(rows))
-    notes = [r.note for r in rows if r.note]
-    for note in notes:
-        sys.stderr.write(f"note: {note}\n")
+    cells = attrgetter(*_LADDER_COLUMNS)
+    _write_table(_LADDER_COLUMNS, map(cells, rows), args.format, [r.note for r in rows])
     return EXIT_OK
 
 
@@ -179,14 +209,13 @@ def _cmd_limits(args: argparse.Namespace) -> int:
         column, values, log2_eps = "epsilon", epsilons, lambda n, eps: math.log2(eps)
     else:
         column, values, log2_eps = "delta", deltas, lambda n, delta: -n * delta
-    out = [f"n,{column},L_star,rate"]
+    rows = []
     for n in ns:
         dist = el.length_distribution(p, n, cap_types=args.cap_types)
         for value in values:
             rate = dist.optimal_rate(log2_eps(n, value))
-            l_star = round(rate * n) + 1
-            out.append(f"{n},{value!r},{l_star},{rate!r}")
-    sys.stdout.write("\n".join(out) + "\n")
+            rows.append((n, value, round(rate * n) + 1, rate))  # L* = n*rate + 1
+    _write_table(("n", column, "L_star", "rate"), rows)
     return EXIT_OK
 
 
@@ -220,10 +249,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if m < 2:
         raise DomainError(f"--m must be >= 2, got {m}")
     ns = _parse_n_range(str(args.n))
-    if args.slab:
-        out = ["n,threshold_bits,slab_type_count"]
-    else:
-        out = ["n,threshold_bits,log2_count,theta_ratio"]
+    rows = []
     for n in ns:
         # the census visits partitions, orbits of at most perm(m, min(m, n)) classes (m! once
         # n >= m): count them only when the classes pass the cap and that bound does not decide
@@ -233,12 +259,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
             sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
             break
         if args.slab:
-            out.append(f"{n},{h!r},{tc.entropy_slab_count(n, m, h)}")
+            rows.append((n, h, tc.entropy_slab_count(n, m, h)))
         else:
             rep = tc.low_entropy_count(n, m, h)
             log2c = math.log2(rep.count) if rep.count else float("-inf")
-            out.append(f"{n},{h!r},{log2c!r},{rep.theta_ratio!r}")
-    sys.stdout.write("\n".join(out) + "\n")
+            rows.append((n, h, log2c, rep.theta_ratio))
+    counts = ("slab_type_count",) if args.slab else ("log2_count", "theta_ratio")
+    _write_table(("n", "threshold_bits", *counts), rows)
     return EXIT_OK
 
 

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import random
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 
@@ -15,6 +18,7 @@ from pragrate import (
     achievability_constant,
     approximations,
     blahut_rate,
+    cli,
     compute_rate_ladder,
     compute_rate_ladders,
     converse_constants,
@@ -41,9 +45,6 @@ from pragrate.approximations import (
     coding_variance_bits,
     delta_to_epsilon,
     epsilon_to_delta,
-    ladder_to_csv,
-    ladder_to_json,
-    ladder_to_markdown,
 )
 from pragrate.numerics import normal_tail_inverse
 
@@ -51,6 +52,15 @@ from conftest import bern, random_pmf, tilted_log_moments
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
+
+
+def ladder_table(rows, fmt="csv"):
+    """The table the ``ladder`` command writes for ``rows`` in ``fmt``, notes aside."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cells = attrgetter(*cli._LADDER_COLUMNS)
+        cli._write_table(cli._LADDER_COLUMNS, map(cells, rows), fmt, [r.note for r in rows])
+    return out.getvalue()
 
 
 def q_inverse_oracle(eps: float) -> float:
@@ -341,37 +351,35 @@ class TestLadder:
 
     def test_json_round_trip(self):
         rows = [compute_rate_ladder(P02, 50, e) for e in (0.01444, 0.00003)]
-        payload = json.loads(ladder_to_json(rows))
+        payload = json.loads(ladder_table(rows, "json"))
         assert payload[0]["exact"] == rows[0].exact
         assert payload[1]["pragmatic"] == rows[1].pragmatic
 
     def test_json_bytes_equal_indented_dumps(self):
-        # the emitter skips json's pure-Python indenting encoder, not its bytes
         odd = RateLadder(n=7, epsilon=0.0, delta=math.inf, shannon=-0.0, strassen=None,
                          blahut=math.nan, pragmatic=1e-300, exact=None,
                          note='say "}",\n\t{ ünïcode \\ }')
         rows = [compute_rate_ladder(P02, 50, e) for e in (0.01444, 0.00003)]
         keys = ("n", "epsilon", "delta", "exact", "shannon", "strassen", "blahut", "pragmatic", "note")
         for case in ([], rows[:1], rows, [odd], rows + [odd] + rows):
-            want = json.dumps([{k: getattr(r, k) for k in keys} for r in case], indent=2)
-            assert ladder_to_json(case) == want
+            want = json.dumps([{k: getattr(r, k) for k in keys} for r in case], indent=2) + "\n"
+            assert ladder_table(case, "json") == want
 
     def test_csv_and_markdown_shapes(self):
         rows = [compute_rate_ladder(P02, 50, 0.01444)]
-        csv = ladder_to_csv(rows)
+        csv = ladder_table(rows)
         assert csv.splitlines()[0] == "n,epsilon,delta,exact,shannon,strassen,blahut,pragmatic"
-        md = ladder_to_markdown(rows)
-        assert "| 0.01444 | 0.840 |" in md
+        md = ladder_table(rows, "markdown")
+        assert "| 50 | 0.01444 | 0.122276 | 0.840 |" in md
 
     def test_full_precision_csv_follows_the_rate_columns(self):
-        # each row is one f-string: its cells are the header's columns, every
+        # each row is one template: its cells are the header's columns, every
         # value's repr and '-' for None (delta 1.0 is out of range at m = 2)
         rows = compute_rate_ladders(P02, 20, deltas=[0.05, 1.0], cap_types=5)
-        header, *lines = ladder_to_csv(rows).splitlines()
-        assert header.split(",") == ["n", "epsilon", "delta", *approximations._RATE_COLUMNS]
+        header, *lines = ladder_table(rows).splitlines()
+        assert header.split(",") == list(cli._LADDER_COLUMNS)
         for r, line in zip(rows, lines, strict=True):
-            rates = [getattr(r, column) for column in approximations._RATE_COLUMNS]
-            want = [str(r.n), repr(r.epsilon), repr(r.delta), *("-" if v is None else repr(v) for v in rates)]
+            want = ["-" if v is None else repr(v) for v in map(r.__getattribute__, cli._LADDER_COLUMNS)]
             assert line.split(",") == want
         assert lines[1].count(",-") == 3
 

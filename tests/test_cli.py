@@ -48,7 +48,7 @@ class TestLadderCommand:
             "--eps", GOLDEN_EPS, "--format", "markdown",
         )
         assert code == 0
-        exact_cells = [line.split("|")[2].strip() for line in out.splitlines()[2:]]
+        exact_cells = [line.split("|")[4].strip() for line in out.splitlines()[2:]]
         assert exact_cells == ["0.940", "0.940", "0.920", "0.900", "0.900", "0.880", "0.840"]
 
     def test_deterministic_output(self, capsys):
@@ -127,31 +127,31 @@ class TestLadderBytes:
         (GOLDEN + ("--format", "csv"),
          "d87ee7e48e3b4c1973d843ac660891b65e3a01726074ab8e50524eb9201a146f"),
         (GOLDEN + ("--format", "markdown"),
-         "01efd00abfb2a1e545b42d51a6dcdfb3a1a3beee8df906c012f83f022fea531b"),
+         "fbc8cd842aba37f25e94aa88289eb6cc17ac47d0470ab2c036868412e0ffe035"),
         (GOLDEN + ("--format", "json"),
          "6f15a334237d94e6c2ab2af459c8945dfa01ae094bd7f341466511fd74aa078b"),
         (GOLDEN + ("--mode", "prefix", "--format", "csv"),
          "dbc5f3a01f32c96925722ae9f2ea25ef59bdf5e0a428755bf59987f5aa05c5d3"),
         (GOLDEN + ("--mode", "prefix", "--format", "markdown"),
-         "74490da5124f6dda76b25414eef4b45c5163fb5ece5bd13b572b0dc85645266b"),
+         "cec1b1d5f4e37ebf65b9a1c9b1053cf78282d91bc7cffab87592a8f94c0677b6"),
         (GOLDEN + ("--mode", "prefix", "--format", "json"),
          "062949e74a96e1a16adccb77e419b5e7a36478a6ebe48a6df86b2c6435b8bd4f"),
         (SWEEP + ("--format", "csv"),
          "00669eb067c582ceae27ee895916ee28772efe6bce3b076d9b48ae1825cd1489"),
         (SWEEP + ("--format", "markdown"),
-         "9fa342f9fa182747d503dfda96fd5b87e92d02e9b3c1a1b3d3d5143e584ca8f9"),
+         "faeed1de00f428bf2b33ca89cc6b92ba95f96b7eb74a0eb0a370b636119d087e"),
         (SWEEP + ("--format", "json"),
          "98f8cee94fcb060d45e864781c29da29fff1e559a831b41752ef7656a0c55ace"),
         (DEEP + ("--format", "csv"),
          "84267e1f26d042894ed8cd7236ea8970838a460d6cba6008a89ed8e2feb5ac97"),
         (DEEP + ("--format", "markdown"),
-         "dea9ffd8e102f463558cba5c6055ec6a8ecc5197d485e5c118da52c06c2da57c"),
+         "cf3b7c674f9500cca6b33eab3dd8170d1f3143e57d722c7db621cf033b9ff919"),
         (DEEP + ("--format", "json"),
          "77a400d7b835b5002dab29ae68b232c70b5ae5d57c2efb3e09059d2441667457"),
         (BENCH + ("--format", "csv"),
          "4df968a4bf826cf7cbc69e2898eedf7ec30b7c0d6f3cc5ac96a4decdbadd7595"),
         (BENCH + ("--format", "markdown"),
-         "12bf9abe3404b7bc8c7d7632d06faed2b25b5deadab4aff1f177eb6bacb4fcd5"),
+         "f7cc8e737e7d39c3c847615ca2d4de7dd88fccfee497f9c9b777b2450d701462"),
         (BENCH + ("--format", "json"),
          "dc5fcd778f849bea201c517aa19b7e3bc67a1de518ea9e16608fe96279494694"),
     ], ids=[f"{table}-{fmt}" for table in ("golden", "golden_prefix", "sweep_note", "deep", "bench_sweep")
@@ -161,16 +161,43 @@ class TestLadderBytes:
         assert code == 0
         assert _sha256(out + err) == digest
 
-    def test_csv_at_four_digits(self):
-        rows = approximations.compute_rate_ladders(
-            SourcePmf.parse("0.2,0.8"), 50, [float(e) for e in GOLDEN_EPS.split(",")]
-        )
-        assert _sha256(approximations.ladder_to_csv(rows, digits=4)) == (
-            "d3e8be900cadae7bf692aa0dfa00b736e62ed4893a8d609ab49026271b85e777"
-        )
+    @pytest.mark.parametrize("argv", [SWEEP, DEEP], ids=["sweep_note", "deep"])
+    def test_every_format_carries_the_csv_columns_and_values(self, capsys, argv):
+        # one column tuple for every format: the JSON keys but ``note`` are the
+        # CSV and Markdown headers, each JSON value is its CSV cell (null is
+        # '-'), and a Markdown cell is '-' just where the JSON value is null
+        tables = {}
+        for fmt in ("csv", "markdown", "json"):
+            code, tables[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+        header, *csv_rows = (line.split(",") for line in tables["csv"].splitlines())
+        md_header, _, *md_rows = ([c.strip() for c in line.strip("|").split("|")]
+                                  for line in tables["markdown"].splitlines())
+        objects = json.loads(tables["json"])
+        assert len(objects) == len(csv_rows) == len(md_rows) > 0
+        for obj, cells, md_cells in zip(objects, csv_rows, md_rows):
+            values = [obj[key] for key in obj if key != "note"]
+            assert [key for key in obj if key != "note"] == header == md_header
+            assert cells == ["-" if v is None else repr(v) for v in values]
+            assert [c == "-" for c in md_cells] == [v is None for v in values]
 
 
 class TestLimitsCommand:
+    @pytest.mark.parametrize("argv, digest", [
+        (("--source", "0.6,0.3,0.1", "--n", "10:30:10", "--eps", "0.00003,0.01444,0.2"),
+         "b173870ee9036d0e8dd864bfbcd6a5a8effe2a277d5955e786c108bef2b2f0ec"),
+        (("--source", "0.6,0.3,0.1", "--n", "10:30:10", "--delta", "0.05,0.3"),
+         "eba8256f15d813d10d22f4c9387d0d05a669c1351431e224f9ec21c7f0f4661d"),
+        # n*delta = 1400; this digest is also checked in CI under ``python -S``
+        (("--source", "0.2,0.8", "--n", "20000", "--delta", "0.07"),
+         "116ee44eecf0a544ff716092b8184c326acf3415de5c274a75c96d08794902f2"),
+    ], ids=["eps_sweep", "delta_sweep", "deep"])
+    def test_every_byte_is_pinned(self, capsys, argv, digest):
+        # sha256 of stdout plus stderr, recorded with CPython on x86-64 Linux
+        code, out, err = run_cli(capsys, "limits", *argv)
+        assert code == 0
+        assert _sha256(out + err) == digest
+
     def test_csv_golden_row(self, capsys):
         code, out, _ = run_cli(
             capsys, "limits", "--source", "0.2,0.8", "--n", "50", "--eps", "0.00003"
