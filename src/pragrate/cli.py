@@ -249,13 +249,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if m < 2:
         raise DomainError(f"--m must be >= 2, got {m}")
     ns = _parse_n_range(str(args.n))
+    tc._check_m(m)  # past the alphabet cap the call is refused, not truncated
     rows = []
     for n in ns:
-        # the census visits partitions, orbits of at most perm(m, min(m, n)) classes (m! once
-        # n >= m): count them only when the classes pass the cap and that bound does not decide
-        types = tc.count_types(n, m)
-        if types > args.cap_types and (types > args.cap_types * math.perm(m, min(m, n))
-                                       or tc.count_partitions(n, m) > args.cap_types):
+        try:
+            tc._check_walk_cap(n, m, args.cap_types, per_orbit=1)
+        except ResourceLimitError:
             sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
             break
         if args.slab:

@@ -77,13 +77,13 @@ are left in the rest of the string, which at m = 2 is every symbol.
 The length distribution of either code under a memoryless source is
 evaluated exactly by type aggregation, including the split of the class
 straddling a 2**L boundary.  This module holds the package's one
-ranked-class engine: the known-source class ranking, the type cap check
-and the one float tail routine (``_log2_tails``, which fills a
-:class:`LengthDistribution`) serve the codecs, the universal code's length
-distribution and the optimal-code tails of :mod:`pragrate.exact_limits`
-alike.  The checks that stay independent of it are the tests that
-enumerate every string, the brute-force oracle ``brute_force_limits`` of
-``tests/conftest.py`` among them.
+ranked-class engine: the known-source class ranking and the one float tail
+routine (``_log2_tails``, which fills a :class:`LengthDistribution`) serve
+the codecs, the universal code's length distribution and the optimal-code
+tails of :mod:`pragrate.exact_limits` alike.  The checks that stay
+independent of it are the tests that enumerate every string, the
+brute-force oracle ``brute_force_limits`` of ``tests/conftest.py`` among
+them.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
@@ -114,12 +114,12 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .distributions import SourcePmf
-from .errors import CodewordError, DomainError, InvariantViolation, ResourceLimitError
+from .errors import CodewordError, DomainError, InvariantViolation
 from .inputs import check_integer, check_real, check_source, check_string, describe
 from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
-    _check_n_m,
+    _check_walk_cap,
     _class_runs,
     _distinct_permutations,
     _iter_runs,
@@ -130,7 +130,6 @@ from .types_census import (
     _type_entropy_bits,
     _type_index,
     _unrank,
-    count_types,
 )
 
 KNOWN_SOURCE = "known-source"
@@ -412,18 +411,6 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     return keys, sizes, ranking
 
 
-def _check_type_cap(n: int, m: int, cap_types: int) -> None:
-    """Refuse to rank more than ``cap_types`` type classes, or more symbols
-    than the alphabet cap; a cap that is not an integer >= 1 is bad input,
-    not a limit."""
-    total = count_types(n, m)
-    check_integer("cap_types", cap_types, 1)
-    if total > cap_types:
-        raise ResourceLimitError(f"{describe(total)} type classes at n={describe(n)}, "
-                                 f"m={describe(m)} exceeds the cap of {cap_types}")
-    _check_n_m(n, m)
-
-
 def _check_log2_epsilon(x: float) -> float:
     """``x`` as a float below 0, or -inf (epsilon = 0)."""
     return check_real("log2_epsilon", x, -math.inf, 0, lo_open=False, need="be negative (epsilon < 1)")
@@ -512,13 +499,13 @@ def build_ordering(
 ) -> CodeOrdering:
     """Construct the shared code ordering.
 
-    In universal mode any ``source`` argument is ignored entirely; the
-    resulting ordering (hence every codeword) is byte-identical whatever is
-    passed.
+    In universal mode any ``source`` argument is ignored, so every codeword
+    is byte-identical whatever is passed, and ``cap_types`` counts the m
+    parts that the store keeps of each partition of n, not the type classes.
     """
     if mode == KNOWN_SOURCE and source is not None:
         check_source(source)
-    _check_type_cap(n, m, cap_types)  # count_types checks n and m
+    _check_walk_cap(n, m, cap_types, per_orbit=m if mode == UNIVERSAL else 0)
     if mode == UNIVERSAL:
         return _EntropyColumns(n, m)
     if mode != KNOWN_SOURCE:
@@ -573,7 +560,7 @@ def universal_length_distribution(
     value: an entry holds n+2 floats, and each further tail read is free.
     """
     check_source(p)
-    _check_type_cap(n, p.m, cap_types)
+    _check_walk_cap(n, p.m, cap_types)  # the tails list every class
     return _universal_length_distribution(p, n)
 
 

@@ -39,11 +39,11 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .coding import LengthDistribution, _check_log2_epsilon, _check_type_cap, _known_source_classes, _log2_tails
+from .coding import LengthDistribution, _check_log2_epsilon, _known_source_classes, _log2_tails
 from .distributions import SourcePmf
 from .errors import DomainError
 from .inputs import check_real, check_source
-from .types_census import DEFAULT_TYPE_CAP, _class_runs
+from .types_census import DEFAULT_TYPE_CAP, _check_walk_cap, _class_runs
 
 
 def length_distribution(
@@ -61,7 +61,7 @@ def length_distribution(
     check_source(p)
     if exact and p.exact is None:
         raise DomainError("exact mode requires a source with exact rational probabilities")
-    _check_type_cap(n, p.m, cap_types)
+    _check_walk_cap(n, p.m, cap_types)
     keys, sizes, ranking = _known_source_classes(n, p.m, p)
     tails = _log2_tails(keys, sizes, ranking, p.m ** n)
     exact_tails = _exact_tails(p.exact, n, sizes, ranking) if exact else None

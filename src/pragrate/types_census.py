@@ -30,13 +30,12 @@ both orders, with no stack that grows with m): those that share their
 first m-2 parts and split the rest R between their last two parts as
 (c, R - c), c from min(previous part, R) down to ceil(R/2).  Along a run
 the float entropy does not decrease as c falls, except possibly in a band
-of steps at the centre of runs far longer than any the default type cap
-admits (:func:`_band_width`).  So the census never tests every partition:
-it bisects each run for the c where the entropy crosses its threshold
-(:func:`_iter_spans`), with O(log R) entropies per run and the plain test
-for each c of the band, and sums the arrangements and the binomials over
-the interval between the cuts, with counts bit-identical to a test of
-every partition.
+of steps at the centre of runs over R past about 1.2e7 (:func:`_band_width`).
+So the census never tests every partition: it bisects each run for the c
+where the entropy crosses its threshold (:func:`_iter_spans`), with
+O(log R) entropies per run and the plain test for each c of the band,
+and sums the arrangements and the binomials over the interval between
+the cuts, with counts bit-identical to a test of every partition.
 """
 
 from __future__ import annotations
@@ -70,11 +69,15 @@ def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
     return counts
 
 
-def _check_n_m(n: int, m: int) -> None:
-    check_blocklength(n)  # n enters the entropies as a real
+def _check_m(m: int) -> None:
     check_integer("m", m, 2)
     if m > ALPHABET_CAP:
         raise ResourceLimitError(f"m={describe(m)} symbols: past the alphabet cap of {ALPHABET_CAP}")
+
+
+def _check_n_m(n: int, m: int) -> None:
+    check_blocklength(n)  # n enters the entropies as a real
+    _check_m(m)
 
 
 def count_types(n: int, m: int) -> int:
@@ -91,11 +94,53 @@ def count_partitions(n: int, m: int) -> int:
     By conjugation these are the partitions into parts of size at most m,
     counted by the O(n m) recurrence that adds one part size at a time."""
     _check_n_m(n, m)
+    return _partitions_past(n, m, math.inf)[0]
+
+
+def _partitions_past(n: int, m: int, stop: float) -> tuple[int, bool]:
+    """The partitions of n into at most m parts, and True; or, once the
+    count passes ``stop``, a lower bound past it, and False.
+
+    An orbit holds at most perm(m, min(m, n)) classes, so the classes over
+    that bound the count from below (at m = 2 it is the count, n // 2 + 1).
+    After part size k the recurrence counts the partitions into parts of
+    size at most k, which grows with k, so it stops once that passes."""
+    least = -(-count_types(n, m) // math.perm(m, min(m, n)))
+    if m == 2 or least > stop:
+        return least, m == 2
+    last = min(m, n)
     ways = [1] + [0] * n
-    for k in range(1, min(m, n) + 1):
+    for k in range(1, last + 1):
         for j in range(k, n + 1):
             ways[j] += ways[j - k]
-    return ways[n]
+        if ways[n] > stop:
+            return ways[n], k == last
+    return ways[n], True
+
+
+def _check_walk_cap(n: int, m: int, cap: int, *, per_orbit: int = 0) -> None:
+    """Refuse a walk over more than ``cap`` units: the type classes it
+    lists, or with ``per_orbit`` >= 1 the partitions of n into at most m
+    parts, ``per_orbit`` units each (the census reads one partition at a
+    time; the universal store keeps m parts of each).  A partition walk is
+    admitted at once when the classes times ``per_orbit`` fit the cap, and
+    its partitions are counted only as far as the cap.  Then n and m are
+    checked; a cap that is not an integer >= 1 is bad input."""
+    types = count_types(n, m)
+    check_integer("cap_types", cap, 1)
+    if not per_orbit:
+        if types > cap:
+            raise ResourceLimitError(f"{describe(types)} type classes at n={describe(n)}, "
+                                     f"m={describe(m)} exceeds the cap of {cap}")
+    elif types * per_orbit > cap:
+        _check_m(m)  # before perm(m, ...) bounds the partitions
+        count, exact = _partitions_past(n, m, cap // per_orbit)
+        if count * per_orbit > cap:
+            least = "" if exact else "at least "
+            times = "" if per_orbit == 1 else f" x {per_orbit} parts"
+            raise ResourceLimitError(f"{least}{describe(count)} partitions{times} at n={describe(n)}, "
+                                     f"m={describe(m)} exceeds the cap of {cap}")
+    _check_n_m(n, m)
 
 
 def enumerate_types(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -296,9 +341,8 @@ def _band_width(rest: int) -> int:
     2 eps rest log2(rest), as F(c) + F(d) <= F(rest) by convexity.  As
     c = (rest+1+k)/2, the step is safe once
     k > eps rest (rest+1) ln(rest) / (1 - eps rest ln(rest)), a bound that
-    grows with rest.  It is below 1 for rest up to about 1.2e7, so for
-    every run the default type cap admits; at 1e9 it is about 9200, a band
-    of 4600 steps above the centre."""
+    grows with rest.  It is below 1 for rest up to about 1.2e7; at 1e9 it
+    is about 9200, a band of 4600 steps above the centre."""
     t = _TERM_ERROR * rest * math.log(rest) if rest > 1 else 0.0
     return rest if t >= 1.0 else int(t * (rest + 1) / (1.0 - t))
 

@@ -425,6 +425,23 @@ class TestCodecCommands:
         assert (code, err) == (0, "")
         assert out.splitlines() == strings
 
+    def test_universal_cap_counts_partitions(self, capsys, tmp_path):
+        # 21,566,576,904,406,820 classes at m=64, n=16 lie in 231 partitions,
+        # the units the universal store walks, so the default cap admits it
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+        rng = random.Random(64)
+        strings = ["".join(rng.choice(alphabet) for _ in range(16)) for _ in range(5)] + ["A" * 16]
+        infile = tmp_path / "strings.txt"
+        infile.write_text("\n".join(strings) + "\n")
+        code, coded, err = run_cli(
+            capsys, "codec", "encode", "--mode", "universal", "--alphabet", alphabet, "--n", "16", str(infile),
+        )
+        assert (code, err) == (0, "")
+        infile.write_text(coded)
+        code, out, err = run_cli(capsys, "codec", "decode", str(infile))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == strings
+
     def test_universal_output_ignores_source(self, capsys, tmp_path):
         infile = tmp_path / "strings.txt"
         infile.write_text("abbb\naabb\n")
@@ -863,7 +880,9 @@ class TestInputErrorsExit2:
         ("ladder", "--source", "0.2,0.8", "--n", "0:2", "--eps", "0.1"),
         ("limits", "--source", "0.2,0.8", "--n", "5x", "--eps", "0.1"),
         ("limits", "--source", "0.2,0.8", "--n", "10:20:0", "--eps", "0.1"),
-    ], ids=["n_range_with_zero", "non_integer_n", "zero_step"])
+        # the n range is read before the alphabet cap, as the census always did
+        ("census", "--m", "1000", "--threshold-bits", "0.5", "--n", "foo"),
+    ], ids=["n_range_with_zero", "non_integer_n", "zero_step", "census_past_the_alphabet_cap"])
     def test_bad_n_range(self, argv):
         code, out, err = run_cli_process(*argv)
         assert code == 2
@@ -1023,6 +1042,13 @@ class TestInputErrorsExit2:
         code, out, err = run_cli_process(*argv, stdin="")
         assert code == 3 and "Traceback" not in err
         assert err.startswith("resource limit: m=1") and "past the alphabet cap of 802" in err
+
+    def test_census_past_the_alphabet_cap_is_refused_where_the_classes_pass_the_orbit_bound(self):
+        # C(200999, 999) classes pass the cap times 1000!, so the type cap alone
+        # would only truncate the sweep; the alphabet cap refuses the call first
+        code, out, err = run_cli_process("census", "--n", "200000", "--m", "1000", "--threshold-bits", "0.5")
+        assert code == 3 and out == ""
+        assert err == "resource limit: m=1000 symbols: past the alphabet cap of 802\n"
 
     def test_decode_past_the_ordering_names_the_index_by_its_bits(self):
         # the codeword of 15,000 ones is index 2**15001 - 1 of 2**15000

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -413,7 +414,7 @@ class TestUniversalLevelPath:
         built = []
 
         def run():
-            o = build_ordering(UNIVERSAL, n, 256, cap_types=count_types(n, 256))
+            o = build_ordering(UNIVERSAL, n, 256)
             assert [decode(o, encode(o, x)) for x in blocks] == list(map(tuple, blocks))
             built.append(o)
 
@@ -447,7 +448,7 @@ class TestUniversalBuildMatchesReference:
     def _check(n, m):
         """Compare every column with the reference; return the number of
         groups of partitions of equal float entropy."""
-        o = build_ordering(UNIVERSAL, n, m, cap_types=count_types(n, m))
+        o = build_ordering(UNIVERSAL, n, m)
         entropies, parts, sizes, checkpoints = reference_entropy_columns(n, m)
         assert o.entropies.tobytes() == array("d", entropies).tobytes(), (n, m)
         assert list(o.parts) == parts, (n, m)
@@ -821,14 +822,48 @@ class TestUniversalExcessProbability:
         with pytest.raises(ResourceLimitError):
             universal_excess_probability(p, 10, 0, cap_types=65)
 
-    @pytest.mark.parametrize("call", [
-        lambda: build_ordering(UNIVERSAL, 10 ** 5000, 2),
-        lambda: length_distribution(P02, 10 ** 5000),
-        lambda: universal_length_distribution(P02, 10 ** 5000),
+    def test_universal_cap_counts_partitions_at_its_boundary(self, monkeypatch):
+        # 21,084,251 classes at m=4, n=500 lie in 894,348 partitions, and the
+        # store keeps 4 parts of each: 3,577,392 units, fewer than the cap
+        # times 4!, so the partitions are counted, and decide
+        built = []
+        monkeypatch.setattr(coding, "_EntropyColumns", lambda n, m: built.append((n, m)))
+        with pytest.raises(ResourceLimitError,
+                           match=r"^894348 partitions x 4 parts at n=500, m=4 exceeds the cap of 3577391$"):
+            build_ordering(UNIVERSAL, 500, 4, cap_types=3_577_391)
+        assert built == []
+        build_ordering(UNIVERSAL, 500, 4, cap_types=3_577_392)
+        assert built == [(500, 4)]
+
+    def test_universal_cap_counts_the_parts_the_store_keeps(self, monkeypatch):
+        # p(70) = 4,087,968 partitions fit the default cap, but their
+        # 256 parts each, about 1e9 entries, do not
+        built = []
+        monkeypatch.setattr(coding, "_EntropyColumns", lambda n, m: built.append((n, m)))
+        with pytest.raises(ResourceLimitError,
+                           match=r"^at least \d+ partitions x 256 parts at n=70, m=256 exceeds the cap of 10000000$"):
+            build_ordering(UNIVERSAL, 70, 256)
+        assert built == []
+
+    def test_universal_refusal_stops_counting_at_the_cap(self, monkeypatch):
+        # C(10801, 801) classes are far fewer than 802!, so no bound refuses
+        # n=10**4, m=802 uncounted; the count stops once it passes the cap
+        monkeypatch.setattr(coding, "_EntropyColumns", None)  # any call would fail
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"^at least \d+ partitions x 802 parts at n=10000"):
+            build_ordering(UNIVERSAL, 10**4, 802)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("call,counted", [
+        # 10**5000 + 1 classes lie in 10**5000 // 2 + 1 partitions, counted in
+        # closed form at m=2, with 2 parts each
+        (lambda: build_ordering(UNIVERSAL, 10 ** 5000, 2), "<int of 16609 bits> partitions x 2 parts"),
+        (lambda: length_distribution(P02, 10 ** 5000), "<int of 16610 bits> type classes"),
+        (lambda: universal_length_distribution(P02, 10 ** 5000), "<int of 16610 bits> type classes"),
     ], ids=["build_ordering", "length_distribution", "universal_length_distribution"])
-    def test_type_cap_names_a_huge_count_by_its_bits(self, call):
+    def test_type_cap_names_a_huge_count_by_its_bits(self, call, counted):
         # str() of a count past 4,300 digits raised ValueError before the refusal existed
-        with pytest.raises(ResourceLimitError, match=r"^<int of 16610 bits> type classes at n=<int of 16610 bits>"):
+        with pytest.raises(ResourceLimitError, match=rf"^{counted} at n=<int of 16610 bits>, m=2 exceeds"):
             call()
 
     @pytest.mark.parametrize("cap", [0, -1, 2.5, True, None], ids=["zero", "negative", "float", "bool", "none"])

@@ -99,6 +99,12 @@ class TestEnumerateTypes:
         assert count_partitions(5000, 3) == 2_085_834 < DEFAULT_TYPE_CAP < count_types(5000, 3)
         assert count_partitions(3, 10) == 3
 
+    def test_count_partitions_of_two_parts_builds_no_table(self):
+        # the recurrence's (n+1)-entry table took 1.8 s and 398 MB at n = 10**7 + 1
+        start = time.perf_counter()
+        assert count_partitions(2 * 10**7, 2) == 10**7 + 1
+        assert time.perf_counter() - start < 1.0
+
 
 class TestTypeIndex:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
