@@ -19,9 +19,9 @@ The exponent/probability conversion is delta = log2(1/epsilon)/n throughout.
 
 A ladder over many blocklengths is one column-wise sweep
 (``_rate_ladders``): the source, every blocklength and every point are
-checked once, alpha* is solved once per delta (or once per (n, epsilon),
-since an epsilon's delta depends on n), and each row then costs only its
-own arithmetic.  :func:`compute_rate_ladders` is its one-blocklength view.
+checked once, alpha* is solved and held once per delta (or once per (n,
+epsilon), since an epsilon's delta depends on n), and each row then costs
+only its own arithmetic.  :func:`compute_rate_ladders` is its one-n view.
 Only the exact column reads ``exact_limits``, and only the universal
 operating point's census reads ``types_census``: each is imported where it
 is read, so a ladder without the exact column loads neither.
@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .distributions import SourcePmf, TiltedPoint, tilt
 from .errors import DEFAULT_TYPE_CAP, DomainError, ResourceLimitError
@@ -83,41 +82,37 @@ def strassen_rate(p: SourcePmf, n: int, epsilon: float) -> float:
     """
     check_source(p)
     check_blocklength(n)
-    h, sigma = _source_terms(p)
-    return h + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
+    sigma = math.sqrt(coding_variance_bits(p))
+    return shannon_rate(p) + sigma * normal_tail_inverse(epsilon) / math.sqrt(n) - math.log2(n) / (2.0 * n)
 
 
-@lru_cache(maxsize=64)
-def _source_terms(p: SourcePmf) -> tuple[float, float]:
-    """``(H(P), sigma(P))``, the per-source ladder terms, computed once per
-    source: a ladder sweep over many blocklengths reuses them."""
-    return shannon_rate(p), math.sqrt(coding_variance_bits(p))
-
-
-def _solve(p: SourcePmf, delta: float) -> AlphaStarSolution | DeltaRange:
-    """alpha* at ``delta``, or the admissible range that ``delta`` lies outside."""
+def _solve(p: SourcePmf, delta: float) -> AlphaStarSolution | DeltaRange | DomainError:
+    """alpha* at ``delta``; else the range it lies outside, or the solver's refusal."""
     try:
         return solve_alpha_star(p, delta)
-    except DomainError:
-        return delta_range(p)
+    except DomainError as exc:
+        rng = delta_range(p)
+        return exc if rng.contains(delta) else rng
 
 
-def _out_of_range(rng: DeltaRange, n: int, delta: float) -> str:
-    """Why ``delta``, outside ``rng``, has no alpha*, phrased for blocklength n."""
-    if rng.is_empty:
+def _unsolved(sol: DeltaRange | DomainError, n: int, delta: float) -> str:
+    """Why ``delta`` has no alpha*, phrased for blocklength n."""
+    if isinstance(sol, DomainError):  # below the solver's resolution
+        return str(sol)
+    if sol.is_empty:
         return "uniform source: no admissible exponent; any epsilon in (0,1) fails the tilted solve"
-    lo_eps = delta_to_epsilon(rng.hi, n)
+    lo_eps = delta_to_epsilon(sol.hi, n)
     # where 2**(-n*hi) underflows, its exponent still names the lower end
-    lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * rng.hi:.6g}"
-    return (f"delta={float(delta):.6g} outside (0, {rng.hi:.6g}); at n={n} the "
+    lo = f"{lo_eps:.6g}" if lo_eps > 0.0 else f"2**-{n * sol.hi:.6g}"
+    return (f"delta={float(delta):.6g} outside (0, {sol.hi:.6g}); at n={n} the "
             f"admissible epsilon interval is ({lo}, 1)")
 
 
 def _solve_for(p: SourcePmf, n: int, delta: float) -> AlphaStarSolution:
-    """alpha* at ``delta``, with the range error phrased for blocklength n."""
+    """alpha* at ``delta``, with a range error phrased for blocklength n."""
     sol = _solve(p, delta)
-    if isinstance(sol, DeltaRange):
-        raise DomainError(_out_of_range(sol, n, delta))
+    if not isinstance(sol, AlphaStarSolution):
+        raise DomainError(_unsolved(sol, n, delta))
     return sol
 
 
@@ -238,12 +233,13 @@ def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:
     N1 and N2 are exact below 2**52 and accurate to the double rounding of
     n above it (see :func:`_first_n_with`)."""
     check_source(p_src)
-    sol = solve_alpha_star(p_src, delta)
+    # the envelope first: a source it cannot certify has no exponent above the solver's resolution
     env = moment_envelope(p_src)
-    if env.sigma3_inf_sq == 0.0:
+    if env.sigma3_inf_sq == 0.0 and not env.degenerate:
         raise DomainError(
             "source within rounding noise of uniform: its moments have no certified bound"
         )
+    sol = solve_alpha_star(p_src, delta)
     a = sol.alpha_star
     sigma3_sq = sol.tilted.sigma3_sq
     sigma3_tilde_sq = env.sigma3_inf_sq
@@ -293,19 +289,18 @@ def converse_constants(p_src: SourcePmf, delta: float) -> ConverseConstants:
 def universal_rate_bound(p: SourcePmf, n: int, delta: float) -> float:
     """Rate guarantee of the universal code, main terms only:
 
-        H(P_alpha*) + ((m-2)/2 - 1/(2(1-alpha*))) * log2(n)/n.
+        H(P_alpha*) - log2(n) / (2n(1-alpha*)) + (m-2)/2 * log2(n)/n.
 
     An additional O(1)/n residual exists but carries no explicit constant;
     it is deliberately not folded in here, and the codec sweeps pin an
-    empirical stand-in for it.  At m = 2 this collapses to the pragmatic
-    rate exactly.
+    empirical stand-in for it.  At m = 2 the last term is an exact 0.0, so
+    this is the pragmatic rate bit for bit.
     """
     check_source(p)
     check_blocklength(n)
     sol = solve_alpha_star(p, delta)
-    m = p.m
-    coeff = (m - 2) / 2.0 - 1.0 / (2.0 * (1.0 - sol.alpha_star))
-    return sol.h_tilted + coeff * math.log2(n) / n
+    pragmatic = sol.h_tilted - math.log2(n) / (2.0 * n * (1.0 - sol.alpha_star))
+    return pragmatic + (p.m - 2) / 2.0 * math.log2(n) / n
 
 
 @dataclass(frozen=True)
@@ -474,10 +469,11 @@ def _rate_ladders(
     The source, every blocklength and every point are checked once, before
     any work.  alpha* is solved once per delta, on the first row that reads
     it, which comes after the first length distribution is built, so no
-    solution is held through the engine's sort; an epsilon's delta depends
-    on n, so it is solved per (n, epsilon).  Each blocklength's length
-    distribution is dropped before the next one is built.  A row then takes
-    the float operations of the single-point formulas, in their order, so
+    solution is held through the engine's sort; ``solved`` then holds it,
+    or its refusal, the one place alpha* is reused.  An epsilon's delta
+    depends on n, so it is solved per (n, epsilon).  Each blocklength's
+    length distribution is dropped before the next one is built.  A row
+    takes the single-point formulas' float operations, in their order, so
     every value is bit for bit the one-n ladder's.
     """
     check_source(p)
@@ -496,8 +492,8 @@ def _rate_ladders(
         return []
     if include_exact:  # the exact column is the only reader of the engine
         from . import exact_limits
-    shannon, sigma = _source_terms(p)
-    solved: list[AlphaStarSolution | DeltaRange | None] = [None] * len(given)  # per delta
+    shannon, sigma = shannon_rate(p), math.sqrt(coding_variance_bits(p))
+    solved: list[AlphaStarSolution | DeltaRange | DomainError | None] = [None] * len(given)  # per delta
     rows = []
     for n in ns:
         dist = exact_note = None  # the last n's distribution goes before this one is built
@@ -525,7 +521,7 @@ def _rate_ladders(
                 pragmatic = blahut - log2_n / (two_n * (1.0 - sol.alpha_star))
                 pragmatic = _nonnegative("pragmatic", pragmatic, notes)
             else:
-                notes.append(f"tilted columns unavailable: {_out_of_range(sol, n, delta)}")
+                notes.append(f"tilted columns unavailable: {_unsolved(sol, n, delta)}")
             if dist is not None:
                 exact = dist.optimal_rate(log2_epsilon)
                 if prefix_mode:  # the 1/n penalty, as prefix_adjust adds it

@@ -555,12 +555,13 @@ def universal_length_distribution(
     """Length distribution of the universal code under the source p.
 
     The classes come in the universal order, which ignores p; p only sets
-    each class's per-string probability.  Memoized on (p, n) once the
+    each class's per-string probability.  ``cap_types`` counts classes
+    times m, the counts that the tails list.  Memoized on (p, n) once the
     arguments are checked, so an unhashable one is refused like any bad
     value: an entry holds n+2 floats, and each further tail read is free.
     """
     check_source(p)
-    _check_walk_cap(n, p.m, cap_types)  # the tails list every class
+    _check_walk_cap(n, p.m, cap_types, per_class=p.m)  # the tails list every class as m counts
     return _universal_length_distribution(p, n)
 
 

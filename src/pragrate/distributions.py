@@ -60,8 +60,8 @@ class SourcePmf:
     from decimal strings or Fractions summing to exactly 1; it enables the
     exact-rational code paths of the optimal-code evaluator.
 
-    The hash is computed once, at construction: memoized solvers key on the
-    pmf, and hashing the Fractions anew on every lookup costs microseconds.
+    The hash is computed once, at construction: the package's memos key on
+    the pmf, and hashing the Fractions anew on every lookup costs microseconds.
     """
 
     probs: tuple[float, ...]

@@ -247,34 +247,30 @@ def solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
 
     Safeguarded Newton on the strictly decreasing divergence map, with a
     bisection bracket as the fallback, to a last step of at most 1e-14 in
-    alpha.  ``delta`` must lie strictly inside ``delta_range(p)``.
-
-    Pure in its (immutable) arguments, so results are memoized: alpha*
-    depends on the exponent alone, and a ladder over many blocklengths at
-    one delta shares a single solve.  Only a SourcePmf and a float reach
-    the memo (any other delta is made one by ``check_real`` or refused), so
-    an unhashable argument is refused like any bad value; the range is
-    checked on a miss, and a refusal is never memoized.
+    alpha.  ``delta`` must lie strictly inside ``delta_range(p)``, and above
+    the solver's resolution: D is known only to a few ulps of the largest
+    |log P(x)|, so at or below 8 times that noise (1.03e-14 bits for
+    Bern(0.2)) alpha* is not determined, and such a delta raises
+    ``DomainError``.  The residual |D(P_alpha* || P) - delta| is verified
+    against the same bound.  Each call is one solve; the ladder sweep holds
+    its solutions, one per delta.
     """
     check_source(p)
-    if type(delta) is not float:
-        delta = check_real("delta", delta)
-    return _solve_alpha_star(p, delta)
-
-
-@lru_cache(maxsize=256)
-def _solve_alpha_star(p: SourcePmf, delta: float) -> AlphaStarSolution:
-    """The memoized body of :func:`solve_alpha_star`."""
+    delta = check_real("delta", delta)
     rng = delta_range(p)
     if rng.is_empty:
         raise DomainError("uniform source: the admissible exponent interval is empty")
-    delta = check_real("delta", delta, 0, rng.hi)
+    check_real("delta", delta, 0, rng.hi)
+    # relative to D's rounding noise, not absolute: a fixed bound would pass
+    # any alpha near 1 once delta itself falls below it
+    resolution = _ALPHA_STAR_NOISES * _rounding_noise(map(math.log, p.probs))
+    if delta <= resolution:
+        raise DomainError(f"delta={delta!r} is below the alpha* solver's resolution of "
+                          f"{resolution:.3g} bits for this source")
     alpha, evaluations = _solve_tilted(p, delta, entropy=False)
     point = tilt(p, alpha)
     residual = abs(point.kl_bits - delta)
-    # relative to D's rounding noise, not absolute: a fixed bound would pass
-    # any alpha near 1 once delta itself falls below it
-    if residual > _ALPHA_STAR_NOISES * _rounding_noise(map(math.log, p.probs)):
+    if residual > resolution:
         raise InvariantViolation(f"alpha* solve missed target: |D - delta| = {residual!r}")
     return AlphaStarSolution(
         alpha_star=alpha, delta=delta, h_tilted=point.entropy_bits, tilted=point,

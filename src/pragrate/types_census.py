@@ -53,7 +53,7 @@ from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
-ALPHABET_CAP = 802  # symbols: the engine reads m counts per class, the universal tails list m-tuples
+ALPHABET_CAP = 802  # symbols: the engine reads m counts per class, the census walker's state is O(m)
 
 
 def _type_counts(t: Sequence[int]) -> tuple[int, ...]:
@@ -118,10 +118,11 @@ def _partitions_past(n: int, m: int, stop: float) -> tuple[int, bool]:
     return ways[n], True
 
 
-def _check_walk_cap(n: int, m: int, cap: int, *, per_orbit: int = 0) -> None:
+def _check_walk_cap(n: int, m: int, cap: int, *, per_class: int = 1, per_orbit: int = 0) -> None:
     """Refuse a walk over more than ``cap`` units: the type classes it
-    lists, or with ``per_orbit`` >= 1 the partitions of n into at most m
-    parts, ``per_orbit`` units each (the census reads one partition at a
+    lists, ``per_class`` units each (the universal tails list each class as
+    m counts), or with ``per_orbit`` >= 1 the partitions of n into at most
+    m parts, ``per_orbit`` units each (the census reads one partition at a
     time; the universal store keeps m parts of each).  A partition walk is
     admitted at once when the classes times ``per_orbit`` fit the cap, and
     its partitions are counted only as far as the cap.  Then n and m are
@@ -129,8 +130,9 @@ def _check_walk_cap(n: int, m: int, cap: int, *, per_orbit: int = 0) -> None:
     types = count_types(n, m)
     check_integer("cap_types", cap, 1)
     if not per_orbit:
-        if types > cap:
-            raise ResourceLimitError(f"{describe(types)} type classes at n={describe(n)}, "
+        if types * per_class > cap:
+            times = "" if per_class == 1 else f" x {per_class} symbols"
+            raise ResourceLimitError(f"{describe(types)} type classes{times} at n={describe(n)}, "
                                      f"m={describe(m)} exceeds the cap of {cap}")
     elif types * per_orbit > cap:
         _check_m(m)  # before perm(m, ...) bounds the partitions

@@ -26,7 +26,6 @@ from pragrate import (
     delta_range,
     error_exponent,
     excess_rate_probability,
-    exponents,
     kl_divergence,
     length_distribution,
     moment_envelope,
@@ -295,11 +294,11 @@ class TestConverseConstants:
 
 class TestUniversalRateBound:
     def test_binary_collapses_to_pragmatic(self):
-        for n in (10, 50, 128):
-            eps = 2.0 ** (-n * DELTA_HALF)
-            assert universal_rate_bound(P02, n, DELTA_HALF) == pytest.approx(
-                pragmatic_rate(P02, n, eps), abs=1e-12
-            )
+        # bit for bit: the (m-2)/2 term is an exact 0.0 at m = 2; at 21 of
+        # these n the old single-coefficient form differed in its last bits
+        for n in range(2, 2000):
+            (row,) = compute_rate_ladders(P02, n, deltas=[0.05], include_exact=False)
+            assert universal_rate_bound(P02, n, 0.05) == row.pragmatic, n
 
     def test_ternary_gap_is_half_log_n_over_n(self):
         p = SourcePmf.parse("0.5,0.3,0.2")
@@ -465,16 +464,20 @@ class TestRateLadders:
 
     def test_tiny_delta_row(self):
         # n*delta = 5e-17: epsilon rounds to 1, where Qinv is undefined, and
-        # 1 - alpha* is about 7e-9, so the pragmatic rate is far below 0; the
-        # other columns are filled
+        # 1e-17 bits is below the alpha* solver's resolution of 1.03e-14 for
+        # Bern(0.2), so the tilted columns are a note too (not a range
+        # error); the other columns are filled
         row, = compute_rate_ladders(P02, 5, deltas=[1e-17])
-        assert row.epsilon == 1.0 and row.strassen is None and row.pragmatic is None
-        assert row.blahut == solve_alpha_star(P02, 1e-17).h_tilted
+        assert row.epsilon == 1.0 and row.strassen is None
+        assert row.blahut is None and row.pragmatic is None
         assert None not in (row.shannon, row.exact)
         assert row.note == (
-            "pragmatic column unavailable: -3.78259e+07 bits/symbol is below 0; "
+            "tilted columns unavailable: delta=1e-17 is below the alpha* solver's resolution of "
+            "1.03e-14 bits for this source; "
             "strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double"
         )
+        with pytest.raises(DomainError, match="below the alpha. solver's resolution"):
+            blahut_rate(P02, 5, 2.0 ** (-5 * 1e-15))
 
     def test_negative_rates_are_none_with_a_note(self):
         # at n=5, delta=1e-10 both expansions fall below 0 bits/symbol; the
@@ -520,8 +523,9 @@ class TestRateLadderSweep:
     def grid(m, kind):
         """(source, blocklengths, points, cap_types) of the seeded grid at m:
         the last blocklength's exact column is past the cap; the deltas hold
-        one past D(U||P) and one whose 2**(-n*delta) rounds to 1; the
-        epsilons one whose delta is out of range at every n."""
+        one past D(U||P) and one whose 2**(-n*delta) rounds to 1, below the
+        alpha* solver's resolution; the epsilons one whose delta is out of
+        range at every n."""
         rng = random.Random(4000 + 10 * m + (kind == "deltas"))
         p = three_decimal_source(rng, m)
         ns = sorted(rng.sample(range(2, {2: 60, 3: 24, 4: 13}[m]), 3))
@@ -543,11 +547,13 @@ class TestRateLadderSweep:
         assert sweep == [row for n in ns for row in compute_rate_ladders(p, n, **points, **options)]
         assert [r.n for r in sweep] == [n for n in ns for _ in range(3)]
         notes = [r.note for r in sweep]
-        out_of_range = sum("tilted columns unavailable" in note for note in notes)
+        out_of_range = sum("tilted columns unavailable: delta=" in note and " outside (0, " in note
+                           for note in notes)
         assert sum("exact column infeasible" in note for note in notes) == 3 * include_exact
         if kind == "deltas":
             assert out_of_range == len(ns)
             assert sum("rounds to 1 in a double" in note for note in notes) == len(ns)
+            assert sum("below the alpha* solver's resolution" in note for note in notes) == len(ns)
         else:  # 1e-40, and at small n the others too
             assert len(ns) <= out_of_range < len(sweep)
         if include_exact and prefix_mode:
@@ -585,8 +591,6 @@ class TestRateLadderSweep:
         length_distribution(p, 24)
         compute_rate_ladders(p, 24, deltas=deltas)  # warm every lazy import and table
         alone = traced_peak(lambda: length_distribution(p, 24))
-        exponents._solve_alpha_star.cache_clear()
-        approximations._source_terms.cache_clear()
         ladder = traced_peak(lambda: compute_rate_ladders(p, 24, deltas=deltas))
         assert ladder <= alone + 1024, (ladder, alone)
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import pragrate
-from pragrate import approximations, cli, coding, exact_limits, exponents
+from pragrate import approximations, cli, coding, exact_limits
 from pragrate.cli import main
 from pragrate.distributions import SourcePmf
 from pragrate.exponents import solve_alpha_star
@@ -274,6 +274,15 @@ class TestConstantsCommand:
             capsys, "constants", "--source", "0.2,0.9", "--delta", "0.05"
         )
         assert code == 2
+
+    def test_delta_below_the_solver_resolution_exits_2(self, capsys):
+        # 1e-20 bits is below D's rounding noise for Bern(0.2): alpha* is not
+        # determined there, and C, through 1/(1 - alpha*), came out 4.06e8
+        code, out, err = run_cli(capsys, "constants", "--source", "0.2,0.8", "--delta", "1e-20")
+        assert code == 2
+        assert out == "" and err == (
+            "error: delta=1e-20 is below the alpha* solver's resolution of 1.03e-14 bits for this source\n"
+        )
 
     def test_delta_from_a_config_file_is_not_enough(self, tmp_path):
         # --delta is a required flag: argparse refuses before any config is read
@@ -708,22 +717,26 @@ class TestOneDistributionPerBlocklength:
 
     def test_tiny_delta_ladder_leaves_only_strassen_empty(self, capsys):
         # 2**(-5 * 1e-17) rounds to 1.0, an epsilon the normal approximation
-        # cannot take; it is a note, not an error.  The pragmatic rate is
-        # about -3.8e7 there, so it is a note too
+        # cannot take; it is a note, not an error.  1e-17 bits is below the
+        # alpha* solver's resolution, so the tilted columns are a note too,
+        # which must not call the exponent outside (0, D(U||P))
         code, out, err = run_cli(capsys, "ladder", "--source", "0.2,0.8", "--n", "5", "--delta", "1e-17")
         assert code == 0
         header, row = [line.split(",") for line in out.splitlines()]
         cells = dict(zip(header, row))
-        assert cells["epsilon"] == "1.0" and cells["strassen"] == "-" and cells["pragmatic"] == "-"
-        assert all(cells[c] != "-" for c in ("exact", "shannon", "blahut"))
+        assert cells["epsilon"] == "1.0"
+        assert cells["strassen"] == cells["blahut"] == cells["pragmatic"] == "-"
+        assert all(cells[c] != "-" for c in ("exact", "shannon"))
         assert err == (
-            "note: pragmatic column unavailable: -3.78259e+07 bits/symbol is below 0; "
+            "note: tilted columns unavailable: delta=1e-17 is below the alpha* solver's resolution "
+            "of 1.03e-14 bits for this source; "
             "strassen column unavailable: epsilon = 2**-5e-17 rounds to 1 in a double\n"
         )
 
     def test_negative_rates_print_dash_with_a_note(self, capsys):
         # at n=5, delta=1e-10, epsilon is just below 1: strassen is -1.717
-        # and pragmatic -10934.8 bits/symbol, so both print '-'
+        # and pragmatic -10934.8 bits/symbol, so both print '-'; at 1e-17,
+        # below the solver's resolution, blahut prints '-' too
         code, out, err = run_cli(
             capsys, "ladder", "--source", "0.2,0.8", "--n", "5", "--delta", "1e-17,1e-10"
         )
@@ -732,7 +745,9 @@ class TestOneDistributionPerBlocklength:
         for row in rows:
             cells = dict(zip(header, row))
             assert cells["strassen"] == cells["pragmatic"] == "-"
-            assert all(cells[c] != "-" for c in ("exact", "shannon", "blahut"))
+            assert all(cells[c] != "-" for c in ("exact", "shannon"))
+        assert [dict(zip(header, row))["blahut"] == "-" for row in rows] == [True, False]
+        assert "tilted columns unavailable: delta=1e-17 is below" in err.splitlines()[0]
         assert err.splitlines()[1] == (
             "note: pragmatic column unavailable: -10934.8 bits/symbol is below 0; "
             "strassen column unavailable: -1.71687 bits/symbol is below 0"
@@ -775,24 +790,32 @@ class TestDeltaLadder:
 
     ARGV = ("ladder", "--source", "0.2,0.8", "--n", "50:2000:50", "--delta", "0.013,0.052", "--no-exact")
 
-    def test_one_solve_per_delta(self, capsys):
-        # one memo lookup per delta for the whole sweep, not one per row
-        exponents._solve_alpha_star.cache_clear()
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The deltas of every solve_alpha_star call the ladder makes."""
+        calls = []
+
+        def counting(p, delta):
+            calls.append(delta)
+            return solve_alpha_star(p, delta)
+
+        monkeypatch.setattr(approximations, "solve_alpha_star", counting)
+        return calls
+
+    def test_one_solve_per_delta(self, capsys, solves):
+        # one solve per delta for the whole sweep, not one per row
         code, out, _ = run_cli(capsys, *self.ARGV)
         assert code == 0
         assert len(out.splitlines()) == 1 + 40 * 2
-        info = exponents._solve_alpha_star.cache_info()
-        assert (info.hits, info.misses) == (0, 2)
+        assert solves == [0.013, 0.052]
 
-    def test_out_of_range_delta_refused_once(self, capsys):
-        # 0.9 is past D(U||P) = 0.322: one refused lookup, and a note
+    def test_out_of_range_delta_refused_once(self, capsys, solves):
+        # 0.9 is past D(U||P) = 0.322: one refused solve, and a note
         # phrased for each n
-        exponents._solve_alpha_star.cache_clear()
         code, out, err = run_cli(capsys, *self.ARGV[:-2], "0.013,0.052,0.9", "--no-exact")
         assert code == 0
         assert len(out.splitlines()) == 1 + 40 * 3
-        info = exponents._solve_alpha_star.cache_info()
-        assert (info.hits, info.misses) == (0, 3)
+        assert solves == [0.013, 0.052, 0.9]
         notes = err.splitlines()
         assert len(notes) == 40 and all("tilted columns unavailable: delta=0.9 outside" in x for x in notes)
         assert "at n=50 the" in notes[0] and "at n=2000 the" in notes[-1]
@@ -804,7 +827,6 @@ class TestDeltaLadder:
             original = getattr(approximations, name)
             counting = lambda p, name=name, original=original: calls.append(name) or original(p)
             monkeypatch.setattr(approximations, name, counting)
-        approximations._source_terms.cache_clear()
         code, out, _ = run_cli(capsys, *self.ARGV)
         assert code == 0 and len(out.splitlines()) == 1 + 40 * 2
         assert sorted(calls) == ["coding_variance_bits", "shannon_rate"]

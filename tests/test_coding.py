@@ -822,6 +822,28 @@ class TestUniversalExcessProbability:
         with pytest.raises(ResourceLimitError):
             universal_excess_probability(p, 10, 0, cap_types=65)
 
+    def test_tails_cap_counts_classes_times_m(self, monkeypatch):
+        # the tails list each class as m counts: at n=2 their max RSS grew as
+        # about m^3 (78 MB at m=200, 227 MB at m=300), so the default cap
+        # counts classes x m, not classes alone
+        class Built(Exception):
+            pass
+
+        built = []
+
+        def store(n, m):
+            built.append((n, m))
+            raise Built
+
+        monkeypatch.setattr(coding, "_EntropyColumns", store)
+        with pytest.raises(Built):  # 36,856 classes x 271 = 9,987,976 pass
+            universal_length_distribution(SourcePmf((1 / 271,) * 271), 2)
+        assert built == [(2, 271)]
+        with pytest.raises(ResourceLimitError,
+                           match=r"^37128 type classes x 272 symbols at n=2, m=272 exceeds the cap of 10000000$"):
+            universal_length_distribution(SourcePmf((1 / 272,) * 272), 2)
+        assert built == [(2, 271)]
+
     def test_universal_cap_counts_partitions_at_its_boundary(self, monkeypatch):
         # 21,084,251 classes at m=4, n=500 lie in 894,348 partitions, and the
         # store keeps 4 parts of each: 3,577,392 units, fewer than the cap
@@ -859,7 +881,7 @@ class TestUniversalExcessProbability:
         # closed form at m=2, with 2 parts each
         (lambda: build_ordering(UNIVERSAL, 10 ** 5000, 2), "<int of 16609 bits> partitions x 2 parts"),
         (lambda: length_distribution(P02, 10 ** 5000), "<int of 16610 bits> type classes"),
-        (lambda: universal_length_distribution(P02, 10 ** 5000), "<int of 16610 bits> type classes"),
+        (lambda: universal_length_distribution(P02, 10 ** 5000), "<int of 16610 bits> type classes x 2 symbols"),
     ], ids=["build_ordering", "length_distribution", "universal_length_distribution"])
     def test_type_cap_names_a_huge_count_by_its_bits(self, call, counted):
         # str() of a count past 4,300 digits raised ValueError before the refusal existed

@@ -362,21 +362,36 @@ class TestNewtonSolve:
         # alpha = 1 - 1e-7 is only 2.1e-15 bits: an absolute bound of 1e-11
         # on |D - delta| would pass it, one relative to D's rounding noise
         # must not
-        sol = exponents._solve_alpha_star.__wrapped__(P02, 1e-13)
+        sol = solve_alpha_star(P02, 1e-13)
         assert 1 - sol.alpha_star == pytest.approx(6.7e-7, rel=0.01)
         monkeypatch.setattr(exponents, "_solve_tilted", lambda p, target, entropy: (0.9999999, 1))
         with pytest.raises(InvariantViolation, match="missed target"):
-            exponents._solve_alpha_star.__wrapped__(P02, 1e-13)
+            solve_alpha_star(P02, 1e-13)
+
+    @pytest.mark.parametrize("text,bound", [("0.2,0.8", "1.03e-14"), ("0.1,0.2,0.3,0.4", "2.05e-14")])
+    def test_delta_below_the_resolution_is_refused(self, text, bound):
+        # at or below 8 rounding noises of D, alpha* is not determined: for
+        # Bern(0.2) the solver returned 1 - alpha* off by x18 at 1e-20 and
+        # by x6.7e141 at 1e-300, where the quadratic expansion gives the root
+        p = SourcePmf.parse(text)
+        resolution = 8 * 4 * LOG2E * math.ulp(-min(math.log(x) for x in p.probs))
+        assert f"{resolution:.3g}" == bound
+        for delta in (resolution, 1e-18, 1e-20, 1e-300):
+            with pytest.raises(DomainError, match=rf"^delta={delta!r} is below the alpha\* solver's "
+                                                  rf"resolution of {bound} bits for this source$"):
+                solve_alpha_star(p, delta)
+        sol = solve_alpha_star(p, math.nextafter(resolution, 1.0))
+        assert sol.residual <= resolution
 
     def test_iteration_counts(self, rng):
-        counts = [exponents._solve_alpha_star.__wrapped__(p, delta).iterations for p, delta in solve_grid(rng)]
+        counts = [solve_alpha_star(p, delta).iterations for p, delta in solve_grid(rng)]
         assert statistics.median(counts) <= 8
         assert max(counts) <= 47  # the bisection's fixed count
 
     def test_diagnostics_do_not_enter_equality(self):
         sol = solve_alpha_star(P02, 0.1)
         assert sol.iterations >= 1 and sol.residual == abs(sol.tilted.kl_bits - 0.1)
-        again = exponents._solve_alpha_star.__wrapped__(P02, 0.1)
+        again = solve_alpha_star(P02, 0.1)
         assert again == sol and hash(again) == hash(sol)
 
 
@@ -473,7 +488,7 @@ class TestBitIdenticalToTiltChains:
                 digest.update(repr(fields).encode() + b"\n")
             hi = delta_range(p).hi
             for frac in (1e-6, 0.01, rng.uniform(0.05, 0.95), 0.999):
-                sol = exponents._solve_alpha_star.__wrapped__(p, frac * hi)
+                sol = solve_alpha_star(p, frac * hi)
                 digest.update(repr((sol.alpha_star, sol.h_tilted, sol.iterations)).encode() + b"\n")
         assert digest.hexdigest() == self.TILTED_SWEEP_SHA256
 
@@ -487,7 +502,7 @@ class TestBitIdenticalToTiltChains:
 
         monkeypatch.setattr(exponents, "tilt", counting)
         p = SourcePmf((0.1, 0.2, 0.3, 0.4))
-        exponents._moment_envelope.__wrapped__(p, grid_size=129)  # bypass the memo
+        exponents._moment_envelope.__wrapped__(p, grid_size=129)
         assert calls == []
-        sol = exponents._solve_alpha_star.__wrapped__(p, 0.05)  # bypass the memo
+        sol = solve_alpha_star(p, 0.05)
         assert calls == [sol.alpha_star]

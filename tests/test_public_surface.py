@@ -116,3 +116,36 @@ def test_recursive_functions_are_flagged():
     source = ("def walk(n):\n    def inner():\n        return walk(n - 1)\n    return inner() if n else 0\n"
               "class Store(Base):\n    def __init__(self):\n        super().__init__(1)\n")
     assert recursive_functions(source) == ["walk"]
+
+
+MEMOS = {"functools.lru_cache", "functools.cache", "lru_cache", "cache"}
+
+
+def memoized_functions(source):
+    """The functions in ``source``, at any depth, decorated with a
+    ``functools`` memo (``lru_cache`` or ``cache``, called or bare)."""
+    def memo(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return ast.unparse(target) in MEMOS
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(map(memo, node.decorator_list)))
+
+
+def test_runtime_keeps_only_the_two_memos_with_readers():
+    # state across calls: the envelope's memo (its hit ratio is read by the
+    # benchmark) and the universal tails' (one (p, n) read at several lengths);
+    # the ladder sweep holds its own alpha* solves
+    found = {path.name: memoized_functions(path.read_text())
+             for path in sorted(Path(pragrate.__file__).parent.rglob("*.py"))}
+    memos = {f"{name[:-3]}.{fn}" for name, fns in found.items() for fn in fns}
+    assert memos == {"exponents._moment_envelope", "coding._universal_length_distribution"}
+
+
+def test_memoized_functions_are_flagged():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=8)\ndef a(x):\n    return x\n"
+              "@lru_cache\ndef b(x):\n    return x\n"
+              "class K:\n    @cache\n    def c(self):\n        return 1\n"
+              "@staticmethod\ndef d(x):\n    return x\n")
+    assert memoized_functions(source) == ["a", "b", "c"]
