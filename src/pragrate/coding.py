@@ -12,7 +12,7 @@ The known-source classes whose float sort keys are equal keep the canonical
 (ascending lex) type order.  The build gets this from a stable sort, on the
 float key alone, of the classes listed in canonical order; the key is the
 ``fsum`` of per-symbol table entries c * -log2 p_i, computed by one C-level
-``map`` per run of classes that differ only in their last two counts.
+``map`` over the rows of :func:`~pragrate.types_census._class_rows`.
 
 The universal code is ordered one permutation orbit at a time, and its tie
 rule is part of the format: the partitions of n (each stands for the orbit
@@ -46,16 +46,21 @@ the classes.  One method, ``_vectors``, decodes the packed partitions, for
 the codec and for the universal code's length distribution, which streams
 the orbits (``_orbits``) and alone lists their classes.
 
-The known-source ordering is stored as the engine's ranking (below) and
-the class sizes in code order.  Both orderings share one offset structure
-for enumerative coding (Cover, 1973): the sizes of their units (ranked
-classes or orbits) in code order and a cumulative offset every
-``_OFFSET_STRIDE`` units, so a unit's offset is a checkpoint plus fewer
-than ``_OFFSET_STRIDE`` sizes, and the unit holding an index is found by
-bisecting the checkpoints and walking one stride.  A known-source class's
-position is the inverse ranking (``_inverse``), built on the first
-encode, at its count vector's canonical index
-(:func:`~pragrate.types_census.type_index`, in closed form); decoding maps the ranked class back to a count vector
+The known-source ordering is stored as the engine's ranking and keys
+(below), its key tables and the class sizes in code order.  Both
+orderings share one offset structure for enumerative coding (Cover,
+1973): the sizes of their units (ranked classes or orbits) in code order
+and a cumulative offset every ``_OFFSET_STRIDE`` units, so a unit's
+offset is a checkpoint plus fewer than ``_OFFSET_STRIDE`` sizes, and the
+unit holding an index is found by bisecting the checkpoints and walking
+one stride.  A known-source class
+is found as a universal orbit is: its key, the ``fsum`` of its counts'
+table entries, is the engine's bit for bit, so one bisection of the
+ranking on the keys finds the first class of that key, and inside a tie,
+whose classes keep the canonical order, the class is found by bisecting
+for its canonical index (:func:`~pragrate.types_census.type_index`, in
+closed form).  No inverse of the ranking is built.  Decoding maps the
+ranked class back to a count vector
 (:func:`~pragrate.types_census.type_at_index`).  Neither ordering lists
 its classes.
 
@@ -88,10 +93,10 @@ them.
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
 the ranking, the class indices in code order as an index array.  Like the
-universal store it sorts before any class size exists: one walk of the
-runs fills the keys, the sort's list is narrowed at once to the index
-array, and a second walk computes the sizes.  No count vector is built:
-exact mode reduces the same runs' rows to integer weights.  The tails
+universal store it sorts before any class size exists: one stream of the
+class rows fills the keys, the sort's list is narrowed at once to the
+index array, and a walk of the runs computes the sizes.  No count vector
+is built: exact mode reduces the same rows to integer weights.  The tails
 take one pass over the ranking, from the last class.  It keeps the ranks
 not yet passed, the logaddexp2 suffix chain over log2(size) - key and the
 next boundary 2**L, and splits each class that holds a boundary as it
@@ -120,7 +125,7 @@ from .numerics import LOG2E, NEG_INF, logaddexp2
 from .types_census import (
     DEFAULT_TYPE_CAP,
     _check_walk_cap,
-    _class_runs,
+    _class_rows,
     _distinct_permutations,
     _iter_runs,
     _rank,
@@ -345,26 +350,35 @@ class _EntropyColumns(CodeOrdering):
 
 class _RankedClasses(CodeOrdering):
     """The known-source order kept as the engine's columns (see the module
-    docstring): the ``ranking`` (canonical indices in code order), and the
-    base's units are the ranked classes, ``sizes`` their sizes in code
-    order.  The inverse of the ranking is built on the first encode, so a
-    decoder never pays for it.  No count vector is stored: a class is found
-    through its canonical index, computed from the counts and back in
-    closed form."""
+    docstring): the ``ranking`` (canonical indices in code order), ``keys``
+    (each class's sort key in canonical order) and the key ``tables`` that
+    made them; the base's units are the ranked classes, ``sizes`` their
+    sizes in code order.  No count vector and no inverse of the ranking is
+    stored: a class is found by bisecting the ranking on its own key, and
+    a count vector is recovered from its canonical index in closed form."""
 
-    __slots__ = ("ranking", "_position")
+    __slots__ = ("ranking", "keys", "tables")
 
-    def __init__(self, n: int, m: int, sizes: list[int], ranking: array) -> None:
+    def __init__(
+        self, n: int, m: int, sizes: list[int], ranking: array, keys: array, tables: list[list[float]]
+    ) -> None:
         # the canonical sizes' own integers, so equal sizes still share one object
         super().__init__(KNOWN_SOURCE, n, m, list(map(sizes.__getitem__, ranking)))
-        self.ranking = ranking
-        self._position: array | None = None
+        self.ranking, self.keys, self.tables = ranking, keys, tables
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
-        """(strings in all classes ranked before the class of ``counts``, its size)."""
-        if self._position is None:
-            self._position = _inverse(self.ranking)
-        pos = self._position[_type_index(counts)]
+        """(strings in all classes ranked before the class of ``counts``, its size).
+
+        The class's key is the engine's bit for bit (the ``fsum`` of the same
+        entries), so one bisection finds the first class of that key.  Classes
+        of equal key keep the canonical order, so inside a tie the class is
+        found by bisecting the tie's canonical indices for its own, once a
+        bisection on the key has found where the tie ends."""
+        ranking, by_key = self.ranking, self.keys.__getitem__
+        key = math.fsum(map(list.__getitem__, self.tables, counts))
+        pos, i = bisect.bisect_left(ranking, key, key=by_key), _type_index(counts)
+        if ranking[pos] != i:  # another class of the same key
+            pos = bisect.bisect_left(ranking, i, pos, bisect.bisect_right(ranking, key, pos, key=by_key))
         return self._offset(pos), self.sizes[pos]
 
     def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
@@ -390,17 +404,17 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     ties in canonical order: a stable sort on the float key alone.
 
     The sort's peak and the sizes' never overlap.  One walk of
-    :func:`~pragrate.types_census._class_runs` fills the keys (a key is the
-    ``fsum`` of a row); the sort's list is narrowed at once to an index
-    array, which frees its int objects and the sort's key floats; only then
-    does a second walk of the runs compute the sizes.  A run's sizes
-    coeff * C(r, c) are symmetric in c, so its second half reuses the first
-    half's integers: equal sizes share one object."""
-    keys = array("d")
-    for _, _, rows in _class_runs(_key_tables(source, n), n):
-        keys.extend(map(math.fsum, rows))
-    count = len(keys)
-    ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
+    :func:`~pragrate.types_census._class_rows` fills the keys (a key is the
+    ``fsum`` of a row) as an exact-length list of floats, so the sort's key
+    function boxes none; the sort's list is narrowed at once to an index
+    array and the keys packed back into an array, which frees their int and
+    float objects; only then does a walk of the runs compute the sizes.  A
+    run's sizes coeff * C(r, c) are symmetric in c, so its second half
+    reuses the first half's integers: equal sizes share one object."""
+    # through an array: list() of a map over-allocates as it grows
+    keys = array("d", map(math.fsum, _class_rows(_key_tables(source, n), n))).tolist()
+    ranking = array(_unsigned_typecode(len(keys)), sorted(range(len(keys)), key=keys.__getitem__))
+    keys = array("d", keys)
     sizes = []
     for _, r, _, _, coeff, _ in _iter_runs(n, m, False):
         half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
@@ -514,8 +528,8 @@ def build_ordering(
         raise DomainError("known-source ordering requires a source pmf")
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
-    _, sizes, ranking = _known_source_classes(n, m, source)
-    return _RankedClasses(n, m, sizes, ranking)
+    keys, sizes, ranking = _known_source_classes(n, m, source)
+    return _RankedClasses(n, m, sizes, ranking, keys, _key_tables(source, n))
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:

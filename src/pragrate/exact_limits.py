@@ -43,7 +43,7 @@ from .coding import LengthDistribution, _check_log2_epsilon, _known_source_class
 from .distributions import SourcePmf
 from .errors import DomainError
 from .inputs import check_real, check_source
-from .types_census import DEFAULT_TYPE_CAP, _check_walk_cap, _class_runs
+from .types_census import DEFAULT_TYPE_CAP, _check_walk_cap, _class_rows
 
 
 def length_distribution(
@@ -84,10 +84,9 @@ def _exact_tails(
     weight of each of c's strings at ranks >= 2**L, over D**n."""
     denominator = math.lcm(*(f.denominator for f in fracs))
     numerators = [f.numerator * (denominator // f.denominator) for f in fracs]
-    powers, weights = [[w ** c for c in range(n + 1)] for w in numerators], []
-    for _, _, rows in _class_runs(powers, n):
-        weights += map(math.prod, rows)
-    del powers, rows  # the tables and the last run's two slices, before the sort
+    powers = [[w ** c for c in range(n + 1)] for w in numerators]
+    weights = list(map(math.prod, _class_rows(powers, n)))
+    del powers  # the tables, before the sort
     ranked = sorted(ranking, key=weights.__getitem__, reverse=True)
     remaining, past, scale = len(fracs) ** n, 0, denominator ** n
     tails, boundary = [], 1 << (remaining.bit_length() - 1)

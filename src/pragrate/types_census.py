@@ -10,7 +10,9 @@ the exponentially many strings.
 The canonical type order used across the whole package (census, optimal-code
 evaluation, codecs) is ascending lexicographic on the count vectors; the
 encoder and decoder must derive the identical order, so it is fixed here
-once and documented, and walked here once, run by run (:func:`_class_runs`).
+once and documented, and streamed here once as one row of table entries
+per class (:func:`_class_rows`, a C-level stream per slab of the classes
+that share their first m-3 counts).
 A type's position in it has a closed form both ways (:func:`type_index`,
 :func:`type_at_index`), so the known-source codec in :mod:`pragrate.coding`
 keeps no count vectors and no counts-to-class map.
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from math import fsum, log2
 from operator import getitem
@@ -146,10 +149,10 @@ def _check_walk_cap(n: int, m: int, cap: int, *, per_class: int = 1, per_orbit: 
 
 
 def enumerate_types(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All n-types on m symbols in the canonical (ascending lex) order."""
+    """All n-types on m symbols in the canonical (ascending lex) order, as
+    an iterator; n and m are checked at the call."""
     _check_n_m(n, m)
-    for _, _, rows in _class_runs([range(n + 1)] * m, n):
-        yield from rows
+    return _class_rows([range(n + 1)] * m, n)
 
 
 def type_index(t: Sequence[int]) -> int:
@@ -211,15 +214,29 @@ def type_class_size(t: Sequence[int]) -> int:
     return size
 
 
-def _class_runs(tables: Sequence[Sequence], n: int) -> Iterator[tuple[int, int, Iterator[tuple]]]:
-    """(coeff, r, rows) per run of the canonical order of the n-types on
-    m = len(tables) symbols: the classes (prefix, c, r - c), c = 0..r, of
-    coeff * C(r, c) strings each, that share their first m-2 counts.
-    ``rows`` is one C-level ``zip`` of each class's entries tables[i][count i]
-    (a reader reduces them: a key by ``fsum``, a weight by ``prod``; over
-    ``range(n + 1)`` a row is the count vector); it holds two table slices."""
-    for prefix, r, _, _, coeff, _ in _iter_runs(n, len(tables), False):
-        yield coeff, r, zip(*map(repeat, map(getitem, tables, prefix)), tables[-2][:r + 1], tables[-1][r::-1])
+def _class_rows(tables: Sequence[Sequence], n: int) -> Iterator[tuple]:
+    """One row per n-type on m = len(tables) symbols, in canonical order:
+    the zip of its entries tables[i][count i] (a reader reduces them: a key
+    by ``fsum``, a weight by ``prod``; over ``range(n + 1)`` a row is the
+    count vector).
+
+    The rows come one slab at a time: the classes that share their first
+    m-3 counts, one run of :func:`_iter_runs` over m-1 slots, with R left
+    for the last three counts (a, c, R - a - c).  A slab is a C-level
+    ``chain`` of one ``zip`` per a, over c = 0..R-a, whose two table
+    slices are cut lazily by ``map(slice, ...)``, so a Python step is paid
+    per slab, not per run; at m = 2 the rows are one ``zip``."""
+    if len(tables) == 2:
+        return zip(tables[0][:n + 1], tables[1][n::-1])
+    *heads, table_a, table_c, table_d = tables
+    slabs = (
+        # a repeat never runs out, so every zip of a slab shares the prefix's
+        map(partial(zip, *map(repeat, map(getitem, heads, prefix))), map(repeat, table_a[:rest + 1]),
+            map(getitem, repeat(table_c), map(slice, range(rest + 1, 0, -1))),  # [:R-a+1]
+            map(getitem, repeat(table_d), map(slice, range(rest, -1, -1), repeat(None), repeat(-1))))  # [R-a::-1]
+        for prefix, rest, _, _, _, _ in _iter_runs(n, len(tables) - 1, False)
+    )
+    return chain.from_iterable(map(chain.from_iterable, slabs))
 
 
 def _iter_runs(

@@ -203,8 +203,11 @@ def reference_unrank(counts, rank):
 
 
 def reference_class_runs(tables, n):
-    """The runs of ``types_census._class_runs``, by the recursive walk that
-    nests one generator per count slot: the walker must equal it."""
+    """(coeff, r, rows) per run of the canonical class order, by the
+    recursive walk that nests one generator per count slot: the runs share
+    their first m-2 counts, ``rows`` zips each class's table entries, and
+    ``types_census._class_rows`` (the rows) and ``_iter_runs`` (each run's
+    r and coeff) must equal it."""
     return _class_runs_after(tables, n, 0, (), 1)
 
 

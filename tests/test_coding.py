@@ -3,6 +3,8 @@ import collections
 import hashlib
 import itertools
 import math
+import operator
+import pickle
 import random
 import sys
 import time
@@ -524,18 +526,38 @@ class TestKnownSourceRankedPath:
         # columns and one offset per stride: no count vector, no class list
         assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
         store = o
-        assert type(store).__slots__ == ("ranking", "_position")
-        assert len(store.sizes) == len(store.ranking) == len(store._position) == count_types(50, 4)
-        canonical = coding._known_source_classes(50, 4, p)[1]
+        assert type(store).__slots__ == ("ranking", "keys", "tables")
+        assert len(store.sizes) == len(store.ranking) == len(store.keys) == count_types(50, 4)
+        keys, canonical, ranking = coding._known_source_classes(50, 4, p)
+        assert store.keys.tobytes() == keys.tobytes() and store.ranking == ranking
+        assert store.tables == coding._key_tables(p, 50)
         assert store.sizes == [canonical[i] for i in store.ranking]  # in code order
         assert len(store.checkpoints) == -(-len(store.ranking) // self.K)
 
-    def test_inverse_ranking_is_built_on_first_encode_only(self):
-        o = build_ordering(KNOWN_SOURCE, 6, 3, SourcePmf.parse("0.5,0.3,0.2"))
-        x = decode(o, Codeword("0110"))
-        assert o._position is None
-        assert decode(o, encode(o, x)) == x
-        assert sorted(o._position) == list(range(len(o.ranking)))
+    @pytest.mark.parametrize("n,p", [
+        (6, SourcePmf.load("0.25,0.25,0.25,0.25")),  # every class ties
+        (6, SourcePmf.load("0.1,0.2,0.4,0.3")),  # exact ties, one split by float noise
+        (7, SourcePmf.from_values([Fraction(1, 3)] * 3)),
+    ], ids=["uniform", "noisy_tie", "thirds"])
+    def test_lookup_by_key_inside_ties(self, n, p):
+        # a class is found by bisecting the ranking on its key, then on its
+        # canonical index inside a tie: every class lands at its reference
+        # offset, and encoding builds nothing (no attribute changes)
+        o = build_ordering(KNOWN_SOURCE, n, p.m, p)
+        assert len(set(o.keys)) < len(o.keys)  # some classes tie
+
+        def state():
+            values = [getattr(o, name) for name in (*STORE_SLOTS, *type(o).__slots__)]
+            return values, [pickle.dumps(v) for v in values]
+
+        before = state()
+        order, offsets = _reference_ordering(n, p.m, TestOrbitBuildMatchesReferenceSort._known_key(p))
+        assert [o.class_offset(counts) for counts in order] == list(offsets[:-1])
+        for counts, lo, hi in zip(order, offsets, offsets[1:]):
+            first = _lex_first(counts)
+            assert string_index(o, first) == lo + 1 and string_index(o, first[::-1]) == hi, counts
+        after = state()
+        assert all(map(operator.is_, after[0], before[0])) and after[1] == before[1]
 
     def test_build_and_round_trip_stay_small(self):
         # the class list and position map at m=4 n=50 took 5.3 MiB

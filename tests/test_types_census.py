@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import sys
 import time
@@ -33,7 +34,7 @@ from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
     _band_width,
-    _class_runs,
+    _class_rows,
     _distinct_permutations,
     _iter_runs,
     _iter_spans,
@@ -76,10 +77,11 @@ class TestEnumerateTypes:
             assert sum(t) == 6
 
     def test_domain(self):
+        # refused at the call, not at the first item
         with pytest.raises(DomainError):
-            list(enumerate_types(0, 2))
+            enumerate_types(0, 2)
         with pytest.raises(DomainError):
-            list(enumerate_types(3, 1))
+            enumerate_types(3, 1)
 
     @pytest.mark.parametrize("call", [
         lambda: list(enumerate_types(2.5, 2)),
@@ -234,12 +236,24 @@ class TestRunWalker:
     GRID = (*range(2, 9), 12, 30)
     NS = (1, 2, 3, 4, 5, 7, 10, 14, 20, 28, 40)
 
-    @pytest.mark.parametrize("m", GRID)
+    @pytest.mark.parametrize("m", (*GRID, 256))
     def test_compositions(self, m):
-        for n in (n for n in self.NS if count_types(n, m) <= 2e5):
+        # the rows of the slab walk, and the (rest, size) of each run that
+        # the sizes walk reads (at m = 256, n = 3 has 2.8e6 classes)
+        for n in (n for n in {256: (1, 2)}.get(m, self.NS) if count_types(n, m) <= 2e5):
             tables = [range(n + 1)] * m
-            want = [(coeff, r, list(rows)) for coeff, r, rows in reference_class_runs(tables, n)]
-            assert [(coeff, r, list(rows)) for coeff, r, rows in _class_runs(tables, n)] == want, (n, m)
+            runs = []
+            want = self._reference_rows(tables, n, runs)
+            assert all(itertools.starmap(operator.eq, itertools.zip_longest(_class_rows(tables, n), want))), (n, m)
+            assert [(rest, size) for _, rest, _, _, size, _ in _iter_runs(n, m, False)] == runs, (n, m)
+
+    @staticmethod
+    def _reference_rows(tables, n, runs):
+        """The rows of ``reference_class_runs``, flattened; each run's
+        (r, coeff) goes to ``runs`` as its rows are read."""
+        for coeff, r, rows in reference_class_runs(tables, n):
+            runs.append((r, coeff))
+            yield from rows
 
     @pytest.mark.parametrize("m", (*GRID, 256, 600))
     def test_partitions(self, m):
