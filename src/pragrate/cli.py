@@ -250,21 +250,27 @@ def _cmd_census(args: argparse.Namespace) -> int:
         raise DomainError(f"--m must be >= 2, got {m}")
     ns = _parse_n_range(str(args.n))
     tc._check_m(m)  # past the alphabet cap the call is refused, not truncated
-    rows = []
+    rows, notes = [], []
     for n in ns:
         try:
             tc._check_walk_cap(n, m, args.cap_types, per_orbit=1)
         except ResourceLimitError:
             sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
             break
+        note = ""
         if args.slab:
             rows.append((n, h, tc.entropy_slab_count(n, m, h)))
         else:
             rep = tc.low_entropy_count(n, m, h)
             log2c = math.log2(rep.count) if rep.count else float("-inf")
-            rows.append((n, h, log2c, rep.theta_ratio))
+            theta = rep.theta_ratio
+            if theta < sys.float_info.min:  # subnormal or zero: an underflow, not a measurement
+                theta, note = None, (f"n={n}: theta_ratio is below 2^-1022; its normalisation "
+                                     f"n^((m-3)/2) 2^(nh) is an n -> inf asymptotic at fixed m")
+            rows.append((n, h, log2c, theta))
+        notes.append(note)
     counts = ("slab_type_count",) if args.slab else ("log2_count", "theta_ratio")
-    _write_table(("n", "threshold_bits", *counts), rows)
+    _write_table(("n", "threshold_bits", *counts), rows, notes=notes)
     return EXIT_OK
 
 

@@ -33,11 +33,16 @@ first m-2 parts and split the rest R between their last two parts as
 (c, R - c), c from min(previous part, R) down to ceil(R/2).  Along a run
 the float entropy does not decrease as c falls, except possibly in a band
 of steps at the centre of runs over R past about 1.2e7 (:func:`_band_width`).
-So the census never tests every partition: it bisects each run for the c
-where the entropy crosses its threshold (:func:`_iter_spans`), with
-O(log R) entropies per run and the plain test for each c of the band,
-and sums the arrangements and the binomials over the interval between
-the cuts, with counts bit-identical to a test of every partition.
+So the census never tests every partition: it bisects each slot, then
+each run.  A slot keeps only the values whose completions can reach the
+entropy window, by two bounds that rise as the value falls (the greedy
+and the even completion), so a subtree that holds no partition in the
+window is never walked (:func:`_iter_runs`).  Each run kept is bisected
+for the c where the entropy crosses its thresholds (:func:`_iter_spans`),
+with O(log R) entropies per run and the plain test for each c of the
+band, and the arrangements and the binomials are summed over the
+interval between the cuts, with counts bit-identical to a test of every
+partition.
 """
 
 from __future__ import annotations
@@ -48,13 +53,14 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from math import fsum, log2
-from operator import getitem
+from operator import getitem, mul
 
 from .errors import DEFAULT_TYPE_CAP, DomainError, ResourceLimitError
 from .inputs import check_blocklength, check_integer, check_real, check_string, describe
 from .numerics import neumaier_sum
 
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
+_WINDOW_MARGIN = 1e-9  # bits by which the walk's entropy window is widened: far above its float error
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
 ALPHABET_CAP = 802  # symbols: the engine reads m counts per class, the census walker's state is O(m)
 
@@ -240,7 +246,7 @@ def _class_rows(tables: Sequence[Sequence], n: int) -> Iterator[tuple]:
 
 
 def _iter_runs(
-    n: int, m: int, partitions: bool
+    n: int, m: int, partitions: bool, window: tuple[float, float] | None = None
 ) -> Iterator[tuple[tuple[int, ...], int, int, int, int, int]]:
     """(prefix, rest, prev, run, size, arr) for every run of the count
     vectors of n over m >= 2 slots: those that share their first m-2
@@ -258,30 +264,95 @@ def _iter_runs(
     An odometer turns slots 0 .. m-4, and slot m-3 is a flat loop.  Once a
     prefix leaves nothing, its zero counts make one run without turning
     their slots: a partition costs its nonzero parts, and no stack grows
-    with m."""
+    with m.
+
+    A ``window`` (lo, hi), for partitions only, drops the runs that hold
+    no partition whose entropy, computed as :func:`type_entropy_bits`
+    does, lies in [lo, hi]; the runs kept are an in-order subsequence of
+    the walk without it, with equal tuples.  With a prefix fixed, a slot
+    at c leaves k parts of at most c for the rest R - c, and the entropy
+    log2 n - S/n falls as S = sum x log2 x over the parts rises, which it
+    does as the parts grow more unequal (S is Schur-convex).  So over the
+    subtree of c, S is largest at the greedy completion (parts equal to c
+    while they fit, then the remainder), whose entropy is h_min(c), and
+    smallest at the rest split as evenly as the k slots allow, h_max(c).
+    As c falls, the greedy completion at c - 1 is one of the subtree of c,
+    and the even one moves a unit from c to the smallest part; both bounds
+    rise, so the c whose subtree can reach the window (h_min(c) <= hi,
+    h_max(c) >= lo) are one interval.  Each slot, the odometer's and the flat loop's, cuts
+    its values to it, bisecting for both ends after probing them (the
+    test on lo is skipped when lo <= 0, where it always holds).
+
+    A value is dropped only below a probe where the float S of the
+    greedy completion fell under n (log2 n - hi - margin), or above one
+    where that of the even one rose over n (log2 n - lo + margin), with
+    margin ``_WINDOW_MARGIN``.  The exact bounds are monotone in c, so
+    every partition of a dropped subtree has exact entropy past hi +
+    margin - d or below lo - margin + d, d the error of the float bound.
+    Each float term c log2 c is within ``_TERM_ERROR`` of it, relatively;
+    the bound adds at most m of them one by one, the census's entropy is
+    their correctly rounded sum (``fsum``), and each product, division and
+    subtraction rounds once.  So in bits both lie within
+    (m + 20) 53 2**-53 < 5e-12 of their exact values (n < 2**53, m <= 802),
+    far below the margin: no partition of a dropped subtree has a float
+    entropy in [lo, hi]."""
     if m == 2:  # one run, with no prefix
         yield (), n, n, 0, 1, 1
         return
     last = m - 3  # the flat loop's slot
     counts, values = [0] * last, [iter(())] * (last + 1)  # each slot's count and the values it has left
     rems, sizes, runs, arrs = [n] * (last + 1), [1] * (last + 1), [0] * (last + 1), [1] * (last + 1)
+    if window:
+        # a partition's entropy is log2 n - S/n: past hi when S < least, below lo when S > most
+        lo, hi = window
+        least = n * (log2(n) - hi - _WINDOW_MARGIN)
+        most = n * (log2(n) - lo + _WINDOW_MARGIN)
+        sums = [0.0] * (last + 1)  # S of the prefix before each slot
     i, rem, prev = 0, n, n  # rems, sizes, runs and arrs hold the state before each slot
     while i >= 0:  # slot i takes its values, then the odometer turns
         # the largest part left is at least the mean of what is left
         cs = range(min(prev, rem), -(-rem // (m - i)) - 1, -1) if partitions else range(rem + 1)
+        if window:  # cut cs to the c whose subtree can reach the window
+            base, k, top, bottom = sums[i], m - i - 1, cs[0], cs[-1]
+            # the smallest c whose greedy completion has S >= least lies in (fail, hold]
+            fail, hold, c = bottom - 1, top + 1, top
+            while True:
+                q, r = divmod(rem - c, c)
+                if base + (q + 1) * c * log2(c) + (r * log2(r) if r else 0.0) < least:
+                    fail = c
+                else:
+                    hold = c
+                if hold - fail < 2:
+                    break
+                c = bottom if fail < bottom else (fail + hold) // 2
+            bottom = hold
+            if lo > 0 and bottom <= top:
+                # the largest c whose even completion has S <= most lies in [hold, fail)
+                hold, fail, c = bottom - 1, top + 1, bottom
+                while True:
+                    q, r = divmod(rem - c, k)
+                    if base + c * log2(c) + r * (q + 1) * log2(q + 1) + ((k - r) * q * log2(q) if q else 0.0) > most:
+                        fail = c
+                    else:
+                        hold = c
+                    if fail - hold < 2:
+                        break
+                    c = top if fail > top else (hold + fail) // 2
+                top = hold
+            cs = range(top, bottom - 1, -1)
         if i < last:
             values[i] = iter(cs)
-        elif partitions:  # the flat loop, C(rem, c) by its recurrence
+        elif not partitions:  # the flat loop, C(rem, c) by its recurrence
+            head, size, binom = tuple(counts), sizes[i], 1
+            for c in cs:
+                yield head + (c,), rem - c, c, 0, size * binom, 1
+                binom = binom * (rem - c) // (c + 1)
+        elif cs:
             head, size, run, arr, binom = tuple(counts), sizes[i], runs[i], arrs[i] * (m - 2), math.comb(rem, cs[0])
             for c in cs:
                 r = run + 1 if c == prev else 1
                 yield head + (c,), rem - c, c, r, size * binom, arr // r
                 binom = binom * c // (rem - c + 1)
-        else:
-            head, size, binom = tuple(counts), sizes[i], 1
-            for c in cs:
-                yield head + (c,), rem - c, c, 0, size * binom, 1
-                binom = binom * (rem - c) // (c + 1)
         while i >= 0:  # the deepest slot with a value left takes it
             c = next(values[i], None)
             if c is None:
@@ -293,6 +364,8 @@ def _iter_runs(
             runs[i + 1] = r = runs[i] + 1 if c == prev else 1
             arrs[i + 1] = arrs[i] * (i + 1) // r
             if c < rem:
+                if window:
+                    sums[i + 1] = sums[i] + c * log2(c)
                 i, rem, prev = i + 1, rem - c, c
                 break
             k = last - i  # nothing remains: slots i+1 .. m-3 hold zeros
@@ -387,14 +460,25 @@ def _iter_spans(
     the c of the band one at a time, each its own interval.  In a piece [low, high] the entropy
     cuts at both bounds are found by bisection, after probing the two ends
     (a run is often wholly in or out), with at most as many entropies as
-    the piece has partitions and O(log rest) on a long one."""
+    the piece has partitions and O(log rest) on a long one.
+
+    The walk is :func:`_iter_runs` with the window [lo, hi], so a run that
+    holds no partition in it is never yielded.  A run's prefix terms are
+    those of its nonzero parts: a run whose prefix ends in zeros (one
+    partition, at m > n most of them) sums no term for them, so the
+    entropies of a run cost its nonzero parts, not m."""
     log2_n = math.log2(n)
     below_lo = math.nextafter(lo, -math.inf)  # entropy < lo iff entropy <= below_lo
     band = _band_width(n)
-    terms = [0.0] * m  # c*log2(c) per part, 0.0 for a zero part
-    for prefix, rest, prev, run, size, arr in _iter_runs(n, m, True):
-        for i, c in enumerate(prefix):
-            terms[i] = c * log2(c) if c else 0.0
+    terms = [0.0] * m  # c*log2(c) per part, the last two set per probe
+    for prefix, rest, prev, run, size, arr in _iter_runs(n, m, True, (lo, hi)):
+        if prev:  # every part of the prefix is nonzero
+            for i, c in enumerate(prefix):
+                terms[i] = c * log2(c)
+            row = terms
+        else:  # one partition: its prefix ends in ``run`` zeros, which fsum would not feel
+            prefix = prefix[:m - 2 - run]
+            row = [*map(mul, prefix, map(log2, prefix)), 0.0, 0.0]
         floor = (rest + 1) // 2
         high = min(prev, rest)
         low = max(floor, min((rest + 1 + band) // 2, high))
@@ -407,10 +491,10 @@ def _iter_spans(
             c = high
             while True:
                 d = rest - c
-                terms[-2] = c * log2(c) if c else 0.0
-                terms[-1] = d * log2(d) if d else 0.0
+                row[-2] = c * log2(c) if c else 0.0
+                row[-1] = d * log2(d) if d else 0.0
                 # fsum is correctly rounded: 0.0 terms and their order change nothing
-                e = max(log2_n - fsum(terms) / n, 0.0)
+                e = max(log2_n - fsum(row) / n, 0.0)
                 if e > hi:
                     la = c
                 elif c < ua:

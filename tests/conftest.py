@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple
 
 import pytest
@@ -203,23 +202,31 @@ def reference_unrank(counts, rank):
 
 
 def reference_class_runs(tables, n):
-    """(coeff, r, rows) per run of the canonical class order, by the
-    recursive walk that nests one generator per count slot: the runs share
-    their first m-2 counts, ``rows`` zips each class's table entries, and
-    ``types_census._class_rows`` (the rows) and ``_iter_runs`` (each run's
-    r and coeff) must equal it."""
-    return _class_runs_after(tables, n, 0, (), 1)
-
-
-def _class_runs_after(tables, remaining, slot, heads, coeff):
-    """The runs of :func:`reference_class_runs` after the prefix entries ``heads``."""
-    if slot == len(tables) - 2:
-        yield coeff, remaining, zip(*map(repeat, heads), tables[-2][:remaining + 1], tables[-1][remaining::-1])
-        return
-    table, binom = tables[slot], 1  # C(remaining, c)
-    for c in range(remaining + 1):
-        yield from _class_runs_after(tables, remaining - c, slot + 1, heads + (table[c],), coeff * binom)
-        binom = binom * (remaining - c) // (c + 1)
+    """(coeff, r, rows) per run of the canonical class order, by a
+    depth-first walk with its own stack of (slot, remaining, heads, coeff)
+    frames: the runs share their first m-2 counts, whose table entries are
+    ``heads``, ``rows`` holds each class's heads and its last two entries,
+    and ``types_census._class_rows`` (the rows) and ``_iter_runs`` (each
+    run's r and coeff) must equal it.  A frame's children are pushed in
+    reverse, so they pop in ascending lex order; a child that leaves
+    nothing has one completion, zeros up to the run, so it is pushed as
+    that run (at m = 256, n = 2 the 32,640 runs would otherwise pass
+    through 2.7 million frames)."""
+    last = len(tables) - 2
+    stack = [(0, n, (), 1)]
+    while stack:
+        slot, remaining, heads, coeff = stack.pop()
+        if slot == last:
+            yield coeff, remaining, map(heads.__add__, zip(tables[-2][:remaining + 1], tables[-1][remaining::-1]))
+            continue
+        table, binom, children = tables[slot], 1, []  # binom = C(remaining, c)
+        for c in range(remaining + 1):
+            head = heads + (table[c],)
+            if c == remaining:
+                head += tuple(t[0] for t in tables[slot + 1:last])
+            children.append((last if c == remaining else slot + 1, remaining - c, head, coeff * binom))
+            binom = binom * (remaining - c) // (c + 1)
+        stack += reversed(children)
 
 
 def reference_iter_runs(n, m):

@@ -329,6 +329,24 @@ class TestCensusCommand:
         rep = low_entropy_count(30, 3, entropy([0.6, 0.3, 0.1]))
         assert ratio == pytest.approx(rep.count / 2 ** (30 * rep.threshold_bits), rel=1e-9)
 
+    def test_theta_ratio_underflow_is_written_as_a_dash(self, capsys):
+        # n^((m-3)/2) 2^(nh) is an n -> inf asymptotic at fixed m: at m=802 the
+        # ratio falls below 2^-1022, and it used to print 0.0
+        from pragrate import low_entropy_count
+
+        code, out, err = run_cli(capsys, "census", "--m", "802", "--n", "28:30", "--threshold-bits", "1.5")
+        assert code == 0
+        for n, line in zip((28, 29, 30), out.splitlines()[1:], strict=True):
+            rep = low_entropy_count(n, 802, 1.5)
+            assert rep.theta_ratio < sys.float_info.min
+            assert line == f"{n},1.5,{math.log2(rep.count)!r},-"
+            assert f"note: n={n}: theta_ratio is below 2^-1022" in err
+        assert err.count("note: ") == 3 and "asymptotic at fixed m" in err
+        # a ratio in the normal range is printed, however small
+        code, out, err = run_cli(capsys, "census", "--m", "256", "--n", "50", "--threshold-bits", "1.5")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[3] == repr(low_entropy_count(50, 256, 1.5).theta_ratio)
+
     # threshold-bits and threshold-source sweeps at m = 2..5, with and
     # without --slab: the README example, the CI slab sweep, exact type
     # entropies (0.25,0.75 at n divisible by 4) and h = log2 3

@@ -261,6 +261,48 @@ class TestRunWalker:
             assert list(_iter_runs(n, m, True)) == list(reference_iter_runs(n, m)), (n, m)
 
 
+class TestWindowedWalk:
+    """With an entropy window the walk drops only runs that hold no
+    partition in it, and yields the rest as the walk without it does."""
+
+    @pytest.mark.parametrize("m,ns", [
+        (3, (1, 2, 7, 20, 41, 60)), (4, (1, 5, 13, 24, 30)), (5, (3, 9, 17, 22)), (6, (4, 11, 16)),
+        (64, (2, 7, 12)), (256, (1, 6, 11)), (802, (3, 8, 12)),
+    ])
+    def test_drops_only_runs_outside_the_window(self, m, ns):
+        rng, dropped = random.Random(m), 0
+        for n in ns:
+            runs = list(_iter_runs(n, m, True))
+            entropies = [[type_entropy_bits(prefix + (c, rest - c))
+                          for c in range(min(prev, rest), (rest - 1) // 2, -1)]
+                         for prefix, rest, prev, *_ in runs]
+            picks = sorted({e for es in entropies for e in es})
+            # thresholds at exact partition entropies and one ulp either side
+            hs = sorted({x for h in rng.sample(picks, min(8, len(picks)))
+                         for x in (math.nextafter(h, 0.0), h, math.nextafter(h, 9.0))})
+            windows = [w for h in hs for w in (
+                (0.0, h), (h, h), (0.0, h + ENTROPY_CMP_TOL),  # the count's window
+                (h - 1.0 / n - ENTROPY_CMP_TOL, h + ENTROPY_CMP_TOL),  # the slab's
+            )] + list(zip(hs, hs[3:]))
+            for lo, hi in windows:
+                kept = _iter_runs(n, m, True, (lo, hi))
+                want = next(kept, None)
+                for run, es in zip(runs, entropies):
+                    if run == want:
+                        want = next(kept, None)
+                    else:
+                        dropped += 1
+                        assert not any(lo <= e <= hi for e in es), (n, m, lo, hi, run)
+                assert want is None, (n, m, lo, hi)  # every kept run is the walk's, in its order
+        assert dropped
+
+    def test_byte_alphabet_walks_the_runs_of_m_equal_n(self):
+        # at m = 802 each of the 204,226 partitions of 50 is its own run
+        window = (0.0, 1.585 + ENTROPY_CMP_TOL)  # the count's window at h = 1.585
+        walked = [sum(1 for _ in _iter_runs(50, m, True, window)) for m in (50, 802)]
+        assert walked[0] == walked[1] < count_partitions(50, 50) // 100
+
+
 class TestOrbits:
     @pytest.mark.parametrize("values", [
         (3,), (2, 2), (0, 5), (1, 1, 1), (0, 0, 4), (0, 1, 2), (3, 3, 1, 1),
