@@ -19,9 +19,12 @@ The exponent/probability conversion is delta = log2(1/epsilon)/n throughout.
 
 A ladder over many blocklengths is one column-wise sweep
 (``_rate_ladders``): the source, every blocklength and every point are
-checked once, alpha* is solved and held once per delta (or once per (n,
-epsilon), since an epsilon's delta depends on n), and each row then costs
-only its own arithmetic.  :func:`compute_rate_ladders` is its one-n view.
+checked once, at the call, alpha* is solved and held once per delta (or
+once per (n, epsilon), since an epsilon's delta depends on n), and each
+row then costs only its own arithmetic.  The sweep is a stream of plain
+tuples, each row computed when it is pulled, so a caller that writes rows
+as they come holds one at a time.  :func:`compute_rate_ladders` is its
+one-n view, each row wrapped as a :class:`RateLadder`.
 Only the exact column reads ``exact_limits``, and only the universal
 operating point's census reads ``types_census``: each is imported where it
 is read, so a ladder without the exact column loads neither.
@@ -30,7 +33,7 @@ is read, so a ladder without the exact column loads neither.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .distributions import SourcePmf, TiltedPoint, tilt
@@ -450,7 +453,7 @@ def compute_rate_ladders(
     runs over a whole range of n with alpha* solved once per delta.
     """
     options = dict(include_exact=include_exact, cap_types=cap_types, prefix_mode=prefix_mode)
-    return _rate_ladders(p, [n], epsilons, deltas=deltas, **options)
+    return [RateLadder(*row) for row in _rate_ladders(p, [n], epsilons, deltas=deltas, **options)]
 
 
 def _rate_ladders(
@@ -462,24 +465,22 @@ def _rate_ladders(
     include_exact: bool,
     cap_types: int,
     prefix_mode: bool,
-) -> list[RateLadder]:
+) -> Iterator[tuple]:
     """The rows of :func:`compute_rate_ladders` at each n of ``ns`` in turn,
-    as one column-wise sweep.
+    as one column-wise stream: each row is a plain tuple in ``RateLadder``
+    field order, computed only when it is pulled.
 
-    The source, every blocklength and every point are checked once, before
-    any work.  alpha* is solved once per delta, on the first row that reads
-    it, which comes after the first length distribution is built, so no
-    solution is held through the engine's sort; ``solved`` then holds it,
-    or its refusal, the one place alpha* is reused.  An epsilon's delta
-    depends on n, so it is solved per (n, epsilon).  Each blocklength's
-    length distribution is dropped before the next one is built.  A row
-    takes the single-point formulas' float operations, in their order, so
-    every value is bit for bit the one-n ladder's.
+    Every check is made here, at the call, before any row: the source,
+    every blocklength (a ``range`` by its first and last element, since
+    every element lies between them), every point and ``cap_types``.  The
+    first blocklength's length distribution is built here too, before the
+    stream exists: the engine's sort is an exact ladder's peak, and nothing
+    of the stream is alive through it.
     """
     check_source(p)
     if (epsilons is None) == (deltas is None):
         raise DomainError("provide exactly one of epsilons or deltas")
-    for n in ns:
+    for n in (ns[0], ns[-1]) if isinstance(ns, range) and ns else ns:
         check_blocklength(n)
     check_integer("cap_types", cap_types, 1)  # read only by the exact column
     by_delta = deltas is not None
@@ -488,20 +489,55 @@ def _rate_ladders(
         floats = [check_real("delta", d, 0, math.inf, need="be a positive finite exponent") for d in given]
     else:
         floats = [check_real("epsilon", eps, 0, 1, need="lie in (0, 1)") for eps in given]
-    if not given:
-        return []
-    if include_exact:  # the exact column is the only reader of the engine
-        from . import exact_limits
+    if not (given and ns):
+        return iter(())
+    first = _exact_column(p, ns[0], include_exact, cap_types)
+    return _ladder_rows(p, ns, first, given, floats, by_delta, include_exact, cap_types, prefix_mode)
+
+
+def _exact_column(
+    p: SourcePmf, n: int, include_exact: bool, cap_types: int
+) -> tuple[LengthDistribution | None, str]:
+    """(distribution, '') with the length distribution that the exact
+    column reads at n; (None, note) where the column is infeasible there;
+    (None, '') without the column."""
+    if not include_exact:
+        return None, ""
+    from .exact_limits import length_distribution  # the exact column is the engine's only reader
+    try:
+        return length_distribution(p, n, cap_types=cap_types), ""
+    except ResourceLimitError as exc:
+        return None, f"exact column infeasible: {exc}"
+
+
+def _ladder_rows(
+    p: SourcePmf,
+    ns: Sequence[int],
+    first: tuple[LengthDistribution | None, str],
+    given: list[float],
+    floats: list[float],
+    by_delta: bool,
+    include_exact: bool,
+    cap_types: int,
+    prefix_mode: bool,
+) -> Iterator[tuple]:
+    """The rows of :func:`_rate_ladders`, from its checked points and
+    ``first``, the first blocklength's :func:`_exact_column`.
+
+    alpha* is solved once per delta, on the first row that reads it, which
+    comes after the first length distribution is built, so no solution is
+    held through the engine's sort; ``solved`` then holds it, or its
+    refusal, the one place alpha* is reused.  An epsilon's delta depends on
+    n, so it is solved per (n, epsilon).  Each blocklength's length
+    distribution is dropped before the next one is built.  A row takes the
+    single-point formulas' float operations, in their order, so every value
+    is bit for bit the one-n ladder's.
+    """
     shannon, sigma = shannon_rate(p), math.sqrt(coding_variance_bits(p))
     solved: list[AlphaStarSolution | DeltaRange | DomainError | None] = [None] * len(given)  # per delta
-    rows = []
     for n in ns:
-        dist = exact_note = None  # the last n's distribution goes before this one is built
-        if include_exact:
-            try:
-                dist = exact_limits.length_distribution(p, n, cap_types=cap_types)
-            except ResourceLimitError as exc:
-                exact_note = f"exact column infeasible: {exc}"
+        dist, exact_note = first or _exact_column(p, n, include_exact, cap_types)
+        first = None
         log2_n, two_n, sqrt_n = math.log2(n), 2.0 * n, math.sqrt(n)
         log_term = log2_n / two_n  # strassen's log2(n) / (2n)
         for i, (point, value) in enumerate(zip(given, floats)):
@@ -535,8 +571,5 @@ def _rate_ladders(
             else:  # 2**(-n*delta) underflows to 0, or rounds to 1 for a tiny n*delta
                 fate = "underflows" if epsilon == 0.0 else "rounds to 1 in"
                 notes.append(f"strassen column unavailable: epsilon = 2**-{n * delta:.6g} {fate} a double")
-            rows.append(RateLadder(
-                n, epsilon, delta, shannon, strassen, blahut, pragmatic, exact, "; ".join(notes),
-            ))
-    return rows
-
+            yield n, epsilon, delta, shannon, strassen, blahut, pragmatic, exact, "; ".join(notes)
+        dist = None  # this n's distribution goes before the next one is built

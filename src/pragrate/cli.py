@@ -34,8 +34,8 @@ EXIT_INTERNAL = 4
 _CODEC_FORMAT = "1"  # the header's fmt=: 1 is the universal code's orbit tie order
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """'50' -> [50]; '20:100' -> 20..100; '20:100:20' -> 20,40,...,100.
+def _parse_n_range(text: str) -> range:
+    """'50' -> range(50, 51); '20:100' -> 20..100; '20:100:20' -> 20,40,...,100.
 
     Every blocklength and the step must be integers >= 1, and the range
     must hold at least one blocklength."""
@@ -51,7 +51,7 @@ def _parse_n_range(text: str) -> list[int]:
     lo = bounds[0]
     hi = bounds[1] if len(bounds) > 1 else lo
     step = bounds[2] if len(bounds) > 2 else 1
-    ns = list(range(lo, hi + 1, step))
+    ns = range(lo, hi + 1, step)
     if not ns:
         raise DomainError("empty n range")
     return ns
@@ -153,48 +153,76 @@ _LADDER_COLUMNS = ("n", "epsilon", "delta", "exact", "shannon", "strassen", "bla
 _MARKDOWN_SPEC = {"n": "d", "epsilon": "g", "delta": "g"}
 
 
-def _write_table(
-    columns: tuple[str, ...], rows: Iterable[tuple], fmt: str = "csv", notes: list[str] | None = None
-) -> None:
-    """Write a table to stdout: one tuple per row of ``rows``, its cells in
-    ``columns`` order at full precision and None where a value is unavailable.
+def _write_table(columns: tuple[str, ...], rows: Iterable[tuple], fmt: str = "csv") -> None:
+    """Write a table to stdout row by row, as ``rows`` yields them.  A row
+    is a tuple of its cells in ``columns`` order, at full precision and
+    None where a value is unavailable, then its note ('' for none).
 
     CSV (the default) holds each cell's repr, '-' for None; Markdown rounds
     for display (``_MARKDOWN_SPEC``); JSON is an array of flat objects, each
-    with its row's entry of ``notes`` under ``note``.  Every nonempty note
-    also goes to stderr as a ``note:`` line after the table."""
+    with its row's note under ``note``, in the bytes of ``json.dumps`` of the
+    whole array at ``indent=2``.  The first row is pulled before the writer
+    holds anything or writes a byte, so a table whose first row fails
+    writes nothing.  Every nonempty note is held, and goes to stderr as a
+    ``note:`` line after the table."""
+    from itertools import chain
+    rows = iter(rows)
+    first = next(rows, None)
     if fmt == "csv":
-        # one template per table; no column name, nor repr of an int or float, holds "None"
-        line = ",".join(["%r"] * len(columns))
-        text = "\n".join([",".join(columns), *[line % row for row in rows]]).replace("None", "-") + "\n"
+        # one template per table, whose "%.0s" takes the note and prints nothing;
+        # no column name, nor repr of an int or float, holds "None"
+        line = ",".join(["%r"] * len(columns)) + "\n%.0s"
+        head = empty = ",".join(columns) + "\n"
+        sep = tail = ""
+
+        def render(row: tuple) -> str:
+            return (line % row).replace("None", "-")
     elif fmt == "markdown":
         specs = [_MARKDOWN_SPEC.get(column, ".3f") for column in columns]
-        lines = ["| " + " | ".join(columns) + " |", "|---" * len(columns) + "|"]
-        for row in rows:
+        head = empty = "| " + " | ".join(columns) + " |\n" + "|---" * len(columns) + "|\n"
+        sep = tail = ""
+
+        def render(row: tuple) -> str:  # zip stops at the last column, before the note
             cells = ["-" if v is None else format(v, spec) for v, spec in zip(row, specs)]
-            lines.append("| " + " | ".join(cells) + " |")
-        text = "\n".join(lines) + "\n"
+            return "| " + " | ".join(cells) + " |\n"
     else:
         import json
         keys = (*columns, "note")
-        text = json.dumps([dict(zip(keys, (*row, note))) for row, note in zip(rows, notes)], indent=2) + "\n"
-    sys.stdout.write(text)
-    for note in filter(None, notes or ()):
+        # a row's members, one a line, four spaces in, as the whole array's dump
+        # at indent=2 writes them; the C encoder, as indent=None, leaves no garbage
+        members = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        head, sep, tail, empty = "[\n  {\n    ", "\n  },\n  {\n    ", "\n  }\n]\n", "[]\n"
+
+        def render(row: tuple) -> str:
+            return members(dict(zip(keys, row)))[1:-1]  # the members, without the braces
+    write, notes = sys.stdout.write, []
+    if first is None:
+        write(empty)
+        return
+    lead = head
+    for row in chain((first,), rows):
+        write(lead + render(row))
+        lead = sep
+        if row[-1]:
+            notes.append(row[-1])
+    write(tail)
+    for note in notes:
         sys.stderr.write(f"note: {note}\n")
 
 
 def _cmd_ladder(args: argparse.Namespace) -> int:
-    from operator import attrgetter
+    from dataclasses import fields
+    from operator import itemgetter
     from . import approximations as ap
     p = _load_source(args)
     epsilons, deltas = _parse_eps_or_delta(args)
-    ns = _parse_n_range(str(args.n))
     rows = ap._rate_ladders(  # one sweep over the whole range: alpha* once per delta
-        p, ns, epsilons, deltas=deltas, include_exact=not args.no_exact,
+        p, _parse_n_range(str(args.n)), epsilons, deltas=deltas, include_exact=not args.no_exact,
         cap_types=args.cap_types, prefix_mode=(args.mode == "prefix"),
     )
-    cells = attrgetter(*_LADDER_COLUMNS)
-    _write_table(_LADDER_COLUMNS, map(cells, rows), args.format, [r.note for r in rows])
+    order = [field.name for field in fields(ap.RateLadder)]  # the order of a row's entries
+    cells = itemgetter(*map(order.index, (*_LADDER_COLUMNS, "note")))
+    _write_table(_LADDER_COLUMNS, map(cells, rows), args.format)
     return EXIT_OK
 
 
@@ -214,7 +242,7 @@ def _cmd_limits(args: argparse.Namespace) -> int:
         dist = el.length_distribution(p, n, cap_types=args.cap_types)
         for value in values:
             rate = dist.optimal_rate(log2_eps(n, value))
-            rows.append((n, value, round(rate * n) + 1, rate))  # L* = n*rate + 1
+            rows.append((n, value, round(rate * n) + 1, rate, ""))  # L* = n*rate + 1
     _write_table(("n", column, "L_star", "rate"), rows)
     return EXIT_OK
 
@@ -250,27 +278,25 @@ def _cmd_census(args: argparse.Namespace) -> int:
         raise DomainError(f"--m must be >= 2, got {m}")
     ns = _parse_n_range(str(args.n))
     tc._check_m(m)  # past the alphabet cap the call is refused, not truncated
-    rows, notes = [], []
+    rows = []
     for n in ns:
         try:
             tc._check_walk_cap(n, m, args.cap_types, per_orbit=1)
         except ResourceLimitError:
             sys.stderr.write(f"warning: n={n} exceeds type cap; sweep truncated\n")
             break
-        note = ""
         if args.slab:
-            rows.append((n, h, tc.entropy_slab_count(n, m, h)))
+            rows.append((n, h, tc.entropy_slab_count(n, m, h), ""))
         else:
             rep = tc.low_entropy_count(n, m, h)
             log2c = math.log2(rep.count) if rep.count else float("-inf")
-            theta = rep.theta_ratio
+            theta, note = rep.theta_ratio, ""
             if theta < sys.float_info.min:  # subnormal or zero: an underflow, not a measurement
                 theta, note = None, (f"n={n}: theta_ratio is below 2^-1022; its normalisation "
                                      f"n^((m-3)/2) 2^(nh) is an n -> inf asymptotic at fixed m")
-            rows.append((n, h, log2c, theta))
-        notes.append(note)
+            rows.append((n, h, log2c, theta, note))
     counts = ("slab_type_count",) if args.slab else ("log2_count", "theta_ratio")
-    _write_table(("n", "threshold_bits", *counts), rows, notes=notes)
+    _write_table(("n", "threshold_bits", *counts), rows)
     return EXIT_OK
 
 

@@ -54,11 +54,12 @@ DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
 
 
 def ladder_table(rows, fmt="csv"):
-    """The table the ``ladder`` command writes for ``rows`` in ``fmt``, notes aside."""
+    """The table the ``ladder`` command writes for ``rows`` in ``fmt``, notes
+    aside: each row goes to the writer as its columns' cells, then its note."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cells = attrgetter(*cli._LADDER_COLUMNS)
-        cli._write_table(cli._LADDER_COLUMNS, map(cells, rows), fmt, [r.note for r in rows])
+        cells = attrgetter(*cli._LADDER_COLUMNS, "note")
+        cli._write_table(cli._LADDER_COLUMNS, map(cells, rows), fmt)
     return out.getvalue()
 
 
@@ -515,9 +516,17 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def sweep_rows(*args, **kwargs):
+    """The rows of ``_rate_ladders``, each checked to be a plain tuple and wrapped as a ``RateLadder``."""
+    rows = list(approximations._rate_ladders(*args, **kwargs))
+    assert all(type(row) is tuple for row in rows)
+    return [RateLadder(*row) for row in rows]
+
+
 class TestRateLadderSweep:
-    """``_rate_ladders``, the sweep the CLI runs over a range of n, gives the
-    rows of ``compute_rate_ladders`` at each n in turn, notes included."""
+    """``_rate_ladders``, the sweep the CLI runs over a range of n, streams
+    the rows of ``compute_rate_ladders`` at each n in turn, notes included,
+    as plain tuples in ``RateLadder`` field order."""
 
     @staticmethod
     def grid(m, kind):
@@ -543,7 +552,7 @@ class TestRateLadderSweep:
     def test_sweep_is_the_per_n_rows(self, m, kind, include_exact, prefix_mode):
         p, ns, points, cap = self.grid(m, kind)
         options = dict(include_exact=include_exact, cap_types=cap, prefix_mode=prefix_mode)
-        sweep = approximations._rate_ladders(p, ns, **points, **options)
+        sweep = sweep_rows(p, ns, **points, **options)
         assert sweep == [row for n in ns for row in compute_rate_ladders(p, n, **points, **options)]
         assert [r.n for r in sweep] == [n for n in ns for _ in range(3)]
         notes = [r.note for r in sweep]
@@ -557,7 +566,7 @@ class TestRateLadderSweep:
         else:  # 1e-40, and at small n the others too
             assert len(ns) <= out_of_range < len(sweep)
         if include_exact and prefix_mode:
-            plain = approximations._rate_ladders(p, ns, **points, **dict(options, prefix_mode=False))
+            plain = sweep_rows(p, ns, **points, **dict(options, prefix_mode=False))
             shifted = [(r.exact, q.exact + 1.0 / q.n) for r, q in zip(sweep, plain) if q.exact is not None]
             assert shifted and all(a == b for a, b in shifted)
 
@@ -566,7 +575,7 @@ class TestRateLadderSweep:
         # n*delta = 1400 at n = 20000: epsilon underflows there and not at n = 100
         p, ns = SourcePmf.parse(source), [100, 20000]
         options = dict(include_exact=False, cap_types=10, prefix_mode=False)
-        sweep = approximations._rate_ladders(p, ns, deltas=[0.07, 0.01], **options)
+        sweep = sweep_rows(p, ns, deltas=[0.07, 0.01], **options)
         assert sweep == [row for n in ns for row in compute_rate_ladders(p, n, deltas=[0.07, 0.01], **options)]
         assert [r.epsilon == 0.0 for r in sweep] == [False, False, True, False]
         assert sweep[2].note == "strassen column unavailable: epsilon = 2**-1400 underflows a double"
@@ -583,16 +592,43 @@ class TestRateLadderSweep:
         assert built == []
 
     def test_exact_ladder_peak_is_the_engine_peak(self):
-        # alpha* is solved after the length distribution is built, so a
-        # one-n exact ladder peaks at the engine's own peak: solving first
-        # held the solutions through the sort
+        # the first length distribution is built before the stream exists, and
+        # alpha* solved after it, so a one-n exact ladder peaks at the engine's
+        # own peak: solving first held the solutions through the sort
         p = SourcePmf.parse("0.1,0.2,0.3,0.4")
         deltas = [0.01 * k for k in range(1, 8)]
+        options = dict(deltas=deltas, include_exact=True, cap_types=10**7, prefix_mode=False)
         length_distribution(p, 24)
-        compute_rate_ladders(p, 24, deltas=deltas)  # warm every lazy import and table
+        rows = list(approximations._rate_ladders(p, range(24, 25), **options))  # warm every lazy import and table
+        assert [RateLadder(*row) for row in rows] == compute_rate_ladders(p, 24, deltas=deltas)
         alone = traced_peak(lambda: length_distribution(p, 24))
-        ladder = traced_peak(lambda: compute_rate_ladders(p, 24, deltas=deltas))
+        ladder = traced_peak(lambda: list(approximations._rate_ladders(p, range(24, 25), **options)))
         assert ladder <= alone + 1024, (ladder, alone)
+
+    def test_first_row_builds_one_length_distribution(self, monkeypatch):
+        # rows are computed as they are pulled: the first row of a 3-n exact
+        # sweep has built the first n's distribution and no other
+        built = []
+        build = pragrate.exact_limits.length_distribution
+        monkeypatch.setattr(pragrate.exact_limits, "length_distribution",
+                            lambda p, n, **kwargs: built.append(n) or build(p, n, **kwargs))
+        options = dict(include_exact=True, cap_types=100, prefix_mode=False)
+        rows = approximations._rate_ladders(P02, [10, 20, 30], deltas=[0.05, 0.1], **options)
+        assert next(rows)[0] == 10 and built == [10]
+        assert next(rows)[0] == 10 and built == [10]
+        assert next(rows)[0] == 20 and built == [10, 20]
+        assert [row[0] for row in rows] == [20, 30, 30] and built == [10, 20, 30]
+
+    def test_a_range_is_checked_by_its_ends(self):
+        # a list is checked element by element; a range by its first and last
+        # element, so a range of 10**12 blocklengths yields its first row at once
+        options = dict(include_exact=False, cap_types=100, prefix_mode=False)
+        rows = approximations._rate_ladders(P02, range(1, 10**12 + 1), deltas=[0.05], **options)
+        assert [row[0] for row in itertools.islice(rows, 3)] == [1, 2, 3]
+        for ns in (range(0, 5), range(5, -1, -1), range(2**1100, 2**1100 + 2)):  # 0 first, 0 last, no double
+            with pytest.raises(DomainError, match=r"^blocklength n must be an integer >= 1"):
+                approximations._rate_ladders(P02, ns, deltas=[0.05], **options)
+        assert list(approximations._rate_ladders(P02, range(5, 5), deltas=[0.05], **options)) == []
 
 
 BLOCKLENGTH_ENTRY_POINTS = {

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -8,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ import pragrate
 from pragrate import approximations, cli, coding, exact_limits
 from pragrate.cli import main
 from pragrate.distributions import SourcePmf
+from pragrate.errors import InvariantViolation
 from pragrate.exponents import solve_alpha_star
 
 
@@ -180,6 +183,91 @@ class TestLadderBytes:
             assert [key for key in obj if key != "note"] == header == md_header
             assert cells == ["-" if v is None else repr(v) for v in values]
             assert [c == "-" for c in md_cells] == [v is None for v in values]
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that keeps nothing of what is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+class _Enough(Exception):
+    pass
+
+
+class _FirstLines(io.TextIOBase):
+    """A text sink that keeps the lines written to it and stops the writer, by
+    raising ``_Enough``, once it holds more than ``limit``."""
+
+    def __init__(self, limit):
+        self.limit, self.lines = limit, []
+
+    def write(self, text):
+        self.lines += text.splitlines()
+        if len(self.lines) > self.limit:
+            raise _Enough
+        return len(text)
+
+
+class TestLadderStream:
+    """A ladder's rows go to stdout as the sweep computes them, one at a
+    time, so the table's memory does not grow with its rows."""
+
+    ARGV = ("ladder", "--source", "0.1,0.2,0.3,0.4", "--delta", "0.005", "--no-exact")
+
+    @staticmethod
+    def traced_peak(argv):
+        """(tracemalloc peak over what was held before, exit code, stderr) of
+        ``main(argv)`` writing its stdout into a sink that keeps nothing."""
+        err = io.StringIO()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            return tracemalloc.get_traced_memory()[1] - held, code, err.getvalue()
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+    def test_peak_does_not_grow_with_rows(self, fmt):
+        # 2,000 and 20,000 rows, none with a note; at one list of rows and
+        # one joined table the peaks differed by megabytes
+        small = (*self.ARGV, "--format", fmt, "--n", "10:2009")
+        large = (*self.ARGV, "--format", fmt, "--n", "10:20009")
+        self.traced_peak(small)  # warm every lazy import and first-use table
+        (few, *rest_few), (many, *rest_many) = self.traced_peak(small), self.traced_peak(large)
+        assert rest_few == rest_many == [0, ""]
+        assert abs(many - few) < 4096, (few, many)
+
+    def test_a_huge_range_starts_writing_at_once(self):
+        # 10**12 blocklengths: the range is never listed, and rows come as computed
+        sink = _FirstLines(3)
+        argv = ("ladder", "--source", "0.2,0.8", "--n", "1:1000000000000", "--delta", "0.05", "--no-exact")
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(_Enough):
+                main(list(argv))
+        assert sink.lines[0] == ",".join(cli._LADDER_COLUMNS)
+        assert [line.split(",")[0] for line in sink.lines[1:]] == ["1", "2", "3"]
+        assert cli._parse_n_range("1:1000000000000") == range(1, 10**12 + 1)
+
+    def test_internal_error_mid_table_keeps_the_rows_written(self, capsys, monkeypatch):
+        # exit 4 on the second blocklength's row: the first row is already out
+        solve, solved = approximations._solve, []
+
+        def solve_once(p, delta):
+            if solved:
+                raise InvariantViolation("second solve")
+            solved.append(delta)
+            return solve(p, delta)
+
+        monkeypatch.setattr(approximations, "_solve", solve_once)
+        code, out, err = run_cli(capsys, "ladder", "--source", "0.2,0.8", "--n", "50:51", "--eps", "0.01")
+        assert code == 4
+        assert err == "internal invariant violation: second solve\n"
+        header, row = out.splitlines()
+        assert header == ",".join(cli._LADDER_COLUMNS) and row.startswith("50,0.01,")
 
 
 class TestLimitsCommand:
