@@ -4,8 +4,8 @@ Subcommands: ``ladder`` (rate approximations table), ``limits`` (exact
 optimal rates), ``constants`` (achievability/converse constant block),
 ``census`` (low-entropy string counts), ``codec encode|decode``.
 
-Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded,
-4 internal invariant violation.
+Exit codes: 0 success, 1 stdout closed by its reader (as by ``| head``),
+2 invalid input, 3 resource cap exceeded, 4 internal invariant violation.
 
 Start-up is the parser alone (``argparse``, ``sys`` and ``errors``): each
 handler imports the modules it runs, so ``codec`` never loads the rate
@@ -28,6 +28,7 @@ from .errors import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
@@ -531,7 +532,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = _apply_config(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (as ``| head`` does): as the signal module's
+        # docs advise for SIGPIPE, point stdout at devnull, so that the
+        # interpreter's last flush of what the buffer still holds raises nothing
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (DistributionError, DomainError, CodewordError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID_INPUT

@@ -42,7 +42,11 @@ for the c where the entropy crosses its thresholds (:func:`_iter_spans`),
 with O(log R) entropies per run and the plain test for each c of the
 band, and the arrangements and the binomials are summed over the
 interval between the cuts, with counts bit-identical to a test of every
-partition.
+partition.  As a walk costs the partitions on its side of the threshold,
+the census of the strings at or below it walks the smaller side: above
+the mean entropy of a pmf drawn uniformly from the simplex it counts the
+strings above the threshold and takes them from m**n
+(:func:`low_entropy_count`).
 """
 
 from __future__ import annotations
@@ -544,7 +548,8 @@ class CensusReport:
 
     ``theta_ratio`` normalizes the count by n**((m-3)/2) * 2**(n h), the
     growth rate the census is expected to track; it is computed in the log
-    domain from the exact count.
+    domain from the exact count, and underflows to a subnormal or 0.0 where
+    the log2 ratio is below about -1022 (:attr:`log2_theta_ratio` keeps it).
     """
 
     n: int
@@ -553,6 +558,13 @@ class CensusReport:
     count: int
     theta_ratio: float
 
+    @property
+    def log2_theta_ratio(self) -> float:
+        """log2 of ``theta_ratio``, computed from the exact count, so it
+        does not underflow: ``2.0 ** log2_theta_ratio == theta_ratio`` bit
+        for bit, and -inf at a zero count."""
+        return _log2_theta_ratio(self.count, self.n, self.m, self.threshold_bits)
+
     def __repr__(self) -> str:
         """The dataclass repr, with a count past int's digit limit named by its bits."""
         return (f"{type(self).__qualname__}(n={self.n!r}, m={self.m!r}, "
@@ -560,26 +572,20 @@ class CensusReport:
                 f"theta_ratio={self.theta_ratio!r})")
 
 
-def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
-    """Exact number of strings x^n with H(empirical type of x) <= h bits.
+def _log2_theta_ratio(count: int, n: int, m: int, h: float) -> float:
+    """log2(count / (n**((m-3)/2) * 2**(n h))), -inf at a zero count."""
+    if not count:
+        return -math.inf
+    return math.log2(count) - 0.5 * (m - 3) * math.log2(n) - n * h
 
-    Requires an integer n >= 1, an integer m >= 2 and 0 < h <= log2 m.
-    The partitions of n into at most m parts come in runs that share all
-    but their last two parts (c, R - c).  Along a run the float entropy
-    does not decrease as c falls (rounding can break this only in a band
-    at the centre of a run over R of more than about 1.2e7, where each
-    partition is tested alone), so the selected partitions form one
-    interval [c*, top], and c* is found by bisection (:func:`_iter_spans`)
-    with O(log R) entropies.  Over the interval the class sizes
-    size * C(R, c) follow the binomial recurrence, one big-integer
-    multiply, divide and add per partition, and the arrangements change
-    only at its ends.  The count is the one a test of every type would
-    give, bit for bit."""
-    h = _check_census(n, m, h)
+
+def _span_sum(spans: Iterator[tuple[int, int, int, int, int, int, int]]) -> int:
+    """The number of strings whose partitions lie in the intervals of
+    :func:`_iter_spans`.  Over an interval the class sizes size * C(R, c)
+    follow the binomial recurrence, one big-integer multiply, divide and
+    add per partition, and the arrangements change only at its ends."""
     count = 0
-    for rest, a, b, size, inner, end_a, end_b in _iter_spans(
-        n, m, 0.0, h + ENTROPY_CMP_TOL
-    ):
+    for rest, a, b, size, inner, end_a, end_b in spans:
         # One big integer changes per statement, in place, so that no more
         # than three of the count's length are alive at once (the tracemalloc
         # peak grows with the count's length by that many, not more).
@@ -597,11 +603,51 @@ def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
             between *= inner
             between += binom
             count += between
-    if count > 0:
-        log2_ratio = math.log2(count) - 0.5 * (m - 3) * math.log2(n) - n * h
-        theta = 2.0 ** log2_ratio
+    return count
+
+
+def low_entropy_count(n: int, m: int, h: float) -> CensusReport:
+    """Exact number of strings x^n with H(empirical type of x) <= h bits.
+
+    Requires an integer n >= 1, an integer m >= 2 and 0 < h <= log2 m.
+    The partitions of n into at most m parts come in runs that share all
+    but their last two parts (c, R - c).  Along a run the float entropy
+    does not decrease as c falls (rounding can break this only in a band
+    at the centre of a run over R of more than about 1.2e7, where each
+    partition is tested alone), so the partitions on one side of a
+    threshold form one interval of c, whose end is found by bisection
+    (:func:`_iter_spans`) with O(log R) entropies, and their strings are
+    summed over it (:func:`_span_sum`).
+
+    The walk costs the partitions of the side it walks, so the census
+    walks the smaller side of cut = h + ``ENTROPY_CMP_TOL``: the direct
+    side, entropy in [0, cut], or the complement, entropy in (cut, inf),
+    whose count it takes from m**n.  As n grows, the empirical pmfs of the
+    partitions fill the simplex of k = min(m, n) nonzero parts evenly, so
+    the share of them with entropy at most h follows the entropy of a pmf
+    drawn uniformly from the simplex, Dirichlet(1, ..., 1), whose mean is
+    (H_k - 1)/ln 2 bits, H_k the k-th harmonic number.  Above that mean
+    the census walks the complement.  The rule errs towards the direct
+    side: at m = 3, n = 30..90 the complement is already the faster walk
+    from about 0.1 bit below the mean, at m = 16, n = 40 from about 0.4.
+    At m = 2 it keeps the direct side: the census is one run, its cost is
+    the interval sum and not the walk, and the complement's interval
+    holds the larger binomials, the ones at the centre.
+
+    Both sides split the partitions by the same float entropy, computed
+    as :func:`type_entropy_bits` does: it exceeds cut exactly when it is
+    at least nextafter(cut, inf), the complement's lower end, which
+    :func:`_iter_spans` tests through nextafter(lo, -inf) = cut.  So the
+    count is the one a test of every type would give, bit for bit, on
+    either side."""
+    h = _check_census(n, m, h)
+    cut = h + ENTROPY_CMP_TOL
+    if m > 2 and h > (fsum(1.0 / j for j in range(1, min(m, n) + 1)) - 1.0) / math.log(2):
+        above = _span_sum(_iter_spans(n, m, math.nextafter(cut, math.inf), math.inf))
+        count = m ** n - above
     else:
-        theta = 0.0
+        count = _span_sum(_iter_spans(n, m, 0.0, cut))
+    theta = 2.0 ** _log2_theta_ratio(count, n, m, h)
     return CensusReport(n=n, m=m, threshold_bits=h, count=count, theta_ratio=theta)
 
 

@@ -31,14 +31,19 @@ def run_cli_process(*argv, python_flags=(), stdin=None):
     """Run ``python -m pragrate`` in a child process, with ``stdin`` (text)
     as its input, so an uncaught exception shows up as a traceback on
     stderr and exit code 1."""
-    src = str(pathlib.Path(pragrate.__file__).resolve().parents[1])
-    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, *python_flags, "-m", "pragrate", *argv],
-        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _child_env():
+    """The environment of a child ``python -m pragrate``: this one, with
+    the package's source directory first on PYTHONPATH."""
+    src = str(pathlib.Path(pragrate.__file__).resolve().parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
 
 GOLDEN_EPS = "0.00003,0.0001,0.00032,0.00093,0.00251,0.00626,0.01444"
@@ -251,6 +256,23 @@ class TestLadderStream:
         assert sink.lines[0] == ",".join(cli._LADDER_COLUMNS)
         assert [line.split(",")[0] for line in sink.lines[1:]] == ["1", "2", "3"]
         assert cli._parse_n_range("1:1000000000000") == range(1, 10**12 + 1)
+
+    def test_a_closed_pipe_exits_quietly(self):
+        # a reader that stops early, as ``| head -2`` does: exit 1, no traceback
+        argv = ("ladder", "--source", "0.2,0.8", "--n", "1:1000000000000", "--delta", "0.05", "--no-exact")
+        proc = subprocess.Popen([sys.executable, "-m", "pragrate", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_child_env())
+        try:
+            lines = [proc.stdout.readline(), proc.stdout.readline()]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert lines[0].startswith(b"n,epsilon,delta,") and lines[1].startswith(b"1,")
+        assert code == 1
+        assert err == b""
 
     def test_internal_error_mid_table_keeps_the_rows_written(self, capsys, monkeypatch):
         # exit 4 on the second blocklength's row: the first row is already out

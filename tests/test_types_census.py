@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import operator
@@ -29,6 +30,7 @@ from pragrate import (
     type_entropy_bits,
     unrank_in_type_class,
 )
+from pragrate import types_census
 from pragrate.coding import _known_source_classes
 from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
@@ -38,6 +40,7 @@ from pragrate.types_census import (
     _distinct_permutations,
     _iter_runs,
     _iter_spans,
+    _span_sum,
     count_partitions,
     type_at_index,
     type_index,
@@ -391,6 +394,58 @@ class TestCensusMatchesReference:
             assert entropy_slab_count(n, m, h) == reference_slab_count(n, m, h)
 
 
+class TestCensusSides:
+    """``low_entropy_count`` walks one side of cut = h + ENTROPY_CMP_TOL: the
+    direct side [0, cut], or (cut, inf), whose count it takes from m**n.
+    Both sides are checked here, whichever one the census picks."""
+
+    @staticmethod
+    def sides(n, m, h):
+        cut = h + ENTROPY_CMP_TOL
+        below = _span_sum(_iter_spans(n, m, 0.0, cut))
+        above = _span_sum(_iter_spans(n, m, math.nextafter(cut, math.inf), math.inf))
+        return below, above
+
+    @pytest.mark.parametrize("m,ns", [
+        (3, (1, 2, 5, 17, 60)), (4, (1, 3, 9, 26)), (5, (2, 7, 16)), (6, (3, 11)),
+        (64, (2, 9)), (256, (1, 5, 12)),
+    ])
+    def test_the_two_sides_partition_the_strings(self, m, ns):
+        for n in ns:
+            for h in _grid_thresholds(n, m):
+                below, above = self.sides(n, m, h)
+                assert below + above == m ** n, (n, m, h)
+                assert low_entropy_count(n, m, h).count == below, (n, m, h)
+
+    def test_the_two_sides_partition_the_strings_at_n400(self):
+        for h in (0.3, 1.0, 1.2, 1.25, 1.5, math.log2(3)):
+            below, above = self.sides(400, 3, h)
+            assert below + above == 3 ** 400, h
+            assert low_entropy_count(400, 3, h).count == below, h
+
+    # h-bar(k) = (H_k - 1)/ln 2 bits: 1.2022 at k = 3, 1.5631 at k = 4, 2.4784 at k = 8
+    @pytest.mark.parametrize("n,m,h,complement", [
+        (40, 3, 1.19, False), (40, 3, 1.21, True),
+        (20, 4, 1.55, False), (20, 4, 1.57, True),
+        (12, 8, 2.47, False), (12, 8, 2.49, True),
+        (3, 8, 1.19, False), (3, 8, 1.21, True),  # m > n: k = n
+        (300, 2, 0.999, False),  # m = 2 keeps the direct sum
+    ])
+    def test_the_rule_picks_the_side(self, monkeypatch, n, m, h, complement):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _iter_spans(*args)
+
+        monkeypatch.setattr(types_census, "_iter_spans", recording)
+        count = low_entropy_count(n, m, h).count
+        cut = h + ENTROPY_CMP_TOL
+        window = (math.nextafter(cut, math.inf), math.inf) if complement else (0.0, cut)
+        assert calls == [(n, m, *window)]
+        assert count == reference_low_entropy_count(n, m, h)
+
+
 class TestCensusBadInput:
     @pytest.mark.parametrize("fn", [low_entropy_count, entropy_slab_count],
                              ids=["count", "slab"])
@@ -569,6 +624,20 @@ class TestLowEntropyCount:
         rep = low_entropy_count(100, 2, entropy([0.2, 0.8]))
         expect = math.log2(rep.count) + 0.5 * math.log2(100) - 100 * rep.threshold_bits
         assert rep.theta_ratio == pytest.approx(2.0 ** expect, rel=1e-12)
+        assert rep.log2_theta_ratio == pytest.approx(expect, rel=1e-15)
+        assert 2.0 ** rep.log2_theta_ratio == rep.theta_ratio
+
+    def test_log2_theta_ratio_outlives_the_underflow(self):
+        rep = low_entropy_count(30, 802, 1.5)
+        assert rep.theta_ratio == 0.0
+        assert rep.log2_theta_ratio == pytest.approx(-1906.89, abs=0.005)
+        assert rep.log2_theta_ratio == math.log2(rep.count) - 0.5 * 799 * math.log2(30) - 30 * 1.5
+        # a property, not a field: equality, repr and the fields are the dataclass's
+        assert [f.name for f in dataclasses.fields(rep)] == ["n", "m", "threshold_bits", "count", "theta_ratio"]
+        assert "log2" not in repr(rep)
+        with pytest.raises(AttributeError):
+            rep.log2_theta_ratio = 0.0
+        assert CensusReport(n=5, m=3, threshold_bits=1.0, count=0, theta_ratio=0.0).log2_theta_ratio == -math.inf
 
     def test_threshold_perturbation_bounded(self):
         # moving the threshold by 1/n changes the ratio by a bounded factor
