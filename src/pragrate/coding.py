@@ -21,48 +21,46 @@ entropy, partitions of bit-equal entropy keep the canonical descending-lex
 order of :func:`~pragrate.types_census._iter_runs`, and each orbit's
 classes follow in lex order.  The paper's price-for-universality bound
 holds for any fixed rule among types of equal entropy; this one ranks every
-class in closed form within its own orbit.  The ordering is stored as
-columns, one entry per partition, built by two walks of the runs of
-partitions (which walk the known-source runs too) around one stable sort.
-The first walk lists each partition's parts and float entropy.  A stable
-sort on the entropy alone ranks the partitions; the ranking gives the
-entropies and the partitions (m-1 small parts each) in code order, and the
-canonical columns are dropped; what is left of the ranking is its inverse,
-each partition's position.  No class size exists while the partitions
-sort: the second walk computes the strings of each orbit in canonical
-order, by the binomial recurrence along each run, and stores them at its
-position.  No tuple and no exact size per class outlive the build.
-Since ``fsum`` is correctly rounded whatever the order of its terms, every
-vector of an orbit has its partition's entropy bit for bit, so a class's
-orbit is found by bisecting the entropies with
-:func:`~pragrate.types_census.type_entropy_bits` of its counts (and, in the
-rare case of several partitions of that entropy, by comparing their parts):
-no map from partitions to positions is kept.  An orbit's classes all have
-one size, the orbit's strings over its arrangements, so a class's offset
-is its orbit's plus that size times the lex rank of its count vector among
-the rearrangements of the partition: the codec ranks (and unranks) twice,
-once over the multiset of counts and once over the string, and never lists
-the classes.  One method, ``_vectors``, decodes the packed partitions, for
-the codec and for the universal code's length distribution, which streams
-the orbits (``_orbits``) and alone lists their classes.
+class in closed form within its own orbit.
 
-The known-source ordering is stored as the engine's ranking and keys
-(below), its key tables and the class sizes in code order.  Both
-orderings share one offset structure for enumerative coding (Cover,
-1973): the sizes of their units (ranked classes or orbits) in code order
-and a cumulative offset every ``_OFFSET_STRIDE`` units, so a unit's
-offset is a checkpoint plus fewer than ``_OFFSET_STRIDE`` sizes, and the
-unit holding an index is found by bisecting the checkpoints and walking
-one stride.  A known-source class
-is found as a universal orbit is: its key, the ``fsum`` of its counts'
-table entries, is the engine's bit for bit, so one bisection of the
-ranking on the keys finds the first class of that key, and inside a tie,
-whose classes keep the canonical order, the class is found by bisecting
-for its canonical index (:func:`~pragrate.types_census.type_index`, in
-closed form).  No inverse of the ranking is built.  Decoding maps the
-ranked class back to a count vector
-(:func:`~pragrate.types_census.type_at_index`).  Neither ordering lists
-its classes.
+Both orderings keep the engine's layout (below): per unit (a ranked class,
+or a partition's orbit) its float key and exact size in canonical order,
+and the ranking, the canonical indices in code order, through which every
+read in code order goes.  The universal store is built by two walks of the
+runs of partitions (which walk the known-source runs too) around one
+stable sort.  The first lists each partition's m parts, ascending, and its
+float entropy, its key; the sort ranks the partitions on the entropy
+alone.  No class size exists while they sort: the second walk appends each
+orbit's strings in canonical order, by the binomial recurrence along each
+run.  No tuple and no exact size per class outlive the build.  Since
+``fsum`` is correctly rounded whatever the order of its terms, every vector
+of an orbit has its partition's entropy bit for bit, so a class's orbit is
+found by bisecting the ranking on the entropies with
+:func:`~pragrate.types_census.type_entropy_bits` of its counts (and, in the
+rare case of several partitions of that entropy, by comparing their
+parts).  An orbit's classes all have one size, the orbit's strings over
+its arrangements, so a class's offset is its orbit's plus that size times
+the lex rank of its count vector among the rearrangements of the
+partition: the codec ranks (and unranks) twice, once over the multiset of
+counts and once over the string, and never lists the classes.  One method,
+``_vectors``, reads the partitions in code order, for the codec and for
+the universal code's length distribution, which streams the orbits
+(``_orbits``) and alone lists their classes.
+
+The known-source store is the engine's columns as built and their key
+tables.  Both share one offset structure for enumerative coding (Cover,
+1973): a cumulative offset every ``_OFFSET_STRIDE`` units in code order,
+so a unit's offset is a checkpoint plus fewer than ``_OFFSET_STRIDE``
+sizes, and the unit holding an index is found by bisecting the checkpoints
+and walking one stride.  A known-source class is found as an orbit is: its
+key, the ``fsum`` of its counts' table entries, is the engine's bit for
+bit, so the same bisection of the ranking finds the first class of that
+key, and inside a tie, whose classes keep the canonical order, the class
+is found by bisecting for its canonical index
+(:func:`~pragrate.types_census.type_index`, in closed form); decoding maps
+a ranked class back to its counts
+(:func:`~pragrate.types_census.type_at_index`).  Neither ordering builds
+an inverse of its ranking or lists its classes.
 
 The k-th string (1-based) receives the binary expansion of k with its
 leading 1 removed, a codeword of length floor(log2 k); k = 1 maps to the
@@ -172,21 +170,15 @@ def _unsigned_typecode(bound: int) -> str:
     return next(code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize)
 
 
-def _inverse(ranking: array) -> array:
-    """The inverse permutation of ``ranking``: canonical index -> position."""
-    position = array(ranking.typecode, bytes(len(ranking) * ranking.itemsize))
-    for pos, i in enumerate(ranking):
-        position[i] = pos
-    return position
-
-
 class CodeOrdering:
     """A total order on A^n shared by encoder and decoder, as a sequence of
     units: ranked classes for the known source, orbits (partitions of n)
-    for the universal code.  The base holds the one offset structure of
-    both: ``sizes``, the strings of each unit in code order, and
-    ``checkpoints[j]``, the strings before unit j * _OFFSET_STRIDE; from a
-    checkpoint, ``_offset`` and ``_unit`` walk less than one stride.  Each
+    for the universal code.  The base holds the one layout of both:
+    ``keys`` and ``sizes``, each unit's float key and strings in canonical
+    order, ``ranking``, the canonical indices in code order, and
+    ``checkpoints[j]``, the strings before code position j * _OFFSET_STRIDE.
+    ``_offset`` and ``_unit`` read less than one stride's sizes through the
+    ranking, and ``_first`` bisects it for the first unit of a key.  Each
     store answers the two questions of enumerative coding without listing
     its classes: ``class_offset`` (the strings in all classes before a
     given one) and ``locate`` (the class holding a given index, and the
@@ -196,25 +188,31 @@ class CodeOrdering:
     own input and calls those two directly.
     """
 
-    __slots__ = ("mode", "n", "m", "total", "sizes", "checkpoints")
+    __slots__ = ("mode", "n", "m", "total", "keys", "sizes", "ranking", "checkpoints")
 
-    def __init__(self, mode: str, n: int, m: int, sizes: list[int]) -> None:
-        self.mode, self.n, self.m, self.total, self.sizes = mode, n, m, m ** n, sizes
-        offsets = itertools.accumulate(sizes, initial=0)
+    def __init__(self, mode: str, n: int, m: int, keys: array, sizes: list[int], ranking: array) -> None:
+        self.mode, self.n, self.m, self.total = mode, n, m, m ** n
+        self.keys, self.sizes, self.ranking = keys, sizes, ranking
+        offsets = itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)
         self.checkpoints = list(itertools.islice(offsets, 0, len(sizes), _OFFSET_STRIDE))
 
     def _offset(self, pos: int) -> int:
-        """The strings in the units before unit ``pos``."""
+        """The strings in the units before code position ``pos``."""
         start = pos - pos % _OFFSET_STRIDE
-        return self.checkpoints[pos // _OFFSET_STRIDE] + sum(self.sizes[start:pos])
+        return self.checkpoints[pos // _OFFSET_STRIDE] + sum(map(self.sizes.__getitem__, self.ranking[start:pos]))
 
     def _unit(self, k: int) -> tuple[int, int]:
-        """(unit holding the 1-based index k, the strings before that unit)."""
+        """(code position of the unit holding the 1-based index k, the
+        strings before that unit)."""
         j = bisect.bisect_left(self.checkpoints, k) - 1
-        block = self.sizes[j * _OFFSET_STRIDE:(j + 1) * _OFFSET_STRIDE]
+        block = map(self.sizes.__getitem__, self.ranking[j * _OFFSET_STRIDE:(j + 1) * _OFFSET_STRIDE])
         offsets = list(itertools.accumulate(block, initial=self.checkpoints[j]))
         pos = bisect.bisect_left(offsets, k) - 1  # unit pos holds offsets[pos]+1 .. offsets[pos+1]
         return j * _OFFSET_STRIDE + pos, offsets[pos]
+
+    def _first(self, key: float) -> int:
+        """The code position of the first unit whose key is not below ``key``."""
+        return bisect.bisect_left(self.ranking, key, key=self.keys.__getitem__)
 
     def class_offset(self, counts: Sequence[int]) -> int:
         """The strings in all classes before the class of ``counts``, which
@@ -234,17 +232,16 @@ class CodeOrdering:
 
 
 class _EntropyColumns(CodeOrdering):
-    """The universal order kept as columns (see the module docstring):
-    ``entropies``, each partition's float entropy in code order
-    (nondecreasing), and ``parts``, the partitions of n packed in code
-    order, m-1 parts each, ascending (the last part is n minus the others).
-    The base's units are the orbits: ``sizes[i]`` is the strings of
-    partition i's orbit, and a class's size is that over the orbit's
-    arrangements.  No per-partition tuple or per-class size is kept.
-    ``_vectors`` is the one decoder of ``parts``; the codec lists no
-    classes, and only the tails' ``_orbits`` does."""
+    """The universal order in the base's layout (see the module docstring):
+    the units are the partitions of n, ``keys`` their float entropies and
+    ``sizes`` their orbits' strings, and ``parts`` packs each partition's m
+    parts, ascending, all in canonical order (descending lex) as the first
+    walk built them.  A class's size is its orbit's strings over the
+    orbit's arrangements; no per-partition tuple or per-class size is
+    kept.  ``_vectors`` is the one reader of ``parts`` in code order; the
+    codec lists no classes, and only the tails' ``_orbits`` does."""
 
-    __slots__ = ("entropies", "parts")
+    __slots__ = ("parts",)
 
     def __init__(self, n: int, m: int) -> None:
         # first walk: each partition's m parts, smallest first, one row per
@@ -255,59 +252,48 @@ class _EntropyColumns(CodeOrdering):
             smaller = prefix[::-1]
             for c in range(min(prev, rest), (rest - 1) // 2, -1):
                 rows += (rest - c, c, *smaller)
-        canonical = array(_unsigned_typecode(n), rows)
+        self.parts = array(_unsigned_typecode(n), rows)
         del rows
         # type_entropy_bits of each partition, bit for bit, without its call
         # overhead: fsum is correctly rounded, so the zero parts' 0.0 terms
         # change nothing
         log2_n, repeat = math.log2(n), itertools.repeat
         term = [0.0, *(c * math.log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
-        sums = map(math.fsum, zip(*[map(term, canonical)] * m))  # one row's terms at a time
+        sums = map(math.fsum, zip(*[map(term, self.parts)] * m))  # one row's terms at a time
         unclamped = map(operator.sub, repeat(log2_n), map(operator.truediv, sums, repeat(n)))
         keys = array("d", map(max, unclamped, repeat(0.0)))
         # a stable sort on the entropy alone keeps partitions of equal
         # entropy in descending lex order; no class size exists yet
         count = len(keys)
         ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
-        self.entropies = array("d", map(keys.__getitem__, ranking))
-        del keys
-        width, typecode = m - 1, canonical.typecode
-        self.parts = array(typecode, bytes(count * width * canonical.itemsize))
-        for i in range(width):  # the smallest m-1 parts, ascending, in code order
-            column = canonical[i::m]
-            self.parts[i::width] = array(typecode, [column[j] for j in ranking])
-        positions = iter(_inverse(ranking))
-        del canonical, ranking
-        # second walk: the strings of each partition's orbit, in canonical
-        # order, stored at its position
-        sizes, slot = [0] * count, m - 1
+        # second walk: the strings of each partition's orbit, in canonical order
+        sizes, slot = [], m - 1
         for _, rest, prev, run, size, arr in _iter_runs(n, m, True):
             top = min(prev, rest)
             cls = size * math.comb(rest, top)  # the class size, size * C(rest, c), c falling
             for c in range(top, (rest - 1) // 2, -1):
                 r = run + 1 if c == prev else 1  # a part equal to prev extends its run
                 last = rest - c
-                sizes[next(positions)] = cls * (arr * slot // r * m // (r + 1 if last == c else 1))
+                sizes.append(cls * (arr * slot // r * m // (r + 1 if last == c else 1)))
                 cls = cls * c // (last + 1)
-        super().__init__(UNIVERSAL, n, m, sizes)
+        super().__init__(UNIVERSAL, n, m, keys, sizes, ranking)
 
     def _vectors(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        """The ascending count vectors of partitions lo .. hi-1 in code
-        order: the m-1 strided slices of ``parts``, and n minus their sum."""
-        width = self.m - 1
-        heads = [self.parts[lo * width + i:hi * width:width] for i in range(width)]
-        largest = map(operator.sub, itertools.repeat(self.n), map(sum, zip(*heads)))
-        return zip(*heads, largest)
+        """The ascending count vectors of the partitions at code positions
+        lo .. hi-1: each one's row of ``parts``, read through the ranking."""
+        m, parts = self.m, self.parts
+        return (tuple(parts[i * m:i * m + m]) for i in self.ranking[lo:hi])
 
-    def _orbit(self, i: int, vector: tuple[int, ...]) -> tuple[list[int], list[int], int, int]:
+    def _orbit(self, pos: int) -> tuple[list[int], list[int], int, int]:
         """(distinct values, their multiplicities, arrangements, class size)
-        of the orbit of partition i, which ``vector`` rearranges: its
-        m! / prod(multiplicity!) vectors share the orbit's strings."""
+        of the orbit at code position ``pos``: its m! / prod(multiplicity!)
+        vectors share the orbit's strings."""
+        vector = next(self._vectors(pos, pos + 1))
         values = sorted(set(vector))
         multiplicities = list(map(vector.count, values))
         factorial = math.factorial
         arrangements = factorial(self.m) // math.prod(map(factorial, multiplicities))
-        return values, multiplicities, arrangements, self.sizes[i] // arrangements
+        return values, multiplicities, arrangements, self.sizes[self.ranking[pos]] // arrangements
 
     def _orbits(self) -> Iterator[tuple[list[tuple[int, ...]], int]]:
         """Per partition in code order, from one stream: its orbit's count
@@ -318,53 +304,50 @@ class _EntropyColumns(CodeOrdering):
         shape's distinct permutations, as itemgetters on the ascending vector,
         list the orbit in lex order; orbits of one shape share the getters."""
         getters: dict[tuple[int, ...], list[itemgetter]] = {}
-        for asc, strings in zip(self._vectors(0, len(self.sizes)), self.sizes):
+        strings = map(self.sizes.__getitem__, self.ranking)
+        for asc, size in zip(self._vectors(0, len(self.sizes)), strings):
             shape = tuple(map(asc.index, asc))
             if shape not in getters:
                 getters[shape] = [itemgetter(*idx) for idx in _distinct_permutations(shape)]
             order = [g(asc) for g in getters[shape]]
-            yield order, strings // len(order)
+            yield order, size // len(order)
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """(strings before the class of ``counts``, the class's size)."""
         h = _type_entropy_bits(counts)
-        i = bisect.bisect_left(self.entropies, h)
-        tied = bisect.bisect_right(self.entropies, h, i) - i
+        pos = self._first(h)
+        tied = bisect.bisect_right(self.ranking, h, pos, key=self.keys.__getitem__) - pos
         if not tied:
             raise InvariantViolation(f"no orbit of the universal ordering holds {counts}")
         if tied > 1:  # rare: several partitions of this entropy; find the one counts rearranges
-            i += list(self._vectors(i, i + tied)).index(tuple(sorted(counts)))
+            pos += list(self._vectors(pos, pos + tied)).index(tuple(sorted(counts)))
         # the orbit's vectors are the strings over its values: rank counts among them
-        values, multiplicities, arrangements, size = self._orbit(i, counts)
-        return self._offset(i) + size * _rank(list(map(values.index, counts)), multiplicities, arrangements), size
+        values, multiplicities, arrangements, size = self._orbit(pos)
+        return self._offset(pos) + size * _rank(list(map(values.index, counts)), multiplicities, arrangements), size
 
     def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
         """(counts, 0-based rank in its class, class size) of the 1-based index k."""
-        i, offset = self._unit(k)
-        asc = next(self._vectors(i, i + 1))
-        values, multiplicities, arrangements, size = self._orbit(i, asc)
+        pos, offset = self._unit(k)
+        values, multiplicities, arrangements, size = self._orbit(pos)
         rank, within = divmod(k - 1 - offset, size)
         vector = _unrank(multiplicities, arrangements, rank)
         return tuple(map(values.__getitem__, vector)), within, size
 
 
 class _RankedClasses(CodeOrdering):
-    """The known-source order kept as the engine's columns (see the module
-    docstring): the ``ranking`` (canonical indices in code order), ``keys``
-    (each class's sort key in canonical order) and the key ``tables`` that
-    made them; the base's units are the ranked classes, ``sizes`` their
-    sizes in code order.  No count vector and no inverse of the ranking is
-    stored: a class is found by bisecting the ranking on its own key, and
-    a count vector is recovered from its canonical index in closed form."""
+    """The known-source order in the base's layout: the engine's columns
+    (:func:`_known_source_classes`) as built, its units the type classes,
+    and the key ``tables`` that made the keys.  No count vector and no
+    inverse of the ranking is stored: a class is found by bisecting the
+    ranking on its own key, and a count vector is recovered from its
+    canonical index in closed form."""
 
-    __slots__ = ("ranking", "keys", "tables")
+    __slots__ = ("tables",)
 
-    def __init__(
-        self, n: int, m: int, sizes: list[int], ranking: array, keys: array, tables: list[list[float]]
-    ) -> None:
-        # the canonical sizes' own integers, so equal sizes still share one object
-        super().__init__(KNOWN_SOURCE, n, m, list(map(sizes.__getitem__, ranking)))
-        self.ranking, self.keys, self.tables = ranking, keys, tables
+    def __init__(self, n: int, m: int, keys: array, sizes: list[int], ranking: array,
+                 tables: list[list[float]]) -> None:
+        super().__init__(KNOWN_SOURCE, n, m, keys, sizes, ranking)
+        self.tables = tables
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """(strings in all classes ranked before the class of ``counts``, its size).
@@ -376,15 +359,16 @@ class _RankedClasses(CodeOrdering):
         bisection on the key has found where the tie ends."""
         ranking, by_key = self.ranking, self.keys.__getitem__
         key = math.fsum(map(list.__getitem__, self.tables, counts))
-        pos, i = bisect.bisect_left(ranking, key, key=by_key), _type_index(counts)
+        pos, i = self._first(key), _type_index(counts)
         if ranking[pos] != i:  # another class of the same key
             pos = bisect.bisect_left(ranking, i, pos, bisect.bisect_right(ranking, key, pos, key=by_key))
-        return self._offset(pos), self.sizes[pos]
+        return self._offset(pos), self.sizes[i]
 
     def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
         """(counts, 0-based rank in its class, class size) of the 1-based index k."""
         pos, offset = self._unit(k)
-        return _type_at_index(self.n, self.m, self.ranking[pos]), k - 1 - offset, self.sizes[pos]
+        i = self.ranking[pos]
+        return _type_at_index(self.n, self.m, i), k - 1 - offset, self.sizes[i]
 
 
 def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
@@ -397,11 +381,12 @@ def _key_tables(p: SourcePmf, n: int) -> list[list[float]]:
     return [[0.0] + [c * -lp for c in range(1, n + 1)] for lp in p.log2_probs()]
 
 
-def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, list[int], array]:
-    """The engine's columns: ``keys[i]`` (minus the log2 per-string
-    probability) and ``sizes[i]`` of class i in canonical order, and the
-    ranking, the class indices by decreasing per-string probability with
-    ties in canonical order: a stable sort on the float key alone.
+def _known_source_classes(tables: list[list[float]], n: int) -> tuple[array, list[int], array]:
+    """The engine's columns from the key ``tables`` of :func:`_key_tables`
+    (one per symbol): ``keys[i]`` (minus the log2 per-string probability)
+    and ``sizes[i]`` of class i in canonical order, and the ranking, the
+    class indices by decreasing per-string probability with ties in
+    canonical order: a stable sort on the float key alone.
 
     The sort's peak and the sizes' never overlap.  One walk of
     :func:`~pragrate.types_census._class_rows` fills the keys (a key is the
@@ -412,7 +397,9 @@ def _known_source_classes(n: int, m: int, source: SourcePmf) -> tuple[array, lis
     run's sizes coeff * C(r, c) are symmetric in c, so its second half
     reuses the first half's integers: equal sizes share one object."""
     # through an array: list() of a map over-allocates as it grows
-    keys = array("d", map(math.fsum, _class_rows(_key_tables(source, n), n))).tolist()
+    keys, m = array("d", map(math.fsum, _class_rows(tables, n))), len(tables)
+    del tables  # where the caller keeps no reference, they go before the keys unbox and sort
+    keys = keys.tolist()
     ranking = array(_unsigned_typecode(len(keys)), sorted(range(len(keys)), key=keys.__getitem__))
     keys = array("d", keys)
     sizes = []
@@ -511,11 +498,14 @@ def build_ordering(
     *,
     cap_types: int = DEFAULT_TYPE_CAP,
 ) -> CodeOrdering:
-    """Construct the shared code ordering.
+    """Construct the shared code ordering, a store in the one layout of
+    :class:`CodeOrdering`.
 
-    In universal mode any ``source`` argument is ignored, so every codeword
-    is byte-identical whatever is passed, and ``cap_types`` counts the m
-    parts that the store keeps of each partition of n, not the type classes.
+    In known-source mode the key tables are built once, for the engine's
+    keys and for the store's lookups.  In universal mode any ``source``
+    argument is ignored, so every codeword is byte-identical whatever is
+    passed, and ``cap_types`` counts the m parts that the store keeps of
+    each partition of n, not the type classes.
     """
     if mode == KNOWN_SOURCE and source is not None:
         check_source(source)
@@ -528,14 +518,21 @@ def build_ordering(
         raise DomainError("known-source ordering requires a source pmf")
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
-    keys, sizes, ranking = _known_source_classes(n, m, source)
-    return _RankedClasses(n, m, sizes, ranking, keys, _key_tables(source, n))
+    tables = _key_tables(source, n)
+    return _RankedClasses(n, m, *_known_source_classes(tables, n), tables)
+
+
+def _check_ordering(ordering: object) -> None:
+    """Refuse ``ordering`` unless it is a CodeOrdering, as :func:`build_ordering` returns."""
+    if not isinstance(ordering, CodeOrdering):
+        raise DomainError(f"an ordering must be a CodeOrdering, got {describe(ordering)}")
 
 
 def string_index(ordering: CodeOrdering, x: Sequence[int]) -> int:
     """1-based index of string ``x`` in the ordering: its class's offset,
     which the ordering answers with the class's size, plus its rank in the
     class.  ``x`` is counted once; ``bytes`` is the fastest sequence."""
+    _check_ordering(ordering)
     check_string(x)
     if len(x) != ordering.n:
         raise DomainError(f"string length {len(x)} != blocklength {ordering.n}")
@@ -552,6 +549,7 @@ def encode(ordering: CodeOrdering, x: Sequence[int]) -> Codeword:
 
 def decode(ordering: CodeOrdering, codeword: Codeword) -> tuple[int, ...]:
     """Exact inverse of :func:`encode`."""
+    _check_ordering(ordering)
     if not isinstance(codeword, Codeword):
         raise CodewordError(f"a codeword must be a Codeword, got {describe(codeword)}")
     k = codeword.to_index()

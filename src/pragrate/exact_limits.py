@@ -39,7 +39,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .coding import LengthDistribution, _check_log2_epsilon, _known_source_classes, _log2_tails
+from .coding import LengthDistribution, _check_log2_epsilon, _key_tables, _known_source_classes, _log2_tails
 from .distributions import SourcePmf
 from .errors import DomainError
 from .inputs import check_real, check_source
@@ -62,7 +62,7 @@ def length_distribution(
     if exact and p.exact is None:
         raise DomainError("exact mode requires a source with exact rational probabilities")
     _check_walk_cap(n, p.m, cap_types)
-    keys, sizes, ranking = _known_source_classes(n, p.m, p)
+    keys, sizes, ranking = _known_source_classes(_key_tables(p, n), n)
     tails = _log2_tails(keys, sizes, ranking, p.m ** n)
     exact_tails = _exact_tails(p.exact, n, sizes, ranking) if exact else None
     return LengthDistribution(n=n, m=p.m, log2_tails=tails, exact_tails=exact_tails)

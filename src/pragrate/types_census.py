@@ -136,10 +136,10 @@ def _check_walk_cap(n: int, m: int, cap: int, *, per_class: int = 1, per_orbit: 
     lists, ``per_class`` units each (the universal tails list each class as
     m counts), or with ``per_orbit`` >= 1 the partitions of n into at most
     m parts, ``per_orbit`` units each (the census reads one partition at a
-    time; the universal store keeps m parts of each).  A partition walk is
-    admitted at once when the classes times ``per_orbit`` fit the cap, and
-    its partitions are counted only as far as the cap.  Then n and m are
-    checked; a cap that is not an integer >= 1 is bad input."""
+    time; the universal store keeps all m parts of each).  A partition
+    walk is admitted at once when the classes times ``per_orbit`` fit the
+    cap, and its partitions are counted only as far as the cap.  Then n and
+    m are checked; a cap that is not an integer >= 1 is bad input."""
     types = count_types(n, m)
     check_integer("cap_types", cap, 1)
     if not per_orbit:

@@ -289,14 +289,14 @@ def reference_entropy_columns(n, m):
     blocklength n over m symbols, built in one pass that keeps every
     orbit's strings through the sort: a stable sort of the partitions of
     :func:`_iter_partitions` on ``type_entropy_bits`` alone, and per
-    partition in code order its entropy, its smallest m-1 parts ascending
-    and its orbit's strings."""
+    partition in code order its entropy, its m parts ascending and its
+    orbit's strings."""
     partitions = list(_iter_partitions(n, m))
     keys = [type_entropy_bits(parts) for parts, _, _ in partitions]
     ranking = sorted(range(len(keys)), key=keys.__getitem__)
     entropies = [keys[j] for j in ranking]
     sizes = [partitions[j][1] * partitions[j][2] for j in ranking]
-    packed = [c for j in ranking for c in partitions[j][0][:0:-1]]
+    packed = [c for j in ranking for c in partitions[j][0][::-1]]
     offsets = itertools.accumulate(sizes, initial=0)
     checkpoints = list(itertools.islice(offsets, 0, len(sizes), coding._OFFSET_STRIDE))
     return entropies, packed, sizes, checkpoints

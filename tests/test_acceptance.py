@@ -292,7 +292,7 @@ class TestCriterion6CodecRoundTrips:
         indices = [pr.string_index(base, x) for x in strings]
         for src in (P02, bern("0.7"), bern("0.99")):
             other = pr.build_ordering(pr.UNIVERSAL, 10, 2, source=src)
-            columns = ("entropies", "parts", "sizes", "checkpoints")
+            columns = ("keys", "parts", "sizes", "ranking", "checkpoints")
             assert [getattr(other, c) for c in columns] == [getattr(base, c) for c in columns]
             assert [pr.string_index(other, x) for x in strings] == indices
         x = (0, 1, 1, 0, 0, 0, 1, 1, 1, 0)

@@ -543,10 +543,10 @@ class TestCodecCommands:
         # among several of one entropy; everywhere else the entropy alone
         # finds the orbit
         o = pragrate.build_ordering(pragrate.UNIVERSAL, 50, 4)
-        parts = [tuple(o.parts[j:j + 3]) for j in range(0, len(o.parts), 3)]  # the 3 smallest
+        parts = [tuple(o.parts[j:j + 4]) for j in range(0, len(o.parts), 4)]  # canonical order, like keys
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):
-            h = o.entropies[parts.index(asc[:3])]
-            assert list(o.entropies).count(h) >= 2
+            h = o.keys[parts.index(asc)]
+            assert list(o.keys).count(h) >= 2
         rng = random.Random(50)
         strings = ["".join(rng.choice("abcd") for _ in range(50)) for _ in range(10)]
         for asc in ((3, 3, 12, 32), (2, 14, 16, 18)):

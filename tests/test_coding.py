@@ -49,9 +49,10 @@ from conftest import (
 
 P02 = bern("0.2")
 DELTA_HALF = kl_divergence([1 / 3, 2 / 3], P02)
-# both stores keep the same offset structure: unit sizes in code order and
-# a checkpoint every _OFFSET_STRIDE units
-STORE_SLOTS = ("mode", "n", "m", "total", "sizes", "checkpoints")
+# both stores keep one layout: per unit its key and size in canonical order,
+# the ranking (canonical indices in code order) and a checkpoint every
+# _OFFSET_STRIDE units
+STORE_SLOTS = ("mode", "n", "m", "total", "keys", "sizes", "ranking", "checkpoints")
 
 # the source paper's abstract, as ASCII bytes: cut into blocks of 16 or 24
 # bytes, many fall in orbits that share their float entropy with another
@@ -78,22 +79,24 @@ ABSTRACT = (
 
 
 def _columns(o):
-    return o.entropies, o.parts, o.sizes, o.checkpoints
+    """A universal store's columns in code order, read through its ranking:
+    entropies, packed parts, orbit sizes, and the checkpoints."""
+    entropies = array("d", [o.keys[i] for i in o.ranking])
+    parts = [c for asc in _partitions(o) for c in asc]
+    return entropies, parts, [o.sizes[i] for i in o.ranking], o.checkpoints
 
 
 def _partitions(o):
     """The partitions of a universal ordering in code order, as ascending
-    count vectors, read from the packed columns."""
-    width = o.m - 1
-    parts = [tuple(o.parts[j:j + width]) for j in range(0, len(o.parts), width)]
-    return [p + (o.n - sum(p),) for p in parts]
+    count vectors: each one's m packed parts, read through the ranking."""
+    return [tuple(o.parts[i * o.m:(i + 1) * o.m]) for i in o.ranking]
 
 
 def _ties(o):
     """The store's groups of two or more partitions of bit-equal entropy,
     each in code order."""
     groups = {}
-    for h, asc in zip(o.entropies, _partitions(o)):
+    for h, asc in zip(_columns(o)[0], _partitions(o)):
         groups.setdefault(h, []).append(asc)
     return [group for group in groups.values() if len(group) > 1]
 
@@ -320,27 +323,30 @@ class TestUniversalLevelPath:
             x = _lex_first(asc[::-1])
             assert decode(o, encode(o, x)) == x
         # the ordering is its store, and the store holds one entropy, one
-        # entry and one size per partition of n (not per class)
+        # row of parts and one size per partition of n (not per class)
         assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
-        assert type(o).__slots__ == ("entropies", "parts")
+        assert type(o).__slots__ == ("parts",)
         assert len(_partitions(o)) == count_partitions(50, 4) < count_types(50, 4) // 20
-        assert len(o.entropies) == len(o.sizes) == len(_partitions(o))
-        assert list(o.entropies) == sorted(o.entropies) != sorted(set(o.entropies))  # some tie
+        assert len(o.keys) == len(o.sizes) == len(o.ranking) == len(_partitions(o))
+        entropies = list(_columns(o)[0])  # in code order
+        assert entropies == sorted(o.keys) != sorted(set(o.keys))  # some tie
 
     def test_store_keeps_no_tuple_or_size_per_class(self):
         # columns only: flat arrays of small numbers, and one big integer per orbit
         o = build_ordering(UNIVERSAL, 50, 4)
         partitions = count_partitions(50, 4)
-        assert type(o).__slots__ == ("entropies", "parts")
+        assert type(o).__slots__ == ("parts",)
         assert not hasattr(o, "__dict__")
-        assert isinstance(o.entropies, array) and o.entropies.typecode == "d"
+        assert isinstance(o.keys, array) and o.keys.typecode == "d"
         assert isinstance(o.parts, array) and o.parts.typecode in "BHIQ"
-        assert len(o.parts) == 3 * partitions  # m-1 parts each, none of them a tuple
+        assert len(o.parts) == 4 * partitions  # m parts each, none of them a tuple
+        assert isinstance(o.ranking, array) and o.ranking.typecode == coding._unsigned_typecode(partitions)
+        assert sorted(o.ranking) == list(range(partitions))
         assert type(o.sizes) is list and all(type(v) is int and v > 0 for v in o.sizes)
-        assert len(o.sizes) == len(o.entropies) == partitions
+        assert len(o.sizes) == len(o.keys) == partitions
         assert sum(o.sizes) == 4 ** 50
-        # one checkpoint every _OFFSET_STRIDE orbits, the first at 0
-        offsets = list(itertools.accumulate(o.sizes, initial=0))
+        # one checkpoint every _OFFSET_STRIDE orbits in code order, the first at 0
+        offsets = list(itertools.accumulate(_columns(o)[2], initial=0))
         assert o.checkpoints == offsets[:len(o.sizes):coding._OFFSET_STRIDE]
 
     def test_build_holds_little_memory(self):
@@ -376,7 +382,7 @@ class TestUniversalLevelPath:
         def walk():
             return sum(1 for _ in o._orbits())
 
-        assert walk() == len(o.entropies)
+        assert walk() == len(o.keys)
         assert peak_mib(walk) < 0.08
 
     def test_round_trip_through_every_multi_orbit_level(self):
@@ -421,7 +427,7 @@ class TestUniversalLevelPath:
             built.append(o)
 
         assert peak_mib(run) < bound
-        entropies = built[0].entropies
+        entropies = _columns(built[0])[0]  # in code order, so nondecreasing
         tied = [bisect.bisect_right(entropies, h) - bisect.bisect_left(entropies, h) > 1
                 for h in (type_entropy_bits(list(map(x.count, range(256)))) for x in blocks)]
         assert sum(tied) == shared
@@ -452,10 +458,11 @@ class TestUniversalBuildMatchesReference:
         groups of partitions of equal float entropy."""
         o = build_ordering(UNIVERSAL, n, m)
         entropies, parts, sizes, checkpoints = reference_entropy_columns(n, m)
-        assert o.entropies.tobytes() == array("d", entropies).tobytes(), (n, m)
-        assert list(o.parts) == parts, (n, m)
-        assert o.sizes == sizes, (n, m)
-        assert o.checkpoints == checkpoints, (n, m)
+        columns = _columns(o)  # the store's, in code order through its ranking
+        assert columns[0].tobytes() == array("d", entropies).tobytes(), (n, m)
+        assert columns[1] == parts, (n, m)
+        assert columns[2] == sizes, (n, m)
+        assert columns[3] == checkpoints, (n, m)
         return sum(count > 1 for count in collections.Counter(entropies).values())
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -526,13 +533,22 @@ class TestKnownSourceRankedPath:
         # columns and one offset per stride: no count vector, no class list
         assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
         store = o
-        assert type(store).__slots__ == ("ranking", "keys", "tables")
+        assert type(store).__slots__ == ("tables",)
         assert len(store.sizes) == len(store.ranking) == len(store.keys) == count_types(50, 4)
-        keys, canonical, ranking = coding._known_source_classes(50, 4, p)
+        tables = coding._key_tables(p, 50)
+        keys, sizes, ranking = coding._known_source_classes(tables, 50)
         assert store.keys.tobytes() == keys.tobytes() and store.ranking == ranking
-        assert store.tables == coding._key_tables(p, 50)
-        assert store.sizes == [canonical[i] for i in store.ranking]  # in code order
+        assert store.tables == tables
+        assert store.sizes == sizes  # the engine's, in canonical order
         assert len(store.checkpoints) == -(-len(store.ranking) // self.K)
+
+    def test_build_makes_its_key_tables_once(self, monkeypatch):
+        # the engine's keys and the store's lookups read the same tables
+        made = []
+        key_tables = coding._key_tables
+        monkeypatch.setattr(coding, "_key_tables", lambda *a: made.append(key_tables(*a)) or made[-1])
+        o = build_ordering(KNOWN_SOURCE, 9, 3, SourcePmf.parse("0.2,0.3,0.5"))
+        assert len(made) == 1 and o.tables is made[0]
 
     @pytest.mark.parametrize("n,p", [
         (6, SourcePmf.load("0.25,0.25,0.25,0.25")),  # every class ties

@@ -190,9 +190,10 @@ class TestColumnarEngine:
         # only then the sizes: the engine peaks about 1.12 times its own sort,
         # where sorting while every class size was held took 1.44 times
         p = SourcePmf.parse("0.1,0.2,0.4,0.3")
-        keys, _, ranking = coding._known_source_classes(24, 4, p)
+        tables = coding._key_tables(p, 24)
+        keys, _, ranking = coding._known_source_classes(tables, 24)
         sort = peak_mib(sorted, range(len(keys)), key=keys.__getitem__)
-        assert peak_mib(coding._known_source_classes, 24, 4, p) < 1.25 * sort
+        assert peak_mib(coding._known_source_classes, tables, 24) < 1.25 * sort
         assert isinstance(ranking, array) and ranking.typecode == coding._unsigned_typecode(len(keys))
 
 

@@ -18,6 +18,8 @@ a list holding a 5,000-digit int: each is refused with ``DomainError`` or
 ``DistributionError``.  ``SOURCE_CALLS`` passes a plain list, a tuple, a
 str or None where each public function takes a ``SourcePmf``: each is
 refused by name with ``DomainError`` before any other argument is read.
+``ORDERING_CALLS`` passes None, a str, a list or a ``SourcePmf`` where the
+codec takes a ``CodeOrdering``: each is refused by name with ``DomainError``.
 
 ``CODEC_CALLS`` feeds the codec's own parameters (the string of
 ``string_index`` and ``encode``, the codeword of ``decode``, the bits of
@@ -206,6 +208,22 @@ def test_bad_source(name, kind):
     bad = BAD_SOURCES[kind]
     with pytest.raises(DomainError, match=f"^a source must be a SourcePmf, got {re.escape(describe(bad))}$"):
         SOURCE_CALLS[name](bad)
+
+
+ORDERING_CALLS = {  # every other argument valid: the ordering is the one bad value
+    "string_index": lambda bad: pragrate.string_index(bad, b"ab"),
+    "encode": lambda bad: pragrate.encode(bad, b"ab"),
+    "decode": lambda bad: pragrate.decode(bad, Codeword("1")),
+}
+BAD_ORDERINGS = {"none": None, "str": "x", "list": [1, 2], "source": P}
+
+
+@pytest.mark.parametrize("name, kind", [(name, kind) for name in ORDERING_CALLS for kind in BAD_ORDERINGS])
+def test_bad_ordering(name, kind):
+    # refused by name, never a bare AttributeError
+    bad = BAD_ORDERINGS[kind]
+    with pytest.raises(DomainError, match=f"^an ordering must be a CodeOrdering, got {re.escape(describe(bad))}$"):
+        ORDERING_CALLS[name](bad)
 
 
 O = pragrate.build_ordering(UNIVERSAL, 2, 2)

@@ -31,7 +31,7 @@ from pragrate import (
     unrank_in_type_class,
 )
 from pragrate import types_census
-from pragrate.coding import _known_source_classes
+from pragrate.coding import _key_tables, _known_source_classes
 from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
@@ -150,7 +150,7 @@ class TestTypeIndex:
 
 def canonical_sizes(n, m):
     """The class sizes the ranked-class engine builds, in canonical order."""
-    return _known_source_classes(n, m, SourcePmf((1 / m,) * m))[1]  # sizes ignore the pmf
+    return _known_source_classes(_key_tables(SourcePmf((1 / m,) * m), n), n)[1]  # sizes ignore the pmf
 
 
 class TestTypeClassSize:
