@@ -18,7 +18,7 @@ The universal code is ordered one permutation orbit at a time, and its tie
 rule is part of the format: the partitions of n (each stands for the orbit
 of the count vectors that rearrange it) come by nondecreasing float
 entropy, partitions of bit-equal entropy keep the canonical descending-lex
-order of :func:`~pragrate.types_census._iter_runs`, and each orbit's
+order of :func:`~pragrate.types_census._partition_rows`, and each orbit's
 classes follow in lex order.  The paper's price-for-universality bound
 holds for any fixed rule among types of equal entropy; this one ranks every
 class in closed form within its own orbit.
@@ -26,16 +26,12 @@ class in closed form within its own orbit.
 Both orderings keep the engine's layout (below): per unit (a ranked class,
 or a partition's orbit) its float key and exact size in canonical order,
 and the ranking, the canonical indices in code order, through which every
-read in code order goes.  The universal store is built by two walks of the
-runs of partitions (which walk the known-source runs too) around one
-stable sort.  The first lists each partition's m parts, ascending, and its
-float entropy, its key; the sort ranks the partitions on the entropy
-alone.  No class size exists while they sort: the second walk appends each
-orbit's strings in canonical order, by the binomial recurrence along each
-run.  No tuple and no exact size per class outlive the build.  Since
-``fsum`` is correctly rounded whatever the order of its terms, every vector
-of an orbit has its partition's entropy bit for bit, so a class's orbit is
-found by bisecting the ranking on the entropies with
+read in code order goes.  :mod:`pragrate.types_census` streams the columns
+in canonical order; this module keeps the keys of the known source, the
+two stable sorts and the lookups.  Since ``fsum`` is correctly rounded
+whatever the order of its terms, every vector of an orbit has its
+partition's entropy bit for bit, so a class's orbit is found by bisecting
+the ranking on the entropies with
 :func:`~pragrate.types_census.type_entropy_bits` of its counts (and, in the
 rare case of several partitions of that entropy, by comparing their
 parts).  An orbit's classes all have one size, the orbit's strings over
@@ -90,11 +86,7 @@ them.
 
 The engine is columnar (``_known_source_classes``): per class it keeps a sort
 key in an ``array('d')`` and an exact size, both in canonical order, and
-the ranking, the class indices in code order as an index array.  Like the
-universal store it sorts before any class size exists: one stream of the
-class rows fills the keys, the sort's list is narrowed at once to the
-index array, and a walk of the runs computes the sizes.  No count vector
-is built: exact mode reduces the same rows to integer weights.  The tails
+the ranking, the class indices in code order as an index array.  The tails
 take one pass over the ranking, from the last class.  It keeps the ranks
 not yet passed, the logaddexp2 suffix chain over log2(size) - key and the
 next boundary 2**L, and splits each class that holds a boundary as it
@@ -109,7 +101,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -124,8 +115,10 @@ from .types_census import (
     DEFAULT_TYPE_CAP,
     _check_walk_cap,
     _class_rows,
+    _class_sizes,
     _distinct_permutations,
-    _iter_runs,
+    _orbit_sizes,
+    _partition_rows,
     _rank,
     _string_counts,
     _type_at_index,
@@ -133,6 +126,7 @@ from .types_census import (
     _type_entropy_bits,
     _type_index,
     _unrank,
+    _unsigned_typecode,
 )
 
 KNOWN_SOURCE = "known-source"
@@ -165,11 +159,6 @@ class Codeword:
         return int("1" + self.bits, 2) if self.bits else 1
 
 
-def _unsigned_typecode(bound: int) -> str:
-    """The narrowest unsigned array typecode that holds 0 .. ``bound``."""
-    return next(code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize)
-
-
 class CodeOrdering:
     """A total order on A^n shared by encoder and decoder, as a sequence of
     units: ranked classes for the known source, orbits (partitions of n)
@@ -177,15 +166,18 @@ class CodeOrdering:
     ``keys`` and ``sizes``, each unit's float key and strings in canonical
     order, ``ranking``, the canonical indices in code order, and
     ``checkpoints[j]``, the strings before code position j * _OFFSET_STRIDE.
-    ``_offset`` and ``_unit`` read less than one stride's sizes through the
-    ranking, and ``_first`` bisects it for the first unit of a key.  Each
-    store answers the two questions of enumerative coding without listing
-    its classes: ``class_offset`` (the strings in all classes before a
-    given one) and ``locate`` (the class holding a given index, and the
-    index's rank inside it).  Both are checked views of the store's
-    ``_span`` and ``_class_at``, which also answer the class's size, so the
-    codec never computes a multinomial per string; the codec checks its
-    own input and calls those two directly.
+    The columns in canonical order are read off the walks of
+    :mod:`pragrate.types_census`, the one module that walks the canonical
+    orders; a store sorts its keys into its ranking.  ``_offset`` and
+    ``_unit`` read less than one stride's sizes through the ranking, and
+    ``_first`` bisects it for the first unit of a key.  Each store answers
+    the two questions of enumerative coding without listing its classes:
+    ``class_offset`` (the strings in all classes before a given one) and
+    ``locate`` (the class holding a given index, and the index's rank
+    inside it).  Both are checked views of the store's ``_span`` and
+    ``_class_at``, which also answer the class's size, so the codec never
+    computes a multinomial per string; the codec checks its own input and
+    calls those two directly.
     """
 
     __slots__ = ("mode", "n", "m", "total", "keys", "sizes", "ranking", "checkpoints")
@@ -235,48 +227,23 @@ class _EntropyColumns(CodeOrdering):
     """The universal order in the base's layout (see the module docstring):
     the units are the partitions of n, ``keys`` their float entropies and
     ``sizes`` their orbits' strings, and ``parts`` packs each partition's m
-    parts, ascending, all in canonical order (descending lex) as the first
-    walk built them.  A class's size is its orbit's strings over the
-    orbit's arrangements; no per-partition tuple or per-class size is
-    kept.  ``_vectors`` is the one reader of ``parts`` in code order; the
-    codec lists no classes, and only the tails' ``_orbits`` does."""
+    parts, ascending, all in canonical order (descending lex), as
+    :func:`~pragrate.types_census._partition_rows` and
+    :func:`~pragrate.types_census._orbit_sizes` stream them; the sizes come
+    after the sort.  A class's size is its orbit's strings over the orbit's
+    arrangements; no per-partition tuple or per-class size is kept.
+    ``_vectors`` is the one reader of ``parts`` in code order; the codec
+    lists no classes, and only the tails' ``_orbits`` does."""
 
     __slots__ = ("parts",)
 
     def __init__(self, n: int, m: int) -> None:
-        # first walk: each partition's m parts, smallest first, one row per
-        # partition in canonical order (descending lex); its two smallest
-        # parts are rest - c and c
-        rows = []
-        for prefix, rest, prev, _, _, _ in _iter_runs(n, m, True):
-            smaller = prefix[::-1]
-            for c in range(min(prev, rest), (rest - 1) // 2, -1):
-                rows += (rest - c, c, *smaller)
-        self.parts = array(_unsigned_typecode(n), rows)
-        del rows
-        # type_entropy_bits of each partition, bit for bit, without its call
-        # overhead: fsum is correctly rounded, so the zero parts' 0.0 terms
-        # change nothing
-        log2_n, repeat = math.log2(n), itertools.repeat
-        term = [0.0, *(c * math.log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
-        sums = map(math.fsum, zip(*[map(term, self.parts)] * m))  # one row's terms at a time
-        unclamped = map(operator.sub, repeat(log2_n), map(operator.truediv, sums, repeat(n)))
-        keys = array("d", map(max, unclamped, repeat(0.0)))
+        self.parts, keys = _partition_rows(n, m)
         # a stable sort on the entropy alone keeps partitions of equal
-        # entropy in descending lex order; no class size exists yet
+        # entropy in descending lex order; no orbit size exists yet
         count = len(keys)
         ranking = array(_unsigned_typecode(count), sorted(range(count), key=keys.__getitem__))
-        # second walk: the strings of each partition's orbit, in canonical order
-        sizes, slot = [], m - 1
-        for _, rest, prev, run, size, arr in _iter_runs(n, m, True):
-            top = min(prev, rest)
-            cls = size * math.comb(rest, top)  # the class size, size * C(rest, c), c falling
-            for c in range(top, (rest - 1) // 2, -1):
-                r = run + 1 if c == prev else 1  # a part equal to prev extends its run
-                last = rest - c
-                sizes.append(cls * (arr * slot // r * m // (r + 1 if last == c else 1)))
-                cls = cls * c // (last + 1)
-        super().__init__(UNIVERSAL, n, m, keys, sizes, ranking)
+        super().__init__(UNIVERSAL, n, m, keys, _orbit_sizes(n, m), ranking)
 
     def _vectors(self, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         """The ascending count vectors of the partitions at code positions
@@ -393,23 +360,15 @@ def _known_source_classes(tables: list[list[float]], n: int) -> tuple[array, lis
     ``fsum`` of a row) as an exact-length list of floats, so the sort's key
     function boxes none; the sort's list is narrowed at once to an index
     array and the keys packed back into an array, which frees their int and
-    float objects; only then does a walk of the runs compute the sizes.  A
-    run's sizes coeff * C(r, c) are symmetric in c, so its second half
-    reuses the first half's integers: equal sizes share one object."""
+    float objects; only then are the sizes streamed
+    (:func:`~pragrate.types_census._class_sizes`)."""
     # through an array: list() of a map over-allocates as it grows
     keys, m = array("d", map(math.fsum, _class_rows(tables, n))), len(tables)
     del tables  # where the caller keeps no reference, they go before the keys unbox and sort
     keys = keys.tolist()
     ranking = array(_unsigned_typecode(len(keys)), sorted(range(len(keys)), key=keys.__getitem__))
-    keys = array("d", keys)
-    sizes = []
-    for _, r, _, _, coeff, _ in _iter_runs(n, m, False):
-        half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
-        for c in range(r // 2):
-            half.append(half[-1] * (r - c) // (c + 1))
-        sizes += half
-        sizes += half[-2::-1] if r % 2 == 0 else half[::-1]
-    return keys, sizes, ranking
+    keys = array("d", keys)  # frees the floats before the sizes walk
+    return keys, _class_sizes(n, m), ranking
 
 
 def _check_log2_epsilon(x: float) -> float:

@@ -47,17 +47,26 @@ the census of the strings at or below it walks the smaller side: above
 the mean entropy of a pmf drawn uniformly from the simplex it counts the
 strings above the threshold and takes them from m**n
 (:func:`low_entropy_count`).
+
+This is the one module that walks the canonical orders, so it streams the
+columns that the two codec stores of :mod:`pragrate.coding` sort into code
+order, in canonical order and one walk of the runs each: the class sizes
+(:func:`_class_sizes`), each partition's parts with its float entropy,
+bit for bit :func:`type_entropy_bits` (:func:`_partition_rows`), and its
+orbit's strings (:func:`_orbit_sizes`).  The stores keep the keys, the
+sorts and the lookups.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 from math import fsum, log2
-from operator import getitem, mul
+from operator import getitem, mul, sub, truediv
 
 from .errors import DEFAULT_TYPE_CAP, DomainError, ResourceLimitError
 from .inputs import check_blocklength, check_integer, check_real, check_string, describe
@@ -374,6 +383,65 @@ def _iter_runs(
                 break
             k = last - i  # nothing remains: slots i+1 .. m-3 hold zeros
             yield (*counts[:i + 1], *repeat(0, k)), 0, 0, k, sizes[i + 1], arrs[i + 1] * math.comb(m - 2, k)
+
+
+def _unsigned_typecode(bound: int) -> str:
+    """The narrowest unsigned array typecode that holds 0 .. ``bound``."""
+    return next(code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize)
+
+
+def _class_sizes(n: int, m: int) -> list[int]:
+    """The exact size of each n-type's class on m symbols, in canonical
+    order: per run of :func:`_iter_runs`, coeff * C(r, c) for c = 0 .. r.
+    These are symmetric in c, so a run's second half reuses the first
+    half's integers: equal sizes share one object."""
+    sizes = []
+    for _, r, _, _, coeff, _ in _iter_runs(n, m, False):
+        half = [coeff]  # coeff * C(r, c) for c = 0 .. r // 2
+        for c in range(r // 2):
+            half.append(half[-1] * (r - c) // (c + 1))
+        sizes += half
+        sizes += half[-2::-1] if r % 2 == 0 else half[::-1]
+    return sizes
+
+
+def _partition_rows(n: int, m: int) -> tuple[array, array]:
+    """(parts, entropies) of the partitions of n into at most m parts, in
+    canonical order (descending lex): ``parts`` packs each one's m parts,
+    smallest first, and ``entropies`` holds its float entropy,
+    :func:`type_entropy_bits` of its parts bit for bit.  The row list is
+    freed before the entropies are computed."""
+    # one row per partition; its two smallest parts are rest - c and c
+    rows = []
+    for prefix, rest, prev, _, _, _ in _iter_runs(n, m, True):
+        smaller = prefix[::-1]
+        for c in range(min(prev, rest), (rest - 1) // 2, -1):
+            rows += (rest - c, c, *smaller)
+    parts = array(_unsigned_typecode(n), rows)
+    del rows
+    # type_entropy_bits of each partition, bit for bit, without its call
+    # overhead: fsum is correctly rounded, so the zero parts' 0.0 terms
+    # change nothing
+    term = [0.0, *(c * log2(c) for c in range(1, n + 1))].__getitem__  # c * log2(c)
+    sums = map(fsum, zip(*[map(term, parts)] * m))  # one row's terms at a time
+    unclamped = map(sub, repeat(log2(n)), map(truediv, sums, repeat(n)))
+    return parts, array("d", map(max, unclamped, repeat(0.0)))
+
+
+def _orbit_sizes(n: int, m: int) -> list[int]:
+    """The strings of each partition's orbit, in the order of
+    :func:`_partition_rows`: its class size, size * C(rest, c) by the
+    binomial recurrence along each run, times its arrangements."""
+    sizes, slot = [], m - 1
+    for _, rest, prev, run, size, arr in _iter_runs(n, m, True):
+        top = min(prev, rest)
+        cls = size * math.comb(rest, top)  # the class size, size * C(rest, c), c falling
+        for c in range(top, (rest - 1) // 2, -1):
+            r = run + 1 if c == prev else 1  # a part equal to prev extends its run
+            last = rest - c
+            sizes.append(cls * (arr * slot // r * m // (r + 1 if last == c else 1)))
+            cls = cls * c // (last + 1)
+    return sizes
 
 
 def _distinct_permutations(values: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -149,3 +149,35 @@ def test_memoized_functions_are_flagged():
               "class K:\n    @cache\n    def c(self):\n        return 1\n"
               "@staticmethod\ndef d(x):\n    return x\n")
     assert memoized_functions(source) == ["a", "b", "c"]
+
+
+def walker_names(source):
+    """The places in ``source`` that name ``_iter_runs``: as a name, an
+    attribute or an imported name (under its own name or an alias)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found += [node.name, node.asname]
+    return [name for name in found if name == "_iter_runs"]
+
+
+def test_only_the_census_walks_the_runs():
+    # one module knows the canonical orders: the codec stores read its columns
+    found = {path.name: walker_names(path.read_text())
+             for path in sorted(Path(pragrate.__file__).parent.rglob("*.py"))}
+    assert found.pop("types_census.py") and not any(found.values()), found
+    defined = [path.name for path in sorted(Path(pragrate.__file__).parent.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_unsigned_typecode"]
+    assert defined == ["types_census.py"]
+
+
+def test_walker_names_are_flagged():
+    source = ("from .types_census import _iter_runs\nfrom . import types_census as t\n"
+              "from .types_census import _iter_runs as walk\nx = t._iter_runs(1, 2, True)\n"
+              "def f():\n    return _iter_runs\n_iter_runs_after = 1\n")
+    assert walker_names(source) == ["_iter_runs"] * 4

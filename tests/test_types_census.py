@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import operator
@@ -31,15 +32,17 @@ from pragrate import (
     unrank_in_type_class,
 )
 from pragrate import types_census
-from pragrate.coding import _key_tables, _known_source_classes
 from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
     _band_width,
     _class_rows,
+    _class_sizes,
     _distinct_permutations,
     _iter_runs,
     _iter_spans,
+    _orbit_sizes,
+    _partition_rows,
     _span_sum,
     count_partitions,
     type_at_index,
@@ -148,11 +151,6 @@ class TestTypeIndex:
             type_index((0, 0))
 
 
-def canonical_sizes(n, m):
-    """The class sizes the ranked-class engine builds, in canonical order."""
-    return _known_source_classes(_key_tables(SourcePmf((1 / m,) * m), n), n)[1]  # sizes ignore the pmf
-
-
 class TestTypeClassSize:
     def test_balanced_four(self):
         assert type_class_size((2, 2)) == 6
@@ -167,18 +165,18 @@ class TestTypeClassSize:
         # sum over all n-types of |T(type)| = m^n, exactly, in big integers
         for m in (2, 3, 4):
             for n in range(1, 61):
-                assert sum(canonical_sizes(n, m)) == m ** n
+                assert sum(_class_sizes(n, m)) == m ** n
 
     def test_incremental_sizes_match_direct(self):
         for n, m in [(9, 2), (7, 3), (5, 4)]:
-            assert canonical_sizes(n, m) == [type_class_size(t) for t in enumerate_types(n, m)]
+            assert _class_sizes(n, m) == [type_class_size(t) for t in enumerate_types(n, m)]
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_flat_enumerator_is_every_composition_in_lex_order(self, m):
         for n in (1, 2, 5, 9):
             got = list(enumerate_types(n, m))
             assert got == sorted(compositions(n, m))
-            assert canonical_sizes(n, m) == [type_class_size(c) for c in got]
+            assert _class_sizes(n, m) == [type_class_size(c) for c in got]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -262,6 +260,43 @@ class TestRunWalker:
     def test_partitions(self, m):
         for n in {256: range(1, 13), 600: (1, 2)}.get(m, self.NS):
             assert list(_iter_runs(n, m, True)) == list(reference_iter_runs(n, m)), (n, m)
+
+
+class TestCanonicalColumns:
+    """The columns that the codec stores sort into code order, streamed in
+    canonical order: per partition its parts, its float entropy and its
+    orbit's strings (the class sizes are checked in TestTypeClassSize)."""
+
+    SHA256 = "5cde8d8ad295661eee6055cc34093ee6a039a39576455e56662e80fadc75e761"
+
+    @pytest.mark.parametrize("m,ns", [
+        (2, (1, 2, 7, 20, 33)), (3, (1, 2, 6, 11, 17)), (4, (1, 3, 8, 13)), (5, (2, 6, 10)), (6, (1, 5, 9)),
+        (64, (1, 2, 5, 8)), (256, (1, 3, 6, 8)),
+    ])
+    def test_partition_columns_match_the_reference(self, m, ns):
+        for n in ns:
+            want = list(_iter_partitions(n, m))
+            parts, entropies = _partition_rows(n, m)
+            sizes = _orbit_sizes(n, m)
+            assert len(parts) == m * len(want) and len(entropies) == len(sizes) == len(want), (n, m)
+            for i, (partition, size, arrangements) in enumerate(want):
+                assert tuple(parts[i * m:i * m + m]) == partition[::-1], (n, m, i)  # ascending
+                assert entropies[i].hex() == type_entropy_bits(partition).hex(), (n, m, partition)
+                assert sizes[i] == size * arrangements, (n, m, partition)
+            assert sum(sizes) == m ** n
+
+    def test_columns_are_pinned(self):
+        # the walks behind the columns may be rewritten, but must move no
+        # size and no entropy; m = 256, n = 16 has about 1e25 classes, so
+        # its class sizes are left out
+        digest = hashlib.sha256()
+        for m, n in ((2, 800), (3, 150), (4, 50), (256, 16)):
+            parts, entropies = _partition_rows(n, m)
+            columns = [parts.tolist(), list(map(float.hex, entropies)), _orbit_sizes(n, m)]
+            if m < 256:
+                columns.append(_class_sizes(n, m))
+            digest.update(repr((m, n, columns)).encode())
+        assert digest.hexdigest() == self.SHA256
 
 
 class TestWindowedWalk:
