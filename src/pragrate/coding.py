@@ -9,10 +9,11 @@ Two orderings of A^n are supported, both total orders of the form
   reference to any source.
 
 The known-source classes whose float sort keys are equal keep the canonical
-(ascending lex) type order.  The build gets this from a stable sort, on the
+(ascending lex) type order.  The engine gets this from a stable sort, on the
 float key alone, of the classes listed in canonical order; the key is the
 ``fsum`` of per-symbol table entries c * -log2 p_i, computed by one C-level
-``map`` over the rows of :func:`~pragrate.types_census._class_rows`.
+``map`` over the rows of :func:`~pragrate.types_census._class_rows`.  The
+codec's store sorts each window of keys it ranks the same way.
 
 The universal code is ordered one permutation orbit at a time, and its tie
 rule is part of the format: the partitions of n (each stands for the orbit
@@ -43,8 +44,22 @@ counts and once over the string, and never lists the classes.  One method,
 the universal code's length distribution, which streams the orbits
 (``_orbits``) and alone lists their classes.
 
-The known-source store is the engine's columns as built and their key
-tables.  Both share one offset structure for enumerative coding (Cover,
+The known-source store holds the engine's columns only as far as its
+lookups reach.  It starts with no class ranked; a lookup past its reach
+ranks the next window of keys (reach, hi], whose classes
+:func:`~pragrate.types_census._key_window` finds by a walk pruned to the
+runs that can reach it, and appends their stable sort to the ranking.
+Every earlier window holds only smaller keys, so the ranking is always a
+prefix of the engine's, and no codeword depends on how far the store has
+reached; the growth rule is :class:`_RankedClasses`'s.  A string drawn
+from the source has its key within a few standard deviations of n H(P),
+near the head of the order, so a codec run over such strings ranks a
+fraction of the classes.  A walk is counted before it is made, and one
+that would cost more than a quarter of the engine's build, with the walks
+before it, is not made: the store then ranks every class by the engine's
+build, whose ranking has the store's as its prefix.
+
+Both stores share one offset structure for enumerative coding (Cover,
 1973): a cumulative offset every ``_OFFSET_STRIDE`` units in code order,
 so a unit's offset is a checkpoint plus fewer than ``_OFFSET_STRIDE``
 sizes, and the unit holding an index is found by bisecting the checkpoints
@@ -101,6 +116,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -117,6 +133,7 @@ from .types_census import (
     _class_rows,
     _class_sizes,
     _distinct_permutations,
+    _key_window,
     _orbit_sizes,
     _partition_rows,
     _rank,
@@ -159,6 +176,15 @@ class Codeword:
         return int("1" + self.bits, 2) if self.bits else 1
 
 
+def _checkpoints(sizes: list[int], units: Sequence[int], pos: int, offset: int) -> tuple[list[int], int]:
+    """(the checkpoints of ``units``, placed in code order from position
+    ``pos`` on after ``offset`` strings, and the strings through them)."""
+    offsets = itertools.accumulate(map(sizes.__getitem__, units), initial=offset)
+    # islice consumes its source up to its stop, so the last offset is left
+    count = len(units)
+    return list(itertools.islice(offsets, min(-pos % _OFFSET_STRIDE, count), count, _OFFSET_STRIDE)), next(offsets)
+
+
 class CodeOrdering:
     """A total order on A^n shared by encoder and decoder, as a sequence of
     units: ranked classes for the known source, orbits (partitions of n)
@@ -185,8 +211,7 @@ class CodeOrdering:
     def __init__(self, mode: str, n: int, m: int, keys: array, sizes: list[int], ranking: array) -> None:
         self.mode, self.n, self.m, self.total = mode, n, m, m ** n
         self.keys, self.sizes, self.ranking = keys, sizes, ranking
-        offsets = itertools.accumulate(map(sizes.__getitem__, ranking), initial=0)
-        self.checkpoints = list(itertools.islice(offsets, 0, len(sizes), _OFFSET_STRIDE))
+        self.checkpoints = _checkpoints(sizes, ranking, 0, 0)[0]
 
     def _offset(self, pos: int) -> int:
         """The strings in the units before code position ``pos``."""
@@ -302,30 +327,106 @@ class _EntropyColumns(CodeOrdering):
 
 
 class _RankedClasses(CodeOrdering):
-    """The known-source order in the base's layout: the engine's columns
-    (:func:`_known_source_classes`) as built, its units the type classes,
-    and the key ``tables`` that made the keys.  No count vector and no
-    inverse of the ranking is stored: a class is found by bisecting the
-    ranking on its own key, and a count vector is recovered from its
-    canonical index in closed form."""
+    """The known-source order in the base's layout, its units the type
+    classes, built in key windows as far as its lookups reach: ``ranking``
+    holds the classes of key at most ``reach`` in code order, with their
+    ``checkpoints``, and ``reached`` counts their strings.  ``keys`` and
+    ``sizes`` are the engine's columns (:func:`_known_source_classes`)
+    wherever a window has written them, both made at the first window.
+    ``tables`` are the key tables.
 
-    __slots__ = ("tables",)
+    A lookup past the reach ranks the next window (reach, hi] of keys
+    (:func:`~pragrate.types_census._key_window`), stable-sorted on the key,
+    after the ranking: every earlier window holds only smaller keys, so the
+    ranking is always a prefix of the engine's.  The windows follow the
+    strings that a memoryless source draws, whose keys have mean n H and
+    standard deviation s = sqrt(n Var(-log2 p(X))):
 
-    def __init__(self, n: int, m: int, keys: array, sizes: list[int], ranking: array,
-                 tables: list[list[float]]) -> None:
-        super().__init__(KNOWN_SOURCE, n, m, keys, sizes, ranking)
-        self.tables = tables
+    * hi is the lookup's target plus ``step``, and at least ``floor`` plus
+      ``step``, where ``floor`` is n H + 1.5 s and ``step`` starts at 1.5 s
+      (1 bit at least), so the first window reaches 3 s past the mean;
+    * a key lookup's target is its key;
+    * an index k's target is log2 k, a lower bound on the key of the class
+      holding k (the k strings up to it each have probability at least
+      2**-key), and the reach once that bound is below it; a bound more
+      than a step past both the reach and ``floor`` marks an atypical
+      index, and so does a window that leaves k unreached: then every
+      class left is ranked;
+    * the second window steps as far past its target, and a third ranks
+      every class left.
+
+    Every class left is ranked by the engine's own build, whose ranking
+    has the store's as its prefix: the store's columns are dropped first,
+    so its peak is the engine's.  The walks share a ``budget`` of a
+    quarter of the classes, in the work units of
+    :func:`~pragrate.types_census._key_window` (about the engine's time
+    per class); a window whose walk would pass it is not walked, and the
+    engine's build ranks every class instead.  Whatever the order of the
+    symbols and of the lookups, a store so spends about 5/4 of the
+    engine's build at most.
+
+    A lookup may thus change the store, which commits a window at once,
+    after its walk, sort and sizes: an ordering is not to be shared
+    between threads.  No count vector and no inverse of the ranking is
+    stored: a class is found by bisecting the ranking on its own key, and
+    a count vector is recovered from its canonical index in closed form."""
+
+    __slots__ = ("tables", "floor", "reach", "step", "reached", "budget")
+
+    def __init__(self, n: int, m: int, tables: list[list[float]]) -> None:
+        count = math.comb(n + m - 1, m - 1)
+        super().__init__(KNOWN_SOURCE, n, m, array("d"), [], array(_unsigned_typecode(count)))
+        # the mean and standard deviation of the key of a string drawn from
+        # the source: n times those of -log2 p_i, with p_i = 2**-rate_i
+        rates = [table[1] for table in tables]
+        probs = [2.0 ** -rate for rate in rates]
+        mean = math.fsum(map(operator.mul, probs, rates))
+        spread = math.sqrt(n * math.fsum(p * (rate - mean) ** 2 for p, rate in zip(probs, rates)))
+        self.tables, self.floor, self.step = tables, n * mean + 1.5 * spread, max(1.5 * spread, 1.0)
+        self.reach, self.reached, self.budget = -math.inf, 0, count / 4
+
+    def _extend(self, target: float) -> None:
+        """Rank the classes of key in (reach, max(target, reach, floor) + step]."""
+        hi = max(target, self.reach, self.floor) + self.step
+        count = math.comb(self.n + self.m - 1, self.m - 1)
+        keys, sizes = self.keys or array("d", bytes(8 * count)), self.sizes or [0] * count
+        window = _key_window(self.tables, self.n, self.reach, hi, keys, sizes, self.budget) if hi < math.inf else None
+        if window is None:
+            del keys, sizes  # new columns go before the build
+            self._rank_all()
+            return
+        order, work = window
+        order.sort(key=keys.__getitem__)  # stable: a tie keeps the canonical order
+        checkpoints, reached = _checkpoints(sizes, order, len(self.ranking), self.reached)
+        ranking = self.ranking + array(self.ranking.typecode, order)
+        step = math.inf if self.reach > -math.inf else self.step  # a third window takes every class left
+        self.keys, self.sizes, self.ranking, self.checkpoints = keys, sizes, ranking, self.checkpoints + checkpoints
+        self.reach, self.reached, self.step, self.budget = hi, reached, step, self.budget - work
+
+    def _rank_all(self) -> None:
+        """Rank every class by the engine's build."""
+        typecode = self.ranking.typecode
+        # the empty store, which holds nothing through the build
+        self.keys, self.sizes, self.ranking, self.checkpoints = array("d"), [], array(typecode), []
+        self.reach, self.reached = -math.inf, 0
+        keys, sizes, ranking = _known_source_classes(self.tables, self.n)
+        checkpoints, reached = _checkpoints(sizes, ranking, 0, 0)
+        self.keys, self.sizes, self.ranking, self.checkpoints = keys, sizes, ranking, checkpoints
+        self.reach, self.reached = math.inf, reached
 
     def _span(self, counts: tuple[int, ...]) -> tuple[int, int]:
         """(strings in all classes ranked before the class of ``counts``, its size).
 
         The class's key is the engine's bit for bit (the ``fsum`` of the same
-        entries), so one bisection finds the first class of that key.  Classes
-        of equal key keep the canonical order, so inside a tie the class is
-        found by bisecting the tie's canonical indices for its own, once a
-        bisection on the key has found where the tie ends."""
-        ranking, by_key = self.ranking, self.keys.__getitem__
+        entries), so once the reach passes it one bisection finds the first
+        class of that key.  Classes of equal key keep the canonical order, so
+        inside a tie the class is found by bisecting the tie's canonical
+        indices for its own, once a bisection on the key has found where the
+        tie ends."""
         key = math.fsum(map(list.__getitem__, self.tables, counts))
+        if key > self.reach:
+            self._extend(key)
+        ranking, by_key = self.ranking, self.keys.__getitem__
         pos, i = self._first(key), _type_index(counts)
         if ranking[pos] != i:  # another class of the same key
             pos = bisect.bisect_left(ranking, i, pos, bisect.bisect_right(ranking, key, pos, key=by_key))
@@ -333,6 +434,12 @@ class _RankedClasses(CodeOrdering):
 
     def _class_at(self, k: int) -> tuple[tuple[int, ...], int, int]:
         """(counts, 0-based rank in its class, class size) of the 1-based index k."""
+        if k > self.reached:
+            bound = math.log2(k)  # no larger than the key of the class holding k
+            if bound <= max(self.reach, self.floor) + self.step:
+                self._extend(bound)
+            if k > self.reached:  # an atypical index: rank every class left
+                self._extend(math.inf)
         pos, offset = self._unit(k)
         i = self.ranking[pos]
         return _type_at_index(self.n, self.m, i), k - 1 - offset, self.sizes[i]
@@ -460,11 +567,20 @@ def build_ordering(
     """Construct the shared code ordering, a store in the one layout of
     :class:`CodeOrdering`.
 
-    In known-source mode the key tables are built once, for the engine's
-    keys and for the store's lookups.  In universal mode any ``source``
-    argument is ignored, so every codeword is byte-identical whatever is
-    passed, and ``cap_types`` counts the m parts that the store keeps of
-    each partition of n, not the type classes.
+    In known-source mode the store is built empty, with the key tables
+    that its key windows and its lookups read: each lookup past the
+    store's reach ranks one more window of keys, the classes that
+    :func:`~pragrate.types_census._key_window` finds by a walk pruned to
+    the runs that can reach it.  The first window reaches three standard
+    deviations of a source string's key past its mean, unless the lookup
+    asks for more; the second window steps as far past its target, and a
+    third takes every class left, by the engine's build, as does a window
+    whose walk would pass the store's budget (see :class:`_RankedClasses`).
+    A lookup may so change the store: an ordering is not to be shared
+    between threads.  The cap counts every class all the same.  In
+    universal mode any ``source`` argument is ignored, so every codeword is
+    byte-identical whatever is passed, and ``cap_types`` counts the m parts
+    that the store keeps of each partition of n, not the type classes.
     """
     if mode == KNOWN_SOURCE and source is not None:
         check_source(source)
@@ -477,8 +593,7 @@ def build_ordering(
         raise DomainError("known-source ordering requires a source pmf")
     if source.m != m:
         raise DomainError("source alphabet size disagrees with m")
-    tables = _key_tables(source, n)
-    return _RankedClasses(n, m, *_known_source_classes(tables, n), tables)
+    return _RankedClasses(n, m, _key_tables(source, n))
 
 
 def _check_ordering(ordering: object) -> None:

@@ -321,8 +321,12 @@ def moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnvel
     inflated over half a grid step and widened by the rounding margin, are
     returned.  The scan holds one level's blocks in arrays, and refines the
     blocks of stride ``ENVELOPE_CHUNK`` that survive ``_ENVELOPE_GROUP`` at
-    a time, so it never holds more than at that stride.  ``grid_size`` must
-    be an integer from 3 to ``ENVELOPE_GRID_CAP``.
+    a time, so it never holds more than at that stride.  Where the final
+    margin is 1/4 or more no block can be ruled out, so the levels below
+    that stride build no blocks: their points are evaluated densely,
+    folded into the extremes one kernel call at a time, with the same
+    points and bits.  ``grid_size`` must be an integer from 3 to
+    ``ENVELOPE_GRID_CAP``.
 
     Checks its arguments, then memoizes: the result is pure in them, and
     only a SourcePmf and an int within the cap reach the memo, so an
@@ -472,18 +476,32 @@ def _moment_envelope(p: SourcePmf, grid_size: int = ENVELOPE_GRID) -> MomentEnve
     eps = margin(sig_lo)
     if eps >= 0.5:  # past this the kernel's floats bound nothing
         return MomentEnvelope(0.0, math.inf, math.inf, grid_size, evaluations)
-    # The levels below, down to single steps, with the final margin: the
-    # surviving blocks _ENVELOPE_GROUP at a time, moved out from the end.
-    blocks = prune(blocks, ENVELOPE_CHUNK, eps)
-    while blocks[0]:
-        group = tuple(column[-_ENVELOPE_GROUP:] for column in blocks)
-        for column in blocks:
-            del column[-_ENVELOPE_GROUP:]
-        stride = ENVELOPE_CHUNK
-        while group[0]:
-            group = split(group, stride)
-            stride = max(stride // _ENVELOPE_FAN, 1)
-            group = prune(group, stride, eps)
+    if eps >= 0.25:
+        # No block can be ruled out (survivors keeps all), nor could a coarse
+        # level's, whose margin is no smaller: the points left are those
+        # between the ENVELOPE_CHUNK-th ones.  A dense scan of them, folded
+        # into the extremes one kernel call at a time, evaluates the points
+        # that the levels below would, with no level's blocks held.
+        del blocks
+        left = (i for i in range(1, last) if i % ENVELOPE_CHUNK)
+        total = last - 1 - (last - 1) // ENVELOPE_CHUNK
+        while total:
+            size = min(total, _ENVELOPE_CALL)
+            evaluate(islice(left, size), size)
+            total -= size
+    else:
+        # The levels below, down to single steps, with the final margin: the
+        # surviving blocks _ENVELOPE_GROUP at a time, moved out from the end.
+        blocks = prune(blocks, ENVELOPE_CHUNK, eps)
+        while blocks[0]:
+            group = tuple(column[-_ENVELOPE_GROUP:] for column in blocks)
+            for column in blocks:
+                del column[-_ENVELOPE_GROUP:]
+            stride = ENVELOPE_CHUNK
+            while group[0]:
+                group = split(group, stride)
+                stride = max(stride // _ENVELOPE_FAN, 1)
+                group = prune(group, stride, eps)
 
     # The closed ends: then every alpha in [0, 1] lies between two evaluated
     # points at most 2 half apart, where the chord bounds apply.  As for the

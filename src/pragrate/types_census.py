@@ -55,6 +55,26 @@ order, in canonical order and one walk of the runs each: the class sizes
 bit for bit :func:`type_entropy_bits` (:func:`_partition_rows`), and its
 orbit's strings (:func:`_orbit_sizes`).  The stores keep the keys, the
 sorts and the lookups.
+
+The known-source store takes its columns one window of keys at a time,
+as far as its lookups reach: :func:`_key_window` finds the classes whose
+key, the ``fsum`` of their row of table entries (bit for bit the
+engine's), lies in (lo, hi], and sizes them by the binomial recurrence
+(:func:`_run_sizes`).  The key is linear in the counts, so the window's
+own walk of the composition runs, :func:`_key_runs`, keeps at each slot
+only the values whose subtree's keys, between the prefix's key plus the
+rest at the smallest and at the largest rate of the slots after, can
+meet the window: one division per end (:func:`_key_cut`).  Along a run
+kept the key moves by a fixed step per c, so one division per end gives
+its candidates, and their exact keys decide.  The window is widened past
+the float error, so a window keeps the classes that a linear scan of the
+engine's keys would.  The runs and candidates are counted before any key
+is made, so a caller can refuse a walk that would cost more than the
+engine's build.  The store's first window reaches three standard
+deviations of a source string's key past its mean, or a step past the
+lookup's target, the second that step past its target, and the third
+every class left, by the engine's build
+(:class:`pragrate.coding._RankedClasses`).
 """
 
 from __future__ import annotations
@@ -64,7 +84,7 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import fsum, log2
 from operator import getitem, mul, sub, truediv
 
@@ -75,6 +95,8 @@ from .numerics import neumaier_sum
 ENTROPY_CMP_TOL = 1e-12  # absorbs float rounding at threshold comparisons
 _WINDOW_MARGIN = 1e-9  # bits by which the walk's entropy window is widened: far above its float error
 _TERM_ERROR = 2.0 ** -51  # bound on the relative error of a float c*log2(c)
+_KEY_MARGIN = 2.0 ** -32  # the key window's widening, relative to the largest key: far above its float error
+_RUN_WORK = 5  # classes whose keys, sort and sizes the engine makes in the time a key window takes per run
 ALPHABET_CAP = 802  # symbols: the engine reads m counts per class, the census walker's state is O(m)
 
 
@@ -256,6 +278,168 @@ def _class_rows(tables: Sequence[Sequence], n: int) -> Iterator[tuple]:
         for prefix, rest, _, _, _, _ in _iter_runs(n, len(tables) - 1, False)
     )
     return chain.from_iterable(map(chain.from_iterable, slabs))
+
+
+def _key_window(tables: Sequence[Sequence[float]], n: int, lo: float, hi: float, keys: array, sizes: list[int],
+                budget: float = math.inf) -> tuple[list[int], int] | None:
+    """(kept, work) for the n-types on m = len(tables) symbols whose key
+    lies in (lo, hi]: ``kept`` their canonical indices, ascending, with
+    their keys and sizes written into ``keys`` and ``sizes``, columns in
+    canonical order; or None, with nothing written, where the walk's
+    ``work`` would pass ``budget``.
+
+    ``tables[i][c]`` is c times the rate of symbol i, rounded, and a class's
+    key is the ``fsum`` of its row of :func:`_class_rows`, bit for bit the
+    engine's.  The key is linear in the counts, up to rounding, so the runs
+    walked are those of :func:`_key_runs` with the window widened by
+    ``_KEY_MARGIN`` times the largest key: a subtree none of whose classes
+    can reach it is never walked.  Along a run (prefix, c, rest - c) the
+    linear key moves by the difference of the last two rates per step of c,
+    so one division per end gives the candidate c, as in :func:`_key_cut`.
+    A first walk counts the ``work``, ``_RUN_WORK`` per run with candidates
+    and one per candidate, in about the time the engine takes per class,
+    and stops once it passes the budget.  Within the budget a second walk
+    makes the candidates' keys, in one C-level ``map`` of ``fsum`` per run,
+    and sizes (:func:`_run_sizes`), and keeps those in (lo, hi].  A candidate that is not kept has its key
+    and size written too: the columns hold the engine's values wherever
+    they are written.  Neither walk holds more than one run at a time.
+
+    The widening covers the float error.  A key is within 2 ulps of its
+    linear sum (one rounding per table entry, one for ``fsum``), and the
+    bounds of :func:`_key_runs` and the run's cut add at most 2 m + 10
+    roundings, each relative to the largest key or to the window's ends;
+    for m <= 802 that is below 2**-41 of the largest key, where the window
+    is widened by 2**-32 of it."""
+    rates = [table[1] for table in tables]
+    margin = _KEY_MARGIN * n * max(rates)
+    wide = (lo - margin, hi + margin)
+    rise, rate_d = rates[-2] - rates[-1], rates[-1]
+    first_end, last_end = wide if rise >= 0 else wide[::-1]  # the ends that bound c from below, above
+    ceil, floor = math.ceil, math.floor
+
+    def spans() -> Iterator[tuple[int, int, int, int, int, tuple[int, ...]]]:
+        """(start, rest, a, b, size, prefix) per run with the candidates
+        c = a .. b-1: one division per end, as in _key_cut."""
+        for prefix, rest, start, size, least in _key_runs(rates, n, *wide):
+            least += rest * rate_d  # the run's linear key at c = 0
+            if rise:
+                a, b = (first_end - least) / rise, (last_end - least) / rise
+                a = ceil(a) if a > 0 else 0
+                b = floor(b) + 1 if b < rest else rest + 1
+                if a < b:
+                    yield start, rest, a, b, size, prefix
+            elif first_end <= least <= last_end:
+                yield start, rest, 0, rest + 1, size, prefix
+
+    work = 0
+    for _, _, a, b, _, _ in spans():
+        work += _RUN_WORK + b - a
+        if work > budget:  # the count stops here: the window is refused
+            return None
+    *heads, table_c, table_d = tables
+    flipped = table_d[n::-1]  # flipped[n - rest + c] is table_d[rest - c]
+    kept: list[int] = []
+    for start, rest, a, b, size, prefix in spans():
+        row = array("d", map(fsum, zip(*map(repeat, map(getitem, heads, prefix)), table_c[a:b],
+                                       flipped[n - rest + a:n - rest + b])))
+        keys[start + a:start + b] = row
+        sizes[start + a:start + b] = _run_sizes(size, rest, a, b)
+        kept += compress(range(start + a, start + b), [lo < key <= hi for key in row])
+    return kept, work
+
+
+def _key_runs(rates: Sequence[float], n: int, lo: float,
+              hi: float) -> Iterator[tuple[tuple[int, ...], int, int, int, float]]:
+    """(prefix, rest, start, size, key) for the runs of the n-types on
+    m = len(rates) >= 2 symbols, in canonical order, that can hold a class
+    whose linear key, the sum of c_i rates[i], lies in [lo, hi] as computed
+    here in floats; the caller widens the window past their error
+    (:func:`_key_window`).  A run is the classes (*prefix, c, rest - c) for
+    c = 0 .. rest, from canonical index ``start`` on, ``size`` is the
+    prefix's multinomial coefficient and ``key`` its linear key.
+
+    With a prefix fixed, the keys under the value c of slot i lie between
+    the prefix's key plus c rates[i] plus the rest R - c at the smallest
+    rate of the slots after i, and the same at the largest.  Both bounds
+    are linear in c, so the c whose subtree can reach the window are one
+    interval, cut by one division per end (:func:`_key_cut`); a subtree
+    cut away is never walked.  The index of a subtree's first class
+    follows from its prefix's as in :func:`_type_index`."""
+    m = len(rates)
+    if m == 2:  # one run, with no prefix
+        yield (), n, 0, 1, 0.0
+        return
+    last, comb = m - 3, math.comb  # the values of slot m-3 make the runs
+    lows = [min(rates[i + 1:]) for i in range(m - 2)]
+    highs = [max(rates[i + 1:]) for i in range(m - 2)]
+    stack = [((), n, 0, 1, 0.0)]  # (counts, rest, start, size, key) of the prefixes left, the next on top
+    while stack:
+        counts, rem, start, size, base = stack.pop()
+        i = len(counts)
+        rate, low, high = rates[i], lows[i], highs[i]
+        cs = _key_cut(base + rem * low, rate - low, base + rem * high, rate - high, lo, hi, rem)
+        if not cs:
+            continue
+        if i < last:  # the types before c at slot i number C(rem + k, k) - C(rem - c + k, k)
+            k = m - 1 - i
+            before = comb(rem + k, k)
+            stack += [((*counts, c), rem - c, start + before - comb(rem - c + k, k), size * comb(rem, c),
+                       base + c * rate) for c in reversed(cs)]
+            continue
+        # C(rem, c) and the run's first index by their recurrences: the runs
+        # before c hold rem + 1, rem, ..., rem - c + 2 classes
+        c = cs.start
+        binom, start = comb(rem, c), start + c * (2 * rem + 3 - c) // 2
+        for c in cs:
+            yield (*counts, c), rem - c, start, size * binom, base + c * rate
+            start += rem - c + 1
+            binom = binom * (rem - c) // (c + 1)
+
+
+def _run_sizes(size: int, rest: int, a: int, b: int) -> list[int]:
+    """size * C(rest, c) for c = a .. b-1.  As in :func:`_class_sizes`, a
+    c past rest / 2 whose mirror rest - c is in the span too shares its
+    integer; the others follow the binomial recurrence."""
+    half = rest // 2 + 1  # each c from half on has its mirror below half
+    run = _binomials(size, rest, a, min(b, half))
+    upper, mirrored = max(a, half), min(b, rest - a + 1)  # c in upper .. mirrored-1 mirror a c in the span
+    if mirrored > upper:
+        run += run[rest - mirrored + 1 - a:rest - upper + 1 - a][::-1]
+    return run + _binomials(size, rest, max(upper, mirrored), b)
+
+
+def _binomials(size: int, rest: int, lo: int, hi: int) -> list[int]:
+    """size * C(rest, c) for c = lo .. hi-1, by the binomial recurrence."""
+    if lo >= hi:
+        return []
+    size *= math.comb(rest, lo)
+    out = [size]
+    append = out.append
+    for c in range(lo, hi - 1):
+        size = size * (rest - c) // (c + 1)
+        append(size)
+    return out
+
+
+def _key_cut(least: float, rise_least: float, most: float, rise_most: float,
+             lo: float, hi: float, top: int) -> range:
+    """The c in 0 .. top at which [least + c rise_least, most + c rise_most]
+    meets [lo, hi], in floats: each bound is linear in c, so each end of
+    the range is one division (none where its rise is 0)."""
+    a, b = 0.0, float(top)
+    if rise_least > 0:
+        b = min(b, (hi - least) / rise_least)
+    elif rise_least < 0:
+        a = max(a, (hi - least) / rise_least)
+    elif least > hi:
+        return range(0)
+    if rise_most > 0:
+        a = max(a, (lo - most) / rise_most)
+    elif rise_most < 0:
+        b = min(b, (lo - most) / rise_most)
+    elif most < lo:
+        return range(0)
+    return range(math.ceil(a), math.floor(b) + 1) if a <= b else range(0)
 
 
 def _iter_runs(

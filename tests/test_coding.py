@@ -530,10 +530,12 @@ class TestKnownSourceRankedPath:
         assert decode(o, Codeword("")) == (3,) * 50
         assert decode(o, Codeword.from_index(o.total)) == (0,) * 50
         # the ordering is its store, and the store holds the engine's
-        # columns and one offset per stride: no count vector, no class list
+        # columns and one offset per stride: no count vector, no class list;
+        # decoding index total has taken the reach past every class
         assert isinstance(o, CodeOrdering) and CodeOrdering.__slots__ == STORE_SLOTS
         store = o
-        assert type(store).__slots__ == ("tables",)
+        assert type(store).__slots__ == ("tables", "floor", "reach", "step", "reached", "budget")
+        assert store.reached == store.total
         assert len(store.sizes) == len(store.ranking) == len(store.keys) == count_types(50, 4)
         tables = coding._key_tables(p, 50)
         keys, sizes, ranking = coding._known_source_classes(tables, 50)
@@ -558,8 +560,10 @@ class TestKnownSourceRankedPath:
     def test_lookup_by_key_inside_ties(self, n, p):
         # a class is found by bisecting the ranking on its key, then on its
         # canonical index inside a tie: every class lands at its reference
-        # offset, and encoding builds nothing (no attribute changes)
+        # offset, and once the store has reached its last class, encoding
+        # builds nothing (no attribute changes)
         o = build_ordering(KNOWN_SOURCE, n, p.m, p)
+        o.locate(o.total)
         assert len(set(o.keys)) < len(o.keys)  # some classes tie
 
         def state():
@@ -574,6 +578,105 @@ class TestKnownSourceRankedPath:
             assert string_index(o, first) == lo + 1 and string_index(o, first[::-1]) == hi, counts
         after = state()
         assert all(map(operator.is_, after[0], before[0])) and after[1] == before[1]
+
+    @pytest.mark.parametrize("walk", [False, True])
+    @pytest.mark.parametrize("spec,n", [("0.1,0.2,0.3,0.4", 20), ("0.2,0.3,0.5", 40), ("0.1,0.2,0.4,0.3", 16),
+                                        ("0.348,0.278,0.354,0.020", 16)])
+    def test_reach_never_changes_a_codeword(self, spec, n, walk):
+        # the store ranks key windows as far as its lookups reach, or every
+        # class by the engine's build: however far and in whatever order it
+        # got there, every codeword is the same.  At these n a walk costs
+        # more than a third of the engine's build, so the stores as built
+        # rank every class at their first lookup; with no budget they walk
+        # every window
+        p = SourcePmf.parse(spec)
+        rng = random.Random(n)
+        strings = [tuple(rng.choices(range(p.m), weights=w, k=n)) for w in (p.probs, [1] * p.m) for _ in range(20)]
+        strings += [(0,) * n, (p.m - 1,) * n]
+        order, offsets = _reference_ordering(n, p.m, TestOrbitBuildMatchesReferenceSort._known_key(p))
+
+        def store():
+            o = build_ordering(KNOWN_SOURCE, n, p.m, p)
+            if walk:
+                o.budget = math.inf
+            return o
+
+        def words(o):
+            return [encode(o, x) for x in strings]
+
+        fresh, last, by_class, backwards = store(), store(), store(), store()
+        last.locate(last.total)  # every class at once
+        for counts, lo in zip(order, offsets):  # one class at a time, in code order
+            assert by_class.locate(lo + 1) == (counts, 0)
+        for x in sorted(strings, key=lambda x: TestOrbitBuildMatchesReferenceSort._known_key(p)(
+                tuple(map(x.count, range(p.m)))), reverse=True):  # least probable first
+            encode(backwards, x)
+        for x in strings[:20]:  # drawn from the source
+            encode(fresh, x)
+        reached = len(fresh.ranking)  # a prefix of the code order, with its checkpoints
+        assert (0 < reached < len(last.ranking)) == walk and fresh.ranking == last.ranking[:reached]
+        assert fresh.checkpoints == last.checkpoints[:-(-reached // self.K)] and fresh.reached == last._offset(reached)
+        want = words(fresh)
+        assert [decode(fresh, w) for w in want] == strings
+        for o in (last, by_class, backwards):
+            assert words(o) == want and [decode(o, w) for w in want] == strings
+            assert o.reached == o.total and o.keys.tobytes() == last.keys.tobytes()
+            assert o.ranking == last.ranking and o.checkpoints == last.checkpoints
+
+    # (source, share of the 23,426 classes that each store ranks, windows it
+    # walks): the first source's first window would hold 45% of the classes,
+    # past the budget, so each store ranks every class by the engine's
+    # build; the second's holds 9.9% of them
+    BATCHES = [("0.1,0.2,0.3,0.4", 1.0, 0), ("0.022,0.504,0.415,0.059", 0.10, 1)]
+
+    @pytest.mark.parametrize("spec,share,walked", BATCHES)
+    def test_a_source_batch_reaches_a_share_of_the_classes(self, monkeypatch, spec, share, walked):
+        # 75 strings drawn from the source, through an encoding store and a
+        # decoding one, as the CLI runs them
+        windows = []
+        key_window = coding._key_window
+        monkeypatch.setattr(coding, "_key_window", lambda *a: windows.append(key_window(*a)) or windows[-1])
+        p = SourcePmf.parse(spec)
+        rng = random.Random(0)
+        strings = [tuple(rng.choices(range(4), weights=p.probs, k=50)) for _ in range(75)]
+        encoder, decoder = build_ordering(KNOWN_SOURCE, 50, 4, p), build_ordering(KNOWN_SOURCE, 50, 4, p)
+        words = [encode(encoder, x) for x in strings]
+        assert [decode(decoder, w) for w in words] == strings
+        assert len(windows) == 2 and sum(window is not None for window in windows) == 2 * walked
+        for o in (encoder, decoder):
+            assert len(o.ranking) <= share * count_types(50, 4), len(o.ranking) / count_types(50, 4)
+
+    @pytest.mark.parametrize("spec", ["0.1,0.2,0.3,0.4", "0.348,0.278,0.354,0.020", "0.022,0.504,0.415,0.059"])
+    def test_reaching_every_class_peaks_as_the_engine(self, spec):
+        # a store driven to its last class, and one reached class by class
+        # in code order, peak no higher than the engine's build of every
+        # class, but for the store's own few objects, whatever the order of
+        # the symbols: its columns go before that build.  The second source
+        # is one whose rare last symbol makes each window walk most runs;
+        # on the third the stores walk windows first
+        p = SourcePmf.parse(spec)
+
+        def engine():
+            keys, sizes, ranking = coding._known_source_classes(coding._key_tables(p, 50), 50)
+            return coding._checkpoints(sizes, ranking, 0, 0)
+
+        ref = build_ordering(KNOWN_SOURCE, 50, 4, p)
+        ref.locate(ref.total)
+        offsets = list(itertools.accumulate(map(ref.sizes.__getitem__, ref.ranking), initial=0))[:-1]
+
+        def last():
+            o = build_ordering(KNOWN_SOURCE, 50, 4, p)
+            o.locate(o.total)
+
+        def by_class():
+            o = build_ordering(KNOWN_SOURCE, 50, 4, p)
+            for k in offsets:
+                o.locate(k + 1)
+            assert o.ranking == ref.ranking
+
+        want = peak_mib(engine)
+        for reach in (last, by_class):
+            assert peak_mib(reach) <= want + 2 ** -7, (reach.__name__, want)
 
     def test_build_and_round_trip_stay_small(self):
         # the class list and position map at m=4 n=50 took 5.3 MiB

@@ -451,6 +451,24 @@ class TestBitIdenticalToTiltChains:
             got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
             assert got == reference_envelope(p, grid_size), (p, grid_size)
 
+    # Binary sources within about 1,000 ulps of uniform, whose final rounding
+    # margin lies in [1/4, 1/2): no block can be ruled out, so the points
+    # left after the ENVELOPE_CHUNK-th ones are scanned densely.  On the
+    # last two only the coarse margin is past 1/4 at 2049 points, and the
+    # final one below it, so the levels below prune as on any source.
+    WIDE_MARGIN = ((0.4999999999999405, 0.5000000000000596), (0.5000000000000921, 0.4999999999999079),
+                   (0.4999999999999057, 0.5000000000000943), (0.5000000000001186, 0.4999999999998815))
+
+    @pytest.mark.parametrize("grid_size", [3, 33, 100, 2049, 4100])
+    def test_moment_envelope_past_a_quarter_margin(self, grid_size):
+        for spec in self.WIDE_MARGIN:
+            p = SourcePmf(spec)
+            env = exponents._moment_envelope.__wrapped__(p, grid_size)
+            got = (env.sigma3_inf_sq, env.sigma3_sup_sq, env.rho3_sup)
+            assert got == reference_envelope(p, grid_size), (p, grid_size)
+            if math.isfinite(env.sigma3_sup_sq):  # certified: every grid point evaluated once
+                assert env.grid_evaluations == grid_size, (p, grid_size)
+
     @pytest.mark.parametrize("grid_size", [2049, 3001, 4100, 16385])
     def test_moment_envelope_deep_grids(self, rng, grid_size):
         # two levels above ENVELOPE_CHUNK, three at 16385; every block is

@@ -6,6 +6,8 @@ import operator
 import random
 import sys
 import time
+from array import array
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -31,7 +33,7 @@ from pragrate import (
     type_entropy_bits,
     unrank_in_type_class,
 )
-from pragrate import types_census
+from pragrate import coding, types_census
 from pragrate.types_census import (
     DEFAULT_TYPE_CAP,
     ENTROPY_CMP_TOL,
@@ -41,6 +43,8 @@ from pragrate.types_census import (
     _distinct_permutations,
     _iter_runs,
     _iter_spans,
+    _key_runs,
+    _key_window,
     _orbit_sizes,
     _partition_rows,
     _span_sum,
@@ -53,6 +57,7 @@ from conftest import (
     _iter_partitions,
     compositions,
     peak_mib,
+    random_pmf,
     reference_class_runs,
     reference_iter_runs,
     reference_low_entropy_count,
@@ -339,6 +344,117 @@ class TestWindowedWalk:
         window = (0.0, 1.585 + ENTROPY_CMP_TOL)  # the count's window at h = 1.585
         walked = [sum(1 for _ in _iter_runs(50, m, True, window)) for m in (50, 802)]
         assert walked[0] == walked[1] < count_partitions(50, 50) // 100
+
+
+class TestKeyWindow:
+    """The known-source window walk keeps exactly the classes whose engine
+    key lies in (lo, hi], in canonical order, and writes their keys, bit for
+    bit, and sizes: checked against a linear scan of the engine's columns
+    (``coding._known_source_classes``)."""
+
+    NS = {2: 16, 3: 13, 4: 6, 5: 4}  # thirds at n = 13 tie unevenly along a run
+
+    @staticmethod
+    def _sources(m):
+        rng = random.Random(97 * m)
+        sources = [random_pmf(rng, m) for _ in range(3)]
+        sources.append(SourcePmf((1 / m,) * m))  # every run has slope 0
+        # within a few hundred ulps of uniform: the keys along a run move by
+        # less than their rounding, so they need not be monotone in c
+        near = [1 / m + rng.randint(-300, 300) * 2.0 ** -53 for _ in range(m)]
+        sources.append(SourcePmf(tuple(x / math.fsum(near) for x in near)))
+        raw = [rng.uniform(0.1, 1.0) for _ in range(m - 1)]
+        tiny = [1e-300, *(x / math.fsum(raw) for x in raw)]  # a rate near 1000 bits, in every slot
+        sources += [SourcePmf(tuple(tiny[-k:] + tiny[:-k])) for k in range(m)]
+        if m == 3:
+            sources.append(SourcePmf.from_values([Fraction(1, 3)] * 3))
+        if m == 4:
+            sources.append(SourcePmf.load("0.1,0.2,0.4,0.3"))  # 0.1 * 0.4 == 0.2 * 0.2
+        return sources
+
+    @staticmethod
+    def _windows(keys):
+        """Windows whose ends are class keys, the empty and infinite ends,
+        and each tie alone."""
+        rng = random.Random(len(keys))
+        distinct = sorted(set(keys))
+        cuts = [-math.inf, *sorted(rng.sample(distinct, min(9, len(distinct)))), math.inf]
+        ties = [(math.nextafter(k, -math.inf), k) for k in rng.sample(distinct, min(3, len(distinct)))]
+        return [*zip(cuts, cuts[1:]), *zip(cuts, cuts[2:]), *ties, (distinct[0], distinct[0]),
+                (-math.inf, distinct[0]), (distinct[-1], math.inf)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_windows_match_a_linear_scan(self, m):
+        n = self.NS[m]
+        for p in self._sources(m):
+            tables = coding._key_tables(p, n)
+            keys, sizes, _ = coding._known_source_classes(tables, n)
+            for lo, hi in self._windows(keys):
+                got_keys, got_sizes = array("d", [math.nan]) * len(keys), [None] * len(keys)
+                kept, _ = _key_window(tables, n, lo, hi, got_keys, got_sizes)
+                assert kept == [i for i, key in enumerate(keys) if lo < key <= hi], (p, lo, hi)
+                assert [got_keys[i].hex() for i in kept] == [keys[i].hex() for i in kept], (p, lo, hi)
+                assert [got_sizes[i] for i in kept] == [sizes[i] for i in kept], (p, lo, hi)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_the_whole_line_gives_the_engines_columns(self, m):
+        n = self.NS[m]
+        for p in self._sources(m):
+            tables = coding._key_tables(p, n)
+            keys, sizes, _ = coding._known_source_classes(tables, n)
+            got_keys, got_sizes = array("d", [math.nan]) * len(keys), [None] * len(keys)
+            kept, _ = _key_window(tables, n, -math.inf, math.inf, got_keys, got_sizes)
+            assert kept == list(range(len(keys)))
+            assert got_keys.tobytes() == keys.tobytes() and got_sizes == sizes, p
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_runs_over_the_whole_line(self, m):
+        # over the whole line the walk keeps every composition run, in
+        # order: each names the canonical index of its class c = 0 and the
+        # linear key of its prefix
+        for n in (1, 2, 5, 9):
+            rates = [1.0 + k / m for k in range(m)]
+            runs = list(_key_runs(rates, n, -math.inf, math.inf))
+            assert [(prefix, rest, size) for prefix, rest, _, size, _ in runs] == [
+                (prefix, rest, size) for prefix, rest, _, _, size, _ in _iter_runs(n, m, False)], (n, m)
+            assert [start for _, _, start, _, _ in runs] == [
+                type_index((*prefix, 0, rest)) for prefix, rest, *_ in runs], (n, m)
+            sums = [[*itertools.accumulate(map(operator.mul, prefix, rates), initial=0.0)][-1] for prefix, *_ in runs]
+            assert [key for *_, key in runs] == sums, (n, m)  # summed slot by slot, as the walk adds them
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_pruned_walk_keeps_the_runs_in_order(self, m):
+        # with a key window the walk yields an in-order subsequence of its
+        # runs over the whole line, equal tuples, and drops some
+        n, dropped = 2 * self.NS[m], 0
+        for p in self._sources(m)[:3]:
+            rates = [table[1] for table in coding._key_tables(p, n)]
+            runs = list(_key_runs(rates, n, -math.inf, math.inf))
+            scale = n * max(rates)
+            for lo, hi in ((0.0, 0.4 * scale), (0.45 * scale, 0.5 * scale), (0.7 * scale, math.inf)):
+                kept = list(_key_runs(rates, n, lo, hi))
+                it = iter(runs)
+                assert all(run in it for run in kept), (p, lo, hi)
+                dropped += len(runs) - len(kept)
+        assert dropped
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_a_walk_past_its_budget_writes_nothing(self, m):
+        # the work is counted before any key is made: within the budget the
+        # window is walked, past it nothing is written
+        n = 2 * self.NS[m]
+        p = self._sources(m)[0]
+        tables = coding._key_tables(p, n)
+        keys, sizes, _ = coding._known_source_classes(tables, n)
+        distinct = sorted(set(keys))
+        lo, hi = distinct[len(distinct) // 4], distinct[len(distinct) // 2]
+        want = [i for i, key in enumerate(keys) if lo < key <= hi]
+        kept, work = _key_window(tables, n, lo, hi, array("d", keys), list(sizes))
+        assert kept == want and work >= len(want) + types_census._RUN_WORK
+        assert _key_window(tables, n, lo, hi, array("d", keys), list(sizes), work) == (kept, work)
+        column, size_column = array("d", [math.nan]) * len(keys), [None] * len(keys)
+        assert _key_window(tables, n, lo, hi, column, size_column, work - 1) is None
+        assert all(map(math.isnan, column)) and size_column == [None] * len(keys)
 
 
 class TestOrbits:
